@@ -2,10 +2,10 @@
 
 Times the contrastive pre-training stage (the heaviest loop: two
 augmented encoder passes + NT-Xent per batch) twice on the same seeded
-dataset — once through the single-process loop (``workers=0``) and once
-through the ``repro.train.parallel`` coordinator at ``workers=4`` —
-and records epoch throughput (sequences/sec) into
-``BENCH_train_parallel.json``.
+dataset through ``pretrain_contrastive`` — once with in-process
+gradients (``workers=0``) and once with the ``repro.train.parallel``
+worker pool as the gradient source (``workers=4``) — and records epoch
+throughput (sequences/sec) into ``BENCH_train_parallel.json``.
 
 The speedup gate is **core-aware**, exactly like the serving-scale
 benchmark: the 2.5x bar from the scale-out design applies only when

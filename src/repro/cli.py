@@ -770,9 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="data-parallel training workers: 0 (default) keeps the "
-        "single-process loops byte-compatible with the golden fixtures; "
-        "N >= 1 trains through repro.train.parallel — bit-reproducible "
+        help="data-parallel training workers: 0 (default) computes "
+        "gradients in-process, byte-compatible with the golden fixtures; "
+        "N >= 1 takes them from repro.train.parallel — bit-reproducible "
         "at a fixed worker count (see docs/SCALING.md 'Training at scale')",
     )
     _add_scale_arguments(p_tr)

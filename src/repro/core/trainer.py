@@ -1,4 +1,4 @@
-"""Training loops for the contrastive stage and the joint regime.
+"""Entry points for the contrastive stage and the joint regime.
 
 Two regimes are provided:
 
@@ -10,7 +10,8 @@ Two regimes are provided:
   each step minimizes ``L_rec + λ · L_cl`` over one supervised batch
   and one contrastive batch.
 
-Both loops accept an optional
+Both run :func:`repro.train.loop.run_training` on their
+:class:`~repro.train.stages.Stage`, and accept an optional
 :class:`repro.runtime.resume.TrainingRuntime` that adds crash-safe
 periodic checkpoints, bit-exact resume, SIGTERM/SIGINT
 flush-and-exit, and divergence rollback — see ``docs/ROBUSTNESS.md``.
@@ -18,17 +19,21 @@ flush-and-exit, and divergence rollback — see ``docs/ROBUSTNESS.md``.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
-from repro.data.pipeline import CyclingStream, batch_stream
 from repro.data.preprocessing import SequenceDataset
-from repro.nn import precision
-from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
+from repro.train.loop import run_training
+from repro.train.stages import JointStage, PretrainHistory, PretrainStage
+
+__all__ = [
+    "ContrastivePretrainConfig",
+    "JointTrainConfig",
+    "PretrainHistory",
+    "pretrain_contrastive",
+    "train_joint",
+]
 
 
 @dataclass
@@ -49,8 +54,8 @@ class ContrastivePretrainConfig:
     # Compute precision: None keeps the process default (float64);
     # "float32" for throughput — see docs/PERFORMANCE.md.
     dtype: str | None = None
-    # Data-parallel worker processes: 0 keeps the single-process loop
-    # (bit-compatible with the golden fixtures); N >= 1 trains through
+    # Data-parallel worker processes: 0 computes gradients in-process
+    # (bit-compatible with the golden fixtures); N >= 1 takes them from
     # repro.train.parallel — deterministic at fixed N, but a different
     # sample than workers=0 (see docs/SCALING.md "Training at scale").
     workers: int = 0
@@ -78,66 +83,6 @@ class JointTrainConfig:
     seed: int = 0
 
 
-@dataclass
-class PretrainHistory:
-    """Per-epoch contrastive losses and in-batch retrieval accuracy."""
-
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-
-
-def _emit_epoch(
-    obs,
-    event: str,
-    stage: str,
-    epoch: int,
-    loss: float,
-    batches: int,
-    sequences: int,
-    grad_norm_sum: float,
-    seconds: float,
-    lr: float,
-    **extra,
-) -> None:
-    """Record one epoch into a :class:`repro.obs.RunObserver`.
-
-    Emits the per-epoch event (loss components, mean grad norm,
-    sequences/sec throughput, wall time, current lr) and feeds the
-    aggregate registry instruments (`train.epoch_seconds` histogram,
-    `train_epochs` / `train_batches` / `train_sequences` counters).
-    """
-    obs.event(
-        event,
-        stage=stage,
-        epoch=epoch,
-        loss=loss,
-        batches=batches,
-        sequences=sequences,
-        grad_norm=grad_norm_sum / max(1, batches),
-        items_per_sec=sequences / seconds if seconds > 0 else 0.0,
-        epoch_seconds=seconds,
-        lr=lr,
-        **extra,
-    )
-    obs.observe("train.epoch_seconds", seconds)
-    obs.increment("train_epochs")
-    obs.increment("train_batches", batches)
-    obs.increment("train_sequences", sequences)
-
-
-def _runtime_rngs(model, rng: np.random.Generator) -> list[np.random.Generator]:
-    """The generators a checkpoint must capture for bit-exact resume.
-
-    The loop's generator drives batch order, augmentation and negative
-    sampling; the model's own generator (when distinct) drives dropout.
-    """
-    rngs = [rng]
-    model_rng = getattr(model, "_rng", None)
-    if isinstance(model_rng, np.random.Generator):
-        rngs.append(model_rng)
-    return rngs
-
-
 def pretrain_contrastive(
     model,
     dataset: SequenceDataset,
@@ -160,102 +105,7 @@ def pretrain_contrastive(
     event per epoch — NT-Xent loss, in-batch retrieval accuracy, mean
     grad norm, sequences/sec and epoch wall time.
     """
-    if getattr(config, "workers", 0):
-        from repro.train.parallel import pretrain_contrastive_parallel
-
-        return pretrain_contrastive_parallel(
-            model, dataset, config, rng=rng, runtime=runtime, obs=obs
-        )
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    loader = ContrastiveBatchLoader(
-        dataset,
-        model.pair_sampler,
-        config.max_length,
-        config.batch_size,
-        rng,
-        pipeline=config.pipeline,
-        obs=obs,
-    )
-    # Cast before the optimizer is created so Adam's moment buffers
-    # inherit the training dtype.
-    dtype = precision.resolve_dtype(config.dtype)
-    model.to_dtype(dtype)
-    params = list(model.contrastive_parameters())
-    optimizer = Adam(params, lr=config.learning_rate)
-    schedule = LinearDecaySchedule(
-        optimizer,
-        total_steps=max(1, config.epochs * loader.num_batches),
-        final_factor=config.lr_final_factor,
-    )
-    clipper = GradientClipper(params, config.clip_norm)
-    history = PretrainHistory()
-
-    start_epoch = 0
-    if runtime is not None:
-        start_epoch = runtime.start(
-            model=model,
-            optimizer=optimizer,
-            schedule=schedule,
-            rngs=_runtime_rngs(model, rng),
-            history={"losses": history.losses, "accuracies": history.accuracies},
-        )
-
-    model.train()
-    with precision.precision(dtype), (
-        runtime.session() if runtime is not None else nullcontext()
-    ):
-        for epoch in range(start_epoch, config.epochs):
-            if runtime is not None:
-                runtime.begin_epoch(epoch)
-            epoch_started = time.perf_counter()
-            epoch_loss, epoch_acc, batches = 0.0, 0.0, 0
-            grad_norm_sum, sequences = 0.0, 0
-            with batch_stream(
-                loader.epoch(), config.pipeline, obs=obs
-            ) as epoch_batches:
-                for batch in epoch_batches:
-                    loss, accuracy = model.contrastive_loss(batch)
-                    loss_value = loss.item()
-                    optimizer.zero_grad()
-                    loss.backward()
-                    grad_norm = clipper.clip()
-                    if runtime is not None:
-                        loss_value = runtime.intercept_loss(loss_value)
-                        if not runtime.allow_update(loss_value, grad_norm):
-                            optimizer.zero_grad()
-                            runtime.after_step()
-                            continue
-                    optimizer.step()
-                    schedule.step()
-                    epoch_loss += loss_value
-                    epoch_acc += accuracy
-                    grad_norm_sum += grad_norm
-                    sequences += len(batch.users)
-                    batches += 1
-                    if runtime is not None:
-                        runtime.after_step()
-            history.losses.append(epoch_loss / max(1, batches))
-            history.accuracies.append(epoch_acc / max(1, batches))
-            if obs is not None:
-                _emit_epoch(
-                    obs,
-                    "pretrain_epoch",
-                    stage="pretrain",
-                    epoch=epoch,
-                    loss=history.losses[-1],
-                    batches=batches,
-                    sequences=sequences,
-                    grad_norm_sum=grad_norm_sum,
-                    seconds=time.perf_counter() - epoch_started,
-                    lr=optimizer.lr,
-                    accuracy=history.accuracies[-1],
-                )
-            if runtime is not None:
-                runtime.end_epoch(epoch)
-    if runtime is not None:
-        runtime.finalize()
-    model.eval()
-    return history
+    return run_training(PretrainStage, model, dataset, config, rng, runtime, obs)
 
 
 def train_joint(
@@ -276,117 +126,4 @@ def train_joint(
     ablation questions (how much does InfoNCE contribute?) are
     answerable from logs.
     """
-    if getattr(config, "workers", 0):
-        from repro.train.parallel import train_joint_parallel
-
-        return train_joint_parallel(
-            model, dataset, config, rng=rng, runtime=runtime, obs=obs
-        )
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    next_loader = NextItemBatchLoader(
-        dataset,
-        config.max_length,
-        config.batch_size,
-        rng,
-        pipeline=config.pipeline,
-        obs=obs,
-    )
-    cl_loader = ContrastiveBatchLoader(
-        dataset,
-        model.pair_sampler,
-        config.max_length,
-        config.batch_size,
-        rng,
-        pipeline=config.pipeline,
-        obs=obs,
-    )
-    dtype = precision.resolve_dtype(config.dtype)
-    model.to_dtype(dtype)
-    params = list(model.contrastive_parameters())
-    optimizer = Adam(params, lr=config.learning_rate)
-    schedule = LinearDecaySchedule(
-        optimizer,
-        total_steps=max(1, config.epochs * next_loader.num_batches),
-        final_factor=config.lr_final_factor,
-    )
-    clipper = GradientClipper(params, config.clip_norm)
-    losses: list[float] = []
-
-    start_epoch = 0
-    if runtime is not None:
-        start_epoch = runtime.start(
-            model=model,
-            optimizer=optimizer,
-            schedule=schedule,
-            rngs=_runtime_rngs(model, rng),
-            history={"losses": losses},
-        )
-
-    model.train()
-    with precision.precision(dtype), (
-        runtime.session() if runtime is not None else nullcontext()
-    ):
-        for epoch in range(start_epoch, config.epochs):
-            if runtime is not None:
-                runtime.begin_epoch(epoch)
-            epoch_started = time.perf_counter()
-            epoch_loss, batches = 0.0, 0
-            rec_loss_sum, cl_loss_sum = 0.0, 0.0
-            grad_norm_sum, sequences = 0.0, 0
-            # One contrastive batch per supervised batch; the
-            # contrastive side cycles when its (shorter) epoch runs
-            # dry.  Both streams are prefetched on the vectorized path
-            # and torn down even when the loop exits early.
-            with CyclingStream(
-                cl_loader, pipeline=config.pipeline, obs=obs
-            ) as cl_stream, batch_stream(
-                next_loader.epoch(), config.pipeline, obs=obs
-            ) as epoch_batches:
-                for batch in epoch_batches:
-                    loss = model.sequence_loss(batch)
-                    cl_batch = cl_stream.next()
-                    cl_loss, __acc = model.contrastive_loss(cl_batch)
-                    total = loss + config.cl_weight * cl_loss
-                    total_value = total.item()
-                    optimizer.zero_grad()
-                    total.backward()
-                    grad_norm = clipper.clip()
-                    if runtime is not None:
-                        total_value = runtime.intercept_loss(total_value)
-                        if not runtime.allow_update(total_value, grad_norm):
-                            optimizer.zero_grad()
-                            runtime.after_step()
-                            continue
-                    optimizer.step()
-                    schedule.step()
-                    epoch_loss += total_value
-                    rec_loss_sum += loss.item()
-                    cl_loss_sum += config.cl_weight * cl_loss.item()
-                    grad_norm_sum += grad_norm
-                    sequences += len(batch.users)
-                    batches += 1
-                    if runtime is not None:
-                        runtime.after_step()
-            losses.append(epoch_loss / max(1, batches))
-            if obs is not None:
-                _emit_epoch(
-                    obs,
-                    "joint_epoch",
-                    stage="joint",
-                    epoch=epoch,
-                    loss=losses[-1],
-                    batches=batches,
-                    sequences=sequences,
-                    grad_norm_sum=grad_norm_sum,
-                    seconds=time.perf_counter() - epoch_started,
-                    lr=optimizer.lr,
-                    rec_loss=rec_loss_sum / max(1, batches),
-                    cl_loss=cl_loss_sum / max(1, batches),
-                    cl_weight=config.cl_weight,
-                )
-            if runtime is not None:
-                runtime.end_epoch(epoch)
-    if runtime is not None:
-        runtime.finalize()
-    model.eval()
-    return losses
+    return run_training(JointStage, model, dataset, config, rng, runtime, obs)

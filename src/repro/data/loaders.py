@@ -233,6 +233,16 @@ class NextItemBatchLoader:
         self._users = _shard_users(self._users, worker_shard)
 
     @property
+    def users(self) -> np.ndarray:
+        """The eligible users this loader draws from (after sharding)."""
+        return self._users
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream every draw comes from; checkpoint it to resume."""
+        return self._rng
+
+    @property
     def num_batches(self) -> int:
         return int(np.ceil(len(self._users) / self.batch_size))
 
@@ -330,8 +340,24 @@ class ContrastiveBatchLoader:
         self._users = _shard_users(self._users, worker_shard)
 
     @property
+    def users(self) -> np.ndarray:
+        """The eligible users this loader draws from (after sharding)."""
+        return self._users
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream every draw comes from; checkpoint it to resume."""
+        return self._rng
+
+    @property
     def num_batches(self) -> int:
-        return int(np.ceil(len(self._users) / self.batch_size))
+        """Batches one :meth:`epoch` yields.
+
+        A chunk of fewer than 2 users is skipped (a contrastive batch
+        needs an in-batch negative); only the remainder chunk can be.
+        """
+        full, rest = divmod(len(self._users), self.batch_size)
+        return full * (self.batch_size >= 2) + (rest >= 2)
 
     def epoch(self) -> Iterator[ContrastiveBatch]:
         """One shuffled pass; each user contributes one positive pair."""

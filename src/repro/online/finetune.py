@@ -52,7 +52,7 @@ class FineTuneConfig:
     dtype: str | None = None
     #: Data-parallel training workers per round (0 = single-process);
     #: threaded straight into the round's Joint/TrainConfig, so online
-    #: rounds fine-tune through ``repro.train.parallel`` too.
+    #: rounds can take their gradients from ``repro.train.parallel`` too.
     workers: int = 0
     #: Round-scoped TrainingRuntime checkpoints land under
     #: ``<checkpoint_dir>/round-NNNN``; None disables mid-round

@@ -1,9 +1,10 @@
 """Resumable training: periodic checkpoints, signal handling, recovery.
 
-:class:`TrainingRuntime` is the object the training loops
-(:func:`repro.core.trainer.pretrain_contrastive`,
-:func:`repro.core.trainer.train_joint`,
-:func:`repro.models.training.train_next_item_model`) thread their hooks
+:class:`TrainingRuntime` is the object the training loop
+(:func:`repro.train.loop.run_training`, behind
+:func:`repro.core.trainer.pretrain_contrastive`,
+:func:`repro.core.trainer.train_joint` and
+:func:`repro.models.training.train_next_item_model`) threads its hooks
 through.  It owns:
 
 * **Periodic checkpoints** — model + optimizer + lr-schedule + epoch
@@ -62,22 +63,50 @@ class TrainingInterrupted(RuntimeError):
         self.epoch = epoch
 
 
+def _spawn_count(rng: np.random.Generator) -> int | None:
+    """Children spawned from ``rng`` so far (None without a SeedSequence)."""
+    return getattr(rng.bit_generator.seed_seq, "n_children_spawned", None)
+
+
 def capture_rng_states(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Serialize generator states to one JSON string array (npz-safe)."""
-    return np.asarray(json.dumps([rng.bit_generator.state for rng in rngs]))
+    """Serialize generator states to one JSON string array (npz-safe).
+
+    Each entry is the bit-generator state plus the generator's spawn
+    count: ``bit_generator.state`` alone does not say how many child
+    streams were spawned, and the vectorized augmenter spawns one per
+    batch.
+    """
+    return np.asarray(
+        json.dumps(
+            [
+                {**rng.bit_generator.state, "n_children_spawned": _spawn_count(rng)}
+                for rng in rngs
+            ]
+        )
+    )
 
 
 def restore_rng_states(
     rngs: Sequence[np.random.Generator], packed: np.ndarray
 ) -> None:
-    """Restore generator states captured by :func:`capture_rng_states`."""
+    """Restore generator states captured by :func:`capture_rng_states`.
+
+    A generator that has spawned fewer children than the checkpoint
+    recorded is fast-forwarded, so its next child is the one the
+    interrupted run would have drawn.  Entries without a spawn count
+    (older checkpoints) restore the bit state only.
+    """
     states = json.loads(str(packed))
     if len(states) != len(rngs):
         raise CheckpointError(
             f"checkpoint holds {len(states)} RNG states, run has {len(rngs)}"
         )
     for rng, state in zip(rngs, states):
+        spawned = state.pop("n_children_spawned", None) or 0
         rng.bit_generator.state = state
+        behind = spawned - (_spawn_count(rng) or 0)
+        if behind > 0:
+            rng.spawn(behind)
 
 
 class TrainingRuntime:

@@ -1,10 +1,12 @@
-"""Deterministic data-parallel training over shared-memory workers.
+"""The ``workers=N`` gradient source: shared-memory training workers.
 
-One coordinator process owns the authoritative model, the optimizer,
-the lr schedule, the divergence guard and the
-:class:`~repro.runtime.resume.TrainingRuntime`; it forks N workers
-(over the same fork-context machinery as :mod:`repro.serve.workers`)
-that each hold
+:func:`repro.train.loop.run_training` (the coordinator) owns the
+authoritative model, the optimizer, the lr schedule, the divergence
+guard and the :class:`~repro.runtime.resume.TrainingRuntime`; when
+``config.workers >= 1`` its gradients come from a
+:class:`ParallelWorkerPool`, which forks N workers (over the same
+fork-context machinery as :mod:`repro.serve.workers`) that each run the
+coordinator's own :class:`~repro.train.stages.Stage` and hold
 
 * a zero-copy view of the **parameter pages** — one
   :class:`~repro.core.shm.SharedArrays` segment the coordinator
@@ -17,11 +19,11 @@ that each hold
   sampling and dropout are independent across workers but fully
   determined by the seed.
 
-Per step, every active worker builds one micro-batch through the PR-4
-pipeline, runs forward/backward with the PR-5 fused kernels, writes its
-gradient into shared memory and replies with scalars (loss, row count);
-the coordinator then reduces the worker gradients in **fixed worker
-order with pairwise (binary-tree) summation** (:func:`pairwise_sum`) —
+Per step, every active worker builds one micro-batch, runs
+``stage.compute()``, writes its gradient into shared memory and replies
+with scalars (loss, row count, stage metrics); the pool then reduces
+the worker gradients in **fixed worker order with pairwise
+(binary-tree) summation** (:func:`pairwise_sum`) —
 float addition is not associative, so a fixed reduction tree is what
 makes the summed gradient, and therefore the whole run, bit-reproducible
 at a fixed worker count.
@@ -30,8 +32,8 @@ Determinism contract (tested in ``tests/train/test_parallel.py``):
 
 * Two runs with the same seed **and the same worker count** produce
   bit-identical weights, losses, checkpoints and obs metrics.
-* ``workers=0`` never enters this module — the single-process loops run
-  byte-identically to the golden fixtures.
+* ``workers=0`` never imports this module: the same loop runs the same
+  stage in-process, forks nothing and creates no shared segment.
 * **Different worker counts diverge** (intentionally): each worker
   spawns its own RNG child streams, the effective batch is the union of
   N micro-batches, and steps-per-epoch is the max worker shard's batch
@@ -39,14 +41,15 @@ Determinism contract (tested in ``tests/train/test_parallel.py``):
   optimization, not a bit-replay of ``workers=0``.
 * Resume restores every worker's RNG streams: the checkpoint carries
   one ``aux/worker_rng`` group with each worker's serialized generator
-  states, captured at epoch boundaries.  Worker streams are *spawned*
-  in a fresh process (spawn counters are not part of generator state)
-  and then *restored*, so a resumed run continues bit-exactly.
+  states (bit state and spawn count), captured at epoch boundaries.
+  Worker streams are *spawned* in a fresh process and then *restored*,
+  so a resumed run continues bit-exactly on either data pipeline.
 
 Failure model: a worker that dies, hangs past ``worker_timeout_s`` or
 raises mid-step surfaces as a structured :class:`WorkerFailedError`
-naming the worker and the global step; the coordinator's ``finally``
-tears every shared segment down (close + unlink) so nothing leaks.
+naming the worker and the global step; the loop's ``finally`` closes
+the pool, which tears every shared segment down (close + unlink) so
+nothing leaks.
 ``FaultInjector.kill_worker`` schedules a deterministic worker death
 for tests.
 """
@@ -56,31 +59,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from contextlib import nullcontext
 
 import numpy as np
 
 from repro.augment.batched import spawn_stream
 from repro.core.shm import SharedArrays, adopt_parameters
-from repro.data.loaders import (
-    ContrastiveBatchLoader,
-    NextItemBatchLoader,
-    PopularityNegativeSampler,
-)
-from repro.data.pipeline import CyclingStream, Prefetcher
 from repro.nn import precision
-from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
 from repro.nn.serialization import CheckpointError
 from repro.runtime.resume import capture_rng_states, restore_rng_states
+from repro.train.stages import dedup_rngs
 
-__all__ = [
-    "WorkerFailedError",
-    "ParallelWorkerPool",
-    "pairwise_sum",
-    "pretrain_contrastive_parallel",
-    "train_joint_parallel",
-    "train_next_item_parallel",
-]
+__all__ = ["WorkerFailedError", "ParallelWorkerPool", "pairwise_sum"]
 
 #: Checkpoint aux group holding each worker's serialized RNG streams.
 WORKER_RNG_GROUP = "worker_rng"
@@ -119,199 +108,18 @@ def pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
     return items[0]
 
 
-def _dedup_rngs(rngs) -> list:
-    """Identity-deduplicated generator list (order-preserving)."""
-    deduped: list = []
-    for rng in rngs:
-        if isinstance(rng, np.random.Generator) and all(
-            rng is not seen for seen in deduped
-        ):
-            deduped.append(rng)
-    return deduped
+def _named_trainable(stage) -> list:
+    """``stage.params`` under their state-dict names.
 
-
-def _contrastive_steps(shard_size: int, batch_size: int) -> int:
-    """Batches a ContrastiveBatchLoader actually yields per epoch.
-
-    The loader skips any chunk of fewer than 2 users (a contrastive
-    batch needs an in-batch negative), which can only be the final
-    remainder chunk.
+    The gradient-page layout both sides index by: named_parameters
+    order, same Parameter objects as the optimizer's ``stage.params``.
     """
-    if shard_size < 2 or batch_size < 2:
-        return 0
-    chunks = -(-shard_size // batch_size)
-    if shard_size % batch_size == 1:
-        chunks -= 1
-    return chunks
-
-
-# ----------------------------------------------------------------------
-# Worker-side stage adapters
-# ----------------------------------------------------------------------
-class _StageBase:
-    """One training stage as seen by a worker: loaders + a step fn."""
-
-    def __init__(self) -> None:
-        self._stream = None
-
-    def _open(self, source, pipeline: str):
-        if pipeline == "vectorized":
-            return Prefetcher(source)
-        return source
-
-    def _close_stream(self, stream):
-        close = getattr(stream, "close", None)
-        if close is not None:
-            close()
-
-    def close(self) -> None:
-        if self._stream is not None:
-            self._close_stream(self._stream)
-            self._stream = None
-
-
-class _PretrainStage(_StageBase):
-    """NT-Xent over this worker's contrastive shard."""
-
-    def __init__(self, model, dataset, config, rng, worker, workers) -> None:
-        super().__init__()
-        self.model = model
-        self.pipeline = config.pipeline
-        self.loader = ContrastiveBatchLoader(
-            dataset,
-            model.pair_sampler,
-            config.max_length,
-            config.batch_size,
-            rng,
-            pipeline=config.pipeline,
-            worker_shard=(worker, workers),
-        )
-        self.steps_per_epoch = _contrastive_steps(
-            len(self.loader._users), config.batch_size
-        )
-        self.rngs = _dedup_rngs([rng, self.loader._rng, model._rng])
-
-    def begin_epoch(self) -> None:
-        self.close()
-        self._stream = self._open(self.loader.epoch(), self.pipeline)
-
-    def step(self):
-        batch = next(self._stream)
-        loss, accuracy = self.model.contrastive_loss(batch)
-        return loss, len(batch.users), {"accuracy": float(accuracy)}
-
-
-class _NextItemStage(_StageBase):
-    """Masked next-item BCE over this worker's supervised shard."""
-
-    def __init__(self, model, dataset, config, rng, worker, workers) -> None:
-        super().__init__()
-        self.model = model
-        self.pipeline = config.pipeline
-        sampler = None
-        if getattr(config, "negative_alpha", 0.0) > 0:
-            sampler = PopularityNegativeSampler.from_sequences(
-                dataset.train_sequences,
-                dataset.num_items,
-                rng,
-                alpha=config.negative_alpha,
-            )
-        self.loader = NextItemBatchLoader(
-            dataset,
-            config.max_length,
-            config.batch_size,
-            rng,
-            negative_sampler=sampler,
-            pipeline=config.pipeline,
-            worker_shard=(worker, workers),
-        )
-        shard = len(self.loader._users)
-        self.steps_per_epoch = -(-shard // config.batch_size) if shard else 0
-        self.rngs = _dedup_rngs([rng, self.loader._rng, model._rng])
-
-    def begin_epoch(self) -> None:
-        self.close()
-        self._stream = self._open(self.loader.epoch(), self.pipeline)
-
-    def step(self):
-        batch = next(self._stream)
-        loss = self.model.sequence_loss(batch)
-        return loss, len(batch.users), {}
-
-
-class _JointStage(_StageBase):
-    """``L_rec + λ·L_cl`` over this worker's two shards.
-
-    The contrastive side cycles **synchronously** (no prefetch thread)
-    even on the vectorized pipeline: a background thread keeps drawing
-    from the loader's stream after the epoch's last step, which would
-    make the end-of-epoch RNG capture depend on thread timing.  The
-    supervised side is fully consumed every epoch, so it prefetches
-    freely.
-    """
-
-    def __init__(self, model, dataset, config, rng, worker, workers) -> None:
-        super().__init__()
-        self.model = model
-        self.config = config
-        self.pipeline = config.pipeline
-        self.next_loader = NextItemBatchLoader(
-            dataset,
-            config.max_length,
-            config.batch_size,
-            rng,
-            pipeline=config.pipeline,
-            worker_shard=(worker, workers),
-        )
-        self.cl_loader = ContrastiveBatchLoader(
-            dataset,
-            model.pair_sampler,
-            config.max_length,
-            config.batch_size,
-            rng,
-            pipeline=config.pipeline,
-            worker_shard=(worker, workers),
-        )
-        shard = len(self.next_loader._users)
-        self.steps_per_epoch = -(-shard // config.batch_size) if shard else 0
-        if _contrastive_steps(len(self.cl_loader._users), config.batch_size) == 0:
-            # The contrastive shard can't form a single batch (fewer
-            # than 2 eligible users landed here); this worker sits the
-            # run out rather than cycling an empty stream forever.
-            self.steps_per_epoch = 0
-        self.rngs = _dedup_rngs(
-            [rng, self.next_loader._rng, self.cl_loader._rng, model._rng]
-        )
-        self._cl_stream = None
-
-    def begin_epoch(self) -> None:
-        self.close()
-        self._stream = self._open(self.next_loader.epoch(), self.pipeline)
-        self._cl_stream = CyclingStream(self.cl_loader, pipeline="reference")
-
-    def step(self):
-        batch = next(self._stream)
-        loss = self.model.sequence_loss(batch)
-        cl_batch = self._cl_stream.next()
-        cl_loss, __acc = self.model.contrastive_loss(cl_batch)
-        total = loss + self.config.cl_weight * cl_loss
-        return total, len(batch.users), {
-            "rec": float(loss.item()),
-            "cl": float(cl_loss.item()),
-        }
-
-    def close(self) -> None:
-        super().close()
-        if self._cl_stream is not None:
-            self._cl_stream.close()
-            self._cl_stream = None
-
-
-_STAGES = {
-    "pretrain": _PretrainStage,
-    "joint": _JointStage,
-    "next_item": _NextItemStage,
-}
+    ids = {id(param) for param in stage.params}
+    return [
+        (name, param)
+        for name, param in stage.model.named_parameters()
+        if id(param) in ids
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +164,8 @@ def _train_worker_main(conn, spec: dict) -> None:
     """
     stage = pages = grads = None
     try:
-        model = spec["model"]
-        config = spec["config"]
+        stage = spec["stage"]
+        model = stage.model
         worker = spec["worker"]
         dtype = np.dtype(spec["dtype"])
         pages = SharedArrays.attach(spec["pages"])
@@ -367,15 +175,8 @@ def _train_worker_main(conn, spec: dict) -> None:
         # keeps feeding the loaders exactly as in single-process mode.
         rng = spec["rng"]
         _rebind_model_rng(model, spawn_stream(rng))
-        stage = _STAGES[spec["stage"]](
-            model, spec["dataset"], config, rng, worker, spec["workers"]
-        )
-        wanted = set(spec["trainable"])
-        trainable = [
-            (name, param)
-            for name, param in model.named_parameters()
-            if name in wanted
-        ]
+        stage.open(rng, worker_shard=(worker, spec["workers"]))
+        trainable = _named_trainable(stage)
         faults = spec["faults"]
         conn.send(("ok", {
             "steps_per_epoch": stage.steps_per_epoch,
@@ -402,9 +203,7 @@ def _train_worker_main(conn, spec: dict) -> None:
                     if faults is not None:
                         faults.on_worker_step(worker)
                     started = time.perf_counter()
-                    loss, count, extras = stage.step()
-                    model.zero_grad()
-                    loss.backward()
+                    loss, count, metrics = stage.compute()
                     missing = []
                     for index, (name, param) in enumerate(trainable):
                         view = grads.views[name]
@@ -413,14 +212,13 @@ def _train_worker_main(conn, spec: dict) -> None:
                             missing.append(index)
                         else:
                             view[...] = param.grad
-                    payload = {
-                        "loss": float(loss.item()),
+                    conn.send(("ok", {
+                        "loss": float(loss),
                         "count": int(count),
                         "seconds": time.perf_counter() - started,
                         "missing": missing,
-                    }
-                    payload.update(extras)
-                    conn.send(("ok", payload))
+                        "metrics": metrics,
+                    }))
                 elif command == "get_rng":
                     conn.send(("ok", capture_rng_states(stage.rngs)))
                 elif command == "set_rng":
@@ -460,46 +258,36 @@ class ParallelWorkerPool:
 
     def __init__(
         self,
-        stage: str,
-        model,
-        dataset,
-        config,
+        stage,
         rng: np.random.Generator,
         workers: int,
         dtype: np.dtype,
         faults=None,
+        obs=None,
         start_method: str | None = None,
         worker_timeout_s: float = 300.0,
     ) -> None:
-        if stage not in _STAGES:
-            raise ValueError(f"unknown stage {stage!r}")
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        self.stage = stage
         self.workers = int(workers)
         self.worker_timeout_s = float(worker_timeout_s)
         self._closed = False
         self._global_step = 0
+        self._model = model = stage.model
+        self._obs = obs
+        #: Tag on every epoch event; per-worker statistics of the
+        #: current epoch (one ``parallel_worker`` event each).
+        self.event_fields = {"workers": self.workers}
+        self.worker_stats: list[dict] = []
+        #: Coordinator-side streams; the workers' own travel through
+        #: :meth:`capture_rng` / :meth:`restore_rng`.
+        self.rngs = dedup_rngs([rng, getattr(model, "_rng", None)])
 
-        # Optimizer parameter order mirrors the single-process loops;
-        # the gradient-page layout uses state-dict names in
-        # named_parameters order (same Parameter objects either way).
-        if stage == "next_item":
-            params = list(model.parameters())
-        else:
-            params = list(model.contrastive_parameters())
-        ids = {id(param) for param in params}
-        self.params = params
-        self.trainable = [
-            (name, param)
-            for name, param in model.named_parameters()
-            if id(param) in ids
-        ]
+        self.trainable = _named_trainable(stage)
 
         # Workers' root streams are spawned BEFORE any checkpoint
-        # restore: generator state does not include spawn counters, so
-        # a fresh process must always spawn the same children first and
-        # restore their bit states afterwards (see restore_rng).
+        # restore: a fresh process always spawns the same children
+        # first and restores their states afterwards (see restore_rng).
         child_rngs = [spawn_stream(rng) for __ in range(self.workers)]
 
         self._pages = SharedArrays.create(
@@ -523,16 +311,12 @@ class ParallelWorkerPool:
                 parent_conn, child_conn = context.Pipe()
                 spec = {
                     "stage": stage,
-                    "model": model,
-                    "dataset": dataset,
-                    "config": config,
                     "rng": child_rngs[worker],
                     "worker": worker,
                     "workers": self.workers,
                     "dtype": dtype.name if hasattr(dtype, "name") else str(dtype),
                     "pages": self._pages.meta(),
                     "grads": self._grads[worker].meta(),
-                    "trainable": [name for name, __ in self.trainable],
                     "faults": faults,
                 }
                 process = context.Process(
@@ -620,21 +404,31 @@ class ParallelWorkerPool:
     # ------------------------------------------------------------------
     # Training protocol
     # ------------------------------------------------------------------
-    def publish(self, model) -> None:
+    def publish(self) -> None:
         """Copy the coordinator's current parameters into the pages."""
         views = self._pages.views
-        for name, param in model.named_parameters():
+        for name, param in self._model.named_parameters():
             views[name][...] = param.data
 
     def begin_epoch(self, epoch: int) -> None:
         """Open every worker's batch streams for ``epoch``."""
+        self.worker_stats = [
+            {"steps": 0, "sequences": 0, "seconds": 0.0}
+            for __ in range(self.workers)
+        ]
         for worker in range(self.workers):
             self._send(worker, ("epoch", epoch))
         for worker in range(self.workers):
             self._recv(worker)
 
     def step(self, step_index: int):
-        """Drive one synchronous step on every still-active worker."""
+        """One synchronous step: publish, compute on workers, allreduce.
+
+        Leaves the union micro-batch's gradient on the parameters and
+        returns ``(loss, rows, metrics)`` with every scalar a
+        row-count-weighted mean over the active workers (fixed order).
+        """
+        self.publish()
         self._global_step += 1
         active = [
             worker
@@ -644,7 +438,37 @@ class ParallelWorkerPool:
         for worker in active:
             self._send(worker, ("step",))
         payloads = [self._recv(worker) for worker in active]
-        return active, payloads
+        counts = [int(payload["count"]) for payload in payloads]
+        reduce_started = time.perf_counter()
+        total = self.reduce_gradients(active, payloads)
+        reduce_seconds = time.perf_counter() - reduce_started
+
+        def weighted(values) -> float:
+            return sum(v * count for v, count in zip(values, counts)) / total
+
+        for worker, payload in zip(active, payloads):
+            stats = self.worker_stats[worker]
+            stats["steps"] += 1
+            stats["sequences"] += payload["count"]
+            stats["seconds"] += payload["seconds"]
+        obs = self._obs
+        if obs is not None:
+            obs.observe("train.allreduce_seconds", reduce_seconds)
+            obs.increment(
+                "train.grad_bytes_reduced", self.grad_payload_bytes * len(active)
+            )
+            for payload in payloads:
+                if payload["seconds"] > 0:
+                    obs.observe(
+                        "train.worker_items_per_sec",
+                        payload["count"] / payload["seconds"],
+                    )
+        metrics = {
+            name: weighted([payload["metrics"][name] for payload in payloads])
+            for name in payloads[0]["metrics"]
+        }
+        loss = weighted([payload["loss"] for payload in payloads])
+        return loss, int(total), metrics
 
     def reduce_gradients(self, active: list[int], payloads: list[dict]) -> float:
         """Fixed-order weighted allreduce into ``param.grad``.
@@ -679,17 +503,20 @@ class ParallelWorkerPool:
     # ------------------------------------------------------------------
     # RNG stream checkpointing
     # ------------------------------------------------------------------
-    def capture_rng(self) -> dict[str, np.ndarray]:
-        """Every worker's serialized generator states (aux group)."""
+    def capture_rng(self, aux) -> None:
+        """Store every worker's serialized generator states in ``aux``."""
         for worker in range(self.workers):
             self._send(worker, ("get_rng",))
-        return {
+        aux[WORKER_RNG_GROUP] = {
             f"worker_{worker}": np.asarray(self._recv(worker))
             for worker in range(self.workers)
         }
 
-    def restore_rng(self, group: dict[str, np.ndarray]) -> None:
-        """Restore each worker's streams from a checkpoint aux group."""
+    def restore_rng(self, aux) -> None:
+        """Restore each worker's streams from a resumed ``aux`` (if any)."""
+        group = aux.get(WORKER_RNG_GROUP)
+        if not group:
+            return
         if len(group) != self.workers:
             raise CheckpointError(
                 f"checkpoint holds RNG streams for {len(group)} training "
@@ -756,290 +583,3 @@ class ParallelWorkerPool:
             self.close(timeout=1.0)
         except Exception:
             pass
-
-
-# ----------------------------------------------------------------------
-# Coordinator loops
-# ----------------------------------------------------------------------
-_EPOCH_EVENTS = {
-    "pretrain": ("pretrain_epoch", "pretrain"),
-    "joint": ("joint_epoch", "joint"),
-    "next_item": ("train_epoch", "supervised"),
-}
-
-
-def _weighted(payloads: list[dict], counts: list[int], key: str, total: float) -> float:
-    """Row-count-weighted mean of a per-worker scalar (fixed order)."""
-    return sum(
-        payload[key] * count for payload, count in zip(payloads, counts)
-    ) / total
-
-
-def _run_parallel(stage, model, dataset, config, rng, runtime, obs):
-    """The shared coordinator loop behind all three parallel stages."""
-    from repro.core.trainer import PretrainHistory, _emit_epoch, _runtime_rngs
-    from repro.models.training import TrainingHistory
-
-    workers = int(getattr(config, "workers", 0))
-    if workers < 1:
-        raise ValueError(
-            f"parallel training needs workers >= 1, got {workers}"
-        )
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
-    # Cast before segments and the optimizer are created so shared
-    # pages, gradient segments and Adam's moments share the dtype.
-    dtype = precision.resolve_dtype(config.dtype)
-    model.to_dtype(dtype)
-
-    faults = runtime.faults if runtime is not None else None
-    pool = ParallelWorkerPool(
-        stage, model, dataset, config, rng, workers, dtype, faults=faults
-    )
-    try:
-        optimizer = Adam(pool.params, lr=config.learning_rate)
-        schedule = LinearDecaySchedule(
-            optimizer,
-            total_steps=max(1, config.epochs * pool.steps_per_epoch),
-            final_factor=config.lr_final_factor,
-        )
-        clipper = GradientClipper(pool.params, config.clip_norm)
-
-        if stage == "pretrain":
-            history = PretrainHistory()
-            hist = {
-                "losses": history.losses,
-                "accuracies": history.accuracies,
-            }
-        elif stage == "joint":
-            history: list[float] = []
-            hist = {"losses": history}
-        else:
-            history = TrainingHistory()
-            hist = {
-                "losses": history.losses,
-                "valid_scores": history.valid_scores,
-            }
-
-        evaluator = None
-        stop_state = None
-        if stage == "next_item":
-            if config.eval_every > 0:
-                from repro.eval.evaluator import Evaluator
-
-                evaluator = Evaluator(dataset, split="valid")
-            stop_state = {
-                "best_metric": -np.inf,
-                "epochs_since_best": 0.0,
-                "best_epoch": -1.0,
-                "stopped_early": 0.0,
-            }
-        aux: dict[str, dict[str, np.ndarray]] = {}
-        best_state: dict | None = None
-
-        start_epoch = 0
-        if runtime is not None:
-            start_epoch = runtime.start(
-                model=model,
-                optimizer=optimizer,
-                schedule=schedule,
-                rngs=_runtime_rngs(model, rng),
-                history=hist,
-                extras=stop_state,
-                aux=aux,
-            )
-            if aux.get(WORKER_RNG_GROUP):
-                pool.restore_rng(aux[WORKER_RNG_GROUP])
-            if stage == "next_item":
-                history.best_epoch = int(stop_state["best_epoch"])
-                if stop_state["stopped_early"]:
-                    history.stopped_early = True
-                    start_epoch = config.epochs
-            best_state = aux.get("best") or None
-
-        event_name, stage_label = _EPOCH_EVENTS[stage]
-        model.train()
-        with precision.precision(dtype), (
-            runtime.session() if runtime is not None else nullcontext()
-        ):
-            for epoch in range(start_epoch, config.epochs):
-                # Worker streams are captured at epoch start (before
-                # the epoch's permutations are drawn) so an interrupt
-                # mid-epoch resumes by replaying the epoch bit-exactly.
-                aux[WORKER_RNG_GROUP] = pool.capture_rng()
-                if runtime is not None:
-                    runtime.begin_epoch(epoch)
-                epoch_started = time.perf_counter()
-                epoch_loss, epoch_acc, batches = 0.0, 0.0, 0
-                rec_sum, cl_sum = 0.0, 0.0
-                grad_norm_sum, sequences = 0.0, 0
-                per_worker = [
-                    {"steps": 0, "sequences": 0, "seconds": 0.0}
-                    for __ in range(workers)
-                ]
-                pool.begin_epoch(epoch)
-                for step in range(pool.steps_per_epoch):
-                    pool.publish(model)
-                    active, payloads = pool.step(step)
-                    counts = [int(payload["count"]) for payload in payloads]
-                    reduce_started = time.perf_counter()
-                    total = pool.reduce_gradients(active, payloads)
-                    reduce_seconds = time.perf_counter() - reduce_started
-                    loss_value = _weighted(payloads, counts, "loss", total)
-                    for worker, payload in zip(active, payloads):
-                        stats = per_worker[worker]
-                        stats["steps"] += 1
-                        stats["sequences"] += payload["count"]
-                        stats["seconds"] += payload["seconds"]
-                    if obs is not None:
-                        obs.observe("train.allreduce_seconds", reduce_seconds)
-                        obs.increment(
-                            "train.grad_bytes_reduced",
-                            pool.grad_payload_bytes * len(active),
-                        )
-                        for payload in payloads:
-                            if payload["seconds"] > 0:
-                                obs.observe(
-                                    "train.worker_items_per_sec",
-                                    payload["count"] / payload["seconds"],
-                                )
-                    grad_norm = clipper.clip()
-                    if runtime is not None:
-                        loss_value = runtime.intercept_loss(loss_value)
-                        if not runtime.allow_update(loss_value, grad_norm):
-                            optimizer.zero_grad()
-                            runtime.after_step()
-                            continue
-                    optimizer.step()
-                    schedule.step()
-                    epoch_loss += loss_value
-                    if stage == "pretrain":
-                        epoch_acc += _weighted(payloads, counts, "accuracy", total)
-                    elif stage == "joint":
-                        rec_sum += _weighted(payloads, counts, "rec", total)
-                        cl_sum += config.cl_weight * _weighted(
-                            payloads, counts, "cl", total
-                        )
-                    grad_norm_sum += grad_norm
-                    sequences += int(total)
-                    batches += 1
-                    if runtime is not None:
-                        runtime.after_step()
-
-                mean_loss = epoch_loss / max(1, batches)
-                if stage == "pretrain":
-                    history.losses.append(mean_loss)
-                    history.accuracies.append(epoch_acc / max(1, batches))
-                elif stage == "joint":
-                    history.append(mean_loss)
-                else:
-                    history.losses.append(mean_loss)
-                seconds = time.perf_counter() - epoch_started
-                if obs is not None:
-                    extra = {"workers": workers}
-                    if stage == "pretrain":
-                        extra["accuracy"] = history.accuracies[-1]
-                    elif stage == "joint":
-                        extra["rec_loss"] = rec_sum / max(1, batches)
-                        extra["cl_loss"] = cl_sum / max(1, batches)
-                        extra["cl_weight"] = config.cl_weight
-                    _emit_epoch(
-                        obs,
-                        event_name,
-                        stage=stage_label,
-                        epoch=epoch,
-                        loss=mean_loss,
-                        batches=batches,
-                        sequences=sequences,
-                        grad_norm_sum=grad_norm_sum,
-                        seconds=seconds,
-                        lr=optimizer.lr,
-                        **extra,
-                    )
-                    for worker in range(workers):
-                        stats = per_worker[worker]
-                        obs.event(
-                            "parallel_worker",
-                            stage=stage_label,
-                            epoch=epoch,
-                            worker=worker,
-                            steps=stats["steps"],
-                            sequences=stats["sequences"],
-                            compute_seconds=stats["seconds"],
-                            items_per_sec=(
-                                stats["sequences"] / stats["seconds"]
-                                if stats["seconds"] > 0
-                                else 0.0
-                            ),
-                        )
-
-                stop = False
-                if evaluator is not None and (epoch + 1) % config.eval_every == 0:
-                    model.eval()
-                    result = evaluator.evaluate(
-                        model, max_users=config.max_eval_users, obs=obs
-                    )
-                    model.train()
-                    score = result[config.early_stopping_metric]
-                    history.valid_scores.append(score)
-                    if score > stop_state["best_metric"]:
-                        stop_state["best_metric"] = score
-                        stop_state["best_epoch"] = float(epoch)
-                        stop_state["epochs_since_best"] = 0.0
-                        best_state = model.state_dict()
-                        aux["best"] = best_state
-                        history.best_epoch = epoch
-                    else:
-                        stop_state["epochs_since_best"] += 1.0
-                        if stop_state["epochs_since_best"] >= config.patience:
-                            history.stopped_early = True
-                            stop_state["stopped_early"] = 1.0
-                            stop = True
-
-                aux[WORKER_RNG_GROUP] = pool.capture_rng()
-                if runtime is not None:
-                    runtime.end_epoch(epoch)
-                if stop:
-                    break
-        if runtime is not None:
-            runtime.finalize()
-    finally:
-        pool.close()
-
-    if stage == "next_item" and best_state is not None:
-        model.load_state_dict(best_state)
-    model.eval()
-    return history
-
-
-def pretrain_contrastive_parallel(
-    model, dataset, config, rng=None, runtime=None, obs=None
-):
-    """Data-parallel NT-Xent pre-training (``config.workers`` workers).
-
-    Same contract and return type as
-    :func:`repro.core.trainer.pretrain_contrastive`; see the module
-    docstring for the determinism contract.
-    """
-    return _run_parallel("pretrain", model, dataset, config, rng, runtime, obs)
-
-
-def train_joint_parallel(model, dataset, config, rng=None, runtime=None, obs=None):
-    """Data-parallel joint ``L_rec + λ·L_cl`` training.
-
-    Same contract and return type as
-    :func:`repro.core.trainer.train_joint`.
-    """
-    return _run_parallel("joint", model, dataset, config, rng, runtime, obs)
-
-
-def train_next_item_parallel(
-    model, dataset, config, rng=None, runtime=None, obs=None
-):
-    """Data-parallel supervised next-item training.
-
-    Same contract and return type as
-    :func:`repro.models.training.train_next_item_model`, including
-    mid-training validation and early stopping (evaluated by the
-    coordinator on the authoritative weights).
-    """
-    return _run_parallel("next_item", model, dataset, config, rng, runtime, obs)

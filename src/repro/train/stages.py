@@ -1,0 +1,351 @@
+"""The three CL4SRec training regimes, one :class:`Stage` each.
+
+A stage owns everything that differs between regimes and nothing else;
+:func:`repro.train.loop.run_training` owns everything they share.  It
+has two halves:
+
+* the **bookkeeping** half exists from construction and lives with the
+  optimizer: ``params`` (optimizer order), ``history`` (what the public
+  entry point returns) and its checkpoint view ``hist``, the obs epoch
+  ``event`` / ``label`` / ``metrics``, the ``extras`` / ``aux``
+  checkpoint groups, and the :meth:`~Stage.resume` /
+  :meth:`~Stage.end_epoch` / :meth:`~Stage.finish` hooks;
+* the **batch** half exists after :meth:`~Stage.open`, which runs in
+  whichever process computes gradients — this one at ``workers=0``,
+  each forked worker (on its user shard) otherwise: the loaders,
+  ``steps_per_epoch``, ``rngs`` (every generator a checkpoint must
+  capture) and :meth:`~Stage.begin_epoch` / :meth:`~Stage.step`.
+
+A new regime (another positive-pair rule, an augmentation-only control)
+is a new subclass — see ``docs/EXTENDING.md`` "Adding a training
+regime".
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.data.loaders import (
+    ContrastiveBatchLoader,
+    NextItemBatchLoader,
+    PopularityNegativeSampler,
+)
+from repro.data.pipeline import CyclingStream, Prefetcher
+from repro.eval.evaluator import Evaluator
+
+__all__ = [
+    "JointStage",
+    "NextItemStage",
+    "PretrainHistory",
+    "PretrainStage",
+    "Stage",
+    "TrainingHistory",
+    "dedup_rngs",
+]
+
+
+@dataclass
+class PretrainHistory:
+    """Per-epoch contrastive losses and in-batch retrieval accuracy."""
+
+    losses: list[float] = field(default_factory=list)
+    accuracies: list[float] = field(default_factory=list)
+
+
+@dataclass
+class TrainingHistory:
+    """Per-epoch training losses and validation scores."""
+
+    losses: list[float] = field(default_factory=list)
+    valid_scores: list[float] = field(default_factory=list)
+    best_epoch: int = -1
+    stopped_early: bool = False
+
+
+def dedup_rngs(rngs) -> list[np.random.Generator]:
+    """The generators in ``rngs``, identity-deduplicated, order kept."""
+    deduped: list[np.random.Generator] = []
+    for rng in rngs:
+        if isinstance(rng, np.random.Generator) and all(
+            rng is not seen for seen in deduped
+        ):
+            deduped.append(rng)
+    return deduped
+
+
+class Stage:
+    """One training regime: what to optimize, on which batches, what to record."""
+
+    #: obs epoch event name and its ``stage`` field.
+    event = label = ""
+    #: Per-step extras :meth:`step` reports; averaged into the epoch event.
+    metrics: tuple[str, ...] = ()
+    #: Scalar loop state checkpointed under ``extra/`` (None: nothing).
+    extras: dict[str, float] | None = None
+    #: What the public entry point returns, and the live metric lists in
+    #: it that the runtime checkpoints and restores in place; each
+    #: subclass sets both.
+    history = None
+    hist: dict[str, list[float]]
+
+    def __init__(self, model, dataset, config) -> None:
+        self.model, self.dataset, self.config = model, dataset, config
+        self.params = list(self._trainable())
+        #: Named array groups checkpointed under ``aux/``.
+        self.aux: dict[str, dict[str, np.ndarray]] = {}
+        #: Constant fields added to every epoch event.
+        self.event_fields: dict[str, float] = {}
+        self._stream = self._graph = None
+
+    def _trainable(self):
+        return self.model.contrastive_parameters()
+
+    def _loaders(self, rng, **options) -> list:
+        """This regime's loaders; the first one paces the epoch."""
+        raise NotImplementedError
+
+    def _contrastive_loader(self, rng, **options) -> ContrastiveBatchLoader:
+        return ContrastiveBatchLoader(
+            self.dataset,
+            self.model.pair_sampler,
+            self.config.max_length,
+            self.config.batch_size,
+            rng,
+            **options,
+        )
+
+    # -- batch half -----------------------------------------------------
+    def open(self, rng, obs=None, worker_shard=None) -> None:
+        """Build the loaders (which spawns their RNG streams)."""
+        self._obs = obs
+        self.loaders = self._loaders(
+            rng,
+            pipeline=self.config.pipeline,
+            obs=obs,
+            worker_shard=worker_shard,
+        )
+        self.steps_per_epoch = self.loaders[0].num_batches
+        # The loop generator drives batch order, augmentation and
+        # negative sampling (directly or through the loaders' child
+        # streams); the model's own generator drives dropout.
+        loader_rngs = [loader.rng for loader in self.loaders]
+        self.rngs = dedup_rngs([rng, *loader_rngs, getattr(self.model, "_rng", None)])
+
+    def begin_epoch(self) -> None:
+        """Open the epoch's batch stream (prefetched when vectorized)."""
+        self.close()
+        source = self.loaders[0].epoch()
+        if self.config.pipeline == "vectorized":
+            source = Prefetcher(source, obs=self._obs)
+        self._stream = source
+
+    def step(self):
+        """Forward one batch: ``(loss Tensor, rows, {metric: value})``."""
+        raise NotImplementedError
+
+    def compute(self):
+        """One micro-batch's gradient, left on the parameters.
+
+        Returns ``(loss value, rows, metrics)``; the value is read
+        before ``backward`` runs.
+        """
+        loss, rows, metrics = self.step()
+        # Hold this step's graph until the next one replaces it (also
+        # across epochs), as a loop-local ``loss`` would: once nothing
+        # holds it the allocator returns its pages to the OS and the
+        # next forward faults them back in — measured ~34k minor faults
+        # and ~25 % wall time per contrastive epoch.
+        self._graph = loss
+        value = loss.item()
+        for param in self.params:
+            param.zero_grad()
+        loss.backward()
+        return value, rows, metrics
+
+    def close(self) -> None:
+        """Tear the batch stream (and its prefetch thread) down."""
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.close()
+
+    # -- bookkeeping half -----------------------------------------------
+    def resume(self, start_epoch: int) -> int:
+        """Adopt restored checkpoint state; returns the epoch to start at."""
+        return start_epoch
+
+    def end_epoch(self, epoch: int, loss: float, means: dict, obs) -> bool:
+        """Record the finished epoch; True ends training early."""
+        self.hist["losses"].append(loss)
+        return False
+
+    def finish(self) -> None:
+        """Last word on the model once training is over."""
+
+
+class PretrainStage(Stage):
+    """NT-Xent over augmented view pairs (paper §3.2)."""
+
+    event, label = "pretrain_epoch", "pretrain"
+    metrics = ("accuracy",)
+
+    def __init__(self, model, dataset, config) -> None:
+        super().__init__(model, dataset, config)
+        self.history = history = PretrainHistory()
+        self.hist = {"losses": history.losses, "accuracies": history.accuracies}
+
+    def _loaders(self, rng, **options):
+        return [self._contrastive_loader(rng, **options)]
+
+    def step(self):
+        batch = next(self._stream)
+        loss, accuracy = self.model.contrastive_loss(batch)
+        return loss, len(batch.users), {"accuracy": float(accuracy)}
+
+    def end_epoch(self, epoch, loss, means, obs) -> bool:
+        self.history.accuracies.append(means["accuracy"])
+        return super().end_epoch(epoch, loss, means, obs)
+
+
+class NextItemStage(Stage):
+    """Masked next-item BCE, with validation-based early stopping."""
+
+    event, label = "train_epoch", "supervised"
+
+    def __init__(self, model, dataset, config) -> None:
+        super().__init__(model, dataset, config)
+        self.history = history = TrainingHistory()
+        self.hist = {"losses": history.losses, "valid_scores": history.valid_scores}
+        self.evaluator = (
+            Evaluator(dataset, split="valid") if config.eval_every > 0 else None
+        )
+        # Early-stopping state lives in checkpoint-friendly containers so
+        # a resumed run continues the patience countdown where it stopped.
+        self.extras = {
+            "best_metric": -np.inf,
+            "epochs_since_best": 0.0,
+            "best_epoch": -1.0,
+            "stopped_early": 0.0,
+        }
+
+    def _trainable(self):
+        return self.model.parameters()
+
+    def _loaders(self, rng, **options):
+        config = self.config
+        sampler = None
+        if config.negative_alpha > 0:
+            sampler = PopularityNegativeSampler.from_sequences(
+                self.dataset.train_sequences,
+                self.dataset.num_items,
+                rng,
+                alpha=config.negative_alpha,
+            )
+        return [
+            NextItemBatchLoader(
+                self.dataset,
+                config.max_length,
+                config.batch_size,
+                rng,
+                negative_sampler=sampler,
+                **options,
+            )
+        ]
+
+    def step(self):
+        batch = next(self._stream)
+        return self.model.sequence_loss(batch), len(batch.users), {}
+
+    def resume(self, start_epoch: int) -> int:
+        self.history.best_epoch = int(self.extras["best_epoch"])
+        if self.extras["stopped_early"]:
+            # The interrupted run had already early-stopped; don't train on.
+            self.history.stopped_early = True
+            return self.config.epochs
+        return start_epoch
+
+    def end_epoch(self, epoch, loss, means, obs) -> bool:
+        super().end_epoch(epoch, loss, means, obs)
+        config, state = self.config, self.extras
+        if self.evaluator is None or (epoch + 1) % config.eval_every:
+            return False
+        self.model.eval()
+        result = self.evaluator.evaluate(
+            self.model, max_users=config.max_eval_users, obs=obs
+        )
+        self.model.train()
+        score = result[config.early_stopping_metric]
+        self.history.valid_scores.append(score)
+        if score > state["best_metric"]:
+            state["best_metric"] = score
+            state["best_epoch"] = float(epoch)
+            state["epochs_since_best"] = 0.0
+            self.aux["best"] = self.model.state_dict()
+            self.history.best_epoch = epoch
+            return False
+        state["epochs_since_best"] += 1.0
+        if state["epochs_since_best"] < config.patience:
+            return False
+        self.history.stopped_early = True
+        state["stopped_early"] = 1.0
+        return True
+
+    def finish(self) -> None:
+        """Leave the model on its best-validation parameters."""
+        best = self.aux.get("best")
+        if best:
+            self.model.load_state_dict(best)
+
+
+class JointStage(Stage):
+    """``L_rec + λ·L_cl``: one contrastive batch per supervised batch.
+
+    The contrastive side cycles when its (shorter) epoch runs dry, and
+    it cycles **synchronously** (no prefetch thread) even on the
+    vectorized pipeline: a background thread keeps drawing from the
+    loader's stream after the epoch's last step, which would make the
+    end-of-epoch RNG state — and the next epoch's batches — depend on
+    thread timing.  The supervised side is fully consumed every epoch,
+    so it prefetches freely.
+    """
+
+    event, label = "joint_epoch", "joint"
+    metrics = ("rec_loss", "cl_loss")
+
+    def __init__(self, model, dataset, config) -> None:
+        super().__init__(model, dataset, config)
+        self.history: list[float] = []  # train_joint returns the bare list
+        self.hist = {"losses": self.history}
+        self.event_fields = {"cl_weight": config.cl_weight}
+
+    def _loaders(self, rng, **options):
+        config = self.config
+        return [
+            NextItemBatchLoader(
+                self.dataset, config.max_length, config.batch_size, rng, **options
+            ),
+            self._contrastive_loader(rng, **options),
+        ]
+
+    def open(self, rng, obs=None, worker_shard=None) -> None:
+        super().open(rng, obs=obs, worker_shard=worker_shard)
+        if self.loaders[1].num_batches == 0:
+            # The contrastive shard can't form a single batch (fewer
+            # than 2 eligible users landed here); this worker sits the
+            # run out rather than cycling an empty stream forever.
+            self.steps_per_epoch = 0
+
+    def begin_epoch(self) -> None:
+        super().begin_epoch()
+        self._cl_stream = CyclingStream(self.loaders[1], pipeline="reference")
+
+    def step(self):
+        batch = next(self._stream)
+        loss = self.model.sequence_loss(batch)
+        cl_loss, __ = self.model.contrastive_loss(self._cl_stream.next())
+        weight = self.config.cl_weight
+        return loss + weight * cl_loss, len(batch.users), {
+            "rec_loss": loss.item(),
+            "cl_loss": weight * cl_loss.item(),
+        }

@@ -156,6 +156,20 @@ class TestContrastiveBatchLoader:
             assert len(batch.users) >= 2
 
 
+@pytest.mark.parametrize("remainder", [0, 1, 2])
+@pytest.mark.parametrize(
+    "loader_tests", [TestNextItemBatchLoader, TestContrastiveBatchLoader]
+)
+def test_num_batches_is_what_epoch_yields(tiny_dataset, loader_tests, remainder):
+    """Steps per epoch has one source of truth — including the 1-user
+    remainder chunk a contrastive epoch skips (no in-batch negative)."""
+    eligible = len(loader_tests().make_loader(tiny_dataset).users)
+    batch_size = eligible - remainder
+    assert eligible % batch_size == remainder
+    loader = loader_tests().make_loader(tiny_dataset, batch_size=batch_size)
+    assert len(list(loader.epoch())) == loader.num_batches
+
+
 class TestBatchSequences:
     def test_padding_mask(self):
         batch, mask = batch_sequences([np.array([1, 2]), np.array([3])], 4)

@@ -14,18 +14,21 @@ from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
 
 
-def tiny_cl4srec_config(mode: str = "joint", epochs: int = 4) -> CL4SRecConfig:
+def tiny_cl4srec_config(
+    mode: str = "joint", epochs: int = 4, pipeline: str = "reference"
+) -> CL4SRecConfig:
     """A CL4SRec config that trains in seconds on the tiny dataset."""
+    shared = {"epochs": epochs, "batch_size": 64, "pipeline": pipeline}
     return CL4SRecConfig(
         sasrec=SASRecConfig(
             dim=16,
             num_layers=1,
             num_heads=1,
-            train=TrainConfig(epochs=epochs, batch_size=64, max_length=50),
+            train=TrainConfig(max_length=50, **shared),
         ),
         mode=mode,
-        pretrain=ContrastivePretrainConfig(epochs=epochs, batch_size=64),
-        joint=JointTrainConfig(epochs=epochs, batch_size=64),
+        pretrain=ContrastivePretrainConfig(**shared),
+        joint=JointTrainConfig(**shared),
     )
 
 
@@ -33,7 +36,12 @@ def tiny_cl4srec_config(mode: str = "joint", epochs: int = 4) -> CL4SRecConfig:
 def build_model(tiny_dataset):
     """Factory: identically-initialized tiny CL4SRec models on demand."""
 
-    def factory(mode: str = "joint", epochs: int = 4) -> CL4SRec:
-        return CL4SRec(tiny_dataset, tiny_cl4srec_config(mode=mode, epochs=epochs))
+    def factory(
+        mode: str = "joint", epochs: int = 4, pipeline: str = "reference"
+    ) -> CL4SRec:
+        return CL4SRec(
+            tiny_dataset,
+            tiny_cl4srec_config(mode=mode, epochs=epochs, pipeline=pipeline),
+        )
 
     return factory

@@ -1,6 +1,7 @@
 """Bit-exact resume: kill a run, restart it, get the identical result."""
 
 import signal
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,32 +33,92 @@ def assert_params_equal(model_a, model_b):
         np.testing.assert_array_equal(state_a[name], state_b[name], err_msg=name)
 
 
+def run_regime(regime, model, dataset, runtime=None):
+    """Train one regime; returns its per-epoch series for comparison."""
+    if regime == "joint":
+        return [
+            train_joint(
+                model, dataset, model.cl_config.joint, rng=model._rng, runtime=runtime
+            )
+        ]
+    if regime == "pretrain":
+        history = pretrain_contrastive(
+            model, dataset, model.cl_config.pretrain, rng=model._rng, runtime=runtime
+        )
+        return [history.losses, history.accuracies]
+    history = train_next_item_model(
+        model, dataset, model.cl_config.sasrec.train, runtime=runtime
+    )
+    return [history.losses, history.valid_scores]
+
+
+def assert_kill_and_resume_is_bit_exact(
+    build_model, dataset, directory, regime, pipeline, preempt_at
+):
+    """Straight-through training vs. killed + resumed training produce
+    identical parameters and identical histories — every live generator
+    (loop rng, the model's dropout rng and, when vectorized, the
+    loaders' child streams) is captured in the checkpoint."""
+    mode = "pretrain_finetune" if regime == "pretrain" else "joint"
+    build = partial(build_model, mode=mode, pipeline=pipeline)
+    straight = build()
+    series_straight = run_regime(regime, straight, dataset)
+
+    killed = build()
+    with pytest.raises(TrainingInterrupted):
+        run_regime(
+            regime,
+            killed,
+            dataset,
+            make_runtime(directory, faults=FaultInjector().preempt(at=preempt_at)),
+        )
+
+    resumed = build()
+    runtime = make_runtime(directory)
+    series_resumed = run_regime(regime, resumed, dataset, runtime)
+
+    assert runtime.resumed_from is not None
+    assert series_resumed == series_straight
+    assert_params_equal(straight, resumed)
+
+
+@pytest.mark.parametrize(
+    "regime, preempt_at", [("joint", 8), ("pretrain", 5), ("next_item", 7)]
+)
+def test_kill_and_resume_is_bit_exact_vectorized(
+    tiny_dataset, build_model, tmp_path, regime, preempt_at
+):
+    assert_kill_and_resume_is_bit_exact(
+        build_model, tiny_dataset, tmp_path, regime, "vectorized", preempt_at
+    )
+
+
+def test_checkpoint_with_fewer_rng_streams_raises(tiny_dataset, build_model, tmp_path):
+    """A checkpoint one RNG stream short of the run (what a vectorized
+    checkpoint from before the loaders' child streams were captured
+    looks like) is refused by name, never resumed silently."""
+    killed = build_model(pipeline="reference")
+    with pytest.raises(TrainingInterrupted):
+        run_regime(
+            "joint",
+            killed,
+            tiny_dataset,
+            make_runtime(tmp_path, faults=FaultInjector().preempt(at=8)),
+        )
+    with pytest.raises(CheckpointError, match="RNG states"):
+        run_regime(
+            "joint",
+            build_model(pipeline="vectorized"),
+            tiny_dataset,
+            make_runtime(tmp_path),
+        )
+
+
 class TestJointResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
-        straight = build_model()
-        losses_straight = train_joint(
-            straight, tiny_dataset, straight.cl_config.joint, rng=straight._rng
+        assert_kill_and_resume_is_bit_exact(
+            build_model, tiny_dataset, tmp_path, "joint", "reference", preempt_at=8
         )
-
-        killed = build_model()
-        with pytest.raises(TrainingInterrupted):
-            train_joint(
-                killed,
-                tiny_dataset,
-                killed.cl_config.joint,
-                rng=killed._rng,
-                runtime=make_runtime(tmp_path, faults=FaultInjector().preempt(at=8)),
-            )
-
-        resumed = build_model()
-        runtime = make_runtime(tmp_path)
-        losses_resumed = train_joint(
-            resumed, tiny_dataset, resumed.cl_config.joint, rng=resumed._rng, runtime=runtime
-        )
-
-        assert runtime.resumed_from is not None
-        assert losses_resumed == losses_straight
-        assert_params_equal(straight, resumed)
 
     def test_corrupt_newest_checkpoint_falls_back_and_finishes(
         self, tiny_dataset, build_model, tmp_path
@@ -181,67 +242,16 @@ class TestJointResume:
 
 class TestPretrainResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
-        straight = build_model(mode="pretrain_finetune")
-        hist_straight = pretrain_contrastive(
-            straight, tiny_dataset, straight.cl_config.pretrain, rng=straight._rng
+        assert_kill_and_resume_is_bit_exact(
+            build_model, tiny_dataset, tmp_path, "pretrain", "reference", preempt_at=5
         )
-
-        killed = build_model(mode="pretrain_finetune")
-        with pytest.raises(TrainingInterrupted):
-            pretrain_contrastive(
-                killed,
-                tiny_dataset,
-                killed.cl_config.pretrain,
-                rng=killed._rng,
-                runtime=make_runtime(tmp_path, faults=FaultInjector().preempt(at=5)),
-            )
-
-        resumed = build_model(mode="pretrain_finetune")
-        runtime = make_runtime(tmp_path)
-        hist_resumed = pretrain_contrastive(
-            resumed,
-            tiny_dataset,
-            resumed.cl_config.pretrain,
-            rng=resumed._rng,
-            runtime=runtime,
-        )
-
-        assert runtime.resumed_from is not None
-        assert hist_resumed.losses == hist_straight.losses
-        assert hist_resumed.accuracies == hist_straight.accuracies
-        assert_params_equal(straight, resumed)
 
 
 class TestNextItemResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
-        """The satellite criterion: straight-through training vs. killed
-        + resumed training produce identical parameters and identical
-        TrainingHistory tails — with two live generators (loop rng and
-        the model's dropout rng) both captured in the checkpoint."""
-        straight = build_model()
-        hist_straight = train_next_item_model(
-            straight, tiny_dataset, straight.cl_config.sasrec.train
+        assert_kill_and_resume_is_bit_exact(
+            build_model, tiny_dataset, tmp_path, "next_item", "reference", preempt_at=7
         )
-
-        killed = build_model()
-        with pytest.raises(TrainingInterrupted):
-            train_next_item_model(
-                killed,
-                tiny_dataset,
-                killed.cl_config.sasrec.train,
-                runtime=make_runtime(tmp_path, faults=FaultInjector().preempt(at=7)),
-            )
-
-        resumed = build_model()
-        runtime = make_runtime(tmp_path)
-        hist_resumed = train_next_item_model(
-            resumed, tiny_dataset, resumed.cl_config.sasrec.train, runtime=runtime
-        )
-
-        assert runtime.resumed_from is not None
-        assert hist_resumed.losses == hist_straight.losses
-        assert hist_resumed.valid_scores == hist_straight.valid_scores
-        assert_params_equal(straight, resumed)
 
     def test_early_stopping_state_survives_resume(self, tiny_dataset, build_model, tmp_path):
         """A run that already early-stopped must not train further when
@@ -298,6 +308,30 @@ class TestRngStateRoundTrip:
         restore_rng_states([rng_a, rng_b], packed)
         np.testing.assert_array_equal(rng_a.random(5), expected[0])
         np.testing.assert_array_equal(rng_b.random(5), expected[1])
+
+    def test_spawn_count_round_trips(self):
+        """bit_generator.state says nothing about children spawned; a
+        fresh generator restored from a checkpoint must still hand out
+        the *next* child, not the first one again."""
+        rng = np.random.default_rng(1)
+        rng.spawn(3)
+        packed = capture_rng_states([rng])
+        expected = rng.spawn(1)[0].random(4)
+        fresh = np.random.default_rng(1)
+        restore_rng_states([fresh], packed)
+        np.testing.assert_array_equal(fresh.spawn(1)[0].random(4), expected)
+
+    def test_states_without_spawn_count_restore_bit_state_only(self):
+        import json
+
+        rng = np.random.default_rng(1)
+        packed = np.asarray(json.dumps([rng.bit_generator.state]))
+        expected = rng.random(5)
+        fresh = np.random.default_rng(9)
+        fresh.spawn(2)
+        restore_rng_states([fresh], packed)
+        np.testing.assert_array_equal(fresh.random(5), expected)
+        assert fresh.bit_generator.seed_seq.n_children_spawned == 2
 
     def test_count_mismatch_raises(self):
         packed = capture_rng_states([np.random.default_rng(0)])

@@ -1,0 +1,64 @@
+"""The single training loop (repro.train.loop) at ``workers=0``."""
+
+import time
+
+import numpy as np
+
+from repro.core.cl4srec import CL4SRec, CL4SRecConfig
+from repro.core.trainer import JointTrainConfig, train_joint
+from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
+from repro.data.preprocessing import SequenceDataset
+from repro.models.sasrec import SASRecConfig
+from repro.models.training import TrainConfig
+from tests.conftest import make_tiny_dataset
+
+
+def test_joint_vectorized_is_timing_independent(monkeypatch):
+    """The contrastive side cycles mid-epoch here (fewer contrastive
+    than supervised batches), so a prefetch thread on it would run
+    past the epoch's last step by a timing-dependent number of draws.
+    Slowing the contrastive batch build must not change the run."""
+    full = make_tiny_dataset(num_users=400)
+    # A 2-item history trains next-item prediction but is too short to
+    # augment, so every third user leaves the contrastive side only.
+    dataset = SequenceDataset(
+        train_sequences=[
+            seq[-2:] if user % 3 == 0 else seq
+            for user, seq in enumerate(full.train_sequences)
+        ],
+        valid_targets=full.valid_targets,
+        test_targets=full.test_targets,
+        num_items=full.num_items,
+        name="uneven",
+    )
+    rng = np.random.default_rng(0)
+    supervised = NextItemBatchLoader(dataset, 50, 64, rng)
+    contrastive = ContrastiveBatchLoader(dataset, None, 50, 64, rng)
+    assert contrastive.num_batches < supervised.num_batches
+
+    def run():
+        config = CL4SRecConfig(
+            sasrec=SASRecConfig(
+                dim=16, num_layers=1, num_heads=1,
+                train=TrainConfig(batch_size=64, max_length=50),
+            ),
+            joint=JointTrainConfig(epochs=2, batch_size=64, pipeline="vectorized"),
+        )
+        model = CL4SRec(dataset, config)
+        losses = train_joint(model, dataset, config.joint, rng=model._rng)
+        return losses, model.state_dict()
+
+    losses_fast, state_fast = run()
+
+    build = ContrastiveBatchLoader._build
+
+    def slow_build(self, users):
+        time.sleep(0.15)
+        return build(self, users)
+
+    monkeypatch.setattr(ContrastiveBatchLoader, "_build", slow_build)
+    losses_slow, state_slow = run()
+
+    assert losses_slow == losses_fast
+    for name in state_fast:
+        np.testing.assert_array_equal(state_fast[name], state_slow[name], err_msg=name)

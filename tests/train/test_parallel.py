@@ -194,56 +194,67 @@ class TestBitIdentity:
         assert_states_differ(state_serial, state_two)
         assert_states_differ(state_two, state_three)
 
-    def test_workers_zero_never_imports_parallel(self, tiny_dataset):
-        """The workers=0 path must not even touch this machinery — the
-        single-process loops stay byte-compatible with the goldens."""
-        import sys
+    def test_workers_zero_forks_nothing(self, tiny_dataset, monkeypatch):
+        """workers=0 (the config default) runs the same loop in-process:
+        no child process, no shared-memory segment."""
+        import multiprocessing
 
-        model = build_cl4srec(tiny_dataset, mode="joint", workers=0, epochs=1)
-        assert model.cl_config.joint.workers == 0
-        train_joint(model, tiny_dataset, model.cl_config.joint, rng=model._rng)
-        # The delegation guard is `if getattr(config, "workers", 0):` —
-        # verify the config default keeps it false-y.
-        assert TrainConfig().workers == 0
-        assert ContrastivePretrainConfig().workers == 0
+        from repro.core import shm
+
+        def no_segments(*args, **kwargs):
+            raise AssertionError("workers=0 created a shared segment")
+
+        monkeypatch.setattr(shm.SharedArrays, "create", no_segments)
+        before = leaked_segments()
         assert JointTrainConfig().workers == 0
+        model = build_cl4srec(tiny_dataset, mode="joint", workers=0, epochs=1)
+        train_joint(model, tiny_dataset, model.cl_config.joint, rng=model._rng)
+        assert multiprocessing.active_children() == []
+        assert leaked_segments() <= before
 
 
 @pytest.mark.fault_injection
 class TestResume:
-    def test_kill_and_resume_is_bit_exact_workers2(self, tiny_dataset, tmp_path):
-        straight = build_cl4srec(tiny_dataset, workers=2, epochs=4)
-        losses_straight = train_joint(
-            straight, tiny_dataset, straight.cl_config.joint, rng=straight._rng
-        )
+    def _assert_bit_exact(self, dataset, directory, regime, pipeline):
+        def run(runtime=None):
+            model = build_cl4srec(dataset, workers=2, epochs=4, pipeline=pipeline)
+            if regime == "joint":
+                config, train = model.cl_config.joint, train_joint
+            elif regime == "pretrain":
+                config, train = model.cl_config.pretrain, pretrain_contrastive
+            else:
+                config, train = model.cl_config.sasrec.train, train_next_item_model
+            history = train(model, dataset, config, rng=model._rng, runtime=runtime)
+            losses = history if regime == "joint" else history.losses
+            return [float(v) for v in losses], model.state_dict()
 
-        killed = build_cl4srec(tiny_dataset, workers=2, epochs=4)
+        losses_straight, state_straight = run()
         with pytest.raises(TrainingInterrupted):
-            train_joint(
-                killed,
-                tiny_dataset,
-                killed.cl_config.joint,
-                rng=killed._rng,
-                runtime=make_runtime(
-                    tmp_path, faults=FaultInjector().preempt(at=2)
-                ),
-            )
-
-        resumed = build_cl4srec(tiny_dataset, workers=2, epochs=4)
-        runtime = make_runtime(tmp_path)
-        losses_resumed = train_joint(
-            resumed,
-            tiny_dataset,
-            resumed.cl_config.joint,
-            rng=resumed._rng,
-            runtime=runtime,
-        )
+            run(make_runtime(directory, faults=FaultInjector().preempt(at=2)))
+        runtime = make_runtime(directory)
+        losses_resumed, state_resumed = run(runtime)
 
         assert runtime.resumed_from is not None
-        assert [float(v) for v in losses_resumed] == [
-            float(v) for v in losses_straight
-        ]
-        assert_states_equal(straight.state_dict(), resumed.state_dict())
+        assert losses_resumed == losses_straight
+        assert_states_equal(state_straight, state_resumed)
+
+    def test_kill_and_resume_is_bit_exact_workers2(self, tiny_dataset, tmp_path):
+        self._assert_bit_exact(tiny_dataset, tmp_path, "joint", "reference")
+
+    @pytest.mark.parametrize(
+        "regime, pipeline",
+        [
+            ("joint", "vectorized"),
+            ("pretrain", "reference"),
+            ("pretrain", "vectorized"),
+            ("next_item", "reference"),
+            ("next_item", "vectorized"),
+        ],
+    )
+    def test_kill_and_resume_is_bit_exact_workers2_regimes(
+        self, tiny_dataset, tmp_path, regime, pipeline
+    ):
+        self._assert_bit_exact(tiny_dataset, tmp_path, regime, pipeline)
 
     def test_resume_with_wrong_worker_count_raises(self, tiny_dataset, tmp_path):
         killed = build_cl4srec(tiny_dataset, workers=2, epochs=4)
