@@ -31,6 +31,7 @@ rotating checkpoints, SIGTERM/SIGINT flush-and-exit (exit code 3), and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -48,6 +49,7 @@ from repro.experiments.figure5 import run_figure5
 from repro.experiments.figure6 import PAPER_FRACTIONS, run_figure6
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
+from repro.retrieval import INDEX_KINDS, IndexBuildError, IndexMismatchError
 
 PRESETS = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "full": FULL_SCALE}
 
@@ -150,6 +152,7 @@ def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--index",
         default="exact",
+        choices=sorted(INDEX_KINDS),
         help="retrieval index kind: exact (default, bit-identical dense "
         "path), ivf, ivf_pq or ivf_flat (see docs/RETRIEVAL.md)",
     )
@@ -189,11 +192,32 @@ def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _SetupError(Exception):
+    """A serving command could not be set up from its arguments.
+
+    :func:`main` prints ``<command>: <message>`` and returns 2.
+    """
+
+
+@contextlib.contextmanager
+def _serving_setup():
+    """Turn what building a config, engine or index raises into one line.
+
+    ``ValueError`` covers :class:`ServeConfig` validation and
+    ``CheckpointError``; ``TypeError`` is the engine's "cannot be served".
+    """
+    try:
+        yield
+    except (ValueError, TypeError, IndexBuildError, IndexMismatchError) as error:
+        raise _SetupError(str(error)) from error
+
+
 def _build_engine(args: argparse.Namespace, **overrides):
     """Dataset + model + checkpoint → a ready RecommendationEngine."""
     from repro.serve import ServeConfig
 
-    return ServeConfig.from_args(args).build_engine(**overrides)
+    with _serving_setup():
+        return ServeConfig.from_args(args).build_engine(**overrides)
 
 
 def _run_index(args: argparse.Namespace) -> int:
@@ -202,21 +226,17 @@ def _run_index(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig
 
-    config = ServeConfig.from_args(args)
-    if config.index_path is not None:
+    if args.index_path is not None:
         print("index: --index-path is an input of serve, not of index; "
               "use --output for the artifact destination", file=sys.stderr)
         return 2
-    engine = config.build_engine(resilience=None)
-    if engine.index is None:
-        print(f"index: model {config.model!r} exposes no item embedding "
-              f"matrix; nothing to index", file=sys.stderr)
-        return 2
-    matrix = engine.index.matrix
-    started = time.time()
-    index = config.build_index().build(matrix)
-    built_in = time.time() - started
-    path = index.save(args.output)
+    with _serving_setup():
+        config = ServeConfig.from_args(args)
+        matrix = config.build_engine(resilience=None).index.matrix
+        started = time.time()
+        index = config.build_index().build(matrix)
+        built_in = time.time() - started
+        path = index.save(args.output)
     stats = index.stats()
     stats["build_seconds"] = round(built_in, 3)
     stats["artifact"] = path
@@ -479,16 +499,17 @@ def _run_online(args: argparse.Namespace) -> int:
     from repro.online.shadow import REASON_SWAP_FAILED
     from repro.serve import ServeConfig
 
-    config = ServeConfig.from_args(args)
-    if config.workers:
-        print(
-            "online: the loop needs direct model access; ignoring "
-            f"--workers {config.workers} (serving still answers live "
-            "traffic on --port)",
-            file=sys.stderr,
-        )
-        config.workers = 0
-    engine = config.build_engine()
+    with _serving_setup():
+        config = ServeConfig.from_args(args)
+        if config.workers:
+            print(
+                "online: the loop needs direct model access; ignoring "
+                f"--workers {config.workers} (serving still answers live "
+                "traffic on --port)",
+                file=sys.stderr,
+            )
+            config.workers = 0
+        engine = config.build_engine()
     dataset = engine.dataset
     trainer = build_model(config.model, dataset, config.scale())
 
@@ -1314,6 +1335,16 @@ def _run_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+_SERVING_COMMANDS = {
+    "serve": _run_serve,
+    "loadtest": _run_loadtest,
+    "online": _run_online,
+    "recommend": _run_recommend,
+    "chaos": _run_chaos,
+    "index": _run_index,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
@@ -1322,18 +1353,12 @@ def main(argv: list[str] | None = None) -> int:
         return _run_train(args)
     if args.command == "stats":
         return _run_stats(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "loadtest":
-        return _run_loadtest(args)
-    if args.command == "online":
-        return _run_online(args)
-    if args.command == "recommend":
-        return _run_recommend(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "index":
-        return _run_index(args)
+    if args.command in _SERVING_COMMANDS:
+        try:
+            return _SERVING_COMMANDS[args.command](args)
+        except _SetupError as error:
+            print(f"{args.command}: {error}", file=sys.stderr)
+            return 2
     if args.command == "table1":
         result = run_table1(scale=args.scale, seed=args.seed)
     elif args.command == "table2":

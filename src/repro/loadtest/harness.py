@@ -11,15 +11,17 @@ serving invariants that make a load number trustworthy:
   errors and timeouts are violations, not noise;
 * **refusal envelope** — non-200 responses must carry a structured
   refusal reason from :data:`repro.serve.resilience.REFUSAL_REASONS`
-  (shed / queue full / deadline); anything else means the server broke
+  (shed / deadline); anything else means the server broke
   on valid traffic;
 * **monotone model version** — each client observes a non-decreasing
   ``model_version``, so hot reloads never serve stale weights after
   new ones were visible;
 * **accounting** — the engine's ``requests`` counter moves by exactly
-  the number of sequences in successful responses, and
-  ``requests_degraded`` by exactly the degraded items clients saw —
-  the metrics pipeline cannot silently drop or invent work;
+  the number of sequences it answered — those in successful responses
+  plus those it refused on their deadline (a shed request never
+  reaches it) — and ``requests_degraded`` by exactly the degraded
+  items clients saw: the metrics pipeline cannot silently drop or
+  invent work;
 * **schema** — ``/metrics`` keeps the documented serving schema.
 
 Latency percentiles (p50/p90/p99) and sustained QPS come out in
@@ -236,12 +238,17 @@ class LoadTestResult:
                     f"regression: {versions}"
                 )
 
-        expected = self.sequences_completed
+        # The engine counts every request it resolved, served or
+        # refused on its deadline; a shed 503 never reaches it.
+        expected = self.sequences_completed + sum(
+            o.sequences for o in self.outcomes
+            if o.refusal_reason == REASON_DEADLINE
+        )
         actual = self._counter_delta("requests")
         if actual != expected:
             violations.append(
                 f"metrics accounting: engine 'requests' moved by {actual} "
-                f"but clients completed {expected} sequences"
+                f"but clients saw {expected} sequences answered"
             )
 
         degraded_seen = sum(o.degraded_items for o in self.outcomes)

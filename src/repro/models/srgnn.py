@@ -258,17 +258,26 @@ class SRGNN(Module, Recommender):
             return scores
         return scores[:, np.asarray(items, dtype=np.int64)]
 
+    def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
+        """Session representations ``(len(sequences), d)`` from raw histories."""
+        was_training = self.training
+        self.eval()
+        with no_grad():
+            session = self._session_representation(
+                *self._batch_graphs(sequences)
+            ).data
+        if was_training:
+            self.train()
+        return session
+
+    def item_embedding_matrix(self, num_items: int) -> np.ndarray:
+        """Scoring matrix ``(num_items + 1, d)`` — rows are item vectors."""
+        return self.item_embedding.weight.data[: num_items + 1, :]
+
     def score_sequences(
         self, sequences: list[np.ndarray], num_items: int
     ) -> np.ndarray:
         """Score the vocabulary from raw histories (temporal protocol)."""
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            nodes, a_in, a_out, last = self._batch_graphs(sequences)
-            session = self._session_representation(nodes, a_in, a_out, last)
-            item_vectors = self.item_embedding.weight[: num_items + 1, :]
-            scores = session.matmul(item_vectors.transpose()).data
-        if was_training:
-            self.train()
-        return scores
+        return self.encode_sequences(sequences) @ self.item_embedding_matrix(
+            num_items
+        ).T

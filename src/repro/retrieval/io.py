@@ -22,6 +22,7 @@ import zipfile
 
 import numpy as np
 
+from repro.nn.serialization import atomic_write
 from repro.retrieval.base import (
     INDEX_KINDS,
     IndexBuildError,
@@ -51,21 +52,17 @@ def save_index(index: ItemIndex, path: str | os.PathLike) -> str:
     reserved = {"__meta__", "matrix"} & set(arrays)
     if reserved:
         raise IndexBuildError(f"artifact arrays shadow reserved names: {reserved}")
-    # Write via a temp file + rename so a crash mid-write never leaves
-    # a torn artifact where a loader might find it.
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez(
-                handle,
-                __meta__=np.array(json.dumps(meta, sort_keys=True)),
-                matrix=index.matrix,
-                **arrays,
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    # Temp file + fsync + rename: a crash mid-write never leaves a torn
+    # artifact where a loader might find it.
+    atomic_write(
+        path,
+        lambda handle: np.savez(
+            handle,
+            __meta__=np.array(json.dumps(meta, sort_keys=True)),
+            matrix=index.matrix,
+            **arrays,
+        ),
+    )
     return path
 
 

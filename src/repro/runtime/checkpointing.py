@@ -18,6 +18,8 @@ on unreliable hardware needs on top:
 
 Archives are flat ``name -> array`` dicts; the semantic packing of
 model/optimizer/RNG/history state lives in :mod:`repro.runtime.resume`.
+Consumers that only want the weights back (serving) read them with
+:func:`load_model_state`.
 """
 
 from __future__ import annotations
@@ -207,3 +209,43 @@ class CheckpointManager:
                     os.unlink(stale)
                 except FileNotFoundError:
                     pass
+
+
+def load_model_state(checkpoint: str | os.PathLike) -> tuple[dict, int | None]:
+    """Model state dict + source step from a checkpoint path.
+
+    ``checkpoint`` is a :class:`CheckpointManager` directory (newest
+    *valid* archive wins, corrupt ones are skipped) or a single ``.npz``
+    archive: ``model/<param>`` keys, or a bare state dict.  Archives are
+    checksum-verified on read; corruption raises
+    :class:`~repro.nn.serialization.CheckpointError` instead of
+    loading garbage.
+    """
+    checkpoint = os.fspath(checkpoint)
+    step: int | None = None
+    if os.path.isdir(checkpoint):
+        recovered = CheckpointManager(checkpoint).load_latest_valid()
+        if recovered is None:
+            raise CheckpointError(
+                f"{checkpoint}: no valid checkpoint archive found"
+            )
+        step, payload = recovered
+    else:
+        payload = read_archive(checkpoint)
+    state = {
+        name[len("model/") :]: values
+        for name, values in payload.items()
+        if name.startswith("model/")
+    }
+    if not state:
+        # A bare state_dict archive (no section prefixes).
+        state = {
+            name: values
+            for name, values in payload.items()
+            if "/" not in name
+        }
+    if not state:
+        raise CheckpointError(
+            f"{checkpoint}: archive holds no model parameters"
+        )
+    return state, step

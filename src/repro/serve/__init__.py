@@ -25,7 +25,6 @@ for the CLI entry point.
 from repro.serve.chaos import ChaosConfig, ChaosReport, run_chaos
 from repro.serve.config import ServeConfig
 from repro.serve.engine import (
-    EngineOverloaded,
     LRUCache,
     ModelSwapError,
     RecommendationEngine,
@@ -70,7 +69,6 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
-    "EngineOverloaded",
     "LRUCache",
     "LatencyHistogram",
     "ModelSwapError",

@@ -55,7 +55,6 @@ class ServeConfig:
     # --- engine shape --------------------------------------------------
     max_batch_size: int = 256
     cache_size: int = 4096
-    max_queue: int = 8192
     split: str = "test"
     #: Scoring worker processes: 0 (default) serves in-process on the
     #: historical single-process path, bit-identically; N >= 1 shards
@@ -89,7 +88,7 @@ class ServeConfig:
                 f"unknown index kind {self.index!r}; "
                 f"registered: {sorted(INDEX_KINDS)}"
             )
-        for name in ("max_batch_size", "cache_size", "max_queue"):
+        for name in ("max_batch_size", "cache_size"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)}"
@@ -214,7 +213,6 @@ class ServeConfig:
             dtype=self.dtype,
             max_batch_size=self.max_batch_size,
             cache_size=self.cache_size,
-            max_queue=self.max_queue,
             split=self.split,
             index=self.build_index(),
         )

@@ -1,16 +1,19 @@
 """Batched top-k recommendation engine.
 
 The training side of the repo produces a checkpointed encoder; this
-module turns it into something that can serve traffic:
+module turns it into something that can serve traffic.  Every servable
+model scores a user the way the paper does (Eq. 13/15): one sequence
+representation times the item embeddings — ``encode_sequences`` +
+``item_embedding_matrix`` — and every request takes the same path,
+:meth:`RecommendationEngine.recommend_batch`:
+resolve → cache → encode → score → topk.
 
-* **Precomputed item matrix** — for encoders exposing
-  ``item_embedding_matrix`` (SASRec, CL4SRec, GRU4Rec, BERT4Rec) the
-  ``(num_items + 1, d)`` scoring matrix is materialized once at
-  construction; each request then costs one dense matvec instead of a
-  walk through the embedding table.
+* **Precomputed item matrix** — the ``(num_items + 1, d)`` scoring
+  matrix is materialized once at construction; each request then costs
+  one dense matvec instead of a walk through the embedding table.
 * **Micro-batched encoding** — user representations are computed in
-  batches of ``max_batch_size`` sequences; :meth:`submit` coalesces
-  individual requests into those batches through a bounded queue.
+  batches of ``max_batch_size`` sequences; requests in one call that
+  share a history are encoded once.
 * **Representation cache** — an LRU keyed by the exact item-id
   sequence; repeat visitors skip the Transformer forward entirely.
 * **Pluggable retrieval** — candidate scoring and top-k selection go
@@ -28,24 +31,22 @@ module turns it into something that can serve traffic:
   (on by default) adds per-request deadlines, a circuit breaker around
   encoder scoring, and a degraded-mode fallback chain: exact-sequence
   representation cache → global popularity.  Fallback answers are
-  tagged ``degraded`` with a per-tier counter; requests that cannot be
-  served at all come back with machine-readable reason codes instead
-  of exceptions (``recommend_batch(..., on_error="report")``).
+  tagged ``degraded`` with a per-tier counter.
+* **One error rule** — a request that cannot be served at all
+  (malformed, deadline spent) is recorded per item with a
+  machine-readable reason code and its neighbours are still served;
+  ``on_error="raise"`` then raises the first recorded error in request
+  order (:func:`raise_first_error`), ``"report"`` returns them in place.
 * **Hot reload** — :meth:`swap_model` atomically swaps in new weights
   from a PR-1 checkpoint: checksum-verified load, self-check probe,
   generation counter bump, representation-cache invalidation, and
   rollback to the previous weights on any failure.
-
-Models that only expose ``score_sequences`` (e.g. SR-GNN) are served
-through a fallback backend: no precomputed matrix, the cache then holds
-full score rows instead of representations.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -60,6 +61,7 @@ from repro.retrieval import (
     make_index,
 )
 from repro.retrieval.exact import apply_exclusions
+from repro.runtime.checkpointing import load_model_state
 from repro.runtime.faults import FaultInjector
 from repro.serve.metrics import ServingMetrics
 from repro.serve.requests import Recommendation, RecRequest, RequestError
@@ -73,8 +75,6 @@ from repro.serve.resilience import (
     ResilienceConfig,
     ResiliencePolicy,
 )
-
-_NEG_INF = -np.inf
 
 #: Sentinel: "build the default resilience policy" (pass ``None`` to
 #: run the engine without deadlines/breaker/fallback, as PR 2 did).
@@ -101,14 +101,6 @@ _INDEX_COUNTERS = (
     "index_candidates_scored",
     "index_reranked",
 )
-
-
-class EngineOverloaded(RuntimeError):
-    """The bounded request queue is full; shed load or flush first.
-
-    The HTTP front-end maps this to a structured 503 with reason
-    ``"queue_full"`` and a ``Retry-After`` hint.
-    """
 
 
 class ModelSwapError(RuntimeError):
@@ -151,71 +143,116 @@ class LRUCache:
         self._data.clear()
 
 
-def _load_model_state(checkpoint: str | os.PathLike) -> tuple[dict, int | None]:
-    """Model state dict + source step from a checkpoint path.
-
-    ``checkpoint`` is a :class:`~repro.runtime.checkpointing.
-    CheckpointManager` directory (newest *valid* archive wins, corrupt
-    ones are skipped) or a single ``.npz`` archive.  Archives are
-    checksum-verified on read; corruption raises
-    :class:`~repro.nn.serialization.CheckpointError` instead of
-    loading garbage.
-    """
-    checkpoint = os.fspath(checkpoint)
-    step: int | None = None
-    if os.path.isdir(checkpoint):
-        from repro.runtime.checkpointing import CheckpointManager
-
-        recovered = CheckpointManager(checkpoint).load_latest_valid()
-        if recovered is None:
-            raise CheckpointError(
-                f"{checkpoint}: no valid checkpoint archive found"
-            )
-        step, payload = recovered
-    else:
-        from repro.runtime.checkpointing import read_archive
-
-        payload = read_archive(checkpoint)
-    state = {
-        name[len("model/") :]: values
-        for name, values in payload.items()
-        if name.startswith("model/")
-    }
-    if not state:
-        # A bare state_dict archive (no section prefixes).
-        state = {
-            name: values
-            for name, values in payload.items()
-            if "/" not in name
-        }
-    if not state:
-        raise CheckpointError(
-            f"{checkpoint}: archive holds no model parameters"
+def _require_servable(model) -> None:
+    """The one backend needs a representation and an item matrix."""
+    if not (
+        hasattr(model, "encode_sequences")
+        and hasattr(model, "item_embedding_matrix")
+    ):
+        raise TypeError(
+            f"{type(model).__name__} does not expose the representation "
+            f"API (encode_sequences + item_embedding_matrix); it cannot "
+            f"be served"
         )
-    return state, step
 
 
-class RecommendationEngine:
+def _load_into(model, state: dict, checkpoint: str) -> None:
+    """``model.load_state_dict(state)``; a misfit names the checkpoint."""
+    try:
+        model.load_state_dict(state)
+    except Exception as error:
+        raise CheckpointError(
+            f"{checkpoint}: checkpoint does not fit this model "
+            f"(was it trained with a different configuration?): {error}"
+        ) from error
+
+
+def raise_first_error(results: list[Recommendation]) -> None:
+    """The ``on_error="raise"`` rule: first recorded error, request order."""
+    for result in results:
+        if result.error == REASON_DEADLINE:
+            raise DeadlineExceeded(result.detail)
+        if result.error is not None:
+            raise RequestError(result.detail)
+
+
+class EngineFacade:
+    """The request entry points both engine flavours share.
+
+    A flavour supplies ``policy`` and ``_serve_batch(requests, started)``
+    — which answers *every* request, recording the unservable ones as
+    per-item errors — and inherits the one way in.
+    """
+
+    def recommend(
+        self,
+        user: int | None = None,
+        sequence=None,
+        k: int = 10,
+        exclude_seen: bool = True,
+        deadline_ms: float | None = None,
+    ) -> Recommendation:
+        """Serve a single request (convenience over :meth:`recommend_batch`)."""
+        request = RecRequest(
+            user=user,
+            sequence=sequence,
+            k=k,
+            exclude_seen=exclude_seen,
+            deadline_ms=deadline_ms,
+        )
+        return self.recommend_batch([request])[0]
+
+    def recommend_batch(
+        self,
+        requests: list[RecRequest],
+        started: float | None = None,
+        on_error: str = "raise",
+    ) -> list[Recommendation]:
+        """Serve many requests at once: dedupe, encode, score, select.
+
+        ``started`` anchors deadline budgets (monotonic clock) at the
+        moment the request entered the system — pass the HTTP arrival
+        time so queueing counts against the budget; defaults to now.
+
+        A request that cannot be served (malformed, deadline spent)
+        never fails its neighbours: it comes back as a per-item
+        :class:`~repro.serve.requests.Recommendation` carrying the
+        reason code.  ``on_error="report"`` returns those in place;
+        ``"raise"`` (default) serves the batch and then raises the
+        first of them in request order
+        (:class:`~repro.serve.requests.RequestError` /
+        :class:`~repro.serve.resilience.DeadlineExceeded`).
+        """
+        if on_error not in ("raise", "report"):
+            raise ValueError(f"on_error must be 'raise' or 'report', got {on_error!r}")
+        if not requests:
+            return []
+        if started is None:
+            clock = self.policy.clock if self.policy is not None else time.monotonic
+            started = clock()
+        results = self._serve_batch(requests, started)
+        if on_error == "raise":
+            raise_first_error(results)
+        return results
+
+
+class RecommendationEngine(EngineFacade):
     """Serve top-k recommendations from a fitted (or checkpointed) model.
 
     Parameters
     ----------
     model:
-        A sequential recommender exposing either the representation API
-        (``encode_sequences`` + ``item_embedding_matrix``) or, as a
-        fallback, ``score_sequences``.
+        A sequential recommender exposing the representation API
+        (``encode_sequences`` + ``item_embedding_matrix``); anything
+        else is rejected with a ``TypeError``.
     dataset:
         Supplies interaction histories for user-id requests and the
         catalogue size.
     max_batch_size:
-        Micro-batch size for encoding; also the auto-flush threshold of
-        the coalescing queue.
+        Micro-batch size for encoding.
     cache_size:
         LRU capacity (number of distinct sequences) of the
         representation cache.
-    max_queue:
-        Bound on queued-but-unfetched requests; :meth:`submit` raises
-        :class:`EngineOverloaded` beyond it.
     split:
         Which history to serve user-id requests from (mirrors the
         evaluation protocol's ``split`` semantics; default ``"test"``,
@@ -243,8 +280,7 @@ class RecommendationEngine:
         ones are built from it), a registered kind name
         (``"exact"``, ``"ivf"``, ``"ivf_pq"``), or ``None`` for the
         default :class:`~repro.retrieval.exact.ExactIndex` — which is
-        bit-identical to the historical dense path.  Ignored (and
-        rejected) for ``score_sequences``-only models.
+        bit-identical to the historical dense path.
     """
 
     #: Single-process engines are not safe for concurrent scoring; the
@@ -258,7 +294,6 @@ class RecommendationEngine:
         dataset: SequenceDataset,
         max_batch_size: int = 256,
         cache_size: int = 4096,
-        max_queue: int = 8192,
         split: str = "test",
         metrics: ServingMetrics | None = None,
         resilience=_DEFAULT_RESILIENCE,
@@ -268,12 +303,10 @@ class RecommendationEngine:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if max_queue < 1:
-            raise ValueError(f"max_queue must be positive, got {max_queue}")
+        _require_servable(model)
         self.model = model
         self.dataset = dataset
         self.max_batch_size = max_batch_size
-        self.max_queue = max_queue
         self.split = split
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.cache = LRUCache(cache_size)
@@ -304,33 +337,8 @@ class RecommendationEngine:
             self.metrics.set_gauge("model_version", self.model_version)
             self.policy.breaker.on_transition = self._on_breaker_transition
 
-        has_representation_api = hasattr(model, "encode_sequences") and hasattr(
-            model, "item_embedding_matrix"
-        )
-        if has_representation_api:
-            matrix = np.ascontiguousarray(
-                model.item_embedding_matrix(dataset.num_items)
-            )
-            self.index: ItemIndex | None = self._adopt_index(index, matrix)
-            self.metrics.touch(*_INDEX_COUNTERS)
-        elif hasattr(model, "score_sequences"):
-            if index is not None:
-                raise TypeError(
-                    f"{type(model).__name__} exposes no item embedding "
-                    f"matrix; retrieval indexes require the representation "
-                    f"API (encode_sequences + item_embedding_matrix)"
-                )
-            self.index = None  # fallback: cache full score rows
-        else:
-            raise TypeError(
-                f"{type(model).__name__} exposes neither the representation "
-                f"API (encode_sequences + item_embedding_matrix) nor "
-                f"score_sequences; it cannot be served"
-            )
-
-        self._queue: list[RecRequest] = []
-        self._completed: list[Recommendation] = []
-        self._warned_item_matrix = False
+        self.index: ItemIndex = self._adopt_index(index, self._live_matrix())
+        self.metrics.touch(*_INDEX_COUNTERS)
 
         if hasattr(model, "eval"):
             model.eval()
@@ -371,25 +379,11 @@ class RecommendationEngine:
             )
         return index
 
-    @property
-    def item_matrix(self) -> np.ndarray | None:
-        """Deprecated: the dense scoring matrix now lives on the index.
-
-        .. deprecated::
-            Use ``engine.index.matrix`` (or :meth:`ItemIndex.score`)
-            instead; direct matrix access bypasses the retrieval
-            protocol and will be removed once downstream callers have
-            migrated.
-        """
-        if not self._warned_item_matrix:
-            self._warned_item_matrix = True
-            warnings.warn(
-                "RecommendationEngine.item_matrix is deprecated; go "
-                "through engine.index (ItemIndex.score / search) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.index.matrix if self.index is not None else None
+    def _live_matrix(self) -> np.ndarray:
+        """The live model's contiguous ``(num_items + 1, d)`` matrix."""
+        return np.ascontiguousarray(
+            self.model.item_embedding_matrix(self.dataset.num_items)
+        )
 
     # ------------------------------------------------------------------
     # Loading
@@ -419,8 +413,9 @@ class RecommendationEngine:
         omitted, the model adopts the checkpoint's own dtype, so a
         float32-trained checkpoint serves in float32 without flags.
         """
+        _require_servable(model)
         checkpoint = os.fspath(checkpoint)
-        state, __ = _load_model_state(checkpoint)
+        state, __ = load_model_state(checkpoint)
         if dtype is None and hasattr(model, "to_dtype"):
             # Adopt the checkpoint's precision: if every stored float
             # array is float32 the run was trained in float32 — keep
@@ -434,13 +429,7 @@ class RecommendationEngine:
                 dtype = np.float32
         if dtype is not None and hasattr(model, "to_dtype"):
             model.to_dtype(dtype)
-        try:
-            model.load_state_dict(state)
-        except (KeyError, ValueError, IndexError) as error:
-            raise CheckpointError(
-                f"{checkpoint}: checkpoint does not fit this model "
-                f"(was it trained with a different configuration?): {error}"
-            ) from error
+        _load_into(model, state, checkpoint)
         engine = cls(model, dataset, **engine_kwargs)
         engine.checkpoint_path = checkpoint
         return engine
@@ -481,7 +470,7 @@ class RecommendationEngine:
         """
         checkpoint = os.fspath(checkpoint)
         try:
-            state, step = _load_model_state(checkpoint)
+            state, step = load_model_state(checkpoint)
         except CheckpointError:
             self.metrics.increment("model_swap_failures")
             self._obs_event("model_swap_failed", checkpoint=checkpoint,
@@ -493,28 +482,19 @@ class RecommendationEngine:
             for name, values in self.model.state_dict().items()
         }
         try:
-            self.model.load_state_dict(state)
-        except Exception as error:
+            _load_into(self.model, state, checkpoint)
+        except CheckpointError:
             # load_state_dict may have partially applied; restore.
             self.model.load_state_dict(previous)
             self.metrics.increment("model_swap_failures")
             self._obs_event("model_swap_failed", checkpoint=checkpoint,
                             stage="state_dict", model_version=self.model_version)
-            raise CheckpointError(
-                f"{checkpoint}: checkpoint does not fit this model "
-                f"(was it trained with a different configuration?): {error}"
-            ) from error
+            raise
 
         try:
-            new_index = None
-            if self.index is not None:
-                # Rebuild off to the side with the same hyperparameters;
-                # the live index keeps serving until the publish below.
-                new_index = self.index.rebuild(
-                    np.ascontiguousarray(
-                        self.model.item_embedding_matrix(self.dataset.num_items)
-                    )
-                )
+            # Rebuild off to the side with the same hyperparameters;
+            # the live index keeps serving until the publish below.
+            new_index = self.index.rebuild(self._live_matrix())
             if probe:
                 self._self_check(new_index)
         except Exception as error:
@@ -531,8 +511,7 @@ class RecommendationEngine:
         # Publish: everything below is cheap pointer/counter work, so a
         # request never observes new weights with a stale index or
         # cache.
-        if new_index is not None:
-            self.index = new_index
+        self.index = new_index
         self.invalidate_cache()
         self.model_version += 1
         self.checkpoint_path = checkpoint
@@ -560,24 +539,19 @@ class RecommendationEngine:
                 return sequence
         return np.asarray([min(1, self.dataset.num_items)], dtype=np.int64)
 
-    def _self_check(self, index: ItemIndex | None) -> None:
+    def _self_check(self, index: ItemIndex) -> None:
         """Probe the (swapped) model end to end; raise on anything off."""
         sequence = self._probe_sequence()
-        if index is not None:
-            representation = np.asarray(self.model.encode_sequences([sequence]))
-            if (
-                representation.ndim != 2
-                or representation.shape[1] != index.dim
-                or not np.all(np.isfinite(representation))
-            ):
-                raise ModelSwapError(
-                    "probe produced a non-finite or misshapen representation"
-                )
-            scores = index.score(representation)
-        else:
-            scores = np.asarray(
-                self.model.score_sequences([sequence], self.dataset.num_items)
+        representation = np.asarray(self.model.encode_sequences([sequence]))
+        if (
+            representation.ndim != 2
+            or representation.shape[1] != index.dim
+            or not np.all(np.isfinite(representation))
+        ):
+            raise ModelSwapError(
+                "probe produced a non-finite or misshapen representation"
             )
+        scores = index.score(representation)
         if scores.shape[-1] != self.dataset.num_items + 1 or not np.all(
             np.isfinite(scores)
         ):
@@ -595,74 +569,31 @@ class RecommendationEngine:
         self._obs_event("breaker_transition", old=old, new=new)
 
     # ------------------------------------------------------------------
-    # One-shot and batched serving
+    # Serving (entry points: EngineFacade.recommend / recommend_batch)
     # ------------------------------------------------------------------
-    def recommend(
-        self,
-        user: int | None = None,
-        sequence=None,
-        k: int = 10,
-        exclude_seen: bool = True,
-        deadline_ms: float | None = None,
-    ) -> Recommendation:
-        """Serve a single request (convenience over :meth:`recommend_batch`)."""
-        request = RecRequest(
-            user=user,
-            sequence=tuple(sequence) if sequence is not None else None,
-            k=k,
-            exclude_seen=exclude_seen,
-            deadline_ms=deadline_ms,
-        )
-        return self.recommend_batch([request])[0]
-
-    def recommend_batch(
-        self,
-        requests: list[RecRequest],
-        started: float | None = None,
-        on_error: str = "raise",
+    def _serve_batch(
+        self, requests: list[RecRequest], started: float
     ) -> list[Recommendation]:
-        """Serve many requests at once: dedupe, encode, score, select.
-
-        ``started`` anchors deadline budgets (monotonic clock) at the
-        moment the request entered the system — pass the HTTP arrival
-        time so queueing counts against the budget; defaults to now.
-
-        ``on_error`` controls unservable requests: ``"raise"``
-        (default, the PR-2 behaviour) raises
-        :class:`~repro.serve.requests.RequestError` /
-        :class:`~repro.serve.resilience.DeadlineExceeded` on the first
-        offender; ``"report"`` returns a per-item
-        :class:`~repro.serve.requests.Recommendation` carrying the
-        reason code instead, so one bad request cannot fail a batch.
-        """
-        if not requests:
-            return []
-        if on_error not in ("raise", "report"):
-            raise ValueError(f"on_error must be 'raise' or 'report', got {on_error!r}")
-        report = on_error == "report"
-        clock = self.policy.clock if self.policy is not None else time.monotonic
-        start = started if started is not None else clock()
+        """resolve → cache → encode → score → topk, one answer per request."""
         n = len(requests)
         errors: list[tuple[str, str] | None] = [None] * n
         with self.metrics.time_stage("total"):
             with self.metrics.time_stage("resolve"):
-                sequences, exclusions = self._resolve(requests, errors, report)
+                sequences, exclusions = self._resolve(requests, errors)
             deadlines: list = [None] * n
             if self.policy is not None:
                 for i, request in enumerate(requests):
                     if errors[i] is not None:
                         continue
-                    deadline = self.policy.deadline_for(request, start)
+                    deadline = self.policy.deadline_for(request, started)
                     deadlines[i] = deadline
                     if deadline is not None and deadline.expired():
-                        detail = (
-                            "deadline expired before scoring started "
-                            f"(budget {request.deadline_ms or self.policy.config.default_deadline_ms:g}ms)"
-                        )
                         self.metrics.increment("deadline_exceeded")
-                        if not report:
-                            raise DeadlineExceeded(detail)
-                        errors[i] = (REASON_DEADLINE, detail)
+                        errors[i] = (
+                            REASON_DEADLINE,
+                            "deadline expired before scoring started "
+                            f"(budget {request.deadline_ms or self.policy.config.default_deadline_ms:g}ms)",
+                        )
             keys = [
                 sequence_key(sequences[i]) if errors[i] is None else None
                 for i in range(n)
@@ -678,40 +609,6 @@ class RecommendationEngine:
         self.metrics.increment("requests", len(requests))
         self.metrics.increment("batches")
         return results
-
-    # ------------------------------------------------------------------
-    # Request coalescing (bounded queue)
-    # ------------------------------------------------------------------
-    def submit(self, request: RecRequest) -> None:
-        """Queue one request; auto-flushes a micro-batch when full.
-
-        Results accumulate in submission order until :meth:`flush`.
-        Raises :class:`EngineOverloaded` when ``max_queue`` requests are
-        pending collection.
-        """
-        if len(self._queue) + len(self._completed) >= self.max_queue:
-            raise EngineOverloaded(
-                f"queue full ({self.max_queue} pending); call flush()"
-            )
-        self._queue.append(request)
-        if len(self._queue) >= self.max_batch_size:
-            self._process_queue()
-
-    def flush(self) -> list[Recommendation]:
-        """Process queued requests and return all pending results in order."""
-        self._process_queue()
-        completed, self._completed = self._completed, []
-        return completed
-
-    @property
-    def pending(self) -> int:
-        """Requests submitted but not yet collected via :meth:`flush`."""
-        return len(self._queue) + len(self._completed)
-
-    def _process_queue(self) -> None:
-        if self._queue:
-            queued, self._queue = self._queue, []
-            self._completed.extend(self.recommend_batch(queued))
 
     # ------------------------------------------------------------------
     # Cache management
@@ -749,51 +646,40 @@ class RecommendationEngine:
     # Pipeline stages
     # ------------------------------------------------------------------
     def _resolve(
-        self,
-        requests: list[RecRequest],
-        errors: list,
-        report: bool,
+        self, requests: list[RecRequest], errors: list
     ) -> tuple[list, list]:
         """Request → (history sequence, excluded item ids or None).
 
-        With ``report`` a malformed request records a per-item
-        ``bad_request`` error instead of raising.
+        A request addressing an unknown user or item records a per-item
+        ``bad_request`` error and resolves to nothing.
         """
         sequences: list = [None] * len(requests)
         exclusions: list = [None] * len(requests)
         for i, request in enumerate(requests):
-            try:
-                if request.user is not None:
-                    user = int(request.user)
-                    if not 0 <= user < self.dataset.num_users:
-                        raise RequestError(
-                            f"user {user} out of range [0, {self.dataset.num_users})"
-                        )
-                    sequence = np.asarray(
-                        self.dataset.full_sequence(user, split=self.split)
+            user = request.user
+            if user is not None:
+                if not 0 <= user < self.dataset.num_users:
+                    errors[i] = (
+                        REASON_BAD_REQUEST,
+                        f"user {user} out of range [0, {self.dataset.num_users})",
                     )
-                    excluded = (
-                        self.dataset.seen_items(user)
-                        if request.exclude_seen
-                        else None
+                    continue
+                sequences[i] = np.asarray(
+                    self.dataset.full_sequence(user, split=self.split)
+                )
+                if request.exclude_seen:
+                    exclusions[i] = self.dataset.seen_items(user)
+            else:
+                items = request.sequence
+                if min(items) < 0 or max(items) > self.dataset.num_items:
+                    errors[i] = (
+                        REASON_BAD_REQUEST,
+                        f"sequence item ids must be in [0, {self.dataset.num_items}]",
                     )
-                else:
-                    sequence = np.asarray(request.sequence, dtype=np.int64)
-                    if sequence.min() < 0 or sequence.max() > self.dataset.num_items:
-                        raise RequestError(
-                            f"sequence item ids must be in [0, "
-                            f"{self.dataset.num_items}]"
-                        )
-                    excluded = (
-                        np.unique(sequence) if request.exclude_seen else None
-                    )
-            except RequestError as error:
-                if not report:
-                    raise
-                errors[i] = (REASON_BAD_REQUEST, str(error))
-                continue
-            sequences[i] = sequence
-            exclusions[i] = excluded
+                    continue
+                sequences[i] = np.asarray(items, dtype=np.int64)
+                if request.exclude_seen:
+                    exclusions[i] = np.unique(sequences[i])
         return sequences, exclusions
 
     def _popularity(self) -> PopularityFallback:
@@ -809,7 +695,7 @@ class RecommendationEngine:
         deadlines: list,
         errors: list,
     ) -> tuple[list, list[bool], list]:
-        """Per-request cached arrays (representations or score rows).
+        """Per-request user representations, from the cache or the encoder.
 
         Deduplicates within the batch, encodes only cache misses in
         micro-batches, and records hit/miss counters per request.
@@ -819,7 +705,7 @@ class RecommendationEngine:
         the fallback chain — exact-sequence cache when present,
         popularity otherwise.  Returns ``(rows, cached_flags, tiers)``
         where ``tiers[i]`` is ``None`` (full quality), ``"cache"`` or
-        ``"popularity"``.
+        ``"popularity"`` (no representation: ``rows[i]`` stays ``None``).
         """
         n = len(keys)
         cached_flags = [False] * n
@@ -871,19 +757,15 @@ class RecommendationEngine:
         failed_keys: set[bytes] = set()
         if misses:
             miss_keys = list(misses)
-            miss_sequences = list(misses.values())
             encoded_count = 0
             with self.metrics.time_stage("encode"):
-                for chunk_start in range(0, len(miss_sequences), self.max_batch_size):
+                for chunk_start in range(0, len(miss_keys), self.max_batch_size):
                     chunk_keys = miss_keys[
-                        chunk_start : chunk_start + self.max_batch_size
-                    ]
-                    chunk = miss_sequences[
                         chunk_start : chunk_start + self.max_batch_size
                     ]
                     t0 = time.perf_counter()
                     try:
-                        encoded = self._encode(chunk)
+                        encoded = self._encode([misses[key] for key in chunk_keys])
                     except Exception:
                         latency = time.perf_counter() - t0
                         self.metrics.increment("encode_errors")
@@ -895,10 +777,10 @@ class RecommendationEngine:
                     latency = time.perf_counter() - t0
                     if self.policy is not None:
                         self.policy.record_encode(True, latency)
-                    for offset, row in enumerate(encoded):
-                        self.cache.put(chunk_keys[offset], row)
-                        local_rows[chunk_keys[offset]] = row
-                    encoded_count += len(chunk)
+                    for key, row in zip(chunk_keys, encoded):
+                        self.cache.put(key, row)
+                        local_rows[key] = row
+                    encoded_count += len(chunk_keys)
             self.metrics.increment("sequences_encoded", encoded_count)
         for key in failed_keys:
             for i in groups[key]:
@@ -913,26 +795,10 @@ class RecommendationEngine:
             for i in hit_idx:
                 tiers[i] = "cache"
 
-        # Assemble per-request rows.  In index mode these are cached
-        # *representations* — candidate scoring is deferred to the
-        # retrieval index inside :meth:`_select_batch`.  The fallback
-        # backend caches full score rows; popularity rows are shared
-        # and copied only by downstream matrix construction.
         rows: list = [None] * n
-        scored_idx = [i for i in live if tiers[i] != "popularity"]
-        for i in scored_idx:
-            rows[i] = local_rows.get(keys[i])
-        if self.index is None:
-            self.metrics.increment(
-                "items_scored", sum(len(rows[i]) for i in scored_idx)
-            )
-        pop_idx = [i for i in live if tiers[i] == "popularity"]
-        if pop_idx:
-            pop_row = self._popularity().score_row()
-            for i in pop_idx:
-                rows[i] = pop_row
-            self.metrics.increment("items_scored", pop_row.size * len(pop_idx))
         for i in live:
+            if tiers[i] != "popularity":
+                rows[i] = local_rows[keys[i]]
             if tiers[i] is not None:
                 self.metrics.increment("requests_degraded")
                 self.metrics.increment(f"fallback_{tiers[i]}")
@@ -945,11 +811,7 @@ class RecommendationEngine:
             delay = self.faults.encode_delay()
             if delay > 0.0:
                 time.sleep(delay)
-        if self.index is not None:
-            return np.asarray(self.model.encode_sequences(sequences))
-        return np.asarray(
-            self.model.score_sequences(sequences, self.dataset.num_items)
-        )
+        return np.asarray(self.model.encode_sequences(sequences))
 
     def _select_batch(
         self,
@@ -962,24 +824,19 @@ class RecommendationEngine:
     ) -> list[Recommendation]:
         """Score through the retrieval index and select top-k, batched.
 
-        Requests backed by a representation (index mode, tiers ``None``
-        / ``"cache"``) go through :meth:`ItemIndex.search` under the
-        ``score`` stage; popularity-degraded requests and the
-        ``score_sequences`` fallback backend already carry full score
-        rows and take the dense mask + partial-sort path under
-        ``topk``.  With the default :class:`ExactIndex` both paths are
-        bit-identical to the historical engine.
+        Requests backed by a representation (tiers ``None`` /
+        ``"cache"``) go through :meth:`ItemIndex.search` under the
+        ``score`` stage; popularity-degraded requests share one
+        precomputed score row and take the dense mask + partial-sort
+        path under ``topk``.  With the default :class:`ExactIndex` both
+        paths are bit-identical to the historical engine.
         """
         n = len(requests)
-        results: list = [None] * n
+        picked: list = [None] * n  # (items, scores) per served request
         live = [i for i in range(n) if errors[i] is None]
-        if self.index is not None:
-            served = [i for i in live if tiers[i] != "popularity"]
-            dense = [i for i in live if tiers[i] == "popularity"]
-        else:
-            served, dense = [], live
+        served = [i for i in live if tiers[i] != "popularity"]
+        popular = [i for i in live if tiers[i] == "popularity"]
 
-        found = None
         if served:
             queries = np.stack([rows[i] for i in served])
             with self.metrics.time_stage("score"):
@@ -997,46 +854,46 @@ class RecommendationEngine:
             self.metrics.increment("index_reranked", stats.reranked)
 
         with self.metrics.time_stage("topk"):
-            if found is not None:
-                for j, i in enumerate(served):
-                    finite = np.isfinite(found.scores[j])
-                    row_top = found.items[j][finite][: requests[i].k]
-                    results[i] = Recommendation(
-                        items=row_top,
-                        scores=found.scores[j][finite][: requests[i].k],
-                        request=requests[i],
-                        cached=cached_flags[i],
-                        degraded=tiers[i] is not None,
-                        fallback=tiers[i],
-                        model_version=self.model_version,
-                    )
-            if dense:
-                scores = np.array([rows[i] for i in dense], dtype=np.float64)
-                apply_exclusions(scores, [exclusions[i] for i in dense])
-                max_k = min(max(requests[i].k for i in dense), scores.shape[1])
+            for j, i in enumerate(served):
+                finite = np.isfinite(found.scores[j])
+                picked[i] = (
+                    found.items[j][finite][: requests[i].k],
+                    found.scores[j][finite][: requests[i].k],
+                )
+            if popular:
+                scores = np.tile(
+                    self._popularity().score_row(), (len(popular), 1)
+                )
+                self.metrics.increment("items_scored", scores.size)
+                apply_exclusions(scores, [exclusions[i] for i in popular])
+                max_k = min(max(requests[i].k for i in popular), scores.shape[1])
                 top = top_k_indices(scores, max_k)
-                for j, i in enumerate(dense):
+                for j, i in enumerate(popular):
                     row_top = top[j][np.isfinite(scores[j, top[j]])][
                         : requests[i].k
                     ]
-                    results[i] = Recommendation(
-                        items=row_top,
-                        scores=scores[j, row_top],
-                        request=requests[i],
-                        cached=cached_flags[i],
-                        degraded=tiers[i] is not None,
-                        fallback=tiers[i],
+                    picked[i] = (row_top, scores[j, row_top])
+            results = []
+            for i, request in enumerate(requests):
+                if errors[i] is not None:
+                    reason, detail = errors[i]
+                    results.append(Recommendation(
+                        items=np.empty(0, dtype=np.int64),
+                        scores=np.empty(0, dtype=np.float64),
+                        request=request,
+                        error=reason,
+                        detail=detail,
                         model_version=self.model_version,
-                    )
-        for i in range(n):
-            if errors[i] is not None:
-                reason, detail = errors[i]
-                results[i] = Recommendation(
-                    items=np.empty(0, dtype=np.int64),
-                    scores=np.empty(0, dtype=np.float64),
-                    request=requests[i],
-                    error=reason,
-                    detail=detail,
+                    ))
+                    continue
+                top_items, top_scores = picked[i]
+                results.append(Recommendation(
+                    items=top_items,
+                    scores=top_scores,
+                    request=request,
+                    cached=cached_flags[i],
+                    degraded=tiers[i] is not None,
+                    fallback=tiers[i],
                     model_version=self.model_version,
-                )
+                ))
         return results

@@ -28,6 +28,17 @@ class RequestError(ValueError):
     """A malformed recommendation request (bad JSON, missing fields...)."""
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an ``int``; anything non-integral (or a bool) is malformed."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or value % 1 != 0  # also true for nan and inf
+    ):
+        raise RequestError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RecRequest:
     """One top-k recommendation request.
@@ -55,8 +66,14 @@ class RecRequest:
             raise RequestError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
             )
-        if self.sequence is not None:
-            object.__setattr__(self, "sequence", tuple(int(i) for i in self.sequence))
+        if self.user is not None:
+            object.__setattr__(self, "user", _integral(self.user, "user"))
+        else:
+            object.__setattr__(
+                self,
+                "sequence",
+                tuple(_integral(i, "sequence item") for i in self.sequence),
+            )
             if len(self.sequence) == 0:
                 raise RequestError("sequence must not be empty")
 

@@ -29,9 +29,8 @@ module supplies the missing discipline, mirroring what
 Every component takes an injectable monotonic ``clock`` so the state
 machines are unit-testable with a fake clock (see
 ``tests/serve/test_resilience.py``).  Reason codes returned to clients
-are machine-readable (:data:`REASON_SHED`, :data:`REASON_QUEUE_FULL`,
-:data:`REASON_DEADLINE`, ...); the decision table lives in
-``docs/SERVING.md``.
+are machine-readable (:data:`REASON_SHED`, :data:`REASON_DEADLINE`,
+...); the decision table lives in ``docs/SERVING.md``.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "BREAKER_OPEN",
     "REASON_BAD_REQUEST",
     "REASON_DEADLINE",
-    "REASON_QUEUE_FULL",
     "REASON_SHED",
     "REFUSAL_REASONS",
 ]
@@ -68,14 +66,13 @@ __all__ = [
 # Machine-readable reason codes for structured error responses.
 REASON_BAD_REQUEST = "bad_request"
 REASON_SHED = "shed"
-REASON_QUEUE_FULL = "queue_full"
 REASON_DEADLINE = "deadline_exceeded"
 
-#: Reason codes that are *legitimate refusals* under load: shedding,
-#: queue overflow and blown deadlines.  The load-test harness
+#: Reason codes that are *legitimate refusals* under load: shedding
+#: and blown deadlines.  The load-test harness
 #: (:mod:`repro.loadtest`) allows non-200 responses carrying these and
 #: fails the run on anything else (``internal``, unexplained statuses).
-REFUSAL_REASONS = frozenset({REASON_SHED, REASON_QUEUE_FULL, REASON_DEADLINE})
+REFUSAL_REASONS = frozenset({REASON_SHED, REASON_DEADLINE})
 
 # Circuit-breaker states.
 BREAKER_CLOSED = "closed"

@@ -38,10 +38,10 @@ from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.nn.serialization import CheckpointError
-from repro.serve.engine import EngineOverloaded, ModelSwapError, RecommendationEngine
+from repro.serve.engine import ModelSwapError, RecommendationEngine
 from repro.serve.requests import RecRequest, RequestError
 from repro.serve.resilience import (
-    REASON_QUEUE_FULL,
+    REASON_BAD_REQUEST,
     AdmissionController,
     ServingUnavailable,
 )
@@ -185,22 +185,33 @@ class RecommendationServer:
     def handle_batch(self, payload: dict, started: float | None = None) -> dict:
         """Score a ``{"requests": [...]}`` batch in one engine call.
 
-        Individual failures (bad request, blown deadline) come back as
-        per-item ``{"error", "reason"}`` entries so one poisoned item
-        cannot fail its neighbours.
+        Individual failures (malformed item, unknown user, blown
+        deadline) come back as per-item ``{"error", "reason"}`` entries
+        so one poisoned item cannot fail its neighbours.
         """
         if not isinstance(payload, dict) or "requests" not in payload:
             raise RequestError('batch body must be {"requests": [...]}')
         items = payload["requests"]
         if not isinstance(items, list):
             raise RequestError('"requests" must be a list')
-        requests = [RecRequest.from_dict(item) for item in items]
+        entries: list = [None] * len(items)  # reply slots, item order
+        requests, slots = [], []
+        for slot, item in enumerate(items):
+            try:
+                requests.append(RecRequest.from_dict(item))
+                slots.append(slot)
+            except RequestError as error:
+                entries[slot] = {
+                    "error": str(error), "reason": REASON_BAD_REQUEST
+                }
         with self.admission.admit():
             with self._lock:
                 results = self.engine.recommend_batch(
                     requests, started=started, on_error="report"
                 )
-        return {"results": [r.to_dict() for r in results]}
+        for slot, result in zip(slots, results):
+            entries[slot] = result.to_dict()
+        return {"results": entries}
 
     def reload(self, checkpoint: str | None = None) -> dict:
         """Hot-swap model weights (the ``/admin/reload`` body handler)."""
@@ -228,8 +239,7 @@ class RecommendationServer:
             payload["breaker"] = self.engine.policy.breaker.state
         if self.engine.checkpoint_path:
             payload["checkpoint"] = self.engine.checkpoint_path
-        if self.engine.index is not None:
-            payload["index"] = self.engine.index.stats()
+        payload["index"] = self.engine.index.stats()
         worker_info = getattr(self.engine, "worker_info", None)
         if worker_info is not None:
             payload["workers"] = worker_info()
@@ -327,12 +337,6 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
                     error.status,
                     {"error": str(error), "reason": error.reason},
                     retry_after_s=error.retry_after_s,
-                )
-            except EngineOverloaded as error:
-                self._reply(
-                    503,
-                    {"error": str(error), "reason": REASON_QUEUE_FULL},
-                    retry_after_s=server.admission.retry_after_s,
                 )
             except (CheckpointError, ModelSwapError) as error:
                 self._reply(

@@ -48,14 +48,9 @@ import numpy as np
 from repro.core.shm import SharedArrays, adopt_parameters, allocate_segment
 from repro.retrieval import INDEX_KINDS
 from repro.retrieval.exact import ExactIndex
-from repro.serve.engine import EngineOverloaded, RecommendationEngine
+from repro.serve.engine import EngineFacade, RecommendationEngine
 from repro.serve.metrics import ServingMetrics
-from repro.serve.requests import Recommendation, RecRequest, RequestError
-from repro.serve.resilience import (
-    REASON_BAD_REQUEST,
-    REASON_DEADLINE,
-    DeadlineExceeded,
-)
+from repro.serve.requests import Recommendation, RecRequest
 from repro.serve.shard import partition_requests, shard_for_user
 
 __all__ = [
@@ -158,9 +153,9 @@ def _worker_main(conn, spec: dict) -> None:
     """Scoring-worker entry point: build a private engine, serve commands.
 
     The worker attaches the shared segment, adopts weights and matrix
-    zero-copy, then loops over pipe commands.  Engine-level request
-    failures travel back inside result payloads (``on_error="report"``);
-    only command-level faults use the ``("error", exc)`` reply.
+    zero-copy, then loops over pipe commands.  Unservable requests
+    travel back inside result payloads (``on_error="report"``); only
+    command-level faults use the ``("error", exc)`` reply.
     """
     try:
         shared = SharedModelState.attach(spec["shared"])
@@ -174,7 +169,6 @@ def _worker_main(conn, spec: dict) -> None:
             spec["dataset"],
             max_batch_size=spec["max_batch_size"],
             cache_size=spec["cache_size"],
-            max_queue=spec["max_queue"],
             split=spec["split"],
             metrics=ServingMetrics(seed=spec["metrics_seed"]),
             resilience=spec["resilience"],
@@ -278,14 +272,15 @@ class _FrontendMetrics(ServingMetrics):
         return snap
 
 
-class ShardedEngine:
+class ShardedEngine(EngineFacade):
     """Fan requests out over N worker processes; merge top-k back.
 
     Drop-in for :class:`RecommendationEngine` as far as
     :class:`~repro.serve.server.RecommendationServer` and the CLI are
-    concerned: ``recommend`` / ``recommend_batch`` / ``submit`` /
-    ``flush`` / ``swap_model`` / ``warm`` / ``invalidate_cache`` /
-    ``metrics`` / ``close`` all exist with the same semantics.  Unlike
+    concerned: ``recommend`` / ``recommend_batch`` (the shared
+    :class:`~repro.serve.engine.EngineFacade`) / ``swap_model`` /
+    ``warm`` / ``invalidate_cache`` / ``metrics`` / ``close`` all exist
+    with the same semantics.  Unlike
     the single-process engine it is **thread-safe** (``thread_safe =
     True``): per-shard pipe locks serialize each worker's channel while
     different shards serve concurrently, so the HTTP server skips its
@@ -310,20 +305,12 @@ class ShardedEngine:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
-        if template.index is None:
-            raise TypeError(
-                "sharded serving needs the representation API (an item "
-                "index); score_sequences-only models must serve with "
-                "workers=0"
-            )
         self._template = template
         self.workers = int(workers)
         self.worker_timeout_s = float(worker_timeout_s)
         self.metrics = _FrontendMetrics(self, seed=metrics_seed)
         self.metrics.touch("fanout_batches")
         self._swap_lock = threading.Lock()
-        self._queue: list[RecRequest] = []
-        self._completed: list[Recommendation] = []
         self._closed = False
         self._final_states: list[dict] = []
 
@@ -356,7 +343,6 @@ class ShardedEngine:
                     "dataset": template.dataset,
                     "max_batch_size": template.max_batch_size,
                     "cache_size": worker_cache_size,
-                    "max_queue": template.max_queue,
                     "split": template.split,
                     "metrics_seed": metrics_seed + shard + 1,
                     "resilience": resilience,
@@ -442,52 +428,18 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def recommend(
-        self,
-        user: int | None = None,
-        sequence=None,
-        k: int = 10,
-        exclude_seen: bool = True,
-        deadline_ms: float | None = None,
-    ) -> Recommendation:
-        """Serve a single request (convenience over :meth:`recommend_batch`)."""
-        request = RecRequest(
-            user=user,
-            sequence=tuple(sequence) if sequence is not None else None,
-            k=k,
-            exclude_seen=exclude_seen,
-            deadline_ms=deadline_ms,
-        )
-        return self.recommend_batch([request])[0]
-
-    def recommend_batch(
-        self,
-        requests: list[RecRequest],
-        started: float | None = None,
-        on_error: str = "raise",
+    def _serve_batch(
+        self, requests: list[RecRequest], started: float
     ) -> list[Recommendation]:
         """Partition by user hash, fan out, merge back in request order.
 
         ``started`` transfers across processes untouched —
         ``time.monotonic`` is system-wide on Linux, so deadline budgets
         anchored at HTTP arrival time hold inside the workers too.
-        Workers always score with ``on_error="report"``; for
-        ``on_error="raise"`` the frontend re-raises the first reported
-        failure in request order, matching the single-process contract.
+        Workers record unservable requests per item, exactly as the
+        in-process engine does; the shared facade applies ``on_error``.
         """
-        if on_error not in ("raise", "report"):
-            raise ValueError(
-                f"on_error must be 'raise' or 'report', got {on_error!r}"
-            )
-        if not requests:
-            return []
         self._check_open()
-        if started is None:
-            started = (
-                self._template.policy.clock()
-                if self._template.policy is not None
-                else time.monotonic()
-            )
         partition = partition_requests(requests, self.workers)
         results: list[Recommendation | None] = [None] * len(requests)
         with self.metrics.time_stage("fanout"):
@@ -506,44 +458,7 @@ class ShardedEngine:
                             request=requests[i], **payload
                         )
         self.metrics.increment("fanout_batches")
-        if on_error == "raise":
-            for result in results:
-                if result.error == REASON_BAD_REQUEST:
-                    raise RequestError(result.detail)
-                if result.error == REASON_DEADLINE:
-                    raise DeadlineExceeded(result.detail)
         return results
-
-    # ------------------------------------------------------------------
-    # Request coalescing (frontend-side queue, same contract as engine)
-    # ------------------------------------------------------------------
-    def submit(self, request: RecRequest) -> None:
-        """Queue one request; auto-flushes a micro-batch when full."""
-        if len(self._queue) + len(self._completed) >= self.max_queue:
-            raise EngineOverloaded(
-                f"queue full ({self.max_queue} pending); call flush()"
-            )
-        self._queue.append(request)
-        if len(self._queue) >= self.max_batch_size:
-            self._process_queue()
-
-    def flush(self) -> list[Recommendation]:
-        """Process queued requests and return all pending results in order."""
-        self._process_queue()
-        completed, self._completed = self._completed, []
-        return completed
-
-    @property
-    def pending(self) -> int:
-        """Requests submitted but not yet collected via :meth:`flush`."""
-        return len(self._queue) + len(self._completed)
-
-    def _process_queue(self) -> None:
-        if self._queue:
-            queued, self._queue = self._queue, []
-            self._completed.extend(
-                self.recommend_batch(queued, on_error="report")
-            )
 
     # ------------------------------------------------------------------
     # Control plane
@@ -699,10 +614,6 @@ class ShardedEngine:
     @property
     def max_batch_size(self) -> int:
         return self._template.max_batch_size
-
-    @property
-    def max_queue(self) -> int:
-        return self._template.max_queue
 
     @property
     def split(self) -> str:

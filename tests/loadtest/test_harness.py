@@ -185,6 +185,21 @@ def test_requests_accounting_mismatch_is_a_violation():
     assert any("accounting" in v for v in result.violations)
 
 
+def test_deadline_refusals_count_as_engine_requests_shed_ones_do_not():
+    """One error rule: the engine counts a request it refused on its
+    deadline (504) like one it served; a shed 503 never reached it."""
+    outcomes = [
+        _outcome(index=0),
+        _outcome(index=1, status=504, ok_items=0, model_versions=[],
+                 refusal_reason="deadline_exceeded"),
+        _outcome(index=2, status=503, ok_items=0, model_versions=[],
+                 refusal_reason="shed"),
+    ]
+    assert _result(outcomes, after=_metrics(requests=2)).ok
+    result = _result(outcomes, after=_metrics(requests=1))
+    assert any("accounting" in v for v in result.violations)
+
+
 def test_degraded_accounting_mismatch_is_a_violation():
     degraded = _outcome(degraded_items=1)
     assert _result(

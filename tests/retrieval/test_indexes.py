@@ -225,6 +225,55 @@ class TestDeterminismAndArtifacts:
         leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
         assert leftovers == []
 
+    def test_failed_write_keeps_previous_artifact(
+        self, tmp_path, item_matrix, monkeypatch
+    ):
+        path = tmp_path / "a.npz"
+        ExactIndex().build(item_matrix).save(path)
+        before = path.read_bytes()
+
+        def torn_savez(handle, **arrays):
+            handle.write(b"half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            make_index("ivf", nlist=4).build(item_matrix).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
+
+    def test_save_is_durable_and_temp_names_are_unique(
+        self, tmp_path, item_matrix, monkeypatch
+    ):
+        """The shared atomic writer: data is fsync'd before the rename,
+        and two writers of one path (threads share a pid) never share a
+        temp file."""
+        import os
+
+        events, temp_names = [], []
+        real_fsync, real_replace, real_savez = os.fsync, os.replace, np.savez
+
+        def savez(handle, **arrays):
+            temp_names.extend(
+                p.name for p in tmp_path.iterdir() if p.name != "a.npz"
+            )
+            real_savez(handle, **arrays)
+
+        monkeypatch.setattr(np, "savez", savez)
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))
+        )
+        monkeypatch.setattr(
+            os,
+            "replace",
+            lambda src, dst: (events.append("replace"), real_replace(src, dst)),
+        )
+        index = ExactIndex().build(item_matrix)
+        index.save(tmp_path / "a.npz")
+        index.save(tmp_path / "a.npz")
+        assert events == ["fsync", "replace"] * 2
+        assert len(set(temp_names)) == 2
+
     def test_float32_matrix_round_trips(self, tmp_path, queries):
         matrix = make_item_matrix(num_items=120, dtype=np.float32)
         index = make_index("ivf", nlist=8).build(matrix)

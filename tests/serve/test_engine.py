@@ -5,11 +5,10 @@ import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.models.pop import Pop
-from repro.models.registry import build_model
+from repro.models.registry import available_models, build_model
 from repro.nn.serialization import CheckpointError
 from repro.runtime.checkpointing import CheckpointManager, write_archive
 from repro.serve.engine import (
-    EngineOverloaded,
     LRUCache,
     RecommendationEngine,
     sequence_key,
@@ -22,6 +21,13 @@ SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
 @pytest.fixture(scope="module")
 def sasrec(tiny_dataset):
     model = build_model("SASRec", tiny_dataset, SCALE)
+    model.fit(tiny_dataset)
+    return model
+
+
+@pytest.fixture(scope="module")
+def srgnn(tiny_dataset):
+    model = build_model("SR-GNN", tiny_dataset, SCALE)
     model.fit(tiny_dataset)
     return model
 
@@ -133,44 +139,13 @@ class TestCaching:
             np.testing.assert_array_equal(small.items, large.items)
 
 
-class TestQueue:
-    def test_flush_preserves_submission_order(self, engine, sasrec, tiny_dataset):
-        users = [7, 3, 7, 11, 0]
-        for user in users:
-            engine.submit(RecRequest(user=user, k=5))
-        results = engine.flush()
-        assert [r.request.user for r in results] == users
-        assert engine.pending == 0
-        for user, result in zip(users, results):
-            expected = sasrec.recommend(tiny_dataset, user, k=5)
-            assert np.array_equal(expected, result.items)
-
-    def test_auto_flush_at_batch_size(self, engine):
-        for user in range(engine.max_batch_size):
-            engine.submit(RecRequest(user=user))
-        # The queue processed itself; results await collection.
-        assert engine.pending == engine.max_batch_size
-        assert engine.metrics.counters["batches"] == 1
-
-    def test_overload_raises(self, sasrec, tiny_dataset):
-        engine = RecommendationEngine(
-            sasrec, tiny_dataset, max_batch_size=100, max_queue=3
-        )
-        for user in range(3):
-            engine.submit(RecRequest(user=user))
-        with pytest.raises(EngineOverloaded):
-            engine.submit(RecRequest(user=4))
-        engine.flush()
-        engine.submit(RecRequest(user=4))  # drained queue accepts again
-
-
 class TestBackends:
-    def test_fallback_backend_matches_recommend(self, tiny_dataset):
-        model = build_model("SR-GNN", tiny_dataset, SCALE)
-        model.fit(tiny_dataset)
-        engine = RecommendationEngine(model, tiny_dataset)
-        assert engine.index is None  # score_sequences fallback
-        expected = model.recommend(tiny_dataset, 0, k=5)
+    def test_fallback_backend_matches_recommend(self, srgnn, tiny_dataset):
+        from repro.retrieval import ExactIndex
+
+        engine = RecommendationEngine(srgnn, tiny_dataset)
+        assert isinstance(engine.index, ExactIndex)  # the one backend
+        expected = srgnn.recommend(tiny_dataset, 0, k=5)
         assert np.array_equal(expected, engine.recommend(user=0, k=5).items)
 
     def test_unservable_model_rejected(self, tiny_dataset):
@@ -178,6 +153,32 @@ class TestBackends:
         pop.fit(tiny_dataset)
         with pytest.raises(TypeError, match="cannot be served"):
             RecommendationEngine(pop, tiny_dataset)
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_every_registered_model_is_served_or_rejected(
+        self, name, tiny_dataset
+    ):
+        """Conformance: a registered model is either served through the
+        one backend, with the lists ``model.recommend`` produces, or
+        refused at construction — there is no private third path."""
+        from repro.retrieval import ExactIndex
+
+        model = build_model(name, tiny_dataset, SCALE)
+        try:
+            engine = RecommendationEngine(model, tiny_dataset)
+        except TypeError as error:
+            assert "cannot be served" in str(error)
+            assert not (
+                hasattr(model, "encode_sequences")
+                and hasattr(model, "item_embedding_matrix")
+            )
+            return
+        assert isinstance(engine.index, ExactIndex)
+        for user in range(4):
+            expected = model.recommend(tiny_dataset, user, k=10)
+            assert np.array_equal(
+                expected, engine.recommend(user=user, k=10).items
+            )
 
 
 class TestFromCheckpoint:
@@ -282,24 +283,24 @@ class TestRetrievalIndex:
         engine = RecommendationEngine(sasrec, tiny_dataset, index=prebuilt)
         assert engine.index is prebuilt
 
-    def test_fallback_backend_rejects_index(self, tiny_dataset):
-        from repro.models.registry import build_model as build
+    def test_fallback_backend_rejects_index(self, srgnn, tiny_dataset):
+        """SR-GNN accepts ``index='ivf'``: full probe equals exact."""
+        from repro.retrieval import IVFIndex, make_index
 
-        model = build("SR-GNN", tiny_dataset, SCALE)
-        model.fit(tiny_dataset)
-        with pytest.raises(TypeError, match="representation API"):
-            RecommendationEngine(model, tiny_dataset, index="exact")
-
-    def test_item_matrix_shim_warns_exactly_once(self, engine):
-        import warnings as warnings_module
-
-        with pytest.warns(DeprecationWarning, match="engine.index"):
-            first = engine.item_matrix
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            second = engine.item_matrix  # second access: no warning
-        assert np.array_equal(first, second)
-        assert np.array_equal(first, engine.index.matrix)
+        exact = RecommendationEngine(srgnn, tiny_dataset)
+        approx = RecommendationEngine(srgnn, tiny_dataset, index="ivf")
+        assert isinstance(approx.index, IVFIndex) and approx.index.is_built
+        full_probe = RecommendationEngine(
+            srgnn,
+            tiny_dataset,
+            index=make_index(
+                "ivf", nlist=8, nprobe=8, rerank=tiny_dataset.num_items + 1
+            ),
+        )
+        for user in range(6):
+            a = exact.recommend(user=user, k=10)
+            b = full_probe.recommend(user=user, k=10)
+            assert np.array_equal(a.items, b.items)
 
     def test_index_counters_recorded(self, sasrec, tiny_dataset):
         engine = RecommendationEngine(

@@ -20,6 +20,27 @@ class TestRecRequest:
         request = RecRequest(sequence=[np.int64(3), 5.0])
         assert request.sequence == (3, 5)
 
+    @pytest.mark.parametrize(
+        "user", ["abc", [1], 1.7, True, float("nan")]
+    )
+    def test_rejects_non_integer_user(self, user):
+        """A user id is integral and not a bool; ``int()`` used to let
+        1.7 and True through as user 1 and blow up on the rest."""
+        with pytest.raises(RequestError):
+            RecRequest(user=user)
+        with pytest.raises(RequestError):
+            RecRequest.from_dict({"user": user})
+
+    def test_integral_user_is_normalized(self):
+        assert RecRequest(user=np.int64(3)).user == 3
+        assert type(RecRequest(user=4.0).user) is int
+
+    def test_rejects_non_integer_sequence_item(self):
+        with pytest.raises(RequestError, match="sequence item"):
+            RecRequest(sequence=[3, 1.5])
+        with pytest.raises(RequestError, match="sequence item"):
+            RecRequest.from_dict({"sequence": [3, True]})
+
     def test_requires_exactly_one_of_user_sequence(self):
         with pytest.raises(RequestError):
             RecRequest()

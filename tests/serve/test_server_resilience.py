@@ -21,7 +21,6 @@ from repro.serve import (
     ResilienceConfig,
     ResiliencePolicy,
 )
-from repro.serve.engine import EngineOverloaded
 from repro.serve.server import MAX_BODY_BYTES
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
@@ -148,21 +147,36 @@ class TestStructuredErrors:
         assert "truncated" in decoded["error"]
         assert decoded["reason"] == "bad_request"
 
-    def test_engine_overload_maps_to_queue_full_503(self, stack):
-        server, engine = stack[0], stack[1]
-        original = engine.recommend_batch
 
-        def overloaded(*args, **kwargs):
-            raise EngineOverloaded("queue full (8192 pending); call flush()")
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"user": "abc"},
+            {"user": [1]},
+            {"user": 1.7},
+            {"user": True},
+            {"sequence": [10**30]},
+        ],
+    )
+    def test_malformed_ids_are_400_not_500_or_user_1(self, stack, payload):
+        status, body, __ = _post(stack[0], "/recommend", payload)
+        assert status == 400
+        assert body["reason"] == "bad_request"
 
-        engine.recommend_batch = overloaded
-        try:
-            status, body, headers = _post(server, "/recommend", {"user": 0})
-        finally:
-            engine.recommend_batch = original
-        assert status == 503
-        assert body["reason"] == "queue_full"
-        assert headers.get("Retry-After") is not None
+    def test_batch_reports_malformed_item_and_serves_neighbours(self, stack):
+        server = stack[0]
+        status, body, __ = _post(
+            server,
+            "/recommend/batch",
+            {"requests": [{"user": 2, "k": 3}, {"user": "abc"}, {"user": 1.7},
+                          {"user": 3, "k": 4}]},
+        )
+        assert status == 200
+        first, second, third, fourth = body["results"]
+        assert (first["user"], len(first["items"])) == (2, 3)
+        assert second["reason"] == third["reason"] == "bad_request"
+        assert "integer" in second["error"]
+        assert (fourth["user"], len(fourth["items"])) == (3, 4)
 
 
 class TestDeadlinesOverHTTP:

@@ -9,6 +9,7 @@ runs the same engine over the same shared weights.
 """
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.models.registry import build_model
 from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector
 from repro.serve import (
+    DeadlineExceeded,
     RecommendationEngine,
     RecRequest,
     RequestError,
@@ -135,8 +137,6 @@ def test_workers_identical_expired_deadlines(checkpoint_dir, tiny_dataset):
         RecRequest(user=u, k=5, deadline_ms=5.0) for u in range(12)
     ]
     single = fresh_engine(checkpoint_dir, tiny_dataset)
-    import time
-
     started = time.monotonic() - 1.0  # budget blown on arrival
     expected = single.recommend_batch(
         requests, started=started, on_error="report"
@@ -162,6 +162,71 @@ def test_raise_mode_matches_single_process(checkpoint_dir, tiny_dataset):
         with pytest.raises(RequestError) as sharded_error:
             sharded.recommend_batch([RecRequest(user=0, k=5), bad])
     assert str(single_error.value) == str(sharded_error.value)
+
+
+def test_raise_mode_raises_the_first_error_in_request_order(
+    checkpoint_dir, tiny_dataset
+):
+    """One error rule: an expired deadline ahead of a malformed request
+    raises ``DeadlineExceeded`` in both flavours (the in-process engine
+    used to raise whichever its pipeline met first)."""
+    requests = [
+        RecRequest(user=0, deadline_ms=1e-6),
+        RecRequest(user=10**6),
+    ]
+    started = time.monotonic() - 1.0
+    with pytest.raises(DeadlineExceeded):
+        fresh_engine(checkpoint_dir, tiny_dataset).recommend_batch(
+            requests, started=started
+        )
+    with ShardedEngine(
+        fresh_engine(checkpoint_dir, tiny_dataset), workers=1
+    ) as sharded:
+        with pytest.raises(DeadlineExceeded):
+            sharded.recommend_batch(requests, started=started)
+        with pytest.raises(RequestError, match="out of range"):
+            sharded.recommend_batch(requests[::-1], started=started)
+
+
+def test_raise_mode_serves_and_counts_the_whole_batch(
+    checkpoint_dir, tiny_dataset
+):
+    """``on_error="raise"`` is ``"report"`` plus a raise: the good
+    neighbours were served (and cached) and every request counted."""
+    requests = [
+        RecRequest(user=0, k=5),
+        RecRequest(user=tiny_dataset.num_users + 9, k=5),
+        RecRequest(user=1, k=5),
+    ]
+    single = fresh_engine(checkpoint_dir, tiny_dataset)
+    with pytest.raises(RequestError):
+        single.recommend_batch(requests)
+    assert single.metrics.counters["requests"] == len(requests)
+    assert single.recommend(user=1, k=5).cached
+    with ShardedEngine(
+        fresh_engine(checkpoint_dir, tiny_dataset), workers=2
+    ) as sharded:
+        with pytest.raises(RequestError):
+            sharded.recommend_batch(requests)
+        counters = sharded.metrics.snapshot()["counters"]
+    assert counters["requests"] == len(requests)
+
+
+def test_srgnn_serves_under_sharded_engine(tiny_dataset):
+    """SR-GNN goes through the representation API like every servable
+    model, so the worker pool no longer refuses it."""
+    model = build_model("SR-GNN", tiny_dataset, SCALE)
+    requests = [RecRequest(user=u, k=6) for u in range(8)]
+    expected = RecommendationEngine(model, tiny_dataset).recommend_batch(requests)
+    with ShardedEngine(
+        RecommendationEngine(model, tiny_dataset), workers=1
+    ) as sharded:
+        got = sharded.recommend_batch(requests)
+    assert_identical(expected, got)
+    for request, result in zip(requests, got):
+        assert np.array_equal(
+            model.recommend(tiny_dataset, request.user, k=6), result.items
+        )
 
 
 def test_spawn_start_method_matches_fork(checkpoint_dir, tiny_dataset):

@@ -140,6 +140,68 @@ class TestMain:
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
 
+    SERVING_SCALE = ["--dataset", "beauty", "--dataset-scale", "0.01",
+                     "--dim", "16", "--max-length", "12"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--requests-file", "r"],
+            ["recommend", "--user", "0"],
+            ["index", "--output", "i.npz"],
+            ["chaos"],
+            ["loadtest", "--quick"],
+            ["online", "--store-dir", "s"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_checkpoint_is_one_line_exit_2(self, argv, capsys):
+        """Every serving subcommand reports a set-up failure as
+        ``<command>: <message>`` — no traceback — and returns 2."""
+        code = main([*argv, "--checkpoint", "/nonexistent/ckpt",
+                     *self.SERVING_SCALE])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{argv[0]}: /nonexistent/ckpt")
+
+    def test_bad_serve_config_is_one_line_exit_2(self, capsys):
+        code = main(["recommend", "--checkpoint", "c", "--user", "0",
+                     "--cache-size", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "recommend: cache_size must be positive, got 0"
+        )
+
+    def test_unservable_model_is_one_line_exit_2(self, capsys):
+        code = main(["serve", "--checkpoint", "c", "--requests-file", "r",
+                     "--model", "Pop", *self.SERVING_SCALE])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("serve: Pop") and "cannot be served" in err
+
+    def test_index_kind_is_an_argparse_choice(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["recommend", "--checkpoint", "c", "--user", "0",
+                  "--index", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_index_build_failure_is_one_line_exit_2(self, capsys, tmp_path):
+        """``--pq-m 5`` does not divide dim 16: an IndexBuildError raised
+        while fitting the index, after the checkpoint loaded fine."""
+        ckpts = tmp_path / "ckpts"
+        assert main(["train", *self.SERVING_SCALE, "--mode", "joint",
+                     "--epochs", "1", "--checkpoint-dir", str(ckpts)]) == 0
+        capsys.readouterr()
+        code = main(["index", "--checkpoint", str(ckpts / "joint"),
+                     *self.SERVING_SCALE, "--index", "ivf_pq", "--pq-m", "5",
+                     "--output", str(tmp_path / "i.npz")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("index: ")
+        assert not (tmp_path / "i.npz").exists()
+
     def test_train_then_serve_and_recommend(self, capsys, tmp_path):
         """End-to-end: train -> checkpoint -> batch serve -> one-shot."""
         import json
