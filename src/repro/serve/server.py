@@ -24,9 +24,21 @@ server *sheds* load instead of queueing it invisibly: beyond
 structured 503 with a ``Retry-After`` hint (see
 :class:`~repro.serve.resilience.AdmissionController`).
 
-Every error — on GET and POST alike — is a structured JSON envelope
+Every error — on GET and POST alike, and the ones ``http.server``
+answers on its own (unparsable request line, oversize headers, a method
+without a ``do_*``) — is a structured JSON envelope
 ``{"error": <human text>, "reason": <machine code>}``; the full
 status/reason decision table lives in ``docs/SERVING.md``.
+
+There is one reply path, ``Handler._reply``: status line, headers and
+body are assembled and handed to the socket by a single ``sendall``,
+and accepted sockets carry ``TCP_NODELAY``.  A reply written as two
+segments (headers flushed, then body) meets the delayed ACK of a
+keep-alive client and stalls ≈ 40 ms per request; one write cannot.
+A reply sent without the request's declared body having been read to
+its end (refused, truncated, length unknown) says ``Connection: close``
+and ends the connection, so leftover body bytes are never parsed as the
+next request.
 """
 
 from __future__ import annotations
@@ -55,9 +67,20 @@ REASON_BODY_TOO_LARGE = "body_too_large"
 REASON_SWAP_FAILED = "swap_failed"
 REASON_INTERNAL = "internal"
 REASON_NOT_FOUND = "not_found"
+REASON_UNSUPPORTED_METHOD = "unsupported_method"
 
 
-class BodyTooLarge(RequestError):
+class UnreadBody(RequestError):
+    """The declared request body was not read to its end.
+
+    Refused, cut short, or of unknown length (malformed
+    ``Content-Length``, ``Transfer-Encoding``): whatever is left of it
+    would be parsed as the next request line, so the 400 reply says
+    ``Connection: close`` and the connection ends.
+    """
+
+
+class BodyTooLarge(UnreadBody):
     """Request body exceeds :data:`MAX_BODY_BYTES`; mapped to HTTP 413."""
 
 
@@ -273,6 +296,9 @@ class RecommendationServer:
 def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        #: TCP_NODELAY on every accepted socket: a reply is one write,
+        #: and Nagle must never hold it back behind an un-ACKed one.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             pass  # keep stdout clean; metrics cover observability
@@ -282,18 +308,58 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             status: int,
             payload: dict,
             retry_after_s: float | None = None,
+            close: bool = False,
         ) -> None:
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after_s is not None:
-                self.send_header("Retry-After", f"{retry_after_s:g}")
-            self.end_headers()
-            self.wfile.write(body)
+            """Put one reply on the wire with one ``sendall``.
 
-        def _read_json(self) -> dict:
-            length = int(self.headers.get("Content-Length", 0))
+            Status line, headers and body are handed to the socket
+            whole, so a keep-alive client's delayed ACK never holds half
+            a reply for 40 ms (``wfile`` is unbuffered: one write is one
+            send).  ``close`` announces and schedules the end of the
+            connection.
+            """
+            body = json.dumps(payload).encode()
+            head = [
+                f"{self.protocol_version} {status:d} {self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}",
+            ]
+            if retry_after_s is not None:
+                head.append(f"Retry-After: {retry_after_s:g}")
+            if close:
+                head.append("Connection: close")
+                self.close_connection = True
+            self.wfile.write(
+                "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
+            )
+
+        def send_error(self, code, message=None, explain=None) -> None:
+            """What ``http.server`` answers on its own — a request line
+            or headers it cannot parse, a method with no ``do_*`` — in
+            the JSON envelope, through :meth:`_reply`, closing the
+            connection as the stdlib does."""
+            reason = REASON_UNSUPPORTED_METHOD if code == 501 else REASON_BAD_REQUEST
+            self._reply(
+                code,
+                {"error": message or self.responses[code][0], "reason": reason},
+                close=True,
+            )
+
+        def _read_body(self) -> bytes:
+            """The request's declared body, whole — else :class:`UnreadBody`."""
+            if "Transfer-Encoding" in self.headers:
+                raise UnreadBody(
+                    "Transfer-Encoding is not supported; send a Content-Length"
+                )
+            declared = self.headers.get("Content-Length", "0")
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise UnreadBody(f"malformed Content-Length {declared!r}")
             if length > MAX_BODY_BYTES:
                 raise BodyTooLarge(
                     f"request body of {length} bytes exceeds the "
@@ -306,14 +372,17 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             while remaining > 0:
                 chunk = self.rfile.read(remaining)
                 if not chunk:
-                    raise RequestError(
+                    raise UnreadBody(
                         f"truncated request body: expected {length} bytes, "
                         f"got {length - remaining}"
                     )
                 chunks.append(chunk)
                 remaining -= len(chunk)
+            return b"".join(chunks)
+
+        def _read_json(self) -> dict:
             try:
-                return json.loads(b"".join(chunks) or b"{}")
+                return json.loads(self._read_body() or b"{}")
             except json.JSONDecodeError as error:
                 raise RequestError(f"invalid JSON body: {error}") from error
 
@@ -327,10 +396,16 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
                 handler()
             except BodyTooLarge as error:
                 self._reply(
-                    413, {"error": str(error), "reason": REASON_BODY_TOO_LARGE}
+                    413,
+                    {"error": str(error), "reason": REASON_BODY_TOO_LARGE},
+                    close=True,
                 )
             except RequestError as error:
-                self._reply(400, {"error": str(error), "reason": "bad_request"})
+                self._reply(
+                    400,
+                    {"error": str(error), "reason": REASON_BAD_REQUEST},
+                    close=isinstance(error, UnreadBody),
+                )
             except ServingUnavailable as error:
                 # Shed (503) and deadline-exceeded (504) refusals.
                 self._reply(
@@ -359,6 +434,7 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             self._guarded(self._route_get)
 
         def _route_get(self) -> None:
+            self._read_body()  # a GET's body must not pass for the next request
             if self.path == "/metrics":
                 self._reply(200, server.engine.metrics.snapshot())
             elif self.path == "/health":

@@ -1,7 +1,11 @@
 """The HTTP front-end (stdlib ThreadingHTTPServer)."""
 
+import contextlib
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -9,22 +13,45 @@ import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
-from repro.serve import RecommendationEngine, RecommendationServer
+from repro.serve import RecommendationEngine, RecommendationServer, ShardedEngine
+from repro.serve.server import MAX_BODY_BYTES
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
 
 
 @pytest.fixture(scope="module")
-def server(tiny_dataset):
+def fitted_model(tiny_dataset):
     model = build_model("SASRec", tiny_dataset, SCALE)
     model.fit(tiny_dataset)
-    engine = RecommendationEngine(model, tiny_dataset, max_batch_size=8)
+    return model
+
+
+@contextlib.contextmanager
+def _serving(engine):
     srv = RecommendationServer(engine, port=0)  # ephemeral port
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    yield srv
-    srv.shutdown()
-    thread.join(timeout=5)
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def server(fitted_model, tiny_dataset):
+    engine = RecommendationEngine(fitted_model, tiny_dataset, max_batch_size=8)
+    with _serving(engine) as srv:
+        yield srv
+
+
+@pytest.fixture()
+def sharded_server(fitted_model, tiny_dataset):
+    template = RecommendationEngine(fitted_model, tiny_dataset, max_batch_size=8)
+    with ShardedEngine(template, workers=1) as engine:
+        with _serving(engine) as srv:
+            yield srv
 
 
 def _post(server, path, payload):
@@ -106,3 +133,151 @@ class TestErrorHandling:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server, "/nope")
         assert excinfo.value.code == 404
+
+
+def _raw(method, path, payload=None, headers=()):
+    """One HTTP/1.1 request as the bytes a client would ``sendall``."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    lines = [f"{method} {path} HTTP/1.1", "Host: test", *headers]
+    if payload is not None:
+        lines += ["Content-Type: application/json", f"Content-Length: {len(body)}"]
+    return "\r\n".join(lines).encode() + b"\r\n\r\n" + body
+
+
+def _parse_reply(raw):
+    """``(status, headers, body)`` of bytes that must be one whole reply."""
+    head, __, body = raw.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    assert status_line.startswith("HTTP/1.1 ")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    assert int(headers["Content-Length"]) == len(body)
+    assert headers["Content-Type"] == "application/json"
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+class CountingSocket:
+    """The accepted socket, recording every ``sendall`` made on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _handler_sends(server, *requests):
+    """Run the server's handler, in this thread, over one accepted TCP
+    connection carrying ``requests`` back to back.  Returns every
+    ``sendall`` the handler made and the accepted socket's TCP_NODELAY."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        address = listener.getsockname()
+        with socket.create_connection(address, timeout=10) as client:
+            accepted, peer = listener.accept()
+            with accepted:
+                accepted.settimeout(10)
+                client.sendall(b"".join(requests))
+                client.shutdown(socket.SHUT_WR)
+                counting = CountingSocket(accepted)
+                server.httpd.RequestHandlerClass(counting, peer, server.httpd)
+                nodelay = accepted.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+    return counting.sends, nodelay
+
+
+#: A reply larger than a buffered writer's 8 KiB, which would split it.
+BIG_BATCH = {"requests": [{"user": u, "k": 50} for u in range(24)]}
+
+ONE_SEND_CASES = {
+    "keep-alive-mix": (
+        [
+            _raw("POST", "/recommend", {"user": 0, "k": 5}),
+            _raw("POST", "/recommend/batch", BIG_BATCH),
+            _raw("GET", "/metrics"),
+            _raw("GET", "/health"),
+            _raw("POST", "/recommend", {"user": 1, "sequence": [2]}),
+            _raw("GET", "/nope"),
+            _raw("POST", "/recommend", {"user": 0, "deadline_ms": 0.001}),
+            _raw("POST", "/admin/reload", {}),
+        ],
+        [200, 200, 200, 200, 400, 404, 504, 400],
+        False,
+    ),
+    "refused-body": (
+        [_raw("POST", "/recommend", headers=[f"Content-Length: {MAX_BODY_BYTES + 1}"])],
+        [413],
+        True,
+    ),
+    "send_error-method": ([_raw("PUT", "/recommend", {})], [501], True),
+    "send_error-request-line": ([b"GARBAGE\r\n\r\n"], [400], True),
+}
+
+
+class TestOneSegmentPerReply:
+    """Every reply is handed to the socket whole, by one ``sendall``: a
+    reply split in two meets the client's delayed ACK and stalls 40 ms."""
+
+    @pytest.mark.parametrize("case", ONE_SEND_CASES)
+    def test_one_send_per_reply(self, server, case):
+        requests, statuses, closes = ONE_SEND_CASES[case]
+        sends, nodelay = _handler_sends(server, *requests)
+        replies = [_parse_reply(send) for send in sends]
+        assert [status for status, __, __ in replies] == statuses
+        assert nodelay
+        # Keep-alive holds unless the (last) reply announces the close.
+        closing = [headers.get("Connection") == "close" for __, headers, __ in replies]
+        assert closing == [False] * (len(replies) - 1) + [closes]
+
+    def test_large_batch_reply_is_still_one_send(self, server):
+        sends, __ = _handler_sends(server, _raw("POST", "/recommend/batch", BIG_BATCH))
+        assert len(sends) == 1 and len(sends[0]) > 8192
+
+    def test_shed_reply_is_one_send_with_retry_after(self, server):
+        with contextlib.ExitStack() as held:
+            for __ in range(server.admission.max_inflight):
+                held.enter_context(server.admission.admit())
+            sends, __ = _handler_sends(
+                server, _raw("POST", "/recommend", {"user": 0})
+            )
+        (status, headers, body), = map(_parse_reply, sends)
+        assert (status, body["reason"]) == (503, "shed")
+        assert headers["Retry-After"] == "1"
+        assert "Connection" not in headers
+
+
+def _median_round_trip_ms(server, requests=30):
+    """Sequential ``POST /recommend`` on one keep-alive connection, the
+    benchmark generator's shape: default socket options, one ``sendall``
+    per request, next request when the reply has been read."""
+    request = _raw("POST", "/recommend", {"user": 0, "k": 5})
+    samples = []
+    with socket.create_connection(server.address, timeout=10) as sock:
+        reader = sock.makefile("rb")
+        for __ in range(requests):
+            begin = time.perf_counter()
+            sock.sendall(request)
+            assert reader.readline().split()[1] == b"200"
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            assert "items" in json.loads(reader.read(length))
+            samples.append(time.perf_counter() - begin)
+    return 1e3 * statistics.median(samples)
+
+
+class TestNoDelayedAckStall:
+    """A two-segment reply costs a busy keep-alive connection ≈ 44 ms a
+    request (the client's delayed ACK); a whole one ≈ 0.5 ms.  The bound
+    sits 2× under the stalled value and 30× over the healthy one."""
+
+    def test_keep_alive_round_trip_is_not_stalled(self, server):
+        assert _median_round_trip_ms(server) < 20.0
+
+    def test_keep_alive_round_trip_is_not_stalled_sharded(self, sharded_server):
+        assert _median_round_trip_ms(sharded_server) < 20.0

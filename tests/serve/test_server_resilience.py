@@ -82,6 +82,39 @@ def _get(server, path):
         return error.code, json.loads(error.read())
 
 
+def _replies_until_close(server, raw):
+    """Send ``raw`` on one socket and read until the server ends the
+    connection; a server that keeps it open times out (and fails).
+    Returns ``(status, headers, decoded JSON body)`` per reply."""
+    received = b""
+    with socket.create_connection(server.address, timeout=10) as sock:
+        sock.sendall(raw)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # closed with our unread bytes pending: a reset, after the reply
+    replies = []
+    while received:
+        head, __, rest = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers["Content-Length"])
+        replies.append(
+            (int(status_line.split()[1]), headers, json.loads(rest[:length]))
+        )
+        received = rest[length:]
+    return replies
+
+
+def _bare(method, path):
+    """A body-less HTTP/1.1 request."""
+    return f"{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode()
+
+
+GET_HEALTH = _bare("GET", "/health")
+
+
 class TestStructuredErrors:
     def test_bad_request_carries_reason(self, stack):
         server = stack[0]
@@ -147,6 +180,66 @@ class TestStructuredErrors:
         assert "truncated" in decoded["error"]
         assert decoded["reason"] == "bad_request"
 
+    def test_refused_body_does_not_poison_the_connection(self, stack):
+        """The unread body must not be parsed as the next request line."""
+        (status, headers, body), = _replies_until_close(
+            stack[0],
+            b"POST /recommend HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+            + b"x" * 100
+            + GET_HEALTH,
+        )
+        assert (status, body["reason"]) == (413, "body_too_large")
+        assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize(
+        "framing",
+        ["Content-Length: abc", "Content-Length: -5", "Transfer-Encoding: chunked"],
+        ids=["non-numeric", "negative", "chunked"],
+    )
+    def test_unknown_body_length_is_400_and_closes(self, stack, framing):
+        (status, headers, body), = _replies_until_close(
+            stack[0],
+            f"POST /recommend HTTP/1.1\r\nHost: test\r\n{framing}\r\n\r\n".encode()
+            + b'{"user": 0}'
+            + GET_HEALTH,
+        )
+        assert (status, body["reason"]) == (400, "bad_request")
+        assert headers["Connection"] == "close"
+
+    def test_get_body_is_drained_not_parsed_as_a_request(self, stack):
+        first, second = _replies_until_close(
+            stack[0],
+            b"GET /health HTTP/1.1\r\nHost: test\r\nContent-Length: 4\r\n\r\nabcd"
+            b"GET /nope HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+        )
+        assert first[0] == 200 and first[2]["status"] == "ok"
+        assert (second[0], second[2]["reason"]) == (404, "not_found")
+
+    @pytest.mark.parametrize(
+        "raw, status, reason",
+        [
+            (_bare("PUT", "/recommend"), 501, "unsupported_method"),
+            (_bare("HEAD", "/recommend"), 501, "unsupported_method"),
+            (_bare("DELETE", "/recommend"), 501, "unsupported_method"),
+            (b"GARBAGE\r\n\r\n", 400, "bad_request"),
+            (_bare("GET", "/" + "a" * 70000), 414, "bad_request"),
+            (
+                b"GET /health HTTP/1.1\r\nX: " + b"a" * 70000 + b"\r\n\r\n",
+                431,
+                "bad_request",
+            ),
+        ],
+        ids=["put", "head", "delete", "request-line", "long-uri", "long-header"],
+    )
+    def test_stdlib_errors_use_the_json_envelope(self, stack, raw, status, reason):
+        """What ``http.server`` answers on its own keeps its status code
+        but not its HTML page."""
+        (got, headers, body), = _replies_until_close(stack[0], raw + GET_HEALTH)
+        assert (got, body["reason"]) == (status, reason)
+        assert body["error"]
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
 
     @pytest.mark.parametrize(
         "payload",
