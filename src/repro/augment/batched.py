@@ -22,7 +22,7 @@ Contract shared by every batched operator::
   per-row lengths of the transformed views.
 
 Randomness model: callers that need consumption isolation (the
-prefetching loaders) derive a dedicated child stream with
+vectorized loaders) derive a dedicated child stream with
 :func:`spawn_stream` — ``rng.spawn()`` under the hood — so the number
 of values an operator consumes never perturbs any other stream.
 Within one operator call, per-row randomness is the rows of a single
@@ -240,8 +240,8 @@ class BatchScalarFallback(BatchedAugmentation):
 
     Lets any custom :class:`~repro.augment.base.Augmentation` (e.g.
     the correlation-fitted ``Insert``/``Substitute``) participate in
-    the vectorized pipeline: batching, padding reuse and prefetching
-    still apply even though the transform itself loops.  Views longer
+    the vectorized pipeline: batching and padding reuse still apply
+    even though the transform itself loops.  Views longer
     than ``T`` are left-truncated, matching ``pad_left``.
     """
 

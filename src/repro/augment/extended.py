@@ -10,7 +10,7 @@ statistics in :class:`repro.augment.correlation.ItemCorrelation`.
 These operators have no hand-written matrix form; under
 ``pipeline="vectorized"`` they run through
 :class:`repro.augment.batched.BatchScalarFallback`, which loops rows
-but still benefits from precomputed padding and prefetching.
+but still benefits from precomputed padding.
 """
 
 from __future__ import annotations

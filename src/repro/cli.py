@@ -777,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="reference",
         help="batch-construction path: 'reference' (scalar, bit-compatible "
         "with the golden fixtures) or 'vectorized' (matrix-form augmentation "
-        "+ background prefetch; see docs/PERFORMANCE.md)",
+        "on a private RNG stream; see docs/PERFORMANCE.md)",
     )
     p_tr.add_argument(
         "--dtype",

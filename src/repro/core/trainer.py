@@ -48,8 +48,8 @@ class ContrastivePretrainConfig:
     lr_final_factor: float = 0.1
     clip_norm: float = 5.0
     # Batch construction: "reference" (scalar, bit-compatible with the
-    # golden fixtures) or "vectorized" (matrix-form augmentation +
-    # background prefetch — see docs/PERFORMANCE.md).
+    # golden fixtures) or "vectorized" (matrix-form augmentation on a
+    # private RNG stream — see docs/PERFORMANCE.md).
     pipeline: str = "reference"
     # Compute precision: None keeps the process default (float64);
     # "float32" for throughput — see docs/PERFORMANCE.md.

@@ -36,8 +36,6 @@ from repro.data.pipeline import (
     PIPELINES,
     CyclingStream,
     PaddedViews,
-    Prefetcher,
-    batch_stream,
     build_padded_views,
     padded_views,
     validate_pipeline,
@@ -70,11 +68,9 @@ __all__ = [
     "NextItemBatchLoader",
     "PaddedViews",
     "PopularityNegativeSampler",
-    "Prefetcher",
     "SequenceDataset",
     "SyntheticConfig",
     "TemporalSplit",
-    "batch_stream",
     "build_padded_views",
     "padded_views",
     "validate_pipeline",

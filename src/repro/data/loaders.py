@@ -14,8 +14,10 @@ selects how the *stochastic* part of a batch is produced:
   original scalar implementation (the golden fixtures pin this path).
 * ``"vectorized"`` — augmentation runs in matrix form
   (:mod:`repro.augment.batched`) and all loader randomness moves to a
-  dedicated child stream, which makes the loader safe to drive from a
-  background :class:`~repro.data.pipeline.Prefetcher` thread.
+  dedicated child stream.  Nothing runs concurrently with a loader;
+  the child stream is there because the two
+  ``tests/golden/*_vectorized.json`` fixtures pin its draws, until
+  ROADMAP item 3 re-anchors the goldens.
 
 See ``docs/PERFORMANCE.md``.
 """
@@ -185,8 +187,8 @@ class NextItemBatchLoader:
     padded views — bit-identical to per-batch ``pad_left`` loops but
     built in O(batch) numpy work.  With ``pipeline="vectorized"`` the
     loader additionally moves shuffling and negative sampling onto a
-    private child stream so a background prefetcher can drive it
-    without racing the model's generator.
+    private child stream (kept for golden compatibility — see the
+    module docstring).
     """
 
     def __init__(
@@ -208,8 +210,7 @@ class NextItemBatchLoader:
         self._obs = obs
         self._views = padded_views(dataset, max_length)
         if pipeline == "vectorized":
-            # Private stream: the prefetcher's worker thread must never
-            # share a generator with the training thread (dropout).
+            # Private stream: the vectorized goldens pin its draws.
             self._rng = spawn_stream(rng)
             if negative_sampler is not None:
                 negative_sampler._rng = self._rng
@@ -292,10 +293,9 @@ class ContrastiveBatchLoader:
     ``BatchPairSampler`` is also accepted directly), views are produced
     for all rows of a batch in a handful of numpy calls over the
     dataset's precomputed padded matrix, and every random draw comes
-    from a private child stream so a background prefetcher can run the
-    epoch without racing the training thread.  Any other augmenter
-    callable falls back to per-row application but still benefits from
-    precomputed padding and prefetching.
+    from a private child stream (kept for golden compatibility — see
+    the module docstring).  Any other augmenter callable falls back to
+    per-row application but still benefits from precomputed padding.
     """
 
     def __init__(

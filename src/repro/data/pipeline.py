@@ -1,38 +1,27 @@
 """High-throughput batch construction (``pipeline="vectorized"``).
 
-Three ingredients turn the per-sequence Python loops of the reference
-loaders into a pipeline that keeps the optimizer fed:
+What turns the per-sequence Python loops of the reference loaders into
+O(batch) numpy work:
 
 * :func:`padded_views` — each dataset's left-padded input/target/full
   matrices are computed **once** (vectorized, no per-user loop) and
   cached on the dataset object, invalidated automatically when the
   dataset changes.  Batch construction then reduces to fancy indexing.
-* :class:`Prefetcher` — a double-buffered background thread (stdlib
-  ``threading``, bounded queue) that overlaps batch building with the
-  forward/backward pass.  Worker exceptions propagate to the consumer;
-  an early-exiting consumer (``close()``, ``with``-block, Ctrl-C)
-  shuts the worker down without deadlock.
-* :func:`batch_stream` / :class:`CyclingStream` — the adapters the
-  training loops use to switch between the reference path and the
-  prefetched vectorized path per
-  :class:`~repro.models.training.TrainConfig`-style ``pipeline``
-  switches.
+* :class:`CyclingStream` — the joint regime's endless contrastive side.
 
-Determinism: the vectorized loaders draw from a dedicated child stream
-(:func:`repro.augment.batched.spawn_stream`) so the worker thread never
-races the model's own generator (dropout) — a fixed seed reproduces
+Batches are built on the training thread, one per step, on both
+pipelines: there is no prefetch thread (``docs/PERFORMANCE.md`` "Why
+there is no prefetch thread" has the measurement).  Determinism: the
+vectorized loaders draw from a dedicated child stream
+(:func:`repro.augment.batched.spawn_stream`) — a fixed seed reproduces
 runs bit-for-bit, asserted end-to-end in
-``tests/integration/test_determinism_e2e.py``.  See
-``docs/PERFORMANCE.md`` for the architecture and measured speedups.
+``tests/integration/test_determinism_e2e.py``.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +30,6 @@ PIPELINES = ("reference", "vectorized")
 
 #: Attribute under which a dataset caches its padded views.
 _CACHE_ATTR = "_repro_padded_views"
-
-#: Queue capacity of the background prefetcher (double buffering).
-DEFAULT_PREFETCH_DEPTH = 2
 
 
 def validate_pipeline(pipeline: str) -> str:
@@ -165,196 +151,25 @@ def padded_views(dataset, max_length: int) -> PaddedViews:
     return views
 
 
-class Prefetcher:
-    """Background double buffering over a batch iterator.
-
-    A single worker thread drains ``source`` into a bounded queue
-    (``depth`` slots — two by default, i.e. classic double buffering)
-    while the consumer iterates; batch construction overlaps the
-    forward/backward pass instead of serializing with it.
-
-    Guarantees:
-
-    * **Order** — batches arrive in exactly the order ``source``
-      yields them (single worker, FIFO queue), so a seeded run stays
-      deterministic.
-    * **Exception propagation** — an exception raised inside
-      ``source`` is re-raised in the consumer at the point of the next
-      ``next()`` call.
-    * **No deadlock on early exit** — ``close()`` (also via the
-      context-manager protocol, and hence on Ctrl-C out of a
-      ``with``-block) signals the worker, drains the queue and joins
-      the thread; a worker blocked on a full queue wakes up and exits.
-
-    Single consumer assumed; the worker thread is a daemon as a last
-    resort so an unclosed prefetcher can never hang interpreter exit.
-    """
-
-    def __init__(
-        self,
-        source: Iterable,
-        depth: int = DEFAULT_PREFETCH_DEPTH,
-        obs=None,
-        name: str = "repro-prefetch",
-    ) -> None:
-        if depth < 1:
-            raise ValueError(f"prefetch depth must be >= 1, got {depth}")
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._finished = False
-        self._obs = obs
-        self._thread = threading.Thread(
-            target=self._worker, args=(source,), name=name, daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    # Worker side
-    # ------------------------------------------------------------------
-    def _put(self, item) -> bool:
-        """Enqueue, polling the stop flag; False when shut down."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _worker(self, source: Iterable) -> None:
-        try:
-            for item in source:
-                if not self._put(("batch", item)) or self._stop.is_set():
-                    return
-            self._put(("done", None))
-        except BaseException as exc:  # pragma: no branch - propagate anything
-            self._put(("error", exc))
-
-    # ------------------------------------------------------------------
-    # Consumer side
-    # ------------------------------------------------------------------
-    def __iter__(self) -> "Prefetcher":
-        return self
-
-    def __next__(self):
-        if self._finished:
-            raise StopIteration
-        kind, payload = self._queue.get()
-        if self._obs is not None:
-            self._obs.observe(
-                "data.prefetch_queue_depth", float(self._queue.qsize())
-            )
-        if kind == "batch":
-            return payload
-        self._finished = True
-        self._thread.join(timeout=5.0)
-        if kind == "error":
-            raise payload
-        raise StopIteration
-
-    def close(self) -> None:
-        """Stop the worker and release the queue (idempotent)."""
-        self._finished = True
-        self._stop.set()
-        try:
-            while True:
-                self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        self._thread.join(timeout=5.0)
-
-    @property
-    def alive(self) -> bool:
-        """Whether the worker thread is still running (tests)."""
-        return self._thread.is_alive()
-
-    def __enter__(self) -> "Prefetcher":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-@contextmanager
-def batch_stream(source: Iterable, pipeline: str = "reference", obs=None,
-                 depth: int = DEFAULT_PREFETCH_DEPTH) -> Iterator[Iterable]:
-    """Yield ``source`` as-is (reference) or prefetched (vectorized).
-
-    The context-manager form guarantees the worker thread is torn down
-    even when the training loop exits early (divergence rollback,
-    ``TrainingInterrupted``, Ctrl-C)::
-
-        with batch_stream(loader.epoch(), config.pipeline, obs=obs) as batches:
-            for batch in batches:
-                ...
-    """
-    validate_pipeline(pipeline)
-    if pipeline != "vectorized":
-        yield source
-        return
-    prefetcher = Prefetcher(source, depth=depth, obs=obs)
-    try:
-        yield prefetcher
-    finally:
-        prefetcher.close()
-
-
 class CyclingStream:
     """An endless batch stream cycling over ``loader.epoch()`` passes.
 
     The joint training loop consumes one contrastive batch per
     supervised batch; epochs of the two loaders need not line up, so
     the contrastive side cycles — when one augmented pass is
-    exhausted, a fresh ``epoch()`` begins transparently.  Under the
-    vectorized pipeline each pass is wrapped in a :class:`Prefetcher`;
-    call :meth:`close` (or use ``with``) to tear the worker down.
+    exhausted, a fresh ``epoch()`` begins transparently.
     """
 
-    def __init__(
-        self,
-        loader,
-        pipeline: str = "reference",
-        obs=None,
-        depth: int = DEFAULT_PREFETCH_DEPTH,
-    ) -> None:
+    def __init__(self, loader) -> None:
         self.loader = loader
-        self.pipeline = validate_pipeline(pipeline)
-        self._obs = obs
-        self._depth = depth
-        self._current = None
-
-    def _open(self) -> None:
-        source = self.loader.epoch()
-        if self.pipeline == "vectorized":
-            source = Prefetcher(source, depth=self._depth, obs=self._obs)
-        self._current = source
+        self._current = iter(())
 
     def next(self):
         """The next batch, starting a fresh epoch when one runs dry."""
-        if self._current is None:
-            self._open()
         try:
             return next(self._current)
         except StopIteration:
-            self._close_current()
-            self._open()
+            self._current = self.loader.epoch()
             # A second StopIteration (loader yields no batches at all)
             # is a real error and propagates.
             return next(self._current)
-
-    def _close_current(self) -> None:
-        current, self._current = self._current, None
-        if current is None:
-            return
-        close = getattr(current, "close", None)
-        if close is not None:
-            close()
-
-    def close(self) -> None:
-        self._close_current()
-
-    def __enter__(self) -> "CyclingStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -31,7 +31,6 @@ SECTION_ORDER = (
     "serving_throughput",
     "obs_overhead",
     "pipeline_throughput",
-    "pipeline_prefetch_overlap",
     "compute_core",
     "resilience",
     "retrieval",

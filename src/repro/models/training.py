@@ -46,8 +46,8 @@ class TrainConfig:
     # negatives ∝ popularity^alpha (harder contrasts).
     negative_alpha: float = 0.0
     # Batch construction: "reference" (scalar, bit-compatible with the
-    # golden fixtures) or "vectorized" (precomputed padded matrices +
-    # background prefetch — see docs/PERFORMANCE.md).
+    # golden fixtures) or "vectorized" (precomputed padded matrices, a
+    # private RNG stream — see docs/PERFORMANCE.md).
     pipeline: str = "reference"
     # Compute precision: None keeps the process default (float64, the
     # golden-fixture setting); "float32" roughly doubles BLAS

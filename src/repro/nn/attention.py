@@ -19,11 +19,6 @@ restores the seed's op-for-op composition (three sliced projections,
 per-call mask allocation, ``masked_fill`` + ``softmax``); both paths
 perform the same floating-point operations per value, so they agree to
 the last bit given the same parameters.
-
-Legacy checkpoints that stored ``query_proj`` / ``key_proj`` /
-``value_proj`` separately load transparently: a state-dict upgrade hook
-(:func:`pack_qkv_state`) packs them on the fly, and
-:func:`unpack_qkv_state` converts back for export.
 """
 
 from __future__ import annotations
@@ -33,12 +28,11 @@ import numpy as np
 from repro.nn import compute, init
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear
-from repro.nn.module import Module, register_state_dict_upgrade
+from repro.nn.module import Module
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.profiling import profile_scope
 
 _NEG_INF = -1e9
-_LEGACY_QKV = ("query_proj", "key_proj", "value_proj")
 
 
 def causal_mask(length: int) -> np.ndarray:
@@ -49,59 +43,6 @@ def causal_mask(length: int) -> np.ndarray:
     cache in :data:`repro.nn.compute.MASKS` instead.
     """
     return np.triu(np.ones((length, length), dtype=bool), k=1)
-
-
-def pack_qkv_state(module: Module, state: dict) -> dict:
-    """State-dict upgrade: pack legacy per-projection Q/K/V entries.
-
-    For every ``qkv_proj.weight`` the module expects but the state dict
-    lacks, look for the legacy ``{prefix}query_proj`` / ``key_proj`` /
-    ``value_proj`` entries and concatenate them (weights along the
-    output axis, biases end to end).  Registered with
-    :func:`repro.nn.module.register_state_dict_upgrade`, so old
-    checkpoints load without callers doing anything.
-    """
-    targets = [
-        name
-        for name, __ in module.named_parameters()
-        if name.endswith("qkv_proj.weight") and name not in state
-    ]
-    if not targets:
-        return state
-    state = dict(state)
-    for target in targets:
-        prefix = target[: -len("qkv_proj.weight")]
-        weights = [f"{prefix}{p}.weight" for p in _LEGACY_QKV]
-        biases = [f"{prefix}{p}.bias" for p in _LEGACY_QKV]
-        if not all(key in state for key in weights + biases):
-            continue
-        state[target] = np.concatenate([state.pop(key) for key in weights], axis=1)
-        state[f"{prefix}qkv_proj.bias"] = np.concatenate(
-            [state.pop(key) for key in biases], axis=0
-        )
-    return state
-
-
-def unpack_qkv_state(state: dict) -> dict:
-    """Rewrite packed ``qkv_proj`` entries into the legacy layout.
-
-    The inverse of :func:`pack_qkv_state`, for exporting a checkpoint
-    that older revisions (separate ``query_proj``/``key_proj``/
-    ``value_proj`` linears) can load.
-    """
-    state = dict(state)
-    for key in [k for k in state if k.endswith("qkv_proj.weight")]:
-        prefix = key[: -len("qkv_proj.weight")]
-        weight = state.pop(key)
-        bias = state.pop(f"{prefix}qkv_proj.bias")
-        for i, proj in enumerate(_LEGACY_QKV):
-            dim = weight.shape[0]
-            state[f"{prefix}{proj}.weight"] = weight[:, i * dim : (i + 1) * dim].copy()
-            state[f"{prefix}{proj}.bias"] = bias[i * dim : (i + 1) * dim].copy()
-    return state
-
-
-register_state_dict_upgrade(pack_qkv_state)
 
 
 class MultiHeadSelfAttention(Module):

@@ -8,7 +8,7 @@ layers such as :class:`repro.nn.layers.Dropout` respect.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -21,19 +21,6 @@ class Parameter(Tensor):
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
-
-
-#: Registered state-dict upgraders, applied (in registration order) by
-#: :meth:`Module.load_state_dict` before key checking.  Each hook takes
-#: ``(module, state)`` and returns a (possibly rewritten) state dict;
-#: layout changes such as the packed QKV projection register a hook here
-#: so legacy checkpoints keep loading (see ``repro.nn.attention``).
-STATE_DICT_UPGRADES: list[Callable[["Module", dict], dict]] = []
-
-
-def register_state_dict_upgrade(hook: Callable[["Module", dict], dict]) -> None:
-    """Register a state-dict rewrite applied on every ``load_state_dict``."""
-    STATE_DICT_UPGRADES.append(hook)
 
 
 class Module:
@@ -120,12 +107,8 @@ class Module:
         With ``strict=True`` (default) the key sets must match exactly.
         Shapes must always match.  Values are cast to each parameter's
         own dtype, so a float32 model loads a float64 checkpoint (and
-        vice versa) without changing the model's precision; registered
-        :data:`STATE_DICT_UPGRADES` hooks run first so legacy layouts
-        (e.g. unpacked Q/K/V projections) are rewritten transparently.
+        vice versa) without changing the model's precision.
         """
-        for upgrade in STATE_DICT_UPGRADES:
-            state = upgrade(self, state)
         own = dict(self.named_parameters())
         if strict:
             missing = sorted(set(own) - set(state))

@@ -94,7 +94,6 @@ def verify_archive(path: str | os.PathLike) -> None:
 def read_archive(
     path: str | os.PathLike,
     faults: FaultInjector | None = None,
-    verify: bool = True,
 ) -> dict[str, np.ndarray]:
     """Load an archive written by :func:`write_archive`, verified.
 
@@ -103,8 +102,7 @@ def read_archive(
     """
     if faults is not None:
         faults.on_checkpoint_read(path)
-    if verify:
-        verify_archive(path)
+    verify_archive(path)
     try:
         with np.load(path, allow_pickle=False) as archive:
             return {name: archive[name].copy() for name in archive.files}

@@ -437,9 +437,7 @@ class RecommendationEngine(EngineFacade):
     # ------------------------------------------------------------------
     # Hot model reload
     # ------------------------------------------------------------------
-    def swap_model(
-        self, checkpoint: str | os.PathLike, probe: bool = True
-    ) -> dict:
+    def swap_model(self, checkpoint: str | os.PathLike) -> dict:
         """Atomically swap in new weights from ``checkpoint``.
 
         The swap is crash-safe against bad checkpoints at every stage:
@@ -449,11 +447,11 @@ class RecommendationEngine(EngineFacade):
            weights);
         2. a mismatched state dict restores the previous weights and
            raises :class:`CheckpointError`;
-        3. with ``probe`` (default) the swapped model must pass a
-           self-check — one probe sequence encoded and scored through
-           the rebuilt index, finite values, correct shapes — or the
-           previous weights (and live index) are kept and
-           :class:`ModelSwapError` raised.
+        3. the swapped model must pass a self-check — one probe
+           sequence encoded and scored through the rebuilt index,
+           finite values, correct shapes — or the previous weights
+           (and live index) are kept and :class:`ModelSwapError`
+           raised.
 
         On success the retrieval index is rebuilt from the new item
         matrix (same hyperparameters, built off to the side and swapped
@@ -495,8 +493,7 @@ class RecommendationEngine(EngineFacade):
             # Rebuild off to the side with the same hyperparameters;
             # the live index keeps serving until the publish below.
             new_index = self.index.rebuild(self._live_matrix())
-            if probe:
-                self._self_check(new_index)
+            self._self_check(new_index)
         except Exception as error:
             self.model.load_state_dict(previous)
             self.metrics.increment("model_swap_failures")

@@ -380,10 +380,13 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
                 remaining -= len(chunk)
             return b"".join(chunks)
 
-        def _read_json(self) -> dict:
+        def _read_json(self):
+            body = self._read_body() or b"{}"
             try:
-                return json.loads(self._read_body() or b"{}")
-            except json.JSONDecodeError as error:
+                return json.loads(body)
+            # JSONDecodeError, and UnicodeDecodeError for bytes that are
+            # not UTF-8: both are the client's fault, not an internal one.
+            except ValueError as error:
                 raise RequestError(f"invalid JSON body: {error}") from error
 
         def _guarded(self, handler) -> None:
@@ -459,8 +462,11 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             elif self.path == "/recommend/batch":
                 self._reply(200, server.handle_batch(payload, started=started))
             elif self.path == "/admin/reload":
-                checkpoint = payload.get("checkpoint") if payload else None
-                self._reply(200, server.reload(checkpoint))
+                if not isinstance(payload, dict):
+                    raise RequestError(
+                        'reload body must be a JSON object: {"checkpoint": <path>}'
+                    )
+                self._reply(200, server.reload(payload.get("checkpoint")))
             else:
                 self._reply(
                     404,

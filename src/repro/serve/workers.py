@@ -36,15 +36,14 @@ read-only ndarrays; a stray write raises instead of corrupting).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
-import time
 from contextlib import ExitStack
 from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
+from repro.core.procpool import ClosesOnExit, ProcessPool, WorkerFailedError
 from repro.core.shm import SharedArrays, adopt_parameters, allocate_segment
 from repro.retrieval import INDEX_KINDS
 from repro.retrieval.exact import ExactIndex
@@ -117,11 +116,6 @@ class SharedModelState(SharedArrays):
         }
 
 
-#: Zero-copy parameter adoption (moved to :mod:`repro.core.shm`; the
-#: name stays for the tests and chaos tooling that patch through it).
-_adopt_shared_weights = adopt_parameters
-
-
 def _build_worker_index(kind: str, params: dict, matrix: np.ndarray):
     """A worker-local index over the shared matrix view.
 
@@ -149,23 +143,26 @@ def _result_payload(result: Recommendation) -> dict:
     }
 
 
-def _worker_main(conn, spec: dict) -> None:
-    """Scoring-worker entry point: build a private engine, serve commands.
+class _ScoringWorker:
+    """Worker-side half: a private engine over the shared segment.
 
-    The worker attaches the shared segment, adopts weights and matrix
-    zero-copy, then loops over pipe commands.  Unservable requests
+    Built inside the worker process by :class:`~repro.core.procpool.
+    ProcessPool`: attaches the shared segment, adopts weights and matrix
+    zero-copy, then answers one command at a time.  Unservable requests
     travel back inside result payloads (``on_error="report"``); only
-    command-level faults use the ``("error", exc)`` reply.
+    command-level faults raise, which the transport ships to the parent.
     """
-    try:
-        shared = SharedModelState.attach(spec["shared"])
-        model = spec["model"]
-        _adopt_shared_weights(model, shared.weight_views())
+
+    ready = None  # nothing to report at start-up
+
+    def __init__(self, spec: dict) -> None:
+        self.shared = SharedModelState.attach(spec["shared"])
+        adopt_parameters(spec["model"], self.shared.weight_views())
         index = _build_worker_index(
-            spec["index_kind"], spec["index_params"], shared.matrix
+            spec["index_kind"], spec["index_params"], self.shared.matrix
         )
-        engine = RecommendationEngine(
-            model,
+        self.engine = engine = RecommendationEngine(
+            spec["model"],
             spec["dataset"],
             max_batch_size=spec["max_batch_size"],
             cache_size=spec["cache_size"],
@@ -178,79 +175,52 @@ def _worker_main(conn, spec: dict) -> None:
         engine.model_version = spec["model_version"]
         engine.checkpoint_path = spec["checkpoint_path"]
         engine.metrics.set_gauge("model_version", engine.model_version)
-    except BaseException as error:  # surface startup failures to the parent
-        _send_error(conn, error)
-        conn.close()
-        return
 
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break
-        command = message[0]
-        try:
-            if command == "recommend":
-                __, requests, started = message
-                results = engine.recommend_batch(
-                    requests, started=started, on_error="report"
-                )
-                conn.send(("ok", [_result_payload(r) for r in results]))
-            elif command == "swap":
-                __, meta, checkpoint, version, step = message
-                new_state = SharedModelState.attach(meta)
-                _adopt_shared_weights(model, new_state.weight_views())
-                engine.index = engine.index.rebuild(new_state.matrix)
-                engine.invalidate_cache()
-                engine.model_version = version
-                engine.checkpoint_path = checkpoint
-                # The frontend counts the swap (merged counters *add*,
-                # so a per-worker increment would multiply one swap by
-                # the worker count); workers only publish the gauge.
-                engine.metrics.set_gauge("model_version", version)
-                old, shared = shared, new_state
-                old.close()
-                conn.send(("ok", {"model_version": version, "step": step}))
-            elif command == "metrics":
-                conn.send(("ok", engine.metrics.state(sample_cap=message[1])))
-            elif command == "invalidate":
-                engine.invalidate_cache()
-                conn.send(("ok", None))
-            elif command == "warm":
-                conn.send(("ok", engine.warm(np.asarray(message[1]))))
-            elif command == "set_faults":
-                engine.faults = message[1]
-                conn.send(("ok", None))
-            elif command == "stats":
-                conn.send(("ok", {
-                    "pid": os.getpid(),
-                    "cache_entries": len(engine.cache),
-                    "cache_size": engine.cache.maxsize,
-                    "model_version": engine.model_version,
-                    "generation": shared.generation,
-                }))
-            elif command == "shutdown":
-                conn.send(("ok", None))
-                break
-            else:
-                conn.send(("error", ValueError(f"unknown command {command!r}")))
-        except BaseException as error:
-            _send_error(conn, error)
+    def handle(self, message):
+        command, engine = message[0], self.engine
+        if command == "recommend":
+            __, requests, started = message
+            results = engine.recommend_batch(
+                requests, started=started, on_error="report"
+            )
+            return [_result_payload(r) for r in results]
+        if command == "swap":
+            __, meta, checkpoint, version, step = message
+            new_state = SharedModelState.attach(meta)
+            adopt_parameters(engine.model, new_state.weight_views())
+            engine.index = engine.index.rebuild(new_state.matrix)
+            engine.invalidate_cache()
+            engine.model_version = version
+            engine.checkpoint_path = checkpoint
+            # The frontend counts the swap (merged counters *add*,
+            # so a per-worker increment would multiply one swap by
+            # the worker count); workers only publish the gauge.
+            engine.metrics.set_gauge("model_version", version)
+            old, self.shared = self.shared, new_state
+            old.close()
+            return {"model_version": version, "step": step}
+        if command == "metrics":
+            return engine.metrics.state(sample_cap=message[1])
+        if command == "invalidate":
+            engine.invalidate_cache()
+            return None
+        if command == "warm":
+            return engine.warm(np.asarray(message[1]))
+        if command == "set_faults":
+            engine.faults = message[1]
+            return None
+        if command == "stats":
+            return {
+                "pid": os.getpid(),
+                "cache_entries": len(engine.cache),
+                "cache_size": engine.cache.maxsize,
+                "model_version": engine.model_version,
+                "generation": self.shared.generation,
+            }
+        raise ValueError(f"unknown command {command!r}")
 
-    shared.close()
-    conn.close()
-
-
-def _send_error(conn, error: BaseException) -> None:
-    """Ship an exception to the parent, degrading to a plain message."""
-    try:
-        conn.send(("error", error))
-    except Exception:
-        try:
-            conn.send(("error", RuntimeError(
-                f"{type(error).__name__}: {error}")))
-        except Exception:
-            pass
+    def close(self) -> None:
+        self.shared.close()
 
 
 class _FrontendMetrics(ServingMetrics):
@@ -272,7 +242,7 @@ class _FrontendMetrics(ServingMetrics):
         return snap
 
 
-class ShardedEngine(EngineFacade):
+class ShardedEngine(ClosesOnExit, EngineFacade):
     """Fan requests out over N worker processes; merge top-k back.
 
     Drop-in for :class:`RecommendationEngine` as far as
@@ -290,6 +260,13 @@ class ShardedEngine(EngineFacade):
     the weights, dataset, index hyperparameters, resilience config and
     fault injector, and keeps handling validation-heavy control work
     (``swap_model`` probes) while the workers do all scoring.
+
+    Processes and pipes belong to one
+    :class:`~repro.core.procpool.ProcessPool`: a worker that died or
+    stayed silent past ``worker_timeout_s`` raises a
+    :class:`~repro.core.procpool.WorkerFailedError` naming the shard
+    (docs/SCALING.md "Worker failure model"); a command that raised
+    inside a worker re-raises here as the worker's own exception.
     """
 
     thread_safe = True
@@ -303,19 +280,17 @@ class ShardedEngine(EngineFacade):
         metrics_seed: int = 0,
         worker_timeout_s: float = 120.0,
     ) -> None:
+        self._closed = True  # nothing to tear down until the pool is up
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self._template = template
         self.workers = int(workers)
-        self.worker_timeout_s = float(worker_timeout_s)
         self.metrics = _FrontendMetrics(self, seed=metrics_seed)
         self.metrics.touch("fanout_batches")
         self._swap_lock = threading.Lock()
-        self._closed = False
+        self._locks = [threading.Lock() for __ in range(workers)]
         self._final_states: list[dict] = []
 
-        context = multiprocessing.get_context(start_method or "fork")
-        self.start_method = context.get_start_method()
         arrays = dict(template.model.state_dict())
         if MATRIX_KEY in arrays:
             raise ValueError(f"model state dict uses reserved key {MATRIX_KEY!r}")
@@ -331,88 +306,48 @@ class ShardedEngine(EngineFacade):
         resilience = (
             template.policy.config if template.policy is not None else None
         )
-        self._conns = []
-        self._locks = [threading.Lock() for __ in range(workers)]
-        self._procs = []
+        specs = [
+            {
+                "shared": self._shared.meta(),
+                "model": template.model,
+                "dataset": template.dataset,
+                "max_batch_size": template.max_batch_size,
+                "cache_size": worker_cache_size,
+                "split": template.split,
+                "metrics_seed": metrics_seed + shard + 1,
+                "resilience": resilience,
+                "faults": template.faults,
+                "index_kind": template.index.kind,
+                "index_params": template.index._artifact_params(),
+                "model_version": template.model_version,
+                "checkpoint_path": template.checkpoint_path,
+            }
+            for shard in range(workers)
+        ]
         try:
-            for shard in range(workers):
-                parent_conn, child_conn = context.Pipe()
-                spec = {
-                    "shared": self._shared.meta(),
-                    "model": template.model,
-                    "dataset": template.dataset,
-                    "max_batch_size": template.max_batch_size,
-                    "cache_size": worker_cache_size,
-                    "split": template.split,
-                    "metrics_seed": metrics_seed + shard + 1,
-                    "resilience": resilience,
-                    "faults": template.faults,
-                    "index_kind": template.index.kind,
-                    "index_params": template.index._artifact_params(),
-                    "model_version": template.model_version,
-                    "checkpoint_path": template.checkpoint_path,
-                }
-                process = context.Process(
-                    target=_worker_main,
-                    args=(child_conn, spec),
-                    name=f"repro-scoring-worker-{shard}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(process)
-            for shard in range(workers):  # startup handshake
-                self._send(shard, ("stats",))
-            for shard in range(workers):
-                self._recv(shard)
+            self._pool = ProcessPool(
+                _ScoringWorker,
+                specs,
+                name="repro-scoring-worker",
+                failure=self._worker_failed,
+                timeout_s=worker_timeout_s,
+                start_method=start_method,
+            )
         except BaseException:
-            self.close()
+            self._shared.close()
+            self._shared.unlink()
             raise
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _send(self, shard: int, message) -> None:
-        """Send one command to ``shard``, surfacing worker death."""
-        try:
-            self._conns[shard].send(message)
-        except (BrokenPipeError, OSError) as error:
-            process = self._procs[shard] if shard < len(self._procs) else None
-            exitcode = process.exitcode if process is not None else None
-            raise RuntimeError(
-                f"scoring worker {shard} died (exit code {exitcode})"
-            ) from error
-
-    def _recv(self, shard: int):
-        """One reply off ``shard``'s pipe (raises worker-side errors)."""
-        conn = self._conns[shard]
-        deadline = time.monotonic() + self.worker_timeout_s
-        while not conn.poll(0.05):
-            process = self._procs[shard] if shard < len(self._procs) else None
-            if process is not None and not process.is_alive():
-                if conn.poll(0):  # drain a reply racing the exit
-                    break
-                raise RuntimeError(
-                    f"scoring worker {shard} died "
-                    f"(exit code {process.exitcode})"
-                )
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"scoring worker {shard} did not reply within "
-                    f"{self.worker_timeout_s:g}s"
-                )
-        try:
-            status, payload = conn.recv()
-        except (EOFError, OSError) as error:
-            raise RuntimeError(
-                f"scoring worker {shard} exited unexpectedly"
-            ) from error
-        if status == "error":
-            if isinstance(payload, BaseException):
-                raise payload
-            raise RuntimeError(str(payload))
-        return payload
+    @staticmethod
+    def _worker_failed(shard: int, what: str, raised=None) -> BaseException:
+        """What a failed pool call raises (the transport's wording hook)."""
+        if raised is not None:
+            return raised
+        return WorkerFailedError(shard, f"scoring worker {shard} {what}")
 
     def _hold(self, shards) -> ExitStack:
         """Acquire the given shard locks in sorted order (no deadlocks)."""
@@ -420,6 +355,20 @@ class ShardedEngine(EngineFacade):
         for shard in sorted(shards):
             stack.enter_context(self._locks[shard])
         return stack
+
+    def _call(self, shard: int, message):
+        """One command to one shard, and its reply."""
+        with self._locks[shard]:
+            self._pool.send(shard, message)
+            return self._pool.recv(shard)
+
+    def _broadcast(self, message) -> None:
+        """One command to every shard, all channels held across it."""
+        with self._hold(range(self.workers)):
+            for shard in range(self.workers):
+                self._pool.send(shard, message)
+            for shard in range(self.workers):
+                self._pool.recv(shard)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -446,13 +395,13 @@ class ShardedEngine(EngineFacade):
             with self._hold(partition):
                 shards = sorted(partition)
                 for shard in shards:
-                    self._send(shard, (
+                    self._pool.send(shard, (
                         "recommend",
                         [requests[i] for i in partition[shard]],
                         started,
                     ))
                 for shard in shards:
-                    payloads = self._recv(shard)
+                    payloads = self._pool.recv(shard)
                     for i, payload in zip(partition[shard], payloads):
                         results[i] = Recommendation(
                             request=requests[i], **payload
@@ -463,7 +412,7 @@ class ShardedEngine(EngineFacade):
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def swap_model(self, checkpoint, probe: bool = True) -> dict:
+    def swap_model(self, checkpoint) -> dict:
         """Validate on the template, then publish to every worker.
 
         The template engine performs the full crash-safe swap first
@@ -477,7 +426,7 @@ class ShardedEngine(EngineFacade):
         """
         self._check_open()
         with self._swap_lock:
-            info = self._template.swap_model(checkpoint, probe=probe)
+            info = self._template.swap_model(checkpoint)
             arrays = dict(self._template.model.state_dict())
             arrays[MATRIX_KEY] = self._template.index.matrix
             new_shared = SharedModelState.create(
@@ -486,7 +435,7 @@ class ShardedEngine(EngineFacade):
             failures = []
             with self._hold(range(self.workers)):
                 for shard in range(self.workers):
-                    self._send(shard, (
+                    self._pool.send(shard, (
                         "swap",
                         new_shared.meta(),
                         info["checkpoint"],
@@ -495,7 +444,7 @@ class ShardedEngine(EngineFacade):
                     ))
                 for shard in range(self.workers):
                     try:
-                        self._recv(shard)
+                        self._pool.recv(shard)
                     except Exception as error:
                         failures.append((shard, error))
             if failures:
@@ -521,21 +470,15 @@ class ShardedEngine(EngineFacade):
             by_shard.setdefault(
                 shard_for_user(int(user), self.workers), []
             ).append(int(user))
-        encoded = 0
-        for shard, shard_users in sorted(by_shard.items()):
-            with self._locks[shard]:
-                self._send(shard, ("warm", shard_users))
-                encoded += self._recv(shard)
-        return encoded
+        return sum(
+            self._call(shard, ("warm", shard_users))
+            for shard, shard_users in sorted(by_shard.items())
+        )
 
     def invalidate_cache(self) -> None:
         """Drop every shard's representation cache."""
         self._check_open()
-        with self._hold(range(self.workers)):
-            for shard in range(self.workers):
-                self._send(shard, ("invalidate",))
-            for shard in range(self.workers):
-                self._recv(shard)
+        self._broadcast(("invalidate",))
 
     def set_faults(self, faults) -> None:
         """Install a fault injector in every worker (chaos testing).
@@ -546,11 +489,7 @@ class ShardedEngine(EngineFacade):
         """
         self._check_open()
         self._template.faults = faults
-        with self._hold(range(self.workers)):
-            for shard in range(self.workers):
-                self._send(shard, ("set_faults", faults))
-            for shard in range(self.workers):
-                self._recv(shard)
+        self._broadcast(("set_faults", faults))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -559,31 +498,25 @@ class ShardedEngine(EngineFacade):
         """Every worker's raw metrics state (last known once closed)."""
         if self._closed:
             return self._final_states
-        states = []
-        for shard in range(len(self._conns)):
-            with self._locks[shard]:
-                self._send(shard, ("metrics", METRICS_SAMPLE_CAP))
-                states.append(self._recv(shard))
-        return states
+        return [
+            self._call(shard, ("metrics", METRICS_SAMPLE_CAP))
+            for shard in range(self.workers)
+        ]
 
     def worker_info(self) -> dict:
         """Pool shape for ``/metrics`` and ``/health`` payloads."""
+        processes = self._pool.processes
         return {
             "count": self.workers,
-            "start_method": self.start_method,
-            "pids": [process.pid for process in self._procs],
-            "alive": sum(process.is_alive() for process in self._procs),
+            "start_method": self._pool.start_method,
+            "pids": [process.pid for process in processes],
+            "alive": sum(process.is_alive() for process in processes),
         }
 
     def worker_stats(self) -> list[dict]:
         """Per-worker cache/version stats (stress tests, debugging)."""
         self._check_open()
-        stats = []
-        for shard in range(self.workers):
-            with self._locks[shard]:
-                self._send(shard, ("stats",))
-                stats.append(self._recv(shard))
-        return stats
+        return [self._call(shard, ("stats",)) for shard in range(self.workers)]
 
     # Delegated views of the template so the HTTP server, health checks
     # and the CLI treat both engine flavours uniformly.
@@ -634,10 +567,10 @@ class ShardedEngine(EngineFacade):
         """Stop every worker and retire the shared segment (idempotent).
 
         Capture each worker's final metrics first (so post-shutdown
-        ``/metrics`` exports keep the totals), ask workers to exit,
-        escalate to terminate on stragglers, then close and unlink the
-        segment — the parent is its owner, so exactly one unlink happens
-        and the resource tracker reports no leaks at interpreter exit.
+        ``/metrics`` exports keep the totals), stop the pool, and only
+        then close and unlink the segment — the parent is its owner, so
+        exactly one unlink happens and the resource tracker reports no
+        leaks at interpreter exit.
         """
         if self._closed:
             return
@@ -646,41 +579,6 @@ class ShardedEngine(EngineFacade):
         except Exception:
             self._final_states = []
         self._closed = True
-        conns = getattr(self, "_conns", [])
-        for shard, conn in enumerate(conns):
-            try:
-                conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for shard, conn in enumerate(conns):
-            try:
-                if conn.poll(timeout):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-        for process in getattr(self, "_procs", []):
-            process.join(timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        shared = getattr(self, "_shared", None)
-        if shared is not None:
-            shared.close()
-            shared.unlink()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close(timeout=1.0)
-        except Exception:
-            pass
+        self._pool.close(timeout)
+        self._shared.close()
+        self._shared.unlink()

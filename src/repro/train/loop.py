@@ -102,7 +102,7 @@ class InProcessSource:
         return self.stage.compute()
 
     def close(self) -> None:
-        self.stage.close()
+        """Nothing to release: no process, thread or segment was opened."""
 
 
 def _gradient_source(stage, rng, dtype, runtime, obs):

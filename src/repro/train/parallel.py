@@ -5,8 +5,8 @@ authoritative model, the optimizer, the lr schedule, the divergence
 guard and the :class:`~repro.runtime.resume.TrainingRuntime`; when
 ``config.workers >= 1`` its gradients come from a
 :class:`ParallelWorkerPool`, which forks N workers (over the same
-fork-context machinery as :mod:`repro.serve.workers`) that each run the
-coordinator's own :class:`~repro.train.stages.Stage` and hold
+:mod:`repro.core.procpool` transport as :mod:`repro.serve.workers`) that
+each run the coordinator's own :class:`~repro.train.stages.Stage` and hold
 
 * a zero-copy view of the **parameter pages** — one
   :class:`~repro.core.shm.SharedArrays` segment the coordinator
@@ -45,24 +45,25 @@ Determinism contract (tested in ``tests/train/test_parallel.py``):
   Worker streams are *spawned* in a fresh process and then *restored*,
   so a resumed run continues bit-exactly on either data pipeline.
 
-Failure model: a worker that dies, hangs past ``worker_timeout_s`` or
-raises mid-step surfaces as a structured :class:`WorkerFailedError`
-naming the worker and the global step; the loop's ``finally`` closes
-the pool, which tears every shared segment down (close + unlink) so
-nothing leaks.
+Failure model (docs/SCALING.md "Worker failure model"): processes and
+pipes belong to one :class:`~repro.core.procpool.ProcessPool`, so a
+worker that dies, hangs past ``worker_timeout_s`` or raises mid-step
+surfaces as a structured :class:`WorkerFailedError` naming the worker
+and the global step; the loop's ``finally`` closes the pool, which
+stops the workers and then tears every shared segment down (close +
+unlink) so nothing leaks.
 ``FaultInjector.kill_worker`` schedules a deterministic worker death
 for tests.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 
 import numpy as np
 
 from repro.augment.batched import spawn_stream
+from repro.core.procpool import ClosesOnExit, ProcessPool, WorkerFailedError
 from repro.core.shm import SharedArrays, adopt_parameters
 from repro.nn import precision
 from repro.nn.serialization import CheckpointError
@@ -73,20 +74,6 @@ __all__ = ["WorkerFailedError", "ParallelWorkerPool", "pairwise_sum"]
 
 #: Checkpoint aux group holding each worker's serialized RNG streams.
 WORKER_RNG_GROUP = "worker_rng"
-
-
-class WorkerFailedError(RuntimeError):
-    """A training worker died, hung, or errored — named, not silent.
-
-    ``worker`` is the failed worker's id, ``step`` the 1-based global
-    step the coordinator was driving when the failure surfaced (0 when
-    it happened outside the step loop, e.g. at startup).
-    """
-
-    def __init__(self, worker: int, step: int, message: str) -> None:
-        super().__init__(message)
-        self.worker = int(worker)
-        self.step = int(step)
 
 
 def pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -125,17 +112,6 @@ def _named_trainable(stage) -> list:
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-def _send_error(conn, error: BaseException) -> None:
-    """Ship an exception to the coordinator, degrading to a message."""
-    try:
-        conn.send(("error", error))
-    except Exception:
-        try:
-            conn.send(("error", RuntimeError(f"{type(error).__name__}: {error}")))
-        except Exception:
-            pass
-
-
 def _rebind_model_rng(model, stream) -> None:
     """Point every module-held generator reference at ``stream``.
 
@@ -153,100 +129,77 @@ def _rebind_model_rng(model, stream) -> None:
     model._rng = stream
 
 
-def _train_worker_main(conn, spec: dict) -> None:
-    """Training-worker entry point: adopt shared state, serve commands.
+class _TrainWorker:
+    """Worker-side half: the coordinator's stage on this worker's shard.
 
-    Commands: ``("epoch", e)`` opens the epoch's batch streams,
-    ``("step",)`` computes one micro-batch's gradient into the worker's
-    gradient segment and replies with scalars, ``("get_rng",)`` /
-    ``("set_rng", packed)`` serialize/restore the worker's generator
-    streams for checkpointing, ``("shutdown",)`` exits cleanly.
+    Built inside the worker process by :class:`~repro.core.procpool.
+    ProcessPool`.  Commands: ``("epoch", e)`` opens the epoch's batch
+    streams, ``("step",)`` computes one micro-batch's gradient into the
+    worker's gradient segment and replies with scalars, ``("get_rng",)``
+    / ``("set_rng", packed)`` serialize/restore the worker's generator
+    streams for checkpointing.
     """
-    stage = pages = grads = None
-    try:
-        stage = spec["stage"]
-        model = stage.model
-        worker = spec["worker"]
-        dtype = np.dtype(spec["dtype"])
-        pages = SharedArrays.attach(spec["pages"])
-        adopt_parameters(model, pages.views)
-        grads = SharedArrays.attach(spec["grads"], writeable=True)
+
+    def __init__(self, spec: dict) -> None:
+        self.stage = stage = spec["stage"]
+        self.worker = worker = spec["worker"]
+        self.faults = spec["faults"]
+        self.pages = SharedArrays.attach(spec["pages"])
+        adopt_parameters(stage.model, self.pages.views)
+        self.grads = SharedArrays.attach(spec["grads"], writeable=True)
         # Dropout moves to its own spawned stream — the loop generator
         # keeps feeding the loaders exactly as in single-process mode.
         rng = spec["rng"]
-        _rebind_model_rng(model, spawn_stream(rng))
+        _rebind_model_rng(stage.model, spawn_stream(rng))
         stage.open(rng, worker_shard=(worker, spec["workers"]))
-        trainable = _named_trainable(stage)
-        faults = spec["faults"]
-        conn.send(("ok", {
-            "steps_per_epoch": stage.steps_per_epoch,
-            "pid": os.getpid(),
-        }))
-    except BaseException as error:  # surface startup failures
-        _send_error(conn, error)
-        conn.close()
-        return
+        self.trainable = _named_trainable(stage)
+        stage.model.train()
+        # The process is this worker's alone: the training dtype is its
+        # default from here on, with nothing to restore.
+        precision.set_default_dtype(spec["dtype"])
+        self.ready = {"steps_per_epoch": stage.steps_per_epoch}
 
-    model.train()
-    with precision.precision(dtype):
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
-                break
-            command = message[0]
-            try:
-                if command == "epoch":
-                    stage.begin_epoch()
-                    conn.send(("ok", None))
-                elif command == "step":
-                    if faults is not None:
-                        faults.on_worker_step(worker)
-                    started = time.perf_counter()
-                    loss, count, metrics = stage.compute()
-                    missing = []
-                    for index, (name, param) in enumerate(trainable):
-                        view = grads.views[name]
-                        if param.grad is None:
-                            view[...] = 0.0
-                            missing.append(index)
-                        else:
-                            view[...] = param.grad
-                    conn.send(("ok", {
-                        "loss": float(loss),
-                        "count": int(count),
-                        "seconds": time.perf_counter() - started,
-                        "missing": missing,
-                        "metrics": metrics,
-                    }))
-                elif command == "get_rng":
-                    conn.send(("ok", capture_rng_states(stage.rngs)))
-                elif command == "set_rng":
-                    restore_rng_states(stage.rngs, message[1])
-                    conn.send(("ok", None))
-                elif command == "shutdown":
-                    conn.send(("ok", None))
-                    break
+    def handle(self, message):
+        command, stage = message[0], self.stage
+        if command == "epoch":
+            stage.begin_epoch()
+            return None
+        if command == "step":
+            if self.faults is not None:
+                self.faults.on_worker_step(self.worker)
+            started = time.perf_counter()
+            loss, count, metrics = stage.compute()
+            missing = []
+            for index, (name, param) in enumerate(self.trainable):
+                view = self.grads.views[name]
+                if param.grad is None:
+                    view[...] = 0.0
+                    missing.append(index)
                 else:
-                    conn.send(
-                        ("error", ValueError(f"unknown command {command!r}"))
-                    )
-            except BaseException as error:
-                _send_error(conn, error)
+                    view[...] = param.grad
+            return {
+                "loss": float(loss),
+                "count": int(count),
+                "seconds": time.perf_counter() - started,
+                "missing": missing,
+                "metrics": metrics,
+            }
+        if command == "get_rng":
+            return capture_rng_states(stage.rngs)
+        if command == "set_rng":
+            restore_rng_states(stage.rngs, message[1])
+            return None
+        raise ValueError(f"unknown command {command!r}")
 
-    if stage is not None:
-        stage.close()
-    if pages is not None:
-        pages.close()
-    if grads is not None:
-        grads.close()
-    conn.close()
+    def close(self) -> None:
+        self.pages.close()
+        self.grads.close()
 
 
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
-class ParallelWorkerPool:
+class ParallelWorkerPool(ClosesOnExit):
     """N forked training workers over shared parameter pages.
 
     Lifecycle mirrors :class:`repro.serve.workers.ShardedEngine`: the
@@ -267,11 +220,10 @@ class ParallelWorkerPool:
         start_method: str | None = None,
         worker_timeout_s: float = 300.0,
     ) -> None:
+        self._closed = True  # nothing to tear down until the pool is up
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = int(workers)
-        self.worker_timeout_s = float(worker_timeout_s)
-        self._closed = False
         self._global_step = 0
         self._model = model = stage.model
         self._obs = obs
@@ -301,41 +253,34 @@ class ParallelWorkerPool:
             for __ in range(self.workers)
         ]
         self.grad_payload_bytes = self._grads[0].payload_bytes
-
-        context = multiprocessing.get_context(start_method or "fork")
-        self.start_method = context.get_start_method()
-        self._conns = []
-        self._procs = []
         try:
-            for worker in range(self.workers):
-                parent_conn, child_conn = context.Pipe()
-                spec = {
-                    "stage": stage,
-                    "rng": child_rngs[worker],
-                    "worker": worker,
-                    "workers": self.workers,
-                    "dtype": dtype.name if hasattr(dtype, "name") else str(dtype),
-                    "pages": self._pages.meta(),
-                    "grads": self._grads[worker].meta(),
-                    "faults": faults,
-                }
-                process = context.Process(
-                    target=_train_worker_main,
-                    args=(child_conn, spec),
-                    name=f"repro-train-worker-{worker}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(process)
-            self.steps_per_worker = [
-                int(self._recv(worker)["steps_per_epoch"])
-                for worker in range(self.workers)
-            ]
+            self._pool = ProcessPool(
+                _TrainWorker,
+                [
+                    {
+                        "stage": stage,
+                        "rng": child_rngs[worker],
+                        "worker": worker,
+                        "workers": self.workers,
+                        "dtype": dtype,
+                        "pages": self._pages.meta(),
+                        "grads": self._grads[worker].meta(),
+                        "faults": faults,
+                    }
+                    for worker in range(self.workers)
+                ],
+                name="repro-train-worker",
+                failure=self._worker_failed,
+                timeout_s=worker_timeout_s,
+                start_method=start_method,
+            )
         except BaseException:
-            self.close()
+            self._unlink_segments()
             raise
+        self._closed = False
+        self.steps_per_worker = [
+            int(ready["steps_per_epoch"]) for ready in self._pool.ready
+        ]
         #: The coordinator drives the max shard's batch count; workers
         #: whose (smaller) shard is exhausted idle out the step tail.
         self.steps_per_epoch = max(self.steps_per_worker, default=0)
@@ -343,63 +288,17 @@ class ParallelWorkerPool:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _send(self, worker: int, message) -> None:
-        try:
-            self._conns[worker].send(message)
-        except (BrokenPipeError, OSError) as error:
-            process = self._procs[worker] if worker < len(self._procs) else None
-            exitcode = process.exitcode if process is not None else None
-            raise WorkerFailedError(
-                worker,
-                self._global_step,
-                f"training worker {worker} died at global step "
-                f"{self._global_step} (exit code {exitcode})",
-            ) from error
+    def _worker_failed(self, worker: int, what: str, raised=None):
+        """What a failed pool call raises (the transport's wording hook)."""
+        step = self._global_step
+        return WorkerFailedError(
+            worker, f"training worker {worker} {what} at global step {step}", step
+        )
 
-    def _recv(self, worker: int):
-        conn = self._conns[worker]
-        deadline = time.monotonic() + self.worker_timeout_s
-        while not conn.poll(0.05):
-            process = self._procs[worker] if worker < len(self._procs) else None
-            if process is not None and not process.is_alive():
-                if conn.poll(0):  # drain a reply racing the exit
-                    break
-                raise WorkerFailedError(
-                    worker,
-                    self._global_step,
-                    f"training worker {worker} died at global step "
-                    f"{self._global_step} (exit code {process.exitcode})",
-                )
-            if time.monotonic() >= deadline:
-                raise WorkerFailedError(
-                    worker,
-                    self._global_step,
-                    f"training worker {worker} did not reply within "
-                    f"{self.worker_timeout_s:g}s at global step "
-                    f"{self._global_step}",
-                )
-        try:
-            status, payload = conn.recv()
-        except (EOFError, OSError) as error:
-            raise WorkerFailedError(
-                worker,
-                self._global_step,
-                f"training worker {worker} exited unexpectedly at global "
-                f"step {self._global_step}",
-            ) from error
-        if status == "error":
-            cause = (
-                payload
-                if isinstance(payload, BaseException)
-                else RuntimeError(str(payload))
-            )
-            raise WorkerFailedError(
-                worker,
-                self._global_step,
-                f"training worker {worker} failed at global step "
-                f"{self._global_step}: {cause}",
-            ) from cause
-        return payload
+    def _unlink_segments(self) -> None:
+        for segment in (self._pages, *self._grads):
+            segment.close()
+            segment.unlink()
 
     # ------------------------------------------------------------------
     # Training protocol
@@ -417,9 +316,9 @@ class ParallelWorkerPool:
             for __ in range(self.workers)
         ]
         for worker in range(self.workers):
-            self._send(worker, ("epoch", epoch))
+            self._pool.send(worker, ("epoch", epoch))
         for worker in range(self.workers):
-            self._recv(worker)
+            self._pool.recv(worker)
 
     def step(self, step_index: int):
         """One synchronous step: publish, compute on workers, allreduce.
@@ -436,8 +335,8 @@ class ParallelWorkerPool:
             if self.steps_per_worker[worker] > step_index
         ]
         for worker in active:
-            self._send(worker, ("step",))
-        payloads = [self._recv(worker) for worker in active]
+            self._pool.send(worker, ("step",))
+        payloads = [self._pool.recv(worker) for worker in active]
         counts = [int(payload["count"]) for payload in payloads]
         reduce_started = time.perf_counter()
         total = self.reduce_gradients(active, payloads)
@@ -506,9 +405,9 @@ class ParallelWorkerPool:
     def capture_rng(self, aux) -> None:
         """Store every worker's serialized generator states in ``aux``."""
         for worker in range(self.workers):
-            self._send(worker, ("get_rng",))
+            self._pool.send(worker, ("get_rng",))
         aux[WORKER_RNG_GROUP] = {
-            f"worker_{worker}": np.asarray(self._recv(worker))
+            f"worker_{worker}": np.asarray(self._pool.recv(worker))
             for worker in range(self.workers)
         }
 
@@ -530,56 +429,17 @@ class ParallelWorkerPool:
                     f"checkpoint is missing RNG streams for training "
                     f"worker {worker}"
                 )
-            self._send(worker, ("set_rng", group[key]))
+            self._pool.send(worker, ("set_rng", group[key]))
         for worker in range(self.workers):
-            self._recv(worker)
+            self._pool.recv(worker)
 
     # ------------------------------------------------------------------
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, timeout: float = 5.0) -> None:
-        """Stop workers and retire every shared segment (idempotent)."""
+        """Stop workers, then retire every shared segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        conns = getattr(self, "_conns", [])
-        for conn in conns:
-            try:
-                conn.send(("shutdown",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for conn in conns:
-            try:
-                if conn.poll(timeout):
-                    conn.recv()
-            except (EOFError, OSError):
-                pass
-        for process in getattr(self, "_procs", []):
-            process.join(timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(1.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        pages = getattr(self, "_pages", None)
-        if pages is not None:
-            pages.close()
-            pages.unlink()
-        for grad in getattr(self, "_grads", []):
-            grad.close()
-            grad.unlink()
-
-    def __enter__(self) -> "ParallelWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close(timeout=1.0)
-        except Exception:
-            pass
+        self._pool.close(timeout)
+        self._unlink_segments()

@@ -32,7 +32,7 @@ from repro.data.loaders import (
     NextItemBatchLoader,
     PopularityNegativeSampler,
 )
-from repro.data.pipeline import CyclingStream, Prefetcher
+from repro.data.pipeline import CyclingStream
 from repro.eval.evaluator import Evaluator
 
 __all__ = [
@@ -119,7 +119,6 @@ class Stage:
     # -- batch half -----------------------------------------------------
     def open(self, rng, obs=None, worker_shard=None) -> None:
         """Build the loaders (which spawns their RNG streams)."""
-        self._obs = obs
         self.loaders = self._loaders(
             rng,
             pipeline=self.config.pipeline,
@@ -134,12 +133,8 @@ class Stage:
         self.rngs = dedup_rngs([rng, *loader_rngs, getattr(self.model, "_rng", None)])
 
     def begin_epoch(self) -> None:
-        """Open the epoch's batch stream (prefetched when vectorized)."""
-        self.close()
-        source = self.loaders[0].epoch()
-        if self.config.pipeline == "vectorized":
-            source = Prefetcher(source, obs=self._obs)
-        self._stream = source
+        """Open the epoch's batch stream; batches are built as consumed."""
+        self._stream = self.loaders[0].epoch()
 
     def step(self):
         """Forward one batch: ``(loss Tensor, rows, {metric: value})``."""
@@ -163,12 +158,6 @@ class Stage:
             param.zero_grad()
         loss.backward()
         return value, rows, metrics
-
-    def close(self) -> None:
-        """Tear the batch stream (and its prefetch thread) down."""
-        stream, self._stream = self._stream, None
-        if stream is not None:
-            stream.close()
 
     # -- bookkeeping half -----------------------------------------------
     def resume(self, start_epoch: int) -> int:
@@ -301,13 +290,9 @@ class NextItemStage(Stage):
 class JointStage(Stage):
     """``L_rec + λ·L_cl``: one contrastive batch per supervised batch.
 
-    The contrastive side cycles when its (shorter) epoch runs dry, and
-    it cycles **synchronously** (no prefetch thread) even on the
-    vectorized pipeline: a background thread keeps drawing from the
-    loader's stream after the epoch's last step, which would make the
-    end-of-epoch RNG state — and the next epoch's batches — depend on
-    thread timing.  The supervised side is fully consumed every epoch,
-    so it prefetches freely.
+    The contrastive side cycles when its (shorter) epoch runs dry; its
+    stream restarts with every epoch, so a pass left half consumed at
+    the epoch's last step is dropped, not carried over.
     """
 
     event, label = "joint_epoch", "joint"
@@ -338,7 +323,7 @@ class JointStage(Stage):
 
     def begin_epoch(self) -> None:
         super().begin_epoch()
-        self._cl_stream = CyclingStream(self.loaders[1], pipeline="reference")
+        self._cl_stream = CyclingStream(self.loaders[1])
 
     def step(self):
         batch = next(self._stream)

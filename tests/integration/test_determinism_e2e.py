@@ -83,9 +83,8 @@ class TestDeterminismEndToEnd:
     def test_same_seed_bit_identical_different_seed_diverges(
         self, tmp_path, pipeline
     ):
-        # The vectorized path prefetches batches from a worker thread;
-        # determinism must survive the concurrency (private child rng
-        # streams, FIFO hand-off), not just the numerics.
+        # The vectorized path draws from private child rng streams;
+        # determinism must hold there as on the reference path.
         rows_a, topk_a = run_pipeline(tmp_path, "run_a", seed=0, pipeline=pipeline)
         rows_b, topk_b = run_pipeline(tmp_path, "run_b", seed=0, pipeline=pipeline)
         rows_c, topk_c = run_pipeline(tmp_path, "run_c", seed=1, pipeline=pipeline)

@@ -5,7 +5,7 @@ of the combined mask against the reference construction including the
 fully-masked-row diagonal fix), the scratch pool (reuse + thread
 isolation), fused-vs-reference equivalence for the full attention layer
 and FFN from identical parameters, the no-grad inference fast path, and
-the packed-QKV state-dict compatibility shim in both directions.
+the refusal of the retired three-projection Q/K/V state-dict layout.
 """
 
 import threading
@@ -15,14 +15,11 @@ import pytest
 
 from repro.nn import compute
 from repro.nn import functional as F
-from repro.nn.attention import (
-    MultiHeadSelfAttention,
-    causal_mask,
-    pack_qkv_state,
-    unpack_qkv_state,
-)
+from repro.nn.attention import MultiHeadSelfAttention, causal_mask
+from repro.nn.checkpoint import load_checkpoint
+from repro.nn.serialization import CheckpointError
 from repro.nn.tensor import Tensor, no_grad
-from repro.nn.transformer import PositionwiseFeedForward, TransformerEncoder
+from repro.nn.transformer import PositionwiseFeedForward
 
 
 @pytest.fixture(autouse=True)
@@ -257,60 +254,33 @@ class TestFusedEquivalence:
         np.testing.assert_array_equal(probs_f, probs_r)
 
 
-class TestQKVStateShim:
-    def legacy_state(self, module):
-        """What a pre-packing checkpoint of this module looked like."""
-        state = unpack_qkv_state(module.state_dict())
-        assert any("query_proj" in key for key in state)
-        return state
+class TestLegacyQKVLayoutRefused:
+    def test_legacy_state_dict_is_refused_by_name(self, tmp_path):
+        """The three-projection layout is no longer upgraded on load: it
+        is refused by name, and nothing of it is loaded."""
+        module = make_attention(seed=11)
+        packed = module.state_dict()
+        dim = module.dim
+        legacy = {
+            key: value
+            for key, value in packed.items()
+            if not key.startswith("qkv_proj.")
+        }
+        for i, proj in enumerate(("query_proj", "key_proj", "value_proj")):
+            block = slice(i * dim, (i + 1) * dim)
+            legacy[f"{proj}.weight"] = packed["qkv_proj.weight"][:, block]
+            legacy[f"{proj}.bias"] = packed["qkv_proj.bias"][block]
 
-    def test_legacy_checkpoint_loads_transparently(self):
-        source = make_attention(seed=11)
-        legacy = self.legacy_state(source)
         target = make_attention(seed=12)
-        target.load_state_dict(legacy)
-        np.testing.assert_array_equal(
-            target.qkv_proj.weight.data, source.qkv_proj.weight.data
-        )
-        np.testing.assert_array_equal(
-            target.qkv_proj.bias.data, source.qkv_proj.bias.data
-        )
+        before = target.state_dict()
+        with pytest.raises(KeyError, match=r"missing=\[.*'qkv_proj\.weight'"):
+            target.load_state_dict(legacy)
 
-    def test_pack_unpack_round_trip(self):
-        module = make_attention(seed=13)
-        state = module.state_dict()
-        round_tripped = pack_qkv_state(module, unpack_qkv_state(state))
-        assert set(round_tripped) == set(state)
-        for key, value in state.items():
-            np.testing.assert_array_equal(round_tripped[key], value)
+        path = tmp_path / "legacy.npz"
+        np.savez(path, **{f"model/{key}": value for key, value in legacy.items()})
+        with pytest.raises(CheckpointError, match=r"qkv_proj\.weight"):
+            load_checkpoint(path, target)
+        for key, value in target.state_dict().items():
+            np.testing.assert_array_equal(value, before[key], err_msg=key)
 
-    def test_legacy_load_reproduces_legacy_outputs(self):
-        """A packed module loaded from a legacy checkpoint computes the
-        same attention as the three-projection composition."""
-        module = make_attention(seed=14)
-        legacy = self.legacy_state(module)
-        reloaded = make_attention(seed=15)
-        reloaded.load_state_dict(legacy)
-        reloaded.eval()
-        module.eval()
-        x = Tensor(np.random.default_rng(16).normal(size=(2, 4, 8)))
-        np.testing.assert_array_equal(
-            reloaded(x, causal=True).data, module(x, causal=True).data
-        )
 
-    def test_encoder_level_legacy_checkpoint(self):
-        """The shim rewrites nested prefixes (layers.N.attention....)."""
-        encoder = TransformerEncoder(
-            num_layers=2, dim=8, num_heads=2, hidden_dim=16,
-            rng=np.random.default_rng(17),
-        )
-        legacy = unpack_qkv_state(encoder.state_dict())
-        fresh = TransformerEncoder(
-            num_layers=2, dim=8, num_heads=2, hidden_dim=16,
-            rng=np.random.default_rng(18),
-        )
-        fresh.load_state_dict(legacy)
-        for (name, a), (__, b) in zip(
-            fresh.named_parameters(), encoder.named_parameters()
-        ):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=name)

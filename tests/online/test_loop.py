@@ -154,7 +154,7 @@ def test_failed_swap_self_check_rolls_back(tmp_path, tiny_dataset, monkeypatch):
     the previous weights."""
     loop, engine, store = _build_loop(tmp_path, tiny_dataset, trace_events=60)
 
-    def exploding_swap(checkpoint, probe=True):
+    def exploding_swap(checkpoint):
         raise ModelSwapError("self-check failed (previous weights restored)")
 
     monkeypatch.setattr(engine, "swap_model", exploding_swap)

@@ -134,6 +134,24 @@ class TestErrorHandling:
             _get(server, "/nope")
         assert excinfo.value.code == 404
 
+    def _assert_400_then_served(self, server, bad_request):
+        """``bad_request`` is a 400 ``bad_request`` (not a 500), and —
+        its body having been read — the connection serves the next one."""
+        sends, __ = _handler_sends(server, bad_request, _raw("GET", "/health"))
+        (status, headers, body), (next_status, __, __) = map(_parse_reply, sends)
+        assert (status, body["reason"]) == (400, "bad_request")
+        assert "Connection" not in headers
+        assert next_status == 200
+
+    def test_non_utf8_body_is_400(self, server):
+        body = b'{"user": "\xff\xfe"}'
+        head = f"POST /recommend HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}"
+        self._assert_400_then_served(server, head.encode() + b"\r\n\r\n" + body)
+
+    @pytest.mark.parametrize("payload", [[1], "x", 3])
+    def test_non_object_reload_body_is_400(self, server, payload):
+        self._assert_400_then_served(server, _raw("POST", "/admin/reload", payload))
+
 
 def _raw(method, path, payload=None, headers=()):
     """One HTTP/1.1 request as the bytes a client would ``sendall``."""

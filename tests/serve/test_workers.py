@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.procpool import WorkerFailedError
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
 from repro.runtime.checkpointing import CheckpointManager
@@ -323,7 +324,7 @@ def test_close_is_clean_and_idempotent(checkpoint_dir, tiny_dataset):
         fresh_engine(checkpoint_dir, tiny_dataset), workers=2
     )
     assert len(shm_segments()) == 1
-    procs = list(sharded._procs)
+    procs = list(sharded._pool.processes)
     sharded.close()
     sharded.close()  # idempotent
     assert shm_segments() == []
@@ -338,8 +339,8 @@ def test_dead_worker_raises_instead_of_hanging(checkpoint_dir, tiny_dataset):
         worker_timeout_s=10.0,
     )
     try:
-        sharded._procs[0].terminate()
-        sharded._procs[0].join(5.0)
+        sharded._pool.processes[0].terminate()
+        sharded._pool.processes[0].join(5.0)
         with pytest.raises(RuntimeError, match="died|exited"):
             # Hit every shard so shard 0 is definitely touched.
             sharded.recommend_batch(
@@ -347,6 +348,28 @@ def test_dead_worker_raises_instead_of_hanging(checkpoint_dir, tiny_dataset):
             )
     finally:
         sharded.close()
+    assert shm_segments() == []
+
+
+def test_silent_worker_raises_within_worker_timeout(checkpoint_dir, tiny_dataset):
+    """The transport's timeout arm through the real pool: an encode that
+    outlasts ``worker_timeout_s`` is a named error, not a hang, and the
+    wedged worker does not outlive ``close()``."""
+    sharded = ShardedEngine(
+        fresh_engine(checkpoint_dir, tiny_dataset), workers=1,
+        worker_timeout_s=1.0,
+    )
+    try:
+        sharded.set_faults(FaultInjector(encode_delay_s=30.0))
+        started = time.monotonic()
+        with pytest.raises(
+            WorkerFailedError, match="scoring worker 0 did not reply within 1s"
+        ):
+            sharded.recommend(user=0, k=5)
+        assert time.monotonic() - started < 5.0
+    finally:
+        sharded.close(timeout=0.3)
+    assert not any(p.is_alive() for p in sharded._pool.processes)
     assert shm_segments() == []
 
 

@@ -13,7 +13,9 @@ The contract under test (docs/SCALING.md "Training at scale"):
 """
 
 import glob
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -34,7 +36,12 @@ from repro.runtime import (
     TrainingInterrupted,
     TrainingRuntime,
 )
-from repro.train.parallel import WorkerFailedError, pairwise_sum
+from repro.train.parallel import (
+    ParallelWorkerPool,
+    WorkerFailedError,
+    pairwise_sum,
+)
+from repro.train.stages import PretrainStage
 
 pytestmark = pytest.mark.parallel
 
@@ -301,6 +308,55 @@ class TestWorkerFailure:
         assert "worker 1" in str(error)
         assert "step 2" in str(error)
         # Every shared segment this run created must be unlinked.
+        assert leaked_segments() <= before
+
+    def _pool(self, dataset, stage_cls, **kwargs):
+        model = build_cl4srec(dataset, mode="pretrain_finetune", workers=2)
+        stage = stage_cls(model, dataset, model.cl_config.pretrain)
+        return ParallelWorkerPool(
+            stage, model._rng, 2, np.dtype("float64"), **kwargs
+        )
+
+    def test_silent_worker_raises_within_worker_timeout(self, tiny_dataset):
+        """The transport's timeout arm through the real pool: a step that
+        outlasts ``worker_timeout_s`` is a named error, not a hang."""
+
+        class SleepyStage(PretrainStage):
+            def compute(self):
+                time.sleep(30.0)
+
+        before = leaked_segments()
+        pool = self._pool(tiny_dataset, SleepyStage, worker_timeout_s=1.0)
+        try:
+            pool.begin_epoch(0)
+            started = time.monotonic()
+            with pytest.raises(
+                WorkerFailedError,
+                match="training worker 0 did not reply within 1s at global step 1",
+            ) as excinfo:
+                pool.step(0)
+            assert time.monotonic() - started < 5.0
+            assert (excinfo.value.worker, excinfo.value.step) == (0, 1)
+        finally:
+            pool.close(timeout=0.3)
+        assert multiprocessing.active_children() == []
+        assert leaked_segments() <= before
+
+    def test_worker_startup_failure_leaves_no_child_and_no_segment(
+        self, tiny_dataset
+    ):
+        class UnopenableStage(PretrainStage):
+            def open(self, rng, obs=None, worker_shard=None):
+                raise OSError("no loaders today")
+
+        before = leaked_segments()
+        with pytest.raises(
+            WorkerFailedError, match="training worker 0 failed: no loaders today"
+        ) as excinfo:
+            self._pool(tiny_dataset, UnopenableStage)
+        assert isinstance(excinfo.value.__cause__, OSError)
+        assert excinfo.value.step == 0
+        assert multiprocessing.active_children() == []
         assert leaked_segments() <= before
 
     def test_no_segments_leak_from_clean_run(self, tiny_dataset):
