@@ -232,7 +232,9 @@ def _run_index(args: argparse.Namespace) -> int:
         return 2
     with _serving_setup():
         config = ServeConfig.from_args(args)
-        matrix = config.build_engine(resilience=None).index.matrix
+        # index=None: the engine's default exact index only adopts the
+        # matrix, so the configured index is built, and timed, once.
+        matrix = config.build_engine(resilience=None, index=None).index.matrix
         started = time.time()
         index = config.build_index().build(matrix)
         built_in = time.time() - started
@@ -573,6 +575,7 @@ def _run_online(args: argparse.Namespace) -> int:
                 "trace_seed": args.trace_seed,
             },
         )
+        engine.observer = obs  # model_swap / rollback events join the stream
 
     server = None
     if args.port is not None:

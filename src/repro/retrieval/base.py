@@ -246,11 +246,23 @@ class ItemIndex(abc.ABC):
 
     @abc.abstractmethod
     def rebuild(self, item_matrix: np.ndarray) -> "ItemIndex":
-        """A fresh index with the same hyperparameters on new data.
+        """A new index with the same hyperparameters on new data.
 
         The hot-reload path (``RecommendationEngine.swap_model``)
         builds the replacement off to the side and swaps the reference
-        atomically, so requests never observe a half-built index.
+        atomically, so requests never observe a half-built index; this
+        index is left as it was, so a refused swap costs it nothing.
+
+        The replacement may *continue* structures of this one where
+        that is measured to serve the same lists, and must fall back to
+        the cold :meth:`build` — decided from shapes it can see, never
+        from an option — where they do not fit ``item_matrix``.
+        ``ExactIndex``, ``ivf`` and ``ivf_flat`` continue nothing: their
+        rebuild *is* ``build`` on the new matrix.  ``ivf_pq`` re-fits
+        its cells cold and takes one Lloyd step on the live PQ
+        codebooks (on an unchanged matrix: the codebooks of a cold
+        build with ``kmeans_iters + 1``), so it is a function of
+        (matrix, parameters, rebuilds since its cold build).
         """
 
     def stats(self) -> dict:

@@ -120,6 +120,7 @@ class IVFIndex(ItemIndex):
         self._list_offsets: np.ndarray | None = None  # (nlist + 1,)
         self._codes: np.ndarray | None = None
         self._quantizer: Int8Quantizer | ProductQuantizer | None = None
+        self._pq_relative_error: float | None = None
 
     @classmethod
     def from_kind(cls, kind: str, **params) -> "IVFIndex":
@@ -135,6 +136,12 @@ class IVFIndex(ItemIndex):
     # Build
     # ------------------------------------------------------------------
     def build(self, item_matrix: np.ndarray) -> "IVFIndex":
+        return self._fit(item_matrix, codebooks=None)
+
+    def _fit(
+        self, item_matrix: np.ndarray, codebooks: np.ndarray | None
+    ) -> "IVFIndex":
+        """``build``; PQ continues from ``codebooks`` when they fit."""
         matrix = self._set_matrix(item_matrix)
         # Row 0 is the padding id: never a candidate, so it is kept out
         # of the inverted lists entirely.
@@ -169,10 +176,16 @@ class IVFIndex(ItemIndex):
                     f"pq_m={self.pq_m} does not divide embedding dim "
                     f"{matrix.shape[1]}"
                 )
+            width = matrix.shape[1] // self.pq_m
+            if codebooks is not None and codebooks.shape != (
+                self.pq_m, ProductQuantizer.CODEBOOK_SIZE, width
+            ):
+                codebooks = None  # pq_m or the dim changed: cold fit
             self._quantizer = ProductQuantizer(
                 m=self.pq_m, iters=self.kmeans_iters, seed=self.seed
-            ).fit(items)
+            ).fit(items, init=codebooks)
             self._codes = self._quantizer.encode(matrix)
+            self._measure_pq_error()
         else:
             self._quantizer = None
             self._codes = None
@@ -194,7 +207,21 @@ class IVFIndex(ItemIndex):
             kmeans_iters=self.kmeans_iters,
             seed=self.seed,
         )
-        return clone.build(item_matrix)
+        # The cells are re-fit cold: they decide what a query probes and
+        # a warm start parks them in a local minimum.  Only the PQ
+        # codebooks continue, by one Lloyd step from the live ones.
+        return clone._fit(
+            item_matrix, codebooks=getattr(self._quantizer, "codebooks", None)
+        )
+
+    def _measure_pq_error(self) -> None:
+        """Store Σ‖x − decode(code)‖² ÷ Σ‖x‖² over the item rows."""
+        items = self._matrix[1:].astype(np.float64, copy=False)
+        residual = items - self._quantizer.decode(self._codes[1:])
+        norm = float(np.einsum("nd,nd->", items, items))
+        self._pq_relative_error = (
+            float(np.einsum("nd,nd->", residual, residual)) / norm if norm else 0.0
+        )
 
     def with_params(
         self, nprobe: int | None = None, rerank: int | None = None
@@ -332,6 +359,8 @@ class IVFIndex(ItemIndex):
                 code_bytes=int(self._codes.nbytes) if self._codes is not None else 0,
                 centroid_bytes=int(self._centroids.nbytes),
             )
+            if self.quantize == "pq":
+                payload["pq_relative_error"] = self._pq_relative_error
         return payload
 
     def _artifact_params(self) -> dict:
@@ -367,3 +396,4 @@ class IVFIndex(ItemIndex):
         elif self.quantize == "pq":
             self._quantizer = ProductQuantizer.from_state(arrays)
             self._codes = np.asarray(arrays["codes"], dtype=np.uint8)
+            self._measure_pq_error()

@@ -101,6 +101,7 @@ def kmeans(
     iters: int = 10,
     seed: int = 0,
     sample: int | None = None,
+    init: np.ndarray | None = None,
 ) -> KMeansResult:
     """Lloyd k-means with seeded k-means++ init.
 
@@ -118,6 +119,13 @@ def kmeans(
         Optionally fit on a seeded subsample of at most this many
         points (codebook training on huge catalogues); the returned
         assignments still cover **all** points.
+    init:
+        ``(k, d)`` centroids to continue from instead of k-means++
+        (``k`` after clamping).  The subsample is drawn exactly as
+        without it and nothing else is drawn, so ``iters=1`` from the
+        centroids of an ``iters=n`` run on the same points is the
+        ``iters=n + 1`` run.  A wrong shape is an error, never a silent
+        cold start.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -132,7 +140,16 @@ def kmeans(
     if sample is not None and n > sample:
         train = points[rng.choice(n, size=sample, replace=False)]
 
-    centroids = _kmeanspp_init(train, k, rng)
+    if init is None:
+        centroids = _kmeanspp_init(train, k, rng)
+    else:
+        # A copy: the update below writes centroids in place, and the
+        # caller's (an index still serving) must not move.
+        centroids = np.array(init, dtype=np.float64)
+        if centroids.shape != (k, points.shape[1]):
+            raise ValueError(
+                f"init must be ({k}, {points.shape[1]}), got shape {centroids.shape}"
+            )
     for _ in range(max(1, int(iters))):
         assignments, distances = assign_chunked(train, centroids)
         counts = np.bincount(assignments, minlength=k)

@@ -117,17 +117,33 @@ class ProductQuantizer:
             )
         return matrix.reshape(n, self.m, d // self.m)
 
-    def fit(self, matrix: np.ndarray) -> "ProductQuantizer":
+    def fit(
+        self, matrix: np.ndarray, init: np.ndarray | None = None
+    ) -> "ProductQuantizer":
+        """Train the ``m`` codebooks on ``matrix``.
+
+        With ``init`` — ``(m, 256, d // m)`` codebooks of an earlier fit
+        — each sub-space takes one Lloyd step from them instead of
+        ``iters`` steps from k-means++: on the same matrix that is the
+        ``iters + 1`` fit of the quantizer ``init`` came from.
+        """
         subvectors = self._split(matrix)
-        ds = subvectors.shape[2]
-        codebooks = np.zeros((self.m, self.CODEBOOK_SIZE, ds), dtype=np.float64)
+        n, __, ds = subvectors.shape
+        shape = (self.m, self.CODEBOOK_SIZE, ds)
+        if init is not None and np.shape(init) != shape:
+            raise ValueError(
+                f"init codebooks must be {shape}, got shape {np.shape(init)}"
+            )
+        codebooks = np.zeros(shape, dtype=np.float64)
         for sub in range(self.m):
             result = kmeans(
                 subvectors[:, sub, :],
                 self.CODEBOOK_SIZE,
-                iters=self.iters,
+                iters=self.iters if init is None else 1,
                 seed=self.seed + sub,  # decorrelate subspace inits
                 sample=self.train_sample,
+                # kmeans clamps k to n; the rows past n are padding.
+                init=None if init is None else init[sub, :n],
             )
             # Fewer distinct points than codewords: kmeans clamps k;
             # pad by repeating the first centroid so codes stay uint8

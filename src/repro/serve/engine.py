@@ -466,6 +466,7 @@ class RecommendationEngine(EngineFacade):
 
         Returns ``{"model_version", "step", "checkpoint"}``.
         """
+        swap_started = time.perf_counter()
         checkpoint = os.fspath(checkpoint)
         try:
             state, step = load_model_state(checkpoint)
@@ -492,7 +493,9 @@ class RecommendationEngine(EngineFacade):
         try:
             # Rebuild off to the side with the same hyperparameters;
             # the live index keeps serving until the publish below.
+            rebuild_started = time.perf_counter()
             new_index = self.index.rebuild(self._live_matrix())
+            rebuild_s = time.perf_counter() - rebuild_started
             self._self_check(new_index)
         except Exception as error:
             self.model.load_state_dict(previous)
@@ -519,6 +522,8 @@ class RecommendationEngine(EngineFacade):
             checkpoint=checkpoint,
             step=step,
             model_version=self.model_version,
+            rebuild_s=rebuild_s,
+            swap_s=time.perf_counter() - swap_started,
         )
         return {
             "model_version": self.model_version,

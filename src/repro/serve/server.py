@@ -238,6 +238,10 @@ class RecommendationServer:
 
     def reload(self, checkpoint: str | None = None) -> dict:
         """Hot-swap model weights (the ``/admin/reload`` body handler)."""
+        if checkpoint is not None and not isinstance(checkpoint, str):
+            raise RequestError(
+                f'"checkpoint" must be a path string, got {checkpoint!r}'
+            )
         target = checkpoint or self.engine.checkpoint_path
         if not target:
             raise RequestError(

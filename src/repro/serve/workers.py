@@ -120,9 +120,12 @@ def _build_worker_index(kind: str, params: dict, matrix: np.ndarray):
     """A worker-local index over the shared matrix view.
 
     ``ExactIndex.build`` keeps a contiguous view by reference, so the
-    default retrieval path is fully zero-copy; approximate kinds rebuild
-    their structures locally from the same hyperparameters (their
-    training is seeded through ``params``, so workers agree).
+    default retrieval path is fully zero-copy; approximate kinds build
+    their structures locally from the same hyperparameters.  Workers
+    agree by induction: every one cold-builds here from the same seeded
+    ``params`` and matrix, and every ``"swap"`` applies the same
+    ``rebuild`` (for ``ivf_pq`` a function of the live codebooks) to the
+    same new matrix — as the template does, when it was wrapped unswapped.
     """
     if kind == "exact":
         return ExactIndex().build(matrix)
@@ -432,35 +435,46 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
             new_shared = SharedModelState.create(
                 arrays, generation=info["model_version"]
             )
-            failures = []
-            with self._hold(range(self.workers)):
-                for shard in range(self.workers):
-                    self._pool.send(shard, (
-                        "swap",
-                        new_shared.meta(),
-                        info["checkpoint"],
-                        info["model_version"],
-                        info["step"],
-                    ))
-                for shard in range(self.workers):
-                    try:
-                        self._pool.recv(shard)
-                    except Exception as error:
-                        failures.append((shard, error))
-            if failures:
-                # The template already validated this checkpoint, so a
-                # worker-side failure means a dead/wedged process; the
-                # pool is no longer coherent and must be rebuilt.
-                raise RuntimeError(
-                    f"model swap failed on workers "
-                    f"{[shard for shard, __ in failures]}: {failures[0][1]}"
-                )
+            try:
+                self._publish(new_shared, info)
+            except BaseException:
+                # ``close()`` only knows ``self._shared``; a segment that
+                # never became it is retired here or never.
+                new_shared.close()
+                new_shared.unlink()
+                raise
             old, self._shared = self._shared, new_shared
             old.close()
             old.unlink()
         self.metrics.increment("model_swaps")
         self.metrics.set_gauge("model_version", info["model_version"])
         return info
+
+    def _publish(self, new_shared: SharedModelState, info: dict) -> None:
+        """Quiesce every shard and re-point it at ``new_shared``."""
+        failures = []
+        with self._hold(range(self.workers)):
+            for shard in range(self.workers):
+                self._pool.send(shard, (
+                    "swap",
+                    new_shared.meta(),
+                    info["checkpoint"],
+                    info["model_version"],
+                    info["step"],
+                ))
+            for shard in range(self.workers):
+                try:
+                    self._pool.recv(shard)
+                except Exception as error:
+                    failures.append((shard, error))
+        if failures:
+            # The template already validated this checkpoint, so a
+            # worker-side failure means a dead/wedged process; the
+            # pool is no longer coherent and must be rebuilt.
+            raise RuntimeError(
+                f"model swap failed on workers "
+                f"{[shard for shard, __ in failures]}: {failures[0][1]}"
+            )
 
     def warm(self, users: np.ndarray) -> int:
         """Pre-populate each shard's cache for its own users."""

@@ -84,12 +84,18 @@ class TestProductQuantizer:
         seed=st.integers(0, 2**16),
         n=st.integers(8, 64),
         m=st.sampled_from([1, 2, 4]),
+        continued=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_assignment_is_nearest_codeword(self, seed, n, m):
+    def test_assignment_is_nearest_codeword(self, seed, n, m, continued):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(n, 8))
         quantizer = ProductQuantizer(m=m, iters=4, seed=0).fit(matrix)
+        if continued:  # one step from those codebooks, on a moved matrix
+            matrix = matrix + rng.normal(scale=0.3, size=matrix.shape)
+            quantizer = ProductQuantizer(m=m, iters=4, seed=0).fit(
+                matrix, init=quantizer.codebooks
+            )
         codes = quantizer.encode(matrix)
         subvectors = matrix.reshape(n, m, 8 // m)
         for sub in range(m):

@@ -1,15 +1,20 @@
 """Hot model reload: atomic swap, self-check rollback, versioning."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
 from repro.nn.serialization import CheckpointError
+from repro.retrieval import make_index
 from repro.runtime.checkpointing import CheckpointManager, write_archive
 from repro.runtime.faults import FaultInjector
 from repro.serve.engine import ModelSwapError, RecommendationEngine
 from repro.serve.server import CheckpointWatcher, RecommendationServer
+
+from tests.conftest import make_tiny_dataset
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
 
@@ -135,6 +140,98 @@ class TestSwapModel:
         assert engine.metrics.counters["model_swaps"] == 1
         snap = engine.metrics.snapshot()
         assert snap["gauges"]["model_version"] == 2
+
+
+    def test_swap_event_carries_its_own_timing(
+        self, engine, checkpoint_dir, other_sasrec
+    ):
+        events = []
+        engine.observer = SimpleNamespace(
+            event=lambda name, **fields: events.append((name, fields))
+        )
+        save_checkpoint(CheckpointManager(checkpoint_dir), 2, other_sasrec)
+        engine.swap_model(checkpoint_dir)
+        (name, fields), = events
+        assert name == "model_swap" and fields["model_version"] == 2
+        assert 0 < fields["rebuild_s"] <= fields["swap_s"] < 60
+
+
+class TestSwapUnderIvfPq:
+    """``rebuild`` continues the live PQ codebooks, so an ``ivf_pq``
+    engine is a function of its swap history — a deterministic one, and
+    one a refused swap is not part of."""
+
+    USERS = range(24)
+
+    @pytest.fixture(scope="class")
+    def catalogue(self):
+        dataset = make_tiny_dataset(num_users=800, num_items=400)
+        assert dataset.num_items > 256  # full codebooks, not padded ones
+        return dataset
+
+    @pytest.fixture()
+    def archives(self, tmp_path, catalogue):
+        paths = []
+        for seed in (1, 2):
+            model = build_model(
+                "SASRec", catalogue, SCALE.with_overrides(seed=SCALE.seed + seed)
+            )
+            paths.append(tmp_path / f"v{seed}.npz")
+            write_archive(paths[-1], model.state_dict())
+        return paths
+
+    @staticmethod
+    def engine_for(catalogue):
+        return RecommendationEngine(
+            build_model("SASRec", catalogue, SCALE),
+            catalogue,
+            index=make_index("ivf_pq", pq_m=4, nprobe=4, rerank=40),
+            max_batch_size=8,
+        )
+
+    def served(self, engine):
+        return [engine.recommend(user=u, k=10).items for u in self.USERS]
+
+    def test_two_swaps_are_a_deterministic_history(self, catalogue, archives):
+        first, second = self.engine_for(catalogue), self.engine_for(catalogue)
+        for version, path in enumerate(archives, start=2):
+            assert first.swap_model(path)["model_version"] == version
+            second.swap_model(path)
+            first._self_check(first.index)
+            for ours, theirs in zip(self.served(first), self.served(second)):
+                assert np.array_equal(ours, theirs)
+        # ... and a history it is: a cold build on the same matrix has
+        # the same cells and other codebooks.
+        cold = make_index("ivf_pq", pq_m=4).build(first.index.matrix)
+        assert np.array_equal(cold._centroids, first.index._centroids)
+        assert not np.array_equal(
+            cold._quantizer.codebooks, first.index._quantizer.codebooks
+        )
+
+    def test_refused_swaps_leave_the_live_codebooks_alone(
+        self, catalogue, archives, tmp_path
+    ):
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(archives[1].read_bytes())
+        FaultInjector.corrupt_file(corrupt, flip_byte_at=32)
+        poisoned = tmp_path / "nan.npz"
+        write_archive(poisoned, {
+            name: np.full_like(np.asarray(values), np.nan)
+            for name, values in self.engine_for(catalogue).model.state_dict().items()
+        })
+        clean, bumpy = self.engine_for(catalogue), self.engine_for(catalogue)
+        for engine in (clean, bumpy):
+            engine.swap_model(archives[0])
+        with pytest.raises(CheckpointError):
+            bumpy.swap_model(corrupt)
+        with pytest.raises(ModelSwapError):  # reaches rebuild, rolls back
+            bumpy.swap_model(poisoned)
+        for engine in (clean, bumpy):
+            assert engine.swap_model(archives[1])["model_version"] == 3
+        ours, theirs = bumpy.index._artifact_arrays(), clean.index._artifact_arrays()
+        assert all(np.array_equal(ours[name], theirs[name]) for name in theirs)
+        for a, b in zip(self.served(bumpy), self.served(clean)):
+            assert np.array_equal(a, b)
 
 
 class TestCheckpointWatcher:

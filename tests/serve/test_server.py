@@ -152,6 +152,14 @@ class TestErrorHandling:
     def test_non_object_reload_body_is_400(self, server, payload):
         self._assert_400_then_served(server, _raw("POST", "/admin/reload", payload))
 
+    @pytest.mark.parametrize("checkpoint", [3, ["a"], {"path": "a"}, True])
+    def test_non_string_reload_checkpoint_is_400(self, server, checkpoint):
+        """Was a 500: ``os.fspath`` raised ``TypeError`` inside ``swap_model``."""
+        self._assert_400_then_served(
+            server, _raw("POST", "/admin/reload", {"checkpoint": checkpoint})
+        )
+        assert server.engine.model_version == 1
+
 
 def _raw(method, path, payload=None, headers=()):
     """One HTTP/1.1 request as the bytes a client would ``sendall``."""

@@ -17,7 +17,8 @@ import pytest
 from repro.core.procpool import WorkerFailedError
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
-from repro.runtime.checkpointing import CheckpointManager
+from repro.retrieval import make_index
+from repro.runtime.checkpointing import CheckpointManager, write_archive
 from repro.runtime.faults import FaultInjector
 from repro.serve import (
     DeadlineExceeded,
@@ -297,6 +298,58 @@ def test_swap_propagates_to_all_workers(checkpoint_dir, tiny_dataset):
         assert sharded.recommend(user=1, k=5).model_version == 2
         # Old segment retired: exactly one live segment for this pool.
         assert len(shm_segments()) == 1
+
+
+@pytest.mark.loadtest
+def test_ivf_pq_swaps_match_the_in_process_history(
+    checkpoint_dir, tiny_dataset, tmp_path
+):
+    """Swap x approximate index x process model: the workers continue
+    their own codebooks swap by swap, and fan-out still serves what one
+    engine with the same history serves."""
+    archives = []
+    for seed in (1, 2):
+        model = build_model(
+            "SASRec", tiny_dataset, SCALE.with_overrides(seed=SCALE.seed + seed)
+        )
+        archives.append(tmp_path / f"v{seed}.npz")
+        write_archive(archives[-1], model.state_dict())
+    requests = [RecRequest(user=u, k=8) for u in range(24)]
+
+    def engine():
+        index = make_index("ivf_pq", pq_m=4, nprobe=3, rerank=20)
+        return fresh_engine(checkpoint_dir, tiny_dataset, index=index)
+
+    single = engine()
+    with ShardedEngine(engine(), workers=2) as sharded:
+        for version, path in enumerate(archives, start=2):
+            single.swap_model(path)
+            assert sharded.swap_model(path)["model_version"] == version
+            assert_identical(
+                single.recommend_batch(requests),
+                sharded.recommend_batch(requests),
+            )
+        assert len(shm_segments()) == 1
+    assert shm_segments() == []
+
+
+def test_failed_worker_swap_unlinks_the_new_segment(checkpoint_dir, tiny_dataset):
+    """The segment a swap creates is nobody's until every worker has
+    acknowledged it; a swap that dies in between must not leave it."""
+    sharded = ShardedEngine(
+        fresh_engine(checkpoint_dir, tiny_dataset), workers=2,
+        worker_timeout_s=10.0,
+    )
+    try:
+        before = shm_segments()
+        sharded._pool.processes[1].kill()
+        sharded._pool.processes[1].join(5.0)
+        with pytest.raises(RuntimeError, match="died|exited|model swap failed"):
+            sharded.swap_model(checkpoint_dir)
+        assert shm_segments() == before
+    finally:
+        sharded.close()
+    assert shm_segments() == []
 
 
 def test_merged_metrics_snapshot(checkpoint_dir, tiny_dataset):

@@ -202,6 +202,30 @@ class TestMain:
         assert len(err) == 1 and err[0].startswith("index: ")
         assert not (tmp_path / "i.npz").exists()
 
+    def test_index_builds_the_index_once(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro.retrieval import IVFIndex
+
+        builds = []
+        build = IVFIndex.build
+        monkeypatch.setattr(
+            IVFIndex, "build",
+            lambda self, matrix: builds.append(self.kind) or build(self, matrix),
+        )
+        ckpts = tmp_path / "ckpts"
+        assert main(["train", *self.SERVING_SCALE, "--mode", "joint",
+                     "--epochs", "1", "--checkpoint-dir", str(ckpts)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "i.npz"
+        assert main(["index", "--checkpoint", str(ckpts / "joint"),
+                     *self.SERVING_SCALE, "--index", "ivf_pq", "--pq-m", "4",
+                     "--output", str(out)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert builds == ["ivf_pq"]
+        assert stats["kind"] == "ivf_pq" and stats["artifact"] == str(out)
+        assert {"build_seconds", "artifact_bytes", "checksum"} <= set(stats)
+
     def test_train_then_serve_and_recommend(self, capsys, tmp_path):
         """End-to-end: train -> checkpoint -> batch serve -> one-shot."""
         import json
