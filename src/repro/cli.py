@@ -42,7 +42,7 @@ from repro.experiments.ablations import (
     run_projection_ablation,
     run_temperature_ablation,
 )
-from repro.experiments.config import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
+from repro.experiments.config import PRESETS, ExperimentScale
 from repro.experiments.convergence import run_convergence
 from repro.experiments.figure4 import PAPER_RATE_GRID, run_figure4
 from repro.experiments.figure5 import run_figure5
@@ -50,8 +50,6 @@ from repro.experiments.figure6 import PAPER_FRACTIONS, run_figure6
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.retrieval import INDEX_KINDS, IndexBuildError, IndexMismatchError
-
-PRESETS = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "full": FULL_SCALE}
 
 #: Exit code of ``train`` when interrupted (checkpoint flushed; re-run
 #: with ``--resume``).  Distinct from 0/1 so wrapper scripts can retry.

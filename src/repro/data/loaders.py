@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -393,17 +393,3 @@ class ContrastiveBatchLoader:
             view_a[row] = pad_left(a, t)
             view_b[row] = pad_left(b, t)
         return ContrastiveBatch(users, view_a, view_b)
-
-
-def batch_sequences(
-    sequences: Sequence[np.ndarray], max_length: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left-pad a list of sequences into a dense batch.
-
-    Returns the padded integer matrix and a boolean padding mask
-    (``True`` where the position is padding).
-    """
-    batch = np.zeros((len(sequences), max_length), dtype=np.int64)
-    for row, seq in enumerate(sequences):
-        batch[row] = pad_left(seq, max_length)
-    return batch, batch == 0

@@ -81,3 +81,6 @@ FULL_SCALE = ExperimentScale(
     batch_size=256,
     max_eval_users=None,
 )
+
+#: The ``--preset`` names (CLI and :class:`repro.serve.config.ServeConfig`).
+PRESETS = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "full": FULL_SCALE}

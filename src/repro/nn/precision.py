@@ -106,11 +106,6 @@ def precision(spec):
         set_default_dtype(previous)
 
 
-def is_float_dtype(dtype) -> bool:
-    """Whether ``dtype`` is one the Tensor core keeps as-is."""
-    return np.dtype(dtype) in SUPPORTED_DTYPES
-
-
 def grad_atol(dtype, float64_atol: float = 1e-6, float32_atol: float = 2e-2) -> float:
     """Finite-difference tolerance appropriate for ``dtype``.
 

@@ -30,7 +30,7 @@ from repro.serve.engine import (
     RecommendationEngine,
     sequence_key,
 )
-from repro.serve.metrics import LatencyHistogram, ServingMetrics
+from repro.serve.metrics import ServingMetrics
 from repro.serve.requests import (
     Recommendation,
     RecRequest,
@@ -70,7 +70,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "LRUCache",
-    "LatencyHistogram",
     "ModelSwapError",
     "PopularityFallback",
     "REFUSAL_REASONS",

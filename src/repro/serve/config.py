@@ -141,18 +141,13 @@ class ServeConfig:
     # ------------------------------------------------------------------
     def scale(self):
         """The :class:`~repro.experiments.config.ExperimentScale` in use."""
-        from repro.experiments.config import (
-            BENCH_SCALE,
-            FULL_SCALE,
-            SMOKE_SCALE,
-        )
+        from repro.experiments.config import PRESETS
 
-        presets = {"smoke": SMOKE_SCALE, "bench": BENCH_SCALE, "full": FULL_SCALE}
         try:
-            scale = presets[self.preset]
+            scale = PRESETS[self.preset]
         except KeyError:
             raise ValueError(
-                f"unknown preset {self.preset!r}; choose from {sorted(presets)}"
+                f"unknown preset {self.preset!r}; choose from {sorted(PRESETS)}"
             ) from None
         overrides = {
             name: getattr(self, name)

@@ -6,7 +6,7 @@ model scores a user the way the paper does (Eq. 13/15): one sequence
 representation times the item embeddings — ``encode_sequences`` +
 ``item_embedding_matrix`` — and every request takes the same path,
 :meth:`RecommendationEngine.recommend_batch`:
-resolve → cache → encode → score → topk.
+admit → cache lookup → encode → cache store → retrieve → fallback → respond.
 
 * **Precomputed item matrix** — the ``(num_items + 1, d)`` scoring
   matrix is materialized once at construction; each request then costs
@@ -174,6 +174,33 @@ def raise_first_error(results: list[Recommendation]) -> None:
             raise DeadlineExceeded(result.detail)
         if result.error is not None:
             raise RequestError(result.detail)
+
+
+#: An unserved slot's candidates: no items, no scores.
+_NOTHING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+class _Slot:
+    """One request's state, filled in place by the engine's stages.
+
+    ``error`` makes every later stage skip the slot; ``row`` is the user
+    representation (``None``: a popularity answer); ``cached``: it cost
+    this request no encoder forward; ``tier``: ``None`` (full quality),
+    ``"cache"`` or ``"popularity"``; ``picked``: ``(items, scores)``.
+    """
+
+    __slots__ = (
+        "request", "sequence", "exclusion", "deadline", "key",
+        "row", "cached", "tier", "error", "picked",
+    )
+
+    def __init__(self, request: RecRequest | None = None, sequence=None) -> None:
+        self.request = request
+        self.sequence = sequence
+        self.exclusion = self.deadline = self.key = None
+        self.row = self.tier = self.error = None
+        self.cached = False
+        self.picked = _NOTHING
 
 
 class EngineFacade:
@@ -571,48 +598,6 @@ class RecommendationEngine(EngineFacade):
         self._obs_event("breaker_transition", old=old, new=new)
 
     # ------------------------------------------------------------------
-    # Serving (entry points: EngineFacade.recommend / recommend_batch)
-    # ------------------------------------------------------------------
-    def _serve_batch(
-        self, requests: list[RecRequest], started: float
-    ) -> list[Recommendation]:
-        """resolve → cache → encode → score → topk, one answer per request."""
-        n = len(requests)
-        errors: list[tuple[str, str] | None] = [None] * n
-        with self.metrics.time_stage("total"):
-            with self.metrics.time_stage("resolve"):
-                sequences, exclusions = self._resolve(requests, errors)
-            deadlines: list = [None] * n
-            if self.policy is not None:
-                for i, request in enumerate(requests):
-                    if errors[i] is not None:
-                        continue
-                    deadline = self.policy.deadline_for(request, started)
-                    deadlines[i] = deadline
-                    if deadline is not None and deadline.expired():
-                        self.metrics.increment("deadline_exceeded")
-                        errors[i] = (
-                            REASON_DEADLINE,
-                            "deadline expired before scoring started "
-                            f"(budget {request.deadline_ms or self.policy.config.default_deadline_ms:g}ms)",
-                        )
-            keys = [
-                sequence_key(sequences[i]) if errors[i] is None else None
-                for i in range(n)
-            ]
-            rows, cached_flags, tiers = self._compute_rows(
-                keys, sequences, deadlines, errors
-            )
-            # _select_batch times its own "score" (index search) and
-            # "topk" (selection/assembly) stages.
-            results = self._select_batch(
-                requests, rows, exclusions, cached_flags, tiers, errors
-            )
-        self.metrics.increment("requests", len(requests))
-        self.metrics.increment("batches")
-        return results
-
-    # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
     def warm(self, users: np.ndarray) -> int:
@@ -620,17 +605,14 @@ class RecommendationEngine(EngineFacade):
 
         Returns the number of sequences actually encoded (cache misses).
         """
-        users = np.asarray(users)
-        sequences = [
-            np.asarray(self.dataset.full_sequence(int(u), split=self.split))
-            for u in users
+        slots = [
+            _Slot(sequence=np.asarray(self.dataset.full_sequence(int(u), self.split)))
+            for u in np.asarray(users)
         ]
-        keys = [sequence_key(seq) for seq in sequences]
-        before = self.metrics.counters.get("sequences_encoded", 0)
-        self._compute_rows(
-            keys, sequences, [None] * len(keys), [None] * len(keys)
-        )
-        return self.metrics.counters.get("sequences_encoded", 0) - before
+        self._cache_lookup(slots)
+        self._encode_misses(slots)
+        self._cache_store(slots)
+        return sum(slot.row is not None and not slot.cached for slot in slots)
 
     def invalidate_cache(self) -> None:
         """Drop every cached representation (after a weight update)."""
@@ -645,166 +627,157 @@ class RecommendationEngine(EngineFacade):
         """
 
     # ------------------------------------------------------------------
-    # Pipeline stages
+    # Serving (entry points: EngineFacade.recommend / recommend_batch).
+    # No stage touches more than one of cache, model and index.
     # ------------------------------------------------------------------
-    def _resolve(
-        self, requests: list[RecRequest], errors: list
-    ) -> tuple[list, list]:
-        """Request → (history sequence, excluded item ids or None).
+    def _serve_batch(
+        self, requests: list[RecRequest], started: float
+    ) -> list[Recommendation]:
+        """One slot per request through the stages below, in this order."""
+        with self.metrics.time_stage("total"):
+            slots = self._admit(requests, started)
+            self._cache_lookup(slots)
+            self._encode_misses(slots)
+            self._cache_store(slots)
+            self._retrieve(slots)
+            with self.metrics.time_stage("topk"):
+                self._fallback(slots)
+                results = self._respond(slots)
+        self.metrics.increment("requests", len(requests))
+        self.metrics.increment("batches")
+        return results
 
-        A request addressing an unknown user or item records a per-item
-        ``bad_request`` error and resolves to nothing.
+    def _admit(self, requests: list[RecRequest], started: float) -> list[_Slot]:
+        """Request → slot: validate, resolve the history, start the deadline.
+
+        Of the shared state it writes only the ``deadline_exceeded`` counter
+        (a spent budget, like an unknown user or item, is the slot's error).
         """
-        sequences: list = [None] * len(requests)
-        exclusions: list = [None] * len(requests)
-        for i, request in enumerate(requests):
-            user = request.user
-            if user is not None:
-                if not 0 <= user < self.dataset.num_users:
-                    errors[i] = (
-                        REASON_BAD_REQUEST,
-                        f"user {user} out of range [0, {self.dataset.num_users})",
+        dataset = self.dataset
+        slots = [_Slot(request) for request in requests]
+        with self.metrics.time_stage("resolve"):
+            for request, slot in zip(requests, slots):
+                user = request.user
+                if user is not None:
+                    if not 0 <= user < dataset.num_users:
+                        slot.error = (
+                            REASON_BAD_REQUEST,
+                            f"user {user} out of range [0, {dataset.num_users})",
+                        )
+                        continue
+                    slot.sequence = np.asarray(
+                        dataset.full_sequence(user, split=self.split)
                     )
-                    continue
-                sequences[i] = np.asarray(
-                    self.dataset.full_sequence(user, split=self.split)
-                )
-                if request.exclude_seen:
-                    exclusions[i] = self.dataset.seen_items(user)
-            else:
-                items = request.sequence
-                if min(items) < 0 or max(items) > self.dataset.num_items:
-                    errors[i] = (
-                        REASON_BAD_REQUEST,
-                        f"sequence item ids must be in [0, {self.dataset.num_items}]",
+                    if request.exclude_seen:
+                        slot.exclusion = dataset.seen_items(user)
+                else:
+                    items = request.sequence
+                    if min(items) < 0 or max(items) > dataset.num_items:
+                        slot.error = (
+                            REASON_BAD_REQUEST,
+                            f"sequence item ids must be in [0, {dataset.num_items}]",
+                        )
+                        continue
+                    slot.sequence = np.asarray(items, dtype=np.int64)
+                    if request.exclude_seen:
+                        slot.exclusion = np.unique(slot.sequence)
+        for slot in slots:
+            if self.policy is not None and slot.error is None:
+                slot.deadline = self.policy.deadline_for(slot.request, started)
+                if slot.deadline is not None and slot.deadline.expired():
+                    self.metrics.increment("deadline_exceeded")
+                    slot.error = (
+                        REASON_DEADLINE,
+                        "deadline expired before scoring started "
+                        f"(budget {slot.request.deadline_ms or self.policy.config.default_deadline_ms:g}ms)",
                     )
-                    continue
-                sequences[i] = np.asarray(items, dtype=np.int64)
-                if request.exclude_seen:
-                    exclusions[i] = np.unique(sequences[i])
-        return sequences, exclusions
+        return slots
 
-    def _popularity(self) -> PopularityFallback:
-        """The tier-2 popularity scores, built lazily on first degrade."""
-        if self._popularity_fallback is None:
-            self._popularity_fallback = PopularityFallback(self.dataset)
-        return self._popularity_fallback
+    def _cache_lookup(self, slots: list[_Slot]) -> None:
+        """The only reader of ``self.cache`` (a ``get`` moves its LRU order).
 
-    def _compute_rows(
-        self,
-        keys: list,
-        sequences: list,
-        deadlines: list,
-        errors: list,
-    ) -> tuple[list, list[bool], list]:
-        """Per-request user representations, from the cache or the encoder.
-
-        Deduplicates within the batch, encodes only cache misses in
-        micro-batches, and records hit/miss counters per request.
-        With a resilience policy, encoding is gated behind the circuit
-        breaker and each request's deadline budget; requests that
-        cannot afford (or are refused) an encoder forward degrade to
-        the fallback chain — exact-sequence cache when present,
-        popularity otherwise.  Returns ``(rows, cached_flags, tiers)``
-        where ``tiers[i]`` is ``None`` (full quality), ``"cache"`` or
-        ``"popularity"`` (no representation: ``rows[i]`` stays ``None``).
+        A miss whose sequence an earlier slot already missed is coalesced
+        with it: ``cached``, counted as a hit, row from ``_encode_misses``.
         """
-        n = len(keys)
-        cached_flags = [False] * n
-        tiers: list = [None] * n
-        live = [i for i in range(n) if errors[i] is None]
-        hit_idx: list[int] = []
-        groups: dict[bytes, list[int]] = {}
-        # Rows resolved during *this* call, keyed by sequence.  Row
-        # assembly reads from here, not from the LRU cache: with a
-        # cache smaller than the batch's distinct-sequence count, a
-        # later put can evict a row resolved earlier in the same call.
-        local_rows: dict[bytes, np.ndarray] = {}
-        for i in live:
-            row = self.cache.get(keys[i])
-            if row is not None:
-                local_rows[keys[i]] = row
-                cached_flags[i] = True
-                hit_idx.append(i)
-                self.metrics.record_cache(True)
-            else:
-                groups.setdefault(keys[i], []).append(i)
-
-        # Decide, per distinct missing sequence, whether an encoder
-        # forward is allowed: breaker first (one gate per batch, so a
-        # half-open probe admits one micro-batched attempt), then the
-        # deadline economics of the requests wanting it.
-        misses: dict[bytes, np.ndarray] = {}
-        breaker_gate: bool | None = None
-        for key, idxs in groups.items():
-            allowed = True
-            if self.policy is not None:
-                if breaker_gate is None:
-                    breaker_gate = self.policy.breaker.allow()
-                allowed = breaker_gate and any(
-                    not self.policy.encode_would_blow(deadlines[i])
-                    for i in idxs
-                )
-            if allowed:
-                misses[key] = sequences[idxs[0]]
-            else:
-                for i in idxs:
-                    tiers[i] = "popularity"
-            self.metrics.record_cache(False)
-            for i in idxs[1:]:
-                cached_flags[i] = True  # coalesced with an earlier request
+        missed: set[bytes] = set()
+        for slot in slots:
+            if slot.error is not None:
+                continue
+            slot.key = sequence_key(slot.sequence)
+            slot.row = self.cache.get(slot.key)
+            if slot.row is not None:
+                slot.cached = True
+            elif slot.key in missed:
+                slot.cached = True
                 self.metrics.increment("coalesced_requests")
-                self.metrics.record_cache(True)
+            else:
+                missed.add(slot.key)
+            self.metrics.record_cache(slot.cached)
 
-        failed_keys: set[bytes] = set()
+    def _encode_misses(self, slots: list[_Slot]) -> None:
+        """The only caller of the encoder: one row per distinct missing sequence.
+
+        Rows go onto every slot sharing the sequence and stay there, so a
+        ``put`` evicting an earlier key of the same batch (cache smaller
+        than the batch) loses nothing.  With a policy, encoding sits
+        behind the circuit breaker and each request's deadline budget; a
+        slot refused, unable to afford or failing a forward ends without
+        a row, ``tier = "popularity"``.  Writes the breaker, the
+        encode-cost estimate, the ``encode`` histogram, the tier counters.
+        """
+        policy = self.policy
+        hits = [slot for slot in slots if slot.row is not None]
+        groups: dict[bytes, list[_Slot]] = {}
+        for slot in slots:
+            if slot.row is None and slot.error is None:
+                groups.setdefault(slot.key, []).append(slot)
+        # May the encoder run?  Breaker first (one gate per batch: a half-open
+        # probe admits one micro-batched attempt), then, per distinct
+        # sequence, the deadline economics of the requests wanting it.
+        misses = list(groups.values())
+        if policy is not None and misses:
+            gate = policy.breaker.allow()
+            misses = [
+                group
+                for group in misses
+                if gate
+                and not all(policy.encode_would_blow(slot.deadline) for slot in group)
+            ]
+
         if misses:
-            miss_keys = list(misses)
             encoded_count = 0
             with self.metrics.time_stage("encode"):
-                for chunk_start in range(0, len(miss_keys), self.max_batch_size):
-                    chunk_keys = miss_keys[
-                        chunk_start : chunk_start + self.max_batch_size
-                    ]
+                for start in range(0, len(misses), self.max_batch_size):
+                    chunk = misses[start : start + self.max_batch_size]
                     t0 = time.perf_counter()
                     try:
-                        encoded = self._encode([misses[key] for key in chunk_keys])
+                        encoded = self._encode([group[0].sequence for group in chunk])
                     except Exception:
                         latency = time.perf_counter() - t0
                         self.metrics.increment("encode_errors")
-                        if self.policy is None:
+                        if policy is None:
                             raise
-                        self.policy.record_encode(False, latency)
-                        failed_keys.update(chunk_keys)
+                        policy.record_encode(False, latency)
                         continue
-                    latency = time.perf_counter() - t0
-                    if self.policy is not None:
-                        self.policy.record_encode(True, latency)
-                    for key, row in zip(chunk_keys, encoded):
-                        self.cache.put(key, row)
-                        local_rows[key] = row
-                    encoded_count += len(chunk_keys)
+                    if policy is not None:
+                        policy.record_encode(True, time.perf_counter() - t0)
+                    for group, row in zip(chunk, encoded):
+                        for slot in group:
+                            slot.row = row
+                    encoded_count += len(chunk)
             self.metrics.increment("sequences_encoded", encoded_count)
-        for key in failed_keys:
-            for i in groups[key]:
-                tiers[i] = "popularity"
 
         # Under an open (or probing) breaker the whole batch runs in
         # degraded mode: cache hits are tier-1 fallback answers.
-        if (
-            self.policy is not None
-            and self.policy.breaker.state != BREAKER_CLOSED
-        ):
-            for i in hit_idx:
-                tiers[i] = "cache"
-
-        rows: list = [None] * n
-        for i in live:
-            if tiers[i] != "popularity":
-                rows[i] = local_rows[keys[i]]
-            if tiers[i] is not None:
+        if policy is not None and policy.breaker.state != BREAKER_CLOSED:
+            for slot in hits:
+                slot.tier = "cache"
+        for slot in slots:
+            if slot.row is None and slot.error is None:
+                slot.tier = "popularity"
+            if slot.tier is not None:
                 self.metrics.increment("requests_degraded")
-                self.metrics.increment(f"fallback_{tiers[i]}")
-        return rows, cached_flags, tiers
+                self.metrics.increment(f"fallback_{slot.tier}")
 
     def _encode(self, sequences: list[np.ndarray]) -> np.ndarray:
         """One micro-batch through the model (chaos fault sites live here)."""
@@ -815,87 +788,64 @@ class RecommendationEngine(EngineFacade):
                 time.sleep(delay)
         return np.asarray(self.model.encode_sequences(sequences))
 
-    def _select_batch(
-        self,
-        requests: list[RecRequest],
-        rows: list,
-        exclusions: list,
-        cached_flags: list[bool],
-        tiers: list,
-        errors: list,
-    ) -> list[Recommendation]:
-        """Score through the retrieval index and select top-k, batched.
+    def _cache_store(self, slots: list[_Slot]) -> None:
+        """The only writer of ``self.cache``: rows this call encoded."""
+        for slot in slots:
+            if slot.row is not None and not slot.cached:
+                self.cache.put(slot.key, slot.row)
 
-        Requests backed by a representation (tiers ``None`` /
-        ``"cache"``) go through :meth:`ItemIndex.search` under the
-        ``score`` stage; popularity-degraded requests share one
-        precomputed score row and take the dense mask + partial-sort
-        path under ``topk``.  With the default :class:`ExactIndex` both
-        paths are bit-identical to the historical engine.
-        """
-        n = len(requests)
-        picked: list = [None] * n  # (items, scores) per served request
-        live = [i for i in range(n) if errors[i] is None]
-        served = [i for i in live if tiers[i] != "popularity"]
-        popular = [i for i in live if tiers[i] == "popularity"]
-
-        if served:
-            queries = np.stack([rows[i] for i in served])
-            with self.metrics.time_stage("score"):
-                found = self.index.search(
-                    queries,
-                    min(max(requests[i].k for i in served), self.index.num_rows),
-                    exclude=[exclusions[i] for i in served],
-                )
-            stats = found.stats
-            self.metrics.increment("items_scored", stats.candidates_scored)
-            self.metrics.increment(
-                "index_candidates_scored", stats.candidates_scored
+    def _retrieve(self, slots: list[_Slot]) -> None:
+        """The only caller of ``self.index.search``: every slot that has a row."""
+        served = [slot for slot in slots if slot.row is not None]
+        if not served:
+            return
+        queries = np.stack([slot.row for slot in served])
+        with self.metrics.time_stage("score"):
+            found = self.index.search(
+                queries,
+                min(max(slot.request.k for slot in served), self.index.num_rows),
+                exclude=[slot.exclusion for slot in served],
             )
-            self.metrics.increment("index_clusters_probed", stats.clusters_probed)
-            self.metrics.increment("index_reranked", stats.reranked)
+        stats = found.stats
+        self.metrics.increment("items_scored", stats.candidates_scored)
+        self.metrics.increment("index_candidates_scored", stats.candidates_scored)
+        self.metrics.increment("index_clusters_probed", stats.clusters_probed)
+        self.metrics.increment("index_reranked", stats.reranked)
+        for slot, items, scores in zip(served, found.items, found.scores):
+            slot.picked = (items, scores)
 
-        with self.metrics.time_stage("topk"):
-            for j, i in enumerate(served):
-                finite = np.isfinite(found.scores[j])
-                picked[i] = (
-                    found.items[j][finite][: requests[i].k],
-                    found.scores[j][finite][: requests[i].k],
-                )
-            if popular:
-                scores = np.tile(
-                    self._popularity().score_row(), (len(popular), 1)
-                )
-                self.metrics.increment("items_scored", scores.size)
-                apply_exclusions(scores, [exclusions[i] for i in popular])
-                max_k = min(max(requests[i].k for i in popular), scores.shape[1])
-                top = top_k_indices(scores, max_k)
-                for j, i in enumerate(popular):
-                    row_top = top[j][np.isfinite(scores[j, top[j]])][
-                        : requests[i].k
-                    ]
-                    picked[i] = (row_top, scores[j, row_top])
-            results = []
-            for i, request in enumerate(requests):
-                if errors[i] is not None:
-                    reason, detail = errors[i]
-                    results.append(Recommendation(
-                        items=np.empty(0, dtype=np.int64),
-                        scores=np.empty(0, dtype=np.float64),
-                        request=request,
-                        error=reason,
-                        detail=detail,
-                        model_version=self.model_version,
-                    ))
-                    continue
-                top_items, top_scores = picked[i]
-                results.append(Recommendation(
-                    items=top_items,
-                    scores=top_scores,
-                    request=request,
-                    cached=cached_flags[i],
-                    degraded=tiers[i] is not None,
-                    fallback=tiers[i],
-                    model_version=self.model_version,
-                ))
+    def _fallback(self, slots: list[_Slot]) -> None:
+        """Popularity slots share one score row (built on first use): mask + top-k."""
+        popular = [slot for slot in slots if slot.tier == "popularity"]
+        if not popular:
+            return
+        if self._popularity_fallback is None:
+            self._popularity_fallback = PopularityFallback(self.dataset)
+        scores = np.tile(self._popularity_fallback.score_row(), (len(popular), 1))
+        self.metrics.increment("items_scored", scores.size)
+        apply_exclusions(scores, [slot.exclusion for slot in popular])
+        top = top_k_indices(
+            scores, min(max(slot.request.k for slot in popular), scores.shape[1])
+        )
+        for j, slot in enumerate(popular):
+            slot.picked = (top[j], scores[j, top[j]])
+
+    def _respond(self, slots: list[_Slot]) -> list[Recommendation]:
+        """Slot → :class:`Recommendation`: its finite top ``k``, or its error."""
+        results = []
+        for slot in slots:
+            items, scores = slot.picked
+            finite = np.isfinite(scores)
+            reason, detail = slot.error or (None, None)
+            results.append(Recommendation(
+                items=items[finite][: slot.request.k],
+                scores=scores[finite][: slot.request.k],
+                request=slot.request,
+                cached=slot.cached,
+                degraded=slot.tier is not None,
+                fallback=slot.tier,
+                error=reason,
+                detail=detail,
+                model_version=self.model_version,
+            ))
         return results

@@ -7,9 +7,6 @@ one metrics substrate (and one set of edge-case fixes).  The exported
 JSON schema is unchanged from the original serving engine
 (``docs/SERVING.md``): ``uptime_seconds``, ``counters``, ``cache``,
 ``throughput`` and per-stage ``latency`` summaries.
-
-``LatencyHistogram`` remains importable here as an alias of the shared
-:class:`~repro.obs.registry.Histogram`.
 """
 
 from __future__ import annotations
@@ -20,14 +17,10 @@ import time
 from repro.obs.registry import MAX_SAMPLES, PERCENTILES, Histogram, MetricsRegistry
 
 __all__ = [
-    "LatencyHistogram",
     "MAX_SAMPLES",
     "PERCENTILES",
     "ServingMetrics",
 ]
-
-#: Backwards-compatible name: the serving histogram IS the shared one.
-LatencyHistogram = Histogram
 
 
 class ServingMetrics:

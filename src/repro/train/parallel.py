@@ -248,12 +248,13 @@ class ParallelWorkerPool(ClosesOnExit):
             writeable=True,
         )
         zeros = {name: np.zeros_like(param.data) for name, param in self.trainable}
-        self._grads = [
-            SharedArrays.create(zeros, name_prefix="repro-grad")
-            for __ in range(self.workers)
-        ]
-        self.grad_payload_bytes = self._grads[0].payload_bytes
+        self._grads: list[SharedArrays] = []
         try:
+            for __ in range(self.workers):
+                self._grads.append(
+                    SharedArrays.create(zeros, name_prefix="repro-grad")
+                )
+            self.grad_payload_bytes = self._grads[0].payload_bytes
             self._pool = ProcessPool(
                 _TrainWorker,
                 [

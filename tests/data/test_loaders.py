@@ -12,7 +12,6 @@ from repro.data.loaders import (
     NegativeSampler,
     NextItemBatch,
     NextItemBatchLoader,
-    batch_sequences,
     pad_left,
 )
 
@@ -168,13 +167,6 @@ def test_num_batches_is_what_epoch_yields(tiny_dataset, loader_tests, remainder)
     assert eligible % batch_size == remainder
     loader = loader_tests().make_loader(tiny_dataset, batch_size=batch_size)
     assert len(list(loader.epoch())) == loader.num_batches
-
-
-class TestBatchSequences:
-    def test_padding_mask(self):
-        batch, mask = batch_sequences([np.array([1, 2]), np.array([3])], 4)
-        np.testing.assert_array_equal(batch[0], [0, 0, 1, 2])
-        np.testing.assert_array_equal(mask[1], [True, True, True, False])
 
 
 class TestPaddedPositionNegatives:

@@ -14,6 +14,11 @@ from repro.serve.engine import (
     sequence_key,
 )
 from repro.serve.requests import RecRequest, RequestError
+from repro.serve.resilience import (
+    BreakerConfig,
+    ResilienceConfig,
+    ResiliencePolicy,
+)
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
 
@@ -107,8 +112,9 @@ class TestCaching:
         assert not engine.recommend(user=0).cached
 
     def test_warm_then_serve(self, engine, tiny_dataset):
-        encoded = engine.warm(np.arange(5))
-        assert encoded == 5
+        encoded = engine.warm(np.array([0, 1, 2, 3, 4, 3, 0]))
+        assert encoded == 5  # each distinct history once
+        assert engine.metrics.counters["sequences_encoded"] == 5
         assert engine.recommend(user=3).cached
 
     def test_invalidate_cache(self, engine):
@@ -228,6 +234,63 @@ class TestMetricsIntegration:
         for stage in ("resolve", "encode", "score", "topk", "total"):
             assert snap["latency"][stage]["count"] >= 1
         assert snap["counters"]["requests"] == 2
+
+    def test_accounting_of_a_mixed_batch(self, sasrec, tiny_dataset):
+        """Every counter and stage-histogram count of two mixed batches,
+        as literals recorded from the engine before its stages were
+        split: a stage that runs twice or counts a request twice moves
+        one of them."""
+        policy = ResiliencePolicy(
+            ResilienceConfig(breaker=BreakerConfig(window=8, min_calls=2)),
+            clock=lambda: 100.0,
+        )
+        engine = RecommendationEngine(
+            sasrec, tiny_dataset, max_batch_size=8, cache_size=32, resilience=policy
+        )
+        assert engine.warm(np.array([0, 1])) == 2
+        mixed = [
+            RecRequest(user=0),  # cache hit
+            RecRequest(user=1),  # cache hit
+            RecRequest(sequence=[3, 5, 9]),  # miss, encoded
+            RecRequest(sequence=[3, 5, 9]),  # coalesced with the miss
+            RecRequest(user=tiny_dataset.num_users),  # bad request
+            RecRequest(user=2, deadline_ms=5.0),  # budget spent on arrival
+        ]
+        results = engine.recommend_batch(mixed, started=99.0, on_error="report")
+        assert [r.error for r in results] == [
+            None, None, None, None, "bad_request", "deadline_exceeded",
+        ]
+        assert [r.cached for r in results] == [True, True, False, True, False, False]
+
+        policy.breaker.record(False)
+        policy.breaker.record(False)  # open: misses degrade, hits are tier "cache"
+        degraded = engine.recommend_batch(
+            [RecRequest(user=0), RecRequest(user=1), RecRequest(sequence=[7, 8])]
+        )
+        assert [r.fallback for r in degraded] == ["cache", "cache", "popularity"]
+
+        snap = engine.metrics.snapshot()
+        counters = {
+            name: snap["counters"][name]
+            for name in (
+                "requests", "batches", "user_cache_hits", "user_cache_misses",
+                "coalesced_requests", "sequences_encoded", "items_scored",
+                "requests_degraded", "fallback_cache", "fallback_popularity",
+                "deadline_exceeded", "encode_errors", "breaker_transitions",
+            )
+        }
+        assert counters == {
+            "requests": 9, "batches": 2, "user_cache_hits": 5,
+            "user_cache_misses": 4, "coalesced_requests": 1,
+            "sequences_encoded": 3, "items_scored": 476,
+            "requests_degraded": 3, "fallback_cache": 2,
+            "fallback_popularity": 1, "deadline_exceeded": 1,
+            "encode_errors": 0, "breaker_transitions": 1,
+        }
+        assert {
+            stage: snap["latency"][stage]["count"]
+            for stage in ("resolve", "encode", "score", "topk", "total")
+        } == {"resolve": 2, "encode": 2, "score": 2, "topk": 2, "total": 2}
 
 
 class TestRetrievalIndex:

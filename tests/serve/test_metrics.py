@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 
-from repro.serve.metrics import LatencyHistogram, ServingMetrics
+from repro.obs.registry import Histogram
+from repro.serve.metrics import ServingMetrics
 
 
 class TestLatencyHistogram:
     def test_count_mean_max(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in (0.1, 0.2, 0.3):
             hist.record(value)
         assert hist.count == 3
@@ -17,20 +18,20 @@ class TestLatencyHistogram:
         assert hist.max_seconds == 0.3
 
     def test_percentiles(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for value in np.linspace(0.0, 1.0, 101):
             hist.record(value)
         assert np.isclose(hist.percentile(50), 0.5)
         assert np.isclose(hist.percentile(99), 0.99)
 
     def test_empty_histogram_is_zero(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert hist.mean_seconds == 0.0
         assert hist.percentile(50) == 0.0
         assert hist.summary()["count"] == 0
 
     def test_reservoir_bounds_memory(self):
-        hist = LatencyHistogram(max_samples=100)
+        hist = Histogram(max_samples=100)
         for value in range(1000):
             hist.record(float(value))
         assert hist.count == 1000  # exact even past the cap
@@ -39,7 +40,7 @@ class TestLatencyHistogram:
         assert max(hist._samples) > 100
 
     def test_summary_keys(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         hist.record(0.01)
         summary = hist.summary()
         assert set(summary) == {

@@ -359,6 +359,29 @@ class TestWorkerFailure:
         assert multiprocessing.active_children() == []
         assert leaked_segments() <= before
 
+    def test_failed_segment_creation_unlinks_the_earlier_ones(
+        self, tiny_dataset, monkeypatch
+    ):
+        """ENOSPC on /dev/shm while the pool is half built: the page
+        segment already created goes, and the caller sees the OSError."""
+        from repro.train import parallel
+
+        real_create = parallel.SharedArrays.create
+        calls = []
+
+        def create(*args, **kwargs):
+            calls.append(kwargs.get("name_prefix"))
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return real_create(*args, **kwargs)
+
+        monkeypatch.setattr(parallel.SharedArrays, "create", create)
+        before = leaked_segments()
+        with pytest.raises(OSError, match="No space left"):
+            self._pool(tiny_dataset, PretrainStage)
+        assert calls == ["repro-train", "repro-grad"]
+        assert leaked_segments() <= before
+
     def test_no_segments_leak_from_clean_run(self, tiny_dataset):
         before = leaked_segments()
         model = build_cl4srec(tiny_dataset, workers=2, epochs=1)
