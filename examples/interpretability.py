@@ -71,9 +71,7 @@ def main() -> None:
         stats = embedding_statistics(
             model.encoder.item_embedding.weight.data[1 : dataset.num_items + 1]
         )
-        profile = recency_profile(
-            model, dataset, users, max_length=MAX_LENGTH, max_offsets=5
-        )
+        profile = recency_profile(model, dataset, users, max_offsets=5)
         profile_str = " ".join(f"{p:.2f}" for p in profile)
         print(
             f"{name:9s} {entropy:13.3f} {stats['anisotropy']:11.3f}  [{profile_str}]"

@@ -21,32 +21,27 @@ def attention_maps(encoder, item_ids: np.ndarray) -> list[np.ndarray]:
     Re-runs the encoder's forward pass layer by layer with
     ``return_probs=True``; returns one ``(batch, heads, T, T)`` array
     per Transformer layer.  Dropout is bypassed (eval mode is forced).
+    ``item_ids`` must be ``encoder.max_length`` wide, as for the encoder.
     """
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    batch, length = item_ids.shape
     was_training = encoder.training
     encoder.eval()
     maps: list[np.ndarray] = []
-    with no_grad():
-        positions = np.broadcast_to(np.arange(length), (batch, length))
-        hidden = encoder.item_embedding(item_ids) + encoder.position_embedding(
-            positions
-        )
-        hidden = encoder.embedding_dropout(hidden)
-        padding_mask = item_ids == 0
-        for layer in encoder.transformer.layers:
-            attended, probs = layer.attention(
-                hidden,
-                causal=encoder.causal,
-                key_padding_mask=padding_mask,
-                return_probs=True,
-            )
-            maps.append(probs)
-            hidden = layer.norm1(hidden + layer.dropout1(attended))
-            transformed = layer.feed_forward(hidden)
-            hidden = layer.norm2(hidden + layer.dropout2(transformed))
-    if was_training:
-        encoder.train()
+    try:
+        with no_grad():
+            hidden, padding_mask = encoder.embed(item_ids)
+            for layer in encoder.transformer.layers:
+                attended, probs = layer.attention(
+                    hidden,
+                    causal=encoder.causal,
+                    key_padding_mask=padding_mask,
+                    return_probs=True,
+                )
+                maps.append(probs)
+                hidden = layer.norm1(hidden + layer.dropout1(attended))
+                transformed = layer.feed_forward(hidden)
+                hidden = layer.norm2(hidden + layer.dropout2(transformed))
+    finally:
+        encoder.train(was_training)
     return maps
 
 
@@ -54,7 +49,6 @@ def recency_profile(
     model,
     dataset: SequenceDataset,
     users: np.ndarray,
-    max_length: int,
     layer: int = -1,
     max_offsets: int = 10,
 ) -> np.ndarray:
@@ -64,7 +58,9 @@ def recency_profile(
     position places on the item ``k`` steps back (k=0 is the last item
     itself), averaged over heads and users, using real (non-padding)
     positions only.  A recency-biased encoder shows a decaying profile.
+    Histories are left-padded to the encoder's own ``max_length``.
     """
+    max_length = model.encoder.max_length
     users = np.asarray(users)
     batch = np.zeros((len(users), max_length), dtype=np.int64)
     for row, user in enumerate(users):

@@ -69,8 +69,10 @@ class SASRecEncoder(Module):
             num_layers, dim, num_heads, dropout=dropout, rng=rng
         )
 
-    def forward(self, item_ids: np.ndarray) -> Tensor:
-        """Encode a left-padded batch ``(B, T)`` → hidden states ``(B, T, d)``."""
+    def embed(self, item_ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
+        """The input to the first block for a left-padded batch ``(B, T)``:
+        item + position embedding after dropout ``(B, T, d)``, and the
+        ``(B, T)`` padding mask."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
         batch, length = item_ids.shape
         if length != self.max_length:
@@ -79,8 +81,11 @@ class SASRecEncoder(Module):
             )
         positions = np.broadcast_to(np.arange(length), (batch, length))
         hidden = self.item_embedding(item_ids) + self.position_embedding(positions)
-        hidden = self.embedding_dropout(hidden)
-        padding_mask = item_ids == 0
+        return self.embedding_dropout(hidden), item_ids == 0
+
+    def forward(self, item_ids: np.ndarray) -> Tensor:
+        """Encode a left-padded batch ``(B, T)`` → hidden states ``(B, T, d)``."""
+        hidden, padding_mask = self.embed(item_ids)
         return self.transformer(
             hidden, causal=self.causal, key_padding_mask=padding_mask
         )

@@ -13,7 +13,9 @@ TensorFlow, so we implement the pieces the paper relies on ourselves:
   ``Parameter`` abstractions and the standard layers (``Linear``,
   ``Embedding``, ``LayerNorm``, ``Dropout``).
 * :mod:`repro.nn.attention` / :mod:`repro.nn.transformer` — multi-head
-  self-attention and the Transformer encoder used by SASRec / CL4SRec.
+  self-attention and the Transformer encoder used by SASRec / CL4SRec:
+  one fused grad kernel per op, plus a raw-numpy no-grad attention body
+  for eval and serving.
 * :mod:`repro.nn.rnn` — the GRU used by the GRU4Rec baseline.
 * :mod:`repro.nn.optim` — SGD and Adam with linear learning-rate decay.
 * :mod:`repro.nn.init` — weight initializers, including the truncated
@@ -21,8 +23,7 @@ TensorFlow, so we implement the pieces the paper relies on ourselves:
 * :mod:`repro.nn.serialization` — ``.npz`` state-dict persistence.
 * :mod:`repro.nn.precision` / :mod:`repro.nn.compute` — the compute
   core's dtype policy (float64 default, float32 opt-in) and fast-path
-  machinery (fused-kernel switch, shape-keyed mask cache, scratch
-  buffers).
+  machinery (shape-keyed mask cache, scratch buffers).
 
 Every differentiable primitive is validated against finite differences
 in the test suite.
@@ -31,16 +32,10 @@ in the test suite.
 from repro.nn import compute, functional, init, precision
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.checkpoint import load_checkpoint, save_checkpoint
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Sequential
+from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, GradientClipper, LinearDecaySchedule, Optimizer
 from repro.nn.rnn import GRU, GRUCell
-from repro.nn.schedules import (
-    ConstantSchedule,
-    CosineSchedule,
-    StepDecaySchedule,
-    WarmupLinearSchedule,
-)
 from repro.nn.serialization import (
     CheckpointError,
     atomic_write,
@@ -56,8 +51,6 @@ __all__ = [
     "CheckpointError",
     "atomic_write",
     "atomic_write_bytes",
-    "ConstantSchedule",
-    "CosineSchedule",
     "Dropout",
     "Embedding",
     "GRU",
@@ -71,10 +64,7 @@ __all__ = [
     "Optimizer",
     "Parameter",
     "SGD",
-    "Sequential",
-    "StepDecaySchedule",
     "Tensor",
-    "WarmupLinearSchedule",
     "TransformerEncoder",
     "TransformerEncoderLayer",
     "compute",

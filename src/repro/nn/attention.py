@@ -4,21 +4,23 @@ Supports the causal mask the paper applies so that the representation
 at step *t* only depends on items at steps ≤ *t*, plus a key-padding
 mask so left-padded batch positions contribute nothing.
 
-Compute-core fast path
-----------------------
+Two forward bodies, chosen by state the layer can observe
+-----------------------------------------------------------
 The layer carries one packed ``(d, 3d)`` QKV projection instead of
 three ``(d, d)`` linears (one BLAS call; the init draws the three
 Xavier blocks from the shared generator in the legacy q, k, v order, so
-seeded models are unchanged).  The fused forward folds score scaling,
-mask fill, and softmax into :func:`repro.nn.functional.masked_softmax`,
-pulls its masks from the shape-keyed cache in
-:mod:`repro.nn.compute`, and — in no-grad paths with dropout inactive —
-runs entirely on raw numpy with reusable scratch buffers for the
-``(B, h, T, T)`` scores.  ``repro.nn.compute.use_fused(False)``
-restores the seed's op-for-op composition (three sliced projections,
-per-call mask allocation, ``masked_fill`` + ``softmax``); both paths
-perform the same floating-point operations per value, so they agree to
-the last bit given the same parameters.
+seeded models are unchanged), and pulls its masks from the shape-keyed
+cache in :mod:`repro.nn.compute`.
+
+* In grad mode, or with dropout active, attention is one autograd node,
+  :func:`repro.nn.functional.fused_attention`.
+* In no-grad mode with dropout off (eval, serving), it runs on raw
+  numpy with a pooled scratch buffer for the ``(B, h, T, T)`` scores.
+  Only this body can hand back the attention probabilities
+  (``return_probs=True``).
+
+Both bodies perform the same floating-point operations per value, so
+they agree to the last bit given the same parameters.
 """
 
 from __future__ import annotations
@@ -33,16 +35,6 @@ from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.profiling import profile_scope
 
 _NEG_INF = -1e9
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean ``(length, length)`` mask; ``True`` marks disallowed
-    (future) connections, i.e. key position > query position.
-
-    Allocates a fresh (writable) array; the hot path uses the shared
-    cache in :data:`repro.nn.compute.MASKS` instead.
-    """
-    return np.triu(np.ones((length, length), dtype=bool), k=1)
 
 
 class MultiHeadSelfAttention(Module):
@@ -108,50 +100,31 @@ class MultiHeadSelfAttention(Module):
         return_probs:
             When true, also return the post-softmax attention
             probabilities as a raw ``(batch, heads, length, length)``
-            array (pre-dropout; for analysis, not for training).
+            array (for analysis).  Only the no-grad body computes them:
+            the call must run under ``no_grad()`` with dropout off.
         """
         with profile_scope("nn.attention"):
-            if compute.fused_enabled():
-                return self._attend(x, causal, key_padding_mask, return_probs)
-            return self._attend_reference(x, causal, key_padding_mask, return_probs)
+            batch, length, __ = x.shape
+            # Python float, not np.float64: a numpy scalar is "strong"
+            # under NEP 50 and would upcast float32 activations.
+            scale = 1.0 / float(np.sqrt(self.head_dim))
+            if key_padding_mask is None:
+                # Nothing batch-specific: the cached (T, T) triangle
+                # broadcasts directly, or there is no mask at all.
+                mask = compute.MASKS.causal(length) if causal else None
+            else:
+                mask = compute.MASKS.combined(causal, key_padding_mask, length)
 
-    # ------------------------------------------------------------------
-    # Fused path
-    # ------------------------------------------------------------------
-    def _mask(
-        self, batch: int, length: int, causal: bool, key_padding_mask
-    ) -> np.ndarray | None:
-        """The combined attention mask, from the shape-keyed cache.
+            dropout_active = self.training and self.attn_dropout.rate > 0.0
+            if not is_grad_enabled() and not dropout_active:
+                return self._attend_inference(x, mask, scale, return_probs)
+            if return_probs:
+                raise ValueError(
+                    "return_probs=True needs the no-grad body: call under "
+                    "no_grad() with dropout off (eval mode)"
+                )
 
-        Without a padding mask there is nothing batch-specific: the
-        cached ``(T, T)`` causal triangle broadcasts directly (no
-        ``(B, 1, T, T)`` materialization), or no mask at all.
-        """
-        if key_padding_mask is None:
-            return compute.MASKS.causal(length) if causal else None
-        return compute.MASKS.combined(causal, key_padding_mask, length)
-
-    def _attend(
-        self,
-        x: Tensor,
-        causal: bool,
-        key_padding_mask: np.ndarray | None,
-        return_probs: bool,
-    ):
-        batch, length, __ = x.shape
-        # Python float, not np.float64: a numpy scalar is "strong" under
-        # NEP 50 and would upcast float32 activations to float64.
-        scale = 1.0 / float(np.sqrt(self.head_dim))
-        mask = self._mask(batch, length, causal, key_padding_mask)
-
-        dropout_active = self.training and self.attn_dropout.rate > 0.0
-        if not is_grad_enabled() and not return_probs and not dropout_active:
-            return self._attend_inference(x, mask, scale, batch, length)
-
-        qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
-        if not return_probs:
-            # Single-node attention core: identical arithmetic to the
-            # composition below, one backward, no scatter buffers.
+            qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
             drop = None
             if dropout_active:
                 drop = F.dropout_mask(
@@ -165,30 +138,22 @@ class MultiHeadSelfAttention(Module):
             )
             return self.out_proj(context)
 
-        q, k, v = F.split_qkv_heads(qkv, self.num_heads)
-        scores = q.matmul(k.swapaxes(-1, -2))  # (B, h, T, T)
-        probs = F.masked_softmax(scores, mask, axis=-1, scale=scale, fill=_NEG_INF)
-        raw_probs = probs.data.copy()
-        probs = self.attn_dropout(probs)
-        context = probs.matmul(v)  # (B, h, T, dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
-        out = self.out_proj(context)
-        return out, raw_probs
-
     def _attend_inference(
         self,
         x: Tensor,
         mask: np.ndarray | None,
         scale: float,
-        batch: int,
-        length: int,
-    ) -> Tensor:
+        return_probs: bool,
+    ):
         """No-grad forward on raw numpy with pooled scratch buffers.
 
-        Same floating-point operations as the fused Tensor path — the
-        softmax runs in place on the pooled scores buffer, which no
-        graph node retains (callers are inside ``no_grad()``).
+        Same floating-point operations as :func:`F.fused_attention` —
+        the softmax runs in place on the pooled scores buffer, which no
+        graph node retains (callers are inside ``no_grad()``).  The
+        buffer is reused by the next call, so ``return_probs`` hands
+        back a copy.
         """
+        batch, length, __ = x.shape
         dtype = x.data.dtype
         qkv = np.matmul(x.data, self.qkv_proj.weight.data) + self.qkv_proj.bias.data
         parts = qkv.reshape(batch, length, 3, self.num_heads, self.head_dim)
@@ -211,60 +176,9 @@ class MultiHeadSelfAttention(Module):
         context = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
             batch, length, self.dim
         )
-        out = np.matmul(context, self.out_proj.weight.data) + self.out_proj.bias.data
-        return Tensor(out)
-
-    # ------------------------------------------------------------------
-    # Reference (unfused) path — the seed's op-for-op composition
-    # ------------------------------------------------------------------
-    def _attend_reference(
-        self,
-        x: Tensor,
-        causal: bool,
-        key_padding_mask: np.ndarray | None,
-        return_probs: bool,
-    ):
-        batch, length, __ = x.shape
-        weight, bias, d = self.qkv_proj.weight, self.qkv_proj.bias, self.dim
-        q = self._split_heads(
-            x.matmul(weight[:, :d]) + bias[:d], batch, length
+        out = Tensor(
+            np.matmul(context, self.out_proj.weight.data) + self.out_proj.bias.data
         )
-        k = self._split_heads(
-            x.matmul(weight[:, d : 2 * d]) + bias[d : 2 * d], batch, length
-        )
-        v = self._split_heads(
-            x.matmul(weight[:, 2 * d :]) + bias[2 * d :], batch, length
-        )
-
-        scale = 1.0 / float(np.sqrt(self.head_dim))
-        scores = q.matmul(k.swapaxes(-1, -2)) * scale  # (B, h, T, T)
-
-        mask = np.zeros((batch, 1, length, length), dtype=bool)
-        if causal:
-            mask |= causal_mask(length)[None, None, :, :]
-        if key_padding_mask is not None:
-            key_padding_mask = np.asarray(key_padding_mask, dtype=bool)
-            mask |= key_padding_mask[:, None, None, :]
-        # Never mask an entire row: a fully-masked softmax row is NaN.
-        # Rows that would be fully masked (padding queries) get unmasked
-        # self-attention to their own position; their outputs are
-        # ignored downstream because losses mask padding positions.
-        fully_masked = mask.all(axis=-1, keepdims=True)
-        diagonal = np.eye(length, dtype=bool)[None, None, :, :]
-        mask = np.where(fully_masked & diagonal, False, mask)
-
-        scores = scores.masked_fill(mask, _NEG_INF)
-        probs = F.softmax(scores, axis=-1)
-        raw_probs = probs.data.copy() if return_probs else None
-        probs = self.attn_dropout(probs)
-        context = probs.matmul(v)  # (B, h, T, dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
-        out = self.out_proj(context)
         if return_probs:
-            return out, raw_probs
+            return out, scores.copy()
         return out
-
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        return x.reshape(batch, length, self.num_heads, self.head_dim).transpose(
-            0, 2, 1, 3
-        )

@@ -1,14 +1,8 @@
-"""Compute-core fast-path machinery: fused-kernel switch, shape-keyed
-mask caching, and reusable scratch buffers.
+"""Compute-core fast-path machinery: shape-keyed mask caching and
+reusable scratch buffers.
 
-Three coordinated pieces keep the encoder hot path off the allocator:
+Two coordinated pieces keep the encoder hot path off the allocator:
 
-* **Fused-kernel switch** — :func:`fused_enabled` gates the packed-QKV
-  / fused-masked-softmax / fused-FFN paths in
-  :mod:`repro.nn.attention` and :mod:`repro.nn.transformer`.  Fusion is
-  on by default; :func:`use_fused` scopes it off so equivalence tests
-  and the throughput benchmark can reproduce the seed's unfused
-  composition op-for-op from the same parameters.
 * **Mask cache** — :class:`MaskCache`, an LRU keyed on
   ``(batch, length, causal, padding-mask fingerprint)``.  The causal
   ``np.triu`` mask is built once per length; combined causal+padding
@@ -28,31 +22,10 @@ and the measured effect (``benchmarks/test_encoder_throughput.py``).
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 
 import numpy as np
-
-_FUSED_ENABLED = True
-
-
-def fused_enabled() -> bool:
-    """Whether the fused attention/FFN kernels are active."""
-    return _FUSED_ENABLED
-
-
-@contextlib.contextmanager
-def use_fused(enabled: bool = True):
-    """Scope the fused-kernel switch (e.g. ``use_fused(False)`` for the
-    reference composition in equivalence tests and benchmarks)."""
-    global _FUSED_ENABLED
-    previous = _FUSED_ENABLED
-    _FUSED_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_ENABLED = previous
 
 
 # ----------------------------------------------------------------------

@@ -4,15 +4,14 @@ Numerically sensitive composites (softmax, log-softmax, layer norm) are
 implemented as fused primitives with analytic backward rules; the rest
 compose the :class:`repro.nn.tensor.Tensor` primitives.
 
-The compute-core fast path adds three more fused kernels —
-:func:`linear` (matmul + bias in one graph node), :func:`masked_softmax`
-(scale + mask-fill + softmax folded into one pass with an analytic
-backward), and :func:`fused_linear_act` (linear + ReLU/GELU for the
-transformer FFN) — plus :func:`split_qkv_heads`, which carves a packed
-``(B, T, 3d)`` QKV projection into per-head query/key/value views.
-Each fused kernel performs the same floating-point operations as the
-composition it replaces, so switching fusion on or off
-(:func:`repro.nn.compute.use_fused`) does not change results.
+The encoder's grad path runs on three more fused kernels —
+:func:`linear` (matmul + bias in one graph node), :func:`fused_linear_act`
+(linear + ReLU, the transformer FFN's inner step), and
+:func:`fused_attention` (packed QKV → context, one node with an
+analytic backward).  Each performs the same floating-point operations
+as the ``Tensor`` composition it replaces, so results match the seed's
+unfused encoder bit for bit (``tests/nn/test_compute.py`` keeps that
+composition as the oracle).
 """
 
 from __future__ import annotations
@@ -36,12 +35,6 @@ def sigmoid(x: Tensor) -> Tensor:
 def tanh(x: Tensor) -> Tensor:
     """Hyperbolic tangent."""
     return x.tanh()
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    inner = 0.7978845608028654 * (x + 0.044715 * x * x * x)
-    return 0.5 * x * (1.0 + inner.tanh())
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -129,49 +122,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out, (x, weight, bias), backward)
 
 
-_GELU_C = 0.7978845608028654  # sqrt(2 / pi)
-_GELU_A = 0.044715
+def fused_linear_act(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Fused ``relu(x @ weight + bias)`` (the FFN inner step, Eq. 11).
 
-
-def fused_linear_act(
-    x: Tensor, weight: Tensor, bias: Tensor, activation: str = "relu"
-) -> Tensor:
-    """Fused ``activation(x @ weight + bias)`` (the FFN inner step).
-
-    ``activation`` is ``"relu"`` or ``"gelu"`` (tanh approximation,
-    same constants as :func:`gelu`).  One graph node replaces the
-    matmul, bias add, and activation; the backward applies the analytic
-    activation derivative to the incoming gradient before routing it
-    through the affine map exactly as :func:`linear` does.
+    One graph node replaces the matmul, bias add, and ReLU; the
+    backward masks the incoming gradient with the ReLU's support before
+    routing it through the affine map exactly as :func:`linear` does.
     """
     pre = np.matmul(x.data, weight.data)
     pre += bias.data
-    if activation == "relu":
-        act_mask = pre > 0
-        out = pre * act_mask
-        inner = None
-    elif activation == "gelu":
-        inner = np.tanh(_GELU_C * (pre + _GELU_A * pre * pre * pre))
-        out = 0.5 * pre * (1.0 + inner)
-    else:
-        raise ValueError(
-            f"unsupported activation {activation!r}; expected 'relu' or 'gelu'"
-        )
+    act_mask = pre > 0
+    out = pre * act_mask
     x_data, w_data = x.data, weight.data
 
     def backward(grad: np.ndarray):
-        if activation == "relu":
-            grad_pre = grad * act_mask
-        else:
-            # d/du [0.5 u (1 + t(u))] with t = tanh(c (u + a u^3))
-            grad_pre = grad * (
-                0.5 * (1.0 + inner)
-                + 0.5
-                * pre
-                * (1.0 - inner * inner)
-                * _GELU_C
-                * (1.0 + 3.0 * _GELU_A * pre * pre)
-            )
+        grad_pre = grad * act_mask
         grad_x = np.matmul(grad_pre, np.swapaxes(w_data, -1, -2))
         grad_w = _unbroadcast(
             np.matmul(np.swapaxes(x_data, -1, -2), grad_pre), w_data.shape
@@ -180,48 +145,6 @@ def fused_linear_act(
         return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
     return Tensor._make(out, (x, weight, bias), backward)
-
-
-def masked_softmax(
-    x: Tensor,
-    mask: np.ndarray | None = None,
-    axis: int = -1,
-    scale: float | None = None,
-    fill: float = -1e9,
-) -> Tensor:
-    """Fused ``softmax(masked_fill(x * scale, mask, fill))``.
-
-    Folds the attention-score scaling, the mask fill, and the max-shift
-    softmax into one pass over the scores.  ``mask`` (True = disallowed)
-    broadcasts against ``x``; masked positions receive ``fill`` before
-    the softmax — the same large-negative convention as the unfused
-    path, so the two produce identical probabilities — and exactly zero
-    gradient.
-    """
-    data = x.data
-    if scale is not None:
-        # Weak python scalars keep the input dtype under NEP 50; a
-        # stray np.float64 scale would silently upcast float32 scores.
-        scale = float(scale)
-        data = data * scale
-    fill = float(fill)
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
-        data = np.where(mask, fill, data)
-    shifted = data - data.max(axis=axis, keepdims=True)
-    out = np.exp(shifted)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray):
-        dot = (grad * out).sum(axis=axis, keepdims=True)
-        grad_x = out * (grad - dot)
-        if mask is not None:
-            grad_x = np.where(mask, 0.0, grad_x)
-        if scale is not None:
-            grad_x = grad_x * scale
-        return ((x, grad_x),)
-
-    return Tensor._make(out, (x,), backward)
 
 
 def fused_attention(
@@ -242,9 +165,9 @@ def fused_attention(
     (no per-component zero-filled scatter buffers).
 
     Every floating-point operation matches the unfused composition
-    (``split_qkv_heads`` + ``matmul`` + ``masked_softmax`` + dropout
-    multiply + ``matmul``) value for value, so swapping it in changes
-    no numerics — only the allocation count and graph size.
+    (head-split views, ``matmul``, scale, ``masked_fill`` + ``softmax``,
+    dropout multiply, ``matmul``) value for value — only the allocation
+    count and graph size differ.
 
     ``dropout_mask`` is a pre-scaled inverted-dropout mask for the
     ``(B, h, T, T)`` probabilities (see :func:`dropout_mask`); pass
@@ -319,41 +242,6 @@ def fused_attention(
     return Tensor._make(out, (qkv,), backward)
 
 
-def split_qkv_heads(qkv: Tensor, num_heads: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Split a packed ``(B, T, 3d)`` QKV projection into head views.
-
-    Returns ``(q, k, v)``, each ``(B, num_heads, T, d // num_heads)``
-    and each bit-identical to projecting with the corresponding
-    ``(d, d)`` weight column block separately and reshaping.  Each
-    output's backward scatters its gradient into its third of the
-    packed projection, so the packed matmul receives one accumulated
-    gradient.
-    """
-    batch, length, packed = qkv.shape
-    dim = packed // 3
-    if dim * 3 != packed or dim % num_heads != 0:
-        raise ValueError(
-            f"packed dim {packed} is not 3 * (num_heads={num_heads} * head_dim)"
-        )
-    head_dim = dim // num_heads
-    parts = qkv.data.reshape(batch, length, 3, num_heads, head_dim)
-    qkv_dtype = qkv.data.dtype
-
-    def component(index: int) -> Tensor:
-        out = np.ascontiguousarray(parts[:, :, index].transpose(0, 2, 1, 3))
-
-        def backward(grad: np.ndarray):
-            full = np.zeros(
-                (batch, length, 3, num_heads, head_dim), dtype=qkv_dtype
-            )
-            full[:, :, index] = grad.transpose(0, 2, 1, 3)
-            return ((qkv, full.reshape(batch, length, packed)),)
-
-        return Tensor._make(out, (qkv,), backward)
-
-    return component(0), component(1), component(2)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer ``targets`` under ``logits``.
 
@@ -400,14 +288,6 @@ def softplus(x: Tensor) -> Tensor:
         return ((x, grad * sig),)
 
     return Tensor._make(out, (x,), backward)
-
-
-def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Cosine similarity between ``a`` and ``b`` along ``axis``."""
-    dot = (a * b).sum(axis=axis)
-    norm_a = ((a * a).sum(axis=axis) + eps).sqrt()
-    norm_b = ((b * b).sum(axis=axis) + eps).sqrt()
-    return dot / (norm_a * norm_b)
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

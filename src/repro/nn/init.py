@@ -2,8 +2,8 @@
 
 The paper (§4.1.4) initializes all parameters from a truncated normal
 distribution restricted to ``[-0.01, 0.01]``; :func:`truncated_normal`
-implements that via rejection-free inverse-CDF sampling.  Xavier and He
-initializers are provided for the baselines and general use.
+implements that via rejection-free inverse-CDF sampling.  Linear layers
+and the packed attention projection start from Xavier-uniform.
 """
 
 from __future__ import annotations
@@ -37,19 +37,6 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal initialization (for ReLU networks)."""
-    fan_in, __ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

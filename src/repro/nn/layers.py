@@ -1,17 +1,15 @@
 """Standard neural-network layers.
 
-``Linear``, ``Embedding``, ``LayerNorm``, ``Dropout`` and a small
-``Sequential`` container — the building blocks the SASRec / CL4SRec
-encoder and the baselines are assembled from.
+``Linear``, ``Embedding``, ``LayerNorm`` and ``Dropout`` — the building
+blocks the SASRec / CL4SRec encoder and the baselines are assembled
+from.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.nn import compute, init
+from repro.nn import init
 from repro.nn import functional as F
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
@@ -49,9 +47,7 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.bias is None:
             return x.matmul(self.weight)
-        if compute.fused_enabled():
-            return F.linear(x, self.weight, self.bias)
-        return x.matmul(self.weight) + self.bias
+        return F.linear(x, self.weight, self.bias)
 
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
@@ -131,23 +127,3 @@ class Dropout(Module):
 
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"
-
-
-class Sequential(Module):
-    """Apply modules (or plain callables) in order."""
-
-    def __init__(self, *steps) -> None:
-        super().__init__()
-        self._steps: list[Callable] = []
-        for i, step in enumerate(steps):
-            if isinstance(step, Module):
-                self.add_module(f"step{i}", step)
-            self._steps.append(step)
-
-    def forward(self, x):
-        for step in self._steps:
-            x = step(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._steps)

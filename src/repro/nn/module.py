@@ -101,25 +101,22 @@ class Module:
         """Return a flat ``name -> array`` mapping (copies)."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load parameter values from a flat mapping.
 
-        With ``strict=True`` (default) the key sets must match exactly.
-        Shapes must always match.  Values are cast to each parameter's
-        own dtype, so a float32 model loads a float64 checkpoint (and
-        vice versa) without changing the model's precision.
+        The key sets and every shape must match exactly.  Values are
+        cast to each parameter's own dtype, so a float32 model loads a
+        float64 checkpoint (and vice versa) without changing the model's
+        precision.
         """
         own = dict(self.named_parameters())
-        if strict:
-            missing = sorted(set(own) - set(state))
-            unexpected = sorted(set(state) - set(own))
-            if missing or unexpected:
-                raise KeyError(
-                    f"state dict mismatch: missing={missing}, unexpected={unexpected}"
-                )
+        missing = sorted(set(own) - set(state))
+        unexpected = sorted(set(state) - set(own))
+        if missing or unexpected:
+            raise KeyError(
+                f"state dict mismatch: missing={missing}, unexpected={unexpected}"
+            )
         for name, values in state.items():
-            if name not in own:
-                continue
             param = own[name]
             values = np.asarray(values, dtype=param.data.dtype)
             if param.data.shape != values.shape:

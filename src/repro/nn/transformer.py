@@ -10,14 +10,15 @@ in Eq. (14):
     \\mathrm{Trm}(H) = \\mathrm{LayerNorm}(F + \\mathrm{Dropout}(\\mathrm{PFFN}(F)))
 
 with a position-wise feed-forward network
-``FFN(h) = ReLU(h W1 + b1) W2 + b2`` (Eq. 11).
+``FFN(h) = ReLU(h W1 + b1) W2 + b2`` (Eq. 11).  Each op has one grad
+kernel: attention is :func:`repro.nn.functional.fused_attention`, the
+FFN's inner step :func:`repro.nn.functional.fused_linear_act`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import compute
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear
@@ -27,14 +28,10 @@ from repro.obs.profiling import profile_scope
 
 
 class PositionwiseFeedForward(Module):
-    """Two-layer position-wise MLP (Eq. 11).
+    """Two-layer position-wise MLP with the paper's ReLU (Eq. 11).
 
-    ``activation`` is ``"relu"`` (the paper's choice and the default)
-    or ``"gelu"``.  The inner step runs as the fused
-    :func:`repro.nn.functional.fused_linear_act` kernel — one graph
-    node for ``act(x W1 + b1)`` — unless fusion is scoped off
-    (:func:`repro.nn.compute.use_fused`); both paths compute the same
-    floating-point values.
+    The inner step ``relu(x W1 + b1)`` runs as one graph node, the
+    fused :func:`repro.nn.functional.fused_linear_act` kernel.
     """
 
     def __init__(
@@ -42,26 +39,13 @@ class PositionwiseFeedForward(Module):
         dim: int,
         hidden_dim: int,
         rng: np.random.Generator | None = None,
-        activation: str = "relu",
     ) -> None:
         super().__init__()
-        if activation not in ("relu", "gelu"):
-            raise ValueError(
-                f"unsupported activation {activation!r}; expected 'relu' or 'gelu'"
-            )
-        self.activation = activation
         self.fc1 = Linear(dim, hidden_dim, rng=rng)
         self.fc2 = Linear(hidden_dim, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if compute.fused_enabled():
-            hidden = F.fused_linear_act(
-                x, self.fc1.weight, self.fc1.bias, self.activation
-            )
-        elif self.activation == "relu":
-            hidden = F.relu(self.fc1(x))
-        else:
-            hidden = F.gelu(self.fc1(x))
+        hidden = F.fused_linear_act(x, self.fc1.weight, self.fc1.bias)
         return self.fc2(hidden)
 
 

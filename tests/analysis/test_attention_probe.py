@@ -81,11 +81,26 @@ class TestAttentionMaps:
             after = model.encoder.user_representation(batch).data
         np.testing.assert_array_equal(before, after)
 
+    def test_wrong_width_batch_raises(self, model, batch):
+        """The probe runs the encoder's own embedding step, length check
+        included: it cannot report maps for a forward the model refuses."""
+        encoder = model.encoder
+        was_training = encoder.training
+        encoder.train()
+        try:
+            with pytest.raises(
+                ValueError, match="expected sequences of length 12, got 8"
+            ):
+                attention_maps(encoder, batch[:, -8:])
+            assert encoder.training  # the probe's eval() is undone on the way out
+        finally:
+            encoder.train(was_training)
+
 
 class TestRecencyProfile:
     def test_shape_and_normalization(self, model, tiny_dataset):
         users = tiny_dataset.evaluation_users("test")[:10]
-        profile = recency_profile(model, tiny_dataset, users, max_length=12)
+        profile = recency_profile(model, tiny_dataset, users)
         assert profile.shape == (10,)
         assert (profile >= 0).all()
         assert profile.max() <= 1.0
@@ -94,7 +109,7 @@ class TestRecencyProfile:
         """The final position always attends to itself among ≤T keys, so
         offset 0 should carry non-trivial weight."""
         users = tiny_dataset.evaluation_users("test")[:10]
-        profile = recency_profile(model, tiny_dataset, users, max_length=12)
+        profile = recency_profile(model, tiny_dataset, users)
         assert profile[0] > 0.02
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn.attention import MultiHeadSelfAttention, causal_mask
+from repro.nn import compute
+from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.tensor import Tensor
 
 
@@ -15,12 +16,12 @@ def make_attention(dim=8, heads=2, dropout=0.0, seed=0):
 
 class TestCausalMask:
     def test_upper_triangle_masked(self):
-        mask = causal_mask(4)
+        mask = compute.MASKS.causal(4)
         assert mask[0, 1] and mask[0, 3] and mask[2, 3]
         assert not mask[1, 1] and not mask[3, 0]
 
     def test_shape(self):
-        assert causal_mask(7).shape == (7, 7)
+        assert compute.MASKS.causal(7).shape == (7, 7)
 
 
 class TestForward:

@@ -3,9 +3,10 @@
 Covers the mask cache (hits, eviction, immutability, and bit-equality
 of the combined mask against the reference construction including the
 fully-masked-row diagonal fix), the scratch pool (reuse + thread
-isolation), fused-vs-reference equivalence for the full attention layer
-and FFN from identical parameters, the no-grad inference fast path, and
-the refusal of the retired three-projection Q/K/V state-dict layout.
+isolation), equivalence of the attention layer and FFN with the seed's
+op-for-op ``Tensor`` composition (kept here as the oracle) from
+identical parameters, the no-grad body against the grad body, and the
+refusal of the retired three-projection Q/K/V state-dict layout.
 """
 
 import threading
@@ -15,11 +16,11 @@ import pytest
 
 from repro.nn import compute
 from repro.nn import functional as F
-from repro.nn.attention import MultiHeadSelfAttention, causal_mask
+from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.checkpoint import load_checkpoint
 from repro.nn.serialization import CheckpointError
 from repro.nn.tensor import Tensor, no_grad
-from repro.nn.transformer import PositionwiseFeedForward
+from repro.nn.transformer import PositionwiseFeedForward, TransformerEncoder
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +35,7 @@ def reference_combined_mask(causal, key_padding_mask, length):
     batch = key_padding_mask.shape[0]
     mask = np.zeros((batch, 1, length, length), dtype=bool)
     if causal:
-        mask |= causal_mask(length)[None, None, :, :]
+        mask |= np.triu(np.ones((length, length), dtype=bool), k=1)
     mask |= key_padding_mask[:, None, None, :]
     fully_masked = mask.all(axis=-1, keepdims=True)
     diagonal = np.eye(length, dtype=bool)[None, None, :, :]
@@ -44,7 +45,9 @@ def reference_combined_mask(causal, key_padding_mask, length):
 class TestMaskCache:
     def test_causal_mask_values(self):
         cache = compute.MaskCache()
-        np.testing.assert_array_equal(cache.causal(5), causal_mask(5))
+        np.testing.assert_array_equal(
+            cache.causal(5), np.triu(np.ones((5, 5), dtype=bool), k=1)
+        )
 
     def test_hit_returns_same_object(self):
         cache = compute.MaskCache()
@@ -143,56 +146,79 @@ class TestScratchPool:
         assert theirs["buffer"] is not mine
 
 
-class TestUseFused:
-    def test_default_on_and_scoped_off(self):
-        assert compute.fused_enabled()
-        with compute.use_fused(False):
-            assert not compute.fused_enabled()
-            with compute.use_fused(True):
-                assert compute.fused_enabled()
-            assert not compute.fused_enabled()
-        assert compute.fused_enabled()
-
-    def test_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with compute.use_fused(False):
-                raise RuntimeError("boom")
-        assert compute.fused_enabled()
-
-
 def make_attention(dim=8, heads=2, seed=3):
     return MultiHeadSelfAttention(
         dim=dim, num_heads=heads, dropout=0.0, rng=np.random.default_rng(seed)
     )
 
 
+def reference_attention(module, x, causal, key_padding_mask=None):
+    """The seed's op-for-op attention composition on ``module``'s weights:
+    three sliced projections, a per-call mask, ``masked_fill`` + ``softmax``.
+
+    Returns the output Tensor and the softmax probabilities.
+    """
+    batch, length, __ = x.shape
+    weight, bias, d = module.qkv_proj.weight, module.qkv_proj.bias, module.dim
+
+    def heads(t):
+        shape = (batch, length, module.num_heads, module.head_dim)
+        return t.reshape(*shape).transpose(0, 2, 1, 3)
+
+    q = heads(x.matmul(weight[:, :d]) + bias[:d])
+    k = heads(x.matmul(weight[:, d : 2 * d]) + bias[d : 2 * d])
+    v = heads(x.matmul(weight[:, 2 * d :]) + bias[2 * d :])
+    scale = 1.0 / float(np.sqrt(module.head_dim))
+    scores = q.matmul(k.swapaxes(-1, -2)) * scale
+    if key_padding_mask is None:
+        key_padding_mask = np.zeros((batch, length), dtype=bool)
+    mask = reference_combined_mask(causal, key_padding_mask, length)
+    probs = F.softmax(scores.masked_fill(mask, -1e9), axis=-1)
+    context = probs.matmul(v).transpose(0, 2, 1, 3).reshape(batch, length, d)
+    out = context.matmul(module.out_proj.weight) + module.out_proj.bias
+    return out, probs.data
+
+
+def reference_ffn(module, x):
+    """``relu(fc1(x))`` then ``fc2``, each linear as ``matmul`` + bias."""
+    hidden = F.relu(x.matmul(module.fc1.weight) + module.fc1.bias)
+    return hidden.matmul(module.fc2.weight) + module.fc2.bias
+
+
+def forward_and_grads(module, run, x):
+    module.zero_grad()
+    out = run(Tensor(x.copy()))
+    (out * Tensor(np.ones_like(out.data))).sum().backward()
+    return out.data.copy(), {n: p.grad.copy() for n, p in module.named_parameters()}
+
+
+def padded(batch, length):
+    """Left padding of two on row 1 and a fully padded last row."""
+    padding = np.zeros((batch, length), dtype=bool)
+    padding[1, :2] = True
+    padding[-1, :] = True  # exercises the NaN-row diagonal fix
+    return padding
+
+
 class TestFusedEquivalence:
-    """Fused and reference paths are the same function, bit for bit."""
+    """The layers and the seed composition are the same function, bit for bit."""
 
     @pytest.mark.parametrize("use_padding", [False, True])
     def test_attention_forward_and_grads_match(self, use_padding):
         x = np.random.default_rng(5).normal(size=(3, 6, 8))
-        padding = None
-        if use_padding:
-            padding = np.zeros((3, 6), dtype=bool)
-            padding[1, :2] = True
-            padding[2, :] = True  # fully padded row exercises the NaN fix
-
-        outputs, grads = [], []
-        for fused in (True, False):
-            module = make_attention()
-            module.eval()
-            with compute.use_fused(fused):
-                module.zero_grad()
-                out = module(Tensor(x.copy()), causal=True, key_padding_mask=padding)
-                (out * Tensor(np.ones_like(out.data))).sum().backward()
-            outputs.append(out.data.copy())
-            grads.append({n: p.grad.copy() for n, p in module.named_parameters()})
-
-        np.testing.assert_array_equal(outputs[0], outputs[1])
-        for name in grads[0]:
+        padding = padded(3, 6) if use_padding else None
+        module = make_attention()
+        module.eval()
+        fused = forward_and_grads(
+            module, lambda t: module(t, causal=True, key_padding_mask=padding), x
+        )
+        reference = forward_and_grads(
+            module, lambda t: reference_attention(module, t, True, padding)[0], x
+        )
+        np.testing.assert_array_equal(fused[0], reference[0])
+        for name in fused[1]:
             np.testing.assert_allclose(
-                grads[0][name], grads[1][name], rtol=0, atol=1e-12, err_msg=name
+                fused[1][name], reference[1][name], rtol=0, atol=1e-12, err_msg=name
             )
 
     def test_inference_fast_path_matches_grad_path(self):
@@ -203,7 +229,21 @@ class TestFusedEquivalence:
             fast = module(Tensor(x), causal=True)
         slow = module(Tensor(x), causal=True)
         assert not fast._parents  # no autograd graph attached
-        np.testing.assert_allclose(fast.data, slow.data, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fast.data, slow.data)
+
+        # A 2-layer encoder with a fully padded row, in both precisions.
+        padding = padded(3, 6)
+        for dtype in (np.float64, np.float32):
+            encoder = TransformerEncoder(
+                2, 8, 2, hidden_dim=16, dropout=0.2, rng=np.random.default_rng(4)
+            )
+            encoder.eval().to_dtype(dtype)
+            x = np.random.default_rng(5).normal(size=(3, 6, 8)).astype(dtype)
+            with no_grad():
+                fast = encoder(Tensor(x), key_padding_mask=padding)
+            slow = encoder(Tensor(x), key_padding_mask=padding)
+            assert fast.data.dtype == dtype
+            np.testing.assert_array_equal(fast.data, slow.data, err_msg=str(dtype))
 
     def test_inference_fast_path_reuses_scratch(self):
         module = make_attention()
@@ -215,44 +255,43 @@ class TestFusedEquivalence:
             module(x, causal=True)
             assert compute.SCRATCH.get("attn.scores", (2, 2, 5, 5), np.float64) is buffer
 
-    @pytest.mark.parametrize("activation", ["relu", "gelu"])
-    def test_ffn_matches_reference(self, activation):
+    def test_ffn_matches_reference(self):
         x = np.random.default_rng(8).normal(size=(2, 4, 8))
-        outputs, grads = [], []
-        for fused in (True, False):
-            module = PositionwiseFeedForward(
-                dim=8, hidden_dim=16, rng=np.random.default_rng(9), activation=activation
-            )
-            module.eval()
-            with compute.use_fused(fused):
-                module.zero_grad()
-                out = module(Tensor(x.copy()))
-                out.sum().backward()
-            outputs.append(out.data.copy())
-            grads.append({n: p.grad.copy() for n, p in module.named_parameters()})
-        np.testing.assert_allclose(outputs[0], outputs[1], rtol=0, atol=1e-12)
-        for name in grads[0]:
+        module = PositionwiseFeedForward(dim=8, hidden_dim=16, rng=np.random.default_rng(9))
+        fused = forward_and_grads(module, module, x)
+        reference = forward_and_grads(module, lambda t: reference_ffn(module, t), x)
+        np.testing.assert_array_equal(fused[0], reference[0])
+        for name in fused[1]:
             np.testing.assert_allclose(
-                grads[0][name], grads[1][name], rtol=0, atol=1e-10, err_msg=name
-            )
-
-    def test_ffn_rejects_unknown_activation(self):
-        with pytest.raises(ValueError):
-            PositionwiseFeedForward(
-                dim=4, hidden_dim=8, rng=np.random.default_rng(0), activation="swish"
+                fused[1][name], reference[1][name], rtol=0, atol=1e-10, err_msg=name
             )
 
     def test_return_probs_matches(self):
-        x = np.random.default_rng(10).normal(size=(2, 4, 8))
+        x = np.random.default_rng(10).normal(size=(3, 4, 8))
+        padding = padded(3, 4)
         module = make_attention()
         module.eval()
-        with compute.use_fused(True):
-            out_f, probs_f = module(Tensor(x), causal=True, return_probs=True)
-        with compute.use_fused(False):
-            out_r, probs_r = module(Tensor(x), causal=True, return_probs=True)
-        np.testing.assert_array_equal(out_f.data, out_r.data)
-        np.testing.assert_array_equal(probs_f, probs_r)
+        for causal in (True, False):
+            with no_grad():
+                out, probs = module(
+                    Tensor(x), causal=causal, key_padding_mask=padding, return_probs=True
+                )
+                plain = module(Tensor(x), causal=causal, key_padding_mask=padding)
+                module(Tensor(2.0 * x), causal=causal, key_padding_mask=padding)
+            __, reference = reference_attention(module, Tensor(x), causal, padding)
+            # A copy: the scratch buffer has since been overwritten.
+            np.testing.assert_array_equal(probs, reference)
+            np.testing.assert_array_equal(out.data, plain.data)
 
+    def test_return_probs_needs_the_no_grad_body(self):
+        module = make_attention()
+        x = Tensor(np.random.default_rng(11).normal(size=(2, 4, 8)))
+        module.eval()
+        with pytest.raises(ValueError, match="no_grad"):
+            module(x, return_probs=True)
+        dropped = MultiHeadSelfAttention(8, 2, dropout=0.1, rng=np.random.default_rng(3))
+        with no_grad(), pytest.raises(ValueError, match="dropout off"):
+            dropped(x, return_probs=True)
 
 class TestLegacyQKVLayoutRefused:
     def test_legacy_state_dict_is_refused_by_name(self, tmp_path):

@@ -7,17 +7,16 @@ A failure names the offending parameter and its max abs error, e.g.::
 
     gradient mismatch: attention.query_proj.weight (max abs err 3.1e-04)
 
-Everything runs in float64 with fixed seeds and dropout disabled, so
-the checks are tight (atol 1e-6) and bit-reproducible.
+The module checks run in float64 with fixed seeds and dropout disabled
+(the fused-attention check draws one fixed dropout mask), so they are
+tight (atol 1e-6) and bit-reproducible.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.nn import compute, precision
 from repro.nn import functional as F
-from repro.nn import precision
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module, Parameter
@@ -121,18 +120,14 @@ class TestGradcheck:
         check_parameter_gradients(module, loss_fn)
 
     def test_fused_ffn(self):
-        """The fused linear+activation kernel used by the FFN."""
-        for activation in ("relu", "gelu"):
-            module = PositionwiseFeedForward(
-                dim=5, hidden_dim=7, rng=np.random.default_rng(19),
-                activation=activation,
-            )
-            x = np.random.default_rng(20).normal(size=(2, 3, 5))
+        """The fused linear+ReLU kernel used by the FFN."""
+        module = PositionwiseFeedForward(dim=5, hidden_dim=7, rng=np.random.default_rng(19))
+        x = np.random.default_rng(20).normal(size=(2, 3, 5))
 
-            def loss_fn():
-                return scalarize(module(Tensor(x)), seed=21)
+        def loss_fn():
+            return scalarize(module(Tensor(x)), seed=21)
 
-            check_parameter_gradients(module, loss_fn)
+        check_parameter_gradients(module, loss_fn)
 
     def test_failure_names_offending_parameter(self):
         """The harness's own error reporting: a corrupted gradient is
@@ -198,8 +193,7 @@ class TestFusedPrimitiveGradcheck:
         )
 
     @pytest.mark.parametrize("dtype, eps", DTYPE_CASES)
-    @pytest.mark.parametrize("activation", ["relu", "gelu"])
-    def test_fused_linear_act(self, dtype, eps, activation):
+    def test_fused_linear_act(self, dtype, eps):
         rng = np.random.default_rng(32)
         module = _PrimitiveHarness(
             {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 6)),
@@ -208,7 +202,7 @@ class TestFusedPrimitiveGradcheck:
         )
 
         def loss_fn():
-            out = F.fused_linear_act(module.x, module.w, module.b, activation)
+            out = F.fused_linear_act(module.x, module.w, module.b)
             return scalarize(out, seed=33)
 
         check_parameter_gradients(
@@ -216,85 +210,27 @@ class TestFusedPrimitiveGradcheck:
         )
 
     @pytest.mark.parametrize("dtype, eps", DTYPE_CASES)
-    def test_masked_softmax(self, dtype, eps):
-        rng = np.random.default_rng(34)
-        module = _PrimitiveHarness({"x": rng.normal(size=(2, 2, 4, 4))}, dtype)
-        mask = np.triu(np.ones((4, 4), dtype=bool), k=1)
-
-        def loss_fn():
-            out = F.masked_softmax(module.x, mask, axis=-1, scale=0.5)
-            return scalarize(out, seed=35)
-
-        check_parameter_gradients(
-            module, loss_fn, eps=eps, atol=precision.grad_atol(dtype)
-        )
-
-    @pytest.mark.parametrize("dtype, eps", DTYPE_CASES)
-    def test_packed_qkv_attention(self, dtype, eps):
-        """The packed projection + head split, end to end through the
-        attention arithmetic (matmul, masked softmax, context)."""
+    @pytest.mark.parametrize("with_dropout", [False, True], ids=["mask", "dropout"])
+    def test_fused_attention(self, dtype, eps, with_dropout):
+        """The attention node straight from a packed QKV, under a causal
+        + padding mask (one fully padded row) and, in the dropout arm, a
+        fixed pre-scaled dropout mask on the probabilities."""
         rng = np.random.default_rng(36)
-        module = _PrimitiveHarness(
-            {"x": rng.normal(size=(2, 3, 4)),
-             "w": rng.normal(size=(4, 12)) * 0.5,
-             "b": rng.normal(size=(12,)) * 0.1},
-            dtype,
-        )
-        mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
+        module = _PrimitiveHarness({"qkv": rng.normal(size=(3, 4, 12))}, dtype)
+        padding = np.zeros((3, 4), dtype=bool)
+        padding[1, :2] = True
+        padding[2, :] = True
+        mask = compute.MaskCache().combined(True, padding, 4)
+        drop = None
+        if with_dropout:
+            drop = F.dropout_mask((3, 2, 4, 4), 0.3, np.random.default_rng(37), dtype)
 
         def loss_fn():
-            qkv = F.linear(module.x, module.w, module.b)
-            q, k, v = F.split_qkv_heads(qkv, num_heads=2)
-            scores = q.matmul(k.swapaxes(-1, -2))
-            probs = F.masked_softmax(scores, mask, axis=-1, scale=1.0 / np.sqrt(2.0))
-            context = probs.matmul(v)
-            return scalarize(context, seed=37)
+            out = F.fused_attention(
+                module.qkv, mask, 2, 1.0 / np.sqrt(2.0), dropout_mask=drop
+            )
+            return scalarize(out, seed=38)
 
         check_parameter_gradients(
             module, loss_fn, eps=eps, atol=precision.grad_atol(dtype)
         )
-
-
-class TestMaskedSoftmaxProperty:
-    """Fused masked-softmax == masked_fill + softmax, bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        batch=st.integers(1, 3),
-        length=st.integers(1, 6),
-        scale=st.floats(0.1, 2.0),
-        seed=st.integers(0, 2**31 - 1),
-        causal=st.booleans(),
-    )
-    def test_matches_unfused_composition(self, batch, length, scale, seed, causal):
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=(batch, length, length)) * 3.0
-        mask = (
-            np.triu(np.ones((length, length), dtype=bool), k=1)
-            if causal
-            else rng.random((batch, length, length)) < 0.3
-        )
-        # Never present a fully-masked row (softmax of all -1e9 is
-        # well-defined but attention always unmasks the diagonal first).
-        mask &= ~np.eye(length, dtype=bool)
-
-        fused_in = Tensor(data.copy(), requires_grad=True)
-        fused = F.masked_softmax(fused_in, mask, axis=-1, scale=scale, fill=-1e9)
-
-        unfused_in = Tensor(data.copy(), requires_grad=True)
-        unfused = F.softmax(
-            (unfused_in * scale).masked_fill(mask, -1e9), axis=-1
-        )
-
-        np.testing.assert_array_equal(fused.data, unfused.data)
-
-        upstream = np.random.default_rng(seed + 1).normal(size=fused.shape)
-        (fused * Tensor(upstream)).sum().backward()
-        (unfused * Tensor(upstream)).sum().backward()
-        np.testing.assert_array_equal(fused_in.grad, unfused_in.grad)
-
-    def test_no_mask_no_scale_is_plain_softmax(self):
-        x = np.random.default_rng(38).normal(size=(3, 5))
-        fused = F.masked_softmax(Tensor(x))
-        plain = F.softmax(Tensor(x))
-        np.testing.assert_array_equal(fused.data, plain.data)

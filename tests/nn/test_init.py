@@ -40,18 +40,6 @@ class TestXavierHe:
         limit = np.sqrt(6.0 / 300)
         assert np.abs(w).max() <= limit
 
-    def test_xavier_normal_std(self):
-        rng = np.random.default_rng(1)
-        w = init.xavier_normal((500, 500), rng)
-        expected = np.sqrt(2.0 / 1000)
-        assert abs(w.std() - expected) / expected < 0.05
-
-    def test_he_normal_std(self):
-        rng = np.random.default_rng(2)
-        w = init.he_normal((400, 100), rng)
-        expected = np.sqrt(2.0 / 400)
-        assert abs(w.std() - expected) / expected < 0.05
-
     def test_1d_fans(self):
         rng = np.random.default_rng(3)
         assert init.xavier_uniform((10,), rng).shape == (10,)

@@ -1,9 +1,9 @@
-"""Linear, Embedding, LayerNorm, Dropout, Sequential."""
+"""Linear, Embedding, LayerNorm, Dropout."""
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Sequential
+from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(2)
@@ -107,21 +107,3 @@ class TestDropout:
         b = Dropout(0.5, rng=np.random.default_rng(7))
         x = Tensor(np.ones((8, 8)))
         np.testing.assert_array_equal(a(x).data, b(x).data)
-
-
-class TestSequential:
-    def test_applies_in_order(self):
-        seq = Sequential(lambda x: x + 1, lambda x: x * 10)
-        assert seq(1) == 20
-
-    def test_registers_modules(self):
-        seq = Sequential(Linear(3, 4, rng=RNG), Linear(4, 2, rng=RNG))
-        assert len(list(seq.parameters())) == 4
-        assert len(seq) == 2
-
-    def test_mixed_modules_and_callables(self):
-        from repro.nn import functional as F
-
-        seq = Sequential(Linear(3, 3, rng=RNG), F.relu)
-        out = seq(Tensor(RNG.normal(size=(2, 3))))
-        assert (out.data >= 0).all()

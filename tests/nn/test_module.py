@@ -113,16 +113,11 @@ class TestStateDict:
         with pytest.raises(KeyError):
             Leaf().load_state_dict(state)
 
-    def test_non_strict_ignores_extras(self):
-        state = Leaf().state_dict()
-        state["ghost"] = np.zeros(1)
-        Leaf().load_state_dict(state, strict=False)
-
     def test_shape_mismatch_raises(self):
         state = Leaf().state_dict()
         state["weight"] = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            Leaf().load_state_dict(state, strict=False)
+            Leaf().load_state_dict(state)
 
     def test_forward_not_implemented(self):
         with pytest.raises(NotImplementedError):

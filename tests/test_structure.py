@@ -172,14 +172,6 @@ KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
     "top_k_table": "unused (callers moved to top_k_indices); repro.eval is ROADMAP item 7's",
-    "cosine_similarity": "unused op; repro.nn toolkit",
-    "xavier_normal": "unused initialiser; repro.nn toolkit",
-    "he_normal": "unused initialiser; repro.nn toolkit",
-    "Sequential": "unused container; repro.nn toolkit",
-    "WarmupLinearSchedule": "unused schedule (training uses optim.LinearDecaySchedule); repro.nn toolkit",
-    "CosineSchedule": "unused schedule; repro.nn toolkit",
-    "StepDecaySchedule": "unused schedule; repro.nn toolkit",
-    "ConstantSchedule": "unused schedule; repro.nn toolkit",
 }
 
 
