@@ -54,15 +54,21 @@ def representation_quality(
 
     Uses the model's own pair sampler (``model.pair_sampler``) to
     produce the positive views, mirroring the training distribution.
+    The encoder runs in eval mode (restored afterwards), so the numbers
+    carry no dropout noise and the model's generator does not advance.
     """
     rng = np.random.default_rng(seed)
     loader = ContrastiveBatchLoader(
         dataset, model.pair_sampler, max_length, num_users, rng
     )
     batch = next(iter(loader.epoch()))
+    was_training = model.training
+    model.eval()
     with no_grad():
         rep_a = model.encoder.user_representation(batch.view_a).data
         rep_b = model.encoder.user_representation(batch.view_b).data
+    if was_training:
+        model.train()
     return {
         "alignment": alignment(rep_a, rep_b),
         "uniformity": uniformity(np.concatenate([rep_a, rep_b], axis=0)),

@@ -30,7 +30,7 @@ from repro.data.loaders import ContrastiveBatch
 from repro.data.preprocessing import SequenceDataset
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainingHistory
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 @dataclass
@@ -172,24 +172,7 @@ class CL4SRec(SASRec):
         Used to quantify the paper's claim that the projection discards
         information useful for recommendation.
         """
-        from repro.data.loaders import pad_left
-        from repro.nn.tensor import no_grad
-
-        users = np.asarray(users)
-        t = self.config.train.max_length
-        batch = np.zeros((len(users), t), dtype=np.int64)
-        for row, user in enumerate(users):
-            batch[row] = pad_left(dataset.full_sequence(int(user), split=split), t)
-        was_training = self.training
-        self.eval()
+        sequences = [dataset.full_sequence(int(user), split=split) for user in users]
         with no_grad():
-            representation = self.projection(
-                self.encoder.user_representation(batch)
-            )
-            item_vectors = self.encoder.item_embedding.weight[
-                : dataset.num_items + 1, :
-            ]
-            scores = representation.matmul(item_vectors.transpose()).data
-        if was_training:
-            self.train()
-        return scores
+            projected = self.projection(Tensor(self.encode_sequences(sequences))).data
+        return projected @ self.item_embedding_matrix(dataset.num_items).T

@@ -179,7 +179,7 @@ class BERT4Rec(Module, Recommender):
         was_training = self.training
         self.eval()
         with no_grad():
-            representation = self.encoder(batch)[:, -1, :].data
+            representation = self.encoder.user_representation(batch).data
         if was_training:
             self.train()
         return representation

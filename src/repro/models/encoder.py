@@ -91,9 +91,17 @@ class SASRecEncoder(Module):
         )
 
     def user_representation(self, item_ids: np.ndarray) -> Tensor:
-        """The last-position hidden state ``s_u`` (paper Eq. 13)."""
-        hidden = self.forward(item_ids)
-        return hidden[:, -1, :]
+        """The last-position hidden state ``s_u`` (paper Eq. 13).
+
+        Equals ``forward(item_ids)[:, -1, :]`` at floating-point
+        tolerance and draws the same dropout masks, but the final block
+        computes only that row.
+        """
+        hidden, padding_mask = self.embed(item_ids)
+        last = self.transformer.last_row(
+            hidden, causal=self.causal, key_padding_mask=padding_mask
+        )
+        return last.reshape(last.shape[0], self.dim)
 
     def score_all_items(self, representation: Tensor, num_items: int) -> Tensor:
         """Scores for item ids ``0..num_items`` via shared embeddings.

@@ -21,6 +21,9 @@ cache in :mod:`repro.nn.compute`.
 
 Both bodies perform the same floating-point operations per value, so
 they agree to the last bit given the same parameters.
+
+:meth:`MultiHeadSelfAttention.last_row` runs the same two bodies on
+one query row, the last, for callers that read nothing else.
 """
 
 from __future__ import annotations
@@ -103,6 +106,32 @@ class MultiHeadSelfAttention(Module):
             array (for analysis).  Only the no-grad body computes them:
             the call must run under ``no_grad()`` with dropout off.
         """
+        return self._attend(x, causal, key_padding_mask, return_probs, last_row=False)
+
+    def last_row(
+        self,
+        x: Tensor,
+        causal: bool = True,
+        key_padding_mask: np.ndarray | None = None,
+    ) -> Tensor:
+        """``forward(x, ...)[:, -1:, :]``, computing only that query row.
+
+        Keys and values span every position of ``x``; the query, the
+        attention row and the output projection run on ``(B, 1, d)``.
+        An active dropout draws the full ``(B, h, T, T)`` mask, exactly
+        as :meth:`forward` does, and applies its last row — so the
+        generator stream is the same whichever method ran.
+        """
+        return self._attend(x, causal, key_padding_mask, return_probs=False, last_row=True)
+
+    def _attend(
+        self,
+        x: Tensor,
+        causal: bool,
+        key_padding_mask: np.ndarray | None,
+        return_probs: bool,
+        last_row: bool,
+    ):
         with profile_scope("nn.attention"):
             batch, length, __ = x.shape
             # Python float, not np.float64: a numpy scalar is "strong"
@@ -117,7 +146,7 @@ class MultiHeadSelfAttention(Module):
 
             dropout_active = self.training and self.attn_dropout.rate > 0.0
             if not is_grad_enabled() and not dropout_active:
-                return self._attend_inference(x, mask, scale, return_probs)
+                return self._attend_inference(x, mask, scale, return_probs, last_row)
             if return_probs:
                 raise ValueError(
                     "return_probs=True needs the no-grad body: call under "
@@ -134,7 +163,13 @@ class MultiHeadSelfAttention(Module):
                     dtype=x.data.dtype,
                 )
             context = F.fused_attention(
-                qkv, mask, self.num_heads, scale, fill=_NEG_INF, dropout_mask=drop
+                qkv,
+                mask,
+                self.num_heads,
+                scale,
+                fill=_NEG_INF,
+                dropout_mask=drop,
+                last_row=last_row,
             )
             return self.out_proj(context)
 
@@ -144,37 +179,43 @@ class MultiHeadSelfAttention(Module):
         mask: np.ndarray | None,
         scale: float,
         return_probs: bool,
+        last_row: bool,
     ):
         """No-grad forward on raw numpy with pooled scratch buffers.
 
-        Same floating-point operations as :func:`F.fused_attention` —
-        the softmax runs in place on the pooled scores buffer, which no
-        graph node retains (callers are inside ``no_grad()``).  The
-        buffer is reused by the next call, so ``return_probs`` hands
-        back a copy.
+        Same floating-point operations as :func:`F.fused_attention`,
+        ``last_row`` included — the softmax runs in place on the pooled
+        ``(B, h, rows, T)`` scores buffer, which no graph node retains
+        (callers are inside ``no_grad()``).  The buffer is reused by the
+        next call, so ``return_probs`` hands back a copy.
         """
         batch, length, __ = x.shape
         dtype = x.data.dtype
+        queries = slice(-1, None) if last_row else slice(None)
+        rows = 1 if last_row else length
         qkv = np.matmul(x.data, self.qkv_proj.weight.data) + self.qkv_proj.bias.data
         parts = qkv.reshape(batch, length, 3, self.num_heads, self.head_dim)
-        q = np.ascontiguousarray(parts[:, :, 0].transpose(0, 2, 1, 3))
-        k = parts[:, :, 1].transpose(0, 2, 1, 3)
+        q = np.ascontiguousarray(parts[:, queries, 0].transpose(0, 2, 1, 3))
+        # Contiguous k, as in the grad kernel: one query row makes
+        # `q @ kᵀ` a BLAS gemv, whose float32 rounding depends on the
+        # operand's row stride (a gemm packs its operands and does not).
+        k = np.ascontiguousarray(parts[:, :, 1].transpose(0, 2, 1, 3))
         v = parts[:, :, 2].transpose(0, 2, 1, 3)
 
         scores = compute.SCRATCH.get(
-            "attn.scores", (batch, self.num_heads, length, length), dtype
+            "attn.scores", (batch, self.num_heads, rows, length), dtype
         )
         np.matmul(q, k.swapaxes(-1, -2), out=scores)
         scores *= scale
         if mask is not None:
-            np.copyto(scores, _NEG_INF, where=mask)
+            np.copyto(scores, _NEG_INF, where=mask[..., queries, :])
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
 
-        context = np.matmul(scores, v)  # (B, h, T, dh)
+        context = np.matmul(scores, v)  # (B, h, rows, dh)
         context = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
-            batch, length, self.dim
+            batch, rows, self.dim
         )
         out = Tensor(
             np.matmul(context, self.out_proj.weight.data) + self.out_proj.bias.data

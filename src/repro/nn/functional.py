@@ -154,6 +154,7 @@ def fused_attention(
     scale: float,
     fill: float = -1e9,
     dropout_mask: np.ndarray | None = None,
+    last_row: bool = False,
 ) -> Tensor:
     """Scaled-dot-product attention from a packed QKV, one graph node.
 
@@ -172,6 +173,12 @@ def fused_attention(
     ``dropout_mask`` is a pre-scaled inverted-dropout mask for the
     ``(B, h, T, T)`` probabilities (see :func:`dropout_mask`); pass
     ``None`` when dropout is inactive.
+
+    With ``last_row=True`` only the last query row is computed: the
+    result is the ``(B, 1, d)`` context of position ``T - 1``, keys and
+    values still span every position.  ``mask`` and ``dropout_mask``
+    keep their full shapes and are cut to that row here.  The packed Q
+    gradient of the rows not queried is zero.
     """
     batch, length, packed = qkv.shape
     dim = packed // 3
@@ -182,35 +189,40 @@ def fused_attention(
     head_dim = dim // num_heads
     scale = float(scale)
     fill = float(fill)
+    queries = slice(-1, None) if last_row else slice(None)
+    rows = 1 if last_row else length
 
     parts = qkv.data.reshape(batch, length, 3, num_heads, head_dim)
     # Materialize contiguous head views once: the forward and the four
     # backward batched matmuls all reuse them, and numpy's batched
     # matmul is much slower on strided 4-D operands.  Copying never
     # changes values.
-    q = np.ascontiguousarray(parts[:, :, 0].transpose(0, 2, 1, 3))
+    q = np.ascontiguousarray(parts[:, queries, 0].transpose(0, 2, 1, 3))
     k = np.ascontiguousarray(parts[:, :, 1].transpose(0, 2, 1, 3))
     v = np.ascontiguousarray(parts[:, :, 2].transpose(0, 2, 1, 3))
 
-    scores = np.matmul(q, k.swapaxes(-1, -2))  # (B, h, T, T)
+    scores = np.matmul(q, k.swapaxes(-1, -2))  # (B, h, rows, T)
     scores *= scale
     if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), scores.shape)
+        mask = np.asarray(mask, dtype=bool)[..., queries, :]
+        mask = np.broadcast_to(mask, scores.shape)
         np.copyto(scores, fill, where=mask)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     probs = scores  # softmax output, retained for the backward
 
+    if dropout_mask is not None:
+        dropout_mask = dropout_mask[..., queries, :]
     dropped = probs if dropout_mask is None else probs * dropout_mask
-    context = np.matmul(dropped, v)  # (B, h, T, dh)
+    context = np.matmul(dropped, v)  # (B, h, rows, dh)
     out = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
-        batch, length, dim
+        batch, rows, dim
     )
 
     def backward(grad: np.ndarray):
         # Merge-heads backward: pure view reshuffle, no arithmetic.
-        g = grad.reshape(batch, length, num_heads, head_dim).transpose(0, 2, 1, 3)
+        g = grad.reshape(batch, rows, num_heads, head_dim).transpose(0, 2, 1, 3)
         # context = dropped @ v
         grad_dropped = np.matmul(g, v.swapaxes(-1, -2))
         grad_v = np.matmul(dropped.swapaxes(-1, -2), g)
@@ -234,7 +246,9 @@ def fused_attention(
         # Head split backward: write each third of the packed gradient
         # in place — no zero-filled scatter buffers to accumulate.
         grad_parts = np.empty_like(parts)
-        grad_parts[:, :, 0] = grad_q.transpose(0, 2, 1, 3)
+        if last_row:
+            grad_parts[:, :-1, 0] = 0.0  # rows that were never queried
+        grad_parts[:, queries, 0] = grad_q.transpose(0, 2, 1, 3)
         grad_parts[:, :, 1] = grad_k.transpose(0, 2, 1, 3)
         grad_parts[:, :, 2] = grad_v.transpose(0, 2, 1, 3)
         return ((qkv, grad_parts.reshape(batch, length, packed)),)

@@ -125,5 +125,15 @@ class Dropout(Module):
         mask = F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype)
         return x * Tensor(mask)
 
+    def last_row(self, x: Tensor, length: int) -> Tensor:
+        """Dropout on the last row ``x = h[:, -1:, :]`` of a ``(B, length,
+        d)`` input ``h``: draws the mask ``forward(h)`` would draw and
+        applies its last row, so the generator stream is unchanged."""
+        if not self.training or self.rate == 0.0:
+            return x
+        batch, __, dim = x.shape
+        mask = F.dropout_mask((batch, length, dim), self.rate, self._rng, dtype=x.dtype)
+        return x * Tensor(mask[:, -1:, :])
+
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"

@@ -13,6 +13,10 @@ with a position-wise feed-forward network
 ``FFN(h) = ReLU(h W1 + b1) W2 + b2`` (Eq. 11).  Each op has one grad
 kernel: attention is :func:`repro.nn.functional.fused_attention`, the
 FFN's inner step :func:`repro.nn.functional.fused_linear_act`.
+
+``forward`` returns every position; ``last_row`` returns the last one
+only and lets the final block skip the rows nobody reads (the user
+representation, Eq. 13).
 """
 
 from __future__ import annotations
@@ -82,6 +86,28 @@ class TransformerEncoderLayer(Module):
         transformed = self.feed_forward(x)
         return self.norm2(x + self.dropout2(transformed))
 
+    def last_row(
+        self,
+        x: Tensor,
+        causal: bool = True,
+        key_padding_mask: np.ndarray | None = None,
+    ) -> Tensor:
+        """``forward(x, ...)[:, -1:, :]``, computing only that row.
+
+        Attention keys and values see every position of ``x``; the
+        query, the residuals, both layer norms and the FFN run on
+        ``(B, 1, d)``.  Every dropout mask is drawn at the full
+        forward's shape and in its order, then cut to the last row.
+        """
+        length = x.shape[1]
+        attended = self.attention.last_row(
+            x, causal=causal, key_padding_mask=key_padding_mask
+        )
+        x = x[:, -1:, :]
+        x = self.norm1(x + self.dropout1.last_row(attended, length))
+        transformed = self.feed_forward(x)
+        return self.norm2(x + self.dropout2.last_row(transformed, length))
+
 
 class TransformerEncoder(Module):
     """A stack of :class:`TransformerEncoderLayer` blocks (paper: L=2)."""
@@ -116,3 +142,18 @@ class TransformerEncoder(Module):
             for layer in self.layers:
                 x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
             return x
+
+    def last_row(
+        self,
+        x: Tensor,
+        causal: bool = True,
+        key_padding_mask: np.ndarray | None = None,
+    ) -> Tensor:
+        """``forward(x, ...)[:, -1:, :]``: every block but the final one
+        runs at all positions, the final one computes only the row that
+        is read (:meth:`TransformerEncoderLayer.last_row`)."""
+        with profile_scope("nn.encoder"):
+            *inner, final = self.layers
+            for layer in inner:
+                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
+            return final.last_row(x, causal=causal, key_padding_mask=key_padding_mask)

@@ -93,6 +93,31 @@ class TestRepresentationQuality:
         assert set(quality) == {"alignment", "uniformity"}
         assert quality["alignment"] >= 0.0
 
+    def test_deterministic_and_leaves_training_untouched(self, tiny_dataset):
+        """A fresh model is in train mode: the diagnostic must still
+        measure without dropout noise, leave the model's generator where
+        it was (so a later ``fit`` is unchanged) and restore the mode."""
+        from repro.core.cl4srec import CL4SRec, CL4SRecConfig
+        from repro.models.sasrec import SASRecConfig
+        from repro.models.training import TrainConfig
+
+        config = CL4SRecConfig(
+            sasrec=SASRecConfig(
+                dim=16,
+                train=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
+            ),
+            augmentations=("mask",),
+            rates=0.5,
+        )
+        model = CL4SRec(tiny_dataset, config)
+        assert model.training
+        state = model._rng.bit_generator.state
+        first = representation_quality(model, tiny_dataset, max_length=12)
+        second = representation_quality(model, tiny_dataset, max_length=12)
+        assert first == second
+        assert model._rng.bit_generator.state == state
+        assert model.training
+
     def test_pretraining_improves_alignment(self, tiny_dataset):
         """The contrastive objective explicitly optimizes alignment —
         after pre-training, positive views must sit closer."""

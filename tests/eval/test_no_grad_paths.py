@@ -70,6 +70,18 @@ def test_evaluator_builds_no_graph(dataset, model, monkeypatch):
     )
 
 
+def test_projected_scorer_builds_no_graph(dataset, model, monkeypatch):
+    """The E-A1 ablation scores through the projection head."""
+    from repro.core.cl4srec import CL4SRec, CL4SRecConfig
+
+    cl4srec = CL4SRec(dataset, CL4SRecConfig(sasrec=model.config))
+    counter = GraphNodeCounter(monkeypatch)
+    users = dataset.evaluation_users("test")[:4]
+    scores = cl4srec.score_users_projected(dataset, users)
+    assert scores.shape == (4, dataset.num_items + 1)
+    assert counter.count == 0
+
+
 def test_candidate_scores_wraps_duck_typed_scorers(dataset, model, monkeypatch):
     """Even a scorer that forgets no_grad() runs graph-free through
     candidate_scores (the satellite's audit guarantee)."""

@@ -9,7 +9,7 @@ from repro.models.encoder import SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 def small_config(**train_overrides):
@@ -86,6 +86,91 @@ class TestEncoder:
         rep_a = enc.user_representation(a).data
         rep_b = enc.user_representation(b).data
         assert not np.allclose(rep_a, rep_b)
+
+
+def last_row_batch():
+    """Left-padded ids with a short row and a fully padded row."""
+    ids = np.random.default_rng(3).integers(1, 50, size=(4, 10))
+    ids[1, :7] = 0
+    ids[2, :] = 0
+    return ids
+
+
+DTYPE_TOLERANCES = [
+    pytest.param(np.float64, 1e-12, id="float64"),
+    pytest.param(np.float32, 1e-5, id="float32"),
+]
+
+
+class TestLastRowRepresentation:
+    """``user_representation`` computes only the final block's last row;
+    the oracle is the full forward's last row, at tolerance (BLAS on
+    one row need not round like BLAS on many)."""
+
+    def make(self, causal=True, dtype=np.float64):
+        return SASRecEncoder(
+            50, 10, dim=16, rng=np.random.default_rng(0), causal=causal
+        ).to_dtype(dtype)
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+    @pytest.mark.parametrize("dtype, atol", DTYPE_TOLERANCES)
+    def test_matches_full_forward_in_eval(self, causal, dtype, atol):
+        enc = self.make(causal, dtype)
+        enc.eval()
+        ids = last_row_batch()
+        rep = enc.user_representation(ids).data
+        assert rep.shape == (4, 16) and rep.dtype == dtype
+        np.testing.assert_allclose(rep, enc(ids).data[:, -1, :], rtol=0, atol=atol)
+        with no_grad():
+            fast = enc.user_representation(ids).data
+            full = enc(ids).data[:, -1, :]
+        np.testing.assert_allclose(fast, full, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+    @pytest.mark.parametrize("dtype, atol", DTYPE_TOLERANCES)
+    def test_matches_full_forward_with_dropout(self, causal, dtype, atol):
+        """Two identically seeded encoders in train mode: the last-row
+        path applies the last row of the very masks the full forward
+        draws."""
+        last, full = self.make(causal, dtype), self.make(causal, dtype)
+        ids = last_row_batch()
+        rep = last.user_representation(ids)
+        hidden = full(ids)
+        np.testing.assert_allclose(
+            rep.data, hidden.data[:, -1, :], rtol=0, atol=atol
+        )
+        # Gradients agree too (the rows never queried get none).
+        rep.sum().backward()
+        hidden[:, -1, :].sum().backward()
+        for (name, a), b in zip(last.named_parameters(), full.parameters()):
+            np.testing.assert_allclose(
+                a.grad, b.grad, rtol=0, atol=100 * atol, err_msg=name
+            )
+
+    def test_generator_stream_is_unchanged(self):
+        """One training-mode call of each leaves the shared generators
+        at the same point: every full-shape mask was drawn."""
+        last, full = self.make(), self.make()
+        assert last.training and full.training
+        ids = last_row_batch()
+        last.user_representation(ids)
+        full(ids)
+        assert (
+            last.embedding_dropout._rng.random()
+            == full.embedding_dropout._rng.random()
+        )
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grad_and_no_grad_bodies_agree_bit_for_bit(self, causal, dtype):
+        enc = self.make(causal, dtype)
+        enc.eval()
+        ids = last_row_batch()
+        with no_grad():
+            fast = enc.user_representation(ids)
+        slow = enc.user_representation(ids)
+        assert not fast._parents and slow._parents
+        np.testing.assert_array_equal(fast.data, slow.data)
 
 
 class TestMaskedLoss:

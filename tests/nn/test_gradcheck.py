@@ -234,3 +234,38 @@ class TestFusedPrimitiveGradcheck:
         check_parameter_gradients(
             module, loss_fn, eps=eps, atol=precision.grad_atol(dtype)
         )
+
+    @pytest.mark.parametrize("dtype, eps", DTYPE_CASES)
+    @pytest.mark.parametrize("with_dropout", [False, True], ids=["mask", "dropout"])
+    def test_fused_attention_last_row(self, dtype, eps, with_dropout):
+        """The one-query case: full-shape mask and dropout mask in, the
+        last row out.  The Q gradient of the rows never queried must be
+        exactly zero; the finite differences check the rest."""
+        rng = np.random.default_rng(39)
+        module = _PrimitiveHarness({"qkv": rng.normal(size=(3, 4, 12))}, dtype)
+        padding = np.zeros((3, 4), dtype=bool)
+        padding[1, :2] = True
+        padding[2, :] = True
+        mask = compute.MaskCache().combined(True, padding, 4)
+        drop = None
+        if with_dropout:
+            drop = F.dropout_mask((3, 2, 4, 4), 0.3, np.random.default_rng(40), dtype)
+
+        def loss_fn():
+            out = F.fused_attention(
+                module.qkv,
+                mask,
+                2,
+                1.0 / np.sqrt(2.0),
+                dropout_mask=drop,
+                last_row=True,
+            )
+            assert out.shape == (3, 1, 4)
+            return scalarize(out, seed=41)
+
+        check_parameter_gradients(
+            module, loss_fn, eps=eps, atol=precision.grad_atol(dtype)
+        )
+        module.zero_grad()
+        loss_fn().backward()
+        assert not module.qkv.grad[:, :-1, :4].any()
