@@ -7,8 +7,10 @@ the fused kernels (one graph node per op, masks from the shape-keyed
 cache).  Bit-identity with the seed's op-for-op composition is pinned
 by the goldens and ``tests/nn/test_compute.py``, not measured here.
 
-Gate, measured as encoder forward+backward tokens/sec: the opt-in
-float32 mode >= ``MIN_FLOAT32_SPEEDUP`` x the float64 default.
+Gate, measured as encoder forward+backward tokens/sec: the float32
+encoder (the one precision, ``repro.nn.precision``) >=
+``MIN_FLOAT32_SPEEDUP`` x the same encoder cast to float64 with
+``Module.to_dtype``.
 
 Timings interleave the two variants round-robin, use per-process CPU
 time, and keep the best round of each: on a shared CPU core,
@@ -18,11 +20,10 @@ memory-bandwidth contention from neighbors).  The gate shape sits in
 the long-history regime (T >> d) where the ``(B, h, T, T)`` attention
 quadratic dominates.
 
-The second test records float64 and float32 numbers for end-to-end
-training, evaluation, and serving (no gate: those paths also pay data
-handling and ranking costs the compute core cannot shrink) and writes
-the combined artifact to ``benchmarks/results/compute_core.md`` plus
-the machine-readable ``BENCH_compute.json`` at the repo root.
+The test writes ``benchmarks/results/compute_core.md`` and the
+machine-readable ``BENCH_compute.json`` at the repo root.  End-to-end
+training and evaluation numbers are the ``train_paper`` workload of
+``python3 -m benchmarks.perf``.
 
 Run with ``--quick`` for the reduced-scale CI smoke variant (same
 gates; smaller shapes and fewer repeats).
@@ -36,22 +37,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_markdown
-from repro.data.preprocessing import SequenceDataset
-from repro.data.synthetic import SyntheticConfig, generate_log
-from repro.eval.evaluator import Evaluator
-from repro.models.sasrec import SASRec, SASRecConfig
-from repro.models.training import TrainConfig, train_next_item_model
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoder
-from repro.serve.engine import RecommendationEngine
-from repro.serve.requests import RecRequest
 
 MIN_FLOAT32_SPEEDUP = 1.5
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_compute.json")
 
-# Shared between the two tests so the artifact writer can combine the
-# encoder gate numbers with the end-to-end table.
-RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +56,6 @@ def scale(request):
             "dim": 32,
             "hidden": 128,
             "repeats": 5,
-            "num_users": 600,
-            "eval_users": 64,
         }
     return {
         "quick": False,
@@ -75,8 +64,6 @@ def scale(request):
         "dim": 32,
         "hidden": 128,
         "repeats": 10,
-        "num_users": 1500,
-        "eval_users": 200,
     }
 
 
@@ -139,7 +126,7 @@ def test_encoder_forward_backward_speedup(benchmark, scale, results_dir):
 
     tokens = batch * length
     speedup32 = best["fused float64"] / best["fused float32"]
-    RESULTS["encoder"] = {
+    encoder = {
         "batch": batch,
         "length": length,
         "dim": scale["dim"],
@@ -163,6 +150,7 @@ def test_encoder_forward_backward_speedup(benchmark, scale, results_dir):
         f"(gate: >= {MIN_FLOAT32_SPEEDUP}x)"
     )
     print("\n".join(lines))
+    write_artifacts(scale, encoder)
 
     assert speedup32 >= MIN_FLOAT32_SPEEDUP, (
         f"fused float32 encoder is only {speedup32:.2f}x the float64 "
@@ -170,127 +158,31 @@ def test_encoder_forward_backward_speedup(benchmark, scale, results_dir):
     )
 
 
-# ----------------------------------------------------------------------
-# End-to-end float64 and float32: training, evaluation, serving.
-# ----------------------------------------------------------------------
-def bench_dataset(scale) -> SequenceDataset:
-    config = SyntheticConfig(
-        num_users=scale["num_users"],
-        num_items=300,
-        num_interests=8,
-        mean_length=14.0,
-        seed=5,
-    )
-    return SequenceDataset.from_log(generate_log(config), name="compute-bench")
-
-
-def timed_pipeline(dataset, scale, dtype: str) -> dict:
-    """One training epoch + one evaluation pass + one serving batch."""
-    model = SASRec(
-        dataset,
-        SASRecConfig(
-            dim=scale["dim"],
-            train=TrainConfig(
-                epochs=1,
-                batch_size=128,
-                max_length=50,
-                seed=0,
-                dtype=dtype,
-            ),
-        ),
-    )
-    users = dataset.evaluation_users("test")[: scale["eval_users"]]
-    started = time.perf_counter()
-    train_next_item_model(model, dataset, model.config.train)
-    train_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    Evaluator(dataset, split="test").evaluate(model, max_users=len(users))
-    eval_seconds = time.perf_counter() - started
-
-    engine = RecommendationEngine(model, dataset)
-    requests = [RecRequest(user=int(user), k=10) for user in users]
-    started = time.perf_counter()
-    engine.recommend_batch(requests)
-    serve_seconds = time.perf_counter() - started
-    return {"train": train_seconds, "eval": eval_seconds, "serve": serve_seconds}
-
-
-def test_end_to_end_float64_float32(benchmark, scale, results_dir):
-    dataset = bench_dataset(scale)
-
-    def run_all():
-        return {
-            "fused float64": timed_pipeline(dataset, scale, dtype="float64"),
-            "fused float32": timed_pipeline(dataset, scale, dtype="float32"),
-        }
-
-    e2e = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    RESULTS["end_to_end"] = e2e
-
-    header = (
-        f"one epoch ({scale['num_users']} users, batch 128, T=50) / "
-        f"eval + serve over {scale['eval_users']} users"
-    )
-    table = [
-        "| variant | train (s) | eval (s) | serve (s) |",
-        "|---|---|---|---|",
-    ]
-    for name, row in e2e.items():
-        table.append(
-            f"| {name} | {row['train']:.2f} | {row['eval']:.2f} "
-            f"| {row['serve']:.2f} |"
-        )
-    print(header + "\n" + "\n".join(table))
-
-    write_artifacts(scale)
-
-
-def write_artifacts(scale) -> None:
+def write_artifacts(scale, encoder: dict) -> None:
     lines = [
         "# Compute-core throughput (E-P2)",
         "",
-        "The fused kernels with mask/buffer caching, in float64 (the "
-        "default; bit-identical to the seed composition, pinned by the "
-        "goldens) and opt-in float32.",
+        "The fused kernels with mask/buffer caching, in float32 (the one "
+        "precision) and cast to float64.",
         "",
     ]
-    encoder = RESULTS.get("encoder")
-    if encoder:
-        lines += [
-            "## Encoder forward/backward (gated)",
-            "",
-            f"- shape: B={encoder['batch']}, T={encoder['length']}, "
-            f"d={encoder['dim']}, 2 layers, 2 heads"
-            + (" (--quick)" if scale["quick"] else ""),
-        ]
-        for name, seconds in encoder["seconds"].items():
-            lines.append(
-                f"- {name}: {seconds * 1e3:.1f} ms/step "
-                f"({encoder['tokens_per_sec'][name]:,.0f} tokens/s)"
-            )
-        lines += [
-            f"- **float32 speedup vs float64: {encoder['float32_speedup']:.2f}x** "
-            f"(gate: >= {MIN_FLOAT32_SPEEDUP}x)",
-            "",
-        ]
-    e2e = RESULTS.get("end_to_end")
-    if e2e:
-        lines += [
-            "## End-to-end (reported, not gated)",
-            "",
-            f"One training epoch ({scale['num_users']} synthetic users, "
-            f"batch 128, T=50), one evaluation pass and one batched "
-            f"serving request over {scale['eval_users']} users.",
-            "",
-            "| variant | train (s) | eval (s) | serve (s) |",
-            "|---|---|---|---|",
-        ]
-        for name, row in e2e.items():
-            lines.append(
-                f"| {name} | {row['train']:.2f} | {row['eval']:.2f} "
-                f"| {row['serve']:.2f} |"
-            )
+    lines += [
+        "## Encoder forward/backward (gated)",
+        "",
+        f"- shape: B={encoder['batch']}, T={encoder['length']}, "
+        f"d={encoder['dim']}, 2 layers, 2 heads"
+        + (" (--quick)" if scale["quick"] else ""),
+    ]
+    for name, seconds in encoder["seconds"].items():
+        lines.append(
+            f"- {name}: {seconds * 1e3:.1f} ms/step "
+            f"({encoder['tokens_per_sec'][name]:,.0f} tokens/s)"
+        )
+    lines += [
+        f"- **float32 speedup vs float64: {encoder['float32_speedup']:.2f}x** "
+        f"(gate: >= {MIN_FLOAT32_SPEEDUP}x)",
+        "",
+    ]
     content = "\n".join(lines)
     save_markdown(os.path.join(os.path.dirname(__file__), "results"),
                   "compute_core", content)
@@ -301,7 +193,7 @@ def write_artifacts(scale) -> None:
         "gates": {
             "float32_speedup_min": MIN_FLOAT32_SPEEDUP,
         },
-        **RESULTS,
+        "encoder": encoder,
     }
     with open(BENCH_JSON, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

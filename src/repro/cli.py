@@ -112,14 +112,6 @@ def _add_serving_arguments(
     )
     parser.add_argument("--cache-size", dest="cache_size", type=int, default=4096)
     parser.add_argument(
-        "--dtype",
-        choices=["float32", "float64"],
-        default=None,
-        help="serving precision; default: adopt the checkpoint's dtype "
-        "(float32 roughly doubles scoring throughput, see "
-        "docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--deadline-ms",
         dest="deadline_ms",
         type=float,
@@ -781,14 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         "on a private RNG stream; see docs/PERFORMANCE.md)",
     )
     p_tr.add_argument(
-        "--dtype",
-        choices=["float32", "float64"],
-        default=None,
-        help="compute precision: float64 (default, bit-compatible with the "
-        "golden fixtures) or float32 (roughly 2x BLAS throughput; see "
-        "docs/PERFORMANCE.md)",
-    )
-    p_tr.add_argument(
         "--workers",
         type=int,
         default=0,
@@ -1170,10 +1154,6 @@ def _run_train(args: argparse.Namespace) -> int:
     model.cl_config.joint.pipeline = args.pipeline
     model.cl_config.pretrain.pipeline = args.pipeline
     model.cl_config.sasrec.train.pipeline = args.pipeline
-    # Same for the compute precision (None keeps the float64 default).
-    model.cl_config.joint.dtype = args.dtype
-    model.cl_config.pretrain.dtype = args.dtype
-    model.cl_config.sasrec.train.dtype = args.dtype
     # And the data-parallel worker count (0 = single-process loops).
     model.cl_config.joint.workers = args.workers
     model.cl_config.pretrain.workers = args.workers
@@ -1193,7 +1173,7 @@ def _run_train(args: argparse.Namespace) -> int:
                 "dataset": args.dataset,
                 "mode": args.mode,
                 "pipeline": args.pipeline,
-                "dtype": args.dtype or "float64",
+                "dtype": str(model.param_dtype()),
                 "workers": args.workers,
                 "preset": args.preset,
                 "seed": scale.seed,
@@ -1313,6 +1293,7 @@ def _run_train(args: argparse.Namespace) -> int:
                 "dataset": args.dataset,
                 "mode": args.mode,
                 "preset": args.preset,
+                "dtype": str(model.param_dtype()),
                 "resumed": any(
                     r.resumed_from is not None for r in stages.values()
                 ),

@@ -51,9 +51,6 @@ class ContrastivePretrainConfig:
     # golden fixtures) or "vectorized" (matrix-form augmentation on a
     # private RNG stream — see docs/PERFORMANCE.md).
     pipeline: str = "reference"
-    # Compute precision: None keeps the process default (float64);
-    # "float32" for throughput — see docs/PERFORMANCE.md.
-    dtype: str | None = None
     # Data-parallel worker processes: 0 computes gradients in-process
     # (bit-compatible with the golden fixtures); N >= 1 takes them from
     # repro.train.parallel — deterministic at fixed N, but a different
@@ -76,8 +73,6 @@ class JointTrainConfig:
     clip_norm: float = 5.0
     # Batch construction path; see ContrastivePretrainConfig.pipeline.
     pipeline: str = "reference"
-    # Compute precision; see ContrastivePretrainConfig.dtype.
-    dtype: str | None = None
     # Data-parallel workers; see ContrastivePretrainConfig.workers.
     workers: int = 0
     seed: int = 0

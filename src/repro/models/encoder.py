@@ -58,11 +58,11 @@ class SASRecEncoder(Module):
         self.item_embedding = Embedding(vocab_size, dim, rng=rng)
         self.position_embedding = Embedding(max_length, dim, rng=rng)
         # Paper §4.1.4: truncated normal in [-0.01, 0.01].
-        self.item_embedding.weight.data = init.truncated_normal(
-            (vocab_size, dim), rng
+        self.item_embedding.weight = Parameter(
+            init.truncated_normal((vocab_size, dim), rng)
         )
-        self.position_embedding.weight.data = init.truncated_normal(
-            (max_length, dim), rng
+        self.position_embedding.weight = Parameter(
+            init.truncated_normal((max_length, dim), rng)
         )
         self.embedding_dropout = Dropout(dropout, rng=rng)
         self.transformer = TransformerEncoder(

@@ -49,11 +49,6 @@ class TrainConfig:
     # golden fixtures) or "vectorized" (precomputed padded matrices, a
     # private RNG stream — see docs/PERFORMANCE.md).
     pipeline: str = "reference"
-    # Compute precision: None keeps the process default (float64, the
-    # golden-fixture setting); "float32" roughly doubles BLAS
-    # throughput at ~1e-3 relative loss accuracy — see
-    # docs/PERFORMANCE.md ("Compute core") for when it is safe.
-    dtype: str | None = None
     # Data-parallel worker processes: 0 computes gradients in-process
     # (bit-compatible with the golden fixtures); N >= 1 takes them from
     # repro.train.parallel — deterministic at fixed N, but a different

@@ -22,8 +22,8 @@ TensorFlow, so we implement the pieces the paper relies on ourselves:
   normal initialization the paper prescribes.
 * :mod:`repro.nn.serialization` — ``.npz`` state-dict persistence.
 * :mod:`repro.nn.precision` / :mod:`repro.nn.compute` — the compute
-  core's dtype policy (float64 default, float32 opt-in) and fast-path
-  machinery (shape-keyed mask cache, scratch buffers).
+  core's one precision (float32) and fast-path machinery (shape-keyed
+  mask cache, scratch buffers).
 
 Every differentiable primitive is validated against finite differences
 in the test suite.

@@ -33,7 +33,7 @@ import numpy as np
 from repro.nn import compute, init
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.obs.profiling import profile_scope
 
@@ -75,8 +75,10 @@ class MultiHeadSelfAttention(Module):
         # q, k, v order so seeded parameters match the unpacked layout
         # column for column (and out_proj sees the same stream state).
         self.qkv_proj = Linear(dim, 3 * dim, rng=np.random.default_rng(0))
-        self.qkv_proj.weight.data = np.concatenate(
-            [init.xavier_uniform((dim, dim), rng) for __ in range(3)], axis=1
+        self.qkv_proj.weight = Parameter(
+            np.concatenate(
+                [init.xavier_uniform((dim, dim), rng) for __ in range(3)], axis=1
+            )
         )
         self.out_proj = Linear(dim, dim, rng=rng)
         self.attn_dropout = Dropout(dropout, rng=rng)

@@ -26,8 +26,8 @@ class Linear(Module):
         Whether to add a learnable bias (default true).
     rng:
         Generator used for Xavier-uniform weight init.  Callers that
-        need the paper's truncated-normal init overwrite ``weight.data``
-        after construction (see :class:`repro.models.sasrec.SASRec`).
+        need another init replace ``weight`` with a new ``Parameter``
+        after construction (see :class:`repro.nn.attention.MultiHeadSelfAttention`).
     """
 
     def __init__(

@@ -17,9 +17,15 @@ from repro.nn.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A tensor that is a trainable model parameter."""
+    """A trainable model parameter, held in float32.
+
+    The initializers draw in float64; the draw is rounded to float32
+    once, here.  Replacing a constructed parameter's values therefore
+    means assigning a new ``Parameter``, never ``param.data``.
+    """
 
     def __init__(self, data) -> None:
+        data = np.asarray(data, dtype=_precision.DEFAULT_DTYPE)
         super().__init__(data, requires_grad=True)
 
 
@@ -105,9 +111,9 @@ class Module:
         """Load parameter values from a flat mapping.
 
         The key sets and every shape must match exactly.  Values are
-        cast to each parameter's own dtype, so a float32 model loads a
-        float64 checkpoint (and vice versa) without changing the model's
-        precision.
+        cast to each parameter's own dtype, so a float64 checkpoint
+        loads into a float32 model rounded once, without changing the
+        model's precision.
         """
         own = dict(self.named_parameters())
         missing = sorted(set(own) - set(state))
@@ -129,12 +135,11 @@ class Module:
     def to_dtype(self, dtype) -> "Module":
         """Cast every parameter to ``dtype`` in place; returns ``self``.
 
-        Models are always *constructed* in float64 (the init draws are
-        precision-independent, so a float32 model is exactly the
-        float64 init rounded once); opting into float32 is a cast after
-        construction — and before the optimizer is created, so Adam's
-        ``zeros_like`` buffers inherit the dtype.  A same-dtype cast is
-        a no-op.
+        Models are constructed in float32 (:class:`Parameter`); this
+        cast is the one way to another precision — float64 for
+        finite-difference gradchecks and test oracles.  Cast before the
+        optimizer is created, so Adam's ``zeros_like`` buffers inherit
+        the dtype.  A same-dtype cast is a no-op.
         """
         dtype = _precision.resolve_dtype(dtype)
         for param in self.parameters():
@@ -148,7 +153,7 @@ class Module:
         """The dtype of the module's parameters (first parameter wins)."""
         for param in self.parameters():
             return param.data.dtype
-        return _precision.default_dtype()
+        return _precision.DEFAULT_DTYPE
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

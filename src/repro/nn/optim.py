@@ -5,9 +5,10 @@ and a linear decay of the learning rate (§4.1.4); :class:`Adam` and
 :class:`LinearDecaySchedule` implement exactly that.
 
 Precision: moment/velocity buffers are ``zeros_like`` the parameters,
-so they inherit the model's dtype — construct the optimizer *after*
-``Module.to_dtype`` (the training loops do), and every update runs
-in-place, which keeps float32 state float32 end to end.
+so they inherit the model's dtype (float32, :mod:`repro.nn.precision`),
+and every update and every state load runs in place, which keeps
+float32 state float32 end to end — a float64 checkpoint's moments load
+rounded once.
 """
 
 from __future__ import annotations

@@ -1,43 +1,37 @@
-"""The dtype policy of the compute core.
+"""The compute core's one precision: float32.
 
-Everything in :mod:`repro.nn` historically ran in ``float64``: cheap at
-CPU gradcheck scale and tight for finite-difference checks.  At serving
-and benchmark scale the picture inverts — SASRec and BERT4Rec train and
-serve in float32, and float64 roughly halves BLAS throughput while
-doubling memory bandwidth on the matmuls that dominate the encoder.
+Parameters, activations, gradients and optimizer state are float32 on
+every path — training, evaluation, serving and online fine-tuning —
+as in the PyTorch SASRec/CL4SRec references.  There is no setting: the
+precision is a constant, not a config field, a flag or a process
+global.
 
-This module makes the precision an explicit, scoped policy instead of a
-hard-coded constant:
+* :class:`~repro.nn.module.Parameter` rounds whatever the initializer
+  drew (:mod:`repro.nn.init` draws in float64) to float32 once, when
+  the model is constructed.
+* :class:`~repro.nn.tensor.Tensor` keeps the dtype of float arrays and
+  coerces non-float data (python lists, ints, bools) to
+  :data:`DEFAULT_DTYPE`.
+* float64 is reachable only through an explicit
+  :meth:`~repro.nn.module.Module.to_dtype` — what the finite-difference
+  gradchecks (:func:`grad_atol`) and the reference-composition oracle
+  in the tests use.  Old float64 checkpoints load through the casting
+  :meth:`~repro.nn.module.Module.load_state_dict`.
 
-* :func:`default_dtype` / :func:`set_default_dtype` — the process-wide
-  dtype used when a :class:`~repro.nn.tensor.Tensor` is created from
-  non-float data (python lists, ints, bools).  Float arrays keep their
-  own dtype, so a float32 model propagates float32 activations without
-  any global state.
-* :func:`precision` — a context manager scoping the default, used by
-  the training loops (``TrainConfig.dtype`` et al.) so a float32 run
-  cannot leak its policy into subsequent float64 code.
-* :func:`resolve_dtype` — maps config/CLI spellings (``"float32"``,
-  ``"float64"``, ``"fp32"``, numpy dtypes, ``None``) onto a canonical
-  numpy dtype.
-
-The default stays ``float64`` — goldens, gradchecks and every existing
-call site are bit-identical.  Float32 is strictly opt-in (per training
-config, per engine, or per CLI ``--dtype`` flag); see
-``docs/PERFORMANCE.md`` ("Compute core") for when it is safe.
+See ``docs/PERFORMANCE.md`` ("One precision") for what float32 costs and
+buys.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 #: Dtypes a Tensor may hold.  Everything else (ints, bools, lists) is
-#: coerced to the current default on construction.
+#: coerced to :data:`DEFAULT_DTYPE` on construction.
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-_DEFAULT_DTYPE = np.dtype(np.float64)
+#: The precision of every parameter and of non-float data made a Tensor.
+DEFAULT_DTYPE = np.dtype(np.float32)
 
 _ALIASES = {
     "float32": np.dtype(np.float32),
@@ -52,13 +46,12 @@ _ALIASES = {
 def resolve_dtype(spec) -> np.dtype:
     """Canonicalize a dtype spec (string, numpy dtype, or ``None``).
 
-    ``None`` resolves to the current default, so configs can leave the
-    policy untouched by default.  Unsupported dtypes (integers,
-    float16) raise ``ValueError`` — the autograd core only supports
-    float32/float64.
+    ``None`` resolves to :data:`DEFAULT_DTYPE`.  Unsupported dtypes
+    (integers, float16) raise ``ValueError`` — the autograd core only
+    supports float32/float64.
     """
     if spec is None:
-        return _DEFAULT_DTYPE
+        return DEFAULT_DTYPE
     if isinstance(spec, str):
         try:
             return _ALIASES[spec.lower()]
@@ -81,29 +74,7 @@ def resolve_dtype(spec) -> np.dtype:
 
 def default_dtype() -> np.dtype:
     """The dtype non-float data is coerced to on Tensor creation."""
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(spec) -> np.dtype:
-    """Set the process-wide default dtype; returns the previous one.
-
-    Prefer the scoped :func:`precision` context manager — a bare set
-    leaks the policy into unrelated code.
-    """
-    global _DEFAULT_DTYPE
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = resolve_dtype(spec)
-    return previous
-
-
-@contextlib.contextmanager
-def precision(spec):
-    """Scope the default dtype: ``with precision("float32"): ...``."""
-    previous = set_default_dtype(spec)
-    try:
-        yield _DEFAULT_DTYPE
-    finally:
-        set_default_dtype(previous)
+    return DEFAULT_DTYPE
 
 
 def grad_atol(dtype, float64_atol: float = 1e-6, float32_atol: float = 2e-2) -> float:

@@ -15,15 +15,12 @@ Design notes
   layer normalization) are implemented as fused primitives in
   :mod:`repro.nn.functional` with analytic backward rules; everything
   else composes the primitives defined here.
-* ``float64`` is the default dtype: the library trains small models on
-  CPU where float64 costs little and makes finite-difference gradient
-  checks tight.  The default is a policy, not a constant — see
-  :mod:`repro.nn.precision`.  Float arrays (float32/float64) keep their
-  own dtype through every op, so a float32 model propagates float32
-  activations end to end; non-float payloads (lists, ints, bools) are
-  coerced to the current default, and scalars folded into arithmetic
-  adopt the other operand's dtype so a python ``0.5`` never silently
-  upcasts a float32 graph.
+* ``float32`` is the one precision (:mod:`repro.nn.precision`).  Float
+  arrays (float32/float64) keep their own dtype through every op, so a
+  float32 model propagates float32 activations end to end; non-float
+  payloads (lists, ints, bools) are coerced to float32, and scalars
+  folded into arithmetic adopt the other operand's dtype so a python
+  ``0.5`` never silently upcasts a float32 graph.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.nn import precision as _precision
+from repro.nn.precision import DEFAULT_DTYPE, SUPPORTED_DTYPES
 from repro.obs import profiling as _profiling
 
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -85,7 +82,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _as_array(value: Arrayish, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected a raw array-like, got a Tensor")
-    return np.asarray(value, dtype=dtype if dtype is not None else _precision.default_dtype())
+    return np.asarray(value, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
 
 
 class Tensor:
@@ -95,9 +92,8 @@ class Tensor:
     ----------
     data:
         Array-like payload.  Float32/float64 arrays are stored as-is;
-        anything else (lists, ints, bools) is coerced to the current
-        default dtype (:func:`repro.nn.precision.default_dtype`,
-        ``float64`` unless opted into float32).
+        anything else (lists, ints, bools) is coerced to float32
+        (:data:`repro.nn.precision.DEFAULT_DTYPE`).
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -115,8 +111,8 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         data = np.asarray(data)
-        if data.dtype not in _precision.SUPPORTED_DTYPES:
-            data = data.astype(_precision.default_dtype())
+        if data.dtype not in SUPPORTED_DTYPES:
+            data = data.astype(DEFAULT_DTYPE)
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -257,7 +253,7 @@ class Tensor:
         # Scalars and lists folded into arithmetic adopt the other
         # operand's dtype: under NEP 50 a 0-d float64 array is "strong"
         # and would silently upcast a float32 graph.
-        dtype = like.dtype if like is not None else _precision.default_dtype()
+        dtype = like.dtype if like is not None else DEFAULT_DTYPE
         return Tensor(np.asarray(value, dtype=dtype))
 
     def __add__(self, other: Arrayish) -> "Tensor":

@@ -47,9 +47,6 @@ class FineTuneConfig:
     cl_weight: float = 0.1
     clip_norm: float = 5.0
     pipeline: str = "reference"
-    #: None adopts the model's current parameter dtype, so a float32
-    #: checkpoint keeps fine-tuning in float32.
-    dtype: str | None = None
     #: Data-parallel training workers per round (0 = single-process);
     #: threaded straight into the round's Joint/TrainConfig, so online
     #: rounds can take their gradients from ``repro.train.parallel`` too.
@@ -83,14 +80,6 @@ class IncrementalFineTuner:
         self.model = model
         self.config = config if config is not None else FineTuneConfig()
         self.obs = obs
-
-    def _dtype_name(self) -> str | None:
-        if self.config.dtype is not None:
-            return self.config.dtype
-        for parameter in self.model.parameters():
-            if np.issubdtype(parameter.data.dtype, np.floating):
-                return str(parameter.data.dtype)
-        return None
 
     def _runtime(self, round_index: int) -> TrainingRuntime | None:
         if self.config.checkpoint_dir is None:
@@ -143,7 +132,6 @@ class IncrementalFineTuner:
                         cl_weight=config.cl_weight,
                         clip_norm=config.clip_norm,
                         pipeline=config.pipeline,
-                        dtype=self._dtype_name(),
                         workers=config.workers,
                     ),
                     rng=rng,
@@ -164,7 +152,6 @@ class IncrementalFineTuner:
                         clip_norm=config.clip_norm,
                         eval_every=0,
                         pipeline=config.pipeline,
-                        dtype=self._dtype_name(),
                         workers=config.workers,
                     ),
                     rng=rng,

@@ -209,13 +209,6 @@ class OnlineLoop:
         # The trainer starts from the serving weights, and the store's
         # first record is the pre-loop baseline so every later candidate
         # has a parent to roll back to.
-        serving_dtype = None
-        for parameter in engine.model.parameters():
-            if np.issubdtype(parameter.data.dtype, np.floating):
-                serving_dtype = parameter.data.dtype
-                break
-        if serving_dtype is not None and hasattr(trainer_model, "to_dtype"):
-            trainer_model.to_dtype(serving_dtype)
         trainer_model.load_state_dict(_copy_state(engine.model.state_dict()))
         trainer_model.eval()
         if self.store.latest() is None:

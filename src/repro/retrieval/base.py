@@ -55,11 +55,12 @@ class IndexBuildError(RuntimeError):
 class IndexMismatchError(RuntimeError):
     """A loaded index artifact does not match the serving model.
 
-    Raised when an artifact's item matrix (shape, dtype or checksum)
+    Raised when an artifact's item matrix (dtype, shape or checksum)
     disagrees with the matrix the live model produces — serving stale
-    or mismatched index artifacts silently would corrupt results.
-    Rebuild the artifact with ``repro index`` from the same checkpoint
-    and ``--dtype``.
+    or mismatched index artifacts silently would corrupt results.  An
+    artifact written while models served in float64 holds a float64
+    matrix and mismatches every float32 model.  Rebuild the artifact
+    with ``repro index`` from the serving checkpoint.
     """
 
 

@@ -2,7 +2,7 @@
 
 ``serve``, ``chaos``, ``recommend`` and the test-suite all used to
 re-assemble the same pile of knobs (checkpoint, model/dataset/scale,
-precision, batch/cache sizes, resilience, and now retrieval-index
+batch/cache sizes, resilience, and now retrieval-index
 selection) from loose ``argparse`` attributes.  :class:`ServeConfig`
 is the single source of truth:
 
@@ -48,9 +48,6 @@ class ServeConfig:
     dim: int | None = None
     max_length: int | None = None
     seed: int | None = None
-    #: Serving precision ("float32"/"float64"); ``None`` adopts the
-    #: checkpoint's own dtype.
-    dtype: str | None = None
 
     # --- engine shape --------------------------------------------------
     max_batch_size: int = 256
@@ -205,7 +202,6 @@ class ServeConfig:
         )
         model = build_model(self.model, dataset, scale)
         engine_kwargs = dict(
-            dtype=self.dtype,
             max_batch_size=self.max_batch_size,
             cache_size=self.cache_size,
             split=self.split,

@@ -377,8 +377,10 @@ class RecommendationEngine(EngineFacade):
         A prebuilt index (e.g. loaded from a ``repro index`` artifact)
         must match the live model's matrix exactly — serving a stale
         artifact would silently recommend from a different embedding
-        space, so a shape or checksum mismatch raises
-        :class:`~repro.retrieval.IndexMismatchError` instead.
+        space, so a dtype, shape or value mismatch raises
+        :class:`~repro.retrieval.IndexMismatchError` instead.  An
+        artifact written when models served in float64 holds a float64
+        matrix, and its error says so.
         """
         if index is None:
             return ExactIndex().build(matrix)
@@ -391,6 +393,12 @@ class RecommendationEngine(EngineFacade):
             )
         if not index.is_built:
             return index.build(matrix)
+        if index.matrix.dtype != matrix.dtype:
+            raise IndexMismatchError(
+                f"prebuilt {index.kind!r} index holds a {index.matrix.dtype} "
+                f"item matrix but the model serves {matrix.dtype}; rebuild "
+                f"the artifact with 'repro index' from the serving checkpoint"
+            )
         if (
             index.num_rows != matrix.shape[0]
             or index.dim != matrix.shape[1]
@@ -398,11 +406,10 @@ class RecommendationEngine(EngineFacade):
         ):
             raise IndexMismatchError(
                 f"prebuilt {index.kind!r} index covers a "
-                f"({index.num_rows}, {index.dim}) {index.matrix.dtype} "
-                f"matrix but the live model produces "
-                f"({matrix.shape[0]}, {matrix.shape[1]}) {matrix.dtype}; "
-                f"rebuild the artifact with 'repro index' from the "
-                f"serving checkpoint and dtype"
+                f"({index.num_rows}, {index.dim}) matrix that differs from "
+                f"the live model's ({matrix.shape[0]}, {matrix.shape[1]}) "
+                f"one; rebuild the artifact with 'repro index' from the "
+                f"serving checkpoint"
             )
         return index
 
@@ -421,7 +428,6 @@ class RecommendationEngine(EngineFacade):
         checkpoint: str | os.PathLike,
         model,
         dataset: SequenceDataset,
-        dtype=None,
         **engine_kwargs,
     ) -> "RecommendationEngine":
         """Load weights from a PR-1 checkpoint and wrap them in an engine.
@@ -435,27 +441,12 @@ class RecommendationEngine(EngineFacade):
         :func:`repro.models.registry.build_model`); a mismatch raises
         :class:`~repro.nn.serialization.CheckpointError`.
 
-        ``dtype`` selects the serving precision ("float32" roughly
-        doubles scoring throughput; see docs/PERFORMANCE.md).  When
-        omitted, the model adopts the checkpoint's own dtype, so a
-        float32-trained checkpoint serves in float32 without flags.
+        The model serves in its own precision (float32); a float64
+        checkpoint loads rounded once.
         """
         _require_servable(model)
         checkpoint = os.fspath(checkpoint)
         state, __ = load_model_state(checkpoint)
-        if dtype is None and hasattr(model, "to_dtype"):
-            # Adopt the checkpoint's precision: if every stored float
-            # array is float32 the run was trained in float32 — keep
-            # serving it that way rather than silently upcasting.
-            stored = {
-                np.asarray(values).dtype
-                for values in state.values()
-                if np.issubdtype(np.asarray(values).dtype, np.floating)
-            }
-            if stored == {np.dtype(np.float32)}:
-                dtype = np.float32
-        if dtype is not None and hasattr(model, "to_dtype"):
-            model.to_dtype(dtype)
         _load_into(model, state, checkpoint)
         engine = cls(model, dataset, **engine_kwargs)
         engine.checkpoint_path = checkpoint

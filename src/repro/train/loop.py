@@ -1,7 +1,7 @@
 """The one training loop behind all three CL4SRec regimes.
 
-:func:`run_training` is the epoch skeleton — dtype cast, Adam + linear
-decay + clipping, :class:`~repro.runtime.resume.TrainingRuntime` hooks
+:func:`run_training` is the epoch skeleton — Adam + linear decay +
+clipping, :class:`~repro.runtime.resume.TrainingRuntime` hooks
 (checkpoints, resume, signal flush, divergence rollback), obs epoch
 events, early stop — written once.  What differs between regimes lives
 in a :class:`~repro.train.stages.Stage`; what differs between
@@ -26,7 +26,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.nn import precision
 from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
 
 __all__ = ["InProcessSource", "run_training"]
@@ -105,7 +104,7 @@ class InProcessSource:
         """Nothing to release: no process, thread or segment was opened."""
 
 
-def _gradient_source(stage, rng, dtype, runtime, obs):
+def _gradient_source(stage, rng, runtime, obs):
     workers = int(stage.config.workers)
     if not workers:
         return InProcessSource(stage, rng, obs)
@@ -114,7 +113,7 @@ def _gradient_source(stage, rng, dtype, runtime, obs):
     from repro.train.parallel import ParallelWorkerPool
 
     faults = runtime.faults if runtime is not None else None
-    return ParallelWorkerPool(stage, rng, workers, dtype, faults=faults, obs=obs)
+    return ParallelWorkerPool(stage, rng, workers, faults=faults, obs=obs)
 
 
 def run_training(stage_cls, model, dataset, config, rng=None, runtime=None, obs=None):
@@ -127,17 +126,14 @@ def run_training(stage_cls, model, dataset, config, rng=None, runtime=None, obs=
     runs raise :class:`repro.runtime.resume.TrainingInterrupted` after
     flushing a final checkpoint.  ``obs`` needs only ``event``,
     ``observe`` and ``increment``; it receives one ``stage.event`` per
-    epoch.
+    epoch.  The model trains in its parameters' precision (float32,
+    :mod:`repro.nn.precision`); nothing here casts it.
     """
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-    # Cast before the optimizer and any shared segment is created so
-    # Adam's moment buffers and the pages inherit the training dtype.
-    dtype = precision.resolve_dtype(config.dtype)
-    model.to_dtype(dtype)
     stage = stage_cls(model, dataset, config)
     # Built before runtime.start: building spawns the loaders' (and the
     # workers') RNG streams, which a resume then restores in place.
-    source = _gradient_source(stage, rng, dtype, runtime, obs)
+    source = _gradient_source(stage, rng, runtime, obs)
     try:
         optimizer = Adam(stage.params, lr=config.learning_rate)
         schedule = LinearDecaySchedule(
@@ -162,9 +158,7 @@ def run_training(stage_cls, model, dataset, config, rng=None, runtime=None, obs=
             start_epoch = stage.resume(start_epoch)
 
         model.train()
-        with precision.precision(dtype), (
-            runtime.session() if runtime is not None else nullcontext()
-        ):
+        with runtime.session() if runtime is not None else nullcontext():
             for epoch in range(start_epoch, config.epochs):
                 # Worker streams are captured at epoch start (before
                 # the epoch's permutations are drawn) so an interrupt

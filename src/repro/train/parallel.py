@@ -65,7 +65,6 @@ import numpy as np
 from repro.augment.batched import spawn_stream
 from repro.core.procpool import ClosesOnExit, ProcessPool, WorkerFailedError
 from repro.core.shm import SharedArrays, adopt_parameters
-from repro.nn import precision
 from repro.nn.serialization import CheckpointError
 from repro.runtime.resume import capture_rng_states, restore_rng_states
 from repro.train.stages import dedup_rngs
@@ -154,9 +153,6 @@ class _TrainWorker:
         stage.open(rng, worker_shard=(worker, spec["workers"]))
         self.trainable = _named_trainable(stage)
         stage.model.train()
-        # The process is this worker's alone: the training dtype is its
-        # default from here on, with nothing to restore.
-        precision.set_default_dtype(spec["dtype"])
         self.ready = {"steps_per_epoch": stage.steps_per_epoch}
 
     def handle(self, message):
@@ -214,7 +210,6 @@ class ParallelWorkerPool(ClosesOnExit):
         stage,
         rng: np.random.Generator,
         workers: int,
-        dtype: np.dtype,
         faults=None,
         obs=None,
         start_method: str | None = None,
@@ -263,7 +258,6 @@ class ParallelWorkerPool(ClosesOnExit):
                         "rng": child_rngs[worker],
                         "worker": worker,
                         "workers": self.workers,
-                        "dtype": dtype,
                         "pages": self._pages.meta(),
                         "grads": self._grads[worker].meta(),
                         "faults": faults,

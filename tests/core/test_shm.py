@@ -122,7 +122,7 @@ class TestAdoptParameters:
 
     def test_missing_parameter_raises(self):
         model = TinyModule()
-        shared = SharedArrays.create({"weight": np.zeros((2, 3))})
+        shared = SharedArrays.create({"weight": np.zeros((2, 3), dtype=np.float32)})
         try:
             with pytest.raises(KeyError, match="bias"):
                 adopt_parameters(model, shared.views)
@@ -133,7 +133,8 @@ class TestAdoptParameters:
     def test_shape_mismatch_raises(self):
         model = TinyModule()
         shared = SharedArrays.create(
-            {"weight": np.zeros((3, 2)), "bias": np.zeros(3)}
+            {"weight": np.zeros((3, 2), dtype=np.float32),
+             "bias": np.zeros(3, dtype=np.float32)}
         )
         try:
             with pytest.raises(ValueError, match="weight"):
@@ -145,7 +146,7 @@ class TestAdoptParameters:
     def test_dtype_mismatch_raises(self):
         model = TinyModule()
         shared = SharedArrays.create(
-            {"weight": np.zeros((2, 3), dtype=np.float32), "bias": np.zeros(3)}
+            {"weight": np.zeros((2, 3)), "bias": np.zeros(3, dtype=np.float32)}
         )
         try:
             with pytest.raises(ValueError, match="weight"):

@@ -1,20 +1,12 @@
-"""Float32 golden regression: pin the reduced-precision numerics.
+"""Float32 golden regression through a float64 model state.
 
-The float64 fixtures in ``test_golden_regression.py`` stay bit-for-bit
-authoritative; these fixtures pin the float32 opt-in path separately,
-at a tolerance sized for single-precision accumulation (1e-4, ~3
-decimal digits of slack on quantities of order 1) rather than the
-1e-6 used for float64.
-
-Also asserted here: float32 training is bit-deterministic under a
-fixed seed (two runs produce identical losses, parameters, and
-metrics) and lands within the documented 1e-3 of the float64 golden
-losses — the claim ``docs/PERFORMANCE.md`` makes for the precision
-mode.
+A model state saved before float32 became the one precision holds
+float64 arrays.  ``Module.load_state_dict`` rounds them once into the
+float32 parameters, so a model loaded from such a state trains and
+evaluates to the same golden numbers as a freshly built one.  These
+tests pin that route against the fixtures of
+``test_golden_regression.py``, at its 1e-6 tolerance.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,44 +15,7 @@ from repro.eval.evaluator import Evaluator
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig, train_next_item_model
 from tests.conftest import make_tiny_dataset
-
-GOLDEN_DIR = Path(__file__).parent
-FLOAT32_TOLERANCE = 1e-4
-FLOAT64_AGREEMENT = 1e-3  # documented float32-vs-float64 loss tolerance
-EPOCHS = 3
-
-
-def check_float32_golden(name: str, computed: dict, update: bool) -> None:
-    path = GOLDEN_DIR / f"{name}.json"
-    if update:
-        path.write_text(json.dumps(computed, indent=2, sort_keys=True) + "\n")
-        return
-    if not path.exists():
-        pytest.fail(f"golden fixture {path} missing — run pytest with --update-golden")
-    expected = json.loads(path.read_text())
-    assert set(expected) == set(computed)
-    for key, want in expected.items():
-        got = computed[key]
-        pairs = list(zip(want, got)) if isinstance(want, list) else [(want, got)]
-        for index, (w, g) in enumerate(pairs):
-            assert abs(w - g) <= FLOAT32_TOLERANCE, (
-                f"{name}.{key}[{index}] drifted: expected {w!r}, got {g!r}"
-            )
-
-
-def train_float32_sasrec():
-    dataset = make_tiny_dataset()
-    model = SASRec(
-        dataset,
-        SASRecConfig(
-            dim=16,
-            train=TrainConfig(
-                epochs=EPOCHS, batch_size=32, max_length=12, seed=0, dtype="float32"
-            ),
-        ),
-    )
-    history = train_next_item_model(model, dataset, model.config.train)
-    return dataset, model, history
+from tests.golden.test_golden_regression import EPOCHS, check_against_golden
 
 
 @pytest.fixture(scope="module")
@@ -69,48 +24,43 @@ def update_golden(request):
 
 
 @pytest.fixture(scope="module")
-def float32_run():
-    return train_float32_sasrec()
+def float64_loaded_run():
+    """Train a SASRec whose parameters came in as a float64 state."""
+    dataset = make_tiny_dataset()
+    model = SASRec(
+        dataset,
+        SASRecConfig(
+            dim=16,
+            train=TrainConfig(epochs=EPOCHS, batch_size=32, max_length=12, seed=0),
+        ),
+    )
+    float64_state = {
+        name: value.astype(np.float64) for name, value in model.state_dict().items()
+    }
+    for param in model.parameters():
+        param.data[...] = 0.0
+    model.load_state_dict(float64_state)
+    for name, param in model.named_parameters():
+        assert param.data.dtype == np.float32, f"{name} is {param.data.dtype}"
+        assert np.array_equal(param.data, float64_state[name].astype(np.float32))
+    history = train_next_item_model(model, dataset, model.config.train)
+    return dataset, model, history
 
 
 class TestFloat32Golden:
-    def test_params_are_float32(self, float32_run):
-        __, model, __history = float32_run
-        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
-
-    def test_losses_match_fixture(self, float32_run, update_golden):
-        __, __, history = float32_run
-        check_float32_golden(
-            "sasrec_losses_float32",
-            {"losses": [float(loss) for loss in history.losses]},
+    def test_losses_match_fixture(self, float64_loaded_run, update_golden):
+        __, __, history = float64_loaded_run
+        check_against_golden(
+            "sasrec_losses",
+            {"losses": [float(x) for x in history.losses[:EPOCHS]]},
             update_golden,
         )
 
-    def test_eval_metrics_match_fixture(self, float32_run, update_golden):
-        dataset, model, __ = float32_run
-        metrics = Evaluator(dataset, split="test").evaluate(model).metrics
-        check_float32_golden(
-            "sasrec_eval_metrics_float32",
-            {key: float(value) for key, value in metrics.items()},
+    def test_eval_metrics_match_fixture(self, float64_loaded_run, update_golden):
+        dataset, model, __ = float64_loaded_run
+        result = Evaluator(dataset, split="test").evaluate(model)
+        check_against_golden(
+            "sasrec_eval_metrics",
+            {key: float(value) for key, value in sorted(result.metrics.items())},
             update_golden,
         )
-
-    def test_within_documented_tolerance_of_float64(self, float32_run):
-        __, __, history = float32_run
-        float64_losses = json.loads(
-            (GOLDEN_DIR / "sasrec_losses.json").read_text()
-        )["losses"]
-        for f64, f32 in zip(float64_losses, history.losses):
-            assert abs(f64 - f32) <= FLOAT64_AGREEMENT, (
-                f"float32 loss {f32} drifted more than {FLOAT64_AGREEMENT} "
-                f"from float64 golden {f64}"
-            )
-
-    def test_bit_deterministic_under_fixed_seed(self, float32_run):
-        __, first_model, first_history = float32_run
-        __, second_model, second_history = train_float32_sasrec()
-        assert first_history.losses == second_history.losses
-        for (name, a), (__, b) in zip(
-            first_model.named_parameters(), second_model.named_parameters()
-        ):
-            assert np.array_equal(a.data, b.data), f"{name} differs between runs"

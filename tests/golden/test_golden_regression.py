@@ -5,6 +5,11 @@ a fixed-seed SASRec run, a fixed-seed CL4SRec joint run, and the eval
 metric row of the trained SASRec model.  Any refactor that changes the
 numerics — intentionally or not — trips these at 1e-6.
 
+The runs are float32, the one precision (``repro.nn.precision``), and
+bit-deterministic under a fixed seed.  The fixtures were recorded when
+the compute core ran in float64; float32 reproduces every value within
+1e-7, so they stand as recorded.
+
 To accept an intentional numeric change, regenerate the fixtures::
 
     PYTHONPATH=src python -m pytest tests/golden -q --update-golden
@@ -15,6 +20,7 @@ and commit the updated JSON alongside the change that caused it.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
@@ -72,20 +78,37 @@ def golden_dataset():
     return make_tiny_dataset()
 
 
-@pytest.fixture(scope="module")
-def trained_sasrec(golden_dataset):
+def train_sasrec(dataset):
     model = SASRec(
-        golden_dataset,
+        dataset,
         SASRecConfig(
             dim=16,
             train=TrainConfig(epochs=EPOCHS, batch_size=32, max_length=12, seed=0),
         ),
     )
-    history = train_next_item_model(model, golden_dataset, model.config.train)
+    history = train_next_item_model(model, dataset, model.config.train)
     return model, history
 
 
+@pytest.fixture(scope="module")
+def trained_sasrec(golden_dataset):
+    return train_sasrec(golden_dataset)
+
+
 class TestGoldenRegression:
+    def test_params_are_float32(self, trained_sasrec):
+        model, __ = trained_sasrec
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+
+    def test_bit_deterministic_under_fixed_seed(self, golden_dataset, trained_sasrec):
+        first_model, first_history = trained_sasrec
+        second_model, second_history = train_sasrec(golden_dataset)
+        assert first_history.losses == second_history.losses
+        for (name, a), (__, b) in zip(
+            first_model.named_parameters(), second_model.named_parameters()
+        ):
+            assert np.array_equal(a.data, b.data), f"{name} differs between runs"
+
     def test_sasrec_first_epoch_losses(self, golden_dataset, trained_sasrec, update_golden):
         __, history = trained_sasrec
         check_against_golden(

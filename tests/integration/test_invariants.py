@@ -39,7 +39,9 @@ class TestRepresentationInvariants:
         users = tiny_dataset.evaluation_users("test")[:6]
         solo = model.score_users(tiny_dataset, users[:1])
         grouped = model.score_users(tiny_dataset, users)
-        np.testing.assert_allclose(solo[0], grouped[0], atol=1e-12)
+        # Equal up to float32 BLAS rounding, which may differ in the last
+        # ulps between a batch of one and a batch of six.
+        np.testing.assert_allclose(solo[0], grouped[0], rtol=0, atol=1e-7)
 
     def test_history_extension_changes_representation(self, tiny_dataset):
         """Appending an item must change the user representation —

@@ -1,5 +1,6 @@
 """The unified model registry (repro.models.registry)."""
 
+import numpy as np
 import pytest
 
 import repro
@@ -60,6 +61,22 @@ class TestRegistryContents:
             assert "_test-model" in available_models()
         finally:
             del registry._REGISTRY["_test-model"]
+
+
+class TestOnePrecision:
+    @pytest.mark.parametrize("name", available_models())
+    def test_parameters_are_float32(self, name, tiny_dataset, scale):
+        model = build_model(name, tiny_dataset, scale)
+        if not hasattr(model, "named_parameters"):
+            if name == "Pop":
+                return  # no parameters at all
+            # BPR-MF, NCF and FPMC build their network in fit.
+            model.fit(tiny_dataset)
+            model = model._net
+        # Every parameter, the weights a layer replaces after construction
+        # (the packed qkv_proj, the truncated-normal embeddings) included.
+        dtypes = {n: p.data.dtype for n, p in model.named_parameters()}
+        assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}, dtypes
 
 
 class TestCompatReexports:

@@ -40,7 +40,8 @@ class TestEncoder:
         ids = np.random.default_rng(1).integers(1, 50, size=(3, 10))
         hidden = enc(ids).data
         rep = enc.user_representation(ids).data
-        np.testing.assert_allclose(rep, hidden[:, -1, :])
+        # float32 BLAS on one row need not round like BLAS on many.
+        np.testing.assert_allclose(rep, hidden[:, -1, :], rtol=0, atol=1e-5)
 
     def test_truncated_normal_init_bounds(self):
         enc = self.make()

@@ -147,9 +147,10 @@ class TestScratchPool:
 
 
 def make_attention(dim=8, heads=2, seed=3):
+    """A float64 layer: the oracle compares compositions, not precisions."""
     return MultiHeadSelfAttention(
         dim=dim, num_heads=heads, dropout=0.0, rng=np.random.default_rng(seed)
-    )
+    ).to_dtype(np.float64)
 
 
 def reference_attention(module, x, causal, key_padding_mask=None):
@@ -257,7 +258,9 @@ class TestFusedEquivalence:
 
     def test_ffn_matches_reference(self):
         x = np.random.default_rng(8).normal(size=(2, 4, 8))
-        module = PositionwiseFeedForward(dim=8, hidden_dim=16, rng=np.random.default_rng(9))
+        module = PositionwiseFeedForward(
+            dim=8, hidden_dim=16, rng=np.random.default_rng(9)
+        ).to_dtype(np.float64)
         fused = forward_and_grads(module, module, x)
         reference = forward_and_grads(module, lambda t: reference_ffn(module, t), x)
         np.testing.assert_array_equal(fused[0], reference[0])

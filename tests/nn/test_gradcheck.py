@@ -7,9 +7,10 @@ A failure names the offending parameter and its max abs error, e.g.::
 
     gradient mismatch: attention.query_proj.weight (max abs err 3.1e-04)
 
-The module checks run in float64 with fixed seeds and dropout disabled
-(the fused-attention check draws one fixed dropout mask), so they are
-tight (atol 1e-6) and bit-reproducible.
+The module checks cast the (float32) modules to float64 with
+``Module.to_dtype`` and run with fixed seeds and dropout disabled (the
+fused-attention check draws one fixed dropout mask), so they are tight
+(atol 1e-6) and bit-reproducible.
 """
 
 import numpy as np
@@ -74,7 +75,7 @@ class TestGradcheck:
     def test_attention(self):
         rng = np.random.default_rng(7)
         module = MultiHeadSelfAttention(dim=6, num_heads=2, dropout=0.0, rng=rng)
-        module.eval()
+        module.eval().to_dtype(np.float64)
         x = np.random.default_rng(8).normal(size=(2, 4, 6))
         padding = np.zeros((2, 4), dtype=bool)
         padding[1, 0] = True  # exercise the key-padding mask path
@@ -86,7 +87,7 @@ class TestGradcheck:
         check_parameter_gradients(module, loss_fn)
 
     def test_layernorm(self):
-        module = LayerNorm(5)
+        module = LayerNorm(5).to_dtype(np.float64)
         x = np.random.default_rng(10).normal(size=(3, 5))
 
         def loss_fn():
@@ -96,7 +97,7 @@ class TestGradcheck:
 
     def test_softmax_cross_entropy(self):
         rng = np.random.default_rng(12)
-        module = Linear(4, 6, rng=rng)
+        module = Linear(4, 6, rng=rng).to_dtype(np.float64)
         x = np.random.default_rng(13).normal(size=(5, 4))
         targets = np.array([0, 2, 5, 1, 3])
 
@@ -110,7 +111,7 @@ class TestGradcheck:
         module = TransformerEncoderLayer(
             dim=6, num_heads=2, hidden_dim=8, dropout=0.0, rng=rng
         )
-        module.eval()
+        module.eval().to_dtype(np.float64)
         x = np.random.default_rng(15).normal(size=(2, 3, 6))
 
         def loss_fn():
@@ -121,7 +122,9 @@ class TestGradcheck:
 
     def test_fused_ffn(self):
         """The fused linear+ReLU kernel used by the FFN."""
-        module = PositionwiseFeedForward(dim=5, hidden_dim=7, rng=np.random.default_rng(19))
+        module = PositionwiseFeedForward(
+            dim=5, hidden_dim=7, rng=np.random.default_rng(19)
+        ).to_dtype(np.float64)
         x = np.random.default_rng(20).normal(size=(2, 3, 5))
 
         def loss_fn():
@@ -132,7 +135,7 @@ class TestGradcheck:
     def test_failure_names_offending_parameter(self):
         """The harness's own error reporting: a corrupted gradient is
         attributed to the right parameter name with its max abs error."""
-        module = LayerNorm(4)
+        module = LayerNorm(4).to_dtype(np.float64)
         x = np.random.default_rng(17).normal(size=(2, 4))
 
         def loss_fn():
@@ -167,12 +170,14 @@ DTYPE_CASES = [
 
 
 class _PrimitiveHarness(Module):
-    """Wraps raw tensors in Parameters so the module harness sees them."""
+    """Wraps raw tensors in Parameters so the module harness sees them,
+    cast to ``dtype`` (Parameters are constructed in float32)."""
 
     def __init__(self, arrays: dict[str, np.ndarray], dtype) -> None:
         super().__init__()
         for name, value in arrays.items():
-            setattr(self, name, Parameter(np.asarray(value, dtype=dtype)))
+            setattr(self, name, Parameter(value))
+        self.to_dtype(dtype)
 
 
 class TestFusedPrimitiveGradcheck:

@@ -1,10 +1,10 @@
-"""The compute core's dtype policy (repro.nn.precision).
+"""The compute core's one precision (repro.nn.precision).
 
-Covers spec resolution, the process default + context manager, how
-Tensor creation applies the policy (float arrays keep their dtype,
-everything else adopts the default), NEP 50 scalar hygiene (python and
-numpy scalars never upcast float32 operands), Module.to_dtype, and the
-optimizer-state dtype contract.
+Covers spec resolution, the float32 constant (parameters are built in
+it, non-float data becomes it), how Tensor creation applies it (float
+arrays keep their dtype), NEP 50 scalar hygiene (python and numpy
+scalars never upcast float32 operands), Module.to_dtype as the one way
+to float64, and the optimizer-state dtype contract.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from repro.models.losses import masked_next_item_bce
 from repro.nn import precision
 from repro.nn.layers import Linear
+from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import TransformerEncoderLayer
@@ -48,29 +49,20 @@ class TestResolveDtype:
         assert precision.grad_atol(np.float32) > precision.grad_atol(np.float64)
 
 
-class TestPrecisionContext:
-    def test_default_is_float64(self):
-        assert precision.default_dtype() == np.dtype(np.float64)
+class TestOnePrecision:
+    def test_default_is_float32(self):
+        assert precision.default_dtype() == np.dtype(np.float32)
+        assert precision.DEFAULT_DTYPE == np.dtype(np.float32)
 
-    def test_context_sets_and_restores(self):
-        assert Tensor([1, 2]).data.dtype == np.float64
-        with precision.precision("float32"):
-            assert precision.default_dtype() == np.dtype(np.float32)
-            assert Tensor([1, 2]).data.dtype == np.float32
-        assert precision.default_dtype() == np.dtype(np.float64)
-        assert Tensor([1, 2]).data.dtype == np.float64
+    def test_non_float_data_becomes_float32(self):
+        assert Tensor([1, 2]).data.dtype == np.float32
+        assert Tensor(True).data.dtype == np.float32
 
-    def test_context_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with precision.precision("float32"):
-                raise RuntimeError("boom")
-        assert precision.default_dtype() == np.dtype(np.float64)
-
-    def test_nested_contexts(self):
-        with precision.precision("float32"):
-            with precision.precision("float64"):
-                assert precision.default_dtype() == np.dtype(np.float64)
-            assert precision.default_dtype() == np.dtype(np.float32)
+    def test_parameters_are_the_float64_draw_rounded_once(self):
+        draw = np.random.default_rng(0).normal(size=(3, 4))
+        param = Parameter(draw)
+        assert param.data.dtype == np.float32
+        np.testing.assert_array_equal(param.data, draw.astype(np.float32))
 
 
 class TestTensorDtypePolicy:
@@ -80,13 +72,10 @@ class TestTensorDtypePolicy:
 
     def test_float64_arrays_are_preserved_under_float32_default(self):
         data = np.ones((2, 3), dtype=np.float64)
-        with precision.precision("float32"):
-            assert Tensor(data).data.dtype == np.float64
+        assert Tensor(data).data.dtype == np.float64
 
     def test_int_input_adopts_default(self):
-        assert Tensor(np.arange(4)).data.dtype == np.float64
-        with precision.precision("float32"):
-            assert Tensor(np.arange(4)).data.dtype == np.float32
+        assert Tensor(np.arange(4)).data.dtype == np.float32
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scalar_arithmetic_keeps_dtype(self, dtype):
@@ -114,20 +103,19 @@ class TestModuleToDtype:
 
     def test_casts_all_parameters(self):
         module = self.make_module()
-        module.to_dtype("float32")
         assert {p.data.dtype for p in module.parameters()} == {np.dtype(np.float32)}
+        module.to_dtype("float64")
+        assert {p.data.dtype for p in module.parameters()} == {np.dtype(np.float64)}
 
     def test_round_trip_is_lossless_from_float64(self):
-        module = self.make_module()
+        module = self.make_module().to_dtype("float64")
         before = {n: p.data.copy() for n, p in module.named_parameters()}
         module.to_dtype("float32")
         module.to_dtype("float64")
         for name, param in module.named_parameters():
-            # float64 -> float32 rounds once; the values stay the
-            # float32-representable ones after casting back up.
-            np.testing.assert_allclose(
-                param.data, before[name], rtol=1e-6, atol=1e-7
-            )
+            # The parameters were built in float32, so the float64 copy
+            # holds float32-representable values: the round trip is exact.
+            np.testing.assert_array_equal(param.data, before[name])
 
     def test_forward_output_matches_dtype(self):
         module = self.make_module().to_dtype("float32")
@@ -137,15 +125,15 @@ class TestModuleToDtype:
 
     def test_param_dtype_reports(self):
         module = self.make_module()
-        assert module.param_dtype() == np.dtype(np.float64)
-        module.to_dtype("float32")
         assert module.param_dtype() == np.dtype(np.float32)
+        module.to_dtype("float64")
+        assert module.param_dtype() == np.dtype(np.float64)
 
 
 class TestOptimizerDtype:
     @pytest.mark.parametrize("make", [lambda p: Adam(p), lambda p: SGD(p, 0.1, momentum=0.9)])
     def test_state_and_updates_stay_float32(self, make):
-        layer = Linear(4, 4, rng=np.random.default_rng(0)).to_dtype("float32")
+        layer = Linear(4, 4, rng=np.random.default_rng(0))
         optimizer = make(list(layer.parameters()))
         x = Tensor(np.random.default_rng(1).normal(size=(3, 4)).astype(np.float32))
         for __ in range(3):

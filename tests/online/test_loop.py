@@ -100,6 +100,18 @@ def test_promoted_weights_actually_serve(tmp_path, tiny_dataset):
     engine.close()
 
 
+def test_a_round_stays_float32(tmp_path, tiny_dataset):
+    """Fine-tune, publish and swap all run in the one precision."""
+    loop, engine, store = _build_loop(tmp_path, tiny_dataset, trace_events=60)
+    assert loop.run(rounds=1).rounds[0].decision == "promote"
+    for model in (engine.model, loop.trainer_model):
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+    assert engine.index.matrix.dtype == np.float32
+    promoted = store.load_state(store.latest_serving().version)
+    assert {values.dtype for values in promoted.values()} == {np.dtype(np.float32)}
+    engine.close()
+
+
 def test_loop_is_bit_reproducible(tmp_path, tiny_dataset):
     def run(tag):
         loop, engine, __ = _build_loop(

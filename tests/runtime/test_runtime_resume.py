@@ -160,6 +160,54 @@ class TestJointResume:
         assert losses_resumed == losses_straight
         assert_params_equal(straight, resumed)
 
+    def test_float64_checkpoint_resumes_into_float32(
+        self, tiny_dataset, build_model, tmp_path
+    ):
+        """A checkpoint written in float64 (parameters and Adam moments)
+        resumes a float32 run: both load rounded once into float32.
+        (Bit-exact resume holds between checkpoints of one precision.)"""
+        killed = build_model().to_dtype(np.float64)
+        with pytest.raises(TrainingInterrupted):
+            run_regime(
+                "joint",
+                killed,
+                tiny_dataset,
+                make_runtime(tmp_path, faults=FaultInjector().preempt(at=8)),
+            )
+        manager = CheckpointManager(tmp_path, keep=3)
+        with np.load(manager.path_for(manager.latest_step())) as archive:
+            written = {key: archive[key] for key in archive.files}
+        assert written["optim/m.0"].dtype == np.float64
+
+        loaded = {}
+
+        class Recording(TrainingRuntime):
+            def start(self, **bound):
+                epoch = super().start(**bound)
+                loaded["model"] = bound["model"].state_dict()
+                loaded["optim"] = {
+                    key: np.array(values, copy=True)
+                    for key, values in bound["optimizer"].state_dict().items()
+                    if key.startswith(("m.", "v."))
+                }
+                return epoch
+
+        resumed = build_model()
+        runtime = Recording(manager, handle_signals=False)
+        (losses,) = run_regime("joint", resumed, tiny_dataset, runtime)
+        assert runtime.resumed_from is not None and all(np.isfinite(losses))
+        for name, values in loaded["model"].items():
+            np.testing.assert_array_equal(
+                values, written[f"model/{name}"].astype(np.float32), err_msg=name
+            )
+        assert loaded["optim"]
+        for key, values in loaded["optim"].items():
+            assert values.dtype == np.float32, key
+            np.testing.assert_array_equal(
+                values, written[f"optim/{key}"].astype(np.float32), err_msg=key
+            )
+        assert {p.data.dtype for p in resumed.parameters()} == {np.dtype(np.float32)}
+
     def test_resume_after_completion_is_a_no_op(self, tiny_dataset, build_model, tmp_path):
         first = build_model()
         losses = train_joint(

@@ -46,7 +46,6 @@ class TestFromArgs:
             model="CL4SRec",
             dataset="beauty",
             preset="smoke",
-            dtype="float32",
             max_batch_size=64,
             cache_size=128,
             deadline_ms=50.0,
@@ -60,7 +59,6 @@ class TestFromArgs:
         )
         config = ServeConfig.from_args(args)
         assert config.checkpoint == "ckpts/joint"
-        assert config.dtype == "float32"
         assert config.index == "ivf_pq"
         assert (config.nprobe, config.rerank, config.nlist) == (4, 100, 32)
         # argparse's store_false lands as False, which must survive.

@@ -214,6 +214,20 @@ class TestFromCheckpoint:
                 tmp_path / "empty", sasrec, tiny_dataset
             )
 
+    def test_float64_checkpoint_serves_in_float32(self, sasrec, tiny_dataset, tmp_path):
+        """A checkpoint written when the core ran in float64 loads rounded
+        once; the model keeps serving in float32."""
+        state = {k: v.astype(np.float64) for k, v in sasrec.state_dict().items()}
+        state["encoder.item_embedding.weight"] += 1e-12  # not float32-representable
+        path = tmp_path / "float64.npz"
+        write_archive(path, state)
+        fresh = build_model("SASRec", tiny_dataset, SCALE)
+        engine = RecommendationEngine.from_checkpoint(path, fresh, tiny_dataset)
+        assert {p.data.dtype for p in fresh.parameters()} == {np.dtype(np.float32)}
+        for name, values in fresh.state_dict().items():
+            np.testing.assert_array_equal(values, state[name].astype(np.float32))
+        assert engine.index.matrix.dtype == np.float32
+
     def test_mismatched_model_raises(self, sasrec, tiny_dataset, tmp_path):
         manager = CheckpointManager(tmp_path / "ckpts")
         state = {f"model/{k}": v for k, v in sasrec.state_dict().items()}
@@ -331,9 +345,26 @@ class TestRetrievalIndex:
 
         rng = np.random.default_rng(0)
         stale = ExactIndex().build(
-            rng.normal(size=(tiny_dataset.num_items + 1, 16))
+            rng.normal(size=(tiny_dataset.num_items + 1, 16)).astype(np.float32)
         )
         with pytest.raises(IndexMismatchError, match="rebuild the artifact"):
+            RecommendationEngine(sasrec, tiny_dataset, index=stale)
+
+    def test_float64_index_artifact_names_the_dtypes(self, sasrec, tiny_dataset, tmp_path):
+        """An artifact written while models served in float64 holds a
+        float64 matrix: loading it against the float32 model is refused
+        with both dtypes named and the command that rebuilds it."""
+        from repro.retrieval import IndexMismatchError, load_index, make_index
+
+        matrix = np.ascontiguousarray(sasrec.item_embedding_matrix(tiny_dataset.num_items))
+        path = tmp_path / "old.npz"
+        make_index("ivf", nlist=4).build(matrix.astype(np.float64)).save(path)
+        stale = load_index(path)
+        with pytest.raises(
+            IndexMismatchError,
+            match=r"holds a float64 item matrix but the model serves float32; "
+            r"rebuild the artifact with 'repro index'",
+        ):
             RecommendationEngine(sasrec, tiny_dataset, index=stale)
 
     def test_prebuilt_matching_index_is_adopted(self, sasrec, tiny_dataset):

@@ -371,6 +371,44 @@ class TestObservabilityCli:
         assert "[eval]" in report
         assert "[profile]" in report
 
+    def test_train_records_the_trained_dtype(self, capsys, tmp_path):
+        """The run's obs meta and tracked record name the precision the
+        model trained in, and the checkpoint holds it."""
+        import glob
+
+        import numpy as np
+
+        from repro.experiments.tracking import RunRegistry
+        from repro.obs import read_events
+
+        run_dir = tmp_path / "run"
+        code = main(
+            ["train", "--dataset", "beauty", "--dataset-scale", "0.01",
+             "--dim", "16", "--max-length", "12", "--mode", "joint",
+             "--epochs", "1", "--checkpoint-dir", str(tmp_path / "ckpts"),
+             "--obs-dir", str(run_dir), "--track-dir", str(tmp_path / "track")]
+        )
+        assert code == 0
+        capsys.readouterr()
+        start = read_events(str(run_dir))[0]
+        assert start["event"] == "run_start"
+        assert start["meta"]["dtype"] == "float32"
+        (record,) = RunRegistry(tmp_path / "track").runs()
+        assert record.params["dtype"] == "float32"
+        newest = sorted(glob.glob(str(tmp_path / "ckpts" / "joint" / "*.npz")))[-1]
+        with np.load(newest) as archive:
+            floats = {
+                archive[key].dtype for key in archive.files
+                if np.issubdtype(archive[key].dtype, np.floating)
+                and key.startswith("model/")
+            }
+        assert floats == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("command", [["train"], ["serve", "--checkpoint", "c"]])
+    def test_no_dtype_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--dtype", "float64"])
+
     def test_train_without_obs_dir_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(

@@ -13,6 +13,10 @@
   boundary a narrower server lock will be drawn on.
 * Every public module-level function or class has a user outside the
   tests, or a line in ``KEPT_ON_PURPOSE`` saying why it stays.
+* There is one precision and nothing selects it: ``nn/precision.py``
+  holds no ``global`` and no ``set_*`` function, no dataclass declares a
+  ``dtype`` field, and no flag is called ``--dtype``
+  (docs/PERFORMANCE.md "One precision").
 """
 
 import ast
@@ -82,6 +86,30 @@ def test_threads_start_only_in_the_listed_modules():
         if getattr(node, "attr", None) == "Thread" or getattr(node, "id", None) == "Thread"
     }
     assert starters == THREAD_STARTERS
+
+
+def test_nothing_selects_a_precision():
+    precision = ast.parse((PACKAGE / "nn" / "precision.py").read_text())
+    assert not [n for n in ast.walk(precision) if isinstance(n, ast.Global)]
+    assert not [
+        n.name for n in ast.walk(precision)
+        if isinstance(n, ast.FunctionDef) and n.name.startswith("set_")
+    ]
+    offenders = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                offenders += [
+                    f"{name}: {node.name}.dtype"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                    and getattr(field.target, "id", None) == "dtype"
+                ]
+            elif isinstance(node, ast.Constant) and node.value == "--dtype":
+                offenders.append(f"{name}:{node.lineno} --dtype")
+    assert offenders == []
 
 
 # ----------------------------------------------------------------------
