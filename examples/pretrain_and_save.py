@@ -23,7 +23,7 @@ from repro import (
     load_dataset,
     pretrain_contrastive,
 )
-from repro.nn import load_state_dict, save_state_dict
+from repro.nn import read_archive, write_archive
 
 
 def main() -> None:
@@ -49,13 +49,14 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         checkpoint = Path(tmp) / "cl4srec_pretrained.npz"
-        save_state_dict(model.state_dict(), checkpoint)
+        # Atomic write + SHA-256 sidecar; the read verifies the checksum.
+        write_archive(checkpoint, model.state_dict())
         print(f"saved {checkpoint.name} ({checkpoint.stat().st_size / 1024:.0f} KiB)")
 
         # Stage 2 (possibly much later / elsewhere): load and fine-tune
         # directly from the checkpoint, skipping the contrastive stage.
         finetuned = CL4SRec(dataset, config)
-        finetuned.load_state_dict(load_state_dict(checkpoint))
+        finetuned.load_state_dict(read_archive(checkpoint))
         finetuned.fit(dataset, skip_pretrain=True)
 
     result = evaluate_model(finetuned, dataset, max_users=600)

@@ -20,7 +20,8 @@ TensorFlow, so we implement the pieces the paper relies on ourselves:
 * :mod:`repro.nn.optim` — SGD and Adam with linear learning-rate decay.
 * :mod:`repro.nn.init` — weight initializers, including the truncated
   normal initialization the paper prescribes.
-* :mod:`repro.nn.serialization` — ``.npz`` state-dict persistence.
+* :mod:`repro.nn.serialization` — the one artifact layer: every ``.npz``
+  is written and read there (atomic, checksummed, stamped).
 * :mod:`repro.nn.precision` / :mod:`repro.nn.compute` — the compute
   core's one precision (float32) and fast-path machinery (shape-keyed
   mask cache, scratch buffers).
@@ -31,7 +32,7 @@ in the test suite.
 
 from repro.nn import compute, functional, init, precision
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.checkpoint import load_checkpoint, save_checkpoint
+from repro.nn.checkpoint import save_checkpoint
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, GradientClipper, LinearDecaySchedule, Optimizer
@@ -40,8 +41,8 @@ from repro.nn.serialization import (
     CheckpointError,
     atomic_write,
     atomic_write_bytes,
-    load_state_dict,
-    save_state_dict,
+    read_archive,
+    write_archive,
 )
 from repro.nn.tensor import Tensor, concat, no_grad, stack, tensor
 from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
@@ -71,12 +72,11 @@ __all__ = [
     "concat",
     "functional",
     "init",
-    "load_checkpoint",
-    "load_state_dict",
     "no_grad",
     "precision",
+    "read_archive",
     "save_checkpoint",
-    "save_state_dict",
     "stack",
     "tensor",
+    "write_archive",
 ]

@@ -1,96 +1,24 @@
-"""Full training-state checkpoints: model + optimizer + step counters.
+"""A model's weights as one servable checkpoint archive.
 
-``save_state_dict`` persists only parameters; resuming *training* also
-needs the Adam moment estimates and step counts, otherwise the first
-post-restore updates are biased.  A :func:`save_checkpoint` /
-:func:`load_checkpoint` pair captures both, so a training run can be
-stopped and resumed bit-for-bit (modulo data-order randomness, which
-callers control through their seeds).
-
-Writes are atomic (temp file + fsync + ``os.replace``); restore errors
-caused by a differently-configured model — missing/unexpected parameter
-names, shape mismatches — surface as :class:`CheckpointError` carrying
-the offending path, never a bare NumPy broadcasting error.  Crash-safe
-rotation, checksums and recovery live one level up, in
-:mod:`repro.runtime.checkpointing`.
+Resuming *training* needs far more than the weights (optimizer moments,
+schedule, RNG streams, history); that is :mod:`repro.runtime.resume`'s
+archive.  :func:`save_checkpoint` writes just the ``model/<param>``
+section, through the one artifact writer
+(:func:`repro.nn.serialization.write_archive`), so serving
+(:func:`repro.runtime.checkpointing.load_model_state`) reads it like
+any training checkpoint.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
-from repro.nn.serialization import CheckpointError, atomic_write
+from repro.nn.serialization import write_archive
 
 
-def save_checkpoint(
-    path: str | os.PathLike,
-    model: Module,
-    optimizer: Optimizer | None = None,
-    extra: dict[str, float] | None = None,
-) -> None:
-    """Write model (and optionally optimizer) state to one ``.npz``."""
-    payload: dict[str, np.ndarray] = {}
-    for name, values in model.state_dict().items():
-        payload[f"model/{name}"] = values
-    if optimizer is not None:
-        for name, values in optimizer.state_dict().items():
-            payload[f"optim/{name}"] = values
-    for name, value in (extra or {}).items():
-        payload[f"extra/{name}"] = np.asarray(value)
-    atomic_write(path, lambda handle: np.savez(handle, **payload))
-
-
-def load_checkpoint(
-    path: str | os.PathLike,
-    model: Module,
-    optimizer: Optimizer | None = None,
-) -> dict[str, float]:
-    """Restore model (and optimizer) state; returns the extras dict.
-
-    Raises :class:`CheckpointError` naming ``path`` when the archive is
-    unreadable or its contents do not fit the given model/optimizer
-    (key-set or shape mismatch from a differently-configured model).
-    """
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            model_state = {
-                name[len("model/") :]: archive[name]
-                for name in archive.files
-                if name.startswith("model/")
-            }
-            optim_state = {
-                name[len("optim/") :]: archive[name]
-                for name in archive.files
-                if name.startswith("optim/")
-            }
-            extras = {
-                name[len("extra/") :]: float(archive[name])
-                for name in archive.files
-                if name.startswith("extra/")
-            }
-    except Exception as error:
-        raise CheckpointError(
-            f"{os.fspath(path)}: unreadable checkpoint archive: {error}"
-        ) from error
-    try:
-        model.load_state_dict(model_state)
-    except (KeyError, ValueError) as error:
-        raise CheckpointError(
-            f"{os.fspath(path)}: checkpoint does not fit this model "
-            f"(was it saved from a different configuration?): {error}"
-        ) from error
-    if optimizer is not None:
-        if not optim_state:
-            raise ValueError(f"{path} contains no optimizer state")
-        try:
-            optimizer.load_state_dict(optim_state)
-        except (KeyError, IndexError, ValueError) as error:
-            raise CheckpointError(
-                f"{os.fspath(path)}: checkpoint does not fit this optimizer: "
-                f"{error}"
-            ) from error
-    return extras
+def save_checkpoint(path: str | os.PathLike, model: Module) -> None:
+    """Write ``model``'s parameters to ``path`` as ``model/<param>``."""
+    write_archive(
+        path, {f"model/{name}": values for name, values in model.state_dict().items()}
+    )

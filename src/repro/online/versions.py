@@ -3,10 +3,11 @@
 Every fine-tuning round publishes a candidate archive here; the
 promotion gate then marks it ``promoted`` or ``refused`` (with the
 reason), so the store doubles as an audit log of every decision the
-loop ever made.  Archives use the PR-1 checkpoint format — atomic
-``.npz`` + SHA-256 sidecar, ``model/<param>`` keys — which makes each
-version directly consumable by :meth:`RecommendationEngine.swap_model`
-and ``POST /admin/reload`` without conversion.
+loop ever made.  Archives go through the one artifact layer
+(:mod:`repro.nn.serialization`: atomic ``.npz`` + SHA-256 sidecar +
+format stamp) with ``model/<param>`` keys, which makes each version
+directly consumable by :meth:`RecommendationEngine.swap_model` and
+``POST /admin/reload`` without conversion.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.nn.serialization import atomic_write_bytes
-from repro.runtime.checkpointing import (
-    CHECKSUM_SUFFIX,
-    file_sha256,
+from repro.nn.serialization import (
+    atomic_write_bytes,
     read_archive,
+    remove_archive,
+    section,
     write_archive,
 )
 
@@ -129,12 +130,7 @@ class ModelVersionStore:
             raise FileNotFoundError(
                 f"version {version} archive was pruned (keep={self.keep})"
             )
-        payload = read_archive(self.path(version))
-        return {
-            name[len("model/"):]: values
-            for name, values in payload.items()
-            if name.startswith("model/")
-        }
+        return section(read_archive(self.path(version)), "model")
 
     # ------------------------------------------------------------------
     # Writes
@@ -153,20 +149,17 @@ class ModelVersionStore:
         version = self._records[-1].version + 1 if self._records else 1
         filename = f"v-{version:06d}.npz"
         path = os.path.join(self.directory, filename)
-        arrays: dict[str, np.ndarray] = {
-            "meta/format_version": np.asarray(1),
-            "meta/version": np.asarray(version),
-        }
+        arrays: dict[str, np.ndarray] = {"meta/version": np.asarray(version)}
         if round_index is not None:
             arrays["meta/round"] = np.asarray(round_index)
         for name, values in state.items():
             arrays[f"model/{name}"] = np.asarray(values)
-        write_archive(path, arrays)
+        checksum = write_archive(path, arrays)
         parent = self.latest_serving()
         record = VersionRecord(
             version=version,
             filename=filename,
-            checksum=file_sha256(path),
+            checksum=checksum,
             round=round_index,
             parent=parent.version if parent is not None else None,
             decision=decision,
@@ -208,10 +201,5 @@ class ModelVersionStore:
         for entry in self._records:
             if not entry.archived or entry.version in keep_versions:
                 continue
-            path = os.path.join(self.directory, entry.filename)
-            for victim in (path, path + CHECKSUM_SUFFIX):
-                try:
-                    os.remove(victim)
-                except FileNotFoundError:
-                    pass
+            remove_archive(os.path.join(self.directory, entry.filename))
             entry.archived = False

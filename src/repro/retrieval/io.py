@@ -2,27 +2,33 @@
 
 Layout::
 
-    __meta__      json: {"format_version", "kind", "params", "checksum"}
+    __meta__      json object: {"kind", "params", "checksum",
+                  "num_rows", "dim", "dtype"}
     matrix        the full-precision item matrix (exact rerank + verify)
     <kind arrays> centroids / inverted lists / codes / quantizer state
+
+written and read by the one artifact layer
+(:mod:`repro.nn.serialization`), which adds the ``meta/format_version``
+stamp and the ``.sha256`` sidecar and turns a missing, torn, corrupt
+or unknown-version file into a :class:`CheckpointError`.
 
 ``repro index`` writes these offline; ``repro serve --index-path``
 loads one and the engine verifies its ``checksum`` against the matrix
 the live model produces, so a stale artifact can never silently serve
 a different embedding space (see
-:class:`~repro.retrieval.base.IndexMismatchError`).  Loads are
-``allow_pickle=False`` — artifacts hold arrays and JSON only.
+:class:`~repro.retrieval.base.IndexMismatchError`).  What only an index
+knows — an unknown kind, a matrix that disagrees with its checksum — is
+an :class:`~repro.retrieval.base.IndexBuildError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import zipfile
 
 import numpy as np
 
-from repro.nn.serialization import atomic_write
+from repro.nn.serialization import CheckpointError, read_archive, write_archive
 from repro.retrieval.base import (
     INDEX_KINDS,
     IndexBuildError,
@@ -30,9 +36,7 @@ from repro.retrieval.base import (
     matrix_checksum,
 )
 
-__all__ = ["FORMAT_VERSION", "load_index", "save_index"]
-
-FORMAT_VERSION = 1
+__all__ = ["load_index", "save_index"]
 
 
 def save_index(index: ItemIndex, path: str | os.PathLike) -> str:
@@ -40,7 +44,6 @@ def save_index(index: ItemIndex, path: str | os.PathLike) -> str:
     index._require_built()
     path = os.fspath(path)
     meta = {
-        "format_version": FORMAT_VERSION,
         "kind": index.kind,
         "params": index._artifact_params(),
         "checksum": index.checksum,
@@ -52,17 +55,9 @@ def save_index(index: ItemIndex, path: str | os.PathLike) -> str:
     reserved = {"__meta__", "matrix"} & set(arrays)
     if reserved:
         raise IndexBuildError(f"artifact arrays shadow reserved names: {reserved}")
-    # Temp file + fsync + rename: a crash mid-write never leaves a torn
-    # artifact where a loader might find it.
-    atomic_write(
-        path,
-        lambda handle: np.savez(
-            handle,
-            __meta__=np.array(json.dumps(meta, sort_keys=True)),
-            matrix=index.matrix,
-            **arrays,
-        ),
-    )
+    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    arrays["matrix"] = index.matrix
+    write_archive(path, arrays)
     return path
 
 
@@ -73,22 +68,17 @@ def load_index(path: str | os.PathLike) -> ItemIndex:
     corrupted artifact fails loudly instead of serving garbage.
     """
     path = os.fspath(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as error:
-        raise IndexBuildError(f"{path}: not a readable index artifact: {error}") from error
+    payload = read_archive(path)
     if "__meta__" not in payload or "matrix" not in payload:
-        raise IndexBuildError(f"{path}: missing index metadata or matrix")
+        raise CheckpointError(f"{path}: missing index metadata or matrix")
     try:
         meta = json.loads(str(payload.pop("__meta__")))
     except json.JSONDecodeError as error:
-        raise IndexBuildError(f"{path}: corrupt index metadata: {error}") from error
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise IndexBuildError(
-            f"{path}: unsupported index format version {version!r} "
-            f"(this build reads version {FORMAT_VERSION})"
+        raise CheckpointError(f"{path}: corrupt index metadata: {error}") from error
+    if not isinstance(meta, dict) or not isinstance(meta.get("params", {}), dict):
+        raise CheckpointError(
+            f"{path}: corrupt index metadata: expected a JSON object with "
+            f"object 'params', got {type(meta).__name__}"
         )
     kind = meta.get("kind")
     if kind not in INDEX_KINDS:

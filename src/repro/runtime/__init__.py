@@ -4,8 +4,9 @@ Crash-safe checkpointing, bit-exact resume, divergence guards, and a
 deterministic fault-injection harness — the robustness layer between
 the nn substrate and the training loops:
 
-* :mod:`repro.runtime.checkpointing` — atomic archive writes, content
-  checksums, last-K rotation, recover-from-newest-valid.
+* :mod:`repro.runtime.checkpointing` — last-K rotation and
+  recover-from-newest-valid over the one artifact layer
+  (:mod:`repro.nn.serialization`: atomic writes, content checksums).
 * :mod:`repro.runtime.resume` — :class:`TrainingRuntime`: periodic
   checkpoint hooks, SIGTERM/SIGINT flush-and-exit, resume that restores
   model + optimizer + schedule + RNG + history in place.
@@ -18,13 +19,7 @@ See ``docs/ROBUSTNESS.md`` for the checkpoint format and semantics.
 """
 
 from repro.nn.serialization import CheckpointError
-from repro.runtime.checkpointing import (
-    CheckpointManager,
-    file_sha256,
-    read_archive,
-    verify_archive,
-    write_archive,
-)
+from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import Fault, FaultInjector, SimulatedPreemption
 from repro.runtime.guards import DivergenceError, DivergenceGuard
 from repro.runtime.resume import (
@@ -45,9 +40,5 @@ __all__ = [
     "TrainingInterrupted",
     "TrainingRuntime",
     "capture_rng_states",
-    "file_sha256",
-    "read_archive",
     "restore_rng_states",
-    "verify_archive",
-    "write_archive",
 ]

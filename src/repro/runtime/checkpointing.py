@@ -1,14 +1,10 @@
-"""Crash-safe checkpoint archives with checksums, rotation and recovery.
+"""Rotating checkpoint directories with newest-valid recovery.
 
-The nn layer (:mod:`repro.nn.checkpoint`) knows how to serialize one
-model + optimizer into one ``.npz``.  This module adds what a long run
+Every archive is written and read through the one artifact layer
+(:mod:`repro.nn.serialization`: atomic write, SHA-256 sidecar, format
+stamp, ``allow_pickle=False``).  This module adds the policy a long run
 on unreliable hardware needs on top:
 
-* **Atomic writes** — temp file + fsync + ``os.replace``; a crash never
-  leaves a half-written archive under the final name.
-* **Content checksums** — every archive gets a ``<name>.npz.sha256``
-  sidecar; silent corruption (bit rot, partial copies) is detected at
-  load time instead of surfacing as a NumPy error deep inside training.
 * **Rotation** — :class:`CheckpointManager` keeps the newest K archives
   in a directory, so disk usage is bounded but a corrupted newest file
   still leaves K-1 fallbacks.
@@ -16,102 +12,27 @@ on unreliable hardware needs on top:
   checkpoints newest-first and returns the first one that passes
   verification, skipping (and reporting) corrupt ones.
 
-Archives are flat ``name -> array`` dicts; the semantic packing of
-model/optimizer/RNG/history state lives in :mod:`repro.runtime.resume`.
-Consumers that only want the weights back (serving) read them with
-:func:`load_model_state`.
+The semantic packing of model/optimizer/RNG/history state lives in
+:mod:`repro.runtime.resume`.  Consumers that only want the weights back
+(serving) read them with :func:`load_model_state`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from typing import Mapping
 
 import numpy as np
 
-from repro.nn.serialization import CheckpointError, atomic_write, atomic_write_bytes
+from repro.nn.serialization import (
+    CheckpointError,
+    read_archive,
+    remove_archive,
+    section,
+    write_archive,
+)
 from repro.runtime.faults import FaultInjector
-
-CHECKSUM_SUFFIX = ".sha256"
-
-
-def file_sha256(path: str | os.PathLike) -> str:
-    """Hex SHA-256 of a file's content, streamed."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_archive(
-    path: str | os.PathLike,
-    arrays: Mapping[str, np.ndarray],
-    faults: FaultInjector | None = None,
-) -> None:
-    """Atomically write an ``.npz`` archive plus its checksum sidecar.
-
-    The archive lands first, the sidecar second (both atomic).  A crash
-    between the two leaves a new archive with a stale sidecar, which
-    verification treats as corrupt — recovery then falls back to an
-    older checkpoint, never to garbage.
-    """
-    if faults is not None:
-        faults.on_checkpoint_write(path)
-    payload = {name: np.asarray(values) for name, values in arrays.items()}
-    atomic_write(path, lambda handle: np.savez(handle, **payload))
-    atomic_write_bytes(
-        f"{os.fspath(path)}{CHECKSUM_SUFFIX}",
-        (file_sha256(path) + "\n").encode("ascii"),
-    )
-
-
-def verify_archive(path: str | os.PathLike) -> None:
-    """Raise :class:`CheckpointError` unless ``path`` matches its checksum.
-
-    A missing sidecar is accepted (plain archives written by
-    :mod:`repro.nn.checkpoint` have none); a *mismatching* one is
-    corruption.
-    """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise CheckpointError(f"{path}: checkpoint does not exist")
-    sidecar = path + CHECKSUM_SUFFIX
-    if not os.path.exists(sidecar):
-        return
-    with open(sidecar) as handle:
-        expected = handle.read().strip()
-    actual = file_sha256(path)
-    if actual != expected:
-        raise CheckpointError(
-            f"{path}: checksum mismatch (expected {expected[:12]}…, "
-            f"got {actual[:12]}…) — archive is corrupt"
-        )
-
-
-def read_archive(
-    path: str | os.PathLike,
-    faults: FaultInjector | None = None,
-) -> dict[str, np.ndarray]:
-    """Load an archive written by :func:`write_archive`, verified.
-
-    Raises :class:`CheckpointError` on checksum mismatch or an archive
-    that fails to parse (truncated zip, bad header, ...).
-    """
-    if faults is not None:
-        faults.on_checkpoint_read(path)
-    verify_archive(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name].copy() for name in archive.files}
-    except CheckpointError:
-        raise
-    except Exception as error:
-        raise CheckpointError(
-            f"{os.fspath(path)}: unreadable checkpoint archive: {error}"
-        ) from error
 
 
 class CheckpointManager:
@@ -171,13 +92,18 @@ class CheckpointManager:
     def save(self, step: int, arrays: Mapping[str, np.ndarray]) -> str:
         """Write checkpoint ``step`` and rotate; returns the path."""
         path = self.path_for(step)
-        write_archive(path, arrays, faults=self.faults)
+        if self.faults is not None:
+            self.faults.on_checkpoint_write(path)
+        write_archive(path, arrays)
         self._rotate()
         return path
 
     def load(self, step: int) -> dict[str, np.ndarray]:
         """Load and verify one specific checkpoint."""
-        return read_archive(self.path_for(step), faults=self.faults)
+        path = self.path_for(step)
+        if self.faults is not None:
+            self.faults.on_checkpoint_read(path)
+        return read_archive(path)
 
     def load_latest_valid(self) -> tuple[int, dict[str, np.ndarray]] | None:
         """Newest checkpoint that passes verification, or ``None``.
@@ -191,7 +117,7 @@ class CheckpointManager:
         for step in reversed(self.steps()):
             path = self.path_for(step)
             try:
-                return step, read_archive(path, faults=self.faults)
+                return step, self.load(step)
             except (CheckpointError, OSError) as error:
                 self.skipped.append((path, str(error)))
         return None
@@ -201,12 +127,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def _rotate(self) -> None:
         for step in self.steps()[: -self.keep]:
-            path = self.path_for(step)
-            for stale in (path, path + CHECKSUM_SUFFIX):
-                try:
-                    os.unlink(stale)
-                except FileNotFoundError:
-                    pass
+            remove_archive(self.path_for(step))
 
 
 def load_model_state(checkpoint: str | os.PathLike) -> tuple[dict, int | None]:
@@ -230,18 +151,10 @@ def load_model_state(checkpoint: str | os.PathLike) -> tuple[dict, int | None]:
         step, payload = recovered
     else:
         payload = read_archive(checkpoint)
-    state = {
-        name[len("model/") :]: values
-        for name, values in payload.items()
-        if name.startswith("model/")
+    # ``model/<param>`` keys, else a bare state dict (no sections).
+    state = section(payload, "model") or {
+        name: values for name, values in payload.items() if "/" not in name
     }
-    if not state:
-        # A bare state_dict archive (no section prefixes).
-        state = {
-            name: values
-            for name, values in payload.items()
-            if "/" not in name
-        }
     if not state:
         raise CheckpointError(
             f"{checkpoint}: archive holds no model parameters"

@@ -42,12 +42,11 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.optim import LinearDecaySchedule, Optimizer
-from repro.nn.serialization import CheckpointError
+from repro.nn.serialization import CheckpointError, load_into, section
 from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector, SimulatedPreemption
 from repro.runtime.guards import DivergenceGuard
 
-FORMAT_VERSION = 1
 _HANDLED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
@@ -357,7 +356,6 @@ class TrainingRuntime:
 
     def _pack(self, next_epoch: int) -> dict[str, np.ndarray]:
         payload: dict[str, np.ndarray] = {
-            "meta/version": np.asarray(FORMAT_VERSION),
             "meta/next_epoch": np.asarray(next_epoch),
             "meta/global_step": np.asarray(self._global_step),
         }
@@ -380,24 +378,11 @@ class TrainingRuntime:
         return payload
 
     def _unpack(self, payload: dict[str, np.ndarray]) -> int:
-        def section(prefix: str) -> dict[str, np.ndarray]:
-            return {
-                name[len(prefix) :]: values
-                for name, values in payload.items()
-                if name.startswith(prefix)
-            }
-
         where = self.manager.directory
-        try:
-            self._model.load_state_dict(section("model/"))
-            self._optimizer.load_state_dict(section("optim/"))
-        except (KeyError, ValueError, IndexError) as error:
-            raise CheckpointError(
-                f"{where}: checkpoint does not fit this model/optimizer "
-                f"(was it written by a different configuration?): {error}"
-            ) from error
+        load_into(self._model, section(payload, "model"), where)
+        load_into(self._optimizer, section(payload, "optim"), where)
         if self._schedule is not None:
-            sched = section("sched/")
+            sched = section(payload, "sched")
             if sched:
                 self._schedule.load_state_dict(sched)
         if self._rngs and "rng/state" in payload:
@@ -406,11 +391,11 @@ class TrainingRuntime:
             series.clear()
             series.extend(float(v) for v in payload.get(f"hist/{name}", ()))
         if self._extras is not None:
-            for name, value in section("extra/").items():
+            for name, value in section(payload, "extra").items():
                 self._extras[name] = float(value)
         if self._aux is not None:
             groups: dict[str, dict[str, np.ndarray]] = {}
-            for name, values in section("aux/").items():
+            for name, values in section(payload, "aux").items():
                 group, __, array_name = name.partition("/")
                 groups.setdefault(group, {})[array_name] = values
             self._aux.clear()

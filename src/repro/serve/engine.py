@@ -38,7 +38,7 @@ admit → cache lookup → encode → cache store → retrieve → fallback → 
   ``on_error="raise"`` then raises the first recorded error in request
   order (:func:`raise_first_error`), ``"report"`` returns them in place.
 * **Hot reload** — :meth:`swap_model` atomically swaps in new weights
-  from a PR-1 checkpoint: checksum-verified load, self-check probe,
+  from a checkpoint archive: checksum-verified load, self-check probe,
   generation counter bump, representation-cache invalidation, and
   rollback to the previous weights on any failure.
 """
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.data.preprocessing import SequenceDataset
 from repro.eval.topk import top_k_indices
-from repro.nn.serialization import CheckpointError
+from repro.nn.serialization import CheckpointError, load_into
 from repro.retrieval import (
     ExactIndex,
     IndexMismatchError,
@@ -154,17 +154,6 @@ def _require_servable(model) -> None:
             f"API (encode_sequences + item_embedding_matrix); it cannot "
             f"be served"
         )
-
-
-def _load_into(model, state: dict, checkpoint: str) -> None:
-    """``model.load_state_dict(state)``; a misfit names the checkpoint."""
-    try:
-        model.load_state_dict(state)
-    except Exception as error:
-        raise CheckpointError(
-            f"{checkpoint}: checkpoint does not fit this model "
-            f"(was it trained with a different configuration?): {error}"
-        ) from error
 
 
 def raise_first_error(results: list[Recommendation]) -> None:
@@ -430,16 +419,18 @@ class RecommendationEngine(EngineFacade):
         dataset: SequenceDataset,
         **engine_kwargs,
     ) -> "RecommendationEngine":
-        """Load weights from a PR-1 checkpoint and wrap them in an engine.
+        """Load weights from a checkpoint and wrap them in an engine.
 
         ``checkpoint`` is either a :class:`~repro.runtime.checkpointing.
         CheckpointManager` directory (the newest *valid* archive is
-        used, skipping corrupt ones) or a single ``.npz`` archive
-        written by ``repro.nn.checkpoint.save_checkpoint`` /
-        ``repro.runtime``.  ``model`` must be built with the same
-        configuration the checkpoint was trained with (use
-        :func:`repro.models.registry.build_model`); a mismatch raises
-        :class:`~repro.nn.serialization.CheckpointError`.
+        used, skipping corrupt ones) or a single ``.npz`` archive: a
+        training checkpoint, a :func:`repro.nn.checkpoint.save_checkpoint`
+        file, a :class:`~repro.online.versions.ModelVersionStore` version
+        or a bare state dict, each read (checksum-verified) by
+        :func:`repro.nn.serialization.read_archive`.  ``model`` must be
+        built with the configuration the checkpoint was trained with
+        (use :func:`repro.models.registry.build_model`); a mismatch
+        raises :class:`~repro.nn.serialization.CheckpointError`.
 
         The model serves in its own precision (float32); a float64
         checkpoint loads rounded once.
@@ -447,7 +438,7 @@ class RecommendationEngine(EngineFacade):
         _require_servable(model)
         checkpoint = os.fspath(checkpoint)
         state, __ = load_model_state(checkpoint)
-        _load_into(model, state, checkpoint)
+        load_into(model, state, checkpoint)
         engine = cls(model, dataset, **engine_kwargs)
         engine.checkpoint_path = checkpoint
         return engine
@@ -499,7 +490,7 @@ class RecommendationEngine(EngineFacade):
             for name, values in self.model.state_dict().items()
         }
         try:
-            _load_into(self.model, state, checkpoint)
+            load_into(self.model, state, checkpoint)
         except CheckpointError:
             # load_state_dict may have partially applied; restore.
             self.model.load_state_dict(previous)

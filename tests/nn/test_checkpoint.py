@@ -1,14 +1,26 @@
-"""Full training-state checkpoints."""
+"""Model and optimizer state through the one artifact writer and reader.
+
+``save_checkpoint`` writes the ``model/`` section serving reads; the
+optimizer cases pack ``optim/`` next to it, as ``TrainingRuntime``
+does, and restore both through ``section`` + ``load_into``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn.checkpoint import load_checkpoint, save_checkpoint
-from repro.nn.serialization import CheckpointError
+from repro.nn.checkpoint import save_checkpoint
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.optim import SGD, Adam
+from repro.nn.serialization import (
+    CheckpointError,
+    load_into,
+    read_archive,
+    section,
+    write_archive,
+)
 from repro.nn.tensor import Tensor
+from repro.runtime.checkpointing import load_model_state
 
 
 class Net(Module):
@@ -30,13 +42,27 @@ def train_steps(net, optimizer, steps, seed=0):
         optimizer.step()
 
 
+def save_training_state(path, net, optimizer):
+    arrays = {f"model/{name}": values for name, values in net.state_dict().items()}
+    arrays.update({f"optim/{name}": values for name, values in optimizer.state_dict().items()})
+    write_archive(path, arrays)
+
+
+def restore_training_state(path, net, optimizer):
+    arrays = read_archive(path)
+    load_into(net, section(arrays, "model"), str(path))
+    load_into(optimizer, section(arrays, "optim"), str(path))
+
+
 class TestCheckpointRoundTrip:
     def test_model_only(self, tmp_path):
         net = Net(seed=1)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, net)
         other = Net(seed=99)
-        load_checkpoint(path, other)
+        state, step = load_model_state(path)
+        load_into(other, state, str(path))
+        assert step is None
         for (na, pa), (nb, pb) in zip(
             net.named_parameters(), other.named_parameters()
         ):
@@ -47,11 +73,11 @@ class TestCheckpointRoundTrip:
         optimizer = Adam(net.parameters(), lr=0.01)
         train_steps(net, optimizer, 5)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, optimizer)
+        save_training_state(path, net, optimizer)
 
         fresh_net = Net(seed=7)
         fresh_opt = Adam(fresh_net.parameters(), lr=0.5)
-        load_checkpoint(path, fresh_net, fresh_opt)
+        restore_training_state(path, fresh_net, fresh_opt)
         assert fresh_opt.lr == 0.01
         restored = fresh_opt.state_dict()
         for name, values in optimizer.state_dict().items():
@@ -75,11 +101,11 @@ class TestCheckpointRoundTrip:
             loss.backward()
             opt_first.step()
         path = tmp_path / "mid.npz"
-        save_checkpoint(path, first, opt_first)
+        save_training_state(path, first, opt_first)
 
         resumed = Net(seed=42)
         opt_resumed = Adam(resumed.parameters(), lr=0.05)
-        load_checkpoint(path, resumed, opt_resumed)
+        restore_training_state(path, resumed, opt_resumed)
         for __ in range(5):
             x = rng.normal(size=(8, 4))
             loss = (resumed(Tensor(x)) ** 2).mean()
@@ -97,10 +123,10 @@ class TestCheckpointRoundTrip:
         optimizer = SGD(net.parameters(), lr=0.01, momentum=0.9)
         train_steps(net, optimizer, 3)
         path = tmp_path / "sgd.npz"
-        save_checkpoint(path, net, optimizer)
+        save_training_state(path, net, optimizer)
         fresh = Net(seed=5)
         fresh_opt = SGD(fresh.parameters(), lr=0.5, momentum=0.9)
-        load_checkpoint(path, fresh, fresh_opt)
+        restore_training_state(path, fresh, fresh_opt)
         restored = fresh_opt.state_dict()
         for name, values in optimizer.state_dict().items():
             np.testing.assert_array_equal(
@@ -108,10 +134,9 @@ class TestCheckpointRoundTrip:
             )
 
     def test_extras_round_trip(self, tmp_path):
-        net = Net()
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, extra={"epoch": 7, "best_hr10": 0.42})
-        extras = load_checkpoint(path, Net())
+        write_archive(path, {"extra/epoch": 7, "extra/best_hr10": 0.42, "model/w": np.ones(2)})
+        extras = {name: float(value) for name, value in section(read_archive(path), "extra").items()}
         assert extras == {"epoch": 7.0, "best_hr10": 0.42}
 
     def test_missing_optimizer_state_raises(self, tmp_path):
@@ -119,16 +144,16 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "no_opt.npz"
         save_checkpoint(path, net)
         with pytest.raises(ValueError):
-            load_checkpoint(path, Net(), Adam(Net().parameters(), lr=0.1))
+            restore_training_state(path, Net(), Adam(Net().parameters(), lr=0.1))
 
     def test_kind_mismatch_raises(self, tmp_path):
         net = Net()
         sgd = SGD(net.parameters(), lr=0.1)
         path = tmp_path / "sgd.npz"
-        save_checkpoint(path, net, sgd)
+        save_training_state(path, net, sgd)
         adam_net = Net()
         with pytest.raises(ValueError):
-            load_checkpoint(path, adam_net, Adam(adam_net.parameters(), lr=0.1))
+            restore_training_state(path, adam_net, Adam(adam_net.parameters(), lr=0.1))
 
 
 class WiderNet(Module):
@@ -149,17 +174,18 @@ class TestCheckpointErrors:
     def test_shape_mismatch_names_the_path(self, tmp_path):
         path = tmp_path / "small.npz"
         save_checkpoint(path, Net())
+        state, __ = load_model_state(path)
         with pytest.raises(CheckpointError, match="small.npz") as excinfo:
-            load_checkpoint(path, WiderNet())
+            load_into(WiderNet(), state, str(path))
         assert "different configuration" in str(excinfo.value)
 
     def test_kind_mismatch_names_the_path(self, tmp_path):
         net = Net()
         path = tmp_path / "sgd.npz"
-        save_checkpoint(path, net, SGD(net.parameters(), lr=0.1))
+        save_training_state(path, net, SGD(net.parameters(), lr=0.1))
         other = Net()
         with pytest.raises(CheckpointError, match="sgd.npz"):
-            load_checkpoint(path, other, Adam(other.parameters(), lr=0.1))
+            restore_training_state(path, other, Adam(other.parameters(), lr=0.1))
 
     def test_truncated_archive_names_the_path(self, tmp_path):
         path = tmp_path / "cut.npz"
@@ -167,4 +193,4 @@ class TestCheckpointErrors:
         with open(path, "r+b") as handle:
             handle.truncate(20)
         with pytest.raises(CheckpointError, match="cut.npz"):
-            load_checkpoint(path, Net())
+            load_model_state(path)

@@ -17,10 +17,10 @@ import pytest
 from repro.nn import compute
 from repro.nn import functional as F
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.checkpoint import load_checkpoint
-from repro.nn.serialization import CheckpointError
+from repro.nn.serialization import CheckpointError, load_into
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import PositionwiseFeedForward, TransformerEncoder
+from repro.runtime.checkpointing import load_model_state
 
 
 @pytest.fixture(autouse=True)
@@ -321,7 +321,7 @@ class TestLegacyQKVLayoutRefused:
         path = tmp_path / "legacy.npz"
         np.savez(path, **{f"model/{key}": value for key, value in legacy.items()})
         with pytest.raises(CheckpointError, match=r"qkv_proj\.weight"):
-            load_checkpoint(path, target)
+            load_into(target, load_model_state(path)[0], str(path))
         for key, value in target.state_dict().items():
             np.testing.assert_array_equal(value, before[key], err_msg=key)
 

@@ -6,9 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn.serialization import CheckpointError
+from repro.nn.serialization import CheckpointError, read_archive
 from repro.online import ModelVersionStore
-from repro.runtime.checkpointing import read_archive
 from repro.serve.engine import RecommendationEngine
 
 from .conftest import SCALE

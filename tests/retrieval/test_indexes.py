@@ -13,10 +13,14 @@ The anchors (ISSUE 7):
 * a saved + loaded index returns bit-identical results.
 """
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
 from repro.eval.topk import top_k_indices
+from repro.nn.serialization import CheckpointError
 from repro.retrieval import (
     ExactIndex,
     IndexBuildError,
@@ -206,13 +210,27 @@ class TestDeterminismAndArtifacts:
         raw[len(raw) // 2] ^= 0xFF  # flip one payload bit
         with open(path, "wb") as handle:
             handle.write(raw)
-        with pytest.raises(IndexBuildError):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_index(path)
 
     def test_garbage_file_fails_loudly(self, tmp_path):
         path = tmp_path / "nope.npz"
         path.write_bytes(b"definitely not an npz")
-        with pytest.raises(IndexBuildError, match="not a readable"):
+        with pytest.raises(CheckpointError, match="nope.npz: unreadable"):
+            load_index(path)
+
+    @pytest.mark.parametrize("meta", ["[]", "3", '"x"', '{"params": []}'])
+    def test_non_object_metadata_is_refused_by_name(self, tmp_path, item_matrix, meta):
+        """Valid JSON that is not an object used to escape as an
+        AttributeError (a traceback from ``repro serve``)."""
+        path = ExactIndex().build(item_matrix).save(tmp_path / "idx.npz")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["__meta__"] = np.array(meta)
+        np.savez(path, **arrays)
+        with open(path + ".sha256", "w") as sidecar:  # a sound file
+            sidecar.write(hashlib.sha256(open(path, "rb").read()).hexdigest())
+        with pytest.raises(CheckpointError, match="idx.npz: corrupt index metadata"):
             load_index(path)
 
     def test_unbuilt_index_cannot_be_saved(self, tmp_path):
@@ -240,22 +258,20 @@ class TestDeterminismAndArtifacts:
         with pytest.raises(OSError, match="disk full"):
             make_index("ivf", nlist=4).build(item_matrix).save(path)
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.npz", "a.npz.sha256"]
 
     def test_save_is_durable_and_temp_names_are_unique(
         self, tmp_path, item_matrix, monkeypatch
     ):
-        """The shared atomic writer: data is fsync'd before the rename,
-        and two writers of one path (threads share a pid) never share a
-        temp file."""
-        import os
-
+        """The shared atomic writer: data is fsync'd before the rename
+        (archive, then sidecar), and two writers of one path (threads
+        share a pid) never share a temp file."""
         events, temp_names = [], []
         real_fsync, real_replace, real_savez = os.fsync, os.replace, np.savez
 
         def savez(handle, **arrays):
             temp_names.extend(
-                p.name for p in tmp_path.iterdir() if p.name != "a.npz"
+                p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")
             )
             real_savez(handle, **arrays)
 
@@ -271,7 +287,7 @@ class TestDeterminismAndArtifacts:
         index = ExactIndex().build(item_matrix)
         index.save(tmp_path / "a.npz")
         index.save(tmp_path / "a.npz")
-        assert events == ["fsync", "replace"] * 2
+        assert events == ["fsync", "replace"] * 4
         assert len(set(temp_names)) == 2
 
     def test_float32_matrix_round_trips(self, tmp_path, queries):

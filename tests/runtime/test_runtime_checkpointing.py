@@ -1,19 +1,18 @@
 """Crash-safe archives: atomicity, checksums, rotation, recovery."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from repro.nn.serialization import CheckpointError, atomic_write
-from repro.runtime import (
-    CheckpointManager,
-    FaultInjector,
-    file_sha256,
+from repro.nn.serialization import (
+    CheckpointError,
+    atomic_write,
     read_archive,
-    verify_archive,
     write_archive,
 )
+from repro.runtime import CheckpointManager, FaultInjector
 
 
 def payload(value: float) -> dict:
@@ -52,8 +51,8 @@ class TestChecksums:
         path = tmp_path / "ckpt.npz"
         write_archive(path, payload(1.0))
         sidecar = (tmp_path / "ckpt.npz.sha256").read_text().strip()
-        assert sidecar == file_sha256(path)
-        verify_archive(path)  # no raise
+        assert sidecar == hashlib.sha256(path.read_bytes()).hexdigest()
+        read_archive(path)  # no raise
 
     def test_bit_flip_detected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
@@ -79,7 +78,7 @@ class TestChecksums:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="does not exist"):
-            verify_archive(tmp_path / "nope.npz")
+            read_archive(tmp_path / "nope.npz")
 
 
 class TestCheckpointManager:

@@ -6,8 +6,8 @@ import pytest
 from repro.experiments.config import ExperimentScale
 from repro.models.pop import Pop
 from repro.models.registry import available_models, build_model
-from repro.nn.serialization import CheckpointError
-from repro.runtime.checkpointing import CheckpointManager, write_archive
+from repro.nn.serialization import CheckpointError, write_archive
+from repro.runtime.checkpointing import CheckpointManager
 from repro.serve.engine import (
     LRUCache,
     RecommendationEngine,

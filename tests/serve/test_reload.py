@@ -7,9 +7,9 @@ import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
-from repro.nn.serialization import CheckpointError
+from repro.nn.serialization import CheckpointError, write_archive
 from repro.retrieval import make_index
-from repro.runtime.checkpointing import CheckpointManager, write_archive
+from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector
 from repro.serve.engine import ModelSwapError, RecommendationEngine
 from repro.serve.server import CheckpointWatcher, RecommendationServer

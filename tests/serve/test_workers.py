@@ -17,8 +17,9 @@ import pytest
 from repro.core.procpool import WorkerFailedError
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
+from repro.nn.serialization import write_archive
 from repro.retrieval import make_index
-from repro.runtime.checkpointing import CheckpointManager, write_archive
+from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector
 from repro.serve import (
     DeadlineExceeded,

@@ -17,6 +17,9 @@
   holds no ``global`` and no ``set_*`` function, no dataclass declares a
   ``dtype`` field, and no flag is called ``--dtype``
   (docs/PERFORMANCE.md "One precision").
+* There is one artifact layer: only ``nn/serialization.py`` calls
+  ``np.savez``, ``np.save`` or ``np.load`` (docs/ROBUSTNESS.md
+  "Artifacts").
 """
 
 import ast
@@ -109,6 +112,24 @@ def test_nothing_selects_a_precision():
                 ]
             elif isinstance(node, ast.Constant) and node.value == "--dtype":
                 offenders.append(f"{name}:{node.lineno} --dtype")
+    assert offenders == []
+
+
+ARTIFACT_LAYER = "nn/serialization.py"
+ARCHIVE_IO = {"savez", "savez_compressed", "save", "load"}
+
+
+def test_only_the_artifact_layer_reads_or_writes_npy_files():
+    offenders = [
+        f"{name}:{node.lineno} np.{node.func.attr}()"
+        for name, tree in modules()
+        if name != ARTIFACT_LAYER
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ARCHIVE_IO
+        and getattr(node.func.value, "id", None) in {"np", "numpy"}
+    ]
     assert offenders == []
 
 
