@@ -22,7 +22,7 @@ from repro.models.encoder import SASRecEncoder
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -171,18 +171,12 @@ class BERT4Rec(Module, Recommender):
 
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Representation of the appended ``[mask]`` position per history."""
-        t = self.config.max_length
-        batch = np.zeros((len(sequences), t), dtype=np.int64)
-        for row, sequence in enumerate(sequences):
-            with_mask = np.concatenate([np.asarray(sequence), [self.mask_token]])
-            batch[row] = pad_left(with_mask, t)
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            representation = self.encoder.user_representation(batch).data
-        if was_training:
-            self.train()
-        return representation
+        return self.encoder.encode_sequences(
+            [
+                np.append(np.asarray(sequence, dtype=np.int64), self.mask_token)
+                for sequence in sequences
+            ]
+        )
 
     def item_embedding_matrix(self, num_items: int) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, dim)``."""

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.loaders import pad_left
 from repro.nn import init
 from repro.nn.layers import Dropout, Embedding
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.transformer import TransformerEncoder
+
+#: Rows per length group in :meth:`SASRecEncoder.encode_sequences`:
+#: small groups fit each width tightly, large ones make fewer BLAS calls.
+#: 32 was fastest of 16/32/64/128 (docs/PERFORMANCE.md, compute core §5).
+_GROUP_ROWS = 32
 
 
 class SASRecEncoder(Module):
@@ -74,12 +80,22 @@ class SASRecEncoder(Module):
         item + position embedding after dropout ``(B, T, d)``, and the
         ``(B, T)`` padding mask."""
         item_ids = np.asarray(item_ids, dtype=np.int64)
-        batch, length = item_ids.shape
+        length = item_ids.shape[1]
         if length != self.max_length:
             raise ValueError(
                 f"expected sequences of length {self.max_length}, got {length}"
             )
-        positions = np.broadcast_to(np.arange(length), (batch, length))
+        return self._embed(item_ids, first_position=0)
+
+    def _embed(
+        self, item_ids: np.ndarray, first_position: int
+    ) -> tuple[Tensor, np.ndarray]:
+        """:meth:`embed` for a ``(B, w)`` batch whose columns sit at
+        positions ``first_position .. first_position + w - 1``."""
+        batch, width = item_ids.shape
+        positions = np.broadcast_to(
+            np.arange(first_position, first_position + width), (batch, width)
+        )
         hidden = self.item_embedding(item_ids) + self.position_embedding(positions)
         return self.embedding_dropout(hidden), item_ids == 0
 
@@ -102,6 +118,45 @@ class SASRecEncoder(Module):
             hidden, causal=self.causal, key_padding_mask=padding_mask
         )
         return last.reshape(last.shape[0], self.dim)
+
+    def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
+        """No-grad user representations ``(len(sequences), d)`` of raw
+        histories, in eval mode (the previous mode is restored).
+
+        Equals ``user_representation`` of the histories left-padded to
+        ``T`` at floating-point tolerance, but encodes only the tokens
+        that exist.  Histories are stably sorted by length (capped at
+        ``T``, Eq. 7) and cut into groups of ``_GROUP_ROWS`` rows; each
+        group is padded only to its own longest history and embedded at
+        positions ``T - w .. T - 1``, so every real token keeps its
+        position.  A real row never attends to a padded key (the
+        ``-1e9`` fill is exactly 0 after ``exp``), and a history with no
+        items attends only to its own last slot, which sits at ``T - 1``
+        at any width.  A group with no padding passes no padding mask.
+        """
+        t = self.max_length
+        lengths = np.array([min(len(s), t) for s in sequences], dtype=np.int64)
+        order = np.argsort(lengths, kind="stable")
+        out = np.empty((len(sequences), self.dim), dtype=self.param_dtype())
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                for start in range(0, len(order), _GROUP_ROWS):
+                    rows = order[start : start + _GROUP_ROWS]
+                    width = max(1, int(lengths[rows[-1]]))
+                    batch = np.stack([pad_left(sequences[r], width) for r in rows])
+                    hidden, padding_mask = self._embed(batch, t - width)
+                    last = self.transformer.last_row(
+                        hidden,
+                        causal=self.causal,
+                        key_padding_mask=padding_mask if padding_mask.any() else None,
+                    )
+                    out[rows] = last.data.reshape(len(rows), self.dim)
+        finally:
+            if was_training:
+                self.train()
+        return out
 
     def score_all_items(self, representation: Tensor, num_items: int) -> Tensor:
         """Scores for item ids ``0..num_items`` via shared embeddings.

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.loaders import NextItemBatch, pad_left
+from repro.data.loaders import NextItemBatch
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import Recommender
 from repro.models.encoder import SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -105,17 +105,7 @@ class SASRec(Module, Recommender):
         representations and score them against a precomputed item
         matrix; :meth:`score_sequences` composes the two.
         """
-        t = self.config.train.max_length
-        batch = np.zeros((len(sequences), t), dtype=np.int64)
-        for row, sequence in enumerate(sequences):
-            batch[row] = pad_left(sequence, t)
-        was_training = self.training
-        self.eval()
-        with no_grad():
-            representation = self.encoder.user_representation(batch).data
-        if was_training:
-            self.train()
-        return representation
+        return self.encoder.encode_sequences(sequences)
 
     def item_embedding_matrix(self, num_items: int | None = None) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, d)`` — rows are item vectors."""

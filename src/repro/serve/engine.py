@@ -654,10 +654,11 @@ class RecommendationEngine(EngineFacade):
                         slot.exclusion = dataset.seen_items(user)
                 else:
                     items = request.sequence
-                    if min(items) < 0 or max(items) > dataset.num_items:
+                    if min(items) < 1 or max(items) > dataset.num_items:
                         slot.error = (
                             REASON_BAD_REQUEST,
-                            f"sequence item ids must be in [0, {dataset.num_items}]",
+                            f"sequence item ids must be in [1, {dataset.num_items}]"
+                            " (0 is padding)",
                         )
                         continue
                     slot.sequence = np.asarray(items, dtype=np.int64)

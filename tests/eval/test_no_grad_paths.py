@@ -98,6 +98,19 @@ def test_candidate_scores_wraps_duck_typed_scorers(dataset, model, monkeypatch):
     assert counter.count == 0
 
 
+def test_length_grouped_encode_builds_no_graph(dataset, model, monkeypatch):
+    """Called in training mode, over several length groups of mixed
+    widths (some with padding, some without)."""
+    model.train()
+    users = dataset.evaluation_users("test")[:70]
+    sequences = [dataset.full_sequence(int(u), split="test") for u in users]
+    counter = GraphNodeCounter(monkeypatch)
+    representations = model.encode_sequences(sequences + [np.array([3, 4])])
+    assert representations.shape == (71, model.config.dim)
+    assert counter.count == 0
+    assert model.training
+
+
 def test_engine_recommend_builds_no_graph(dataset, model, monkeypatch):
     engine = RecommendationEngine(model, dataset)
     counter = GraphNodeCounter(monkeypatch)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.data.loaders import pad_left
 from repro.eval.evaluator import evaluate_model
 from repro.models.bert4rec import BERT4Rec, BERT4RecConfig
+from repro.models.encoder import _GROUP_ROWS
+from repro.nn.tensor import no_grad
 
 
 def small_config(**overrides):
@@ -96,6 +99,30 @@ class TestInference:
         result = evaluate_model(model, tiny_dataset)
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance
+
+    @pytest.mark.parametrize(
+        "dtype, atol", [(np.float32, 1e-5), (np.float64, 1e-12)], ids=["float32", "float64"]
+    )
+    def test_length_grouped_encode_matches_t_wide_oracle(
+        self, tiny_dataset, dtype, atol
+    ):
+        """``encode_sequences`` pads each length group only to its
+        longest history; the oracle appends ``[mask]`` and encodes the
+        T-wide batch.  The users span more than two groups, and include
+        histories longer than T=12."""
+        model = BERT4Rec(tiny_dataset, small_config()).to_dtype(dtype)
+        users = tiny_dataset.evaluation_users("test")[:2 * _GROUP_ROWS + 1]
+        sequences = [tiny_dataset.full_sequence(int(u), split="test") for u in users]
+        assert max(len(s) for s in sequences) > 12
+        grouped = model.encode_sequences(sequences)
+        batch = np.stack(
+            [pad_left(np.append(s, tiny_dataset.mask_token), 12) for s in sequences]
+        )
+        model.eval()
+        with no_grad():
+            oracle = model.encoder.user_representation(batch).data
+        assert grouped.dtype == dtype
+        np.testing.assert_allclose(grouped, oracle, rtol=0, atol=atol)
 
     def test_deterministic(self, tiny_dataset):
         def run():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.data.loaders import NextItemBatchLoader
+from repro.data.loaders import NextItemBatchLoader, pad_left
 from repro.eval.evaluator import evaluate_model
-from repro.models.encoder import SASRecEncoder
+from repro.models.encoder import _GROUP_ROWS, SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
+from repro.nn.layers import Dropout
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -172,6 +173,74 @@ class TestLastRowRepresentation:
         slow = enc.user_representation(ids)
         assert not fast._parents and slow._parents
         np.testing.assert_array_equal(fast.data, slow.data)
+
+
+def t_wide_oracle(enc, sequences):
+    """``user_representation`` of the histories left-padded to ``T``."""
+    batch = np.stack([pad_left(s, enc.max_length) for s in sequences])
+    enc.eval()
+    with no_grad():
+        return enc.user_representation(batch).data
+
+
+def lengths_over_three_groups():
+    """2 × group size + 1 lengths, shuffled, with duplicates, spanning
+    empty to longer than T=10."""
+    lengths = np.arange(2 * _GROUP_ROWS + 1) % 14
+    return np.random.default_rng(4).permutation(lengths)
+
+
+class TestLengthGroupedEncode:
+    """``encode_sequences`` pads each length group only to its longest
+    history; the oracle is the T-wide ``user_representation``."""
+
+    def make(self, causal=True, dtype=np.float32):
+        return SASRecEncoder(
+            50, 10, dim=16, rng=np.random.default_rng(0), causal=causal
+        ).to_dtype(dtype)
+
+    def histories(self, lengths, seed=5):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(1, 50, size=int(n)) for n in lengths]
+
+    def test_empty_list(self):
+        for dtype in (np.float32, np.float64):
+            out = self.make(dtype=dtype).encode_sequences([])
+            assert out.shape == (0, 16) and out.dtype == dtype
+
+    @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
+    @pytest.mark.parametrize("dtype, atol", DTYPE_TOLERANCES)
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            pytest.param([0], id="empty-history"),
+            pytest.param([0, 3, 0, 1], id="empty-among-short"),
+            pytest.param([17], id="longer-than-T"),
+            pytest.param([10], id="exactly-T"),
+            pytest.param([4], id="single-row"),
+            pytest.param(lengths_over_three_groups(), id="three-groups-shuffled"),
+        ],
+    )
+    def test_matches_t_wide_oracle(self, causal, dtype, atol, lengths):
+        enc = self.make(causal, dtype)
+        sequences = self.histories(lengths)
+        out = enc.encode_sequences(sequences)
+        assert out.shape == (len(sequences), 16) and out.dtype == dtype
+        np.testing.assert_allclose(
+            out, t_wide_oracle(enc, sequences), rtol=0, atol=atol
+        )
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_leaves_generators_and_mode_as_found(self, training):
+        enc = self.make()
+        enc.train(training)
+        generators = {
+            id(m._rng): m._rng for m in enc.modules() if isinstance(m, Dropout)
+        }
+        before = [g.bit_generator.state for g in generators.values()]
+        enc.encode_sequences(self.histories(lengths_over_three_groups()))
+        assert [g.bit_generator.state for g in generators.values()] == before
+        assert all(m.training == training for m in enc.modules())
 
 
 class TestMaskedLoss:

@@ -86,6 +86,15 @@ class TestRecommendation:
         with pytest.raises(RequestError, match="item ids"):
             engine.recommend(sequence=[tiny_dataset.num_items + 5])
 
+    @pytest.mark.parametrize(
+        "sequence", [(0,), (0, 0, 0), (0, 5, 0, 7), (5, 0, 7)]
+    )
+    def test_padding_id_is_not_an_item(self, engine, sequence):
+        """An all-padding session would be answered from no history, and
+        a stray 0 would shift the positions of the real items."""
+        with pytest.raises(RequestError, match=r"\[1, .*0 is padding"):
+            engine.recommend(sequence=sequence)
+
 
 class TestCaching:
     def test_repeat_request_hits_cache(self, engine):

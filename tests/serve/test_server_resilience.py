@@ -256,6 +256,11 @@ class TestStructuredErrors:
         assert status == 400
         assert body["reason"] == "bad_request"
 
+    def test_padding_id_in_a_session_is_400(self, stack):
+        status, body, __ = _post(stack[0], "/recommend", {"sequence": [5, 0, 7]})
+        assert (status, body["reason"]) == (400, "bad_request")
+        assert "0 is padding" in body["error"]
+
     def test_batch_reports_malformed_item_and_serves_neighbours(self, stack):
         server = stack[0]
         status, body, __ = _post(
@@ -310,6 +315,18 @@ class TestDeadlinesOverHTTP:
         first, second = body["results"]
         assert first["reason"] == "bad_request"
         assert "out of range" in first["error"]
+        assert len(second["items"]) == 3
+
+    def test_batch_reports_padding_id_per_item(self, stack):
+        status, body, __ = _post(
+            stack[0],
+            "/recommend/batch",
+            {"requests": [{"sequence": [0], "k": 3}, {"sequence": [5, 7], "k": 3}]},
+        )
+        assert status == 200
+        first, second = body["results"]
+        assert first["reason"] == "bad_request"
+        assert "0 is padding" in first["error"]
         assert len(second["items"]) == 3
 
 
