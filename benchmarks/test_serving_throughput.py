@@ -1,7 +1,7 @@
 """E-S1 — serving throughput: batched engine vs per-user baseline.
 
 The pre-engine serving path scored one user at a time
-(``score_users`` with a single-user batch) and ranked the full
+(``score_items`` with a single-user batch) and ranked the full
 catalogue with ``np.argsort``.  The ``repro.serve`` engine batches the
 encoder forward, reuses one precomputed item matrix, and selects top-k
 with ``np.argpartition``.
@@ -29,7 +29,7 @@ K = 10
 def _baseline_topk(model, dataset, user: int, k: int) -> np.ndarray:
     """The historical serving path: one user, full sort."""
     scores = np.asarray(
-        model.score_users(dataset, np.asarray([user])), dtype=np.float64
+        model.score_items(dataset, np.asarray([user])), dtype=np.float64
     )[0]
     scores[0] = -np.inf
     scores[dataset.seen_items(user)] = -np.inf
@@ -86,7 +86,7 @@ def test_serving_throughput(benchmark, results_dir):
         "",
         "| path | wall time (s) | requests/s |",
         "|---|---|---|",
-        f"| per-user score_users + argsort | {baseline_seconds:.3f} | "
+        f"| per-user score_items + argsort | {baseline_seconds:.3f} | "
         f"{len(users) / baseline_seconds:.0f} |",
         f"| batched engine (cold cache) | {engine_seconds:.3f} | "
         f"{len(users) / engine_seconds:.0f} |",

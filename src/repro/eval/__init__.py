@@ -16,7 +16,7 @@ from repro.eval.evaluator import (
 )
 from repro.eval.metrics import hit_ratio, mrr, ndcg, rank_of_target, ranking_metrics
 from repro.eval.temporal import evaluate_temporal
-from repro.eval.topk import top_k_indices, top_k_table
+from repro.eval.topk import top_k_indices
 
 __all__ = [
     "EvaluationResult",
@@ -35,5 +35,4 @@ __all__ = [
     "recommendation_diagnostics",
     "top_k_indices",
     "top_k_lists",
-    "top_k_table",
 ]

@@ -23,31 +23,36 @@ from repro.data.preprocessing import SequenceDataset
 from repro.eval.evaluator import candidate_scores
 from repro.eval.topk import top_k_indices
 
+_BATCH_SIZE = 256
+
 
 def top_k_lists(
     model,
     dataset: SequenceDataset,
     users: np.ndarray,
     k: int = 10,
-    split: str = "test",
-    batch_size: int = 256,
 ) -> np.ndarray:
     """Top-k recommended item ids per user, shape ``(len(users), k)``.
 
-    Seen items and the padding column are excluded, mirroring the
-    evaluation protocol.
+    Users are scored on their full (test-split) history.  Seen items
+    and the padding column are excluded, mirroring the evaluation
+    protocol.  A user with fewer than ``k`` recommendable items gets a
+    shorter list, padded with 0 (the padding id), as
+    :meth:`repro.models.base.Recommender.recommend` drops masked items.
     """
     users = np.asarray(users)
     lists = np.zeros((len(users), k), dtype=np.int64)
-    for start in range(0, len(users), batch_size):
-        batch = users[start : start + batch_size]
+    for start in range(0, len(users), _BATCH_SIZE):
+        batch = users[start : start + _BATCH_SIZE]
         scores = np.array(
-            candidate_scores(model, dataset, batch, split=split), dtype=np.float64
+            candidate_scores(model, dataset, batch), dtype=np.float64
         )
         scores[:, 0] = -np.inf
         for row, user in enumerate(batch):
             scores[row, dataset.seen_items(int(user))] = -np.inf
-        lists[start : start + len(batch)] = top_k_indices(scores, k)
+        for row, ranked in enumerate(top_k_indices(scores, k)):
+            kept = ranked[np.isfinite(scores[row, ranked])]  # drop masked items
+            lists[start + row, : len(kept)] = kept
     return lists
 
 
@@ -66,7 +71,9 @@ def popularity_bias(
     """Mean training popularity of recommended items / catalogue mean.
 
     1.0 means recommendations are popularity-neutral; higher values
-    mean the model over-recommends popular items.
+    mean the model over-recommends popular items.  The padding id 0
+    (an empty list slot) is not a recommendation; no recommendations
+    at all give 0.0.
     """
     counts = np.zeros(dataset.num_items + 1, dtype=np.float64)
     for sequence in dataset.train_sequences:
@@ -74,7 +81,10 @@ def popularity_bias(
     catalogue_mean = counts[1:].mean()
     if catalogue_mean == 0:
         raise ValueError("dataset has no training interactions")
-    return float(counts[lists].mean() / catalogue_mean)
+    recommended = lists[lists > 0]
+    if recommended.size == 0:
+        return 0.0
+    return float(counts[recommended].mean() / catalogue_mean)
 
 
 def exposure_gini(lists: np.ndarray, num_items: int) -> float:
@@ -95,13 +105,12 @@ def recommendation_diagnostics(
     dataset: SequenceDataset,
     k: int = 10,
     max_users: int | None = None,
-    split: str = "test",
 ) -> dict[str, float]:
-    """All list-quality diagnostics for one model, as a flat dict."""
-    users = dataset.evaluation_users(split)
+    """All list-quality diagnostics for one model on the test split."""
+    users = dataset.evaluation_users("test")
     if max_users is not None:
         users = users[:max_users]
-    lists = top_k_lists(model, dataset, users, k=k, split=split)
+    lists = top_k_lists(model, dataset, users, k=k)
     return {
         f"coverage@{k}": catalog_coverage(lists, dataset.num_items),
         f"popularity_bias@{k}": popularity_bias(lists, dataset),

@@ -25,18 +25,15 @@ def candidate_scores(
     dataset: SequenceDataset,
     users: np.ndarray,
     split: str = "test",
-    items: np.ndarray | None = None,
     index=None,
 ) -> np.ndarray:
-    """Score ``items`` (``None`` = full catalogue) through a model.
+    """Full-catalogue scores ``(len(users), num_items + 1)`` for a model.
 
-    Dispatches to the candidate-scoring entry point
-    (``score_items(dataset, users, items=None, split=...)``) and falls
-    back to the legacy full-matrix ``score_users`` for duck-typed
-    scorers that predate the redesign.  Scoring always runs under
-    ``no_grad()`` — every in-repo scorer already disables the graph
-    itself, but duck-typed scorers get the same guarantee here so an
-    evaluation pass can never retain autograd state.
+    Without ``index`` this is ``model.score_items(dataset, users,
+    split)``.  Scoring always runs under ``no_grad()`` — every in-repo
+    scorer already disables the graph itself, but duck-typed scorers get
+    the same guarantee here so an evaluation pass can never retain
+    autograd state.
 
     With ``index`` (a built :class:`repro.retrieval.ItemIndex`) the
     user histories are encoded with ``model.encode_sequences`` and
@@ -46,27 +43,15 @@ def candidate_scores(
     compression is measured under the standard protocol.
     """
     with no_grad():
-        if index is not None:
-            if not hasattr(model, "encode_sequences"):
-                raise TypeError(
-                    f"{type(model).__name__} exposes no encode_sequences; "
-                    f"index-backed evaluation needs the representation API"
-                )
-            sequences = [
-                dataset.full_sequence(int(user), split=split) for user in users
-            ]
-            queries = np.asarray(model.encode_sequences(sequences))
-            scores = index.score(queries)
-            if items is None:
-                return scores
-            return scores[:, np.asarray(items, dtype=np.int64)]
-        scorer = getattr(model, "score_items", None)
-        if scorer is not None:
-            return np.asarray(scorer(dataset, users, items=items, split=split))
-        full = np.asarray(model.score_users(dataset, users, split=split))
-        if items is None:
-            return full
-        return full[:, np.asarray(items, dtype=np.int64)]
+        if index is None:
+            return np.asarray(model.score_items(dataset, users, split=split))
+        if not hasattr(model, "encode_sequences"):
+            raise TypeError(
+                f"{type(model).__name__} exposes no encode_sequences; "
+                f"index-backed evaluation needs the representation API"
+            )
+        sequences = [dataset.full_sequence(int(user), split=split) for user in users]
+        return index.score(np.asarray(model.encode_sequences(sequences)))
 
 
 @dataclass
@@ -86,13 +71,11 @@ class Evaluator:
 
     The model contract is::
 
-        score_items(dataset, users, items=None, split) -> np.ndarray
-        # (len(users), num_items + 1) when items is None
+        score_items(dataset, users, split) -> np.ndarray
+        # (len(users), num_items + 1)
 
     where column ``i`` is the score of item id ``i`` (column 0, the
-    padding id, is ignored).  Scorers that only implement the legacy
-    ``score_users(dataset, users, split)`` full-matrix entry point are
-    still accepted via :func:`candidate_scores`.
+    padding id, is ignored).
 
     Passing ``index`` (a built :class:`repro.retrieval.ItemIndex` over
     the model's item matrix) routes candidate scoring through the
@@ -206,11 +189,7 @@ class Evaluator:
 
 
 def evaluate_model(
-    model,
-    dataset: SequenceDataset,
-    split: str = "test",
-    ks: tuple[int, ...] = DEFAULT_KS,
-    max_users: int | None = None,
+    model, dataset: SequenceDataset, max_users: int | None = None
 ) -> EvaluationResult:
-    """One-shot convenience wrapper around :class:`Evaluator`."""
-    return Evaluator(dataset, split=split, ks=ks).evaluate(model, max_users=max_users)
+    """One-shot test-split evaluation: a wrapper around :class:`Evaluator`."""
+    return Evaluator(dataset).evaluate(model, max_users=max_users)

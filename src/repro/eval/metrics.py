@@ -20,14 +20,18 @@ def rank_of_target(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     ``scores`` has shape ``(batch, num_candidates)``; ``targets`` holds
     the column index of the relevant item per row.  Ties are broken
     pessimistically (items scoring equal to the target are counted as
-    ranked above it), which penalizes degenerate constant scorers.
+    ranked above it), which penalizes degenerate constant scorers.  NaN
+    never ranks above anything: a NaN competitor counts as tied-or-above
+    and a NaN target takes the worst rank, ``num_candidates`` — so a
+    diverged model reads as the worst, not the best.
     """
     scores = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.int64)
     rows = np.arange(len(targets))
     target_scores = scores[rows, targets][:, None]
-    better_or_equal = (scores >= target_scores).sum(axis=1)
-    return better_or_equal  # includes the target itself -> 1-based
+    # Every column not strictly below the target ranks with or above it
+    # (the target itself included -> 1-based); NaN compares below nothing.
+    return scores.shape[1] - (scores < target_scores).sum(axis=1)
 
 
 def hit_ratio(ranks: np.ndarray, k: int) -> float:

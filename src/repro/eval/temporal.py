@@ -15,7 +15,9 @@ import numpy as np
 from repro.data.log import InteractionLog
 from repro.data.splits import next_item_events
 from repro.eval.evaluator import EvaluationResult
-from repro.eval.metrics import DEFAULT_KS, rank_of_target, ranking_metrics
+from repro.eval.metrics import rank_of_target, ranking_metrics
+
+_BATCH_SIZE = 256
 
 
 def evaluate_temporal(
@@ -23,8 +25,6 @@ def evaluate_temporal(
     history: InteractionLog,
     future: InteractionLog,
     num_items: int,
-    ks: tuple[int, ...] = DEFAULT_KS,
-    batch_size: int = 256,
     max_events: int | None = None,
 ) -> EvaluationResult:
     """Full-ranking HR/NDCG on temporal next-item events.
@@ -41,8 +41,8 @@ def evaluate_temporal(
         raise ValueError("no evaluable temporal events (all users cold?)")
 
     all_ranks: list[np.ndarray] = []
-    for start in range(0, len(events), batch_size):
-        chunk = events[start : start + batch_size]
+    for start in range(0, len(events), _BATCH_SIZE):
+        chunk = events[start : start + _BATCH_SIZE]
         sequences = [items for __, items, __ in chunk]
         targets = np.asarray([target for __, __, target in chunk])
         scores = np.array(
@@ -63,5 +63,5 @@ def evaluate_temporal(
 
     ranks = np.concatenate(all_ranks)
     return EvaluationResult(
-        metrics=ranking_metrics(ranks, ks), ranks=ranks, num_users=len(events)
+        metrics=ranking_metrics(ranks), ranks=ranks, num_users=len(events)
     )

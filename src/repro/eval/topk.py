@@ -75,12 +75,3 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-top_scores, axis=-1, kind="stable")
     result = np.take_along_axis(part_2d, order, axis=-1).astype(np.int64)
     return result[0] if scores.ndim == 1 else result
-
-
-def top_k_table(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(indices, values)`` of the top-k entries per row, best first."""
-    scores = np.asarray(scores)
-    indices = top_k_indices(scores, k)
-    if scores.ndim == 1:
-        return indices, scores[indices]
-    return indices, np.take_along_axis(scores, indices, axis=-1)

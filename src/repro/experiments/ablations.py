@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
@@ -65,11 +63,8 @@ def run_projection_ablation(
     ).metrics
 
     class _ProjectedScorer:
-        def score_items(self, ds, users, items=None, split="test"):
-            scores = model.score_users_projected(ds, users, split=split)
-            if items is None:
-                return scores
-            return scores[:, np.asarray(items, dtype=np.int64)]
+        def score_items(self, dataset, users, split="test"):
+            return model.score_users_projected(dataset, users, split=split)
 
     result.variants["keep g(·)"] = evaluator.evaluate(
         _ProjectedScorer(), max_users=scale.max_eval_users

@@ -87,7 +87,7 @@ def run_sweep(
     ----------
     build_and_fit:
         Callable receiving one param dict, returning a *fitted* model
-        exposing ``score_users``.
+        exposing ``score_items``.
     dataset:
         Dataset with leave-one-out splits.
     param_grid:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.data.loaders import pad_left
 from repro.data.preprocessing import SequenceDataset
-from repro.models.base import Recommender
+from repro.models.base import SequenceRecommender
 from repro.models.encoder import SASRecEncoder
 from repro.nn import functional as F
 from repro.nn.module import Module
@@ -49,7 +49,7 @@ class ClozeHistory:
     losses: list[float] = field(default_factory=list)
 
 
-class BERT4Rec(Module, Recommender):
+class BERT4Rec(Module, SequenceRecommender):
     """Bidirectional Transformer with Cloze (masked-item) training."""
 
     name = "BERT4Rec"
@@ -150,27 +150,11 @@ class BERT4Rec(Module, Recommender):
         self.eval()
         return history
 
-    def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
-    ) -> np.ndarray:
-        """Append ``[mask]`` to each history and predict its filler."""
-        users = np.asarray(users)
-        sequences = [
-            dataset.full_sequence(int(user), split=split) for user in users
-        ]
-        if items is None:
-            return self.score_sequences(sequences, dataset.num_items)
-        vectors = self.item_embedding_matrix(dataset.num_items)[
-            np.asarray(items, dtype=np.int64)
-        ]
-        return self.encode_sequences(sequences) @ vectors.T
-
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
-        """Representation of the appended ``[mask]`` position per history."""
+        """Representation of the appended ``[mask]`` position per history.
+
+        Scoring therefore predicts what fills the ``[mask]``.
+        """
         return self.encoder.encode_sequences(
             [
                 np.append(np.asarray(sequence, dtype=np.int64), self.mask_token)
@@ -181,11 +165,3 @@ class BERT4Rec(Module, Recommender):
     def item_embedding_matrix(self, num_items: int) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, dim)``."""
         return self.encoder.item_embedding.weight.data[: num_items + 1, :]
-
-    def score_sequences(
-        self, sequences: list[np.ndarray], num_items: int
-    ) -> np.ndarray:
-        """Score the vocabulary from raw histories (temporal protocol)."""
-        return self.encode_sequences(sequences) @ self.item_embedding_matrix(
-            num_items
-        ).T

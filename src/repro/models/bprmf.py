@@ -92,19 +92,13 @@ class BPRMF(Recommender):
         return self
 
     def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
+        self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
         if self._net is None:
             raise RuntimeError("BPRMF.fit must be called before scoring")
         with no_grad():
             user_vecs = self._net.user_embedding.weight.data[np.asarray(users)]
             item_vecs = self._net.item_embedding.weight.data
-            if items is not None:
-                item_vecs = item_vecs[np.asarray(items, dtype=np.int64)]
         return user_vecs @ item_vecs.T
 
     def item_embeddings(self) -> np.ndarray:

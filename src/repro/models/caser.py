@@ -189,11 +189,7 @@ class Caser(Module, Recommender):
     # Inference
     # ------------------------------------------------------------------
     def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
+        self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
         users = np.asarray(users)
         length = self.config.window
@@ -212,6 +208,4 @@ class Caser(Module, Recommender):
             scores = (joint.matmul(table.transpose()) + bias.transpose()).data
         if was_training:
             self.train()
-        if items is None:
-            return scores
-        return scores[:, np.asarray(items, dtype=np.int64)]
+        return scores

@@ -125,11 +125,7 @@ class FPMC(Recommender):
         return history
 
     def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
+        self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
         if self._net is None:
             raise RuntimeError("FPMC.fit must be called before scoring")
@@ -144,12 +140,6 @@ class FPMC(Recommender):
         with no_grad():
             user_vecs = self._net.user_item.weight.data[users]
             prev_vecs = self._net.prev_item.weight.data[last_items]
-            item_user = self._net.item_user.weight.data
-            item_prev = self._net.item_prev.weight.data
-            if items is not None:
-                candidates = np.asarray(items, dtype=np.int64)
-                item_user = item_user[candidates]
-                item_prev = item_prev[candidates]
-            mf = user_vecs @ item_user.T
-            mc = prev_vecs @ item_prev.T
+            mf = user_vecs @ self._net.item_user.weight.data.T
+            mc = prev_vecs @ self._net.item_prev.weight.data.T
         return mf + mc

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.data.loaders import NextItemBatch, pad_left
 from repro.data.preprocessing import SequenceDataset
-from repro.models.base import Recommender
+from repro.models.base import SequenceRecommender
 from repro.models.losses import masked_next_item_bce
 from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
 from repro.nn.layers import Dropout, Embedding
@@ -33,7 +33,7 @@ class GRU4RecConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-class GRU4Rec(Module, Recommender):
+class GRU4Rec(Module, SequenceRecommender):
     """GRU-based sequential recommender."""
 
     name = "GRU4Rec"
@@ -43,7 +43,6 @@ class GRU4Rec(Module, Recommender):
     ) -> None:
         super().__init__()
         self.config = config if config is not None else GRU4RecConfig()
-        self.dataset_num_items = dataset.num_items
         rng = np.random.default_rng(self.config.train.seed)
         self.item_embedding = Embedding(dataset.vocab_size, self.config.dim, rng=rng)
         self.gru = GRU(
@@ -74,23 +73,6 @@ class GRU4Rec(Module, Recommender):
             config = TrainConfig(**{**config.__dict__, **overrides})
         return train_next_item_model(self, dataset, config, rng=self._rng)
 
-    def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
-    ) -> np.ndarray:
-        """Candidate (or full-vocabulary) scores per user."""
-        users = np.asarray(users)
-        sequences = [
-            dataset.full_sequence(int(user), split=split) for user in users
-        ]
-        if items is None:
-            return self.score_sequences(sequences, dataset.num_items)
-        vectors = self.item_embedding_matrix()[np.asarray(items, dtype=np.int64)]
-        return self.encode_sequences(sequences) @ vectors.T
-
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Final GRU hidden states ``(len(sequences), hidden_dim)``."""
         t = self.config.train.max_length
@@ -106,15 +88,6 @@ class GRU4Rec(Module, Recommender):
             self.train()
         return representation
 
-    def item_embedding_matrix(self, num_items: int | None = None) -> np.ndarray:
+    def item_embedding_matrix(self, num_items: int) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, dim)``."""
-        n = self.dataset_num_items if num_items is None else num_items
-        return self.item_embedding.weight.data[: n + 1, :]
-
-    def score_sequences(
-        self, sequences: list[np.ndarray], num_items: int
-    ) -> np.ndarray:
-        """Score the vocabulary from raw histories (temporal protocol)."""
-        return self.encode_sequences(sequences) @ self.item_embedding_matrix(
-            num_items
-        ).T
+        return self.item_embedding.weight.data[: num_items + 1, :]

@@ -105,20 +105,12 @@ class NCF(Recommender):
         return self
 
     def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
+        self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
         if self._net is None:
             raise RuntimeError("NCF.fit must be called before scoring")
         users = np.asarray(users)
-        item_ids = (
-            np.arange(dataset.num_items + 1)
-            if items is None
-            else np.asarray(items, dtype=np.int64)
-        )
+        item_ids = np.arange(dataset.num_items + 1)
         scores = np.zeros((len(users), len(item_ids)))
         with no_grad():
             for row, user in enumerate(users):

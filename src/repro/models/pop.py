@@ -29,17 +29,8 @@ class Pop(Recommender):
         return self
 
     def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
+        self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
         if self._counts is None:
             raise RuntimeError("Pop.fit must be called before scoring")
-        counts = (
-            self._counts
-            if items is None
-            else self._counts[np.asarray(items, dtype=np.int64)]
-        )
-        return np.tile(counts, (len(users), 1))
+        return np.tile(self._counts, (len(users), 1))

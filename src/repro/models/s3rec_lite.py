@@ -141,11 +141,9 @@ class S3RecLite(SASRec):
             masked[row] = out
         return clean, masked, labels
 
-    def pretrain(
-        self, dataset: SequenceDataset, rng: np.random.Generator | None = None
-    ) -> S3RecPretrainHistory:
+    def pretrain(self, dataset: SequenceDataset) -> S3RecPretrainHistory:
         """Optimize ``aap_weight·L_AAP + mip_weight·L_MIP``."""
-        rng = rng if rng is not None else self._rng
+        rng = self._rng
         eligible = [s for s in dataset.train_sequences if len(s) >= 2]
         params = list(self.parameters())
         optimizer = Adam(params, lr=self.s3.learning_rate)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.loaders import NextItemBatch
 from repro.data.preprocessing import SequenceDataset
-from repro.models.base import Recommender
+from repro.models.base import SequenceRecommender
 from repro.models.encoder import SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
@@ -38,7 +38,7 @@ class SASRecConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-class SASRec(Module, Recommender):
+class SASRec(Module, SequenceRecommender):
     """Self-attentive sequential recommender."""
 
     name = "SASRec"
@@ -81,23 +81,6 @@ class SASRec(Module, Recommender):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
-    ) -> np.ndarray:
-        """Candidate (or full-vocabulary) scores per user."""
-        users = np.asarray(users)
-        sequences = [
-            dataset.full_sequence(int(user), split=split) for user in users
-        ]
-        if items is None:
-            return self.score_sequences(sequences, dataset.num_items)
-        vectors = self.item_embedding_matrix()[np.asarray(items, dtype=np.int64)]
-        return self.encode_sequences(sequences) @ vectors.T
-
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Last-position user representations ``(len(sequences), d)``.
 
@@ -107,20 +90,6 @@ class SASRec(Module, Recommender):
         """
         return self.encoder.encode_sequences(sequences)
 
-    def item_embedding_matrix(self, num_items: int | None = None) -> np.ndarray:
+    def item_embedding_matrix(self, num_items: int) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, d)`` — rows are item vectors."""
-        n = self.dataset_num_items if num_items is None else num_items
-        return self.encoder.item_embedding.weight.data[: n + 1, :]
-
-    def score_sequences(
-        self, sequences: list[np.ndarray], num_items: int
-    ) -> np.ndarray:
-        """Score the vocabulary given raw histories (no dataset needed).
-
-        This is the entry point protocols other than leave-one-out use
-        (e.g. the global temporal split), and what the serving layer
-        calls with a live session.
-        """
-        return self.encode_sequences(sequences) @ self.item_embedding_matrix(
-            num_items
-        ).T
+        return self.encoder.item_embedding.weight.data[: num_items + 1, :]

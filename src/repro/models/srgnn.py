@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.data.loaders import NegativeSampler
 from repro.data.preprocessing import SequenceDataset
-from repro.models.base import Recommender
+from repro.models.base import SequenceRecommender
 from repro.nn import functional as F
 from repro.nn.layers import Embedding, Linear
 from repro.nn.module import Module
@@ -106,7 +106,7 @@ def build_session_graph(
     return nodes, a_in, a_out, last_index
 
 
-class SRGNN(Module, Recommender):
+class SRGNN(Module, SequenceRecommender):
     """Gated-graph session recommender."""
 
     name = "SR-GNN"
@@ -242,22 +242,6 @@ class SRGNN(Module, Recommender):
         self.eval()
         return history
 
-    def score_items(
-        self,
-        dataset: SequenceDataset,
-        users: np.ndarray,
-        items: np.ndarray | None = None,
-        split: str = "test",
-    ) -> np.ndarray:
-        users = np.asarray(users)
-        sequences = [
-            dataset.full_sequence(int(user), split=split) for user in users
-        ]
-        scores = self.score_sequences(sequences, dataset.num_items)
-        if items is None:
-            return scores
-        return scores[:, np.asarray(items, dtype=np.int64)]
-
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Session representations ``(len(sequences), d)`` from raw histories."""
         was_training = self.training
@@ -273,11 +257,3 @@ class SRGNN(Module, Recommender):
     def item_embedding_matrix(self, num_items: int) -> np.ndarray:
         """Scoring matrix ``(num_items + 1, d)`` — rows are item vectors."""
         return self.item_embedding.weight.data[: num_items + 1, :]
-
-    def score_sequences(
-        self, sequences: list[np.ndarray], num_items: int
-    ) -> np.ndarray:
-        """Score the vocabulary from raw histories (temporal protocol)."""
-        return self.encode_sequences(sequences) @ self.item_embedding_matrix(
-            num_items
-        ).T

@@ -71,7 +71,7 @@ def train_next_item_model(
 
     * ``parameters()`` — trainable parameters (a Module).
     * ``sequence_loss(batch: NextItemBatch) -> Tensor`` — scalar loss.
-    * ``score_users(...)`` — used for validation-based early stopping
+    * ``score_items(...)`` — used for validation-based early stopping
       when ``config.eval_every > 0``.
 
     ``runtime`` (a :class:`repro.runtime.resume.TrainingRuntime`) adds

@@ -124,7 +124,7 @@ class TestScoring:
     def test_score_users_shape(self, tiny_dataset):
         model = CL4SRec(tiny_dataset, small_config())
         users = tiny_dataset.evaluation_users("test")[:5]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (5, tiny_dataset.num_items + 1)
 
     def test_projected_scoring_shape(self, tiny_dataset):
@@ -136,6 +136,6 @@ class TestScoring:
     def test_scoring_deterministic_in_eval(self, tiny_dataset):
         model = CL4SRec(tiny_dataset, small_config())
         users = tiny_dataset.evaluation_users("test")[:4]
-        a = model.score_users(tiny_dataset, users)
-        b = model.score_users(tiny_dataset, users)
+        a = model.score_items(tiny_dataset, users)
+        b = model.score_items(tiny_dataset, users)
         np.testing.assert_array_equal(a, b)

@@ -146,5 +146,5 @@ class TestMoCoCL4SRec:
         model = MoCoCL4SRec(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:3]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (3, tiny_dataset.num_items + 1)

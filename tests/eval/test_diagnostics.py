@@ -33,9 +33,25 @@ class TestTopKLists:
     def test_batched_consistency(self, tiny_dataset):
         pop = Pop().fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:20]
-        big = top_k_lists(pop, tiny_dataset, users, k=5, batch_size=100)
-        small = top_k_lists(pop, tiny_dataset, users, k=5, batch_size=3)
-        np.testing.assert_array_equal(big, small)
+        together = top_k_lists(pop, tiny_dataset, users, k=5)
+        apart = np.concatenate(
+            [top_k_lists(pop, tiny_dataset, users[i : i + 3], k=5) for i in range(0, 20, 3)]
+        )
+        np.testing.assert_array_equal(together, apart)
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_short_lists_hold_only_recommendable_items(self, tiny_dataset, extra):
+        """k at or past the catalogue: unseen items only, then 0 padding —
+        the ids ``Recommender.recommend`` returns."""
+        pop = Pop().fit(tiny_dataset)
+        users = tiny_dataset.evaluation_users("test")[:10]
+        k = tiny_dataset.num_items + extra
+        lists = top_k_lists(pop, tiny_dataset, users, k=k)
+        assert lists.shape == (10, k)
+        for row, user in enumerate(users):
+            expected = pop.recommend(tiny_dataset, int(user), k=k)
+            assert np.array_equal(lists[row, : len(expected)], expected)
+            assert (lists[row, len(expected) :] == 0).all()
 
 
 class TestCoverage:
@@ -67,6 +83,13 @@ class TestPopularityBias:
         users = tiny_dataset.evaluation_users("test")[:30]
         lists = top_k_lists(pop, tiny_dataset, users, k=10)
         assert popularity_bias(lists, tiny_dataset) > 1.5
+
+    def test_padding_slots_ignored(self, tiny_dataset):
+        lists = np.array([[5, 0, 0], [7, 9, 0]])
+        assert popularity_bias(lists, tiny_dataset) == pytest.approx(
+            popularity_bias(np.array([5, 7, 9]), tiny_dataset)
+        )
+        assert popularity_bias(np.zeros((2, 3), dtype=int), tiny_dataset) == 0.0
 
     def test_uniform_lists_near_one(self, tiny_dataset):
         rng = np.random.default_rng(0)

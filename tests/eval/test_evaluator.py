@@ -13,7 +13,7 @@ class OracleScorer:
         self.dataset = dataset
         self.split = split
 
-    def score_users(self, dataset, users, split="test"):
+    def score_items(self, dataset, users, split="test"):
         targets = (
             dataset.test_targets if split == "test" else dataset.valid_targets
         )
@@ -26,7 +26,7 @@ class OracleScorer:
 class ConstantScorer:
     """Same score everywhere — ranks must be pessimal under tie-breaking."""
 
-    def score_users(self, dataset, users, split="test"):
+    def score_items(self, dataset, users, split="test"):
         return np.ones((len(users), dataset.num_items + 1))
 
 
@@ -34,7 +34,7 @@ class SeenItemScorer:
     """Puts all mass on already-seen items; they must be masked out, so
     the target's rank ignores them entirely."""
 
-    def score_users(self, dataset, users, split="test"):
+    def score_items(self, dataset, users, split="test"):
         scores = np.zeros((len(users), dataset.num_items + 1))
         for row, user in enumerate(users):
             seen = dataset.seen_items(int(user))
@@ -43,8 +43,23 @@ class SeenItemScorer:
         return scores
 
 
+class NaNScorer:
+    """A diverged model: NaN everywhere, or only at each user's target."""
+
+    def __init__(self, target_only=False):
+        self.target_only = target_only
+
+    def score_items(self, dataset, users, split="test"):
+        if not self.target_only:
+            return np.full((len(users), dataset.num_items + 1), np.nan)
+        scores = np.zeros((len(users), dataset.num_items + 1))
+        for row, user in enumerate(users):
+            scores[row, dataset.test_targets[user]] = np.nan
+        return scores
+
+
 class BadShapeScorer:
-    def score_users(self, dataset, users, split="test"):
+    def score_items(self, dataset, users, split="test"):
         return np.zeros((len(users), 3))
 
 
@@ -77,8 +92,18 @@ class TestEvaluator:
 
     def test_valid_split(self, tiny_dataset):
         oracle = OracleScorer(tiny_dataset, split="valid")
-        result = evaluate_model(oracle, tiny_dataset, split="valid")
+        result = Evaluator(tiny_dataset, split="valid").evaluate(oracle)
         assert result["HR@5"] == 1.0
+
+    @pytest.mark.parametrize("target_only", [False, True], ids=["all_nan", "nan_target"])
+    def test_nan_scores_rank_last(self, tiny_dataset, target_only):
+        """NaN never ranks first: a NaN target scores no hit and a finite MRR."""
+        result = evaluate_model(NaNScorer(target_only), tiny_dataset)
+        for k in (5, 10, 20):
+            assert result[f"HR@{k}"] == 0.0
+            assert result[f"NDCG@{k}"] == 0.0
+        assert np.isfinite(result["MRR"]) and 0.0 < result["MRR"] < 1.0
+        assert (result.ranks == tiny_dataset.num_items + 1).all()
 
     def test_bad_split_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -105,7 +130,7 @@ class TestEvaluator:
         """Column 0 gets a huge score but must be force-masked."""
 
         class PaddingLover:
-            def score_users(self, dataset, users, split="test"):
+            def score_items(self, dataset, users, split="test"):
                 scores = np.zeros((len(users), dataset.num_items + 1))
                 scores[:, 0] = 100.0
                 for row, user in enumerate(users):
@@ -125,7 +150,7 @@ class TestEvaluator:
             def __init__(self, transform):
                 self.transform = transform
 
-            def score_users(self, dataset, users, split="test"):
+            def score_items(self, dataset, users, split="test"):
                 return self.transform(base[np.asarray(users)])
 
         raw = evaluate_model(Scorer(lambda s: s), tiny_dataset)
@@ -174,16 +199,13 @@ class EmbeddingScorer:
         ]
         return np.stack(rows)
 
-    def score_items(self, dataset, users, items=None, split="test"):
+    def score_items(self, dataset, users, split="test"):
         sequences = [
             dataset.full_sequence(int(user), split=split) for user in users
         ]
-        scores = np.array(
+        return np.array(
             self.encode_sequences(sequences) @ self.matrix.T, dtype=np.float64
         )
-        if items is None:
-            return scores
-        return scores[:, np.asarray(items, dtype=np.int64)]
 
 
 class TestIndexBackedEvaluation:
@@ -232,16 +254,3 @@ class TestIndexBackedEvaluation:
             candidate_scores(
                 OracleScorer(tiny_dataset), tiny_dataset, users, index=index
             )
-
-    def test_candidate_scores_item_subset(self, tiny_dataset):
-        from repro.eval.evaluator import candidate_scores
-
-        model = EmbeddingScorer(tiny_dataset)
-        index = self._index(model, tiny_dataset)
-        users = tiny_dataset.evaluation_users("test")[:5]
-        items = np.array([3, 1, 4], dtype=np.int64)
-        full = candidate_scores(model, tiny_dataset, users, index=index)
-        subset = candidate_scores(
-            model, tiny_dataset, users, items=items, index=index
-        )
-        assert np.array_equal(subset, full[:, items])

@@ -21,6 +21,13 @@ class TestRankOfTarget:
         scores = np.array([[0.5, 0.5, 0.5]])
         assert rank_of_target(scores, np.array([1]))[0] == 3
 
+    def test_nan_never_ranks_above_anything(self):
+        nan = np.nan
+        scores = np.array([[0.1, nan, 0.5], [nan, 0.9, 0.2], [nan, nan, nan]])
+        ranks = rank_of_target(scores, np.array([2, 0, 1]))
+        # A NaN competitor counts as tied-or-above; a NaN target is last.
+        np.testing.assert_array_equal(ranks, [2, 3, 3])
+
     def test_batch(self):
         scores = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
         ranks = rank_of_target(scores, np.array([0, 0]))

@@ -87,9 +87,9 @@ def test_candidate_scores_wraps_duck_typed_scorers(dataset, model, monkeypatch):
     candidate_scores (the satellite's audit guarantee)."""
 
     class NaiveScorer:
-        def score_users(self, dataset, users, split="test"):
+        def score_items(self, dataset, users, split="test"):
             # Deliberately no no_grad(): the wrapper must supply it.
-            return model.score_items(dataset, users, items=None, split=split)
+            return model.score_items(dataset, users, split=split)
 
     counter = GraphNodeCounter(monkeypatch)
     users = dataset.evaluation_users("test")[:4]

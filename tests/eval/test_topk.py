@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.topk import top_k_indices, top_k_table
+from repro.eval.topk import top_k_indices
 
 
 class TestTopKIndices:
@@ -67,20 +67,6 @@ class TestTopKIndices:
         assert len(np.unique(scores)) == n
         expected = np.argsort(-scores, kind="stable")[: min(k, n)]
         assert np.array_equal(top_k_indices(scores, k), expected)
-
-
-class TestTopKTable:
-    def test_returns_indices_and_values(self):
-        scores = np.array([1.0, 9.0, 5.0])
-        indices, values = top_k_table(scores, 2)
-        assert np.array_equal(indices, np.array([1, 2]))
-        assert np.array_equal(values, np.array([9.0, 5.0]))
-
-    def test_batched(self):
-        scores = np.array([[1.0, 2.0], [4.0, 3.0]])
-        indices, values = top_k_table(scores, 1)
-        assert np.array_equal(indices, np.array([[1], [0]]))
-        assert np.array_equal(values, np.array([[2.0], [4.0]]))
 
 
 class TestBoundaryTies:

@@ -13,7 +13,7 @@ class FixedScorer:
         self.dataset = dataset
         self.quality = quality
 
-    def score_users(self, dataset, users, split="test"):
+    def score_items(self, dataset, users, split="test"):
         targets = (
             dataset.test_targets if split == "test" else dataset.valid_targets
         )

@@ -37,8 +37,8 @@ class TestRepresentationInvariants:
         """A user's scores must not depend on who else is in the batch."""
         model = small_sasrec(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:6]
-        solo = model.score_users(tiny_dataset, users[:1])
-        grouped = model.score_users(tiny_dataset, users)
+        solo = model.score_items(tiny_dataset, users[:1])
+        grouped = model.score_items(tiny_dataset, users)
         # Equal up to float32 BLAS rounding, which may differ in the last
         # ulps between a batch of one and a batch of six.
         np.testing.assert_allclose(solo[0], grouped[0], rtol=0, atol=1e-7)
@@ -136,8 +136,8 @@ class TestEvaluationInvariants:
         """Test-split scoring must see one more item than valid-split."""
         model = small_sasrec(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:5]
-        valid_scores = model.score_users(tiny_dataset, users, split="valid")
-        test_scores = model.score_users(tiny_dataset, users, split="test")
+        valid_scores = model.score_items(tiny_dataset, users, split="valid")
+        test_scores = model.score_items(tiny_dataset, users, split="test")
         assert not np.allclose(valid_scores, test_scores)
 
     def test_metrics_stable_under_user_order(self, tiny_dataset):

@@ -13,7 +13,7 @@ class _SeenOnlyScorer(Recommender):
     def fit(self, dataset, **kwargs):
         return self
 
-    def score_items(self, dataset, users, items=None, split="test"):
+    def score_items(self, dataset, users, split="test"):
         scores = np.full((len(users), dataset.num_items + 1), -np.inf)
         for row, user in enumerate(users):
             scores[row, dataset.seen_items(int(user))] = 1.0
@@ -26,7 +26,7 @@ class _PadLovingScorer(Recommender):
     def fit(self, dataset, **kwargs):
         return self
 
-    def score_items(self, dataset, users, items=None, split="test"):
+    def score_items(self, dataset, users, split="test"):
         scores = np.zeros((len(users), dataset.num_items + 1))
         scores[:, 0] = 1e9
         return scores
@@ -70,7 +70,7 @@ class TestRecommend:
     def test_descending_score_order(self, tiny_dataset):
         pop = Pop().fit(tiny_dataset)
         items = pop.recommend(tiny_dataset, user=0, k=5)
-        scores = pop.score_users(tiny_dataset, np.array([0]))[0]
+        scores = pop.score_items(tiny_dataset, np.array([0]))[0]
         values = scores[items]
         assert all(a >= b for a, b in zip(values, values[1:]))
 

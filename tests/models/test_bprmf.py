@@ -36,20 +36,20 @@ class TestBPRLoss:
 class TestBPRMF:
     def test_requires_fit(self, tiny_dataset):
         with pytest.raises(RuntimeError):
-            BPRMF().score_users(tiny_dataset, np.array([0]))
+            BPRMF().score_items(tiny_dataset, np.array([0]))
         with pytest.raises(RuntimeError):
             BPRMF().item_embeddings()
 
     def test_score_shape(self, tiny_dataset):
         model = BPRMF(small_config())
         model.fit(tiny_dataset)
-        scores = model.score_users(tiny_dataset, np.array([0, 3, 5]))
+        scores = model.score_items(tiny_dataset, np.array([0, 3, 5]))
         assert scores.shape == (3, tiny_dataset.num_items + 1)
 
     def test_personalized(self, tiny_dataset):
         model = BPRMF(small_config())
         model.fit(tiny_dataset)
-        scores = model.score_users(tiny_dataset, np.array([0, 1]))
+        scores = model.score_items(tiny_dataset, np.array([0, 1]))
         assert not np.allclose(scores[0], scores[1])
 
     def test_item_embeddings_shape(self, tiny_dataset):

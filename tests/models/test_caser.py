@@ -66,7 +66,7 @@ class TestTraining:
         model = Caser(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:5]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (5, tiny_dataset.num_items + 1)
 
     def test_beats_chance(self, tiny_dataset):
@@ -94,7 +94,7 @@ class TestTraining:
         def run():
             model = Caser(tiny_dataset, small_config(epochs=1))
             model.fit(tiny_dataset)
-            return model.score_users(
+            return model.score_items(
                 tiny_dataset, tiny_dataset.evaluation_users("test")[:2]
             )
 

@@ -16,7 +16,7 @@ def small_config(**overrides):
 class TestFPMC:
     def test_requires_fit(self, tiny_dataset):
         with pytest.raises(RuntimeError):
-            FPMC().score_users(tiny_dataset, np.array([0]))
+            FPMC().score_items(tiny_dataset, np.array([0]))
 
     def test_transitions_are_adjacent_pairs(self, tiny_dataset):
         model = FPMC(small_config())
@@ -36,7 +36,7 @@ class TestFPMC:
         model = FPMC(small_config())
         model.fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:5]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (5, tiny_dataset.num_items + 1)
 
     def test_beats_chance(self, tiny_dataset):
@@ -61,16 +61,16 @@ class TestFPMC:
                 break
         assert chosen is not None
         users = np.asarray([chosen])
-        base = model.score_users(tiny_dataset, users)
+        base = model.score_items(tiny_dataset, users)
         # Same user one step earlier: only the Markov term changes.
-        other = model.score_users(tiny_dataset, users, split="valid")
+        other = model.score_items(tiny_dataset, users, split="valid")
         assert not np.allclose(base, other)
 
     def test_deterministic(self, tiny_dataset):
         def run():
             model = FPMC(small_config(epochs=1))
             model.fit(tiny_dataset)
-            return model.score_users(
+            return model.score_items(
                 tiny_dataset, tiny_dataset.evaluation_users("test")[:2]
             )
 

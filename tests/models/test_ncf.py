@@ -16,18 +16,18 @@ def small_config(**overrides):
 class TestNCF:
     def test_requires_fit(self, tiny_dataset):
         with pytest.raises(RuntimeError):
-            NCF().score_users(tiny_dataset, np.array([0]))
+            NCF().score_items(tiny_dataset, np.array([0]))
 
     def test_score_shape(self, tiny_dataset):
         model = NCF(small_config())
         model.fit(tiny_dataset)
-        scores = model.score_users(tiny_dataset, np.array([0, 1]))
+        scores = model.score_items(tiny_dataset, np.array([0, 1]))
         assert scores.shape == (2, tiny_dataset.num_items + 1)
 
     def test_personalized(self, tiny_dataset):
         model = NCF(small_config())
         model.fit(tiny_dataset)
-        scores = model.score_users(tiny_dataset, np.array([0, 1]))
+        scores = model.score_items(tiny_dataset, np.array([0, 1]))
         assert not np.allclose(scores[0], scores[1])
 
     def test_training_beats_random_ranking(self, tiny_dataset):
@@ -42,12 +42,12 @@ class TestNCF:
         def run():
             model = NCF(small_config())
             model.fit(tiny_dataset)
-            return model.score_users(tiny_dataset, np.array([0]))
+            return model.score_items(tiny_dataset, np.array([0]))
 
         np.testing.assert_array_equal(run(), run())
 
     def test_logits_finite(self, tiny_dataset):
         model = NCF(small_config())
         model.fit(tiny_dataset)
-        scores = model.score_users(tiny_dataset, np.arange(4))
+        scores = model.score_items(tiny_dataset, np.arange(4))
         assert np.isfinite(scores).all()

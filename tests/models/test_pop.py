@@ -10,11 +10,11 @@ from repro.models.pop import Pop
 class TestPop:
     def test_requires_fit(self, tiny_dataset):
         with pytest.raises(RuntimeError):
-            Pop().score_users(tiny_dataset, np.array([0]))
+            Pop().score_items(tiny_dataset, np.array([0]))
 
     def test_scores_are_counts(self, tiny_dataset):
         pop = Pop().fit(tiny_dataset)
-        scores = pop.score_users(tiny_dataset, np.array([0, 1]))
+        scores = pop.score_items(tiny_dataset, np.array([0, 1]))
         manual = np.zeros(tiny_dataset.num_items + 1)
         for seq in tiny_dataset.train_sequences:
             np.add.at(manual, seq, 1.0)
@@ -23,13 +23,13 @@ class TestPop:
 
     def test_same_scores_for_all_users(self, tiny_dataset):
         pop = Pop().fit(tiny_dataset)
-        scores = pop.score_users(tiny_dataset, np.arange(5))
+        scores = pop.score_items(tiny_dataset, np.arange(5))
         for row in range(1, 5):
             np.testing.assert_array_equal(scores[row], scores[0])
 
     def test_padding_column_zero(self, tiny_dataset):
         pop = Pop().fit(tiny_dataset)
-        scores = pop.score_users(tiny_dataset, np.array([0]))
+        scores = pop.score_items(tiny_dataset, np.array([0]))
         assert scores[0, 0] == 0.0
 
     def test_beats_random_on_skewed_data(self, tiny_dataset):
@@ -37,7 +37,7 @@ class TestPop:
         pop_result = evaluate_model(Pop().fit(tiny_dataset), tiny_dataset)
 
         class RandomScorer:
-            def score_users(self, dataset, users, split="test"):
+            def score_items(self, dataset, users, split="test"):
                 rng = np.random.default_rng(0)
                 return rng.random((len(users), dataset.num_items + 1))
 

@@ -124,5 +124,5 @@ class TestFullPipeline:
         model = S3RecLite(attributed_dataset, small_config(), s3=small_s3())
         model.fit(attributed_dataset, skip_pretrain=True)
         users = attributed_dataset.evaluation_users("test")[:3]
-        scores = model.score_users(attributed_dataset, users)
+        scores = model.score_items(attributed_dataset, users)
         assert scores.shape == (3, attributed_dataset.num_items + 1)

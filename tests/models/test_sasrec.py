@@ -279,7 +279,7 @@ class TestSASRecTraining:
         model = SASRec(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:6]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (6, tiny_dataset.num_items + 1)
 
     def test_beats_chance(self, tiny_dataset):
@@ -293,7 +293,7 @@ class TestSASRecTraining:
         def run():
             model = SASRec(tiny_dataset, small_config())
             model.fit(tiny_dataset)
-            return model.score_users(
+            return model.score_items(
                 tiny_dataset, tiny_dataset.evaluation_users("test")[:3]
             )
 

@@ -1,10 +1,11 @@
-"""The candidate-set scoring contract (Recommender.score_items)."""
+"""The one scoring contract: ``score_items(dataset, users, split)``."""
 
 import numpy as np
 import pytest
 
+from repro.eval.evaluator import candidate_scores
 from repro.experiments.config import ExperimentScale
-from repro.models.base import Recommender
+from repro.models.base import Recommender, SequenceRecommender
 from repro.models.registry import build_model
 
 #: Methods cheap enough to fit inside the unit suite.
@@ -24,22 +25,13 @@ def fitted(tiny_dataset):
 
 @pytest.mark.parametrize("name", FAST_MODELS)
 class TestCandidateScoring:
-    def test_candidate_columns_match_full_matrix(self, name, fitted, tiny_dataset):
-        model = fitted[name]
-        users = np.arange(6)
-        items = np.array([3, 1, 17, 42])
-        full = model.score_items(tiny_dataset, users, items=None)
-        sub = model.score_items(tiny_dataset, users, items=items)
-        assert sub.shape == (len(users), len(items))
-        np.testing.assert_allclose(sub, full[:, items], rtol=1e-10)
-
     def test_items_none_matches_score_users(self, name, fitted, tiny_dataset):
+        """The evaluator's entry point scores exactly what the model does."""
         model = fitted[name]
         users = np.arange(4)
-        np.testing.assert_allclose(
-            model.score_items(tiny_dataset, users, items=None),
-            model.score_users(tiny_dataset, users),
-            rtol=1e-10,
+        assert np.array_equal(
+            candidate_scores(model, tiny_dataset, users, split="test"),
+            model.score_items(tiny_dataset, users),
         )
 
     def test_full_matrix_shape(self, name, fitted, tiny_dataset):
@@ -49,42 +41,34 @@ class TestCandidateScoring:
 
 
 class TestBaseClassDefaults:
-    def test_score_users_only_subclass_still_works(self, tiny_dataset):
-        class Legacy(Recommender):
-            def fit(self, dataset, **kwargs):
-                return self
-
-            def score_users(self, dataset, users, split="test"):
-                return np.tile(
-                    np.arange(dataset.num_items + 1, dtype=np.float64),
-                    (len(users), 1),
-                )
-
-        model = Legacy()
-        items = np.array([5, 2])
-        sub = model.score_items(tiny_dataset, np.arange(2), items=items)
-        assert np.array_equal(sub, np.array([[5.0, 2.0], [5.0, 2.0]]))
-        full = model.score_items(tiny_dataset, np.arange(2))
-        assert full.shape == (2, tiny_dataset.num_items + 1)
-
     def test_neither_method_raises(self, tiny_dataset):
         class Broken(Recommender):
             def fit(self, dataset, **kwargs):
                 return self
 
-        with pytest.raises(NotImplementedError):
-            Broken().score_items(tiny_dataset, np.arange(2))
+        with pytest.raises(TypeError, match="score_items"):
+            Broken()
 
-    def test_evaluator_accepts_score_users_only_models(self, tiny_dataset):
-        from repro.eval.evaluator import candidate_scores
-
-        class Legacy:
-            def score_users(self, dataset, users, split="test"):
-                return np.ones((len(users), dataset.num_items + 1))
-
-        scores = candidate_scores(Legacy(), tiny_dataset, np.arange(3))
-        assert scores.shape == (3, tiny_dataset.num_items + 1)
-        sub = candidate_scores(
-            Legacy(), tiny_dataset, np.arange(3), items=np.array([1, 2])
+    @pytest.mark.parametrize("name", ("GRU4Rec", "SASRec"))
+    def test_representation_models_score_through_the_pair(
+        self, name, fitted, tiny_dataset
+    ):
+        """``score_items`` is each user's representation · the item matrix."""
+        model = fitted[name]
+        assert isinstance(model, SequenceRecommender)
+        users = np.arange(5)
+        sequences = [tiny_dataset.full_sequence(int(u), split="valid") for u in users]
+        expected = model.encode_sequences(sequences) @ model.item_embedding_matrix(
+            tiny_dataset.num_items
+        ).T
+        assert np.array_equal(
+            model.score_items(tiny_dataset, users, split="valid"), expected
         )
-        assert sub.shape == (3, 2)
+
+    def test_representation_pair_is_required(self):
+        class NoPair(SequenceRecommender):
+            def fit(self, dataset, **kwargs):
+                return self
+
+        with pytest.raises(TypeError, match="encode_sequences"):
+            NoPair()

@@ -85,7 +85,7 @@ class TestSRGNN:
         model = SRGNN(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         users = tiny_dataset.evaluation_users("test")[:4]
-        scores = model.score_users(tiny_dataset, users)
+        scores = model.score_items(tiny_dataset, users)
         assert scores.shape == (4, tiny_dataset.num_items + 1)
 
     def test_beats_chance(self, tiny_dataset):
@@ -122,7 +122,7 @@ class TestSRGNN:
         def run():
             model = SRGNN(tiny_dataset, small_config(epochs=1))
             model.fit(tiny_dataset)
-            return model.score_users(
+            return model.score_items(
                 tiny_dataset, tiny_dataset.evaluation_users("test")[:2]
             )
 

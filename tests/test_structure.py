@@ -13,6 +13,13 @@
   boundary a narrower server lock will be drawn on.
 * Every public module-level function or class has a user outside the
   tests, or a line in ``KEPT_ON_PURPOSE`` saying why it stays.
+* In ``repro.models`` and ``repro.eval`` every defaulted parameter of a
+  public function or method is passed by some caller outside the tests,
+  or has a line in ``KEYWORDS_KEPT_ON_PURPOSE`` saying why it stays.
+* There is one scoring contract, ``score_items(self, dataset, users,
+  split)``: nothing defines or calls ``score_users``, and a model with
+  ``encode_sequences`` inherits its ``score_items`` / ``score_sequences``
+  from ``SequenceRecommender`` (docs/EXTENDING.md "Adding a model").
 * There is one precision and nothing selects it: ``nn/precision.py``
   holds no ``global`` and no ``set_*`` function, no dataclass declares a
   ``dtype`` field, and no flag is called ``--dtype``
@@ -220,7 +227,6 @@ USER_TREES = ("src", "benchmarks", "examples")
 KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
-    "top_k_table": "unused (callers moved to top_k_indices); repro.eval is ROADMAP item 7's",
 }
 
 
@@ -263,3 +269,121 @@ def test_every_public_name_has_a_user_or_a_reason():
     assert unused - KEPT_ON_PURPOSE.keys() == set()
     # A name that gained a user, or is gone, leaves the list.
     assert KEPT_ON_PURPOSE.keys() - unused == set()
+
+
+# ----------------------------------------------------------------------
+# Keyword parameters no caller passes (repro.models, repro.eval)
+# ----------------------------------------------------------------------
+KEYWORD_SCAN = ("models/", "eval/")
+
+#: Defaulted parameters no call outside ``tests/`` passes, each with its
+#: reason (this list only ever shrinks).
+KEYWORDS_KEPT_ON_PURPOSE = {
+    "Evaluator.__init__(index=)": "index-backed evaluation, the metric cost of a quantized index (docs/RETRIEVAL.md)",
+    "evaluate_temporal(max_events=)": "caps the scored events, as Evaluator.evaluate(max_users=) caps users",
+    "SASRecBPR.__init__(bpr_config=)": "the warm start's BPR-MF schedule and its dim guard; the registry derives it from SASRecConfig",
+}
+
+
+def calls_outside_tests() -> dict[str, list[ast.Call]]:
+    """Every call in ``src/``, ``benchmarks/`` and ``examples/``, by the
+    called name (``f(...)`` and ``x.f(...)`` both file under ``f``)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for top in USER_TREES:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(called_name(node), []).append(node)
+    return calls
+
+
+def defaulted_parameters():
+    """``(label, called name, positional index or None, parameter)`` for
+    each defaulted parameter of a public function or method (a class's
+    ``__init__`` is called by the class name)."""
+    for name, tree in modules():
+        if not name.startswith(KEYWORD_SCAN):
+            continue
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node.name, node.name, node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (f"{node.name}.{m.name}", node.name if m.name == "__init__" else m.name, m, 1)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and (m.name == "__init__" or not m.name.startswith("_"))
+                ]
+            else:
+                continue
+            for label, callee, function, skip in functions:
+                args = function.args
+                positional = (args.posonlyargs + args.args)[skip:]
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], start=first):
+                    yield label, callee, index, arg.arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield label, callee, None, arg.arg
+
+
+def passes(call: ast.Call, index: int | None, parameter: str) -> bool:
+    by_keyword = any(k.arg in (parameter, None) for k in call.keywords)
+    by_position = index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+    return by_keyword or by_position
+
+
+def test_every_keyword_parameter_has_a_caller_or_a_reason():
+    calls = calls_outside_tests()
+    unpassed = {
+        f"{label}({parameter}=)"
+        for label, callee, index, parameter in defaulted_parameters()
+        if not any(passes(call, index, parameter) for call in calls.get(callee, []))
+    }
+    assert unpassed - KEYWORDS_KEPT_ON_PURPOSE.keys() == set()
+    # A parameter that gained a caller, or is gone, leaves the list.
+    assert KEYWORDS_KEPT_ON_PURPOSE.keys() - unpassed == set()
+
+
+# ----------------------------------------------------------------------
+# One scoring contract
+# ----------------------------------------------------------------------
+SCORING_SIGNATURE = ["self", "dataset", "users", "split"]
+
+
+def test_one_scoring_contract():
+    offenders = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and called_name(node) == "score_users":
+                offenders.append(f"{name}:{node.lineno} calls score_users")
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name == "score_users":
+                offenders.append(f"{name}:{node.lineno} defines score_users")
+            args = node.args
+            signature = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            if node.name == "score_items" and (
+                signature != SCORING_SIGNATURE or args.vararg or args.kwarg
+            ):
+                offenders.append(f"{name}:{node.lineno} score_items{tuple(signature)}")
+    assert offenders == []
+
+
+def test_representation_models_inherit_their_scoring():
+    offenders = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node.name == "SequenceRecommender":
+                continue
+            methods = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+            if "encode_sequences" in methods:
+                offenders += [
+                    f"{name}: {node.name}.{method}"
+                    for method in sorted(methods & {"score_items", "score_sequences"})
+                ]
+    assert offenders == []
