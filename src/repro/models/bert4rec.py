@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.loaders import pad_left
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import SequenceRecommender
-from repro.models.encoder import SASRecEncoder
+from repro.models.encoder import SASRecEncoder, trailing_columns
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
@@ -82,7 +82,8 @@ class BERT4Rec(Module, SequenceRecommender):
         ``labels[b, t]`` holds the original item at masked positions and
         0 elsewhere.
         """
-        hidden = self.encoder(inputs)  # (B, T, d)
+        hidden = self.encoder(inputs)  # (B, w, d)
+        labels = trailing_columns(labels, hidden.shape[1], "labels")
         positions = np.argwhere(labels > 0)
         if len(positions) == 0:
             raise ValueError("cloze batch contains no masked positions")

@@ -22,6 +22,26 @@ from repro.nn.transformer import TransformerEncoder
 _GROUP_ROWS = 32
 
 
+def trailing_columns(array: np.ndarray, width: int, name: str) -> np.ndarray:
+    """``array[:, -width:]``: the columns of a left-padded ``(B, T)`` batch
+    that a trimmed forward keeps.
+
+    Raises ``ValueError`` naming the first cut column where ``array`` is
+    non-zero — an item, target or loss weight there would be dropped,
+    so the batch is not left-padded.
+    """
+    array = np.asarray(array)
+    cut = array.shape[1] - width
+    dropped = np.flatnonzero(array[:, :cut].any(axis=0))
+    if dropped.size:
+        raise ValueError(
+            f"{name} is non-zero in column {dropped[0]}, left of the batch's "
+            f"last {width} columns, which hold its longest history: the "
+            "batch is not left-padded"
+        )
+    return array[:, cut:]
+
+
 class SASRecEncoder(Module):
     """Item+position embedding → L causal Transformer blocks.
 
@@ -79,31 +99,64 @@ class SASRecEncoder(Module):
         """The input to the first block for a left-padded batch ``(B, T)``:
         item + position embedding after dropout ``(B, T, d)``, and the
         ``(B, T)`` padding mask."""
+        return self._embed(self._full_width(item_ids), first_position=0)
+
+    def _full_width(self, item_ids: np.ndarray) -> np.ndarray:
         item_ids = np.asarray(item_ids, dtype=np.int64)
         length = item_ids.shape[1]
         if length != self.max_length:
             raise ValueError(
                 f"expected sequences of length {self.max_length}, got {length}"
             )
-        return self._embed(item_ids, first_position=0)
+        return item_ids
 
     def _embed(
         self, item_ids: np.ndarray, first_position: int
     ) -> tuple[Tensor, np.ndarray]:
         """:meth:`embed` for a ``(B, w)`` batch whose columns sit at
-        positions ``first_position .. first_position + w - 1``."""
+        positions ``first_position .. first_position + w - 1`` — the
+        trailing ``w`` columns of a ``first_position + w`` wide batch,
+        whose shape the embedding dropout mask is drawn at."""
         batch, width = item_ids.shape
         positions = np.broadcast_to(
             np.arange(first_position, first_position + width), (batch, width)
         )
         hidden = self.item_embedding(item_ids) + self.position_embedding(positions)
-        return self.embedding_dropout(hidden), item_ids == 0
+        return self.embedding_dropout(hidden, first_position + width), item_ids == 0
+
+    def _embed_trailing(
+        self, item_ids: np.ndarray
+    ) -> tuple[Tensor, np.ndarray | None]:
+        """The first block's input for the trailing ``w`` columns of a
+        left-padded ``(B, T)`` batch, ``w`` its longest history (≥ 1),
+        and their padding mask (``None`` when nothing is padded).
+
+        The columns cut hold padding in every row, and no real position
+        attends to padding, so every kept position computes what it
+        would in the ``T``-wide batch.  Every dropout mask is drawn
+        ``T`` wide and cut (the callers pass ``length=T`` to the
+        blocks), so the generator stream does not depend on ``w``.
+        """
+        item_ids = self._full_width(item_ids)
+        width = max(1, int(np.count_nonzero(item_ids, axis=1).max(initial=0)))
+        kept = trailing_columns(item_ids, width, "item_ids")
+        hidden, padding_mask = self._embed(kept, self.max_length - width)
+        return hidden, padding_mask if padding_mask.any() else None
 
     def forward(self, item_ids: np.ndarray) -> Tensor:
-        """Encode a left-padded batch ``(B, T)`` → hidden states ``(B, T, d)``."""
-        hidden, padding_mask = self.embed(item_ids)
+        """Encode a left-padded batch ``(B, T)`` → hidden states ``(B, w,
+        d)`` of its trailing ``w`` positions, ``w`` the batch's longest
+        history (at least 1).
+
+        Column ``j`` of the result is position ``T - w + j``; callers
+        align per-position targets with :func:`trailing_columns`.
+        """
+        hidden, padding_mask = self._embed_trailing(item_ids)
         return self.transformer(
-            hidden, causal=self.causal, key_padding_mask=padding_mask
+            hidden,
+            causal=self.causal,
+            key_padding_mask=padding_mask,
+            length=self.max_length,
         )
 
     def user_representation(self, item_ids: np.ndarray) -> Tensor:
@@ -113,9 +166,12 @@ class SASRecEncoder(Module):
         tolerance and draws the same dropout masks, but the final block
         computes only that row.
         """
-        hidden, padding_mask = self.embed(item_ids)
+        hidden, padding_mask = self._embed_trailing(item_ids)
         last = self.transformer.last_row(
-            hidden, causal=self.causal, key_padding_mask=padding_mask
+            hidden,
+            causal=self.causal,
+            key_padding_mask=padding_mask,
+            length=self.max_length,
         )
         return last.reshape(last.shape[0], self.dim)
 

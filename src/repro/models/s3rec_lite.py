@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.data.loaders import pad_left
 from repro.data.preprocessing import SequenceDataset
+from repro.models.encoder import trailing_columns
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainingHistory
 from repro.nn import functional as F
@@ -96,7 +97,8 @@ class S3RecLite(SASRec):
 
     def aap_loss(self, inputs: np.ndarray) -> Tensor:
         """Predict each real position's item attribute (AAP)."""
-        hidden = self.encoder(inputs)  # (B, T, d)
+        hidden = self.encoder(inputs)  # (B, w, d)
+        inputs = np.asarray(inputs)[:, -hidden.shape[1] :]
         positions = np.argwhere(inputs > 0)
         if len(positions) == 0:
             raise ValueError("batch has no real positions")
@@ -111,7 +113,8 @@ class S3RecLite(SASRec):
 
     def mip_loss(self, inputs: np.ndarray, labels: np.ndarray) -> Tensor:
         """Cloze masked-item prediction (MIP), full-softmax."""
-        hidden = self.encoder(inputs)
+        hidden = self.encoder(inputs)  # (B, w, d)
+        labels = trailing_columns(labels, hidden.shape[1], "labels")
         positions = np.argwhere(labels > 0)
         if len(positions) == 0:
             raise ValueError("cloze batch has no masked positions")

@@ -15,7 +15,7 @@ import numpy as np
 from repro.data.loaders import NextItemBatch
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import SequenceRecommender
-from repro.models.encoder import SASRecEncoder
+from repro.models.encoder import SASRecEncoder, trailing_columns
 from repro.models.losses import masked_next_item_bce
 from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
 from repro.nn.module import Module
@@ -64,12 +64,14 @@ class SASRec(Module, SequenceRecommender):
     # ------------------------------------------------------------------
     def sequence_loss(self, batch: NextItemBatch) -> Tensor:
         """Masked next-item BCE over every position (paper Eq. 15)."""
-        hidden = self.encoder(batch.inputs)  # (B, T, d)
-        pos_vecs = self.encoder.item_embedding(batch.targets)
-        neg_vecs = self.encoder.item_embedding(batch.negatives)
+        hidden = self.encoder(batch.inputs)  # (B, w, d)
+        width = hidden.shape[1]
+        mask = trailing_columns(batch.mask, width, "loss mask")
+        pos_vecs = self.encoder.item_embedding(batch.targets[:, -width:])
+        neg_vecs = self.encoder.item_embedding(batch.negatives[:, -width:])
         pos_logits = (hidden * pos_vecs).sum(axis=-1)
         neg_logits = (hidden * neg_vecs).sum(axis=-1)
-        return masked_next_item_bce(pos_logits, neg_logits, batch.mask)
+        return masked_next_item_bce(pos_logits, neg_logits, mask)
 
     def fit(self, dataset: SequenceDataset, **overrides) -> TrainingHistory:
         """Train with Adam + linear decay (and optional early stopping)."""

@@ -89,6 +89,7 @@ class MultiHeadSelfAttention(Module):
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
         return_probs: bool = False,
+        length: int | None = None,
     ):
         """Attend within each sequence of the batch.
 
@@ -107,24 +108,35 @@ class MultiHeadSelfAttention(Module):
             probabilities as a raw ``(batch, heads, length, length)``
             array (for analysis).  Only the no-grad body computes them:
             the call must run under ``no_grad()`` with dropout off.
+        length:
+            Width ``T`` of the batch ``x`` was cut from, when ``x`` holds
+            its trailing ``w`` positions: the attention dropout mask is
+            drawn at ``(batch, heads, T, T)`` and cut to
+            ``[..., -w:, -w:]``, so the generator stream does not depend
+            on ``w``.  Defaults to ``x``'s own width.
         """
-        return self._attend(x, causal, key_padding_mask, return_probs, last_row=False)
+        return self._attend(
+            x, causal, key_padding_mask, return_probs, last_row=False, length=length
+        )
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that query row.
 
         Keys and values span every position of ``x``; the query, the
         attention row and the output projection run on ``(B, 1, d)``.
-        An active dropout draws the full ``(B, h, T, T)`` mask, exactly
-        as :meth:`forward` does, and applies its last row — so the
-        generator stream is the same whichever method ran.
+        An active dropout draws the mask :meth:`forward` draws and
+        applies its last row — so the generator stream is the same
+        whichever method ran.
         """
-        return self._attend(x, causal, key_padding_mask, return_probs=False, last_row=True)
+        return self._attend(
+            x, causal, key_padding_mask, return_probs=False, last_row=True, length=length
+        )
 
     def _attend(
         self,
@@ -133,18 +145,19 @@ class MultiHeadSelfAttention(Module):
         key_padding_mask: np.ndarray | None,
         return_probs: bool,
         last_row: bool,
+        length: int | None,
     ):
         with profile_scope("nn.attention"):
-            batch, length, __ = x.shape
+            batch, width, __ = x.shape
             # Python float, not np.float64: a numpy scalar is "strong"
             # under NEP 50 and would upcast float32 activations.
             scale = 1.0 / float(np.sqrt(self.head_dim))
             if key_padding_mask is None:
                 # Nothing batch-specific: the cached (T, T) triangle
                 # broadcasts directly, or there is no mask at all.
-                mask = compute.MASKS.causal(length) if causal else None
+                mask = compute.MASKS.causal(width) if causal else None
             else:
-                mask = compute.MASKS.combined(causal, key_padding_mask, length)
+                mask = compute.MASKS.combined(causal, key_padding_mask, width)
 
             dropout_active = self.training and self.attn_dropout.rate > 0.0
             if not is_grad_enabled() and not dropout_active:
@@ -158,12 +171,13 @@ class MultiHeadSelfAttention(Module):
             qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
             drop = None
             if dropout_active:
+                length = width if length is None else length
                 drop = F.dropout_mask(
                     (batch, self.num_heads, length, length),
                     self.attn_dropout.rate,
                     self.attn_dropout._rng,
                     dtype=x.data.dtype,
-                )
+                )[..., -width:, -width:]
             context = F.fused_attention(
                 qkv,
                 mask,

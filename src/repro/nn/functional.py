@@ -8,10 +8,11 @@ The encoder's grad path runs on three more fused kernels —
 :func:`linear` (matmul + bias in one graph node), :func:`fused_linear_act`
 (linear + ReLU, the transformer FFN's inner step), and
 :func:`fused_attention` (packed QKV → context, one node with an
-analytic backward).  Each performs the same floating-point operations
-as the ``Tensor`` composition it replaces, so results match the seed's
-unfused encoder bit for bit (``tests/nn/test_compute.py`` keeps that
-composition as the oracle).
+analytic backward).  Each forward performs the same floating-point
+operations as the ``Tensor`` composition it replaces, so outputs match
+the seed's unfused encoder bit for bit; gradients match at tolerance,
+because the two linear kernels reduce the weight gradient as one GEMM
+(``tests/nn/test_compute.py`` keeps that composition as the oracle).
 """
 
 from __future__ import annotations
@@ -102,20 +103,21 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-8) -> Te
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Fused affine map ``x @ weight + bias`` as a single graph node.
 
-    Identical floating-point operations to the ``matmul`` + ``add``
-    composition (the bias gradient reduces with the same
-    ``_unbroadcast`` sum), but records one node instead of two and
-    skips the intermediate pre-bias array's graph bookkeeping.
+    ``x`` is ``(..., d)`` and ``weight`` the 2-D ``(d, o)`` matrix.  The
+    forward and ``grad_x`` perform the ``matmul`` + ``add``
+    composition's floating-point operations (the bias gradient reduces
+    with the same ``_unbroadcast`` sum); the weight gradient is one
+    ``(d, N) @ (N, o)`` GEMM over the ``N`` flattened rows of ``x``, not
+    a batched product summed over the batch.  One node instead of two,
+    and no graph bookkeeping for the intermediate pre-bias array.
     """
     out = np.matmul(x.data, weight.data)
     out += bias.data  # in place: one fewer full-size temporary
     x_data, w_data = x.data, weight.data
 
     def backward(grad: np.ndarray):
-        grad_x = np.matmul(grad, np.swapaxes(w_data, -1, -2))
-        grad_w = _unbroadcast(
-            np.matmul(np.swapaxes(x_data, -1, -2), grad), w_data.shape
-        )
+        grad_x = np.matmul(grad, w_data.T)
+        grad_w = _weight_grad(x_data, grad)
         grad_b = _unbroadcast(grad, bias.data.shape)
         return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
@@ -137,14 +139,18 @@ def fused_linear_act(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray):
         grad_pre = grad * act_mask
-        grad_x = np.matmul(grad_pre, np.swapaxes(w_data, -1, -2))
-        grad_w = _unbroadcast(
-            np.matmul(np.swapaxes(x_data, -1, -2), grad_pre), w_data.shape
-        )
+        grad_x = np.matmul(grad_pre, w_data.T)
+        grad_w = _weight_grad(x_data, grad_pre)
         grad_b = _unbroadcast(grad_pre, bias.data.shape)
         return ((x, grad_x), (weight, grad_w), (bias, grad_b))
 
     return Tensor._make(out, (x, weight, bias), backward)
+
+
+def _weight_grad(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``Σ xᵀ @ grad`` over every leading axis, as one ``(d, N) @ (N, o)``
+    GEMM on the flattened rows."""
+    return x.reshape(-1, x.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
 
 
 def fused_attention(

@@ -119,21 +119,25 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.rate == 0.0:
-            return x
-        mask = F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype)
-        return x * Tensor(mask)
+    def forward(self, x: Tensor, length: int | None = None) -> Tensor:
+        """Apply a fresh mask to ``x``.
 
-    def last_row(self, x: Tensor, length: int) -> Tensor:
-        """Dropout on the last row ``x = h[:, -1:, :]`` of a ``(B, length,
-        d)`` input ``h``: draws the mask ``forward(h)`` would draw and
-        applies its last row, so the generator stream is unchanged."""
+        ``x`` may be the trailing ``w = x.shape[1]`` rows of a ``(B,
+        length, ...)`` input (a trimmed batch, or the final block's last
+        row): the mask is drawn at that full shape, so the generator
+        stream does not depend on how many rows are kept, and its
+        trailing ``w`` rows are applied.
+        """
         if not self.training or self.rate == 0.0:
             return x
-        batch, __, dim = x.shape
-        mask = F.dropout_mask((batch, length, dim), self.rate, self._rng, dtype=x.dtype)
-        return x * Tensor(mask[:, -1:, :])
+        if length is None:
+            mask = F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype)
+        else:
+            batch, width, *rest = x.shape
+            mask = F.dropout_mask(
+                (batch, length, *rest), self.rate, self._rng, dtype=x.dtype
+            )[:, length - width :]
+        return x * Tensor(mask)
 
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"

@@ -16,7 +16,11 @@ FFN's inner step :func:`repro.nn.functional.fused_linear_act`.
 
 ``forward`` returns every position; ``last_row`` returns the last one
 only and lets the final block skip the rows nobody reads (the user
-representation, Eq. 13).
+representation, Eq. 13).  Both take ``length``, the width ``T`` of the
+batch ``x`` was cut from when ``x`` holds only its trailing ``w``
+positions: every dropout mask is drawn at the ``T``-wide shape and cut
+to the positions kept, so the generator stream does not depend on
+``w``.
 """
 
 from __future__ import annotations
@@ -80,17 +84,21 @@ class TransformerEncoderLayer(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        length: int | None = None,
     ) -> Tensor:
-        attended = self.attention(x, causal=causal, key_padding_mask=key_padding_mask)
-        x = self.norm1(x + self.dropout1(attended))
+        attended = self.attention(
+            x, causal=causal, key_padding_mask=key_padding_mask, length=length
+        )
+        x = self.norm1(x + self.dropout1(attended, length))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2(transformed))
+        return self.norm2(x + self.dropout2(transformed, length))
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that row.
 
@@ -99,14 +107,14 @@ class TransformerEncoderLayer(Module):
         ``(B, 1, d)``.  Every dropout mask is drawn at the full
         forward's shape and in its order, then cut to the last row.
         """
-        length = x.shape[1]
+        length = x.shape[1] if length is None else length
         attended = self.attention.last_row(
-            x, causal=causal, key_padding_mask=key_padding_mask
+            x, causal=causal, key_padding_mask=key_padding_mask, length=length
         )
         x = x[:, -1:, :]
-        x = self.norm1(x + self.dropout1.last_row(attended, length))
+        x = self.norm1(x + self.dropout1(attended, length))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2.last_row(transformed, length))
+        return self.norm2(x + self.dropout2(transformed, length))
 
 
 class TransformerEncoder(Module):
@@ -137,10 +145,13 @@ class TransformerEncoder(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        length: int | None = None,
     ) -> Tensor:
         with profile_scope("nn.encoder"):
             for layer in self.layers:
-                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
+                x = layer(
+                    x, causal=causal, key_padding_mask=key_padding_mask, length=length
+                )
             return x
 
     def last_row(
@@ -148,6 +159,7 @@ class TransformerEncoder(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``: every block but the final one
         runs at all positions, the final one computes only the row that
@@ -155,5 +167,9 @@ class TransformerEncoder(Module):
         with profile_scope("nn.encoder"):
             *inner, final = self.layers
             for layer in inner:
-                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
-            return final.last_row(x, causal=causal, key_padding_mask=key_padding_mask)
+                x = layer(
+                    x, causal=causal, key_padding_mask=key_padding_mask, length=length
+                )
+            return final.last_row(
+                x, causal=causal, key_padding_mask=key_padding_mask, length=length
+            )

@@ -67,3 +67,51 @@ def numeric_gradient(fn, array, seed_grad, eps=1e-6):
             2 * eps
         )
     return grad
+
+
+def run_t_wide(encoder):
+    """Make ``encoder``'s grad-mode forward the untrimmed oracle.
+
+    ``forward`` becomes ``_embed(item_ids, 0)`` + ``transformer(...)``
+    over all ``T`` positions and ``user_representation`` that forward's
+    last row: the same dropout masks from the same draws, no column
+    cut.  Returns ``encoder``.
+    """
+
+    def forward(item_ids):
+        hidden, padding_mask = encoder._embed(np.asarray(item_ids, dtype=np.int64), 0)
+        return encoder.transformer(
+            hidden, causal=encoder.causal, key_padding_mask=padding_mask
+        )
+
+    encoder.forward = forward
+    encoder.user_representation = lambda item_ids: forward(item_ids)[:, -1, :]
+    return encoder
+
+
+#: (dtype, loss tolerance, gradient tolerance) for trimmed-vs-T-wide
+#: comparisons: the two sum the same terms with different zero padding
+#: between them, so only the rounding of the last bits may differ.
+TRIM_TOLERANCES = [
+    pytest.param(np.float32, 1e-6, 1e-5, id="float32"),
+    pytest.param(np.float64, 1e-12, 1e-10, id="float64"),
+]
+
+
+def assert_same_step(trimmed, oracle, loss_of, loss_tol, grad_tol):
+    """One loss + backward on two identically seeded models agrees:
+    the loss, every parameter gradient, and the model generator's state
+    afterwards (every dropout mask was drawn at the full shape)."""
+    loss, expected = loss_of(trimmed), loss_of(oracle)
+    np.testing.assert_allclose(loss.item(), expected.item(), rtol=0, atol=loss_tol)
+    loss.backward()
+    expected.backward()
+    for (name, param), reference in zip(trimmed.named_parameters(), oracle.parameters()):
+        if reference.grad is None:
+            assert param.grad is None, name
+            continue
+        scale = max(1.0, float(np.abs(reference.grad).max()))
+        np.testing.assert_allclose(
+            param.grad, reference.grad, rtol=0, atol=grad_tol * scale, err_msg=name
+        )
+    assert trimmed._rng.bit_generator.state == oracle._rng.bit_generator.state

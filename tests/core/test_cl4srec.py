@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
 from repro.core.trainer import ContrastivePretrainConfig, JointTrainConfig
-from repro.data.loaders import ContrastiveBatchLoader
+from repro.data.loaders import ContrastiveBatch, ContrastiveBatchLoader, pad_left
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
+from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
 def small_config(**overrides):
@@ -139,3 +140,73 @@ class TestScoring:
         a = model.score_items(tiny_dataset, users)
         b = model.score_items(tiny_dataset, users)
         np.testing.assert_array_equal(a, b)
+
+
+def view_pair(lengths_a, lengths_b, num_items, t=12, seed=8):
+    """A hand-built contrastive batch of random left-padded views."""
+    rng = np.random.default_rng(seed)
+
+    def views(lengths):
+        return np.stack([pad_left(rng.integers(1, num_items + 1, n), t) for n in lengths])
+
+    return ContrastiveBatch(np.arange(len(lengths_a)), views(lengths_a), views(lengths_b))
+
+
+class TestTrimmedContrastiveStep:
+    """Both views' ``user_representation`` run only their trailing ``w``
+    columns; the oracle is the T-wide forward's last row
+    (``run_t_wide``) on an identically seeded model."""
+
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_crop_shortened_views_match_t_wide_oracle(
+        self, tiny_dataset, dtype, loss_tol, grad_tol
+    ):
+        config = small_config(augmentations=("crop",), rates=0.5)
+        trimmed, oracle = (
+            CL4SRec(tiny_dataset, config).to_dtype(dtype) for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        loader = ContrastiveBatchLoader(
+            tiny_dataset, trimmed.pair_sampler, 12, 32, np.random.default_rng(0)
+        )
+        batch = next(iter(loader.epoch()))
+        # Both views are cut: no row reaches the first column.
+        assert (batch.view_a[:, 0] == 0).all() and (batch.view_b[:, 0] == 0).all()
+        assert_same_step(
+            trimmed,
+            oracle,
+            lambda model: model.contrastive_loss(batch)[0],
+            loss_tol,
+            grad_tol,
+        )
+
+    @pytest.mark.parametrize(
+        "lengths_a, lengths_b",
+        [
+            pytest.param([3, 12, 5], [20, 2, 4], id="full-length-nothing-cut"),
+            pytest.param([1, 1, 1], [1, 1, 1], id="one-item-views"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_edge_widths_match_t_wide_oracle(
+        self, tiny_dataset, lengths_a, lengths_b, dtype, loss_tol, grad_tol
+    ):
+        trimmed, oracle = (
+            CL4SRec(tiny_dataset, small_config()).to_dtype(dtype) for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        batch = view_pair(lengths_a, lengths_b, tiny_dataset.num_items)
+        assert_same_step(
+            trimmed,
+            oracle,
+            lambda model: model.contrastive_loss(batch)[0],
+            loss_tol,
+            grad_tol,
+        )
+
+    def test_right_padded_view_is_refused(self, tiny_dataset):
+        model = CL4SRec(tiny_dataset, small_config())
+        batch = view_pair([3, 5], [4, 2], tiny_dataset.num_items)
+        batch.view_b[1] = np.roll(batch.view_b[1], 2)  # items now in columns 0 and 11
+        with pytest.raises(ValueError, match="item_ids is non-zero in column 0"):
+            model.contrastive_loss(batch)

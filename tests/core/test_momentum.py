@@ -1,5 +1,7 @@
 """MoCo-style momentum-contrast variant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.trainer import ContrastivePretrainConfig, pretrain_contrastive
 from repro.data.loaders import ContrastiveBatchLoader
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
+from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
 def small_config():
@@ -83,6 +86,35 @@ class TestMoCoCL4SRec:
             assert id(param) not in trainable
         for param in model.key_projection.parameters():
             assert id(param) not in trainable
+
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_trimmed_step_matches_t_wide_oracle(
+        self, tiny_dataset, dtype, loss_tol, grad_tol
+    ):
+        """Query and key towers run only each view's trailing columns; the
+        oracle runs both T wide.  The EMA and the queue follow the same
+        step, so the key towers and queues still agree afterwards."""
+        config = dataclasses.replace(small_config(), augmentations=("crop",))
+        trimmed, oracle = (
+            MoCoCL4SRec(tiny_dataset, config).to_dtype(dtype) for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        run_t_wide(oracle.key_encoder)
+        loader = ContrastiveBatchLoader(
+            tiny_dataset, trimmed.pair_sampler, 12, 32, np.random.default_rng(0)
+        )
+        batch = next(iter(loader.epoch()))
+        assert (batch.view_a[:, 0] == 0).all() and (batch.view_b[:, 0] == 0).all()
+        assert_same_step(
+            trimmed,
+            oracle,
+            lambda model: model.contrastive_loss(batch)[0],
+            loss_tol,
+            grad_tol,
+        )
+        np.testing.assert_allclose(
+            trimmed.queue.keys, oracle.queue.keys, rtol=0, atol=grad_tol
+        )
 
     def test_contrastive_loss_runs(self, tiny_dataset):
         model = MoCoCL4SRec(tiny_dataset, small_config())

@@ -8,6 +8,7 @@ from repro.eval.evaluator import evaluate_model
 from repro.models.bert4rec import BERT4Rec, BERT4RecConfig
 from repro.models.encoder import _GROUP_ROWS
 from repro.nn.tensor import no_grad
+from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
 def small_config(**overrides):
@@ -82,6 +83,53 @@ class TestTraining:
         inputs = np.ones((2, 12), dtype=np.int64)
         labels = np.zeros((2, 12), dtype=np.int64)
         with pytest.raises(ValueError):
+            model.cloze_loss(inputs, labels)
+
+
+def cloze_batch(model, lengths, num_items, seed=9):
+    """A Cloze batch of random histories with ``lengths`` items."""
+    rng = np.random.default_rng(seed)
+    histories = [rng.integers(1, num_items + 1, size=n) for n in lengths]
+    return model._make_cloze_batch(histories, rng)
+
+
+class TestTrimmedCloze:
+    """The bidirectional forward runs only the batch's trailing ``w``
+    columns; the oracle is the T-wide forward (``run_t_wide``) on an
+    identically seeded model, in train mode with dropout."""
+
+    @pytest.mark.parametrize(
+        "lengths, width",
+        [
+            pytest.param([4, 8, 2, 6], 8, id="mixed"),
+            pytest.param([5, 20, 3], 12, id="one-full-length-nothing-cut"),
+            pytest.param([1, 1], 1, id="one-item"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_cloze_loss_matches_t_wide_oracle(
+        self, tiny_dataset, lengths, width, dtype, loss_tol, grad_tol
+    ):
+        trimmed, oracle = (
+            BERT4Rec(tiny_dataset, small_config()).to_dtype(dtype) for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        inputs, labels = cloze_batch(trimmed, lengths, tiny_dataset.num_items)
+        assert_same_step(
+            trimmed,
+            oracle,
+            lambda model: model.cloze_loss(inputs, labels),
+            loss_tol,
+            grad_tol,
+        )
+        with no_grad():
+            assert trimmed.encoder(inputs).shape == (len(lengths), width, 16)
+
+    def test_label_left_of_the_longest_history_is_refused(self, tiny_dataset):
+        model = BERT4Rec(tiny_dataset, small_config())
+        inputs, labels = cloze_batch(model, [4, 8, 2, 6], tiny_dataset.num_items)
+        labels[0, 1] = 7  # w = 8: columns 0..3 are cut
+        with pytest.raises(ValueError, match="labels is non-zero in column 1"):
             model.cloze_loss(inputs, labels)
 
 

@@ -9,6 +9,7 @@ from repro.eval.evaluator import evaluate_model
 from repro.models.s3rec_lite import S3RecLite, S3RecLiteConfig
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
+from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +127,41 @@ class TestFullPipeline:
         users = attributed_dataset.evaluation_users("test")[:3]
         scores = model.score_items(attributed_dataset, users)
         assert scores.shape == (3, attributed_dataset.num_items + 1)
+
+
+class TestTrimmedPretraining:
+    """AAP and MIP run only the batch's trailing ``w`` columns; the
+    oracle is the T-wide forward (``run_t_wide``) on an identically
+    seeded model."""
+
+    def batch(self, model, lengths=(4, 8, 2, 6)):
+        rng = np.random.default_rng(10)
+        num_items = model.dataset_num_items
+        histories = [rng.integers(1, num_items + 1, size=n) for n in lengths]
+        return model._make_batch(histories, rng)
+
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_pretraining_loss_matches_t_wide_oracle(
+        self, attributed_dataset, dtype, loss_tol, grad_tol
+    ):
+        trimmed, oracle = (
+            S3RecLite(attributed_dataset, small_config(), small_s3()).to_dtype(dtype)
+            for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        clean, masked, labels = self.batch(trimmed)
+        assert (clean[:, 0] == 0).all()
+        assert_same_step(
+            trimmed,
+            oracle,
+            lambda model: model.aap_loss(clean) + model.mip_loss(masked, labels),
+            loss_tol,
+            grad_tol,
+        )
+
+    def test_label_left_of_the_longest_history_is_refused(self, attributed_dataset):
+        model = S3RecLite(attributed_dataset, small_config(), small_s3())
+        __, masked, labels = self.batch(model)
+        labels[1, 2] = 3  # w = 8: columns 0..3 are cut
+        with pytest.raises(ValueError, match="labels is non-zero in column 2"):
+            model.mip_loss(masked, labels)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.loaders import NextItemBatchLoader, pad_left
+from repro.data.loaders import NextItemBatch, NextItemBatchLoader, pad_left
 from repro.eval.evaluator import evaluate_model
 from repro.models.encoder import _GROUP_ROWS, SASRecEncoder
 from repro.models.losses import masked_next_item_bce
@@ -11,6 +11,7 @@ from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
 from repro.nn.layers import Dropout
 from repro.nn.tensor import Tensor, no_grad
+from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
 def small_config(**train_overrides):
@@ -26,9 +27,16 @@ class TestEncoder:
         )
 
     def test_hidden_shape(self):
+        """``(B, w, d)``: the trailing ``w`` positions, ``w`` the longest
+        history, at least 1."""
         enc = self.make()
-        out = enc(np.zeros((4, 10), dtype=np.int64))
-        assert out.shape == (4, 10, 16)
+        ids = np.zeros((4, 10), dtype=np.int64)
+        assert enc(ids).shape == (4, 1, 16)
+        ids[1, -6:] = 3
+        ids[2, -2:] = 4
+        assert enc(ids).shape == (4, 6, 16)
+        ids[0, :] = 5
+        assert enc(ids).shape == (4, 10, 16)
 
     def test_wrong_length_rejected(self):
         enc = self.make(length=10)
@@ -320,3 +328,85 @@ class TestSASRecTraining:
         assert np.isfinite(loss.item())
         loss.backward()
         assert model.encoder.item_embedding.weight.grad is not None
+
+
+def next_item_batch(lengths, t=12, num_items=80, seed=6):
+    """A left-padded next-item batch of random histories with ``lengths``
+    items each (inputs and targets are one shorter)."""
+    rng = np.random.default_rng(seed)
+    histories = [rng.integers(1, num_items + 1, size=n) for n in lengths]
+    inputs = np.stack([pad_left(h[:-1], t) for h in histories])
+    targets = np.stack([pad_left(h[1:], t) for h in histories])
+    mask = (targets > 0).astype(np.float64)
+    negatives = np.where(targets > 0, rng.integers(1, num_items + 1, targets.shape), 0)
+    return NextItemBatch(np.arange(len(lengths)), inputs, targets, negatives, mask)
+
+
+#: History lengths and the trimmed width ``w`` they give at T = 12.
+TRIM_CASES = [
+    pytest.param([4, 8, 2, 6], 7, id="mixed"),
+    pytest.param([5, 20, 3], 12, id="one-full-length-nothing-cut"),
+    pytest.param([2, 2, 2], 1, id="one-item-inputs"),
+]
+
+
+class TestTrimmedTraining:
+    """The grad-mode forward runs only the batch's trailing ``w`` columns;
+    the oracle is the T-wide forward (``run_t_wide``) on an identically
+    seeded model, in train mode with dropout."""
+
+    @pytest.mark.parametrize("lengths, width", TRIM_CASES)
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_sequence_loss_matches_t_wide_oracle(
+        self, tiny_dataset, lengths, width, dtype, loss_tol, grad_tol
+    ):
+        trimmed, oracle = (
+            SASRec(tiny_dataset, small_config()).to_dtype(dtype) for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        batch = next_item_batch(lengths, num_items=tiny_dataset.num_items)
+        assert_same_step(
+            trimmed, oracle, lambda model: model.sequence_loss(batch), loss_tol, grad_tol
+        )
+        with no_grad():
+            assert trimmed.encoder(batch.inputs).shape == (len(lengths), width, 16)
+
+    @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)
+    def test_loader_batch_matches_t_wide_oracle(
+        self, tiny_dataset, dtype, loss_tol, grad_tol
+    ):
+        trimmed, oracle = (
+            SASRec(tiny_dataset, small_config(max_length=30)).to_dtype(dtype)
+            for __ in range(2)
+        )
+        run_t_wide(oracle.encoder)
+        loader = NextItemBatchLoader(tiny_dataset, 30, 32, np.random.default_rng(0))
+        batch = next(iter(loader.epoch()))
+        assert (batch.inputs[:, 0] == 0).all()
+        assert_same_step(
+            trimmed, oracle, lambda model: model.sequence_loss(batch), loss_tol, grad_tol
+        )
+
+    def test_right_padded_batch_is_refused(self, tiny_dataset):
+        """Trimming a right-padded batch would drop its items and
+        targets: a named error instead."""
+        model = SASRec(tiny_dataset, small_config())
+        batch = next_item_batch([4, 8, 2, 6], num_items=tiny_dataset.num_items)
+        right = NextItemBatch(
+            batch.users,
+            *(
+                np.stack([np.roll(row, -int((row == 0).sum())) for row in array])
+                for array in (batch.inputs, batch.targets, batch.negatives, batch.mask)
+            ),
+        )
+        assert (right.inputs[:, 0] != 0).all() and (right.inputs[:, -1] == 0).any()
+        with pytest.raises(ValueError, match="item_ids is non-zero in column 0"):
+            model.sequence_loss(right)
+
+    def test_target_left_of_the_longest_history_is_refused(self, tiny_dataset):
+        model = SASRec(tiny_dataset, small_config())
+        batch = next_item_batch([4, 8, 2, 6], num_items=tiny_dataset.num_items)
+        # w = 7: columns 0..4 are cut
+        batch.mask[2, 3] = 1.0
+        with pytest.raises(ValueError, match="loss mask is non-zero in column 3"):
+            model.sequence_loss(batch)
