@@ -51,7 +51,7 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     partition = np.argpartition(-scores, k - 1, axis=-1)[..., :k]
     # Canonicalize the (arbitrary) partition order so equal scores
     # resolve by ascending original index under the stable sort below.
-    partition = np.sort(partition, axis=-1)
+    partition.sort(axis=-1)
 
     # Boundary-tie repair: when the k-th value also occurs outside the
     # selected set, argpartition's pick among the tied items is
@@ -61,7 +61,8 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     # offending rows, which are rare for real-valued scores.
     scores_2d = scores[np.newaxis] if scores.ndim == 1 else scores
     part_2d = partition[np.newaxis] if scores.ndim == 1 else partition
-    top_scores = np.take_along_axis(scores_2d, part_2d, axis=-1)
+    rows = np.arange(part_2d.shape[0])[:, np.newaxis]
+    top_scores = scores_2d[rows, part_2d]
     threshold = top_scores.min(axis=-1)
     ties_total = (scores_2d == threshold[:, None]).sum(axis=-1)
     ties_in_top = (top_scores == threshold[:, None]).sum(axis=-1)
@@ -73,5 +74,5 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
         top_scores[row] = row_scores[part_2d[row]]
 
     order = np.argsort(-top_scores, axis=-1, kind="stable")
-    result = np.take_along_axis(part_2d, order, axis=-1).astype(np.int64)
+    result = part_2d[rows, order].astype(np.int64, copy=False)
     return result[0] if scores.ndim == 1 else result

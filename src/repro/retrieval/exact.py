@@ -29,27 +29,14 @@ _NEG_INF = -np.inf
 def apply_exclusions(
     scores: np.ndarray, exclude: list[np.ndarray | None] | None
 ) -> None:
-    """Mask padding (column 0) and per-row excluded ids in place.
-
-    Exactly the masking the engine historically performed: one fancy
-    assignment over concatenated (row, col) exclusion pairs.
-    """
+    """Mask padding (column 0) and per-row excluded ids in place, one
+    assignment per row that excludes anything."""
     scores[:, 0] = _NEG_INF
     if exclude is None:
         return
-    row_idx = np.concatenate(
-        [
-            np.full(len(ids), row)
-            for row, ids in enumerate(exclude)
-            if ids is not None
-        ]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    col_idx = np.concatenate(
-        [ids for ids in exclude if ids is not None]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    scores[row_idx.astype(np.int64), col_idx.astype(np.int64)] = _NEG_INF
+    for row, ids in enumerate(exclude):
+        if ids is not None:
+            scores[row, np.asarray(ids, dtype=np.int64)] = _NEG_INF
 
 
 @register_index
@@ -85,7 +72,7 @@ class ExactIndex(ItemIndex):
         top = top_k_indices(scores, k)
         return SearchResult(
             items=top,
-            scores=np.take_along_axis(scores, top, axis=-1),
+            scores=scores[np.arange(len(top))[:, np.newaxis], top],
             stats=SearchStats(candidates_scored=int(scores.size)),
         )
 

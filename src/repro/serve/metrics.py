@@ -42,7 +42,9 @@ class ServingMetrics:
     def __init__(
         self, registry: MetricsRegistry | None = None, seed: int = 0
     ) -> None:
-        self.started_at = time.time()
+        # Elapsed time is measured on the monotonic clock: a wall-clock
+        # step (NTP, a manual date change) must not make uptime negative.
+        self._started = time.monotonic()
         self.registry = (
             registry if registry is not None else MetricsRegistry(seed=seed)
         )
@@ -107,9 +109,14 @@ class ServingMetrics:
         return hits / lookups if lookups else 0.0
 
     @property
+    def uptime_seconds(self) -> float:
+        """Seconds since construction, on the monotonic clock."""
+        return time.monotonic() - self._started
+
+    @property
     def requests_per_second(self) -> float:
-        """Requests served per wall-clock second since construction."""
-        elapsed = time.time() - self.started_at
+        """Requests served per second since construction."""
+        elapsed = self.uptime_seconds
         if elapsed <= 0:
             return 0.0
         return self._count("requests") / elapsed
@@ -124,7 +131,7 @@ class ServingMetrics:
         hits = counters.get("user_cache_hits", 0)
         misses = counters.get("user_cache_misses", 0)
         lookups = hits + misses
-        elapsed = time.time() - self.started_at
+        elapsed = self.uptime_seconds
         return {
             "uptime_seconds": elapsed,
             "counters": counters,

@@ -39,10 +39,19 @@ A reply sent without the request's declared body having been read to
 its end (refused, truncated, length unknown) says ``Connection: close``
 and ends the connection, so leftover body bytes are never parsed as the
 next request.
+
+The request head is read without the stdlib's ``email`` parser:
+``Handler.parse_request`` keeps ``http.server``'s request-line rules and
+status codes and reads the header block into a small case-insensitive
+mapping.  Framing it cannot read one way only — conflicting
+``Content-Length`` values, an obs-fold continuation line, a header line
+with no colon — is a 400 that closes the connection (RFC 9112 §6.3), so
+no body can be read as a smuggled second request.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -60,6 +69,12 @@ from repro.serve.resilience import (
 
 #: Refuse request bodies beyond this size (1 MiB) to bound memory.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest header line and most header lines per request; beyond either
+#: the request is a 431 (``http.server`` refuses a longer request line
+#: with a 414 before the headers are read).
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
 
 #: Machine-readable reason codes used directly by the HTTP layer
 #: (engine-level codes live in :mod:`repro.serve.resilience`).
@@ -82,6 +97,79 @@ class UnreadBody(RequestError):
 
 class BodyTooLarge(UnreadBody):
     """Request body exceeds :data:`MAX_BODY_BYTES`; mapped to HTTP 413."""
+
+
+class _HeadRefused(Exception):
+    """A request head the server will not read; carries the reply status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Headers(dict):
+    """Request header fields keyed by lower-cased name; lookups ignore case."""
+
+    __slots__ = ()
+
+    def __contains__(self, name: str) -> bool:
+        return dict.__contains__(self, name.lower())
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _http_version(word: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two integers by ``http.server``'s rules
+    (one dot, ASCII digits, at most 10 of them each), else ``None``."""
+    if not word.startswith("HTTP/"):
+        return None
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+def _read_headers(rfile) -> _Headers:
+    """The header block up to its blank line, as a :class:`_Headers`.
+
+    The first occurrence of a repeated field wins, except that a second
+    ``Content-Length`` with another value is refused: a reader taking
+    either value would frame the body differently from one taking the
+    other.  Obs-fold continuation lines and lines with no colon are
+    refused for the same reason.
+    """
+    headers = _Headers()
+    for __ in range(MAX_HEADER_LINES + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _HeadRefused(431, "Line too long")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        if line[0] in b" \t":
+            raise _HeadRefused(400, "obsolete line folding in the request headers")
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or not name or name.rstrip() != name:
+            raise _HeadRefused(400, f"malformed header line {line.rstrip()!r}")
+        key, value = name.lower(), value.strip()
+        first = headers.setdefault(key, value)
+        if key == "content-length" and first != value:
+            raise _HeadRefused(
+                400, f"conflicting Content-Length values {first!r} and {value!r}"
+            )
+    raise _HeadRefused(431, f"more than {MAX_HEADER_LINES} header lines")
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` value for a whole second, formatted once per second."""
+    year, month, day, hour, minute, sec, weekday, __, __ = time.gmtime(second)
+    return "%s, %02d %s %04d %02d:%02d:%02d GMT" % (
+        BaseHTTPRequestHandler.weekdayname[weekday], day,
+        BaseHTTPRequestHandler.monthname[month], year, hour, minute, sec,
+    )
 
 
 class CheckpointWatcher(threading.Thread):
@@ -326,7 +414,7 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             head = [
                 f"{self.protocol_version} {status:d} {self.responses[status][0]}",
                 f"Server: {self.version_string()}",
-                f"Date: {self.date_time_string()}",
+                f"Date: {_http_date(int(time.time()))}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(body)}",
             ]
@@ -338,6 +426,57 @@ def _make_handler(server: RecommendationServer) -> type[BaseHTTPRequestHandler]:
             self.wfile.write(
                 "\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body
             )
+
+        def parse_request(self) -> bool:
+            """Request line by ``http.server``'s rules, then the headers by
+            :func:`_read_headers`; ``False`` once a refusal is answered."""
+            self.command = None
+            self.request_version = self.default_request_version
+            self.close_connection = True
+            self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            words = self.requestline.split()
+            if not words:
+                return False
+            version = (0, 9)
+            if len(words) >= 3:
+                version = _http_version(words[-1])
+                if version is None:
+                    self.send_error(400, f"Bad request version ({words[-1]!r})")
+                    return False
+                if version >= (2, 0):
+                    self.send_error(505, f"Invalid HTTP version ({words[-1][5:]})")
+                    return False
+                self.close_connection = version < (1, 1)
+                self.request_version = words[-1]
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+                return False
+            self.command, self.path = words[:2]
+            if len(words) == 2:
+                self.close_connection = True
+                if self.command != "GET":
+                    self.send_error(
+                        400, f"Bad HTTP/0.9 request type ({self.command!r})"
+                    )
+                    return False
+            if self.path.startswith("//"):
+                self.path = "/" + self.path.lstrip("/")  # no open redirects
+            try:
+                self.headers = _read_headers(self.rfile)
+            except _HeadRefused as refused:
+                self.send_error(refused.status, str(refused))
+                return False
+            connection = self.headers.get("Connection", "").lower()
+            if connection == "close":
+                self.close_connection = True
+            elif connection == "keep-alive":
+                self.close_connection = False
+            if (
+                self.headers.get("Expect", "").lower() == "100-continue"
+                and version >= (1, 1)
+            ):
+                return self.handle_expect_100()
+            return True
 
         def send_error(self, code, message=None, explain=None) -> None:
             """What ``http.server`` answers on its own — a request line

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.obs.registry as registry_module
 from repro.obs.registry import MAX_SAMPLES, Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -123,6 +124,19 @@ class TestMetricsRegistry:
             with registry.timer("block"):
                 raise RuntimeError("boom")
         assert registry.histograms["block"].count == 1
+
+    def test_timer_records_the_duration_of_a_raising_body_and_reraises(
+        self, monkeypatch
+    ):
+        clock = iter([10.0, 10.25])
+        monkeypatch.setattr(registry_module.time, "perf_counter", lambda: next(clock))
+        registry = MetricsRegistry()
+        error = KeyError("boom")
+        with pytest.raises(KeyError) as excinfo:
+            with registry.timer("block"):
+                raise error
+        assert excinfo.value is error
+        assert registry.histograms["block"].total_seconds == 0.25
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()

@@ -28,6 +28,7 @@ from repro.retrieval import (
     load_index,
     make_index,
 )
+from repro.retrieval.exact import apply_exclusions
 
 from tests.retrieval.conftest import make_item_matrix
 
@@ -91,6 +92,53 @@ class TestExactIndex:
         scores = ExactIndex().build(item_matrix).score(queries)
         assert scores.dtype == np.float64
         assert scores.shape == (queries.shape[0], item_matrix.shape[0])
+
+
+def concatenated_exclusions(scores, exclude):
+    """The masking as one fancy assignment over concatenated (row, col)
+    pairs: the formulation ``apply_exclusions`` replaced."""
+    scores[:, 0] = -np.inf
+    if exclude is None:
+        return
+    rows = np.concatenate(
+        [np.full(len(ids), row) for row, ids in enumerate(exclude) if ids is not None]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    cols = np.concatenate(
+        [ids for ids in exclude if ids is not None] or [np.empty(0, dtype=np.int64)]
+    )
+    scores[rows.astype(np.int64), cols.astype(np.int64)] = -np.inf
+
+
+class TestHelperOracles:
+    @pytest.mark.parametrize(
+        "exclude",
+        [
+            None,
+            [None, None, None],
+            [np.array([], dtype=np.int64), np.array([]), []],
+            [np.array([3, 3, 5]), None, np.array([0, 0, 7])],
+            [[0], np.array([2, 9, 2, 1]), np.arange(12)],
+        ],
+        ids=["none", "none-rows", "empty", "duplicates-and-0", "lists-and-full"],
+    )
+    def test_apply_exclusions_matches_the_concatenated_assignment(self, exclude):
+        scores = np.random.default_rng(5).normal(size=(3, 12))
+        want = scores.copy()
+        concatenated_exclusions(want, exclude)
+        apply_exclusions(scores, exclude)
+        assert np.array_equal(scores, want)
+
+    @pytest.mark.parametrize("rows", [1, 12])
+    def test_search_scores_are_the_take_along_axis_gather(
+        self, item_matrix, queries, exclusions, rows
+    ):
+        index = ExactIndex().build(item_matrix)
+        result = index.search(queries[:rows], K, exclude=exclusions[:rows])
+        scores = index.score(queries[:rows])
+        apply_exclusions(scores, exclusions[:rows])
+        gathered = np.take_along_axis(scores, result.items, axis=-1)
+        assert np.array_equal(result.scores, gathered)
 
 
 class TestIVFRecall:

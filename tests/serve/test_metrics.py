@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+import repro.serve.metrics as metrics_module
 from repro.obs.registry import Histogram
 from repro.serve.metrics import ServingMetrics
 
@@ -83,6 +84,23 @@ class TestServingMetrics:
         assert snap["cache"] == {"hits": 0, "misses": 1, "hit_rate": 0.0}
         assert "total" in snap["latency"]
         assert snap["throughput"]["requests_per_second"] >= 0.0
+
+    def test_uptime_ignores_a_wall_clock_step(self, monkeypatch):
+        """Elapsed time is monotonic: the wall clock jumping back an hour
+        must not make uptime or the request rate negative."""
+        clock = {"wall": 1_000_000.0, "monotonic": 50.0}
+        monkeypatch.setattr(metrics_module.time, "time", lambda: clock["wall"])
+        monkeypatch.setattr(
+            metrics_module.time, "monotonic", lambda: clock["monotonic"]
+        )
+        metrics = ServingMetrics()
+        metrics.increment("requests", 8)
+        clock["wall"] -= 3600.0
+        clock["monotonic"] += 2.0
+        snap = metrics.snapshot()
+        assert snap["uptime_seconds"] == 2.0
+        assert snap["throughput"]["requests_per_second"] == 4.0
+        assert metrics.requests_per_second == 4.0
 
     def test_touch_and_gauges(self):
         metrics = ServingMetrics()

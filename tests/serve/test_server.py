@@ -307,3 +307,82 @@ class TestNoDelayedAckStall:
 
     def test_keep_alive_round_trip_is_not_stalled_sharded(self, sharded_server):
         assert _median_round_trip_ms(sharded_server) < 20.0
+
+
+def _head(request_line, *headers, body=b""):
+    """A request head (and optional body) with exactly these header lines."""
+    return "\r\n".join([request_line, *headers]).encode() + b"\r\n\r\n" + body
+
+
+class TestRequestHead:
+    """How the request line and headers are read.  Every case holds for
+    ``http.server``'s own reader too: the server reads heads its own way
+    and must answer them as the stdlib did."""
+
+    def _statuses(self, server, *requests):
+        sends, __ = _handler_sends(server, *requests)
+        return [_parse_reply(send)[0] for send in sends]
+
+    def test_header_names_are_case_insensitive(self, server):
+        body = json.dumps({"user": 0, "k": 3}).encode()
+        request = _head(
+            "POST /recommend HTTP/1.1",
+            "hOST: test",
+            f"content-LENGTH: {len(body)}",
+            body=body,
+        )
+        sends, __ = _handler_sends(server, request, _raw("GET", "/health"))
+        (status, __, reply), (next_status, __, __) = map(_parse_reply, sends)
+        assert (status, len(reply["items"]), next_status) == (200, 3, 200)
+
+    def test_first_of_repeated_connection_headers_wins(self, server):
+        keep = _head(
+            "GET /health HTTP/1.0", "Connection: keep-alive", "Connection: close"
+        )
+        close = _head(
+            "GET /health HTTP/1.1", "Connection: close", "Connection: keep-alive"
+        )
+        assert self._statuses(server, keep, _raw("GET", "/health")) == [200, 200]
+        assert self._statuses(server, close, _raw("GET", "/health")) == [200]
+
+    def test_http_1_0_closes_unless_it_asks_to_keep_alive(self, server):
+        plain = _head("GET /health HTTP/1.0")
+        kept = _head("GET /health HTTP/1.0", "CONNECTION: Keep-Alive")
+        assert self._statuses(server, plain, _raw("GET", "/health")) == [200]
+        assert self._statuses(server, kept, _raw("GET", "/health")) == [200, 200]
+
+    def test_connection_close_on_http_1_1_closes(self, server):
+        request = _head("GET /health HTTP/1.1", "Host: test", "Connection: close")
+        assert self._statuses(server, request, _raw("GET", "/health")) == [200]
+
+    def test_expect_100_continue_gets_an_interim_100(self, server):
+        body = json.dumps({"user": 0}).encode()
+        request = _head(
+            "POST /recommend HTTP/1.1",
+            "Host: test",
+            "Expect: 100-continue",
+            f"Content-Length: {len(body)}",
+            body=body,
+        )
+        interim, reply = _handler_sends(server, request)[0]
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert _parse_reply(reply)[0] == 200
+
+    def test_the_101st_header_line_is_a_431(self, server):
+        lines = [f"X-Header-{i}: v" for i in range(101)]
+        request = _head("GET /health HTTP/1.1", *lines)
+        assert self._statuses(server, request, _raw("GET", "/health")) == [431]
+
+    @pytest.mark.parametrize(
+        "request_line, status",
+        [
+            ("GET /health HTTP/2.0", 505),
+            ("GET /health HTTP/1.x", 400),
+            ("GET /health HTTP/1.1.1", 400),
+            ("GET /health FTP/1.1", 400),
+        ],
+        ids=["http2", "non-digit", "two-dots", "not-http"],
+    )
+    def test_request_line_versions(self, server, request_line, status):
+        request = _head(request_line, "Host: test")
+        assert self._statuses(server, request, _raw("GET", "/health")) == [status]

@@ -114,6 +114,15 @@ def _bare(method, path):
 
 GET_HEALTH = _bare("GET", "/health")
 
+#: Two ``Content-Length`` values: a reader taking the first would parse
+#: the rest of the body as a second request, a hidden ``GET /metrics``.
+_HIDDEN = b'{"user": 0}' + _bare("GET", "/metrics")
+SMUGGLED = (
+    b"POST /recommend HTTP/1.1\r\nHost: test\r\nContent-Length: 11\r\n"
+    + f"Content-Length: {len(_HIDDEN)}\r\n\r\n".encode()
+    + _HIDDEN
+)
+
 
 class TestStructuredErrors:
     def test_bad_request_carries_reason(self, stack):
@@ -229,8 +238,22 @@ class TestStructuredErrors:
                 431,
                 "bad_request",
             ),
+            (SMUGGLED, 400, "bad_request"),
+            (
+                b"GET /health HTTP/1.1\r\nHost: test\r\nX-A: 1\r\n folded\r\n\r\n",
+                400,
+                "bad_request",
+            ),
+            (
+                b"GET /health HTTP/1.1\r\nHost: test\r\nno colon here\r\n\r\n",
+                400,
+                "bad_request",
+            ),
         ],
-        ids=["put", "head", "delete", "request-line", "long-uri", "long-header"],
+        ids=[
+            "put", "head", "delete", "request-line", "long-uri", "long-header",
+            "conflicting-content-length", "obs-fold", "no-colon",
+        ],
     )
     def test_stdlib_errors_use_the_json_envelope(self, stack, raw, status, reason):
         """What ``http.server`` answers on its own keeps its status code
@@ -240,6 +263,17 @@ class TestStructuredErrors:
         assert body["error"]
         assert headers["Content-Type"] == "application/json"
         assert headers["Connection"] == "close"
+
+    def test_one_hundred_header_lines_are_read(self, stack):
+        """The limit is 100 header lines (``http.server`` counted the
+        blank line that ends them, so it refused the 100th)."""
+        lines = b"".join(b"X-%d: v\r\n" % i for i in range(99))
+        request = b"GET /health HTTP/1.1\r\nHost: test\r\n" + lines + b"\r\n"
+        replies = _replies_until_close(
+            stack[0],
+            request + b"GET /nope HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+        )
+        assert [status for status, __, __ in replies] == [200, 404]
 
     @pytest.mark.parametrize(
         "payload",

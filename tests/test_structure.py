@@ -27,6 +27,10 @@
 * There is one artifact layer: only ``nn/serialization.py`` calls
   ``np.savez``, ``np.save`` or ``np.load`` (docs/ROBUSTNESS.md
   "Artifacts").
+* The server reads request heads without ``email``: nothing in
+  ``repro.serve`` imports it, and ``serve/server.py`` calls neither
+  ``parse_headers`` nor ``date_time_string`` (docs/SERVING.md "What the
+  critical path is now").
 """
 
 import ast
@@ -136,6 +140,24 @@ def test_only_the_artifact_layer_reads_or_writes_npy_files():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ARCHIVE_IO
         and getattr(node.func.value, "id", None) in {"np", "numpy"}
+    ]
+    assert offenders == []
+
+
+EMAIL_PARSING_CALLS = {"parse_headers", "date_time_string"}
+
+
+def test_the_server_reads_request_heads_without_email():
+    offenders = [
+        f"{name} imports email"
+        for name, tree in modules()
+        if name.startswith("serve/") and "email" in imported_roots(tree)
+    ]
+    server = ast.parse((PACKAGE / "serve" / "server.py").read_text())
+    offenders += [
+        f"serve/server.py:{node.lineno} {called_name(node)}()"
+        for node in ast.walk(server)
+        if isinstance(node, ast.Call) and called_name(node) in EMAIL_PARSING_CALLS
     ]
     assert offenders == []
 
