@@ -92,7 +92,8 @@ def main() -> None:
     bert = BERT4Rec(
         dataset,
         BERT4RecConfig(
-            dim=40, epochs=5, batch_size=128, max_length=25, seed=5
+            dim=40,
+            train=TrainConfig(epochs=5, batch_size=128, max_length=25, seed=5),
         ),
     )
     bert.fit(dataset)

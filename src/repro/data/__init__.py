@@ -48,11 +48,7 @@ from repro.data.registry import (
 )
 from repro.data.splits import TemporalSplit, next_item_events, temporal_split
 from repro.data.stats import dataset_report, markov_predictability, popularity_gini
-from repro.data.synthetic import (
-    SyntheticConfig,
-    generate_log,
-    generate_log_with_attributes,
-)
+from repro.data.synthetic import SyntheticConfig, generate_log
 
 __all__ = [
     "DATASETS",
@@ -81,7 +77,6 @@ __all__ = [
     "markov_predictability",
     "popularity_gini",
     "generate_log",
-    "generate_log_with_attributes",
     "leave_one_out_split",
     "load_dataset",
     "next_item_events",

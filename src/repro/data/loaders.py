@@ -20,6 +20,10 @@ selects how the *stochastic* part of a batch is produced:
   ROADMAP item 3 re-anchors the goldens.
 
 See ``docs/PERFORMANCE.md``.
+
+The models that train on a flat table of rows instead of padded
+histories (BPR-MF, NCF, FPMC, Caser, BERT4Rec's Cloze batches) use
+:class:`RowBatchLoader`, which has one path and no ``pipeline`` switch.
 """
 
 from __future__ import annotations
@@ -393,3 +397,108 @@ class ContrastiveBatchLoader:
             view_a[row] = pad_left(a, t)
             view_b[row] = pad_left(b, t)
         return ContrastiveBatch(users, view_a, view_b)
+
+
+@dataclass
+class RowBatch:
+    """Training rows ``(user, context, positive)``, with sampled negatives.
+
+    ``context`` is what a model conditions on besides the user — the
+    last ``window`` items before the positive, left-padded (FPMC,
+    Caser) — or None (BPR-MF, NCF).  ``negatives`` holds ``k`` draws per
+    row in ``np.repeat(positives, k)`` order; a model's whole table
+    (:func:`interaction_rows`, :func:`transition_rows`) carries none.
+    """
+
+    users: np.ndarray
+    positives: np.ndarray
+    context: np.ndarray | None = None
+    negatives: np.ndarray | None = None
+
+    def take(self, index: np.ndarray) -> "RowBatch":
+        """The rows at ``index`` (negatives are drawn per batch, not kept)."""
+        context = None if self.context is None else self.context[index]
+        return RowBatch(self.users[index], self.positives[index], context)
+
+
+def _flat_sequences(dataset: SequenceDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Every training interaction in user order, and each one's user."""
+    lengths = np.fromiter(map(len, dataset.train_sequences), dtype=np.int64)
+    if lengths.sum() == 0:
+        raise ValueError("dataset has no training interactions")
+    flat = np.concatenate(
+        [np.asarray(seq, dtype=np.int64) for seq in dataset.train_sequences]
+    )
+    return flat, np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+
+
+def interaction_rows(dataset: SequenceDataset) -> RowBatch:
+    """One row per training interaction: ``(user, item)``."""
+    items, users = _flat_sequences(dataset)
+    return RowBatch(users, items)
+
+
+def transition_rows(dataset: SequenceDataset, window: int) -> RowBatch:
+    """One row per transition: ``(user, last window items, next item)``.
+
+    Row order is user-major, then time; ``context[r]`` is
+    ``pad_left(sequence[:t], window)`` for the positive ``sequence[t]``.
+    """
+    items, users = _flat_sequences(dataset)
+    starts = np.searchsorted(users, users)  # where each row's sequence begins
+    positions = np.flatnonzero(np.arange(len(items)) > starts)
+    if len(positions) == 0:
+        raise ValueError("dataset has no training transitions")
+    offsets = positions[:, None] - window + np.arange(window)[None, :]
+    valid = offsets >= starts[positions, None]
+    context = np.where(valid, items[np.maximum(offsets, 0)], 0)
+    return RowBatch(users[positions], items[positions], context)
+
+
+class RowBatchLoader:
+    """Shuffled batches over a table of ``num_rows`` training rows.
+
+    Each epoch permutes the row indices and ``build(indices)`` turns one
+    chunk into a batch.  Rows shard with the sequence loaders' rule
+    (:func:`_shard_users`), so ``worker_shard=(w, n)`` keeps every n-th
+    row; the permutation comes from ``rng``, and so should every draw
+    ``build`` makes, for a checkpoint to capture it.
+    """
+
+    def __init__(
+        self,
+        num_rows: int,
+        batch_size: int,
+        rng: np.random.Generator,
+        build,
+        obs=None,
+        worker_shard: tuple[int, int] | None = None,
+    ) -> None:
+        if num_rows == 0:
+            raise ValueError("the training-row table is empty")
+        self.batch_size = batch_size
+        self._rng = rng
+        self._build = build
+        self._obs = obs
+        self._rows = _shard_users(np.arange(num_rows, dtype=np.int64), worker_shard)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream the permutation comes from; checkpoint it to resume."""
+        return self._rng
+
+    @property
+    def num_batches(self) -> int:
+        return -(-len(self._rows) // self.batch_size)
+
+    def epoch(self) -> Iterator:
+        """One pass over this shard's rows, shuffled."""
+        order = self._rng.permutation(self._rows)
+        for start in range(0, len(order), self.batch_size):
+            built_at = time.perf_counter()
+            batch = self._build(order[start : start + self.batch_size])
+            if self._obs is not None:
+                self._obs.observe(
+                    "data.batch_build_seconds", time.perf_counter() - built_at
+                )
+            yield batch

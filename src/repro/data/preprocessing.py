@@ -107,11 +107,6 @@ class SequenceDataset:
     num_items: int
     name: str = "dataset"
     statistics: dict[str, float] = field(default_factory=dict)
-    # Optional categorical side information: ``item_attributes[item_id]``
-    # is the attribute index of (re-indexed) item id, with entry 0 (the
-    # padding id) set to 0.  ``None`` when the dataset carries no
-    # attributes — the paper's main setting.
-    item_attributes: np.ndarray | None = None
 
     @classmethod
     def from_log(
@@ -119,14 +114,8 @@ class SequenceDataset:
         log: InteractionLog,
         name: str = "dataset",
         min_count: int = MIN_CORE,
-        raw_item_attributes: np.ndarray | None = None,
     ) -> "SequenceDataset":
-        """Apply 5-core filtering, sequence building and splitting.
-
-        ``raw_item_attributes`` optionally maps *raw* item ids to a
-        categorical attribute (e.g. a category index); it is re-indexed
-        alongside the items and exposed as :attr:`item_attributes`.
-        """
+        """Apply 5-core filtering, sequence building and splitting."""
         filtered = five_core_filter(log, min_count=min_count)
         sequences, num_items = build_sequences(filtered)
         train, valid, test = [], [], []
@@ -135,12 +124,6 @@ class SequenceDataset:
             train.append(prefix)
             valid.append(valid_item)
             test.append(test_item)
-        item_attributes = None
-        if raw_item_attributes is not None and num_items > 0:
-            raw_item_attributes = np.asarray(raw_item_attributes)
-            surviving = np.unique(filtered.item_ids)  # raw ids, sorted
-            item_attributes = np.zeros(num_items + 1, dtype=np.int64)
-            item_attributes[1:] = raw_item_attributes[surviving]
         return cls(
             train_sequences=train,
             valid_targets=valid,
@@ -148,7 +131,6 @@ class SequenceDataset:
             num_items=num_items,
             name=name,
             statistics=filtered.statistics(),
-            item_attributes=item_attributes,
         )
 
     @property
@@ -212,5 +194,4 @@ class SequenceDataset:
             num_items=self.num_items,
             name=f"{self.name}@{fraction:.0%}",
             statistics=dict(self.statistics),
-            item_attributes=self.item_attributes,
         )

@@ -149,21 +149,6 @@ def _sample_items_for_clusters(
     return out
 
 
-def generate_log_with_attributes(
-    config: SyntheticConfig,
-) -> tuple[InteractionLog, np.ndarray]:
-    """Generate a log plus the items' latent-cluster attributes.
-
-    Returns ``(log, attributes)`` where ``attributes[raw_item_id]`` is
-    the item's interest-cluster index — the categorical side information
-    an S3-Rec-style model consumes.  The log itself is identical to
-    :func:`generate_log` for the same config.
-    """
-    log = generate_log(config)
-    attributes = np.arange(config.num_items) % config.num_interests
-    return log, attributes.astype(np.int64)
-
-
 def generate_log(config: SyntheticConfig) -> InteractionLog:
     """Generate a full interaction log from ``config``.
 

@@ -42,13 +42,18 @@ def candidate_scores(
     approximate for quantized indexes, which is how the metric cost of
     compression is measured under the standard protocol.
     """
+    # Imported here: the models import their training stages, which
+    # import this module.
+    from repro.models.base import SequenceRecommender
+
     with no_grad():
         if index is None:
             return np.asarray(model.score_items(dataset, users, split=split))
-        if not hasattr(model, "encode_sequences"):
+        if not isinstance(model, SequenceRecommender):
             raise TypeError(
-                f"{type(model).__name__} exposes no encode_sequences; "
-                f"index-backed evaluation needs the representation API"
+                f"{type(model).__name__} is not a SequenceRecommender (no "
+                f"encode_sequences); index-backed evaluation needs the "
+                f"representation API"
             )
         sequences = [dataset.full_sequence(int(user), split=split) for user in users]
         return index.score(np.asarray(model.encode_sequences(sequences)))

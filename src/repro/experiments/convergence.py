@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.representation import ConvergenceTracker
+from repro.core.cl4srec import CL4SRec
 from repro.core.trainer import ContrastivePretrainConfig, pretrain_contrastive
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
@@ -74,7 +75,7 @@ def run_convergence(
         curve = []
         for __ in range(epochs):
             model.fit(dataset, epochs=1, **(
-                {"skip_pretrain": True} if hasattr(model, "pretrain_history") else {}
+                {"skip_pretrain": True} if isinstance(model, CL4SRec) else {}
             ))
             score = evaluator.evaluate(model, max_users=scale.max_eval_users)[
                 "HR@10"

@@ -22,10 +22,8 @@ from repro.models.gru4rec import GRU4Rec, GRU4RecConfig
 from repro.models.losses import bpr_loss, masked_next_item_bce
 from repro.models.ncf import NCF, NCFConfig
 from repro.models.pop import Pop
-from repro.models.s3rec_lite import S3RecLite, S3RecLiteConfig
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.sasrec_bpr import SASRecBPR
-from repro.models.srgnn import SRGNN, SRGNNConfig
 from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
 
 # Imported last: the registry pulls in repro.core (which itself imports
@@ -55,14 +53,10 @@ __all__ = [
     "NCFConfig",
     "Pop",
     "Recommender",
-    "S3RecLite",
-    "S3RecLiteConfig",
     "SASRec",
     "SASRecBPR",
     "SASRecConfig",
     "SASRecEncoder",
-    "SRGNN",
-    "SRGNNConfig",
     "TrainConfig",
     "TrainingHistory",
     "available_models",

@@ -19,10 +19,11 @@ from repro.data.loaders import pad_left
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import SequenceRecommender
 from repro.models.encoder import SASRecEncoder, trailing_columns
+from repro.models.training import TrainConfig, Trainable
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.optim import Adam, GradientClipper, LinearDecaySchedule
 from repro.nn.tensor import Tensor
+from repro.train.stages import ClozeStage
 
 
 @dataclass
@@ -34,25 +35,14 @@ class BERT4RecConfig:
     num_heads: int = 2
     dropout: float = 0.2
     mask_probability: float = 0.3
-    epochs: int = 10
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    max_length: int = 50
-    clip_norm: float = 5.0
-    seed: int = 0
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=128))
 
 
-@dataclass
-class ClozeHistory:
-    """Per-epoch Cloze losses."""
-
-    losses: list[float] = field(default_factory=list)
-
-
-class BERT4Rec(Module, SequenceRecommender):
+class BERT4Rec(Trainable, Module, SequenceRecommender):
     """Bidirectional Transformer with Cloze (masked-item) training."""
 
     name = "BERT4Rec"
+    stage = ClozeStage
 
     def __init__(
         self, dataset: SequenceDataset, config: BERT4RecConfig | None = None
@@ -60,10 +50,10 @@ class BERT4Rec(Module, SequenceRecommender):
         super().__init__()
         self.config = config if config is not None else BERT4RecConfig()
         self.mask_token = dataset.mask_token
-        rng = np.random.default_rng(self.config.seed)
+        rng = np.random.default_rng(self.config.train.seed)
         self.encoder = SASRecEncoder(
             vocab_size=dataset.vocab_size,
-            max_length=self.config.max_length,
+            max_length=self.config.train.max_length,
             dim=self.config.dim,
             num_layers=self.config.num_layers,
             num_heads=self.config.num_heads,
@@ -93,10 +83,11 @@ class BERT4Rec(Module, SequenceRecommender):
         targets = labels[positions[:, 0], positions[:, 1]]
         return F.cross_entropy(logits, targets)
 
-    def _make_cloze_batch(
+    def make_cloze_batch(
         self, sequences: list[np.ndarray], rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        t = self.config.max_length
+        """``(inputs, labels)``: each history padded, its masks drawn from ``rng``."""
+        t = self.config.train.max_length
         inputs = np.zeros((len(sequences), t), dtype=np.int64)
         labels = np.zeros((len(sequences), t), dtype=np.int64)
         for row, sequence in enumerate(sequences):
@@ -116,41 +107,8 @@ class BERT4Rec(Module, SequenceRecommender):
         return inputs, labels
 
     # ------------------------------------------------------------------
-    # Training / inference
+    # Inference
     # ------------------------------------------------------------------
-    def fit(self, dataset: SequenceDataset, **overrides) -> ClozeHistory:
-        config = self.config
-        if overrides:
-            config = BERT4RecConfig(**{**config.__dict__, **overrides})
-        rng = self._rng
-        eligible = [
-            seq for seq in dataset.train_sequences if len(seq) >= 2
-        ]
-        optimizer = Adam(self.parameters(), lr=config.learning_rate)
-        steps = max(1, config.epochs * (len(eligible) // config.batch_size + 1))
-        schedule = LinearDecaySchedule(optimizer, total_steps=steps)
-        clipper = GradientClipper(optimizer.params, config.clip_norm)
-        history = ClozeHistory()
-
-        self.train()
-        for __ in range(config.epochs):
-            order = rng.permutation(len(eligible))
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), config.batch_size):
-                chunk = [eligible[i] for i in order[start : start + config.batch_size]]
-                inputs, labels = self._make_cloze_batch(chunk, rng)
-                loss = self.cloze_loss(inputs, labels)
-                optimizer.zero_grad()
-                loss.backward()
-                clipper.clip()
-                optimizer.step()
-                schedule.step()
-                epoch_loss += loss.item()
-                batches += 1
-            history.losses.append(epoch_loss / max(1, batches))
-        self.eval()
-        return history
-
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Representation of the appended ``[mask]`` position per history.
 

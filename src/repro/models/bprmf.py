@@ -7,102 +7,62 @@ used to warm-start :class:`repro.models.sasrec_bpr.SASRecBPR`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.loaders import NegativeSampler
+from repro.data.loaders import RowBatch, interaction_rows
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import Recommender
 from repro.models.losses import bpr_loss
+from repro.models.training import TrainConfig, Trainable
 from repro.nn.layers import Embedding
 from repro.nn.module import Module
-from repro.nn.optim import Adam
-from repro.nn.tensor import no_grad
+from repro.nn.tensor import Tensor
+from repro.train.stages import FactorizationStage
 
 
 @dataclass
 class BPRMFConfig:
-    """Hyper-parameters for BPR-MF training."""
+    """Architecture + training hyper-parameters."""
 
     dim: int = 64
-    epochs: int = 10
-    batch_size: int = 512
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-5
-    seed: int = 0
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=512))
 
 
-class _BPRMFNet(Module):
-    def __init__(self, num_users: int, num_items: int, dim: int, rng) -> None:
-        super().__init__()
-        self.user_embedding = Embedding(num_users, dim, rng=rng, std=0.05)
-        self.item_embedding = Embedding(num_items + 1, dim, rng=rng, std=0.05)
-
-
-class BPRMF(Recommender):
+class BPRMF(Trainable, Module, Recommender):
     """Matrix factorization trained on (user, pos, neg) triples."""
 
     name = "BPR-MF"
+    stage = FactorizationStage
+    num_negatives = 1
 
-    def __init__(self, config: BPRMFConfig | None = None) -> None:
+    def __init__(
+        self, dataset: SequenceDataset, config: BPRMFConfig | None = None
+    ) -> None:
+        super().__init__()
         self.config = config if config is not None else BPRMFConfig()
-        self._net: _BPRMFNet | None = None
+        rng = np.random.default_rng(self.config.train.seed)
+        dim = self.config.dim
+        self.user_embedding = Embedding(dataset.num_users, dim, rng=rng, std=0.05)
+        self.item_embedding = Embedding(dataset.num_items + 1, dim, rng=rng, std=0.05)
+        self._rng = rng
 
-    def fit(self, dataset: SequenceDataset, **kwargs) -> "BPRMF":
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        self._net = _BPRMFNet(dataset.num_users, dataset.num_items, config.dim, rng)
-        optimizer = Adam(
-            self._net.parameters(),
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-        sampler = NegativeSampler(dataset.num_items, rng)
+    def training_rows(self, dataset: SequenceDataset) -> RowBatch:
+        return interaction_rows(dataset)
 
-        # Flatten training interactions into (user, item) pairs.
-        users = np.concatenate(
-            [
-                np.full(len(seq), u, dtype=np.int64)
-                for u, seq in enumerate(dataset.train_sequences)
-                if len(seq)
-            ]
-        )
-        items = np.concatenate(
-            [seq for seq in dataset.train_sequences if len(seq)]
-        ).astype(np.int64)
-
-        for __ in range(config.epochs):
-            order = rng.permutation(len(users))
-            for start in range(0, len(order), config.batch_size):
-                index = order[start : start + config.batch_size]
-                batch_users = users[index]
-                positives = items[index]
-                negatives = sampler.sample(positives)
-
-                user_vecs = self._net.user_embedding(batch_users)
-                pos_vecs = self._net.item_embedding(positives)
-                neg_vecs = self._net.item_embedding(negatives)
-                pos_scores = (user_vecs * pos_vecs).sum(axis=-1)
-                neg_scores = (user_vecs * neg_vecs).sum(axis=-1)
-                loss = bpr_loss(pos_scores, neg_scores)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-        return self
+    def row_loss(self, batch: RowBatch) -> Tensor:
+        user_vecs = self.user_embedding(batch.users)
+        pos_scores = (user_vecs * self.item_embedding(batch.positives)).sum(axis=-1)
+        neg_scores = (user_vecs * self.item_embedding(batch.negatives)).sum(axis=-1)
+        return bpr_loss(pos_scores, neg_scores)
 
     def score_items(
         self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
-        if self._net is None:
-            raise RuntimeError("BPRMF.fit must be called before scoring")
-        with no_grad():
-            user_vecs = self._net.user_embedding.weight.data[np.asarray(users)]
-            item_vecs = self._net.item_embedding.weight.data
-        return user_vecs @ item_vecs.T
+        user_vecs = self.user_embedding.weight.data[np.asarray(users)]
+        return user_vecs @ self.item_embedding.weight.data.T
 
     def item_embeddings(self) -> np.ndarray:
         """Trained item vectors ``(num_items + 1, dim)`` for warm-starts."""
-        if self._net is None:
-            raise RuntimeError("BPRMF.fit must be called before item_embeddings")
-        return self._net.item_embedding.weight.data.copy()
+        return self.item_embedding.weight.data.copy()

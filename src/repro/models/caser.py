@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.loaders import NegativeSampler, pad_left
+from repro.data.loaders import RowBatch, pad_left, transition_rows
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import Recommender
+from repro.models.training import TrainConfig, Trainable
 from repro.nn import functional as F
 from repro.nn.layers import Dropout, Embedding, Linear
 from repro.nn.module import Module
-from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, concat, no_grad, stack
+from repro.train.stages import RowTableStage
 
 
 @dataclass
@@ -34,23 +35,15 @@ class CaserConfig:
     filter_heights: tuple[int, ...] = (2, 3, 4)
     vertical_filters: int = 4
     dropout: float = 0.2
-    epochs: int = 8
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    seed: int = 0
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=8))
 
 
-@dataclass
-class CaserHistory:
-    """Per-epoch training losses."""
-
-    losses: list[float] = field(default_factory=list)
-
-
-class Caser(Module, Recommender):
+class Caser(Trainable, Module, Recommender):
     """Convolutional sequential recommender with user embeddings."""
 
     name = "Caser"
+    stage = RowTableStage
+    num_negatives = 1
 
     def __init__(
         self, dataset: SequenceDataset, config: CaserConfig | None = None
@@ -62,7 +55,7 @@ class Caser(Module, Recommender):
                 "filter heights cannot exceed the convolution window "
                 f"({self.config.filter_heights} vs {self.config.window})"
             )
-        rng = np.random.default_rng(self.config.seed)
+        rng = np.random.default_rng(self.config.train.seed)
         d = self.config.dim
         self.item_embedding = Embedding(dataset.vocab_size, d, rng=rng)
         self.user_embedding = Embedding(dataset.num_users, d, rng=rng)
@@ -133,57 +126,16 @@ class Caser(Module, Recommender):
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _training_windows(
-        self, dataset: SequenceDataset
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def training_rows(self, dataset: SequenceDataset) -> RowBatch:
         """Every (user, last-L window, next item) triple."""
-        users, windows, targets = [], [], []
-        length = self.config.window
-        for user, sequence in enumerate(dataset.train_sequences):
-            for t in range(1, len(sequence)):
-                users.append(user)
-                windows.append(pad_left(sequence[:t], length))
-                targets.append(sequence[t])
-        if not users:
-            raise ValueError("dataset has no training transitions")
-        return (
-            np.asarray(users, dtype=np.int64),
-            np.stack(windows),
-            np.asarray(targets, dtype=np.int64),
-        )
+        return transition_rows(dataset, self.config.window)
 
-    def fit(self, dataset: SequenceDataset, **overrides) -> CaserHistory:
-        config = self.config
-        if overrides:
-            config = CaserConfig(**{**config.__dict__, **overrides})
-        rng = self._rng
-        users, windows, targets = self._training_windows(dataset)
-        sampler = NegativeSampler(dataset.num_items, rng)
-        optimizer = Adam(self.parameters(), lr=config.learning_rate)
-        history = CaserHistory()
-
-        self.train()
-        for __ in range(config.epochs):
-            order = rng.permutation(len(users))
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(order), config.batch_size):
-                index = order[start : start + config.batch_size]
-                joint = self._joint_representation(windows[index], users[index])
-                positives = targets[index]
-                negatives = sampler.sample(positives)
-                pos_logits = self._score_items(joint, positives)
-                neg_logits = self._score_items(joint, negatives)
-                loss = (
-                    F.softplus(-pos_logits) + F.softplus(neg_logits)
-                ).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
-                batches += 1
-            history.losses.append(epoch_loss / max(1, batches))
-        self.eval()
-        return history
+    def row_loss(self, batch: RowBatch) -> Tensor:
+        """BCE of the next item against one sampled negative."""
+        joint = self._joint_representation(batch.context, batch.users)
+        pos_logits = self._score_items(joint, batch.positives)
+        neg_logits = self._score_items(joint, batch.negatives)
+        return (F.softplus(-pos_logits) + F.softplus(neg_logits)).mean()
 
     # ------------------------------------------------------------------
     # Inference

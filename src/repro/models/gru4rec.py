@@ -15,7 +15,7 @@ from repro.data.loaders import NextItemBatch, pad_left
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import SequenceRecommender
 from repro.models.losses import masked_next_item_bce
-from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
+from repro.models.training import TrainConfig, Trainable
 from repro.nn.layers import Dropout, Embedding
 from repro.nn.module import Module
 from repro.nn.rnn import GRU
@@ -33,7 +33,7 @@ class GRU4RecConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-class GRU4Rec(Module, SequenceRecommender):
+class GRU4Rec(Trainable, Module, SequenceRecommender):
     """GRU-based sequential recommender."""
 
     name = "GRU4Rec"
@@ -66,12 +66,6 @@ class GRU4Rec(Module, SequenceRecommender):
         pos_logits = (hidden * pos_vecs).sum(axis=-1)
         neg_logits = (hidden * neg_vecs).sum(axis=-1)
         return masked_next_item_bce(pos_logits, neg_logits, batch.mask)
-
-    def fit(self, dataset: SequenceDataset, **overrides) -> TrainingHistory:
-        config = self.config.train
-        if overrides:
-            config = TrainConfig(**{**config.__dict__, **overrides})
-        return train_next_item_model(self, dataset, config, rng=self._rng)
 
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
         """Final GRU hidden states ``(len(sequences), hidden_dim)``."""

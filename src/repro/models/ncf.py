@@ -7,37 +7,48 @@ binary cross entropy against sampled negatives.  Non-sequential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.loaders import NegativeSampler
+from repro.data.loaders import RowBatch, interaction_rows
 from repro.data.preprocessing import SequenceDataset
 from repro.models.base import Recommender
+from repro.models.training import TrainConfig, Trainable
 from repro.nn import functional as F
 from repro.nn.layers import Embedding, Linear
 from repro.nn.module import Module
-from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, concat, no_grad
+from repro.train.stages import RowTableStage
+
+#: User-item pairs per scoring forward (bounds the MLP activations).
+_SCORE_PAIRS = 1 << 16
 
 
 @dataclass
 class NCFConfig:
-    """Hyper-parameters for NCF training."""
+    """Architecture + training hyper-parameters."""
 
     dim: int = 32
     mlp_hidden: int = 64
-    epochs: int = 10
-    batch_size: int = 512
-    learning_rate: float = 1e-3
     num_negatives: int = 2
-    seed: int = 0
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=512))
 
 
-class _NCFNet(Module):
-    def __init__(self, num_users: int, num_items: int, config: NCFConfig, rng) -> None:
+class NCF(Trainable, Module, Recommender):
+    """NeuMF trained pointwise with sampled negatives."""
+
+    name = "NCF"
+    stage = RowTableStage
+
+    def __init__(
+        self, dataset: SequenceDataset, config: NCFConfig | None = None
+    ) -> None:
         super().__init__()
-        dim = config.dim
+        self.config = config = config if config is not None else NCFConfig()
+        self.num_negatives = config.num_negatives
+        rng = np.random.default_rng(config.train.seed)
+        dim, num_users, num_items = config.dim, dataset.num_users, dataset.num_items
         self.gmf_user = Embedding(num_users, dim, rng=rng, std=0.05)
         self.gmf_item = Embedding(num_items + 1, dim, rng=rng, std=0.05)
         self.mlp_user = Embedding(num_users, dim, rng=rng, std=0.05)
@@ -45,6 +56,7 @@ class _NCFNet(Module):
         self.fc1 = Linear(2 * dim, config.mlp_hidden, rng=rng)
         self.fc2 = Linear(config.mlp_hidden, dim, rng=rng)
         self.output = Linear(2 * dim, 1, rng=rng)
+        self._rng = rng
 
     def logits(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         gmf = self.gmf_user(users) * self.gmf_item(items)
@@ -53,67 +65,33 @@ class _NCFNet(Module):
         fused = concat([gmf, mlp], axis=-1)
         return self.output(fused).squeeze(-1)
 
+    def training_rows(self, dataset: SequenceDataset) -> RowBatch:
+        return interaction_rows(dataset)
 
-class NCF(Recommender):
-    """NeuMF trained pointwise with sampled negatives."""
-
-    name = "NCF"
-
-    def __init__(self, config: NCFConfig | None = None) -> None:
-        self.config = config if config is not None else NCFConfig()
-        self._net: _NCFNet | None = None
-
-    def fit(self, dataset: SequenceDataset, **kwargs) -> "NCF":
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        self._net = _NCFNet(dataset.num_users, dataset.num_items, config, rng)
-        optimizer = Adam(self._net.parameters(), lr=config.learning_rate)
-        sampler = NegativeSampler(dataset.num_items, rng)
-
+    def row_loss(self, batch: RowBatch) -> Tensor:
+        """One positive + ``num_negatives`` sampled negatives per row."""
         users = np.concatenate(
-            [
-                np.full(len(seq), u, dtype=np.int64)
-                for u, seq in enumerate(dataset.train_sequences)
-                if len(seq)
-            ]
+            [batch.users, np.repeat(batch.users, self.num_negatives)]
         )
-        items = np.concatenate(
-            [seq for seq in dataset.train_sequences if len(seq)]
-        ).astype(np.int64)
-
-        for __ in range(config.epochs):
-            order = rng.permutation(len(users))
-            for start in range(0, len(order), config.batch_size):
-                index = order[start : start + config.batch_size]
-                batch_users = users[index]
-                positives = items[index]
-                # One positive + k sampled negatives per interaction.
-                neg_users = np.repeat(batch_users, config.num_negatives)
-                negatives = sampler.sample(
-                    np.repeat(positives, config.num_negatives)
-                )
-                all_users = np.concatenate([batch_users, neg_users])
-                all_items = np.concatenate([positives, negatives])
-                labels = np.concatenate(
-                    [np.ones(len(batch_users)), np.zeros(len(neg_users))]
-                )
-                logits = self._net.logits(all_users, all_items)
-                loss = F.binary_cross_entropy_with_logits(logits, labels)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-        return self
+        items = np.concatenate([batch.positives, batch.negatives])
+        labels = np.concatenate(
+            [np.ones(len(batch.users)), np.zeros(len(batch.negatives))]
+        )
+        return F.binary_cross_entropy_with_logits(self.logits(users, items), labels)
 
     def score_items(
         self, dataset: SequenceDataset, users: np.ndarray, split: str = "test"
     ) -> np.ndarray:
-        if self._net is None:
-            raise RuntimeError("NCF.fit must be called before scoring")
         users = np.asarray(users)
-        item_ids = np.arange(dataset.num_items + 1)
-        scores = np.zeros((len(users), len(item_ids)))
+        items = np.arange(dataset.num_items + 1)
+        dtype = self.output.weight.data.dtype
+        scores = np.empty((len(users), len(items)), dtype=dtype)
+        chunk = max(1, _SCORE_PAIRS // len(items))
         with no_grad():
-            for row, user in enumerate(users):
-                user_ids = np.full(len(item_ids), user, dtype=np.int64)
-                scores[row] = self._net.logits(user_ids, item_ids).data
+            for start in range(0, len(users), chunk):
+                block = users[start : start + chunk]
+                logits = self.logits(
+                    np.repeat(block, len(items)), np.tile(items, len(block))
+                )
+                scores[start : start + len(block)] = logits.data.reshape(len(block), -1)
         return scores

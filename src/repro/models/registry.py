@@ -34,7 +34,6 @@ from repro.models.ncf import NCF, NCFConfig
 from repro.models.pop import Pop
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.sasrec_bpr import SASRecBPR
-from repro.models.srgnn import SRGNN, SRGNNConfig
 from repro.models.training import TrainConfig
 
 #: The paper's seven Table-2 methods, in table order.
@@ -49,7 +48,7 @@ MODEL_NAMES = (
 )
 
 # Extension baselines beyond the paper's Table 2.
-EXTENSION_MODEL_NAMES = ("FPMC", "Caser", "BERT4Rec", "SR-GNN", "MoCo-CL4SRec")
+EXTENSION_MODEL_NAMES = ("FPMC", "Caser", "BERT4Rec", "MoCo-CL4SRec")
 
 Builder = Callable[..., object]
 
@@ -103,10 +102,10 @@ def build_model(
 # ----------------------------------------------------------------------
 # Builders for the paper's methods and the extension baselines
 # ----------------------------------------------------------------------
-def _train_config(scale: ExperimentScale) -> TrainConfig:
+def _train_config(scale: ExperimentScale, batch_factor: int = 1) -> TrainConfig:
     return TrainConfig(
         epochs=scale.epochs,
-        batch_size=scale.batch_size,
+        batch_size=scale.batch_size * batch_factor,
         max_length=scale.max_length,
         seed=scale.seed,
     )
@@ -124,49 +123,26 @@ def _build_pop(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> Po
 @register_model("BPR-MF")
 def _build_bprmf(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> BPRMF:
     return BPRMF(
-        BPRMFConfig(
-            dim=scale.dim,
-            epochs=scale.epochs,
-            batch_size=scale.batch_size * 4,
-            seed=scale.seed,
-        )
+        dataset, BPRMFConfig(dim=scale.dim, train=_train_config(scale, batch_factor=4))
     )
 
 
 @register_model("NCF")
 def _build_ncf(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> NCF:
     return NCF(
+        dataset,
         NCFConfig(
-            dim=max(16, scale.dim // 2),
-            epochs=scale.epochs,
-            batch_size=scale.batch_size * 4,
-            seed=scale.seed,
-        )
+            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=4)
+        ),
     )
 
 
 @register_model("FPMC")
 def _build_fpmc(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> FPMC:
     return FPMC(
-        FPMCConfig(
-            dim=max(16, scale.dim // 2),
-            epochs=scale.epochs,
-            batch_size=scale.batch_size * 4,
-            seed=scale.seed,
-        )
-    )
-
-
-@register_model("SR-GNN")
-def _build_srgnn(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> SRGNN:
-    return SRGNN(
         dataset,
-        SRGNNConfig(
-            dim=max(16, scale.dim // 2),
-            max_length=min(20, scale.max_length),
-            epochs=scale.epochs,
-            batch_size=scale.batch_size,
-            seed=scale.seed,
+        FPMCConfig(
+            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=4)
         ),
     )
 
@@ -176,10 +152,7 @@ def _build_caser(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> 
     return Caser(
         dataset,
         CaserConfig(
-            dim=max(16, scale.dim // 2),
-            epochs=scale.epochs,
-            batch_size=scale.batch_size * 2,
-            seed=scale.seed,
+            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=2)
         ),
     )
 
@@ -188,16 +161,7 @@ def _build_caser(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> 
 def _build_bert4rec(
     dataset: SequenceDataset, scale: ExperimentScale, **kwargs
 ) -> BERT4Rec:
-    return BERT4Rec(
-        dataset,
-        BERT4RecConfig(
-            dim=scale.dim,
-            epochs=scale.epochs,
-            batch_size=scale.batch_size,
-            max_length=scale.max_length,
-            seed=scale.seed,
-        ),
-    )
+    return BERT4Rec(dataset, BERT4RecConfig(dim=scale.dim, train=_train_config(scale)))
 
 
 @register_model("GRU4Rec")

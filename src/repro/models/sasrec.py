@@ -17,7 +17,7 @@ from repro.data.preprocessing import SequenceDataset
 from repro.models.base import SequenceRecommender
 from repro.models.encoder import SASRecEncoder, trailing_columns
 from repro.models.losses import masked_next_item_bce
-from repro.models.training import TrainConfig, TrainingHistory, train_next_item_model
+from repro.models.training import TrainConfig, Trainable
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -38,7 +38,7 @@ class SASRecConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-class SASRec(Module, SequenceRecommender):
+class SASRec(Trainable, Module, SequenceRecommender):
     """Self-attentive sequential recommender."""
 
     name = "SASRec"
@@ -72,13 +72,6 @@ class SASRec(Module, SequenceRecommender):
         pos_logits = (hidden * pos_vecs).sum(axis=-1)
         neg_logits = (hidden * neg_vecs).sum(axis=-1)
         return masked_next_item_bce(pos_logits, neg_logits, mask)
-
-    def fit(self, dataset: SequenceDataset, **overrides) -> TrainingHistory:
-        """Train with Adam + linear decay (and optional early stopping)."""
-        config = self.config.train
-        if overrides:
-            config = TrainConfig(**{**config.__dict__, **overrides})
-        return train_next_item_model(self, dataset, config, rng=self._rng)
 
     # ------------------------------------------------------------------
     # Inference

@@ -28,7 +28,8 @@ class SASRecBPR(SASRec):
     ) -> None:
         config = config if config is not None else SASRecConfig()
         if bpr_config is None:
-            bpr_config = BPRMFConfig(dim=config.dim, seed=config.train.seed)
+            bpr_config = BPRMFConfig(dim=config.dim)
+            bpr_config.train.seed = config.train.seed
         if bpr_config.dim != config.dim:
             raise ValueError(
                 f"BPR-MF dim ({bpr_config.dim}) must match SASRec dim ({config.dim})"
@@ -39,7 +40,7 @@ class SASRecBPR(SASRec):
 
     def pretrain(self, dataset: SequenceDataset) -> BPRMF:
         """Train BPR-MF and copy its item embeddings into the encoder."""
-        bpr = BPRMF(self.bpr_config)
+        bpr = BPRMF(dataset, self.bpr_config)
         bpr.fit(dataset)
         vectors = bpr.item_embeddings()  # (num_items + 1, dim)
         table = self.encoder.item_embedding.weight.data

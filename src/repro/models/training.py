@@ -1,9 +1,13 @@
-"""Shared supervised training entry point for the sequential models.
+"""One ``TrainConfig`` and one ``fit`` for every trained model.
 
-Implements the paper's fine-tuning regime: Adam with linear lr decay,
-mini-batches of user sequences, the masked next-item BCE objective, and
-early stopping on validation HR@10 — :func:`repro.train.loop.run_training`
-on a :class:`~repro.train.stages.NextItemStage`.
+:class:`Trainable` writes ``fit`` once: the model's
+:class:`~repro.train.stages.Stage` under ``config.train``, through
+:func:`repro.train.loop.run_training` — Adam with linear lr decay and
+gradient clipping, and early stopping on validation HR@10 when
+``eval_every > 0``.  :func:`train_next_item_model` is the paper's
+fine-tuning regime (the masked next-item BCE,
+:class:`~repro.train.stages.NextItemStage`) for callers that bring
+their own config, generator, runtime or observer.
 
 The loop optionally threads a
 :class:`repro.runtime.resume.TrainingRuntime` for crash-safe periodic
@@ -13,7 +17,7 @@ and the best-validation parameters), and divergence rollback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +25,12 @@ from repro.data.preprocessing import SequenceDataset
 from repro.train.loop import run_training
 from repro.train.stages import NextItemStage, TrainingHistory
 
-__all__ = ["TrainConfig", "TrainingHistory", "train_next_item_model"]
+__all__ = ["TrainConfig", "Trainable", "TrainingHistory", "train_next_item_model"]
 
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters of the supervised training stage.
+    """Training hyper-parameters of every model ``run_training`` trains.
 
     Defaults follow §4.1.4 where feasible at CPU scale; the paper's
     values (d=128, batch=256, lr=1e-3) are noted per field.
@@ -83,3 +87,21 @@ def train_next_item_model(
     ``eval`` event for every mid-training validation pass.
     """
     return run_training(NextItemStage, model, dataset, config, rng, runtime, obs)
+
+
+class Trainable:
+    """A model :func:`~repro.train.loop.run_training` trains.
+
+    The model declares its :class:`~repro.train.stages.Stage` as
+    ``stage`` and holds its hyper-parameters in ``config.train`` and its
+    generator (initialization, dropout, batch order) in ``_rng``.
+    """
+
+    stage = NextItemStage
+
+    def fit(self, dataset: SequenceDataset, **overrides) -> TrainingHistory:
+        """Train under ``config.train``, keyword overrides replacing its fields."""
+        config = self.config.train
+        if overrides:
+            config = replace(config, **overrides)
+        return run_training(self.stage, self, dataset, config, rng=self._rng)

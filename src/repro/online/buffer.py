@@ -109,5 +109,4 @@ class ReplayBuffer:
                 "buffer_capacity": float(self.capacity),
                 "buffer_evicted": float(self.evicted),
             },
-            item_attributes=base.item_attributes,
         )

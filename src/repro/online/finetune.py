@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cl4srec import CL4SRec
 from repro.core.trainer import JointTrainConfig, train_joint
 from repro.data.preprocessing import SequenceDataset
 from repro.models.training import TrainConfig, train_next_item_model
@@ -117,7 +118,7 @@ class IncrementalFineTuner:
         config = self.config
         runtime = self._runtime(round_index)
         result = FineTuneRoundResult(round=round_index)
-        contrastive = hasattr(self.model, "pair_sampler")
+        contrastive = isinstance(self.model, CL4SRec)
         try:
             if contrastive:
                 losses = train_joint(

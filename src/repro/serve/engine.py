@@ -53,6 +53,8 @@ import numpy as np
 
 from repro.data.preprocessing import SequenceDataset
 from repro.eval.topk import top_k_indices
+from repro.models.base import SequenceRecommender
+from repro.nn.module import Module
 from repro.nn.serialization import CheckpointError, load_into
 from repro.retrieval import (
     ExactIndex,
@@ -145,10 +147,7 @@ class LRUCache:
 
 def _require_servable(model) -> None:
     """The one backend needs a representation and an item matrix."""
-    if not (
-        hasattr(model, "encode_sequences")
-        and hasattr(model, "item_embedding_matrix")
-    ):
+    if not isinstance(model, SequenceRecommender):
         raise TypeError(
             f"{type(model).__name__} does not expose the representation "
             f"API (encode_sequences + item_embedding_matrix); it cannot "
@@ -356,7 +355,7 @@ class RecommendationEngine(EngineFacade):
         self.index: ItemIndex = self._adopt_index(index, self._live_matrix())
         self.metrics.touch(*_INDEX_COUNTERS)
 
-        if hasattr(model, "eval"):
+        if isinstance(model, Module):
             model.eval()
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""The one training loop behind all three CL4SRec regimes.
+"""The one training loop behind every trained model.
 
 :func:`run_training` is the epoch skeleton — Adam + linear decay +
 clipping, :class:`~repro.runtime.resume.TrainingRuntime` hooks
@@ -135,7 +135,9 @@ def run_training(stage_cls, model, dataset, config, rng=None, runtime=None, obs=
     # workers') RNG streams, which a resume then restores in place.
     source = _gradient_source(stage, rng, runtime, obs)
     try:
-        optimizer = Adam(stage.params, lr=config.learning_rate)
+        optimizer = Adam(
+            stage.params, lr=config.learning_rate, weight_decay=stage.weight_decay
+        )
         schedule = LinearDecaySchedule(
             optimizer,
             total_steps=max(1, config.epochs * source.steps_per_epoch),

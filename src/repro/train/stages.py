@@ -1,4 +1,9 @@
-"""The three CL4SRec training regimes, one :class:`Stage` each.
+"""Every training regime, one :class:`Stage` each.
+
+The three CL4SRec regimes (:class:`PretrainStage`, :class:`NextItemStage`,
+:class:`JointStage`) and the baselines' objectives
+(:class:`RowTableStage`, :class:`FactorizationStage`,
+:class:`ClozeStage`) — every registered model but Pop trains through one.
 
 A stage owns everything that differs between regimes and nothing else;
 :func:`repro.train.loop.run_training` owns everything they share.  It
@@ -17,8 +22,8 @@ has two halves:
   capture) and :meth:`~Stage.begin_epoch` / :meth:`~Stage.step`.
 
 A new regime (another positive-pair rule, an augmentation-only control)
-is a new subclass — see ``docs/EXTENDING.md`` "Adding a training
-regime".
+or a new model's objective is a new subclass — see ``docs/EXTENDING.md``
+"Adding a model" and "Adding a training regime".
 """
 
 from __future__ import annotations
@@ -29,17 +34,22 @@ import numpy as np
 
 from repro.data.loaders import (
     ContrastiveBatchLoader,
+    NegativeSampler,
     NextItemBatchLoader,
     PopularityNegativeSampler,
+    RowBatchLoader,
 )
 from repro.data.pipeline import CyclingStream
 from repro.eval.evaluator import Evaluator
 
 __all__ = [
+    "ClozeStage",
+    "FactorizationStage",
     "JointStage",
     "NextItemStage",
     "PretrainHistory",
     "PretrainStage",
+    "RowTableStage",
     "Stage",
     "TrainingHistory",
     "dedup_rngs",
@@ -84,6 +94,8 @@ class Stage:
     metrics: tuple[str, ...] = ()
     #: Scalar loop state checkpointed under ``extra/`` (None: nothing).
     extras: dict[str, float] | None = None
+    #: Adam's L2 weight decay on every parameter this stage trains.
+    weight_decay = 0.0
     #: What the public entry point returns, and the live metric lists in
     #: it that the runtime checkpoints and restores in place; each
     #: subclass sets both.
@@ -221,23 +233,26 @@ class NextItemStage(Stage):
     def _trainable(self):
         return self.model.parameters()
 
+    def _popularity_sampler(self, rng) -> PopularityNegativeSampler | None:
+        """``negative_alpha > 0``: negatives ∝ popularity^alpha (else None)."""
+        if self.config.negative_alpha <= 0:
+            return None
+        return PopularityNegativeSampler.from_sequences(
+            self.dataset.train_sequences,
+            self.dataset.num_items,
+            rng,
+            alpha=self.config.negative_alpha,
+        )
+
     def _loaders(self, rng, **options):
         config = self.config
-        sampler = None
-        if config.negative_alpha > 0:
-            sampler = PopularityNegativeSampler.from_sequences(
-                self.dataset.train_sequences,
-                self.dataset.num_items,
-                rng,
-                alpha=config.negative_alpha,
-            )
         return [
             NextItemBatchLoader(
                 self.dataset,
                 config.max_length,
                 config.batch_size,
                 rng,
-                negative_sampler=sampler,
+                negative_sampler=self._popularity_sampler(rng),
                 **options,
             )
         ]
@@ -334,3 +349,77 @@ class JointStage(Stage):
             "rec_loss": loss.item(),
             "cl_loss": weight * cl_loss.item(),
         }
+
+
+class RowTableStage(NextItemStage):
+    """A model's table of training rows, shuffled, with sampled negatives.
+
+    BPR-MF, NCF, FPMC and Caser train on a flat table instead of padded
+    histories.  The model supplies ``training_rows(dataset)`` (a
+    :class:`~repro.data.loaders.RowBatch` table), ``num_negatives`` and
+    ``row_loss(batch)``; negatives follow the next-item rule (uniform,
+    or ∝ popularity^alpha).  Early stopping is :class:`NextItemStage`'s.
+    The row loader has one path: ``config.pipeline`` does not apply.
+    """
+
+    def _rows(self, rng):
+        """``(row count, build)``: ``build(indices)`` makes one batch."""
+        table = self.model.training_rows(self.dataset)
+        sampler = self._popularity_sampler(rng) or NegativeSampler(
+            self.dataset.num_items, rng
+        )
+        repeats = self.model.num_negatives
+
+        def build(index):
+            batch = table.take(index)
+            batch.negatives = sampler.sample(np.repeat(batch.positives, repeats))
+            return batch
+
+        return len(table.users), build
+
+    def _loaders(self, rng, pipeline=None, obs=None, worker_shard=None):
+        count, build = self._rows(rng)
+        return [
+            RowBatchLoader(
+                count,
+                self.config.batch_size,
+                rng,
+                build,
+                obs=obs,
+                worker_shard=worker_shard,
+            )
+        ]
+
+    def step(self):
+        batch = next(self._stream)
+        return self.model.row_loss(batch), len(batch.users), {}
+
+
+class FactorizationStage(RowTableStage):
+    """BPR-MF and FPMC: the row table under a fixed L2 weight decay."""
+
+    weight_decay = 1e-5
+
+
+class ClozeStage(RowTableStage):
+    """BERT4Rec's Cloze objective; a row is a history of two or more items.
+
+    The model supplies ``make_cloze_batch(sequences, rng)`` and
+    ``cloze_loss(inputs, labels)``; the masks draw from the loop
+    generator.
+    """
+
+    def _rows(self, rng):
+        sequences = self.dataset.train_sequences
+        users = np.flatnonzero([len(sequence) >= 2 for sequence in sequences])
+
+        def build(index):
+            return self.model.make_cloze_batch(
+                [sequences[user] for user in users[index]], rng
+            )
+
+        return len(users), build
+
+    def step(self):
+        inputs, labels = next(self._stream)
+        return self.model.cloze_loss(inputs, labels), len(inputs), {}

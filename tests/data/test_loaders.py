@@ -12,7 +12,10 @@ from repro.data.loaders import (
     NegativeSampler,
     NextItemBatch,
     NextItemBatchLoader,
+    RowBatchLoader,
+    interaction_rows,
     pad_left,
+    transition_rows,
 )
 
 
@@ -243,3 +246,58 @@ class TestPaddedPositionNegatives:
                 assert right is None
             else:
                 np.testing.assert_array_equal(left, right)
+
+
+class TestRowTables:
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_transition_rows_match_the_pad_left_loop(self, tiny_dataset, window):
+        expected = [
+            (user, pad_left(sequence[:t], window), sequence[t])
+            for user, sequence in enumerate(tiny_dataset.train_sequences)
+            for t in range(1, len(sequence))
+        ]
+        rows = transition_rows(tiny_dataset, window)
+        assert len(rows.users) == len(expected)
+        np.testing.assert_array_equal(rows.users, [e[0] for e in expected])
+        np.testing.assert_array_equal(rows.context, np.stack([e[1] for e in expected]))
+        np.testing.assert_array_equal(rows.positives, [e[2] for e in expected])
+
+    def test_interaction_rows_are_every_interaction_in_user_order(self, tiny_dataset):
+        rows = interaction_rows(tiny_dataset)
+        np.testing.assert_array_equal(
+            rows.positives, np.concatenate(tiny_dataset.train_sequences)
+        )
+        assert rows.context is None
+        for user in (0, 5):
+            np.testing.assert_array_equal(
+                rows.positives[rows.users == user], tiny_dataset.train_sequences[user]
+            )
+
+
+class TestRowBatchLoader:
+    def make_loader(self, num_rows=10, batch_size=4, worker_shard=None):
+        return RowBatchLoader(
+            num_rows,
+            batch_size,
+            np.random.default_rng(0),
+            build=lambda index: index,
+            worker_shard=worker_shard,
+        )
+
+    def test_epoch_is_a_permutation_in_batches(self):
+        loader = self.make_loader()
+        chunks = list(loader.epoch())
+        assert len(chunks) == loader.num_batches == 3
+        assert sorted(np.concatenate(chunks)) == list(range(10))
+
+    def test_shards_partition_the_table(self):
+        shards = [
+            np.concatenate(list(self.make_loader(worker_shard=(w, 3)).epoch()))
+            for w in range(3)
+        ]
+        for w, rows in enumerate(shards):
+            assert sorted(rows) == list(range(w, 10, 3))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            self.make_loader(num_rows=0)

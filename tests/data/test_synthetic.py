@@ -125,37 +125,6 @@ class TestGeneration:
         assert stay_rate(high) > stay_rate(low) + 0.15
 
 
-class TestGenerateWithAttributes:
-    def test_log_identical_to_plain_generate(self):
-        from repro.data.synthetic import generate_log_with_attributes
-
-        config = small_config()
-        plain = generate_log(config)
-        log, __ = generate_log_with_attributes(config)
-        np.testing.assert_array_equal(plain.item_ids, log.item_ids)
-        np.testing.assert_array_equal(plain.user_ids, log.user_ids)
-
-    def test_attributes_cover_catalogue(self):
-        from repro.data.synthetic import generate_log_with_attributes
-
-        config = small_config()
-        __, attributes = generate_log_with_attributes(config)
-        assert len(attributes) == config.num_items
-        assert attributes.min() >= 0
-        assert attributes.max() < config.num_interests
-
-    def test_attributes_match_cluster_assignment(self):
-        """Round-robin assignment: item i belongs to cluster i % K —
-        the same rule the generator's world uses internally."""
-        from repro.data.synthetic import generate_log_with_attributes
-
-        config = small_config()
-        __, attributes = generate_log_with_attributes(config)
-        np.testing.assert_array_equal(
-            attributes, np.arange(config.num_items) % config.num_interests
-        )
-
-
 @settings(max_examples=10, deadline=None)
 @given(
     users=st.integers(30, 150),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.evaluator import Evaluator, evaluate_model
+from repro.models.base import SequenceRecommender
 
 
 class OracleScorer:
@@ -173,7 +174,7 @@ class TestEvaluator:
         assert isinstance(repeat_users, list)
 
 
-class EmbeddingScorer:
+class EmbeddingScorer(SequenceRecommender):
     """Representation-API scorer: mean-pools item embeddings.
 
     ``score_items`` computes exactly what ``ExactIndex.score`` computes
@@ -185,6 +186,9 @@ class EmbeddingScorer:
         rng = np.random.default_rng(seed)
         self.matrix = rng.normal(size=(dataset.num_items + 1, dim))
         self.matrix[0] = 0.0
+
+    def fit(self, dataset, **overrides):
+        return self
 
     def item_embedding_matrix(self, num_items):
         return self.matrix

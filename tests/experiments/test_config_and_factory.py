@@ -53,7 +53,6 @@ class TestFactory:
             "FPMC",
             "Caser",
             "BERT4Rec",
-            "SR-GNN",
             "MoCo-CL4SRec",
         }
         assert isinstance(build_model("Caser", tiny_dataset, SMOKE_SCALE), Caser)

@@ -7,28 +7,24 @@ from repro.data.loaders import pad_left
 from repro.eval.evaluator import evaluate_model
 from repro.models.bert4rec import BERT4Rec, BERT4RecConfig
 from repro.models.encoder import _GROUP_ROWS
+from repro.models.training import TrainConfig
 from repro.nn.tensor import no_grad
 from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
 
 
-def small_config(**overrides):
-    base = dict(
+def small_config(epochs=2, mask_probability=0.3):
+    return BERT4RecConfig(
         dim=16,
-        epochs=2,
-        batch_size=32,
-        max_length=12,
-        mask_probability=0.3,
-        seed=0,
+        mask_probability=mask_probability,
+        train=TrainConfig(epochs=epochs, batch_size=32, max_length=12, seed=0),
     )
-    base.update(overrides)
-    return BERT4RecConfig(**base)
 
 
 class TestClozeBatches:
     def test_masked_positions_carry_labels(self, tiny_dataset):
         model = BERT4Rec(tiny_dataset, small_config())
         sequences = tiny_dataset.train_sequences[:8]
-        inputs, labels = model._make_cloze_batch(
+        inputs, labels = model.make_cloze_batch(
             sequences, np.random.default_rng(0)
         )
         masked = inputs == tiny_dataset.mask_token
@@ -39,7 +35,7 @@ class TestClozeBatches:
     def test_at_least_one_mask_per_sequence(self, tiny_dataset):
         model = BERT4Rec(tiny_dataset, small_config(mask_probability=0.01))
         sequences = [s for s in tiny_dataset.train_sequences[:16] if len(s) >= 2]
-        inputs, labels = model._make_cloze_batch(
+        inputs, labels = model.make_cloze_batch(
             sequences, np.random.default_rng(0)
         )
         assert ((labels > 0).sum(axis=1) >= 1).all()
@@ -49,7 +45,7 @@ class TestClozeBatches:
 
         model = BERT4Rec(tiny_dataset, small_config())
         sequences = tiny_dataset.train_sequences[:4]
-        inputs, labels = model._make_cloze_batch(
+        inputs, labels = model.make_cloze_batch(
             sequences, np.random.default_rng(1)
         )
         for row, sequence in enumerate(sequences):
@@ -70,7 +66,7 @@ class TestTraining:
 
     def test_cloze_loss_finite_and_differentiable(self, tiny_dataset):
         model = BERT4Rec(tiny_dataset, small_config())
-        inputs, labels = model._make_cloze_batch(
+        inputs, labels = model.make_cloze_batch(
             tiny_dataset.train_sequences[:8], np.random.default_rng(0)
         )
         loss = model.cloze_loss(inputs, labels)
@@ -90,7 +86,7 @@ def cloze_batch(model, lengths, num_items, seed=9):
     """A Cloze batch of random histories with ``lengths`` items."""
     rng = np.random.default_rng(seed)
     histories = [rng.integers(1, num_items + 1, size=n) for n in lengths]
-    return model._make_cloze_batch(histories, rng)
+    return model.make_cloze_batch(histories, rng)
 
 
 class TestTrimmedCloze:

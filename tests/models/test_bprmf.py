@@ -6,13 +6,12 @@ import pytest
 from repro.eval.evaluator import evaluate_model
 from repro.models.bprmf import BPRMF, BPRMFConfig
 from repro.models.losses import bpr_loss
+from repro.models.training import TrainConfig
 from repro.nn.tensor import Tensor
 
 
-def small_config(**overrides):
-    base = dict(dim=16, epochs=3, batch_size=128, seed=0)
-    base.update(overrides)
-    return BPRMFConfig(**base)
+def small_config(epochs=3):
+    return BPRMFConfig(dim=16, train=TrainConfig(epochs=epochs, batch_size=128, seed=0))
 
 
 class TestBPRLoss:
@@ -34,34 +33,37 @@ class TestBPRLoss:
 
 
 class TestBPRMF:
-    def test_requires_fit(self, tiny_dataset):
-        with pytest.raises(RuntimeError):
-            BPRMF().score_items(tiny_dataset, np.array([0]))
-        with pytest.raises(RuntimeError):
-            BPRMF().item_embeddings()
+    def test_built_at_construction(self, tiny_dataset):
+        """The net exists before ``fit``, so a stage can take its parameters."""
+        model = BPRMF(tiny_dataset, small_config())
+        assert model.score_items(tiny_dataset, np.array([0])).shape == (
+            1,
+            tiny_dataset.num_items + 1,
+        )
+        assert len(list(model.parameters())) == 2
 
     def test_score_shape(self, tiny_dataset):
-        model = BPRMF(small_config())
+        model = BPRMF(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         scores = model.score_items(tiny_dataset, np.array([0, 3, 5]))
         assert scores.shape == (3, tiny_dataset.num_items + 1)
 
     def test_personalized(self, tiny_dataset):
-        model = BPRMF(small_config())
+        model = BPRMF(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         scores = model.score_items(tiny_dataset, np.array([0, 1]))
         assert not np.allclose(scores[0], scores[1])
 
     def test_item_embeddings_shape(self, tiny_dataset):
-        model = BPRMF(small_config())
+        model = BPRMF(tiny_dataset, small_config())
         model.fit(tiny_dataset)
         emb = model.item_embeddings()
         assert emb.shape == (tiny_dataset.num_items + 1, 16)
 
     def test_training_beats_untrained(self, tiny_dataset):
-        trained = BPRMF(small_config(epochs=6))
+        trained = BPRMF(tiny_dataset, small_config(epochs=6))
         trained.fit(tiny_dataset)
-        untrained = BPRMF(small_config(epochs=0))
+        untrained = BPRMF(tiny_dataset, small_config(epochs=0))
         # epochs=0: fit initializes but never steps.
         untrained.fit(tiny_dataset)
         a = evaluate_model(trained, tiny_dataset)["NDCG@10"]
@@ -69,8 +71,8 @@ class TestBPRMF:
         assert a > b
 
     def test_deterministic(self, tiny_dataset):
-        a = BPRMF(small_config())
+        a = BPRMF(tiny_dataset, small_config())
         a.fit(tiny_dataset)
-        b = BPRMF(small_config())
+        b = BPRMF(tiny_dataset, small_config())
         b.fit(tiny_dataset)
         np.testing.assert_array_equal(a.item_embeddings(), b.item_embeddings())

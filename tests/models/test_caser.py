@@ -5,18 +5,17 @@ import pytest
 
 from repro.eval.evaluator import evaluate_model
 from repro.models.caser import Caser, CaserConfig
+from repro.models.training import TrainConfig
 
 
-def small_config(**overrides):
+def small_config(epochs=2, **overrides):
     base = dict(
         dim=16,
         window=5,
         horizontal_filters=4,
         filter_heights=(2, 3),
         vertical_filters=2,
-        epochs=2,
-        batch_size=256,
-        seed=0,
+        train=TrainConfig(epochs=epochs, batch_size=256, seed=0),
     )
     base.update(overrides)
     return CaserConfig(**base)
@@ -48,7 +47,8 @@ class TestForward:
 
     def test_training_windows_next_item(self, tiny_dataset):
         model = Caser(tiny_dataset, small_config())
-        users, windows, targets = model._training_windows(tiny_dataset)
+        rows = model.training_rows(tiny_dataset)
+        users, windows, targets = rows.users, rows.context, rows.positives
         assert len(users) == len(windows) == len(targets)
         # Each window's last real item precedes the target in the sequence.
         seq = tiny_dataset.train_sequences[users[0]]

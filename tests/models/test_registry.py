@@ -67,12 +67,8 @@ class TestOnePrecision:
     @pytest.mark.parametrize("name", available_models())
     def test_parameters_are_float32(self, name, tiny_dataset, scale):
         model = build_model(name, tiny_dataset, scale)
-        if not hasattr(model, "named_parameters"):
-            if name == "Pop":
-                return  # no parameters at all
-            # BPR-MF, NCF and FPMC build their network in fit.
-            model.fit(tiny_dataset)
-            model = model._net
+        if name == "Pop":
+            return  # no parameters at all
         # Every parameter, the weights a layer replaces after construction
         # (the packed qkv_proj, the truncated-normal embeddings) included.
         dtypes = {n: p.data.dtype for n, p in model.named_parameters()}

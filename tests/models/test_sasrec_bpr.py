@@ -28,7 +28,7 @@ class TestSASRecBPR:
         model = SASRecBPR(
             tiny_dataset,
             small_config(),
-            bpr_config=BPRMFConfig(dim=16, epochs=2, seed=0),
+            bpr_config=BPRMFConfig(dim=16, train=TrainConfig(epochs=2, seed=0)),
         )
         bpr = model.pretrain(tiny_dataset)
         vectors = bpr.item_embeddings()
@@ -39,7 +39,7 @@ class TestSASRecBPR:
         model = SASRecBPR(
             tiny_dataset,
             small_config(),
-            bpr_config=BPRMFConfig(dim=16, epochs=1, seed=0),
+            bpr_config=BPRMFConfig(dim=16, train=TrainConfig(epochs=1, seed=0)),
         )
         assert not model._pretrained
         model.fit(tiny_dataset)
@@ -49,7 +49,7 @@ class TestSASRecBPR:
         model = SASRecBPR(
             tiny_dataset,
             small_config(),
-            bpr_config=BPRMFConfig(dim=16, epochs=1, seed=0),
+            bpr_config=BPRMFConfig(dim=16, train=TrainConfig(epochs=1, seed=0)),
         )
         model.pretrain(tiny_dataset)
         snapshot = model.encoder.item_embedding.weight.data.copy()

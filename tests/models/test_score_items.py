@@ -6,7 +6,7 @@ import pytest
 from repro.eval.evaluator import candidate_scores
 from repro.experiments.config import ExperimentScale
 from repro.models.base import Recommender, SequenceRecommender
-from repro.models.registry import build_model
+from repro.models.registry import available_models, build_model
 
 #: Methods cheap enough to fit inside the unit suite.
 FAST_MODELS = ("Pop", "BPR-MF", "GRU4Rec", "SASRec")
@@ -72,3 +72,17 @@ class TestBaseClassDefaults:
 
         with pytest.raises(TypeError, match="encode_sequences"):
             NoPair()
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in available_models() if name != "Pop"]
+)
+def test_every_trained_model_scores_in_float32(name, tiny_dataset):
+    """One precision: every trained model scores in its parameters' float32."""
+    scale = ExperimentScale(
+        epochs=1, pretrain_epochs=1, dim=16, batch_size=32, max_length=12
+    )
+    model = build_model(name, tiny_dataset, scale)
+    model.fit(tiny_dataset)
+    scores = model.score_items(tiny_dataset, tiny_dataset.evaluation_users("test")[:5])
+    assert scores.dtype == np.float32

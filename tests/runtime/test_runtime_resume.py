@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core.trainer import pretrain_contrastive, train_joint
+from repro.experiments.config import ExperimentScale
+from repro.models.registry import available_models, build_model
 from repro.models.training import train_next_item_model
 from repro.runtime import (
     CheckpointError,
@@ -17,6 +19,7 @@ from repro.runtime import (
     capture_rng_states,
     restore_rng_states,
 )
+from repro.train.loop import run_training
 
 pytestmark = pytest.mark.fault_injection
 
@@ -91,6 +94,46 @@ def test_kill_and_resume_is_bit_exact_vectorized(
     assert_kill_and_resume_is_bit_exact(
         build_model, tiny_dataset, tmp_path, regime, "vectorized", preempt_at
     )
+
+
+#: Small batches, so every model's epoch has several steps to cut.
+RESUME_SCALE = ExperimentScale(epochs=3, dim=16, batch_size=16, max_length=12, seed=3)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in available_models() if name != "Pop"]
+)
+def test_every_model_kill_and_resume_is_bit_exact(tiny_dataset, tmp_path, name):
+    """Every model but Pop trains its ``stage`` through ``run_training``,
+    so every model resumes: killed mid-epoch and resumed, it ends on the
+    straight run's parameters and history."""
+
+    def train(directory, faults=None):
+        model = build_model(name, tiny_dataset, RESUME_SCALE)
+        runtime = make_runtime(directory, faults=faults)
+        history = run_training(
+            model.stage,
+            model,
+            tiny_dataset,
+            model.config.train,
+            rng=model._rng,
+            runtime=runtime,
+        )
+        return model, history, runtime
+
+    straight, history_straight, runtime = train(tmp_path / "straight")
+    steps_per_epoch = runtime.global_step // RESUME_SCALE.epochs
+    assert steps_per_epoch >= 2, "need a step inside an epoch to cut at"
+
+    killed = tmp_path / "killed"
+    cut = steps_per_epoch + steps_per_epoch // 2  # inside the second epoch
+    with pytest.raises(TrainingInterrupted):
+        train(killed, FaultInjector().preempt(at=cut))
+    resumed, history_resumed, runtime = train(killed)
+
+    assert runtime.resumed_from == 1  # the epoch the interrupt cut into
+    assert history_resumed == history_straight
+    assert_params_equal(straight, resumed)
 
 
 def test_checkpoint_with_fewer_rng_streams_raises(tiny_dataset, build_model, tmp_path):

@@ -31,8 +31,9 @@ def sasrec(tiny_dataset):
 
 
 @pytest.fixture(scope="module")
-def srgnn(tiny_dataset):
-    model = build_model("SR-GNN", tiny_dataset, SCALE)
+def gru4rec(tiny_dataset):
+    """A servable model that is not SASRec."""
+    model = build_model("GRU4Rec", tiny_dataset, SCALE)
     model.fit(tiny_dataset)
     return model
 
@@ -155,12 +156,12 @@ class TestCaching:
 
 
 class TestBackends:
-    def test_fallback_backend_matches_recommend(self, srgnn, tiny_dataset):
+    def test_fallback_backend_matches_recommend(self, gru4rec, tiny_dataset):
         from repro.retrieval import ExactIndex
 
-        engine = RecommendationEngine(srgnn, tiny_dataset)
+        engine = RecommendationEngine(gru4rec, tiny_dataset)
         assert isinstance(engine.index, ExactIndex)  # the one backend
-        expected = srgnn.recommend(tiny_dataset, 0, k=5)
+        expected = gru4rec.recommend(tiny_dataset, 0, k=5)
         assert np.array_equal(expected, engine.recommend(user=0, k=5).items)
 
     def test_unservable_model_rejected(self, tiny_dataset):
@@ -386,15 +387,15 @@ class TestRetrievalIndex:
         engine = RecommendationEngine(sasrec, tiny_dataset, index=prebuilt)
         assert engine.index is prebuilt
 
-    def test_fallback_backend_rejects_index(self, srgnn, tiny_dataset):
-        """SR-GNN accepts ``index='ivf'``: full probe equals exact."""
+    def test_fallback_backend_rejects_index(self, gru4rec, tiny_dataset):
+        """GRU4Rec accepts ``index='ivf'``: full probe equals exact."""
         from repro.retrieval import IVFIndex, make_index
 
-        exact = RecommendationEngine(srgnn, tiny_dataset)
-        approx = RecommendationEngine(srgnn, tiny_dataset, index="ivf")
+        exact = RecommendationEngine(gru4rec, tiny_dataset)
+        approx = RecommendationEngine(gru4rec, tiny_dataset, index="ivf")
         assert isinstance(approx.index, IVFIndex) and approx.index.is_built
         full_probe = RecommendationEngine(
-            srgnn,
+            gru4rec,
             tiny_dataset,
             index=make_index(
                 "ivf", nlist=8, nprobe=8, rerank=tiny_dataset.num_items + 1

@@ -215,10 +215,10 @@ def test_raise_mode_serves_and_counts_the_whole_batch(
     assert counters["requests"] == len(requests)
 
 
-def test_srgnn_serves_under_sharded_engine(tiny_dataset):
-    """SR-GNN goes through the representation API like every servable
-    model, so the worker pool no longer refuses it."""
-    model = build_model("SR-GNN", tiny_dataset, SCALE)
+def test_gru4rec_serves_under_sharded_engine(tiny_dataset):
+    """A servable model that is not SASRec goes through the
+    representation API like every other, so the worker pool serves it."""
+    model = build_model("GRU4Rec", tiny_dataset, SCALE)
     requests = [RecRequest(user=u, k=6) for u in range(8)]
     expected = RecommendationEngine(model, tiny_dataset).recommend_batch(requests)
     with ShardedEngine(

@@ -31,6 +31,13 @@
   ``repro.serve`` imports it, and ``serve/server.py`` calls neither
   ``parse_headers`` nor ``date_time_string`` (docs/SERVING.md "What the
   critical path is now").
+* There is one training loop: only ``repro.train`` builds an optimizer
+  (no ``Adam(...)`` or ``SGD(...)`` call elsewhere), so a model declares
+  a loss and a ``Stage`` and never writes a loop (docs/EXTENDING.md
+  "Adding a model").
+* A model's capabilities are its types: nothing asks
+  ``hasattr(model, ...)`` or ``hasattr(self.model, ...)``; callers test
+  ``isinstance`` against ``SequenceRecommender`` or ``CL4SRec``.
 """
 
 import ast
@@ -408,4 +415,45 @@ def test_representation_models_inherit_their_scoring():
                     f"{name}: {node.name}.{method}"
                     for method in sorted(methods & {"score_items", "score_sequences"})
                 ]
+    assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# One training loop; capabilities are types
+# ----------------------------------------------------------------------
+OPTIMIZERS = {"Adam", "SGD"}
+
+
+def test_only_the_training_loop_builds_an_optimizer():
+    offenders = [
+        f"{name}:{node.lineno} {called_name(node)}()"
+        for name, tree in modules()
+        if not name.startswith("train/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and called_name(node) in OPTIMIZERS
+    ]
+    assert offenders == []
+
+
+def is_model_expression(node: ast.expr) -> bool:
+    """``model`` or ``self.model``."""
+    if isinstance(node, ast.Name):
+        return node.id == "model"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "model"
+        and getattr(node.value, "id", None) == "self"
+    )
+
+
+def test_no_capability_probe_on_a_model():
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "hasattr"
+        and node.args
+        and is_model_expression(node.args[0])
+    ]
     assert offenders == []

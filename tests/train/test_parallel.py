@@ -28,6 +28,8 @@ from repro.core.trainer import (
     pretrain_contrastive,
     train_joint,
 )
+from repro.experiments.config import ExperimentScale
+from repro.models.registry import build_model
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig, train_next_item_model
 from repro.runtime import (
@@ -177,6 +179,20 @@ class TestBitIdentity:
             history = train_next_item_model(
                 model, tiny_dataset, config.train, rng=np.random.default_rng(7)
             )
+            runs.append((model.state_dict(), list(history.losses)))
+        assert runs[0][1] == runs[1][1]
+        assert all(np.isfinite(runs[0][1]))
+        assert_states_equal(runs[0][0], runs[1][0])
+
+    @pytest.mark.parametrize("name", ["BPR-MF", "NCF", "FPMC", "Caser", "BERT4Rec"])
+    def test_baseline_stages_workers2(self, tiny_dataset, name):
+        """The row-table and Cloze stages shard their rows like the
+        sequence loaders, so ``--workers 2`` trains them bit-identically."""
+        scale = ExperimentScale(epochs=2, dim=16, batch_size=32, max_length=12)
+        runs = []
+        for __ in range(2):
+            model = build_model(name, tiny_dataset, scale)
+            history = model.fit(tiny_dataset, workers=2)
             runs.append((model.state_dict(), list(history.losses)))
         assert runs[0][1] == runs[1][1]
         assert all(np.isfinite(runs[0][1]))
