@@ -27,7 +27,10 @@ class BPRMFConfig:
     """Architecture + training hyper-parameters."""
 
     dim: int = 64
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=512))
+    # A constant learning rate: decay to 0.1x under-trains it at lr 1e-3.
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(batch_size=512, lr_final_factor=1.0)
+    )
 
 
 class BPRMF(Trainable, Module, Recommender):

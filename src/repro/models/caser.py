@@ -35,7 +35,10 @@ class CaserConfig:
     filter_heights: tuple[int, ...] = (2, 3, 4)
     vertical_filters: int = 4
     dropout: float = 0.2
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=8))
+    # A constant learning rate: decay to 0.1x under-trains it at lr 1e-3.
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(epochs=8, lr_final_factor=1.0)
+    )
 
 
 class Caser(Trainable, Module, Recommender):

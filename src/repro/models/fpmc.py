@@ -36,7 +36,10 @@ class FPMCConfig:
     """Architecture + training hyper-parameters."""
 
     dim: int = 32
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=512))
+    # A constant learning rate: decay to 0.1x under-trains it at lr 1e-3.
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(batch_size=512, lr_final_factor=1.0)
+    )
 
 
 class FPMC(Trainable, Module, Recommender):

@@ -32,7 +32,10 @@ class NCFConfig:
     dim: int = 32
     mlp_hidden: int = 64
     num_negatives: int = 2
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(batch_size=512))
+    # A constant learning rate: decay to 0.1x under-trains it at lr 1e-3.
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(batch_size=512, lr_final_factor=1.0)
+    )
 
 
 class NCF(Trainable, Module, Recommender):

@@ -18,6 +18,7 @@ backwards compatibility.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.data.preprocessing import SequenceDataset
@@ -111,6 +112,11 @@ def _train_config(scale: ExperimentScale, batch_factor: int = 1) -> TrainConfig:
     )
 
 
+def _row_table_config(scale: ExperimentScale, batch_factor: int) -> TrainConfig:
+    """BPR-MF, NCF, FPMC and Caser train at a constant learning rate."""
+    return replace(_train_config(scale, batch_factor), lr_final_factor=1.0)
+
+
 def _sasrec_config(scale: ExperimentScale) -> SASRecConfig:
     return SASRecConfig(dim=scale.dim, train=_train_config(scale))
 
@@ -123,7 +129,7 @@ def _build_pop(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> Po
 @register_model("BPR-MF")
 def _build_bprmf(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> BPRMF:
     return BPRMF(
-        dataset, BPRMFConfig(dim=scale.dim, train=_train_config(scale, batch_factor=4))
+        dataset, BPRMFConfig(dim=scale.dim, train=_row_table_config(scale, 4))
     )
 
 
@@ -132,7 +138,7 @@ def _build_ncf(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> NC
     return NCF(
         dataset,
         NCFConfig(
-            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=4)
+            dim=max(16, scale.dim // 2), train=_row_table_config(scale, 4)
         ),
     )
 
@@ -142,7 +148,7 @@ def _build_fpmc(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> F
     return FPMC(
         dataset,
         FPMCConfig(
-            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=4)
+            dim=max(16, scale.dim // 2), train=_row_table_config(scale, 4)
         ),
     )
 
@@ -152,7 +158,7 @@ def _build_caser(dataset: SequenceDataset, scale: ExperimentScale, **kwargs) -> 
     return Caser(
         dataset,
         CaserConfig(
-            dim=max(16, scale.dim // 2), train=_train_config(scale, batch_factor=2)
+            dim=max(16, scale.dim // 2), train=_row_table_config(scale, 2)
         ),
     )
 

@@ -359,7 +359,8 @@ class RowTableStage(NextItemStage):
     :class:`~repro.data.loaders.RowBatch` table), ``num_negatives`` and
     ``row_loss(batch)``; negatives follow the next-item rule (uniform,
     or ∝ popularity^alpha).  Early stopping is :class:`NextItemStage`'s.
-    The row loader has one path: ``config.pipeline`` does not apply.
+    The row loader has one path: ``config.pipeline`` must be
+    ``"reference"``.
     """
 
     def _rows(self, rng):
@@ -377,7 +378,12 @@ class RowTableStage(NextItemStage):
 
         return len(table.users), build
 
-    def _loaders(self, rng, pipeline=None, obs=None, worker_shard=None):
+    def _loaders(self, rng, pipeline="reference", obs=None, worker_shard=None):
+        if pipeline != "reference":
+            raise ValueError(
+                f"{self.model.name} has one batch path: pipeline must be "
+                f"'reference', got {pipeline!r}"
+            )
         count, build = self._rows(rng)
         return [
             RowBatchLoader(

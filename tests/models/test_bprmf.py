@@ -11,7 +11,8 @@ from repro.nn.tensor import Tensor
 
 
 def small_config(epochs=3):
-    return BPRMFConfig(dim=16, train=TrainConfig(epochs=epochs, batch_size=128, seed=0))
+    train = TrainConfig(epochs=epochs, batch_size=128, lr_final_factor=1.0, seed=0)
+    return BPRMFConfig(dim=16, train=train)
 
 
 class TestBPRLoss:

@@ -15,7 +15,7 @@ def small_config(epochs=2, **overrides):
         horizontal_filters=4,
         filter_heights=(2, 3),
         vertical_filters=2,
-        train=TrainConfig(epochs=epochs, batch_size=256, seed=0),
+        train=TrainConfig(epochs=epochs, batch_size=256, lr_final_factor=1.0, seed=0),
     )
     base.update(overrides)
     return CaserConfig(**base)

@@ -9,7 +9,8 @@ from repro.models.training import TrainConfig
 
 
 def small_config(epochs=3):
-    return FPMCConfig(dim=16, train=TrainConfig(epochs=epochs, batch_size=256, seed=0))
+    train = TrainConfig(epochs=epochs, batch_size=256, lr_final_factor=1.0, seed=0)
+    return FPMCConfig(dim=16, train=train)
 
 
 class TestFPMC:
@@ -45,9 +46,7 @@ class TestFPMC:
         assert scores.shape == (5, tiny_dataset.num_items + 1)
 
     def test_beats_chance(self, tiny_dataset):
-        # Twelve epochs under linear decay to 0.1 lr step about as far as
-        # six at a constant lr did (mean lr factor 0.55).
-        model = FPMC(tiny_dataset, small_config(epochs=12))
+        model = FPMC(tiny_dataset, small_config(epochs=6))
         model.fit(tiny_dataset)
         result = evaluate_model(model, tiny_dataset)
         chance = 10.0 / tiny_dataset.num_items

@@ -9,9 +9,8 @@ from repro.models.training import TrainConfig
 
 
 def small_config(epochs=2):
-    return NCFConfig(
-        dim=8, mlp_hidden=16, train=TrainConfig(epochs=epochs, batch_size=256, seed=0)
-    )
+    train = TrainConfig(epochs=epochs, batch_size=256, lr_final_factor=1.0, seed=0)
+    return NCFConfig(dim=8, mlp_hidden=16, train=train)
 
 
 class TestNCF:

@@ -3,11 +3,14 @@
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
 from repro.core.trainer import JointTrainConfig, train_joint
 from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
 from repro.data.preprocessing import SequenceDataset
+from repro.experiments.config import SMOKE_SCALE
+from repro.experiments.factory import build_model
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
 from tests.conftest import make_tiny_dataset
@@ -62,3 +65,12 @@ def test_joint_vectorized_is_timing_independent(monkeypatch):
     assert losses_slow == losses_fast
     for name in state_fast:
         np.testing.assert_array_equal(state_fast[name], state_slow[name], err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["BPR-MF", "NCF", "FPMC", "Caser", "BERT4Rec"])
+def test_one_path_models_refuse_the_vectorized_pipeline(name, tiny_dataset):
+    """Row-table and Cloze stages have one batch path; asking for the
+    other one is an error, not a silent fall-back."""
+    model = build_model(name, tiny_dataset, SMOKE_SCALE)
+    with pytest.raises(ValueError, match=f"{name} has one batch path"):
+        model.fit(tiny_dataset, pipeline="vectorized")
