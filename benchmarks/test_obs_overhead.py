@@ -23,7 +23,7 @@ import numpy as np
 
 from benchmarks.conftest import save_markdown
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import JointTrainConfig, train_joint
+from repro.core.trainer import train_joint
 from repro.data.preprocessing import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_log
 from repro.models.sasrec import SASRecConfig
@@ -45,7 +45,7 @@ def make_model(dataset):
             augmentations=("mask",),
             rates=0.5,
             mode="joint",
-            joint=JointTrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
+            joint=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
         ),
     )
 

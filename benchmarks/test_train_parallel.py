@@ -27,7 +27,6 @@ import pytest
 
 from benchmarks.conftest import save_markdown
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import ContrastivePretrainConfig, JointTrainConfig
 from repro.core.trainer import pretrain_contrastive
 from repro.data.preprocessing import SequenceDataset
 from repro.data.synthetic import SyntheticConfig, generate_log
@@ -70,11 +69,11 @@ def _build_model(dataset, workers: int) -> CL4SRec:
             train=TrainConfig(epochs=EPOCHS, batch_size=64, max_length=30),
         ),
         mode="pretrain_finetune",
-        pretrain=ContrastivePretrainConfig(
+        pretrain=TrainConfig(
             epochs=EPOCHS, batch_size=64, max_length=30,
             workers=workers, pipeline="vectorized",
         ),
-        joint=JointTrainConfig(epochs=EPOCHS, batch_size=64),
+        joint=TrainConfig(epochs=EPOCHS, batch_size=64),
     )
     return CL4SRec(dataset, config)
 

@@ -18,7 +18,6 @@ Usage::
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     Pop,
     SASRec,
     SASRecConfig,
@@ -46,9 +45,7 @@ def main() -> None:
             sasrec=sasrec_config,
             augmentations=("crop", "mask", "reorder"),
             rates=0.5,
-            pretrain=ContrastivePretrainConfig(
-                epochs=3, batch_size=128, max_length=25, seed=3
-            ),
+            pretrain=TrainConfig(epochs=3, batch_size=128, max_length=25, seed=3),
         ),
     )
     cl4srec.fit(dataset)

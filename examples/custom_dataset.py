@@ -15,7 +15,6 @@ import numpy as np
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     InteractionLog,
     SASRecConfig,
     SequenceDataset,
@@ -60,9 +59,7 @@ def main() -> None:
         ),
         augmentations=("crop", "reorder"),
         rates=0.5,
-        pretrain=ContrastivePretrainConfig(
-            epochs=3, batch_size=128, max_length=20, seed=3
-        ),
+        pretrain=TrainConfig(epochs=3, batch_size=128, max_length=20, seed=3),
     )
     model = CL4SRec(dataset, config)
     model.fit(dataset)

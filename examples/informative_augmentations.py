@@ -19,7 +19,6 @@ Usage::
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     SASRecConfig,
     TrainConfig,
     evaluate_model,
@@ -36,9 +35,7 @@ def main() -> None:
 
     train = TrainConfig(epochs=5, batch_size=128, max_length=25, seed=5)
     sasrec = SASRecConfig(dim=40, train=train)
-    pretrain = ContrastivePretrainConfig(
-        epochs=3, batch_size=128, max_length=25, seed=5
-    )
+    pretrain = TrainConfig(epochs=3, batch_size=128, max_length=25, seed=5)
 
     # Item correlation from the training sequences alone.
     correlation = ItemCorrelation(dataset.num_items, window=3, top_k=10)

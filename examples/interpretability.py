@@ -21,7 +21,6 @@ import numpy as np
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     SASRec,
     SASRecConfig,
     TrainConfig,
@@ -52,7 +51,7 @@ def main() -> None:
             sasrec=sasrec_config,
             augmentations=("crop", "mask", "reorder"),
             rates=[0.9, 0.1, 0.5],
-            pretrain=ContrastivePretrainConfig(
+            pretrain=TrainConfig(
                 epochs=3, batch_size=128, max_length=MAX_LENGTH, seed=9
             ),
         ),

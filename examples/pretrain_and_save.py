@@ -16,7 +16,6 @@ from pathlib import Path
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     SASRecConfig,
     TrainConfig,
     evaluate_model,
@@ -40,7 +39,7 @@ def main() -> None:
     history = pretrain_contrastive(
         model,
         dataset,
-        ContrastivePretrainConfig(epochs=3, batch_size=128, max_length=25, seed=11),
+        TrainConfig(epochs=3, batch_size=128, max_length=25, seed=11),
     )
     print(
         f"pre-training: loss {history.losses[0]:.3f} -> {history.losses[-1]:.3f}, "

@@ -20,12 +20,11 @@ import tempfile
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     SASRecConfig,
     SequenceDataset,
+    SyntheticConfig,
     TrainConfig,
     generate_log,
-    SyntheticConfig,
 )
 from repro.data import temporal_split
 from repro.experiments import RunRegistry, TrackedRun, grid, run_sweep
@@ -56,9 +55,7 @@ def main() -> None:
             sasrec=SASRecConfig(dim=32, train=train),
             augmentations=("mask",),
             rates=params["gamma"],
-            pretrain=ContrastivePretrainConfig(
-                epochs=2, batch_size=128, max_length=20, seed=2
-            ),
+            pretrain=TrainConfig(epochs=2, batch_size=128, max_length=20, seed=2),
         )
         model = CL4SRec(dataset, config)
         model.fit(dataset)

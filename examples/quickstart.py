@@ -12,7 +12,6 @@ Usage::
 from repro import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
     Pop,
     SASRec,
     SASRecConfig,
@@ -45,9 +44,7 @@ def main() -> None:
         sasrec=sasrec_config,
         augmentations=("crop", "mask", "reorder"),
         rates=0.5,
-        pretrain=ContrastivePretrainConfig(
-            epochs=3, batch_size=128, max_length=30, seed=7
-        ),
+        pretrain=TrainConfig(epochs=3, batch_size=128, max_length=30, seed=7),
     )
     cl4srec = CL4SRec(dataset, cl_config)
     cl4srec.fit(dataset)

@@ -29,8 +29,6 @@ from repro.augment import (
 from repro.core import (
     CL4SRec,
     CL4SRecConfig,
-    ContrastivePretrainConfig,
-    JointTrainConfig,
     MoCoCL4SRec,
     MoCoConfig,
     ProjectionHead,
@@ -116,7 +114,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "Compose",
-    "ContrastivePretrainConfig",
     "Crop",
     "DATASETS",
     "DivergenceError",
@@ -132,7 +129,6 @@ __all__ = [
     "Insert",
     "InteractionLog",
     "ItemCorrelation",
-    "JointTrainConfig",
     "Mask",
     "MetricsRegistry",
     "MoCoCL4SRec",

@@ -503,7 +503,9 @@ def _run_online(args: argparse.Namespace) -> int:
             config.workers = 0
         engine = config.build_engine()
     dataset = engine.dataset
-    trainer = build_model(config.model, dataset, config.scale())
+    trainer = build_model(
+        config.model, dataset, config.scale(), cl_weight=args.cl_weight
+    )
 
     rounds = args.rounds
     trace_events = (
@@ -543,11 +545,10 @@ def _run_online(args: argparse.Namespace) -> int:
             min_new_sequences=args.min_new_sequences,
         ),
         finetune=FineTuneConfig(
-            epochs_per_round=args.epochs_per_round,
+            epochs=args.epochs_per_round,
             batch_size=args.train_batch_size,
             learning_rate=args.learning_rate,
             max_length=config.scale().max_length,
-            cl_weight=args.cl_weight,
             pipeline=args.pipeline,
             workers=args.train_workers,
             checkpoint_dir=round_checkpoint_dir,

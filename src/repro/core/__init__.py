@@ -9,26 +9,19 @@ sequential recommendation.
 * :mod:`repro.core.cl4srec` — the CL4SRec model: a SASRec encoder
   trained with the contrastive objective (pre-train → fine-tune as in
   the CP4Rec preprint, or jointly as in the ICDE camera-ready).
-* :mod:`repro.core.trainer` — the two-stage and joint training loops.
+* :mod:`repro.core.trainer` — the contrastive and joint entry points of
+  the one training loop.
 """
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
 from repro.core.contrastive import info_nce_loss, nt_xent
 from repro.core.momentum import MoCoCL4SRec, MoCoConfig, NegativeQueue
 from repro.core.projection import ProjectionHead
-from repro.core.trainer import (
-    ContrastivePretrainConfig,
-    JointTrainConfig,
-    PretrainHistory,
-    pretrain_contrastive,
-    train_joint,
-)
+from repro.core.trainer import PretrainHistory, pretrain_contrastive, train_joint
 
 __all__ = [
     "CL4SRec",
     "CL4SRecConfig",
-    "ContrastivePretrainConfig",
-    "JointTrainConfig",
     "MoCoCL4SRec",
     "MoCoConfig",
     "NegativeQueue",

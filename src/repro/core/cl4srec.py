@@ -9,7 +9,7 @@ multi-task formulation ``L_rec + λ · L_cl``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,17 +19,11 @@ from repro.augment.compose import PairSampler
 from repro.augment.factory import make_operator_set
 from repro.core.contrastive import info_nce_loss
 from repro.core.projection import ProjectionHead
-from repro.core.trainer import (
-    ContrastivePretrainConfig,
-    JointTrainConfig,
-    PretrainHistory,
-    pretrain_contrastive,
-    train_joint,
-)
+from repro.core.trainer import PretrainHistory, pretrain_contrastive, train_joint
 from repro.data.loaders import ContrastiveBatch
 from repro.data.preprocessing import SequenceDataset
 from repro.models.sasrec import SASRec, SASRecConfig
-from repro.models.training import TrainingHistory
+from repro.models.training import TrainConfig, TrainingHistory
 from repro.nn.tensor import Tensor, no_grad
 
 
@@ -53,17 +47,18 @@ class CL4SRecConfig:
         Force the two sampled operators to differ (RQ3 composition
         setting).
     temperature:
-        NT-Xent temperature τ.
+        NT-Xent temperature τ, read by every contrastive loss.
+    cl_weight:
+        λ in the joint objective ``L_rec + λ·L_cl``.
     projection_dim:
         Output dimensionality of the discarded projection head
         (defaults to the encoder dim).
     mode:
         ``"pretrain_finetune"`` (CP4Rec preprint pipeline, default) or
         ``"joint"`` (ICDE multi-task variant).
-    keep_projection_at_finetune:
-        Ablation switch (E-A1); the paper discards the head (False).
     pretrain / joint:
-        Stage-specific hyper-parameters.
+        The loop's hyper-parameters for each stage (batch size,
+        learning rate, epochs, …); the losses' live above.
     """
 
     sasrec: SASRecConfig = field(default_factory=SASRecConfig)
@@ -71,13 +66,11 @@ class CL4SRecConfig:
     rates: Sequence[float] | float = 0.5
     distinct_pair: bool = False
     temperature: float = 1.0
+    cl_weight: float = 0.1
     projection_dim: int | None = None
     mode: str = "pretrain_finetune"
-    keep_projection_at_finetune: bool = False
-    pretrain: ContrastivePretrainConfig = field(
-        default_factory=ContrastivePretrainConfig
-    )
-    joint: JointTrainConfig = field(default_factory=JointTrainConfig)
+    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=5))
+    joint: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in ("pretrain_finetune", "joint"):
@@ -142,17 +135,18 @@ class CL4SRec(SASRec):
         ``pretrain_finetune``: contrastive pre-training (encoder +
         projection), then the projection is discarded and the encoder
         fine-tuned with the supervised objective.  ``joint``: single
-        multi-task stage.  Keyword overrides are forwarded to the
-        supervised :class:`~repro.models.training.TrainConfig`.
+        multi-task stage.  Keyword overrides replace fields of the
+        supervised :class:`~repro.models.training.TrainConfig` (the
+        joint one in ``joint`` mode).
 
         Pass ``skip_pretrain=True`` to fine-tune directly — e.g. when
         the encoder was warm-started from a saved pre-trained
         checkpoint via ``load_state_dict``.
         """
         if self.cl_config.mode == "joint":
-            losses = train_joint(self, dataset, self.cl_config.joint, rng=self._rng)
-            history = TrainingHistory(losses=losses)
-            return history
+            config = replace(self.cl_config.joint, **overrides)
+            losses = train_joint(self, dataset, config, rng=self._rng)
+            return TrainingHistory(losses=losses)
 
         if not skip_pretrain:
             self.pretrain_history = pretrain_contrastive(
@@ -160,8 +154,7 @@ class CL4SRec(SASRec):
             )
         # §3.2.3: the projection g(·) is discarded at fine-tuning — the
         # supervised loss never touches it, so fine-tuning optimizes the
-        # encoder f(·) alone.  (keep_projection_at_finetune only changes
-        # *scoring*, via score_users_projected, for the E-A1 ablation.)
+        # encoder f(·) alone.
         return super().fit(dataset, **overrides)
 
     def score_users_projected(

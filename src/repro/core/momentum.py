@@ -84,9 +84,8 @@ class MoCoCL4SRec(CL4SRec):
         dataset: SequenceDataset,
         config: CL4SRecConfig | None = None,
         moco: MoCoConfig | None = None,
-        operators=None,
     ) -> None:
-        super().__init__(dataset, config, operators=operators)
+        super().__init__(dataset, config)
         self.moco = moco if moco is not None else MoCoConfig()
         dim = self.cl_config.sasrec.dim
         projection_dim = (

@@ -84,7 +84,7 @@ class SharedArrays:
     """
 
     def __init__(self, shm: SharedMemory, entries: dict, owner: bool,
-                 writeable: bool = False) -> None:
+                 writeable: bool) -> None:
         self.shm = shm
         self.entries = entries
         self.owner = owner

@@ -19,69 +19,24 @@ flush-and-exit, and divergence rollback — see ``docs/ROBUSTNESS.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.data.preprocessing import SequenceDataset
+from repro.models.training import TrainConfig
 from repro.train.loop import run_training
 from repro.train.stages import JointStage, PretrainHistory, PretrainStage
 
 __all__ = [
-    "ContrastivePretrainConfig",
-    "JointTrainConfig",
     "PretrainHistory",
     "pretrain_contrastive",
     "train_joint",
 ]
 
 
-@dataclass
-class ContrastivePretrainConfig:
-    """Hyper-parameters of the contrastive pre-training stage."""
-
-    epochs: int = 5
-    batch_size: int = 256  # paper: 256
-    learning_rate: float = 1e-3  # paper: 1e-3
-    max_length: int = 50  # paper: 50
-    temperature: float = 1.0
-    lr_final_factor: float = 0.1
-    clip_norm: float = 5.0
-    # Batch construction: "reference" (scalar, bit-compatible with the
-    # golden fixtures) or "vectorized" (matrix-form augmentation on a
-    # private RNG stream — see docs/PERFORMANCE.md).
-    pipeline: str = "reference"
-    # Data-parallel worker processes: 0 computes gradients in-process
-    # (bit-compatible with the golden fixtures); N >= 1 takes them from
-    # repro.train.parallel — deterministic at fixed N, but a different
-    # sample than workers=0 (see docs/SCALING.md "Training at scale").
-    workers: int = 0
-    seed: int = 0
-
-
-@dataclass
-class JointTrainConfig:
-    """Hyper-parameters of the joint (multi-task) regime."""
-
-    epochs: int = 10
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    max_length: int = 50
-    temperature: float = 1.0
-    cl_weight: float = 0.1  # λ in L_rec + λ·L_cl
-    lr_final_factor: float = 0.1
-    clip_norm: float = 5.0
-    # Batch construction path; see ContrastivePretrainConfig.pipeline.
-    pipeline: str = "reference"
-    # Data-parallel workers; see ContrastivePretrainConfig.workers.
-    workers: int = 0
-    seed: int = 0
-
-
 def pretrain_contrastive(
     model,
     dataset: SequenceDataset,
-    config: ContrastivePretrainConfig,
+    config: TrainConfig,
     rng: np.random.Generator | None = None,
     runtime=None,
     obs=None,
@@ -106,14 +61,16 @@ def pretrain_contrastive(
 def train_joint(
     model,
     dataset: SequenceDataset,
-    config: JointTrainConfig,
+    config: TrainConfig,
     rng: np.random.Generator | None = None,
     runtime=None,
     obs=None,
 ):
     """Joint multi-task optimization: ``L_rec + λ · L_cl`` per step.
 
-    Returns the supervised-loss history (a list of per-epoch means of
+    λ is the model's ``cl_config.cl_weight`` (and τ its
+    ``cl_config.temperature``): the loss's hyper-parameters live on the
+    model, the loop's on ``config``.  Returns the supervised-loss history (a list of per-epoch means of
     the combined loss).  ``runtime`` behaves as in
     :func:`pretrain_contrastive`.  ``obs`` records one ``joint_epoch``
     event per epoch, splitting the combined loss into its supervised

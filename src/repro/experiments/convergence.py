@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.representation import ConvergenceTracker
 from repro.core.cl4srec import CL4SRec
-from repro.core.trainer import ContrastivePretrainConfig, pretrain_contrastive
+from repro.core.trainer import pretrain_contrastive
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
@@ -98,16 +98,7 @@ def run_convergence(
     warm_cl = build_model(
         "CL4SRec", dataset, scale, augmentations=("crop", "mask", "reorder")
     )
-    pretrain_contrastive(
-        warm_cl,
-        dataset,
-        ContrastivePretrainConfig(
-            epochs=scale.pretrain_epochs,
-            batch_size=scale.batch_size,
-            max_length=scale.max_length,
-            seed=scale.seed,
-        ),
-    )
+    pretrain_contrastive(warm_cl, dataset, warm_cl.cl_config.pretrain)
     epoch_curve(warm_cl, "CL4SRec (contrastive warm)", scale.epochs)
 
     bar = bar_fraction * cold_curve[-1]

@@ -208,7 +208,6 @@ def _build_cl4srec(
     # top-level import here would be circular when ``repro.models`` is
     # imported before ``repro.core``.
     from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-    from repro.core.trainer import ContrastivePretrainConfig, JointTrainConfig
 
     config = CL4SRecConfig(
         sasrec=_sasrec_config(scale),
@@ -216,22 +215,10 @@ def _build_cl4srec(
         rates=rates,
         distinct_pair=distinct_pair,
         temperature=temperature,
+        cl_weight=cl_weight,
         mode=mode,
-        pretrain=ContrastivePretrainConfig(
-            epochs=scale.pretrain_epochs,
-            batch_size=scale.batch_size,
-            max_length=scale.max_length,
-            temperature=temperature,
-            seed=scale.seed,
-        ),
-        joint=JointTrainConfig(
-            epochs=scale.epochs,
-            batch_size=scale.batch_size,
-            max_length=scale.max_length,
-            temperature=temperature,
-            cl_weight=cl_weight,
-            seed=scale.seed,
-        ),
+        pretrain=replace(_train_config(scale), epochs=scale.pretrain_epochs),
+        joint=_train_config(scale),
     )
     return CL4SRec(dataset, config)
 

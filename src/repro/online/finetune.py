@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cl4srec import CL4SRec
-from repro.core.trainer import JointTrainConfig, train_joint
+from repro.core.trainer import train_joint
 from repro.data.preprocessing import SequenceDataset
 from repro.models.training import TrainConfig, train_next_item_model
 from repro.runtime.checkpointing import CheckpointManager
@@ -31,27 +31,20 @@ __all__ = ["FineTuneConfig", "FineTuneRoundResult", "IncrementalFineTuner"]
 
 
 @dataclass
-class FineTuneConfig:
-    """Per-round training hyper-parameters.
+class FineTuneConfig(TrainConfig):
+    """One round's training: a :class:`TrainConfig` with round defaults.
 
-    The learning rate defaults well below the offline value (1e-3):
-    online rounds see small, correlated windows of data, and a gentle
-    step keeps the candidate close to the promoted weights so the
-    shadow gate measures drift adaptation, not catastrophic forgetting.
+    ``epochs`` is per round.  The learning rate defaults well below the
+    offline value (1e-3): online rounds see small, correlated windows of
+    data, and a gentle step keeps the candidate close to the promoted
+    weights so the shadow gate measures drift adaptation, not
+    catastrophic forgetting.  The loss's τ and λ are the trainer
+    model's (``CL4SRecConfig.temperature`` / ``cl_weight``).
     """
 
-    epochs_per_round: int = 1
+    epochs: int = 1
     batch_size: int = 64
     learning_rate: float = 5e-4
-    max_length: int = 50
-    temperature: float = 1.0
-    cl_weight: float = 0.1
-    clip_norm: float = 5.0
-    pipeline: str = "reference"
-    #: Data-parallel training workers per round (0 = single-process);
-    #: threaded straight into the round's Joint/TrainConfig, so online
-    #: rounds can take their gradients from ``repro.train.parallel`` too.
-    workers: int = 0
     #: Round-scoped TrainingRuntime checkpoints land under
     #: ``<checkpoint_dir>/round-NNNN``; None disables mid-round
     #: crash-safety (the version store still persists every round's
@@ -118,48 +111,17 @@ class IncrementalFineTuner:
         config = self.config
         runtime = self._runtime(round_index)
         result = FineTuneRoundResult(round=round_index)
-        contrastive = isinstance(self.model, CL4SRec)
         try:
-            if contrastive:
+            if isinstance(self.model, CL4SRec):
                 losses = train_joint(
-                    self.model,
-                    dataset,
-                    JointTrainConfig(
-                        epochs=config.epochs_per_round,
-                        batch_size=config.batch_size,
-                        learning_rate=config.learning_rate,
-                        max_length=config.max_length,
-                        temperature=config.temperature,
-                        cl_weight=config.cl_weight,
-                        clip_norm=config.clip_norm,
-                        pipeline=config.pipeline,
-                        workers=config.workers,
-                    ),
-                    rng=rng,
-                    runtime=runtime,
-                    obs=self.obs,
+                    self.model, dataset, config, rng=rng, runtime=runtime, obs=self.obs
                 )
             else:
                 # Plain next-item fine-tuning for non-contrastive models
                 # (e.g. a bare SASRec checkpoint).
-                history = train_next_item_model(
-                    self.model,
-                    dataset,
-                    TrainConfig(
-                        epochs=config.epochs_per_round,
-                        batch_size=config.batch_size,
-                        learning_rate=config.learning_rate,
-                        max_length=config.max_length,
-                        clip_norm=config.clip_norm,
-                        eval_every=0,
-                        pipeline=config.pipeline,
-                        workers=config.workers,
-                    ),
-                    rng=rng,
-                    runtime=runtime,
-                    obs=self.obs,
-                )
-                losses = history.losses
+                losses = train_next_item_model(
+                    self.model, dataset, config, rng=rng, runtime=runtime, obs=self.obs
+                ).losses
         except ValueError as error:
             # The loaders raise when no buffered sequence is long
             # enough to train on; the round refuses rather than dies.

@@ -140,8 +140,6 @@ class ModelVersionStore:
         state: dict[str, np.ndarray],
         round_index: int | None = None,
         decision: str = "pending",
-        reason: str | None = None,
-        metrics: dict | None = None,
     ) -> VersionRecord:
         """Write a new version archive and append its manifest record."""
         if decision not in DECISIONS:
@@ -163,8 +161,6 @@ class ModelVersionStore:
             round=round_index,
             parent=parent.version if parent is not None else None,
             decision=decision,
-            reason=reason,
-            metrics=dict(metrics or {}),
         )
         self._records.append(record)
         self._prune()

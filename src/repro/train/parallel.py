@@ -212,7 +212,6 @@ class ParallelWorkerPool(ClosesOnExit):
         workers: int,
         faults=None,
         obs=None,
-        start_method: str | None = None,
         worker_timeout_s: float = 300.0,
     ) -> None:
         self._closed = True  # nothing to tear down until the pool is up
@@ -267,7 +266,6 @@ class ParallelWorkerPool(ClosesOnExit):
                 name="repro-train-worker",
                 failure=self._worker_failed,
                 timeout_s=worker_timeout_s,
-                start_method=start_method,
             )
         except BaseException:
             self._unlink_segments()

@@ -114,6 +114,16 @@ class Stage:
     def _trainable(self):
         return self.model.contrastive_parameters()
 
+    def _refuse_unread(self, *names: str) -> None:
+        """Refuse a set ``TrainConfig`` field this stage never reads."""
+        for name in names:
+            value = getattr(self.config, name)
+            if value > 0:
+                raise ValueError(
+                    f"{type(self).__name__} does not read {name}: "
+                    f"it must be 0, got {value!r}"
+                )
+
     def _loaders(self, rng, **options) -> list:
         """This regime's loaders; the first one paces the epoch."""
         raise NotImplementedError
@@ -193,6 +203,7 @@ class PretrainStage(Stage):
 
     def __init__(self, model, dataset, config) -> None:
         super().__init__(model, dataset, config)
+        self._refuse_unread("eval_every", "negative_alpha")
         self.history = history = PretrainHistory()
         self.hist = {"losses": history.losses, "accuracies": history.accuracies}
 
@@ -305,6 +316,8 @@ class NextItemStage(Stage):
 class JointStage(Stage):
     """``L_rec + λ·L_cl``: one contrastive batch per supervised batch.
 
+    λ is the model's ``cl_config.cl_weight``.
+
     The contrastive side cycles when its (shorter) epoch runs dry; its
     stream restarts with every epoch, so a pass left half consumed at
     the epoch's last step is dropped, not carried over.
@@ -315,9 +328,10 @@ class JointStage(Stage):
 
     def __init__(self, model, dataset, config) -> None:
         super().__init__(model, dataset, config)
+        self._refuse_unread("eval_every", "negative_alpha")
         self.history: list[float] = []  # train_joint returns the bare list
         self.hist = {"losses": self.history}
-        self.event_fields = {"cl_weight": config.cl_weight}
+        self.event_fields = {"cl_weight": model.cl_config.cl_weight}
 
     def _loaders(self, rng, **options):
         config = self.config
@@ -344,7 +358,7 @@ class JointStage(Stage):
         batch = next(self._stream)
         loss = self.model.sequence_loss(batch)
         cl_loss, __ = self.model.contrastive_loss(self._cl_stream.next())
-        weight = self.config.cl_weight
+        weight = self.model.cl_config.cl_weight
         return loss + weight * cl_loss, len(batch.users), {
             "rec_loss": loss.item(),
             "cl_loss": weight * cl_loss.item(),

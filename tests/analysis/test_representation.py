@@ -73,7 +73,6 @@ class TestEmbeddingStatistics:
 class TestRepresentationQuality:
     def test_on_cl4srec(self, tiny_dataset):
         from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-        from repro.core.trainer import ContrastivePretrainConfig
         from repro.models.sasrec import SASRecConfig
         from repro.models.training import TrainConfig
 
@@ -84,9 +83,7 @@ class TestRepresentationQuality:
             ),
             augmentations=("mask",),
             rates=0.5,
-            pretrain=ContrastivePretrainConfig(
-                epochs=1, batch_size=32, max_length=12, seed=0
-            ),
+            pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
         )
         model = CL4SRec(tiny_dataset, config)
         quality = representation_quality(model, tiny_dataset, max_length=12)
@@ -122,7 +119,7 @@ class TestRepresentationQuality:
         """The contrastive objective explicitly optimizes alignment —
         after pre-training, positive views must sit closer."""
         from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-        from repro.core.trainer import ContrastivePretrainConfig, pretrain_contrastive
+        from repro.core.trainer import pretrain_contrastive
         from repro.models.sasrec import SASRecConfig
         from repro.models.training import TrainConfig
 
@@ -139,7 +136,7 @@ class TestRepresentationQuality:
         pretrain_contrastive(
             model,
             tiny_dataset,
-            ContrastivePretrainConfig(epochs=4, batch_size=32, max_length=12, seed=0),
+            TrainConfig(epochs=4, batch_size=32, max_length=12, seed=0),
         )
         after = representation_quality(model, tiny_dataset, max_length=12)
         assert after["alignment"] < before["alignment"]

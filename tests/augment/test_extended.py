@@ -107,7 +107,6 @@ class TestIntegrationWithCL4SRec:
     def test_extended_operators_usable_in_model(self, tiny_dataset):
         """Substitute/Insert plug into CL4SRec via the operators arg."""
         from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-        from repro.core.trainer import ContrastivePretrainConfig
         from repro.models.sasrec import SASRecConfig
         from repro.models.training import TrainConfig
 
@@ -119,9 +118,7 @@ class TestIntegrationWithCL4SRec:
                 dim=16,
                 train=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
             ),
-            pretrain=ContrastivePretrainConfig(
-                epochs=1, batch_size=32, max_length=12, seed=0
-            ),
+            pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
         )
         model = CL4SRec(
             tiny_dataset,

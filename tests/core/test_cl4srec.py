@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import ContrastivePretrainConfig, JointTrainConfig
 from repro.data.loaders import ContrastiveBatch, ContrastiveBatchLoader, pad_left
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
@@ -19,10 +18,8 @@ def small_config(**overrides):
         ),
         augmentations=("mask",),
         rates=0.5,
-        pretrain=ContrastivePretrainConfig(
-            epochs=1, batch_size=32, max_length=12, seed=0
-        ),
-        joint=JointTrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
+        pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
+        joint=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
     )
     base.update(overrides)
     return CL4SRecConfig(**base)
@@ -37,6 +34,12 @@ class TestConfig:
         config = CL4SRecConfig()
         assert config.mode == "pretrain_finetune"
         assert set(config.augmentations) == {"crop", "mask", "reorder"}
+
+    def test_one_training_config_per_stage(self):
+        config = CL4SRecConfig()
+        assert config.pretrain == TrainConfig(epochs=5)
+        assert config.joint == TrainConfig()
+        assert (config.temperature, config.cl_weight) == (1.0, 0.1)
 
 
 class TestConstruction:
@@ -105,9 +108,7 @@ class TestFit:
 
     def test_pretraining_reduces_contrastive_loss(self, tiny_dataset):
         config = small_config(
-            pretrain=ContrastivePretrainConfig(
-                epochs=4, batch_size=32, max_length=12, seed=0
-            )
+            pretrain=TrainConfig(epochs=4, batch_size=32, max_length=12, seed=0)
         )
         model = CL4SRec(tiny_dataset, config)
         from repro.core.trainer import pretrain_contrastive
@@ -119,6 +120,12 @@ class TestFit:
         model = CL4SRec(tiny_dataset, small_config())
         history = model.fit(tiny_dataset, epochs=2)
         assert len(history.losses) == 2
+
+    def test_joint_fit_overrides_epochs(self, tiny_dataset):
+        model = CL4SRec(tiny_dataset, small_config(mode="joint"))
+        history = model.fit(tiny_dataset, epochs=2)
+        assert len(history.losses) == 2
+        assert model.cl_config.joint.epochs == 1  # the config is not edited
 
 
 class TestScoring:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.cl4srec import CL4SRecConfig
 from repro.core.momentum import MoCoCL4SRec, MoCoConfig, NegativeQueue
-from repro.core.trainer import ContrastivePretrainConfig, pretrain_contrastive
+from repro.core.trainer import pretrain_contrastive
 from repro.data.loaders import ContrastiveBatchLoader
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
@@ -22,9 +22,7 @@ def small_config():
         ),
         augmentations=("mask",),
         rates=0.5,
-        pretrain=ContrastivePretrainConfig(
-            epochs=1, batch_size=32, max_length=12, seed=0
-        ),
+        pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
     )
 
 
@@ -167,7 +165,7 @@ class TestMoCoCL4SRec:
         history = pretrain_contrastive(
             model,
             tiny_dataset,
-            ContrastivePretrainConfig(epochs=5, batch_size=32, max_length=12, seed=0),
+            TrainConfig(epochs=5, batch_size=32, max_length=12, seed=0),
         )
         assert all(np.isfinite(history.losses))
         chance = 1.0 / (1 + 256)

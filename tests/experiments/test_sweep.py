@@ -85,7 +85,6 @@ class TestRunSweep:
     def test_with_real_model(self, tiny_dataset):
         """End-to-end: sweep a real CL4SRec augmentation rate."""
         from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-        from repro.core.trainer import ContrastivePretrainConfig
         from repro.models.sasrec import SASRecConfig
         from repro.models.training import TrainConfig
 
@@ -93,15 +92,11 @@ class TestRunSweep:
             config = CL4SRecConfig(
                 sasrec=SASRecConfig(
                     dim=16,
-                    train=TrainConfig(
-                        epochs=1, batch_size=32, max_length=12, seed=0
-                    ),
+                    train=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
                 ),
                 augmentations=("mask",),
                 rates=params["gamma"],
-                pretrain=ContrastivePretrainConfig(
-                    epochs=1, batch_size=32, max_length=12, seed=0
-                ),
+                pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
             )
             model = CL4SRec(tiny_dataset, config)
             model.fit(tiny_dataset)

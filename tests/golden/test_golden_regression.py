@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import JointTrainConfig, train_joint
+from repro.core.trainer import train_joint
 from repro.eval.evaluator import Evaluator
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig, train_next_item_model
@@ -128,9 +128,7 @@ class TestGoldenRegression:
                 augmentations=("crop", "mask", "reorder"),
                 rates=0.5,
                 mode="joint",
-                joint=JointTrainConfig(
-                    epochs=EPOCHS, batch_size=32, max_length=12, seed=0
-                ),
+                joint=TrainConfig(epochs=EPOCHS, batch_size=32, max_length=12, seed=0),
             ),
         )
         losses = train_joint(model, golden_dataset, model.cl_config.joint)
@@ -178,7 +176,7 @@ class TestGoldenRegression:
                 augmentations=("crop", "mask", "reorder"),
                 rates=0.5,
                 mode="joint",
-                joint=JointTrainConfig(
+                joint=TrainConfig(
                     epochs=EPOCHS,
                     batch_size=32,
                     max_length=12,

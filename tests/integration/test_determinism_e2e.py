@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import JointTrainConfig, train_joint
+from repro.core.trainer import train_joint
 from repro.eval.evaluator import Evaluator, candidate_scores
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
@@ -46,7 +46,7 @@ def run_pipeline(tmp_path, label: str, seed: int, pipeline: str = "reference"):
             augmentations=("crop", "mask", "reorder"),
             rates=0.5,
             mode="joint",
-            joint=JointTrainConfig(
+            joint=TrainConfig(
                 epochs=2,
                 batch_size=32,
                 max_length=12,

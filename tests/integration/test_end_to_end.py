@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import ContrastivePretrainConfig
 from repro.eval.evaluator import evaluate_model
 from repro.models.pop import Pop
 from repro.models.sasrec import SASRec, SASRecConfig
@@ -41,9 +40,7 @@ def cl4srec_result(dataset, train_config):
         sasrec=SASRecConfig(dim=24, train=train_config),
         augmentations=("crop", "mask", "reorder"),
         rates=0.5,
-        pretrain=ContrastivePretrainConfig(
-            epochs=3, batch_size=64, max_length=15, seed=1
-        ),
+        pretrain=TrainConfig(epochs=3, batch_size=64, max_length=15, seed=1),
     )
     model = CL4SRec(dataset, config)
     model.fit(dataset)
@@ -82,9 +79,7 @@ class TestReproducibility:
                 ),
                 augmentations=("mask",),
                 rates=0.5,
-                pretrain=ContrastivePretrainConfig(
-                    epochs=1, batch_size=64, max_length=12, seed=9
-                ),
+                pretrain=TrainConfig(epochs=1, batch_size=64, max_length=12, seed=9),
             )
             model = CL4SRec(dataset, config)
             model.fit(dataset)
@@ -107,9 +102,7 @@ class TestPretrainingTransfers:
             ),
             augmentations=("crop", "mask", "reorder"),
             rates=0.5,
-            pretrain=ContrastivePretrainConfig(
-                epochs=4, batch_size=64, max_length=15, seed=2
-            ),
+            pretrain=TrainConfig(epochs=4, batch_size=64, max_length=15, seed=2),
         )
         model = CL4SRec(dataset, config)
         from repro.core.trainer import pretrain_contrastive

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import ContrastivePretrainConfig
 from repro.data.loaders import pad_left
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
@@ -80,9 +79,7 @@ class TestContrastiveInvariants:
             config = CL4SRecConfig(
                 sasrec=SASRecConfig(
                     dim=16,
-                    train=TrainConfig(
-                        epochs=0, batch_size=32, max_length=12, seed=5
-                    ),
+                    train=TrainConfig(epochs=0, batch_size=32, max_length=12, seed=5),
                 ),
                 augmentations=("crop",),
                 rates=0.5,
@@ -93,9 +90,7 @@ class TestContrastiveInvariants:
             history = pretrain_contrastive(
                 model,
                 tiny_dataset,
-                ContrastivePretrainConfig(
-                    epochs=2, batch_size=32, max_length=12, seed=5
-                ),
+                TrainConfig(epochs=2, batch_size=32, max_length=12, seed=5),
             )
             return history.losses
 
@@ -112,9 +107,7 @@ class TestContrastiveInvariants:
             ),
             augmentations=("mask",),
             rates=0.5,
-            pretrain=ContrastivePretrainConfig(
-                epochs=1, batch_size=32, max_length=12, seed=0
-            ),
+            pretrain=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
         )
         model = CL4SRec(tiny_dataset, config)
         token = tiny_dataset.mask_token

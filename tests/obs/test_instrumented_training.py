@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import (
-    ContrastivePretrainConfig,
-    JointTrainConfig,
-    pretrain_contrastive,
-    train_joint,
-)
+from repro.core.trainer import pretrain_contrastive, train_joint
 from repro.eval.evaluator import Evaluator
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig, train_next_item_model
@@ -34,10 +29,8 @@ def cl4srec(dataset, mode="joint", epochs=2):
             augmentations=("mask",),
             rates=0.5,
             mode=mode,
-            pretrain=ContrastivePretrainConfig(
-                epochs=epochs, batch_size=32, max_length=12, seed=0
-            ),
-            joint=JointTrainConfig(epochs=epochs, batch_size=32, max_length=12, seed=0),
+            pretrain=TrainConfig(epochs=epochs, batch_size=32, max_length=12, seed=0),
+            joint=TrainConfig(epochs=epochs, batch_size=32, max_length=12, seed=0),
         ),
     )
 
@@ -97,7 +90,7 @@ class TestContrastiveLoops:
             assert event["rec_loss"] + event["cl_loss"] == pytest.approx(
                 event["loss"], rel=1e-6
             )
-            assert event["cl_weight"] == model.cl_config.joint.cl_weight
+            assert event["cl_weight"] == model.cl_config.cl_weight
 
 
 class TestEvaluatorInstrumentation:

@@ -31,7 +31,7 @@ def _loop_config(tmp_path, rounds=2, **gate_overrides):
         shadow_requests=16,
         gate=GateConfig(**gate),
         finetune=FineTuneConfig(
-            epochs_per_round=1,
+            epochs=1,
             batch_size=32,
             max_length=12,
             checkpoint_dir=str(tmp_path / "rounds"),

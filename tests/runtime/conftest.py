@@ -9,7 +9,6 @@ train/kill/resume cycle runs in a couple of seconds.
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import ContrastivePretrainConfig, JointTrainConfig
 from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
 
@@ -27,8 +26,8 @@ def tiny_cl4srec_config(
             train=TrainConfig(max_length=50, **shared),
         ),
         mode=mode,
-        pretrain=ContrastivePretrainConfig(**shared),
-        joint=JointTrainConfig(**shared),
+        pretrain=TrainConfig(**shared),
+        joint=TrainConfig(**shared),
     )
 
 

@@ -13,9 +13,18 @@
   boundary a narrower server lock will be drawn on.
 * Every public module-level function or class has a user outside the
   tests, or a line in ``KEPT_ON_PURPOSE`` saying why it stays.
-* In ``repro.models`` and ``repro.eval`` every defaulted parameter of a
-  public function or method is passed by some caller outside the tests,
-  or has a line in ``KEYWORDS_KEPT_ON_PURPOSE`` saying why it stays.
+* In ``repro.models``, ``repro.eval``, ``repro.core``, ``repro.online``
+  and ``repro.train`` every defaulted parameter of a public function or
+  method is passed by some caller outside the tests, or has a line in
+  ``KEYWORDS_KEPT_ON_PURPOSE`` saying why it stays.
+* Every field of a ``*Config`` dataclass is read as an attribute
+  somewhere in ``src/repro``.
+* There is one training config: in ``repro.core``, ``repro.models``,
+  ``repro.online`` and ``repro.train`` no config but ``TrainConfig`` and
+  its subclasses declares a ``TrainConfig`` field (or has a line in
+  ``TRAIN_FIELDS_KEPT_ON_PURPOSE``), and the loss weights ``temperature``
+  and ``cl_weight`` are each declared on one config, the model's
+  (docs/EXTENDING.md "Adding a training regime").
 * There is one scoring contract, ``score_items(self, dataset, users,
   split)``: nothing defines or calls ``score_users``, and a model with
   ``encode_sequences`` inherits its ``score_items`` / ``score_sequences``
@@ -301,9 +310,9 @@ def test_every_public_name_has_a_user_or_a_reason():
 
 
 # ----------------------------------------------------------------------
-# Keyword parameters no caller passes (repro.models, repro.eval)
+# Keyword parameters no caller passes
 # ----------------------------------------------------------------------
-KEYWORD_SCAN = ("models/", "eval/")
+KEYWORD_SCAN = ("models/", "eval/", "core/", "online/", "train/")
 
 #: Defaulted parameters no call outside ``tests/`` passes, each with its
 #: reason (this list only ever shrinks).
@@ -311,6 +320,8 @@ KEYWORDS_KEPT_ON_PURPOSE = {
     "Evaluator.__init__(index=)": "index-backed evaluation, the metric cost of a quantized index (docs/RETRIEVAL.md)",
     "evaluate_temporal(max_events=)": "caps the scored events, as Evaluator.evaluate(max_users=) caps users",
     "SASRecBPR.__init__(bpr_config=)": "the warm start's BPR-MF schedule and its dim guard; the registry derives it from SASRecConfig",
+    "MoCoCL4SRec.__init__(moco=)": "the key tower's momentum and queue size; the registry builds the default MoCoConfig, as it derives SASRecBPR's bpr_config",
+    "ParallelWorkerPool.__init__(worker_timeout_s=)": "only tests pass it, to reach the hung-worker failure path in a second rather than five minutes",
 }
 
 
@@ -376,6 +387,77 @@ def test_every_keyword_parameter_has_a_caller_or_a_reason():
     assert unpassed - KEYWORDS_KEPT_ON_PURPOSE.keys() == set()
     # A parameter that gained a caller, or is gone, leaves the list.
     assert KEYWORDS_KEPT_ON_PURPOSE.keys() - unpassed == set()
+
+
+# ----------------------------------------------------------------------
+# Config fields: each one read; one training config
+# ----------------------------------------------------------------------
+ONE_TRAINING_CONFIG = ("core/", "models/", "online/", "train/")
+LOSS_WEIGHTS = ("temperature", "cl_weight")
+
+#: ``TrainConfig`` field names another config in those packages
+#: declares, each with its reason (this list only ever shrinks).
+TRAIN_FIELDS_KEPT_ON_PURPOSE = {
+    "OnlineLoopConfig.seed": "the loop's root SeedSequence: it spawns the stream, holdout and per-round generators, not one training stream",
+}
+
+
+def config_classes():
+    """``(module, class, base names, field names)`` of each ``*Config``
+    dataclass."""
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith("Config")
+                and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            ):
+                continue
+            fields = [
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+            ]
+            bases = {getattr(base, "id", None) for base in node.bases}
+            yield name, node.name, bases, fields
+
+
+def test_every_config_field_is_read():
+    read = {
+        node.attr
+        for __, tree in modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}: {config}.{field}"
+        for name, config, __, fields in config_classes()
+        for field in fields
+        if field not in read
+    ]
+    assert unread == []
+
+
+def test_one_training_config():
+    configs = [c for c in config_classes() if c[0].startswith(ONE_TRAINING_CONFIG)]
+    train_fields = {
+        field for __, config, __, fields in configs if config == "TrainConfig"
+        for field in fields
+    }
+    repeated = {
+        f"{config}.{field}"
+        for __, config, bases, fields in configs
+        if config != "TrainConfig" and "TrainConfig" not in bases
+        for field in fields
+        if field in train_fields
+    }
+    assert repeated - TRAIN_FIELDS_KEPT_ON_PURPOSE.keys() == set()
+    # A field that went, or moved onto TrainConfig, leaves the list.
+    assert TRAIN_FIELDS_KEPT_ON_PURPOSE.keys() - repeated == set()
+    for weight in LOSS_WEIGHTS:
+        declared = [config for __, config, __, fields in configs if weight in fields]
+        assert declared == ["CL4SRecConfig"], weight
 
 
 # ----------------------------------------------------------------------

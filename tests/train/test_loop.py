@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import JointTrainConfig, train_joint
+from repro.core.trainer import train_joint
 from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
 from repro.data.preprocessing import SequenceDataset
 from repro.experiments.config import SMOKE_SCALE
@@ -45,7 +45,7 @@ def test_joint_vectorized_is_timing_independent(monkeypatch):
                 dim=16, num_layers=1, num_heads=1,
                 train=TrainConfig(batch_size=64, max_length=50),
             ),
-            joint=JointTrainConfig(epochs=2, batch_size=64, pipeline="vectorized"),
+            joint=TrainConfig(epochs=2, batch_size=64, pipeline="vectorized"),
         )
         model = CL4SRec(dataset, config)
         losses = train_joint(model, dataset, config.joint, rng=model._rng)

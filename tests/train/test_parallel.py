@@ -22,12 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.core.trainer import (
-    ContrastivePretrainConfig,
-    JointTrainConfig,
-    pretrain_contrastive,
-    train_joint,
-)
+from repro.core.trainer import pretrain_contrastive, train_joint
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
 from repro.models.sasrec import SASRec, SASRecConfig
@@ -62,10 +57,10 @@ def build_cl4srec(dataset, mode="joint", workers=0, dtype=None,
             ),
         ),
         mode=mode,
-        pretrain=ContrastivePretrainConfig(
+        pretrain=TrainConfig(
             epochs=epochs, batch_size=64, workers=workers, pipeline=pipeline,
         ),
-        joint=JointTrainConfig(
+        joint=TrainConfig(
             epochs=epochs, batch_size=64, workers=workers, pipeline=pipeline,
         ),
     )
@@ -171,9 +166,7 @@ class TestBitIdentity:
         for __ in range(2):
             config = SASRecConfig(
                 dim=16, num_layers=1, num_heads=1,
-                train=TrainConfig(
-                    epochs=2, batch_size=64, max_length=50, workers=2
-                ),
+                train=TrainConfig(epochs=2, batch_size=64, max_length=50, workers=2),
             )
             model = SASRec(tiny_dataset, config)
             history = train_next_item_model(
@@ -232,7 +225,7 @@ class TestBitIdentity:
 
         monkeypatch.setattr(shm.SharedArrays, "create", no_segments)
         before = leaked_segments()
-        assert JointTrainConfig().workers == 0
+        assert TrainConfig().workers == 0
         model = build_cl4srec(tiny_dataset, mode="joint", workers=0, epochs=1)
         train_joint(model, tiny_dataset, model.cl_config.joint, rng=model._rng)
         assert multiprocessing.active_children() == []
@@ -475,7 +468,7 @@ class TestOnlineFineTuning:
             model = build_cl4srec(tiny_dataset, workers=0, epochs=1)
             tuner = IncrementalFineTuner(
                 model,
-                FineTuneConfig(epochs_per_round=1, workers=2),
+                FineTuneConfig(epochs=1, workers=2),
             )
             result = tuner.run_round(
                 tiny_dataset, round_index=0, rng=np.random.default_rng(3)
