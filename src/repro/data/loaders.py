@@ -21,6 +21,18 @@ selects how the *stochastic* part of a batch is produced:
 
 See ``docs/PERFORMANCE.md``.
 
+The two sequence loaders sample users differently.  A next-item epoch
+is **length-bucketed** (:meth:`NextItemBatchLoader.epoch`): the shuffled
+users are stably sorted by history length, cut into batches, and the
+batches are yielded in a random order, so each batch trains at nearly
+its own users' width instead of the longest history among random
+users.  Each batch carries a ``weight``, its real positions over the
+epoch's mean per batch; the training stages scale the batch's mean
+loss by it, so every real position of the epoch still weighs alike.
+A contrastive epoch keeps **uniform** batches, because the paper's
+in-batch negatives (§3.2, the other 2(N−1) views) should be a random
+sample of users, not users of one length.
+
 The models that train on a flat table of rows instead of padded
 histories (BPR-MF, NCF, FPMC, Caser, BERT4Rec's Cloze batches) use
 :class:`RowBatchLoader`, which has one path and no ``pipeline`` switch.
@@ -175,6 +187,13 @@ class NextItemBatch:
     ``inputs[b, t]`` is the item at step *t* (0 = padding), ``targets``
     the item at step *t+1*, ``negatives`` a sampled non-interacted item,
     and ``mask`` is 1.0 where a real prediction exists.
+
+    ``weight`` is the batch's number of real positions over the mean per
+    batch of its epoch.  A loss that averages over the batch's real
+    positions and is scaled by ``weight`` (as ``NextItemStage`` and
+    ``JointStage`` do) gives every real position of an epoch the same
+    weight, as paper Eq. (15) does, however unevenly length-bucketed
+    batches split them.
     """
 
     users: np.ndarray
@@ -182,10 +201,11 @@ class NextItemBatch:
     targets: np.ndarray
     negatives: np.ndarray
     mask: np.ndarray
+    weight: float = 1.0
 
 
 class NextItemBatchLoader:
-    """Yields shuffled :class:`NextItemBatch` epochs from a dataset.
+    """Yields length-bucketed :class:`NextItemBatch` epochs from a dataset.
 
     Batch matrices are fancy-indexed rows of the dataset's precomputed
     padded views — bit-identical to per-batch ``pad_left`` loops but
@@ -213,6 +233,8 @@ class NextItemBatchLoader:
         self.pipeline = validate_pipeline(pipeline)
         self._obs = obs
         self._views = padded_views(dataset, max_length)
+        # Real inputs per user, indexed by user id: the bucketing key.
+        self._history_lengths = np.count_nonzero(self._views.inputs, axis=1)
         if pipeline == "vectorized":
             # Private stream: the vectorized goldens pin its draws.
             self._rng = spawn_stream(rng)
@@ -236,6 +258,9 @@ class NextItemBatchLoader:
         if len(self._users) == 0:
             raise ValueError("no user has a long enough training sequence")
         self._users = _shard_users(self._users, worker_shard)
+        # The unit of NextItemBatch.weight.
+        real_positions = self._history_lengths[self._users].sum()
+        self._positions_per_batch = real_positions / max(1, self.num_batches)
 
     @property
     def users(self) -> np.ndarray:
@@ -252,9 +277,20 @@ class NextItemBatchLoader:
         return int(np.ceil(len(self._users) / self.batch_size))
 
     def epoch(self) -> Iterator[NextItemBatch]:
-        """One pass over all eligible users, shuffled."""
+        """One pass over all eligible users in length-bucketed batches.
+
+        The users are permuted, then stably sorted by history length
+        (so ties keep their random order) and cut into batches, which
+        are yielded in an order drawn from the same generator.  A batch
+        holds users of similar length, so its trimmed width ``w`` (its
+        longest history) wastes few columns on padding.  Batches of long
+        histories hold more real positions; :attr:`NextItemBatch.weight`
+        says how many more.
+        """
         order = self._rng.permutation(self._users)
-        for start in range(0, len(order), self.batch_size):
+        order = order[np.argsort(self._history_lengths[order], kind="stable")]
+        starts = np.arange(0, len(order), self.batch_size)
+        for start in self._rng.permutation(starts):
             built_at = time.perf_counter()
             batch = self._build(order[start : start + self.batch_size])
             if self._obs is not None:
@@ -272,7 +308,8 @@ class NextItemBatchLoader:
         # masked BCE guarantees they contribute nothing to the loss or
         # gradients either way (asserted in tests/data/test_loaders.py).
         negatives[mask == 0.0] = 0
-        return NextItemBatch(users, inputs, targets, negatives, mask)
+        weight = self._history_lengths[users].sum() / self._positions_per_batch
+        return NextItemBatch(users, inputs, targets, negatives, mask, float(weight))
 
 
 @dataclass

@@ -74,14 +74,13 @@ class BERT4Rec(Trainable, Module, SequenceRecommender):
         """
         hidden = self.encoder(inputs)  # (B, w, d)
         labels = trailing_columns(labels, hidden.shape[1], "labels")
-        positions = np.argwhere(labels > 0)
-        if len(positions) == 0:
+        masked = labels > 0
+        if not masked.any():
             raise ValueError("cloze batch contains no masked positions")
-        gathered = hidden[positions[:, 0], positions[:, 1], :]  # (M, d)
+        gathered = hidden[masked]  # (M, d)
         item_table = self.encoder.item_embedding.weight  # (V, d)
         logits = gathered.matmul(item_table.transpose())  # (M, V)
-        targets = labels[positions[:, 0], positions[:, 1]]
-        return F.cross_entropy(logits, targets)
+        return F.cross_entropy(logits, labels[masked])
 
     def make_cloze_batch(
         self, sequences: list[np.ndarray], rng: np.random.Generator

@@ -115,14 +115,17 @@ class SASRecEncoder(Module):
     ) -> tuple[Tensor, np.ndarray]:
         """:meth:`embed` for a ``(B, w)`` batch whose columns sit at
         positions ``first_position .. first_position + w - 1`` — the
-        trailing ``w`` columns of a ``first_position + w`` wide batch,
-        whose shape the embedding dropout mask is drawn at."""
-        batch, width = item_ids.shape
-        positions = np.broadcast_to(
-            np.arange(first_position, first_position + width), (batch, width)
-        )
-        hidden = self.item_embedding(item_ids) + self.position_embedding(positions)
-        return self.embedding_dropout(hidden, first_position + width), item_ids == 0
+        trailing ``w`` columns of a ``first_position + w`` wide batch.
+
+        The ``(w, d)`` block of position rows is sliced from the table
+        and added by broadcast (no per-row gather, and its gradient is
+        a batch sum, not a scatter); the embedding dropout mask is drawn
+        at ``(B, w, d)``.
+        """
+        last_position = first_position + item_ids.shape[1]
+        positions = self.position_embedding.weight[first_position:last_position]
+        hidden = self.item_embedding(item_ids) + positions
+        return self.embedding_dropout(hidden), item_ids == 0
 
     def _embed_trailing(
         self, item_ids: np.ndarray
@@ -133,9 +136,9 @@ class SASRecEncoder(Module):
 
         The columns cut hold padding in every row, and no real position
         attends to padding, so every kept position computes what it
-        would in the ``T``-wide batch.  Every dropout mask is drawn
-        ``T`` wide and cut (the callers pass ``length=T`` to the
-        blocks), so the generator stream does not depend on ``w``.
+        would in the ``T``-wide batch.  Dropout masks are drawn at the
+        kept shape, so a training step's generator stream depends on
+        ``w``.
         """
         item_ids = self._full_width(item_ids)
         width = max(1, int(np.count_nonzero(item_ids, axis=1).max(initial=0)))
@@ -153,25 +156,19 @@ class SASRecEncoder(Module):
         """
         hidden, padding_mask = self._embed_trailing(item_ids)
         return self.transformer(
-            hidden,
-            causal=self.causal,
-            key_padding_mask=padding_mask,
-            length=self.max_length,
+            hidden, causal=self.causal, key_padding_mask=padding_mask
         )
 
     def user_representation(self, item_ids: np.ndarray) -> Tensor:
         """The last-position hidden state ``s_u`` (paper Eq. 13).
 
         Equals ``forward(item_ids)[:, -1, :]`` at floating-point
-        tolerance and draws the same dropout masks, but the final block
-        computes only that row.
+        tolerance with dropout off, but the final block computes only
+        that row and draws only that row's dropout masks.
         """
         hidden, padding_mask = self._embed_trailing(item_ids)
         last = self.transformer.last_row(
-            hidden,
-            causal=self.causal,
-            key_padding_mask=padding_mask,
-            length=self.max_length,
+            hidden, causal=self.causal, key_padding_mask=padding_mask
         )
         return last.reshape(last.shape[0], self.dim)
 

@@ -63,15 +63,22 @@ class SASRec(Trainable, Module, SequenceRecommender):
     # Training
     # ------------------------------------------------------------------
     def sequence_loss(self, batch: NextItemBatch) -> Tensor:
-        """Masked next-item BCE over every position (paper Eq. 15)."""
+        """Next-item BCE averaged over the real positions (paper Eq. 15).
+
+        Hidden states, targets and negatives are gathered only where
+        the loss mask is non-zero, so padded positions never reach the
+        graph: no embedding row is gathered or scattered for them.
+        """
         hidden = self.encoder(batch.inputs)  # (B, w, d)
         width = hidden.shape[1]
         mask = trailing_columns(batch.mask, width, "loss mask")
-        pos_vecs = self.encoder.item_embedding(batch.targets[:, -width:])
-        neg_vecs = self.encoder.item_embedding(batch.negatives[:, -width:])
-        pos_logits = (hidden * pos_vecs).sum(axis=-1)
-        neg_logits = (hidden * neg_vecs).sum(axis=-1)
-        return masked_next_item_bce(pos_logits, neg_logits, mask)
+        real = mask != 0
+        states = hidden[real]  # (N, d), N real positions
+        pos_vecs = self.encoder.item_embedding(batch.targets[:, -width:][real])
+        neg_vecs = self.encoder.item_embedding(batch.negatives[:, -width:][real])
+        pos_logits = (states * pos_vecs).sum(axis=-1)
+        neg_logits = (states * neg_vecs).sum(axis=-1)
+        return masked_next_item_bce(pos_logits, neg_logits, mask[real])
 
     # ------------------------------------------------------------------
     # Inference

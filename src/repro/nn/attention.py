@@ -89,7 +89,6 @@ class MultiHeadSelfAttention(Module):
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
         return_probs: bool = False,
-        length: int | None = None,
     ):
         """Attend within each sequence of the batch.
 
@@ -108,34 +107,27 @@ class MultiHeadSelfAttention(Module):
             probabilities as a raw ``(batch, heads, length, length)``
             array (for analysis).  Only the no-grad body computes them:
             the call must run under ``no_grad()`` with dropout off.
-        length:
-            Width ``T`` of the batch ``x`` was cut from, when ``x`` holds
-            its trailing ``w`` positions: the attention dropout mask is
-            drawn at ``(batch, heads, T, T)`` and cut to
-            ``[..., -w:, -w:]``, so the generator stream does not depend
-            on ``w``.  Defaults to ``x``'s own width.
+
+        An active dropout draws its mask at ``(batch, heads, length,
+        length)``, the shape of the probabilities it drops.
         """
-        return self._attend(
-            x, causal, key_padding_mask, return_probs, last_row=False, length=length
-        )
+        return self._attend(x, causal, key_padding_mask, return_probs, last_row=False)
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that query row.
 
         Keys and values span every position of ``x``; the query, the
         attention row and the output projection run on ``(B, 1, d)``.
-        An active dropout draws the mask :meth:`forward` draws and
-        applies its last row — so the generator stream is the same
-        whichever method ran.
+        An active dropout draws only that row's mask, ``(B, h, 1,
+        length)``.
         """
         return self._attend(
-            x, causal, key_padding_mask, return_probs=False, last_row=True, length=length
+            x, causal, key_padding_mask, return_probs=False, last_row=True
         )
 
     def _attend(
@@ -145,7 +137,6 @@ class MultiHeadSelfAttention(Module):
         key_padding_mask: np.ndarray | None,
         return_probs: bool,
         last_row: bool,
-        length: int | None,
     ):
         with profile_scope("nn.attention"):
             batch, width, __ = x.shape
@@ -171,13 +162,12 @@ class MultiHeadSelfAttention(Module):
             qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
             drop = None
             if dropout_active:
-                length = width if length is None else length
                 drop = F.dropout_mask(
-                    (batch, self.num_heads, length, length),
+                    (batch, self.num_heads, 1 if last_row else width, width),
                     self.attn_dropout.rate,
                     self.attn_dropout._rng,
                     dtype=x.data.dtype,
-                )[..., -width:, -width:]
+                )
             context = F.fused_attention(
                 qkv,
                 mask,

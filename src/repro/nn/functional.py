@@ -182,9 +182,10 @@ def fused_attention(
 
     With ``last_row=True`` only the last query row is computed: the
     result is the ``(B, 1, d)`` context of position ``T - 1``, keys and
-    values still span every position.  ``mask`` and ``dropout_mask``
-    keep their full shapes and are cut to that row here.  The packed Q
-    gradient of the rows not queried is zero.
+    values still span every position.  ``mask`` keeps its full shape and
+    is cut to that row here; ``dropout_mask`` may be the full mask or
+    only that row's ``(B, h, 1, T)``.  The packed Q gradient of the rows
+    not queried is zero.
     """
     batch, length, packed = qkv.shape
     dim = packed // 3

@@ -119,25 +119,17 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor, length: int | None = None) -> Tensor:
-        """Apply a fresh mask to ``x``.
+    def forward(self, x: Tensor) -> Tensor:
+        """Apply a fresh mask drawn at ``x.shape``.
 
-        ``x`` may be the trailing ``w = x.shape[1]`` rows of a ``(B,
-        length, ...)`` input (a trimmed batch, or the final block's last
-        row): the mask is drawn at that full shape, so the generator
-        stream does not depend on how many rows are kept, and its
-        trailing ``w`` rows are applied.
+        The mask is i.i.d. per element, so only the elements a step
+        keeps are drawn: a trimmed batch ``(B, w, d)`` or the final
+        block's last row ``(B, 1, d)`` advances the generator by one
+        ``random`` call of that shape, and the stream depends on ``w``.
         """
         if not self.training or self.rate == 0.0:
             return x
-        if length is None:
-            mask = F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype)
-        else:
-            batch, width, *rest = x.shape
-            mask = F.dropout_mask(
-                (batch, length, *rest), self.rate, self._rng, dtype=x.dtype
-            )[:, length - width :]
-        return x * Tensor(mask)
+        return x * Tensor(F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype))
 
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"

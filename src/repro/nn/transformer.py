@@ -16,11 +16,10 @@ FFN's inner step :func:`repro.nn.functional.fused_linear_act`.
 
 ``forward`` returns every position; ``last_row`` returns the last one
 only and lets the final block skip the rows nobody reads (the user
-representation, Eq. 13).  Both take ``length``, the width ``T`` of the
-batch ``x`` was cut from when ``x`` holds only its trailing ``w``
-positions: every dropout mask is drawn at the ``T``-wide shape and cut
-to the positions kept, so the generator stream does not depend on
-``w``.
+representation, Eq. 13).  Every dropout mask is drawn at the shape it
+drops — ``(B, w, d)`` and ``(B, h, w, w)`` for a ``w``-wide input, ``(B,
+1, d)`` and ``(B, h, 1, w)`` on the final block's last row — so the
+generator stream depends on the width a step keeps.
 """
 
 from __future__ import annotations
@@ -84,37 +83,31 @@ class TransformerEncoderLayer(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        length: int | None = None,
     ) -> Tensor:
-        attended = self.attention(
-            x, causal=causal, key_padding_mask=key_padding_mask, length=length
-        )
-        x = self.norm1(x + self.dropout1(attended, length))
+        attended = self.attention(x, causal=causal, key_padding_mask=key_padding_mask)
+        x = self.norm1(x + self.dropout1(attended))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2(transformed, length))
+        return self.norm2(x + self.dropout2(transformed))
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that row.
 
         Attention keys and values see every position of ``x``; the
         query, the residuals, both layer norms and the FFN run on
-        ``(B, 1, d)``.  Every dropout mask is drawn at the full
-        forward's shape and in its order, then cut to the last row.
+        ``(B, 1, d)``, and every dropout mask is drawn for that row only.
         """
-        length = x.shape[1] if length is None else length
         attended = self.attention.last_row(
-            x, causal=causal, key_padding_mask=key_padding_mask, length=length
+            x, causal=causal, key_padding_mask=key_padding_mask
         )
         x = x[:, -1:, :]
-        x = self.norm1(x + self.dropout1(attended, length))
+        x = self.norm1(x + self.dropout1(attended))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2(transformed, length))
+        return self.norm2(x + self.dropout2(transformed))
 
 
 class TransformerEncoder(Module):
@@ -145,13 +138,10 @@ class TransformerEncoder(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        length: int | None = None,
     ) -> Tensor:
         with profile_scope("nn.encoder"):
             for layer in self.layers:
-                x = layer(
-                    x, causal=causal, key_padding_mask=key_padding_mask, length=length
-                )
+                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
             return x
 
     def last_row(
@@ -159,7 +149,6 @@ class TransformerEncoder(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        length: int | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``: every block but the final one
         runs at all positions, the final one computes only the row that
@@ -167,9 +156,5 @@ class TransformerEncoder(Module):
         with profile_scope("nn.encoder"):
             *inner, final = self.layers
             for layer in inner:
-                x = layer(
-                    x, causal=causal, key_padding_mask=key_padding_mask, length=length
-                )
-            return final.last_row(
-                x, causal=causal, key_padding_mask=key_padding_mask, length=length
-            )
+                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
+            return final.last_row(x, causal=causal, key_padding_mask=key_padding_mask)

@@ -221,7 +221,12 @@ class PretrainStage(Stage):
 
 
 class NextItemStage(Stage):
-    """Masked next-item BCE, with validation-based early stopping."""
+    """Masked next-item BCE, with validation-based early stopping.
+
+    The model's ``sequence_loss`` is the mean over a batch's real
+    positions; the step scales it by ``batch.weight``, so every real
+    position of a length-bucketed epoch weighs the same (paper Eq. 15).
+    """
 
     event, label = "train_epoch", "supervised"
 
@@ -270,7 +275,7 @@ class NextItemStage(Stage):
 
     def step(self):
         batch = next(self._stream)
-        return self.model.sequence_loss(batch), len(batch.users), {}
+        return self.model.sequence_loss(batch) * batch.weight, len(batch.users), {}
 
     def resume(self, start_epoch: int) -> int:
         self.history.best_epoch = int(self.extras["best_epoch"])
@@ -316,7 +321,8 @@ class NextItemStage(Stage):
 class JointStage(Stage):
     """``L_rec + λ·L_cl``: one contrastive batch per supervised batch.
 
-    λ is the model's ``cl_config.cl_weight``.
+    λ is the model's ``cl_config.cl_weight``; ``L_rec`` is scaled by
+    ``batch.weight`` as in :class:`NextItemStage`.
 
     The contrastive side cycles when its (shorter) epoch runs dry; its
     stream restarts with every epoch, so a pass left half consumed at
@@ -356,7 +362,7 @@ class JointStage(Stage):
 
     def step(self):
         batch = next(self._stream)
-        loss = self.model.sequence_loss(batch)
+        loss = self.model.sequence_loss(batch) * batch.weight
         cl_loss, __ = self.model.contrastive_loss(self._cl_stream.next())
         weight = self.model.cl_config.cl_weight
         return loss + weight * cl_loss, len(batch.users), {

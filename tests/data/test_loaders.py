@@ -130,6 +130,80 @@ class TestNextItemBatchLoader:
         assert batch.negatives.shape == (16, 12)
 
 
+class TestLengthBucketedEpochs:
+    """A next-item epoch permutes the users, stably sorts them by history
+    length, cuts batches and yields them in a random order, each
+    weighted by its share of the epoch's real positions."""
+
+    def make_loader(self, dataset, pipeline="reference", seed=0, worker_shard=None):
+        return NextItemBatchLoader(
+            dataset,
+            10,
+            17,
+            np.random.default_rng(seed),
+            pipeline=pipeline,
+            worker_shard=worker_shard,
+        )
+
+    @staticmethod
+    def history_lengths(batch):
+        return np.count_nonzero(batch.inputs, axis=1)
+
+    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
+    def test_every_eligible_user_once_per_epoch(self, tiny_dataset, pipeline):
+        loader = self.make_loader(tiny_dataset, pipeline)
+        for __ in range(3):
+            seen = np.concatenate([batch.users for batch in loader.epoch()])
+            assert sorted(seen) == sorted(loader.users)
+
+    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
+    def test_batches_are_length_buckets(self, tiny_dataset, pipeline):
+        batches = list(self.make_loader(tiny_dataset, pipeline).epoch())
+        spans = sorted(
+            (int(lengths.min()), int(lengths.max()))
+            for lengths in map(self.history_lengths, batches)
+        )
+        assert len(spans) > 2
+        for (__, longest), (shortest, __) in zip(spans, spans[1:]):
+            assert longest <= shortest
+        # ... and they are not yielded shortest first.
+        firsts = [int(self.history_lengths(batch).min()) for batch in batches]
+        assert firsts != sorted(firsts)
+
+    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
+    def test_seeded_epoch_is_reproducible(self, tiny_dataset, pipeline):
+        runs = [
+            list(self.make_loader(tiny_dataset, pipeline, seed=3).epoch())
+            for __ in range(2)
+        ]
+        assert len(runs[0]) == len(runs[1])
+        for left, right in zip(*runs):
+            np.testing.assert_array_equal(left.users, right.users)
+            np.testing.assert_array_equal(left.negatives, right.negatives)
+
+    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
+    def test_weights_are_real_positions_over_the_mean(self, tiny_dataset, pipeline):
+        """A batch's weight is its real positions over the epoch's mean
+        per batch, so every real position of an epoch weighs the same."""
+        batches = list(self.make_loader(tiny_dataset, pipeline).epoch())
+        positions = np.array([batch.mask.sum() for batch in batches])
+        np.testing.assert_allclose(
+            [batch.weight for batch in batches], positions / positions.mean()
+        )
+
+    def test_worker_shards_partition_the_users(self, tiny_dataset):
+        everyone = self.make_loader(tiny_dataset).users
+        shards = [
+            np.concatenate([b.users for b in loader.epoch()])
+            for loader in (
+                self.make_loader(tiny_dataset, worker_shard=(w, 3)) for w in range(3)
+            )
+        ]
+        for w, users in enumerate(shards):
+            assert sorted(users) == sorted(everyone[w::3])
+        assert sorted(np.concatenate(shards)) == sorted(everyone)
+
+
 class TestContrastiveBatchLoader:
     def make_loader(self, dataset, batch_size=32, max_length=10):
         sampler = PairSampler([Crop(0.7)])

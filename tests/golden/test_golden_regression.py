@@ -6,9 +6,11 @@ metric row of the trained SASRec model.  Any refactor that changes the
 numerics — intentionally or not — trips these at 1e-6.
 
 The runs are float32, the one precision (``repro.nn.precision``), and
-bit-deterministic under a fixed seed.  The fixtures were recorded when
-the compute core ran in float64; float32 reproduces every value within
-1e-7, so they stand as recorded.
+bit-deterministic under a fixed seed.  The fixtures were last
+regenerated when dropout masks moved to the kept shape, next-item
+batches became length-bucketed and the embedding backward became a
+sorted ``np.add.reduceat`` (docs/PERFORMANCE.md, "Draw, gather and
+batch only what a step keeps").
 
 To accept an intentional numeric change, regenerate the fixtures::
 

@@ -92,7 +92,7 @@ def cloze_batch(model, lengths, num_items, seed=9):
 class TestTrimmedCloze:
     """The bidirectional forward runs only the batch's trailing ``w``
     columns; the oracle is the T-wide forward (``run_t_wide``) on an
-    identically seeded model, in train mode with dropout."""
+    identically seeded model, in train mode with dropout off."""
 
     @pytest.mark.parametrize(
         "lengths, width",

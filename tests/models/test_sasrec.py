@@ -9,9 +9,15 @@ from repro.models.encoder import _GROUP_ROWS, SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
+from repro.nn import functional as F
 from repro.nn.layers import Dropout
 from repro.nn.tensor import Tensor, no_grad
-from tests.conftest import TRIM_TOLERANCES, assert_same_step, run_t_wide
+from tests.conftest import (
+    TRIM_TOLERANCES,
+    assert_same_step,
+    run_t_wide,
+    without_dropout,
+)
 
 
 def small_config(**train_overrides):
@@ -138,11 +144,11 @@ class TestLastRowRepresentation:
 
     @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
     @pytest.mark.parametrize("dtype, atol", DTYPE_TOLERANCES)
-    def test_matches_full_forward_with_dropout(self, causal, dtype, atol):
-        """Two identically seeded encoders in train mode: the last-row
-        path applies the last row of the very masks the full forward
-        draws."""
-        last, full = self.make(causal, dtype), self.make(causal, dtype)
+    def test_matches_full_forward_in_training(self, causal, dtype, atol):
+        """Two identically seeded encoders in train mode, dropout off so
+        the masks (drawn at each path's own shape) drop nothing: the
+        grad-mode last-row path equals the full forward's last row."""
+        last, full = (without_dropout(self.make(causal, dtype)) for __ in range(2))
         ids = last_row_batch()
         rep = last.user_representation(ids)
         hidden = full(ids)
@@ -157,19 +163,6 @@ class TestLastRowRepresentation:
                 a.grad, b.grad, rtol=0, atol=100 * atol, err_msg=name
             )
 
-    def test_generator_stream_is_unchanged(self):
-        """One training-mode call of each leaves the shared generators
-        at the same point: every full-shape mask was drawn."""
-        last, full = self.make(), self.make()
-        assert last.training and full.training
-        ids = last_row_batch()
-        last.user_representation(ids)
-        full(ids)
-        assert (
-            last.embedding_dropout._rng.random()
-            == full.embedding_dropout._rng.random()
-        )
-
     @pytest.mark.parametrize("causal", [True, False], ids=["causal", "bidirectional"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_grad_and_no_grad_bodies_agree_bit_for_bit(self, causal, dtype):
@@ -181,6 +174,66 @@ class TestLastRowRepresentation:
         slow = enc.user_representation(ids)
         assert not fast._parents and slow._parents
         np.testing.assert_array_equal(fast.data, slow.data)
+
+
+class TestKeptShapeDropoutDraws:
+    """Every grad-mode dropout site advances the shared generator by one
+    ``random`` call of the shape it keeps: ``(B, w, d)`` for the
+    embeddings and each block's residual branches, ``(B, h, w, w)`` for
+    attention, and ``(B, 1, d)`` / ``(B, h, 1, w)`` on the final block's
+    last row — never the ``T``-wide shape."""
+
+    B, W, H, D = 4, 6, 2, 16
+
+    def batch(self):
+        ids = last_row_batch()
+        ids[:, : 10 - self.W] = 0  # longest history W < T = 10
+        return ids
+
+    def draws(self, monkeypatch, call):
+        """The shapes ``call`` drew masks at, after checking the shared
+        generator moved by exactly those draws and nothing else."""
+        enc = SASRecEncoder(50, 10, dim=self.D, rng=np.random.default_rng(0))
+        rng = enc.embedding_dropout._rng
+        start = rng.bit_generator.state
+        shapes = []
+        real_mask = F.dropout_mask
+
+        def recording_mask(shape, rate, generator, dtype=np.float64):
+            assert generator is rng
+            shapes.append(tuple(shape))
+            return real_mask(shape, rate, generator, dtype)
+
+        monkeypatch.setattr(F, "dropout_mask", recording_mask)
+        call(enc, self.batch())
+        replay = np.random.default_rng()
+        replay.bit_generator.state = start
+        for shape in shapes:
+            replay.random(shape)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        return shapes
+
+    def test_forward(self, monkeypatch):
+        b, w, h, d = self.B, self.W, self.H, self.D
+        block = [(b, h, w, w), (b, w, d), (b, w, d)]
+        draws = self.draws(monkeypatch, SASRecEncoder.__call__)
+        assert draws == [(b, w, d)] + 2 * block
+
+    def test_user_representation(self, monkeypatch):
+        b, w, h, d = self.B, self.W, self.H, self.D
+        assert self.draws(monkeypatch, SASRecEncoder.user_representation) == [
+            (b, w, d),
+            (b, h, w, w), (b, w, d), (b, w, d),
+            (b, h, 1, w), (b, 1, d), (b, 1, d),
+        ]
+
+    def test_eval_mode_draws_nothing(self, monkeypatch):
+        def evaluate(enc, ids):
+            enc.eval()
+            enc(ids)
+            enc.user_representation(ids)
+
+        assert self.draws(monkeypatch, evaluate) == []
 
 
 def t_wide_oracle(enc, sequences):
@@ -353,7 +406,7 @@ TRIM_CASES = [
 class TestTrimmedTraining:
     """The grad-mode forward runs only the batch's trailing ``w`` columns;
     the oracle is the T-wide forward (``run_t_wide``) on an identically
-    seeded model, in train mode with dropout."""
+    seeded model, in train mode with dropout off."""
 
     @pytest.mark.parametrize("lengths, width", TRIM_CASES)
     @pytest.mark.parametrize("dtype, loss_tol, grad_tol", TRIM_TOLERANCES)

@@ -36,6 +36,10 @@
 * There is one artifact layer: only ``nn/serialization.py`` calls
   ``np.savez``, ``np.save`` or ``np.load`` (docs/ROBUSTNESS.md
   "Artifacts").
+* Nothing under ``repro.nn`` calls ``np.add.at``: a gather's backward
+  scatters with a sort and ``np.add.reduceat`` (``Tensor.take_rows``),
+  or assigns when no element can repeat (docs/AUTOGRAD.md "Gathers and
+  scatters").
 * The server reads request heads without ``email``: nothing in
   ``repro.serve`` imports it, and ``serve/server.py`` calls neither
   ``parse_headers`` nor ``date_time_string`` (docs/SERVING.md "What the
@@ -156,6 +160,18 @@ def test_only_the_artifact_layer_reads_or_writes_npy_files():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ARCHIVE_IO
         and getattr(node.func.value, "id", None) in {"np", "numpy"}
+    ]
+    assert offenders == []
+
+
+def test_nothing_in_nn_calls_add_at():
+    offenders = [
+        f"{name}:{node.lineno} np.add.at()"
+        for name, tree in modules()
+        if name.startswith("nn/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in {"np.add.at", "numpy.add.at"}
     ]
     assert offenders == []
 

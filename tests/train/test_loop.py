@@ -11,8 +11,9 @@ from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
 from repro.data.preprocessing import SequenceDataset
 from repro.experiments.config import SMOKE_SCALE
 from repro.experiments.factory import build_model
-from repro.models.sasrec import SASRecConfig
+from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
+from repro.train.stages import JointStage, NextItemStage
 from tests.conftest import make_tiny_dataset
 
 
@@ -74,3 +75,36 @@ def test_one_path_models_refuse_the_vectorized_pipeline(name, tiny_dataset):
     model = build_model(name, tiny_dataset, SMOKE_SCALE)
     with pytest.raises(ValueError, match=f"{name} has one batch path"):
         model.fit(tiny_dataset, pipeline="vectorized")
+
+
+@pytest.mark.parametrize("stage", [NextItemStage, JointStage])
+def test_next_item_loss_is_scaled_by_the_batch_weight(stage, tiny_dataset):
+    """The model's ``sequence_loss`` is a plain per-batch mean; the stage
+    scales it by ``batch.weight``, so the length-bucketed batches of an
+    epoch weigh every real position alike."""
+    config = TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0)
+    sasrec = SASRecConfig(dim=16, train=config)
+    if stage is JointStage:
+        model = CL4SRec(tiny_dataset, CL4SRecConfig(sasrec=sasrec, joint=config))
+    else:
+        model = SASRec(tiny_dataset, sasrec)
+    seen = []
+    sequence_loss = model.sequence_loss
+
+    def recording_loss(batch):
+        loss = sequence_loss(batch)
+        seen.append((batch.weight, loss.item()))
+        return loss
+
+    model.sequence_loss = recording_loss
+    run = stage(model, tiny_dataset, config)
+    run.open(np.random.default_rng(0))
+    run.begin_epoch()
+    for __ in range(run.steps_per_epoch):
+        loss, __, metrics = run.step()
+        weight, mean = seen[-1]
+        rec = metrics.get("rec_loss", loss.item())
+        assert rec == pytest.approx(weight * mean, rel=1e-6)
+    weights = [weight for weight, __ in seen]
+    assert len(set(weights)) > 1
+    assert np.mean(weights) == pytest.approx(1.0)
