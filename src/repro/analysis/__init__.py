@@ -11,16 +11,8 @@ Standard diagnostics from the contrastive-learning literature, used to
 * :class:`ConvergenceTracker` — per-epoch validation curves, used to
   verify the paper's observation that pre-training warms up (speeds up)
   fine-tuning convergence.
-* :mod:`repro.analysis.attention_probe` — attention-map extraction,
-  recency profiles and attention entropy for interpreting what the
-  encoder's user representation attends to.
 """
 
-from repro.analysis.attention_probe import (
-    attention_entropy,
-    attention_maps,
-    recency_profile,
-)
 from repro.analysis.representation import (
     ConvergenceTracker,
     alignment,
@@ -32,10 +24,7 @@ from repro.analysis.representation import (
 __all__ = [
     "ConvergenceTracker",
     "alignment",
-    "attention_entropy",
-    "attention_maps",
     "embedding_statistics",
-    "recency_profile",
     "representation_quality",
     "uniformity",
 ]

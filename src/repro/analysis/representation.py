@@ -16,18 +16,18 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, 1e-12)
 
 
-def alignment(view_a: np.ndarray, view_b: np.ndarray, alpha: float = 2.0) -> float:
-    """Wang & Isola alignment loss: E‖f(x) − f(x⁺)‖^α on the sphere.
+def alignment(view_a: np.ndarray, view_b: np.ndarray) -> float:
+    """Wang & Isola alignment loss: E‖f(x) − f(x⁺)‖² on the sphere.
 
     Lower is better — positive pairs should map close together.
     """
     a = _normalize(np.asarray(view_a, dtype=np.float64))
     b = _normalize(np.asarray(view_b, dtype=np.float64))
-    return float((np.linalg.norm(a - b, axis=-1) ** alpha).mean())
+    return float((np.linalg.norm(a - b, axis=-1) ** 2.0).mean())
 
 
-def uniformity(representations: np.ndarray, t: float = 2.0) -> float:
-    """Wang & Isola uniformity loss: log E exp(−t‖f(x) − f(y)‖²).
+def uniformity(representations: np.ndarray) -> float:
+    """Wang & Isola uniformity loss: log E exp(−2‖f(x) − f(y)‖²).
 
     Lower is better — representations should spread over the sphere.
     """
@@ -40,27 +40,23 @@ def uniformity(representations: np.ndarray, t: float = 2.0) -> float:
         - 2.0 * z @ z.T
     )
     mask = ~np.eye(len(z), dtype=bool)
-    return float(np.log(np.exp(-t * squared_distances[mask]).mean()))
+    return float(np.log(np.exp(-2.0 * squared_distances[mask]).mean()))
 
 
 def representation_quality(
     model,
     dataset: SequenceDataset,
     max_length: int,
-    num_users: int = 256,
-    seed: int = 0,
 ) -> dict[str, float]:
-    """Alignment & uniformity of a model's user representations.
+    """Alignment & uniformity of 256 users' representations.
 
     Uses the model's own pair sampler (``model.pair_sampler``) to
     produce the positive views, mirroring the training distribution.
     The encoder runs in eval mode (restored afterwards), so the numbers
     carry no dropout noise and the model's generator does not advance.
     """
-    rng = np.random.default_rng(seed)
-    loader = ContrastiveBatchLoader(
-        dataset, model.pair_sampler, max_length, num_users, rng
-    )
+    rng = np.random.default_rng(0)
+    loader = ContrastiveBatchLoader(dataset, model.pair_sampler, max_length, 256, rng)
     batch = next(iter(loader.epoch()))
     was_training = model.training
     model.eval()

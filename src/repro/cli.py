@@ -528,32 +528,33 @@ def _run_online(args: argparse.Namespace) -> int:
         round_checkpoint_dir = args.round_checkpoint_dir or os.path.join(
             args.store_dir, "rounds"
         )
-    loop_config = OnlineLoopConfig(
-        rounds=rounds,
-        events_per_round=args.events_per_round,
-        buffer_capacity=args.buffer_capacity,
-        holdout_capacity=args.holdout_capacity,
-        holdout_every=args.holdout_every,
-        min_sequence_length=args.min_sequence_length,
-        shadow_k=args.shadow_k,
-        shadow_requests=args.shadow_requests,
-        seed=args.loop_seed,
-        gate=GateConfig(
-            metrics=tuple(args.gate_metric or ("HR@10", "NDCG@10")),
-            epsilon=args.gate_epsilon,
-            min_shadow_users=args.min_shadow_users,
-            min_new_sequences=args.min_new_sequences,
-        ),
-        finetune=FineTuneConfig(
-            epochs=args.epochs_per_round,
-            batch_size=args.train_batch_size,
-            learning_rate=args.learning_rate,
-            max_length=config.scale().max_length,
-            pipeline=args.pipeline,
-            workers=args.train_workers,
-            checkpoint_dir=round_checkpoint_dir,
-        ),
-    )
+    with _serving_setup():  # an unknown --gate-metric refuses here
+        loop_config = OnlineLoopConfig(
+            rounds=rounds,
+            events_per_round=args.events_per_round,
+            buffer_capacity=args.buffer_capacity,
+            holdout_capacity=args.holdout_capacity,
+            holdout_every=args.holdout_every,
+            min_sequence_length=args.min_sequence_length,
+            shadow_k=args.shadow_k,
+            shadow_requests=args.shadow_requests,
+            seed=args.loop_seed,
+            gate=GateConfig(
+                metrics=tuple(args.gate_metric or ("HR@10", "NDCG@10")),
+                epsilon=args.gate_epsilon,
+                min_shadow_users=args.min_shadow_users,
+                min_new_sequences=args.min_new_sequences,
+            ),
+            finetune=FineTuneConfig(
+                epochs=args.epochs_per_round,
+                batch_size=args.train_batch_size,
+                learning_rate=args.learning_rate,
+                max_length=config.scale().max_length,
+                pipeline=args.pipeline,
+                workers=args.train_workers,
+                checkpoint_dir=round_checkpoint_dir,
+            ),
+        )
 
     obs = None
     if args.obs_dir:

@@ -125,14 +125,13 @@ class ProcessPool(ClosesOnExit):
         name: str,
         failure,
         timeout_s: float,
-        start_method: str | None = None,
     ) -> None:
         self.timeout_s = float(timeout_s)
         self._failure = failure
         self._closed = False
         self._conns = []
         self.processes = []
-        context = multiprocessing.get_context(start_method or "fork")
+        context = multiprocessing.get_context("fork")
         self.start_method = context.get_start_method()
         try:
             for worker, spec in enumerate(specs):

@@ -82,7 +82,6 @@ def read_csv_log(
     user_column: str = "user_id",
     item_column: str = "item_id",
     timestamp_column: str = "timestamp",
-    delimiter: str = ",",
     strict: bool = True,
 ) -> InteractionLog:
     """Read a CSV with a header row into an :class:`InteractionLog`.
@@ -104,7 +103,7 @@ def read_csv_log(
     def rows():
         nonlocal skipped
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle, delimiter=delimiter, restkey="__rest__")
+            reader = csv.DictReader(handle, restkey="__rest__")
             if reader.fieldnames is None:
                 raise ValueError(f"{path}: empty CSV")
             for column in (user_column, item_column, timestamp_column):

@@ -52,6 +52,16 @@ from repro.data.pipeline import padded_views, validate_pipeline
 from repro.data.preprocessing import SequenceDataset
 
 
+class NoTrainableData(ValueError):
+    """The dataset holds nothing a loader can build a batch from.
+
+    Raised when a loader is built: no user has a long enough history,
+    fewer than 2 do for a contrastive batch (its in-batch negatives need
+    a second user), or a row table is empty.  An online round refuses
+    on it (``no_trainable_data``); any other ``ValueError`` is a fault.
+    """
+
+
 def _shard_users(
     users: np.ndarray, worker_shard: tuple[int, int] | None
 ) -> np.ndarray:
@@ -75,15 +85,15 @@ def _shard_users(
     return users[worker::count]
 
 
-def pad_left(sequence: np.ndarray, length: int, pad_value: int = 0) -> np.ndarray:
-    """Left-pad (or left-truncate) ``sequence`` to exactly ``length``.
+def pad_left(sequence: np.ndarray, length: int) -> np.ndarray:
+    """Left-pad with id 0 (or left-truncate) ``sequence`` to exactly ``length``.
 
     Truncation keeps the *last* ``length`` items, per paper Eq. (7).
     """
     sequence = np.asarray(sequence, dtype=np.int64)
     if len(sequence) >= length:
         return sequence[-length:]
-    out = np.full(length, pad_value, dtype=np.int64)
+    out = np.zeros(length, dtype=np.int64)
     if len(sequence):
         out[-len(sequence) :] = sequence
     return out
@@ -127,8 +137,9 @@ class NegativeSampler:
 class PopularityNegativeSampler(NegativeSampler):
     """Popularity-weighted negative sampling.
 
-    Draws negatives proportionally to ``count(item)^alpha`` (word2vec's
-    classic 0.75 by default).  Harder negatives than uniform: popular
+    Draws negatives proportionally to ``(count(item) + 1)^alpha``
+    (word2vec's classic 0.75 by default; the +1 keeps unseen items
+    sampleable).  Harder negatives than uniform: popular
     items the user *didn't* choose are more informative contrasts.
 
     Parameters
@@ -138,8 +149,6 @@ class PopularityNegativeSampler(NegativeSampler):
         ``num_items + 1`` (index 0 = padding, ignored).
     alpha:
         Popularity exponent; 0 recovers uniform sampling.
-    smoothing:
-        Added to every count so unseen items stay sampleable.
     """
 
     def __init__(
@@ -147,7 +156,6 @@ class PopularityNegativeSampler(NegativeSampler):
         item_counts: np.ndarray,
         rng: np.random.Generator,
         alpha: float = 0.75,
-        smoothing: float = 1.0,
     ) -> None:
         item_counts = np.asarray(item_counts, dtype=np.float64)
         if item_counts.ndim != 1 or len(item_counts) < 3:
@@ -157,7 +165,7 @@ class PopularityNegativeSampler(NegativeSampler):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         super().__init__(len(item_counts) - 1, rng)
-        weights = (item_counts[1:] + smoothing) ** alpha
+        weights = (item_counts[1:] + 1.0) ** alpha
         self._cumulative = np.cumsum(weights / weights.sum())
         self.alpha = alpha
 
@@ -256,7 +264,7 @@ class NextItemBatchLoader:
             dtype=np.int64,
         )
         if len(self._users) == 0:
-            raise ValueError("no user has a long enough training sequence")
+            raise NoTrainableData("no user has a long enough training sequence")
         self._users = _shard_users(self._users, worker_shard)
         # The unit of NextItemBatch.weight.
         real_positions = self._history_lengths[self._users].sum()
@@ -376,8 +384,11 @@ class ContrastiveBatchLoader:
             ],
             dtype=np.int64,
         )
-        if len(self._users) == 0:
-            raise ValueError("no user has a long enough training sequence")
+        if len(self._users) < 2:
+            raise NoTrainableData(
+                f"{len(self._users)} user(s) have a long enough training "
+                "sequence; a contrastive batch needs 2 (in-batch negatives)"
+            )
         self._users = _shard_users(self._users, worker_shard)
 
     @property
@@ -462,7 +473,7 @@ def _flat_sequences(dataset: SequenceDataset) -> tuple[np.ndarray, np.ndarray]:
     """Every training interaction in user order, and each one's user."""
     lengths = np.fromiter(map(len, dataset.train_sequences), dtype=np.int64)
     if lengths.sum() == 0:
-        raise ValueError("dataset has no training interactions")
+        raise NoTrainableData("dataset has no training interactions")
     flat = np.concatenate(
         [np.asarray(seq, dtype=np.int64) for seq in dataset.train_sequences]
     )
@@ -485,7 +496,7 @@ def transition_rows(dataset: SequenceDataset, window: int) -> RowBatch:
     starts = np.searchsorted(users, users)  # where each row's sequence begins
     positions = np.flatnonzero(np.arange(len(items)) > starts)
     if len(positions) == 0:
-        raise ValueError("dataset has no training transitions")
+        raise NoTrainableData("dataset has no training transitions")
     offsets = positions[:, None] - window + np.arange(window)[None, :]
     valid = offsets >= starts[positions, None]
     context = np.where(valid, items[np.maximum(offsets, 0)], 0)
@@ -512,7 +523,7 @@ class RowBatchLoader:
         worker_shard: tuple[int, int] | None = None,
     ) -> None:
         if num_rows == 0:
-            raise ValueError("the training-row table is empty")
+            raise NoTrainableData("the training-row table is empty")
         self.batch_size = batch_size
         self._rng = rng
         self._build = build

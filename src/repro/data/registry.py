@@ -133,9 +133,7 @@ def dataset_names() -> list[str]:
     return list(DATASETS)
 
 
-def load_dataset(
-    name: str, scale: float = 1.0, seed: int = 0, min_count: int = 5
-) -> SequenceDataset:
+def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> SequenceDataset:
     """Generate + preprocess a named dataset.
 
     Parameters
@@ -146,11 +144,11 @@ def load_dataset(
         Fraction of the full-size user/item population to generate.
     seed:
         Simulator seed (deterministic output).
-    min_count:
-        5-core threshold (paper default 5).
+
+    The log is 5-core filtered, as in the paper.
     """
     if name not in DATASETS:
         raise KeyError(f"unknown dataset '{name}'; available: {dataset_names()}")
     spec = DATASETS[name]
     log = generate_log(spec.config(scale=scale, seed=seed))
-    return SequenceDataset.from_log(log, name=spec.name, min_count=min_count)
+    return SequenceDataset.from_log(log, name=spec.name)

@@ -403,17 +403,6 @@ class TrafficTrace:
             "duration_s": None,  # replay pacing decides wall time
         }
 
-    def to_jsonl(self, path, limit: int | None = None) -> int:
-        """Write the trace as JSON lines (byte-stable across runs)."""
-        import json
-
-        written = 0
-        with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events(limit):
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
-                written += 1
-        return written
-
 
 def synthesize_trace(config: TrafficConfig | None = None,
                      **overrides) -> TrafficTrace:

@@ -18,6 +18,8 @@ from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
 
 OPERATORS = ("crop", "mask", "reorder")
+#: The proportion rate every operator runs at.
+RATE = 0.5
 
 
 @dataclass
@@ -50,17 +52,12 @@ class Figure5Result:
 
 def run_figure5(
     dataset_name: str = "beauty",
-    best_rates: dict[str, float] | None = None,
     scale: ExperimentScale | None = None,
 ) -> Figure5Result:
-    """Evaluate singles and pairwise compositions at their best rates.
-
-    ``best_rates`` maps operator name → proportion rate; defaults to
-    0.5 for every operator (run Figure 4 first to find true optima).
+    """Evaluate singles and pairwise compositions, every operator at rate
+    :data:`RATE` (Figure 4 finds the per-operator optima).
     """
     scale = scale if scale is not None else ExperimentScale()
-    if best_rates is None:
-        best_rates = {op: 0.5 for op in OPERATORS}
     dataset = load_dataset(dataset_name, scale=scale.dataset_scale, seed=scale.seed)
     evaluator = Evaluator(dataset, split="test")
     result = Figure5Result(dataset=dataset_name, scale=scale)
@@ -71,7 +68,7 @@ def run_figure5(
             dataset,
             scale,
             augmentations=(operator,),
-            rates=best_rates[operator],
+            rates=RATE,
         )
         model.fit(dataset)
         result.results[operator] = evaluator.evaluate(
@@ -84,7 +81,7 @@ def run_figure5(
             dataset,
             scale,
             augmentations=(first, second),
-            rates=[best_rates[first], best_rates[second]],
+            rates=[RATE, RATE],
             distinct_pair=True,
         )
         model.fit(dataset)

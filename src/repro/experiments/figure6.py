@@ -28,11 +28,11 @@ class Figure6Result:
     fractions: tuple[float, ...]
     series: dict[str, dict[float, dict[str, float]]] = field(default_factory=dict)
 
-    def wins_at_every_fraction(self, metric: str = "NDCG@10") -> bool:
-        """Does CL4SRec beat SASRec at every training fraction?"""
+    def wins_at_every_fraction(self) -> bool:
+        """Does CL4SRec beat SASRec on NDCG@10 at every training fraction?"""
         cl = self.series["CL4SRec"]
         sas = self.series["SASRec"]
-        return all(cl[f][metric] > sas[f][metric] for f in self.fractions)
+        return all(cl[f]["NDCG@10"] > sas[f]["NDCG@10"] for f in self.fractions)
 
     def degradation(self, model: str, metric: str = "NDCG@10") -> float:
         """Relative drop from 100% to the smallest fraction, in percent."""

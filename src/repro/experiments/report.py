@@ -52,10 +52,7 @@ class Report:
             handle.write(self.markdown + "\n")
 
 
-def build_report(
-    results_dir: str | os.PathLike,
-    title: str = "CL4SRec reproduction — regenerated artifacts",
-) -> Report:
+def build_report(results_dir: str | os.PathLike) -> Report:
     """Combine all saved artifacts from ``results_dir``.
 
     Artifacts named in :data:`SECTION_ORDER` appear first, in order;
@@ -75,7 +72,7 @@ def build_report(
     included = ordered + extras
     missing = [name for name in SECTION_ORDER if name not in available]
 
-    parts = [f"# {title}", ""]
+    parts = ["# CL4SRec reproduction — regenerated artifacts", ""]
     for name in included:
         with open(os.path.join(results_dir, f"{name}.md")) as handle:
             parts.append(handle.read().strip())

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 
-def format_float(value: float, digits: int = 4) -> str:
+def format_float(value: float) -> str:
     """Format a metric the way the paper prints it (e.g. ``0.0513``)."""
-    return f"{value:.{digits}f}"
+    return f"{value:.4f}"
 
 
 @dataclass

@@ -79,7 +79,6 @@ def run_sweep(
     param_grid: Sequence[Mapping[str, Any]],
     metric: str = "HR@10",
     max_eval_users: int | None = 1000,
-    evaluate_test_for_best: bool = True,
 ) -> SweepResult:
     """Train one model per grid point and select on validation.
 
@@ -94,9 +93,9 @@ def run_sweep(
         Parameter dicts (see :func:`grid`).
     metric:
         Selection metric, evaluated on the validation split.
-    evaluate_test_for_best:
-        When true (default), only the winner gets test metrics —
-        matching the honest protocol of selecting before looking.
+
+    Only the winner gets test metrics — the honest protocol of selecting
+    before looking.
     """
     if not param_grid:
         raise ValueError("param_grid is empty")
@@ -109,12 +108,10 @@ def run_sweep(
         point._model = model  # type: ignore[attr-defined]
         result.points.append(point)
 
-    if evaluate_test_for_best:
-        best = result.best
-        test_evaluator = Evaluator(dataset, split="test")
-        best.test_metrics = test_evaluator.evaluate(
-            best._model, max_users=max_eval_users  # type: ignore[attr-defined]
-        ).metrics
+    best = result.best
+    best.test_metrics = Evaluator(dataset, split="test").evaluate(
+        best._model, max_users=max_eval_users  # type: ignore[attr-defined]
+    ).metrics
     for point in result.points:
         del point._model  # type: ignore[attr-defined]
     return result

@@ -25,12 +25,10 @@ class Table2Result:
     scale: ExperimentScale
     metrics: dict[str, dict[str, dict[str, float]]] = field(default_factory=dict)
 
-    def improvement_over(
-        self, dataset: str, baseline: str, metric: str, candidate: str = "CL4SRec"
-    ) -> float:
-        """Paper's Improv. column: % gain of ``candidate`` over ``baseline``."""
+    def improvement_over(self, dataset: str, baseline: str, metric: str) -> float:
+        """Paper's Improv. column: % gain of CL4SRec over ``baseline``."""
         return improvement_pct(
-            self.metrics[dataset][candidate][metric],
+            self.metrics[dataset]["CL4SRec"][metric],
             self.metrics[dataset][baseline][metric],
         )
 

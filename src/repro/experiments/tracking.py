@@ -31,6 +31,7 @@ class RunRecord:
     metrics: dict[str, float]
     duration_seconds: float
     run_id: str = ""
+    #: Written empty; a manifest that carries a note still loads.
     notes: str = ""
 
     def to_json(self) -> str:
@@ -64,7 +65,6 @@ class RunRegistry:
         params: dict[str, Any],
         metrics: dict[str, float],
         duration_seconds: float,
-        notes: str = "",
     ) -> RunRecord:
         """Persist one run and return its record (with assigned id)."""
         self._counter += 1
@@ -75,7 +75,6 @@ class RunRegistry:
             metrics=dict(metrics),
             duration_seconds=float(duration_seconds),
             run_id=run_id,
-            notes=notes,
         )
         path = os.path.join(self.directory, f"{run_id}.json")
         atomic_write_bytes(path, (record.to_json() + "\n").encode("utf-8"))
@@ -116,12 +115,10 @@ class TrackedRun:
         registry: RunRegistry,
         experiment: str,
         params: dict[str, Any],
-        notes: str = "",
     ) -> None:
         self.registry = registry
         self.experiment = experiment
         self.params = params
-        self.notes = notes
         self.metrics: dict[str, float] = {}
         self.record: RunRecord | None = None
         self._started = 0.0
@@ -142,5 +139,4 @@ class TrackedRun:
             self.params,
             self.metrics,
             duration_seconds=time.monotonic() - self._started,
-            notes=self.notes,
         )

@@ -95,12 +95,6 @@ class SASRecEncoder(Module):
             num_layers, dim, num_heads, dropout=dropout, rng=rng
         )
 
-    def embed(self, item_ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """The input to the first block for a left-padded batch ``(B, T)``:
-        item + position embedding after dropout ``(B, T, d)``, and the
-        ``(B, T)`` padding mask."""
-        return self._embed(self._full_width(item_ids), first_position=0)
-
     def _full_width(self, item_ids: np.ndarray) -> np.ndarray:
         item_ids = np.asarray(item_ids, dtype=np.int64)
         length = item_ids.shape[1]
@@ -113,9 +107,11 @@ class SASRecEncoder(Module):
     def _embed(
         self, item_ids: np.ndarray, first_position: int
     ) -> tuple[Tensor, np.ndarray]:
-        """:meth:`embed` for a ``(B, w)`` batch whose columns sit at
-        positions ``first_position .. first_position + w - 1`` — the
-        trailing ``w`` columns of a ``first_position + w`` wide batch.
+        """The input to the first block for a ``(B, w)`` batch whose
+        columns sit at positions ``first_position .. first_position + w -
+        1`` — the trailing ``w`` columns of a ``first_position + w`` wide
+        batch: item + position embedding after dropout ``(B, w, d)``, and
+        the ``(B, w)`` padding mask.
 
         The ``(w, d)`` block of position rows is sliced from the table
         and added by broadcast (no per-row gather, and its gradient is
@@ -210,12 +206,3 @@ class SASRecEncoder(Module):
             if was_training:
                 self.train()
         return out
-
-    def score_all_items(self, representation: Tensor, num_items: int) -> Tensor:
-        """Scores for item ids ``0..num_items`` via shared embeddings.
-
-        Column 0 (padding) is included so the result aligns with the
-        evaluator's ``(batch, num_items + 1)`` contract.
-        """
-        item_vectors = self.item_embedding.weight[: num_items + 1, :]
-        return representation.matmul(item_vectors.transpose())

@@ -44,7 +44,7 @@ from repro.nn.serialization import (
     read_archive,
     write_archive,
 )
-from repro.nn.tensor import Tensor, concat, no_grad, stack, tensor
+from repro.nn.tensor import Tensor, concat, no_grad, stack
 from repro.nn.transformer import TransformerEncoder, TransformerEncoderLayer
 
 __all__ = [
@@ -77,6 +77,5 @@ __all__ = [
     "read_archive",
     "save_checkpoint",
     "stack",
-    "tensor",
     "write_archive",
 ]

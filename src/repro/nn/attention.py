@@ -16,8 +16,6 @@ cache in :mod:`repro.nn.compute`.
   :func:`repro.nn.functional.fused_attention`.
 * In no-grad mode with dropout off (eval, serving), it runs on raw
   numpy with a pooled scratch buffer for the ``(B, h, T, T)`` scores.
-  Only this body can hand back the attention probabilities
-  (``return_probs=True``).
 
 Both bodies perform the same floating-point operations per value, so
 they agree to the last bit given the same parameters.
@@ -88,8 +86,7 @@ class MultiHeadSelfAttention(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
-        return_probs: bool = False,
-    ):
+    ) -> Tensor:
         """Attend within each sequence of the batch.
 
         Parameters
@@ -102,16 +99,11 @@ class MultiHeadSelfAttention(Module):
         key_padding_mask:
             Optional boolean ``(batch, length)`` array where ``True``
             marks padding positions that must never be attended to.
-        return_probs:
-            When true, also return the post-softmax attention
-            probabilities as a raw ``(batch, heads, length, length)``
-            array (for analysis).  Only the no-grad body computes them:
-            the call must run under ``no_grad()`` with dropout off.
 
         An active dropout draws its mask at ``(batch, heads, length,
         length)``, the shape of the probabilities it drops.
         """
-        return self._attend(x, causal, key_padding_mask, return_probs, last_row=False)
+        return self._attend(x, causal, key_padding_mask, last_row=False)
 
     def last_row(
         self,
@@ -126,18 +118,15 @@ class MultiHeadSelfAttention(Module):
         An active dropout draws only that row's mask, ``(B, h, 1,
         length)``.
         """
-        return self._attend(
-            x, causal, key_padding_mask, return_probs=False, last_row=True
-        )
+        return self._attend(x, causal, key_padding_mask, last_row=True)
 
     def _attend(
         self,
         x: Tensor,
         causal: bool,
         key_padding_mask: np.ndarray | None,
-        return_probs: bool,
         last_row: bool,
-    ):
+    ) -> Tensor:
         with profile_scope("nn.attention"):
             batch, width, __ = x.shape
             # Python float, not np.float64: a numpy scalar is "strong"
@@ -152,12 +141,7 @@ class MultiHeadSelfAttention(Module):
 
             dropout_active = self.training and self.attn_dropout.rate > 0.0
             if not is_grad_enabled() and not dropout_active:
-                return self._attend_inference(x, mask, scale, return_probs, last_row)
-            if return_probs:
-                raise ValueError(
-                    "return_probs=True needs the no-grad body: call under "
-                    "no_grad() with dropout off (eval mode)"
-                )
+                return self._attend_inference(x, mask, scale, last_row)
 
             qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
             drop = None
@@ -184,16 +168,14 @@ class MultiHeadSelfAttention(Module):
         x: Tensor,
         mask: np.ndarray | None,
         scale: float,
-        return_probs: bool,
         last_row: bool,
-    ):
+    ) -> Tensor:
         """No-grad forward on raw numpy with pooled scratch buffers.
 
         Same floating-point operations as :func:`F.fused_attention`,
         ``last_row`` included — the softmax runs in place on the pooled
         ``(B, h, rows, T)`` scores buffer, which no graph node retains
-        (callers are inside ``no_grad()``).  The buffer is reused by the
-        next call, so ``return_probs`` hands back a copy.
+        (callers are inside ``no_grad()``) and the next call reuses.
         """
         batch, length, __ = x.shape
         dtype = x.data.dtype
@@ -223,9 +205,6 @@ class MultiHeadSelfAttention(Module):
         context = np.ascontiguousarray(context.transpose(0, 2, 1, 3)).reshape(
             batch, rows, self.dim
         )
-        out = Tensor(
+        return Tensor(
             np.matmul(context, self.out_proj.weight.data) + self.out_proj.bias.data
         )
-        if return_probs:
-            return out, scores.copy()
-        return out

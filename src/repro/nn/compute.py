@@ -47,10 +47,9 @@ class MaskCache:
     accidental in-place edit cannot poison later hits.
     """
 
-    def __init__(self, maxsize: int = 64) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be positive, got {maxsize}")
-        self.maxsize = maxsize
+    maxsize = 64
+
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -157,8 +156,9 @@ class ScratchPool:
     that retains it (grad-mode code must not use the pool at all).
     """
 
-    def __init__(self, max_entries: int = 16) -> None:
-        self.max_entries = max_entries
+    max_entries = 16
+
+    def __init__(self) -> None:
         self._local = threading.local()
 
     def _entries(self) -> OrderedDict:

@@ -38,15 +38,15 @@ def tanh(x: Tensor) -> Tensor:
     return x.tanh()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Fused softmax along ``axis`` with the standard max-shift trick."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Fused softmax along the last axis with the standard max-shift trick."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    out = exp / exp.sum(axis=axis, keepdims=True)
+    out = exp / exp.sum(axis=-1, keepdims=True)
 
     def backward(grad: np.ndarray):
         # d softmax: s * (g - sum(g * s))
-        dot = (grad * out).sum(axis=axis, keepdims=True)
+        dot = (grad * out).sum(axis=-1, keepdims=True)
         return ((x, out * (grad - dot)),)
 
     return Tensor._make(out, (x,), backward)
@@ -311,9 +311,9 @@ def softplus(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     """Scale vectors along ``axis`` to unit L2 norm."""
-    norm = ((x * x).sum(axis=axis, keepdims=True) + eps).sqrt()
+    norm = ((x * x).sum(axis=axis, keepdims=True) + 1e-12).sqrt()
     return x / norm
 
 

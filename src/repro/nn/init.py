@@ -12,24 +12,16 @@ import numpy as np
 from scipy import stats
 
 
-def truncated_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    mean: float = 0.0,
-    std: float = 0.02,
-    low: float = -0.01,
-    high: float = 0.01,
-) -> np.ndarray:
-    """Sample a truncated normal restricted to ``[low, high]``.
+def truncated_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Sample N(0, 0.02²) truncated to ``[-0.01, 0.01]``.
 
     Uses the inverse-CDF method via :mod:`scipy.stats.truncnorm`, so no
     rejection loop is needed and the output is deterministic given the
     generator state.
     """
-    a = (low - mean) / std
-    b = (high - mean) / std
+    std = 0.02
     u = rng.random(shape)
-    return stats.truncnorm.ppf(u, a, b, loc=mean, scale=std)
+    return stats.truncnorm.ppf(u, -0.01 / std, 0.01 / std, loc=0.0, scale=std)
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

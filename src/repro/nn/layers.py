@@ -91,15 +91,14 @@ class Embedding(Module):
 class LayerNorm(Module):
     """Layer normalization over the last axis with learnable affine."""
 
-    def __init__(self, dim: int, eps: float = 1e-8) -> None:
+    def __init__(self, dim: int) -> None:
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.weight = Parameter(init.ones((dim,)))
         self.bias = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+        return F.layer_norm(x, self.weight, self.bias, eps=1e-8)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.dim})"

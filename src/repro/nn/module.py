@@ -47,11 +47,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a sub-module under ``name``."""
         self._modules[name] = module
@@ -77,10 +72,6 @@ class Module:
         yield self
         for child in self._modules.values():
             yield from child.modules()
-
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
 
     # ------------------------------------------------------------------
     # Modes

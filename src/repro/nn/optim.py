@@ -81,65 +81,33 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
+    """Plain stochastic gradient descent: ``p -= lr * grad``."""
 
     kind = "sgd"
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
     def step(self) -> None:
-        for param, velocity in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data -= self.lr * grad
-
-    def _state_buffers(self) -> dict[str, np.ndarray]:
-        return {
-            f"velocity.{index}": velocity
-            for index, velocity in enumerate(self._velocity)
-        }
-
-    def _load_state_buffers(self, state: dict[str, np.ndarray]) -> None:
-        for index in range(len(self.params)):
-            self._velocity[index][:] = state[f"velocity.{index}"]
+        for param in self.params:
+            if param.grad is not None:
+                param.data -= self.lr * param.grad
 
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) with bias correction.
 
-    Defaults match the paper: lr=0.001, β1=0.9, β2=0.999.
+    β1=0.9, β2=0.999 and ε=1e-8 are the paper's; lr defaults to its 0.001.
     """
 
     kind = "adam"
+    betas = (0.9, 0.999)
+    eps = 1e-8
 
     def __init__(
         self,
         params: Iterable[Parameter],
         lr: float = 0.001,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
         super().__init__(params, lr)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -204,10 +172,6 @@ class LinearDecaySchedule:
         progress = self._step_count / self.total_steps
         factor = 1.0 - (1.0 - self.final_factor) * progress
         self.optimizer.lr = self.initial_lr * factor
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Schedule state needed to resume mid-run lr decay."""

@@ -200,10 +200,6 @@ class Tensor:
         """Return the value of a single-element tensor as a float."""
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         """Reset the accumulated gradient to ``None``."""
         self.grad = None
@@ -217,28 +213,13 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def backward(self, gradient: np.ndarray | None = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
-
-        Parameters
-        ----------
-        gradient:
-            Seed gradient.  Defaults to ``1.0`` and therefore requires a
-            scalar tensor; pass an explicit array for non-scalar roots.
-        """
-        if gradient is None:
-            if self.data.size != 1:
-                raise ValueError(
-                    "backward() without a gradient argument requires a scalar "
-                    f"tensor, got shape {self.shape}"
-                )
-            gradient = np.ones_like(self.data)
-        gradient = np.asarray(gradient, dtype=self.data.dtype)
-        if gradient.shape != self.data.shape:
+    def backward(self) -> None:
+        """Run reverse-mode autodiff from this scalar tensor (seed ``1.0``)."""
+        if self.data.size != 1:
             raise ValueError(
-                f"seed gradient shape {gradient.shape} does not match tensor "
-                f"shape {self.data.shape}"
+                f"backward() needs a scalar tensor, got shape {self.shape}"
             )
+        gradient = np.ones_like(self.data)
 
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -633,11 +614,6 @@ class Tensor:
             return ((self, np.expand_dims(grad, axis)),)
 
         return Tensor._make(out, (self,), backward)
-
-
-def tensor(data: Arrayish, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -74,19 +74,12 @@ class EventSink:
     meta:
         Optional run metadata (dataset, mode, seed, argv, ...) emitted
         as the payload of an initial ``run_start`` event.
-    filename:
-        Override the stream filename (tests).
     """
 
-    def __init__(
-        self,
-        directory: str,
-        meta: dict | None = None,
-        filename: str = EVENTS_FILENAME,
-    ) -> None:
+    def __init__(self, directory: str, meta: dict | None = None) -> None:
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
-        self.path = os.path.join(directory, filename)
+        self.path = os.path.join(directory, EVENTS_FILENAME)
         self._seq = 0
         self._file: IO[str] | None = open(self.path, "a", encoding="utf-8")
         self.emit("run_start", meta=dict(meta or {}))
@@ -152,27 +145,21 @@ class RunObserver:
     The training loops, the evaluator and the runtime all accept an
     optional ``obs`` argument; passing the same :class:`RunObserver`
     everywhere yields one coherent ``obs.jsonl`` plus one aggregated
-    :class:`~repro.obs.registry.MetricsRegistry`.  ``sink`` may be
-    ``None`` for metrics-only observation (events become no-ops).
+    :class:`~repro.obs.registry.MetricsRegistry`.
     """
 
-    def __init__(
-        self,
-        sink: EventSink | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, sink: EventSink) -> None:
         self.sink = sink
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
 
     @classmethod
     def to_directory(cls, directory: str, meta: dict | None = None) -> "RunObserver":
         """An observer writing ``obs.jsonl`` under ``directory``."""
-        return cls(sink=EventSink(directory, meta=meta))
+        return cls(EventSink(directory, meta=meta))
 
     def event(self, name: str, **fields: Any) -> None:
-        """Emit one structured event (no-op without a sink)."""
-        if self.sink is not None:
-            self.sink.emit(name, **fields)
+        """Emit one structured event."""
+        self.sink.emit(name, **fields)
 
     def increment(self, name: str, by: int = 1) -> None:
         """Bump a registry counter."""
@@ -188,7 +175,7 @@ class RunObserver:
 
     def close(self) -> None:
         """Emit a final ``metrics_snapshot`` + ``run_end`` and close."""
-        if self.sink is not None and not self.sink.closed:
+        if not self.sink.closed:
             self.event("metrics_snapshot", registry=self.registry.snapshot())
             self.event("run_end")
             self.sink.close()

@@ -58,8 +58,8 @@ class Profiler:
     ``profile_calls/<scope>`` counters hold call counts.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
 
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
@@ -100,10 +100,10 @@ def enabled() -> bool:
     return _ACTIVE is not None
 
 
-def enable(profiler: Profiler | None = None) -> Profiler:
-    """Install ``profiler`` (a fresh one by default) as the active one."""
+def enable() -> Profiler:
+    """Install a fresh profiler as the active one."""
     global _ACTIVE
-    _ACTIVE = profiler if profiler is not None else Profiler()
+    _ACTIVE = Profiler()
     return _ACTIVE
 
 
@@ -122,11 +122,11 @@ def profile_scope(name: str):
 
 
 @contextmanager
-def profiled(profiler: Profiler | None = None) -> Iterator[Profiler]:
-    """Enable profiling for a ``with`` block, restoring the prior state."""
+def profiled() -> Iterator[Profiler]:
+    """Enable a fresh profiler for a ``with`` block, restoring the prior state."""
     global _ACTIVE
     previous = _ACTIVE
-    installed = enable(profiler)
+    installed = enable()
     try:
         yield installed
     finally:

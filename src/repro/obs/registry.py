@@ -75,10 +75,9 @@ class Histogram:
     single-sample reservoir reports that sample for every percentile.
     """
 
-    def __init__(self, max_samples: int = MAX_SAMPLES, seed: int = 0) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
-        self.max_samples = max_samples
+    max_samples = MAX_SAMPLES
+
+    def __init__(self, seed: int = 0) -> None:
         self.count = 0
         self.total_seconds = 0.0
         self.max_seconds = 0.0

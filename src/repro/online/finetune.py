@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.cl4srec import CL4SRec
 from repro.core.trainer import train_joint
+from repro.data.loaders import NoTrainableData
 from repro.data.preprocessing import SequenceDataset
 from repro.models.training import TrainConfig, train_next_item_model
 from repro.runtime.checkpointing import CheckpointManager
@@ -122,9 +123,9 @@ class IncrementalFineTuner:
                 losses = train_next_item_model(
                     self.model, dataset, config, rng=rng, runtime=runtime, obs=self.obs
                 ).losses
-        except ValueError as error:
-            # The loaders raise when no buffered sequence is long
-            # enough to train on; the round refuses rather than dies.
+        except NoTrainableData as error:
+            # The buffer holds nothing to train on: the round refuses
+            # rather than dies.  Any other error is a fault and raises.
             result.skipped = True
             result.reason = str(error)
             return result

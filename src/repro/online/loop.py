@@ -77,6 +77,17 @@ class OnlineLoopConfig:
     gate: GateConfig = field(default_factory=GateConfig)
     finetune: FineTuneConfig = field(default_factory=FineTuneConfig)
 
+    def __post_init__(self) -> None:
+        # The shadow evaluator computes HR@k / NDCG@k for k in ``ks``
+        # plus MRR; a gate on anything else could only ever refuse.
+        known = ["MRR"] + [f"{name}@{k}" for k in self.ks for name in ("HR", "NDCG")]
+        unknown = [metric for metric in self.gate.metrics if metric not in known]
+        if unknown:
+            raise ValueError(
+                f"gate metric(s) {unknown} are not computed by the shadow "
+                f"evaluator (ks={tuple(self.ks)}); choose from {known}"
+            )
+
 
 @dataclass
 class RoundRecord:

@@ -67,10 +67,6 @@ class Int8Quantizer:
         """
         return codes @ (np.asarray(query, dtype=np.float64) * self.scale)
 
-    @property
-    def bytes_per_row(self) -> int:
-        return int(self.scale.shape[0])
-
     def state(self) -> dict[str, np.ndarray]:
         return {"int8_scale": np.asarray(self.scale, dtype=np.float64)}
 
@@ -90,13 +86,14 @@ class ProductQuantizer:
 
     #: Codewords per subspace codebook (one uint8 code).
     CODEBOOK_SIZE = 256
+    #: Rows each subspace's k-means trains on (a seeded subsample above).
+    train_sample = 65536
 
     def __init__(
         self,
         m: int = 8,
         iters: int = 10,
         seed: int = 0,
-        train_sample: int = 65536,
         codebooks: np.ndarray | None = None,
     ) -> None:
         if m < 1:
@@ -104,7 +101,6 @@ class ProductQuantizer:
         self.m = int(m)
         self.iters = int(iters)
         self.seed = int(seed)
-        self.train_sample = int(train_sample)
         #: ``(m, 256, d // m)`` float64 codebooks once fitted.
         self.codebooks = codebooks
 
@@ -199,10 +195,6 @@ class ProductQuantizer:
         flat = codes.astype(np.int64, copy=False) + offsets
         return table.ravel()[flat].sum(axis=1)
 
-    @property
-    def bytes_per_row(self) -> int:
-        return self.m
-
     def state(self) -> dict[str, np.ndarray]:
         return {
             "pq_codebooks": np.asarray(self.codebooks, dtype=np.float64),
@@ -214,13 +206,12 @@ class ProductQuantizer:
 
     @classmethod
     def from_state(cls, state: dict[str, np.ndarray]) -> "ProductQuantizer":
-        m, iters, seed, train_sample = (
+        m, iters, seed, __ = (
             int(v) for v in np.asarray(state["pq_meta"], dtype=np.int64)
         )
         return cls(
             m=m,
             iters=iters,
             seed=seed,
-            train_sample=train_sample,
             codebooks=np.asarray(state["pq_codebooks"], dtype=np.float64),
         )

@@ -38,7 +38,7 @@ from repro.runtime.faults import FaultInjector
 class CheckpointManager:
     """Rotating directory of verified checkpoints.
 
-    Archives are named ``<prefix>-<step>.npz`` where ``step`` is any
+    Archives are named ``ckpt-<step>.npz`` where ``step`` is any
     monotone counter the caller chooses (the runtime uses "epochs
     completed").  ``keep`` bounds how many are retained; rotation
     deletes oldest-first after each successful save, so a failed save
@@ -49,16 +49,12 @@ class CheckpointManager:
         self,
         directory: str | os.PathLike,
         keep: int = 3,
-        prefix: str = "ckpt",
         faults: FaultInjector | None = None,
     ) -> None:
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep}")
-        if not re.fullmatch(r"[A-Za-z0-9_.]+", prefix):
-            raise ValueError(f"prefix must be alphanumeric, got {prefix!r}")
         self.directory = os.fspath(directory)
         self.keep = keep
-        self.prefix = prefix
         self.faults = faults
         #: ``(path, reason)`` for archives skipped by the last recovery walk.
         self.skipped: list[tuple[str, str]] = []
@@ -69,11 +65,11 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def path_for(self, step: int) -> str:
         """Archive path for checkpoint ``step``."""
-        return os.path.join(self.directory, f"{self.prefix}-{step:08d}.npz")
+        return os.path.join(self.directory, f"ckpt-{step:08d}.npz")
 
     def steps(self) -> list[int]:
         """Steps with an archive on disk, ascending (valid or not)."""
-        pattern = re.compile(rf"{re.escape(self.prefix)}-(\d+)\.npz$")
+        pattern = re.compile(r"ckpt-(\d+)\.npz$")
         found = []
         for name in os.listdir(self.directory):
             match = pattern.fullmatch(name)

@@ -38,7 +38,6 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -91,10 +90,11 @@ class Fault:
 class FaultInjector:
     """Injects scheduled and/or seeded-random faults at runtime sites.
 
+    The deterministic schedule is built with the chainable methods
+    (:meth:`fail_write`, :meth:`preempt`, ...).
+
     Parameters
     ----------
-    faults:
-        Explicit :class:`Fault` schedule (deterministic).
     io_failure_rate:
         Probability that any checkpoint write/read fails with an
         injected ``OSError``, drawn from a generator seeded with
@@ -105,13 +105,12 @@ class FaultInjector:
 
     def __init__(
         self,
-        faults: Iterable[Fault] = (),
         io_failure_rate: float = 0.0,
         encode_failure_rate: float = 0.0,
         encode_delay_s: float = 0.0,
         seed: int = 0,
     ) -> None:
-        self.faults = list(faults)
+        self.faults: list[Fault] = []
         if not 0.0 <= io_failure_rate <= 1.0:
             raise ValueError("io_failure_rate must be in [0, 1]")
         if not 0.0 <= encode_failure_rate <= 1.0:

@@ -32,31 +32,24 @@ class DivergenceGuard:
     ----------
     model, optimizer, schedule:
         The live training state to snapshot and roll back.
-    max_retries:
-        Rollbacks allowed per snapshot before :class:`DivergenceError`.
-    lr_backoff:
-        Learning-rate multiplier applied per rollback (compounding:
-        after the second rollback from one snapshot the lr is
-        ``lr_backoff**2`` of the snapshot's).
     """
+
+    #: Rollbacks allowed per snapshot before :class:`DivergenceError`.
+    max_retries = 3
+    #: Learning-rate multiplier applied per rollback (compounding: after
+    #: the second rollback from one snapshot the lr is ``lr_backoff**2``
+    #: of the snapshot's).
+    lr_backoff = 0.5
 
     def __init__(
         self,
         model: Module,
         optimizer: Optimizer,
         schedule: LinearDecaySchedule | None = None,
-        max_retries: int = 3,
-        lr_backoff: float = 0.5,
     ) -> None:
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        if not 0.0 < lr_backoff < 1.0:
-            raise ValueError(f"lr_backoff must be in (0, 1), got {lr_backoff}")
         self.model = model
         self.optimizer = optimizer
         self.schedule = schedule
-        self.max_retries = max_retries
-        self.lr_backoff = lr_backoff
         self.retries_used = 0  # rollbacks since the current snapshot
         self.total_rollbacks = 0  # across the whole run (for reporting)
         self._snapshot: dict | None = None

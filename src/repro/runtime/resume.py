@@ -123,8 +123,6 @@ class TrainingRuntime:
         :meth:`start`; with False, training always starts fresh.
     guard:
         Enable the per-step :class:`DivergenceGuard`.
-    max_retries / lr_backoff:
-        Forwarded to the guard.
     faults:
         Optional :class:`FaultInjector` for robustness tests; it is
         also handed to the manager if the manager has none.
@@ -144,8 +142,6 @@ class TrainingRuntime:
         checkpoint_every: int = 1,
         resume: bool = True,
         guard: bool = True,
-        max_retries: int = 3,
-        lr_backoff: float = 0.5,
         faults: FaultInjector | None = None,
         handle_signals: bool = True,
         obs=None,
@@ -156,8 +152,6 @@ class TrainingRuntime:
         self.checkpoint_every = checkpoint_every
         self.resume = resume
         self.guard_enabled = guard
-        self.max_retries = max_retries
-        self.lr_backoff = lr_backoff
         self.faults = faults
         if faults is not None and manager.faults is None:
             manager.faults = faults
@@ -217,13 +211,7 @@ class TrainingRuntime:
         self._extras = extras
         self._aux = aux
         if self.guard_enabled:
-            self.guard = DivergenceGuard(
-                model,
-                optimizer,
-                schedule,
-                max_retries=self.max_retries,
-                lr_backoff=self.lr_backoff,
-            )
+            self.guard = DivergenceGuard(model, optimizer, schedule)
 
         start_epoch = 0
         if self.resume:

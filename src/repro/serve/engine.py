@@ -205,15 +205,10 @@ class EngineFacade:
         sequence=None,
         k: int = 10,
         exclude_seen: bool = True,
-        deadline_ms: float | None = None,
     ) -> Recommendation:
         """Serve a single request (convenience over :meth:`recommend_batch`)."""
         request = RecRequest(
-            user=user,
-            sequence=sequence,
-            k=k,
-            exclude_seen=exclude_seen,
-            deadline_ms=deadline_ms,
+            user=user, sequence=sequence, k=k, exclude_seen=exclude_seen
         )
         return self.recommend_batch([request])[0]
 
@@ -285,9 +280,6 @@ class RecommendationEngine(EngineFacade):
         Optional :class:`~repro.runtime.faults.FaultInjector` hooked
         into the encoder forward (``encode`` / ``encode_slow`` sites)
         for chaos testing.
-    observer:
-        Optional :class:`repro.obs.RunObserver`; breaker transitions
-        and model swaps are emitted as structured events.
     index:
         The retrieval index serving candidate scoring + top-k: a
         :class:`repro.retrieval.ItemIndex` instance (built indexes are
@@ -313,7 +305,6 @@ class RecommendationEngine(EngineFacade):
         metrics: ServingMetrics | None = None,
         resilience=_DEFAULT_RESILIENCE,
         faults: FaultInjector | None = None,
-        observer=None,
         index: "ItemIndex | str | None" = None,
     ) -> None:
         if max_batch_size < 1:
@@ -326,7 +317,9 @@ class RecommendationEngine(EngineFacade):
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.cache = LRUCache(cache_size)
         self.faults = faults
-        self.observer = observer
+        #: Optional :class:`repro.obs.RunObserver` (set by the caller);
+        #: breaker transitions and model swaps become structured events.
+        self.observer = None
         #: Weight generation counter, bumped by every successful
         #: :meth:`swap_model`; stamped onto every response.
         self.model_version = 1

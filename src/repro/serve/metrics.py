@@ -32,22 +32,16 @@ class ServingMetrics:
       encoded, items scored, batches flushed.
     * user-representation cache hits/misses with a derived hit rate.
 
-    All state lives in a :class:`repro.obs.registry.MetricsRegistry`;
-    pass one in to share instruments with a wider observability setup
-    (e.g. a :class:`repro.obs.RunObserver`).  ``seed`` threads into the
-    registry's reservoir RNGs so exported percentiles are
-    deterministic run to run (ignored when ``registry`` is supplied).
+    All state lives in a :class:`repro.obs.registry.MetricsRegistry`.
+    ``seed`` threads into the registry's reservoir RNGs so exported
+    percentiles are deterministic run to run.
     """
 
-    def __init__(
-        self, registry: MetricsRegistry | None = None, seed: int = 0
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         # Elapsed time is measured on the monotonic clock: a wall-clock
         # step (NTP, a manual date change) must not make uptime negative.
         self._started = time.monotonic()
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(seed=seed)
-        )
+        self.registry = MetricsRegistry(seed=seed)
 
     # ------------------------------------------------------------------
     # Recording
@@ -99,14 +93,6 @@ class ServingMetrics:
         """A counter's value without creating it on read."""
         counter = self.registry.counters.get(name)
         return counter.value if counter is not None else 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of representation lookups served from cache."""
-        hits = self._count("user_cache_hits")
-        misses = self._count("user_cache_misses")
-        lookups = hits + misses
-        return hits / lookups if lookups else 0.0
 
     @property
     def uptime_seconds(self) -> float:
@@ -175,6 +161,6 @@ class ServingMetrics:
             merged.gauge(name).set(gauge.value)
         return self._snapshot_of(merged)
 
-    def to_json(self, indent: int = 2) -> str:
-        """Serialize :meth:`snapshot` as JSON."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """Serialize :meth:`snapshot` as indented JSON."""
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)

@@ -93,16 +93,17 @@ class ServingUnavailable(RuntimeError):
 
     status = 503
     reason = "unavailable"
-
-    def __init__(self, message: str, retry_after_s: float | None = None) -> None:
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
+    retry_after_s: float | None = None
 
 
 class ShedRequest(ServingUnavailable):
     """Admission control refused the request (server at capacity)."""
 
     reason = REASON_SHED
+
+    def __init__(self, message: str, retry_after_s: float) -> None:
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class DeadlineExceeded(ServingUnavailable):
@@ -280,11 +281,10 @@ class CircuitBreaker:
         self,
         config: BreakerConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
     ) -> None:
         self.config = config if config is not None else BreakerConfig()
         self.clock = clock
-        self.on_transition = on_transition
+        self.on_transition: Callable[[str, str], None] | None = None
         self._state = BREAKER_CLOSED
         self._window: deque[bool] = deque(maxlen=self.config.window)
         self._opened_at = 0.0

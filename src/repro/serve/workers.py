@@ -278,9 +278,6 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
         self,
         template: RecommendationEngine,
         workers: int,
-        start_method: str | None = None,
-        worker_cache_size: int | None = None,
-        metrics_seed: int = 0,
         worker_timeout_s: float = 120.0,
     ) -> None:
         self._closed = True  # nothing to tear down until the pool is up
@@ -288,7 +285,7 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
             raise ValueError(f"workers must be positive, got {workers}")
         self._template = template
         self.workers = int(workers)
-        self.metrics = _FrontendMetrics(self, seed=metrics_seed)
+        self.metrics = _FrontendMetrics(self, seed=0)
         self.metrics.touch("fanout_batches")
         self._swap_lock = threading.Lock()
         self._locks = [threading.Lock() for __ in range(workers)]
@@ -303,9 +300,8 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
         )
 
         # Memory parity with the single-process engine: the configured
-        # cache budget is split across shards unless overridden.
-        if worker_cache_size is None:
-            worker_cache_size = max(1, template.cache.maxsize // workers)
+        # cache budget is split across shards.
+        worker_cache_size = max(1, template.cache.maxsize // workers)
         resilience = (
             template.policy.config if template.policy is not None else None
         )
@@ -317,7 +313,7 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
                 "max_batch_size": template.max_batch_size,
                 "cache_size": worker_cache_size,
                 "split": template.split,
-                "metrics_seed": metrics_seed + shard + 1,
+                "metrics_seed": shard + 1,
                 "resilience": resilience,
                 "faults": template.faults,
                 "index_kind": template.index.kind,
@@ -334,7 +330,6 @@ class ShardedEngine(ClosesOnExit, EngineFacade):
                 name="repro-scoring-worker",
                 failure=self._worker_failed,
                 timeout_s=worker_timeout_s,
-                start_method=start_method,
             )
         except BaseException:
             self._shared.close()

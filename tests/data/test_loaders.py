@@ -36,10 +36,6 @@ class TestPadLeft:
         out = pad_left(np.array([], dtype=np.int64), 3)
         np.testing.assert_array_equal(out, [0, 0, 0])
 
-    def test_custom_pad_value(self):
-        out = pad_left(np.array([7]), 3, pad_value=-1)
-        np.testing.assert_array_equal(out, [-1, -1, 7])
-
     @settings(max_examples=25, deadline=None)
     @given(
         length=st.integers(1, 20),

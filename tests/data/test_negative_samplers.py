@@ -86,7 +86,7 @@ class TestPopularitySampler:
         counts = np.zeros(11)
         counts[1] = 1000  # only item 1 ever interacted
         sampler = PopularityNegativeSampler(
-            counts, np.random.default_rng(6), alpha=1.0, smoothing=1.0
+            counts, np.random.default_rng(6), alpha=1.0
         )
         negatives = sampler.sample(np.full(5000, 1))
         # All negatives avoid item 1, so smoothing must make 2..10 reachable.

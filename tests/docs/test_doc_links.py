@@ -1,6 +1,6 @@
 """Documentation link check: every cross-reference must resolve.
 
-Two kinds of references are verified across ``README.md`` and
+Three kinds of references are verified across ``README.md`` and
 ``docs/*.md``:
 
 * markdown links ``[text](target)`` whose target is a relative path
@@ -8,7 +8,10 @@ Two kinds of references are verified across ``README.md`` and
 * backticked path tokens like ```docs/PERFORMANCE.md``` or
   ```benchmarks/test_pipeline_throughput.py`` — checked whenever they
   name a markdown file, or a python/source path containing a ``/``
-  (bare module names and glob patterns are skipped).
+  (bare module names and glob patterns are skipped);
+* any ``examples/…``, ``benchmarks/…``, ``tests/…`` or ``src/…`` path
+  written anywhere, code blocks included (a glob or ``::test`` suffix
+  is cut at its first character that cannot be part of a path).
 
 Targets resolve relative to the containing file's directory first,
 then the repository root — so both ``[SERVING.md](SERVING.md)`` inside
@@ -28,6 +31,7 @@ DOC_FILES = sorted(
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 BACKTICK_TOKEN = re.compile(r"`([^`\s]+)`")
+TREE_PATH = re.compile(r"(?<![\w./-])((?:examples|benchmarks|tests|src)/[\w./-]*\w)")
 
 
 def resolves(target: str, containing_file: Path) -> bool:
@@ -66,6 +70,9 @@ def test_all_references_resolve(doc):
         token = match.group(1)
         if checkable_token(token) and not resolves(token, doc):
             broken.append(f"backticked path -> {token}")
+    for match in TREE_PATH.finditer(text):
+        if not resolves(match.group(1), doc):
+            broken.append(f"path -> {match.group(1)}")
     assert not broken, (
         f"{doc.relative_to(REPO_ROOT)} has dangling references:\n  "
         + "\n  ".join(broken)

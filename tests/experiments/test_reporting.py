@@ -9,9 +9,6 @@ class TestFormatFloat:
     def test_four_digits_default(self):
         assert format_float(0.05134) == "0.0513"
 
-    def test_custom_digits(self):
-        assert format_float(1.23456, digits=2) == "1.23"
-
 
 class TestImprovementPct:
     def test_positive(self):

@@ -55,15 +55,6 @@ class TestRunSweep:
         assert len(with_test) == 1
         assert with_test[0] is result.best
 
-    def test_no_test_evaluation_option(self, tiny_dataset):
-        result = run_sweep(
-            lambda p: FixedScorer(tiny_dataset, p["quality"]),
-            tiny_dataset,
-            grid(quality=[0.5]),
-            evaluate_test_for_best=False,
-        )
-        assert all(p.test_metrics is None for p in result.points)
-
     def test_empty_grid_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
             run_sweep(lambda p: None, tiny_dataset, [])

@@ -85,12 +85,6 @@ class TestEncoder:
         rep = enc.user_representation(ids).data
         assert np.isfinite(rep).all()
 
-    def test_score_all_items_shape(self):
-        enc = self.make(vocab=50)
-        rep = enc.user_representation(np.zeros((2, 10), dtype=np.int64))
-        scores = enc.score_all_items(rep, num_items=48)
-        assert scores.shape == (2, 49)
-
     def test_position_embedding_matters(self):
         """Same items in a different order → different representation."""
         enc = self.make()

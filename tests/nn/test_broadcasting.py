@@ -41,7 +41,7 @@ def check_binary(op, shape_a, shape_b, seed):
     b = Tensor(b_arr, requires_grad=True)
     out = op(a, b)
     seed_grad = rng.normal(size=out.shape)
-    out.backward(seed_grad)
+    (out * Tensor(seed_grad)).sum().backward()
     num_a = numeric_gradient(
         lambda x: op(Tensor(x), Tensor(b_arr)).data, a_arr, seed_grad
     )
@@ -94,7 +94,7 @@ def test_property_batched_matmul_broadcast(batch, rows, inner, cols, seed):
     out = a.matmul(b)
     assert out.shape == (batch, rows, cols)
     seed_grad = rng.normal(size=out.shape)
-    out.backward(seed_grad)
+    (out * Tensor(seed_grad)).sum().backward()
     num_b = numeric_gradient(
         lambda x: np.matmul(a_arr, x), b_arr, seed_grad
     )

@@ -51,14 +51,10 @@ class TestRegistration:
         mods = list(Tree().modules())
         assert len(mods) == 3
 
-    def test_num_parameters(self):
-        assert Leaf().num_parameters() == 6
-
     def test_explicit_registration(self):
         m = Module()
-        m.register_parameter("p", Parameter(np.zeros(3)))
         m.add_module("child", Leaf())
-        assert len(list(m.parameters())) == 3
+        assert len(list(m.parameters())) == 2
 
 
 class TestModes:

@@ -19,22 +19,6 @@ class TestSGD:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [0.95, 2.05])
 
-    def test_momentum_accumulates(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()  # v = 1, p = -1
-        p.grad = np.array([1.0])
-        opt.step()  # v = 1.9, p = -2.9
-        np.testing.assert_allclose(p.data, [-2.9])
-
-    def test_weight_decay(self):
-        p = make_param([10.0])
-        opt = SGD([p], lr=0.1, weight_decay=0.1)
-        p.grad = np.array([0.0])
-        opt.step()
-        np.testing.assert_allclose(p.data, [10.0 - 0.1 * 1.0])
-
     def test_none_grad_skipped(self):
         p = make_param([1.0])
         SGD([p], lr=0.1).step()
@@ -61,7 +45,7 @@ class TestAdam:
 
     def test_matches_manual_two_steps(self):
         p = make_param([0.5])
-        opt = Adam([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+        opt = Adam([p], lr=0.1)
         grads = [np.array([0.4]), np.array([-0.2])]
         # Manual reference implementation.
         m = v = 0.0
@@ -132,12 +116,6 @@ class TestLinearDecaySchedule:
         with pytest.raises(ValueError):
             LinearDecaySchedule(opt, total_steps=5, final_factor=1.5)
 
-    def test_current_lr_property(self):
-        p = make_param([1.0])
-        opt = Adam([p], lr=2.0)
-        sched = LinearDecaySchedule(opt, total_steps=10)
-        assert sched.current_lr == 2.0
-
 
 class TestGradientClipper:
     def test_no_clip_below_threshold(self):
@@ -192,21 +170,6 @@ class TestOptimizerStateDict:
         assert resumed.lr == 0.1
         self.drive(resumed, resumed_p, grads)
         np.testing.assert_allclose(resumed_p.data, straight_p.data, atol=1e-15)
-
-    def test_sgd_round_trip_restores_velocity(self):
-        p = make_param([0.0, 1.0])
-        opt = SGD([p], lr=0.1, momentum=0.9)
-        self.drive(opt, p, [[1.0, -1.0], [0.5, 0.5]])
-        state = opt.state_dict()
-
-        q = make_param([0.0, 1.0])
-        fresh = SGD([q], lr=0.1, momentum=0.9)
-        fresh.load_state_dict(state)
-        restored = fresh.state_dict()
-        for name, values in state.items():
-            np.testing.assert_array_equal(
-                np.asarray(values), np.asarray(restored[name]), err_msg=name
-            )
 
     def test_kind_recorded(self):
         p = make_param([1.0])

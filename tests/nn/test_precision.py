@@ -131,7 +131,7 @@ class TestModuleToDtype:
 
 
 class TestOptimizerDtype:
-    @pytest.mark.parametrize("make", [lambda p: Adam(p), lambda p: SGD(p, 0.1, momentum=0.9)])
+    @pytest.mark.parametrize("make", [lambda p: Adam(p), lambda p: SGD(p, 0.1)])
     def test_state_and_updates_stay_float32(self, make):
         layer = Linear(4, 4, rng=np.random.default_rng(0))
         optimizer = make(list(layer.parameters()))

@@ -32,7 +32,7 @@ class TestGRUCell:
         x = Tensor(x_arr, requires_grad=True)
         out = cell(x, Tensor(h_arr))
         seed = RNG.normal(size=out.shape)
-        out.backward(seed)
+        (out * Tensor(seed)).sum().backward()
         numeric = numeric_gradient(
             lambda a: cell(Tensor(a), Tensor(h_arr)).data, x_arr, seed
         )
@@ -45,7 +45,7 @@ class TestGRUCell:
         h = Tensor(h_arr, requires_grad=True)
         out = cell(Tensor(x_arr), h)
         seed = RNG.normal(size=out.shape)
-        out.backward(seed)
+        (out * Tensor(seed)).sum().backward()
         numeric = numeric_gradient(
             lambda a: cell(Tensor(x_arr), Tensor(a)).data, h_arr, seed
         )

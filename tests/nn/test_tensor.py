@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.tensor import Tensor, concat, no_grad, stack, tensor
+from repro.nn.tensor import Tensor, concat, no_grad, stack
 from tests.conftest import numeric_gradient
 
 RNG = np.random.default_rng(0)
@@ -16,7 +16,7 @@ def check_gradient(fn, *arrays, tol=1e-6):
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     out = fn(*tensors)
     seed = RNG.normal(size=out.shape)
-    out.backward(seed)
+    (out * Tensor(seed)).sum().backward()
     for i, (t, a) in enumerate(zip(tensors, arrays)):
         def partial(x, i=i):
             args = [Tensor(x if j == i else arrays[j]) for j in range(len(arrays))]
@@ -32,11 +32,6 @@ class TestConstruction:
         t = Tensor([1.0, 2.0, 3.0])
         assert t.shape == (3,)
         assert t.dtype == np.float64
-
-    def test_tensor_helper(self):
-        t = tensor([[1, 2]], requires_grad=True)
-        assert t.requires_grad
-        assert t.shape == (1, 2)
 
     def test_from_tensor_unwraps(self):
         inner = Tensor([1.0])
@@ -190,7 +185,7 @@ class TestElementwise:
         t = Tensor([-2.0, 0.5, 3.0], requires_grad=True)
         out = t.clip(-1.0, 1.0)
         np.testing.assert_array_equal(out.data, [-1.0, 0.5, 1.0])
-        out.backward(np.ones(3))
+        out.sum().backward()
         np.testing.assert_array_equal(t.grad, [0.0, 1.0, 0.0])
 
 
@@ -269,7 +264,7 @@ class TestShapes:
         mask = np.array([[True, False], [False, True]])
         out = t.masked_fill(mask, -9.0)
         np.testing.assert_array_equal(out.data, [[-9.0, 1.0], [1.0, -9.0]])
-        out.backward(np.ones((2, 2)))
+        out.sum().backward()
         np.testing.assert_array_equal(t.grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_masked_fill_broadcast_mask(self):
@@ -308,33 +303,28 @@ class TestGraphSemantics:
         with pytest.raises(ValueError):
             (t * 2).backward()
 
-    def test_backward_seed_shape_checked(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ValueError):
-            (t * 2).backward(np.ones(4))
-
     def test_grad_accumulates_across_backward_calls(self):
         t = Tensor([1.0], requires_grad=True)
-        (t * 2).backward(np.ones(1))
-        (t * 2).backward(np.ones(1))
+        (t * 2).backward()
+        (t * 2).backward()
         np.testing.assert_array_equal(t.grad, [4.0])
 
     def test_zero_grad(self):
         t = Tensor([1.0], requires_grad=True)
-        (t * 2).backward(np.ones(1))
+        (t * 2).backward()
         t.zero_grad()
         assert t.grad is None
 
     def test_reused_node_accumulates(self):
         # y = x*x uses x twice; dy/dx = 2x.
         t = Tensor([3.0], requires_grad=True)
-        (t * t).backward(np.ones(1))
+        (t * t).backward()
         np.testing.assert_array_equal(t.grad, [6.0])
 
     def test_diamond_graph(self):
         # z = (x + x) * x => dz/dx = 4x.
         t = Tensor([2.0], requires_grad=True)
-        ((t + t) * t).backward(np.ones(1))
+        ((t + t) * t).backward()
         np.testing.assert_array_equal(t.grad, [8.0])
 
     def test_no_grad_blocks_graph(self):
@@ -354,12 +344,6 @@ class TestGraphSemantics:
             pass
         assert is_grad_enabled()
 
-    def test_detach(self):
-        t = Tensor([1.0], requires_grad=True)
-        d = (t * 2).detach()
-        assert not d.requires_grad
-        assert d._parents == ()
-
     def test_constant_inputs_produce_constant_outputs(self):
         out = Tensor([1.0]) + Tensor([2.0])
         assert out._backward is None
@@ -370,7 +354,7 @@ class TestGraphSemantics:
         out = t
         for __ in range(3000):
             out = out + 1.0
-        out.backward(np.ones(1))
+        out.backward()
         np.testing.assert_array_equal(t.grad, [1.0])
 
 

@@ -91,4 +91,7 @@ class TestEncoderStack:
     def test_parameter_count_scales_with_depth(self):
         one = make_encoder(layers=1)
         two = make_encoder(layers=2)
-        assert two.num_parameters() == 2 * one.num_parameters()
+        def size(encoder):
+            return sum(p.size for p in encoder.parameters())
+
+        assert size(two) == 2 * size(one)

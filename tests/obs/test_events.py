@@ -109,16 +109,8 @@ class TestRunObserver:
         names = [e["event"] for e in read_events(str(tmp_path))]
         assert names.count("run_end") == 1
 
-    def test_sinkless_observer_collects_metrics_only(self):
-        obs = RunObserver()
-        obs.event("ignored")  # no sink: a no-op, not an error
-        with obs.timer("t"):
-            pass
-        assert obs.registry.histograms["t"].count == 1
-        obs.close()
-
-    def test_timer_is_nan_free_in_snapshot(self):
-        obs = RunObserver()
+    def test_timer_is_nan_free_in_snapshot(self, tmp_path):
+        obs = RunObserver.to_directory(str(tmp_path))
         with obs.timer("t"):
             pass
         summary = obs.registry.snapshot()["histograms"]["t"]

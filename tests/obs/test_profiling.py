@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.tensor import Tensor
 from repro.obs import profiling
-from repro.obs.profiling import _NULL_SCOPE, Profiler, profile_scope, profiled
+from repro.obs.profiling import _NULL_SCOPE, profile_scope, profiled
 
 
 @pytest.fixture(autouse=True)
@@ -79,11 +79,6 @@ class TestEnabled:
             with profiled():
                 raise RuntimeError("boom")
         assert profiling.active() is None
-
-    def test_enable_accepts_custom_profiler(self):
-        mine = Profiler()
-        assert profiling.enable(mine) is mine
-        assert profiling.active() is mine
 
 
 class TestEnvVar:

@@ -28,7 +28,8 @@ def _fill(registry: MetricsRegistry, n: int = 500) -> None:
 def test_overflowing_reservoir_is_deterministic_per_seed():
     summaries = []
     for __ in range(2):
-        hist = Histogram(max_samples=16, seed=7)
+        hist = Histogram(seed=7)
+        hist.max_samples = 16  # force reservoir replacement
         for value in np.random.default_rng(1).normal(1.0, 0.1, size=2000):
             hist.record(value)
         summaries.append(hist.summary())
@@ -39,9 +40,10 @@ def test_registry_seed_threads_into_every_histogram():
     snapshots = []
     for __ in range(2):
         registry = MetricsRegistry(seed=3)
-        registry.histograms["latency"] = Histogram(
-            max_samples=16, seed=registry._histogram_seed("latency")
+        registry.histograms["latency"] = hist = Histogram(
+            seed=registry._histogram_seed("latency")
         )
+        hist.max_samples = 16  # force reservoir replacement
         _fill(registry, 2000)
         snapshots.append(registry.snapshot())
     assert snapshots[0] == snapshots[1]

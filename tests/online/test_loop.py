@@ -250,3 +250,16 @@ def test_live_server_swap_serializes(tmp_path, tiny_dataset):
         server.shutdown()
         thread.join(timeout=5)
     engine.close()
+
+
+@pytest.mark.parametrize("metric", ["HR@20", "NDCG@1", "Recall@10"])
+def test_a_gate_metric_the_shadow_evaluator_lacks_is_refused_at_config_time(metric):
+    with pytest.raises(ValueError, match="not computed by the shadow evaluator"):
+        OnlineLoopConfig(gate=GateConfig(metrics=(metric,)))
+
+
+def test_every_shadow_metric_is_a_valid_gate_metric():
+    config = OnlineLoopConfig(
+        ks=(5, 20), gate=GateConfig(metrics=("HR@5", "NDCG@20", "MRR"))
+    )
+    assert config.gate.metrics == ("HR@5", "NDCG@20", "MRR")

@@ -58,9 +58,10 @@ class TestOneMoreStepOracle:
         # kmeans_iters stays the cold-build budget of the new index.
         assert rebuilt.kmeans_iters == 3
 
-    def test_quantizer_alone_with_a_subsample(self):
+    def test_quantizer_alone_with_a_subsample(self, monkeypatch):
+        monkeypatch.setattr(ProductQuantizer, "train_sample", 300)
         matrix = make_item_matrix(num_items=600)[1:]
-        config = {"m": 4, "seed": 5, "train_sample": 300}
+        config = {"m": 4, "seed": 5}
         live = ProductQuantizer(iters=3, **config).fit(matrix)
         continued = ProductQuantizer(iters=3, **config).fit(
             matrix, init=live.codebooks

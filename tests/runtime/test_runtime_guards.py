@@ -66,7 +66,7 @@ class TestDivergenceGuardUnit:
             np.testing.assert_array_equal(np.asarray(before[name]), np.asarray(after[name]))
 
     def test_lr_backoff_compounds(self):
-        __, optimizer, guard = make_guard(max_retries=3, lr_backoff=0.5)
+        __, optimizer, guard = make_guard()
         guard.snapshot()
         guard.observe(float("nan"))
         assert optimizer.lr == pytest.approx(0.05)
@@ -74,7 +74,7 @@ class TestDivergenceGuardUnit:
         assert optimizer.lr == pytest.approx(0.025)
 
     def test_new_snapshot_resets_retry_budget_not_lr(self):
-        __, optimizer, guard = make_guard(max_retries=1, lr_backoff=0.5)
+        __, optimizer, guard = make_guard()
         guard.snapshot()
         guard.observe(float("nan"))
         guard.snapshot()  # next epoch: budget resets, reduced lr snapshotted
@@ -84,10 +84,10 @@ class TestDivergenceGuardUnit:
         assert guard.total_rollbacks == 2
 
     def test_retry_budget_exhaustion_raises(self):
-        __, __, guard = make_guard(max_retries=2)
+        __, __, guard = make_guard()
         guard.snapshot()
-        guard.observe(float("nan"))
-        guard.observe(float("nan"))
+        for __ in range(guard.max_retries):
+            guard.observe(float("nan"))
         with pytest.raises(DivergenceError, match="diverged"):
             guard.observe(float("nan"))
 
@@ -100,21 +100,13 @@ class TestDivergenceGuardUnit:
         model = TinyNet()
         optimizer = SGD(list(model.parameters()), lr=1.0)
         schedule = LinearDecaySchedule(optimizer, total_steps=10, final_factor=0.0)
-        guard = DivergenceGuard(model, optimizer, schedule, lr_backoff=0.5)
+        guard = DivergenceGuard(model, optimizer, schedule)
         guard.snapshot()
         schedule.step()
         schedule.step()
         guard.observe(float("nan"))
         assert schedule.state_dict()["step"] == 0
         assert schedule.initial_lr == pytest.approx(0.5)
-
-    def test_constructor_validation(self):
-        model = TinyNet()
-        optimizer = SGD(list(model.parameters()), lr=1.0)
-        with pytest.raises(ValueError):
-            DivergenceGuard(model, optimizer, max_retries=0)
-        with pytest.raises(ValueError):
-            DivergenceGuard(model, optimizer, lr_backoff=1.5)
 
 
 @pytest.mark.fault_injection
@@ -141,16 +133,16 @@ class TestGuardInTrainingLoop:
             assert np.all(np.isfinite(values)), f"non-finite parameter {name}"
 
     def test_repeated_nan_exhausts_budget_and_raises(
-        self, tiny_dataset, build_model, tmp_path
+        self, tiny_dataset, build_model, tmp_path, monkeypatch
     ):
         model = build_model()
-        # Both NaNs land inside the first (2-batch) epoch, so the retry
+        # Both NaNs land inside the first (2-batch) epoch, so a one-retry
         # budget is exhausted before begin_epoch resets it.
+        monkeypatch.setattr(DivergenceGuard, "max_retries", 1)
         faults = FaultInjector().nan_loss(at=1).nan_loss(at=2)
         runtime = TrainingRuntime(
             CheckpointManager(tmp_path),
             faults=faults,
-            max_retries=1,
             handle_signals=False,
         )
         with pytest.raises(DivergenceError):

@@ -207,7 +207,9 @@ class TestDeadlines:
         policy.encode_estimate_s = 10.0  # encoding "costs" 10s
         engine = make_engine(sasrec, tiny_dataset, resilience=policy)
         encoded_before = engine.metrics.counters.get("sequences_encoded", 0)
-        result = engine.recommend(sequence=[5, 6], k=5, deadline_ms=100.0)
+        result = engine.recommend_batch(
+            [RecRequest(sequence=[5, 6], k=5, deadline_ms=100.0)]
+        )[0]
         assert result.degraded
         assert result.fallback == "popularity"
         assert (

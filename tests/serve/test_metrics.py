@@ -32,7 +32,8 @@ class TestLatencyHistogram:
         assert hist.summary()["count"] == 0
 
     def test_reservoir_bounds_memory(self):
-        hist = Histogram(max_samples=100)
+        hist = Histogram()
+        hist.max_samples = 100  # force reservoir replacement
         for value in range(1000):
             hist.record(float(value))
         assert hist.count == 1000  # exact even past the cap
@@ -65,11 +66,11 @@ class TestServingMetrics:
 
     def test_cache_hit_rate(self):
         metrics = ServingMetrics()
-        assert metrics.cache_hit_rate == 0.0  # no lookups yet
+        assert metrics.snapshot()["cache"]["hit_rate"] == 0.0  # no lookups yet
         metrics.record_cache(True)
         metrics.record_cache(True)
         metrics.record_cache(False)
-        assert np.isclose(metrics.cache_hit_rate, 2 / 3)
+        assert np.isclose(metrics.snapshot()["cache"]["hit_rate"], 2 / 3)
 
     def test_snapshot_schema(self):
         metrics = ServingMetrics()

@@ -232,21 +232,6 @@ def test_gru4rec_serves_under_sharded_engine(tiny_dataset):
         )
 
 
-def test_spawn_start_method_matches_fork(checkpoint_dir, tiny_dataset):
-    """Workers must also come up under spawn (nothing fork-only in the
-    spec), and serve the same bytes."""
-    requests = [RecRequest(user=u, k=5) for u in range(8)]
-    expected = fresh_engine(checkpoint_dir, tiny_dataset).recommend_batch(
-        requests
-    )
-    with ShardedEngine(
-        fresh_engine(checkpoint_dir, tiny_dataset),
-        workers=1,
-        start_method="spawn",
-    ) as sharded:
-        assert_identical(expected, sharded.recommend_batch(requests))
-
-
 # ----------------------------------------------------------------------
 # Cache sharding
 # ----------------------------------------------------------------------

@@ -11,11 +11,13 @@
   the cache, the encoder and the index, and the cache has one reading
   and one writing method (docs/SERVING.md "The request path"): the
   boundary a narrower server lock will be drawn on.
-* Every public module-level function or class has a user outside the
-  tests, or a line in ``KEPT_ON_PURPOSE`` saying why it stays.
-* In ``repro.models``, ``repro.eval``, ``repro.core``, ``repro.online``
-  and ``repro.train`` every defaulted parameter of a public function or
-  method is passed by some caller outside the tests, or has a line in
+* Every public module-level function or class, and every public method
+  of a public class, has a user outside the tests, or a line in
+  ``KEPT_ON_PURPOSE`` saying why it stays.
+* In every module, every defaulted parameter of a public function or
+  method is passed by some caller outside the tests (``cls(...)`` in a
+  class's own methods counts as a call of that class, and
+  ``super().__init__(...)`` as a call of its base), or has a line in
   ``KEYWORDS_KEPT_ON_PURPOSE`` saying why it stays.
 * Every field of a ``*Config`` dataclass is read as an attribute
   somewhere in ``src/repro``.
@@ -275,17 +277,20 @@ def test_engine_cache_has_one_reader_and_one_writer():
 # ----------------------------------------------------------------------
 USER_TREES = ("src", "benchmarks", "examples")
 
-#: Public names with no user outside ``tests/``, each with its reason.
-#: "unused" marks one nothing needs: delete it when its package is next
-#: in scope (this list only ever shrinks).
+#: Public names (``name`` or ``Class.method``) with no user outside
+#: ``tests/``, each with its reason (this list only ever shrinks).
 KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
+    "FaultInjector.fail_read": "fault-injection hook the tests drive: the checkpoint-read half of fail_write",
+    "ShardedEngine.set_faults": "fault-injection hook the tests drive: ships a FaultInjector into every scoring worker",
 }
 
 
 def public_definitions():
-    """Each module-level public def, class or ``A = B`` alias, by name."""
+    """``(label, name)`` of each module-level public def, class or
+    ``A = B`` alias (label = name), and of each public method of a
+    public class (label ``Class.method``)."""
     for __, tree in modules():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -298,8 +303,16 @@ def public_definitions():
                 name = node.targets[0].id
             else:
                 continue
-            if not name.startswith("_"):
-                yield name
+            if name.startswith("_"):
+                continue
+            yield name, name
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    (f"{name}.{method.name}", method.name)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                )
 
 
 def used_names() -> set[str]:
@@ -319,7 +332,8 @@ def used_names() -> set[str]:
 
 
 def test_every_public_name_has_a_user_or_a_reason():
-    unused = set(public_definitions()) - used_names()
+    used = used_names()
+    unused = {label for label, name in public_definitions() if name not in used}
     assert unused - KEPT_ON_PURPOSE.keys() == set()
     # A name that gained a user, or is gone, leaves the list.
     assert KEPT_ON_PURPOSE.keys() - unused == set()
@@ -328,8 +342,6 @@ def test_every_public_name_has_a_user_or_a_reason():
 # ----------------------------------------------------------------------
 # Keyword parameters no caller passes
 # ----------------------------------------------------------------------
-KEYWORD_SCAN = ("models/", "eval/", "core/", "online/", "train/")
-
 #: Defaulted parameters no call outside ``tests/`` passes, each with its
 #: reason (this list only ever shrinks).
 KEYWORDS_KEPT_ON_PURPOSE = {
@@ -338,18 +350,47 @@ KEYWORDS_KEPT_ON_PURPOSE = {
     "SASRecBPR.__init__(bpr_config=)": "the warm start's BPR-MF schedule and its dim guard; the registry derives it from SASRecConfig",
     "MoCoCL4SRec.__init__(moco=)": "the key tower's momentum and queue size; the registry builds the default MoCoConfig, as it derives SASRecBPR's bpr_config",
     "ParallelWorkerPool.__init__(worker_timeout_s=)": "only tests pass it, to reach the hung-worker failure path in a second rather than five minutes",
+    "ShardedEngine.__init__(worker_timeout_s=)": "test fake: tests shorten it to reach the silent-worker failure path in a second rather than two minutes",
+    "CheckpointManager.__init__(faults=)": "test fake: tests hand in a FaultInjector that fails checkpoint writes and reads",
+    "ResiliencePolicy.__init__(clock=)": "test fake: tests substitute a FakeClock for time.monotonic",
+    "FaultInjector.__init__(io_failure_rate=)": "fault-injection hook the tests drive: seeded random checkpoint IO failures",
+    "FaultInjector.__init__(encode_failure_rate=)": "fault-injection hook the tests drive: seeded random encoder failures",
+    "FaultInjector.__init__(encode_delay_s=)": "fault-injection hook the tests drive: an ambient slow-encoder window",
+    "FaultInjector.kill_worker(worker=)": "fault-injection hook the tests drive: which training worker dies",
+    "FaultInjector.corrupt_file(truncate_to=)": "fault-injection hook the tests drive: a torn write of a given length",
+    "read_csv_log(user_column=)": "input from outside the program: the CSV's user column name",
+    "read_csv_log(item_column=)": "input from outside the program: the CSV's item column name",
+    "read_csv_log(timestamp_column=)": "input from outside the program: the CSV's timestamp column name",
+    "read_csv_log(strict=)": "input from outside the program: whether the file's malformed rows are refused or skipped",
+    "read_jsonl_log(user_field=)": "input from outside the program: the dump's user field name",
+    "read_jsonl_log(item_field=)": "input from outside the program: the dump's item field name",
+    "read_jsonl_log(timestamp_field=)": "input from outside the program: the dump's timestamp field name",
+    "read_jsonl_log(strict=)": "input from outside the program: whether the dump's malformed lines are refused or skipped",
 }
 
 
 def calls_outside_tests() -> dict[str, list[ast.Call]]:
     """Every call in ``src/``, ``benchmarks/`` and ``examples/``, by the
-    called name (``f(...)`` and ``x.f(...)`` both file under ``f``)."""
+    called name (``f(...)`` and ``x.f(...)`` both file under ``f``).
+    Inside ``class C(B)``, ``cls(...)`` also files under ``C`` and
+    ``super().__init__(...)`` under ``B``."""
     calls: dict[str, list[ast.Call]] = {}
     for top in USER_TREES:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
                     calls.setdefault(called_name(node), []).append(node)
+                elif isinstance(node, ast.ClassDef):
+                    inner = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+                    calls.setdefault(node.name, []).extend(
+                        call for call in inner if getattr(call.func, "id", None) == "cls"
+                    )
+                    for base in node.bases:
+                        calls.setdefault(getattr(base, "id", None), []).extend(
+                            call
+                            for call in inner
+                            if ast.unparse(call.func) == "super().__init__"
+                        )
     return calls
 
 
@@ -357,9 +398,7 @@ def defaulted_parameters():
     """``(label, called name, positional index or None, parameter)`` for
     each defaulted parameter of a public function or method (a class's
     ``__init__`` is called by the class name)."""
-    for name, tree in modules():
-        if not name.startswith(KEYWORD_SCAN):
-            continue
+    for __, tree in modules():
         for node in tree.body:
             if getattr(node, "name", "_").startswith("_"):
                 continue
