@@ -7,8 +7,7 @@ gradients (``workers=0``) and once with the ``repro.train.parallel``
 worker pool as the gradient source (``workers=4``) — and records epoch
 throughput (sequences/sec) into ``BENCH_train_parallel.json``.
 
-The speedup gate is **core-aware**, exactly like the serving-scale
-benchmark: the 2.5x bar from the scale-out design applies only when
+The speedup gate is **core-aware**: the 2.5x bar from the scale-out design applies only when
 >=4 cores are schedulable; with fewer cores the gate degrades to
 "coordination overhead (fork + shared-memory publish + ordered
 allreduce) stays bounded".  ``available_cores`` is recorded in the

@@ -126,14 +126,6 @@ def _add_serving_arguments(
         help="disable the resilience layer (deadlines, circuit breaker, "
         "degraded-mode fallback) — the PR-2 fail-hard behaviour",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="scoring worker processes; 0 (default) serves in-process on "
-        "the single-process path, N shards the representation cache by "
-        "user hash over N workers (docs/SCALING.md)",
-    )
     _add_index_arguments(parser)
 
 
@@ -289,8 +281,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     host, port = server.address
     print(f"serving {args.model} on http://{host}:{port} "
           f"(POST /recommend, POST /admin/reload, GET /metrics, GET /health)")
-    # SIGTERM must unwind through the finally below so a sharded pool
-    # shuts its workers down and unlinks shared-memory segments.
+    # SIGTERM must unwind through the finally below, so the listener
+    # closes and --metrics-output is written.
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
     try:
         server.serve_forever()
@@ -312,7 +304,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     ``--checkpoint`` on an ephemeral port.  Exit status 1 means a
     serving invariant was violated (dropped responses, refusals outside
     the shed/deadline envelope, model_version regressions, metrics
-    accounting drift) — see docs/SCALING.md.
+    accounting drift) — see docs/SERVING.md.
     """
     import json
     import threading
@@ -493,14 +485,6 @@ def _run_online(args: argparse.Namespace) -> int:
 
     with _serving_setup():
         config = ServeConfig.from_args(args)
-        if config.workers:
-            print(
-                "online: the loop needs direct model access; ignoring "
-                f"--workers {config.workers} (serving still answers live "
-                "traffic on --port)",
-                file=sys.stderr,
-            )
-            config.workers = 0
         engine = config.build_engine()
     dataset = engine.dataset
     trainer = build_model(
@@ -844,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lt = sub.add_parser(
         "loadtest",
         help="replay synthetic traffic against a server and gate the "
-        "serving invariants (docs/SCALING.md)",
+        "serving invariants (docs/SERVING.md)",
     )
     _add_serving_arguments(p_lt, checkpoint_required=False)
     p_lt.add_argument(
@@ -1020,8 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_on.add_argument(
         "--train-workers", dest="train_workers", type=int, default=0,
         help="data-parallel workers for each fine-tuning round (0 = "
-        "single-process; --workers already names the serving pool — "
-        "see docs/SCALING.md 'Training at scale')",
+        "single-process; see docs/SCALING.md)",
     )
     p_on.add_argument(
         "--gate-metric", dest="gate_metric", action="append", default=None,

@@ -1,11 +1,10 @@
 """The one process-pool transport: N workers, one command → one reply.
 
-Multi-process serving (:mod:`repro.serve.workers`) and data-parallel
-training (:mod:`repro.train.parallel`) both run work in forked workers
-and wait for it.  Everything about *waiting on another process* lives
-here, once; the two pools keep only their domain halves (what the
+Data-parallel training (:mod:`repro.train.parallel`) runs work in forked
+workers and waits for it.  Everything about *waiting on another process*
+lives here, once; the pool's owner keeps only its domain half (what the
 commands mean, which shared-memory segments exist, how replies are
-merged) and move arrays through :mod:`repro.core.shm`.
+merged) and moves arrays through :mod:`repro.core.shm`.
 
 * :class:`ProcessPool` starts one process per spec, each running
   ``target(spec)`` behind a pipe, and is the only place the repository
@@ -14,11 +13,16 @@ merged) and move arrays through :mod:`repro.core.shm`.
   ``timeout_s``, closed its pipe or raised while handling the command
   ends in one named error, :class:`WorkerFailedError` — never a hang.
 * The owner words that error: ``failure(worker, what, raised)`` builds
-  the exception to raise, so a message can name a scoring shard or a
-  training step without this module knowing which pool it serves.
+  the exception to raise, so a message can name a training step without
+  this module knowing what the work is.
 * :meth:`ProcessPool.close` escalates — ask, join, terminate, close the
   pipes — inside one deadline.  Owners stop the pool *before* they
   unlink any shared segment, so a worker never maps a destroyed one.
+* Each worker pins the OpenBLAS pools NumPy (and SciPy) loaded to one
+  thread before it builds anything: a forked child inherits the
+  parent's pool, sized to the machine, and ``OPENBLAS_NUM_THREADS`` set
+  in the child is read only when the library loads, so N workers would
+  otherwise run N machine-wide pools on the same cores.
 
 Worker-side protocol: ``target(spec)`` builds the worker object inside
 the new process; it must offer ``ready`` (the payload of the start-up
@@ -29,6 +33,7 @@ from the :class:`ProcessPool` constructor with no child left running.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import time
 
@@ -42,7 +47,7 @@ class WorkerFailedError(RuntimeError):
 
     ``worker`` is the failed worker's id; ``step`` is the owner's step
     counter when the failure surfaced (the 1-based global training
-    step; 0 outside a step loop — start-up, serving).
+    step; 0 outside a step loop, e.g. at start-up).
     """
 
     def __init__(self, worker: int, message: str, step: int = 0) -> None:
@@ -78,9 +83,49 @@ def _send_error(conn, error: BaseException) -> None:
             pass
 
 
+#: ``set_num_threads`` of the OpenBLAS builds NumPy wheels ship, newest first.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> list:
+    """The OpenBLAS libraries mapped into this process (none off Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                line.split(maxsplit=5)[-1].strip()
+                for line in maps
+                if "openblas" in line
+            })
+    except OSError:
+        return []
+    libraries = []
+    for path in paths:
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libraries
+
+
+def _pin_blas_to_one_thread() -> None:
+    """One thread in every OpenBLAS pool here (NumPy's, and SciPy's if
+    loaded); a library without a known setter is left as it is."""
+    for library in _loaded_openblas():
+        for symbol in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter(1)
+                break
+
+
 def _worker_loop(conn, target, spec) -> None:
     """Worker process entry point: build the worker, answer commands."""
     try:
+        _pin_blas_to_one_thread()
         worker = target(spec)
         conn.send(("ok", worker.ready))
     except BaseException as error:  # surface start-up failures to the owner
@@ -98,7 +143,7 @@ def _worker_loop(conn, target, spec) -> None:
                 break
             conn.send(("ok", worker.handle(message)))
         # Whatever the command raised travels to the owner; the worker
-        # stays in step (one command, one reply) and keeps serving.
+        # stays in step (one command, one reply) and keeps working.
         except BaseException as error:
             _send_error(conn, error)
     worker.close()

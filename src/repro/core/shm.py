@@ -1,10 +1,8 @@
 """Shared-memory array bundles: create once, attach everywhere.
 
-The scale-out layers — multi-process serving (:mod:`repro.serve.workers`)
-and data-parallel training (:mod:`repro.train.parallel`) — both move
-numpy arrays between processes through ``multiprocessing.shared_memory``
-segments.  This module holds the one copy of the leak-free lifecycle
-machinery they share:
+Data-parallel training (:mod:`repro.train.parallel`) moves numpy arrays
+between processes through ``multiprocessing.shared_memory`` segments.
+This module holds the leak-free lifecycle machinery:
 
 * :class:`SharedArrays` — one segment holding named arrays, 64-byte
   aligned, written once at creation.  The *owner* (the process that
@@ -30,44 +28,9 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-__all__ = ["SharedArrays", "adopt_parameters", "allocate_segment"]
+__all__ = ["SharedArrays", "adopt_parameters"]
 
 _segment_counter = itertools.count()
-
-
-def allocate_segment(
-    arrays: dict[str, np.ndarray], name_prefix: str = "repro-shm"
-) -> tuple[SharedMemory, dict[str, tuple]]:
-    """Lay ``arrays`` out in a fresh segment and write each one once.
-
-    Every array is 64-byte aligned (cache-line friendly, and SIMD loads
-    never straddle an entry boundary).  Returns the segment and the
-    layout table ``name -> (offset, shape, dtype.str)`` that
-    :meth:`SharedArrays.attach` needs to map it elsewhere.
-    """
-    entries: dict[str, tuple] = {}
-    offset = 0
-    contiguous = {}
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(array)
-        offset = (offset + 63) // 64 * 64  # 64-byte align every array
-        entries[name] = (offset, array.shape, array.dtype.str)
-        contiguous[name] = array
-        offset += array.nbytes
-    shm = SharedMemory(
-        name=f"{name_prefix}-{os.getpid()}-{next(_segment_counter)}-"
-             f"{os.urandom(3).hex()}",
-        create=True,
-        size=max(offset, 1),
-    )
-    for name, array in contiguous.items():
-        start = entries[name][0]
-        staging = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=shm.buf, offset=start
-        )
-        staging[...] = array
-        del staging  # release the writable view before exposing
-    return shm, entries
 
 
 class SharedArrays:
@@ -101,8 +64,33 @@ class SharedArrays:
     def create(cls, arrays: dict[str, np.ndarray],
                name_prefix: str = "repro-shm",
                writeable: bool = False) -> "SharedArrays":
-        """Publish ``arrays`` into a fresh segment (the caller owns it)."""
-        shm, entries = allocate_segment(arrays, name_prefix)
+        """Publish ``arrays`` into a fresh segment (the caller owns it).
+
+        Every array is written once, 64-byte aligned (cache-line
+        friendly, and SIMD loads never straddle an entry boundary).
+        """
+        entries: dict[str, tuple] = {}
+        offset = 0
+        contiguous = {}
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(array)
+            offset = (offset + 63) // 64 * 64  # 64-byte align every array
+            entries[name] = (offset, array.shape, array.dtype.str)
+            contiguous[name] = array
+            offset += array.nbytes
+        shm = SharedMemory(
+            name=f"{name_prefix}-{os.getpid()}-{next(_segment_counter)}-"
+                 f"{os.urandom(3).hex()}",
+            create=True,
+            size=max(offset, 1),
+        )
+        for name, array in contiguous.items():
+            staging = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=shm.buf,
+                offset=entries[name][0],
+            )
+            staging[...] = array
+            del staging  # release the writable view before exposing
         return cls(shm, entries, owner=True, writeable=writeable)
 
     def meta(self) -> dict:

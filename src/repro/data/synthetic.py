@@ -211,7 +211,7 @@ class TrafficConfig:
     """Knobs for a deterministic, replayable serving-traffic trace.
 
     The trace models production-shaped request streams against the
-    recommendation server (``docs/SCALING.md``): Zipf-skewed *hot*
+    recommendation server (``docs/SERVING.md``): Zipf-skewed *hot*
     users identified by dataset user id (they revisit, so the
     representation cache matters), a long tail of *cold* visitors who
     appear exactly once as raw item-id ``sequence`` requests (so the

@@ -34,7 +34,6 @@ SECTION_ORDER = (
     "compute_core",
     "resilience",
     "retrieval",
-    "serving_scale",
     "train_parallel",
 )
 

@@ -12,8 +12,7 @@ then replay it against a live server::
     print(result.report()["latency"])
 
 ``python -m repro loadtest`` wraps this (self-hosting a server from a
-checkpoint or targeting ``--url``); the serving-scale benchmark uses
-it to gate multi-worker QPS/p99 — see ``docs/SCALING.md``.
+checkpoint or targeting ``--url``) — see ``docs/SERVING.md``.
 """
 
 from repro.loadtest.harness import (

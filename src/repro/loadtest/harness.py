@@ -1,7 +1,7 @@
 """Replay a synthesized traffic trace against the live HTTP server.
 
-The harness is the measuring half of the scale-out stack
-(``docs/SCALING.md``): it takes a deterministic
+The harness is the measuring half of the serving stack
+(``docs/SERVING.md`` "Load testing"): it takes a deterministic
 :class:`~repro.data.synthetic.TrafficTrace`, drives the real
 :class:`~repro.serve.server.RecommendationServer` over persistent
 HTTP/1.1 connections from N closed-loop client threads, and checks the
@@ -25,8 +25,8 @@ serving invariants that make a load number trustworthy:
 * **schema** — ``/metrics`` keeps the documented serving schema.
 
 Latency percentiles (p50/p90/p99) and sustained QPS come out in
-:meth:`LoadTestResult.report`, which the serving-scale benchmark
-writes into ``BENCH_serving_scale.json``.
+:meth:`LoadTestResult.report`, which ``repro loadtest --output`` writes
+as JSON.
 """
 
 from __future__ import annotations

@@ -103,56 +103,6 @@ class Histogram:
     def mean_seconds(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
 
-    # ------------------------------------------------------------------
-    # Cross-process state transfer
-    # ------------------------------------------------------------------
-    def state(self, sample_cap: int | None = None) -> dict:
-        """Raw, mergeable state (exact aggregates + reservoir samples).
-
-        Serving workers ship this across process boundaries so the
-        frontend can merge per-worker histograms into one ``/metrics``
-        view.  ``sample_cap`` bounds the shipped reservoir (a seeded
-        deterministic subsample) to keep the payload small; counts,
-        totals and the max stay exact regardless.
-        """
-        samples = self._samples
-        if sample_cap is not None and len(samples) > sample_cap:
-            if sample_cap < 1:
-                raise ValueError(f"sample_cap must be positive, got {sample_cap}")
-            chosen = np.sort(
-                self._rng.choice(len(samples), size=sample_cap, replace=False)
-            )
-            samples = [samples[i] for i in chosen]
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "max_seconds": self.max_seconds,
-            "samples": list(samples),
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's :meth:`state` into this one.
-
-        Counts, totals and the max combine exactly; reservoir samples
-        are appended (reservoir-replaced past ``max_samples`` through
-        this histogram's seeded RNG), so the merged percentiles are a
-        deterministic approximation of the combined distribution.
-        """
-        other_count = int(state["count"])
-        if other_count < 0:
-            raise ValueError(f"merged count must be non-negative, got {other_count}")
-        self.count += other_count
-        self.total_seconds += float(state["total_seconds"])
-        self.max_seconds = max(self.max_seconds, float(state["max_seconds"]))
-        for sample in state["samples"]:
-            sample = float(sample)
-            if len(self._samples) < self.max_samples:
-                self._samples.append(sample)
-            else:
-                slot = int(self._rng.integers(0, len(self._samples) * 2))
-                if slot < self.max_samples:
-                    self._samples[slot] = sample
-
     def percentile(self, q: float) -> float:
         """q-th percentile of the recorded values, in seconds.
 
@@ -212,21 +162,18 @@ class MetricsRegistry:
         with registry.timer("epoch_seconds"):
             run_epoch()
 
-    ``seed`` deterministically derives every histogram's reservoir RNG
-    from the instrument name, so percentile exports (``/metrics`` p99)
-    are reproducible run to run — and distinct per worker when sharded
-    serving passes each worker its own registry seed.
+    Every histogram's reservoir RNG is seeded from the instrument name,
+    so percentile exports (``/metrics`` p99) are reproducible run to run.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
 
     def _histogram_seed(self, name: str) -> int:
-        """A stable per-instrument reservoir seed (registry seed + name)."""
-        return zlib.crc32(f"{self.seed}:{name}".encode())
+        """A stable per-instrument reservoir seed (from the name)."""
+        return zlib.crc32(name.encode())
 
     # ------------------------------------------------------------------
     # Instrument access (created on first use)
@@ -280,53 +227,3 @@ class MetricsRegistry:
                 name: hist.summary() for name, hist in self.histograms.items()
             },
         }
-
-    # ------------------------------------------------------------------
-    # Cross-process merging (sharded serving)
-    # ------------------------------------------------------------------
-    def state(self, sample_cap: int | None = None) -> dict:
-        """Raw, mergeable registry state (see :meth:`Histogram.state`).
-
-        Unlike :meth:`snapshot` this is loss-aware transfer format, not
-        presentation: histograms carry their reservoir samples so a
-        receiving registry can recompute percentiles over the union.
-        """
-        return {
-            "counters": self.counter_values(),
-            "gauges": {name: gauge.value for name, gauge in self.gauges.items()},
-            "histograms": {
-                name: hist.state(sample_cap=sample_cap)
-                for name, hist in self.histograms.items()
-            },
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold one :meth:`state` payload into this registry.
-
-        Counters add, gauges take the max (both sides report the same
-        monotone quantities — ``model_version``, ``breaker_state`` —
-        where max is the conservative view), histograms merge their
-        reservoirs.  Merging the same cumulative payload twice double
-        counts; merge into a scratch registry per export instead (see
-        :meth:`from_states`).
-        """
-        for name, value in state.get("counters", {}).items():
-            self.counter(name).increment(value)
-        for name, value in state.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            gauge.set(max(gauge.value, float(value)))
-        for name, hist_state in state.get("histograms", {}).items():
-            self.histogram(name).merge_state(hist_state)
-
-    @classmethod
-    def from_states(cls, states: list[dict], seed: int = 0) -> "MetricsRegistry":
-        """A fresh registry holding the merge of ``states``.
-
-        The sharded serving frontend calls this on every ``/metrics``
-        export with its own state plus each worker's, so repeated
-        exports never accumulate into a live registry.
-        """
-        merged = cls(seed=seed)
-        for state in states:
-            merged.merge_state(state)
-        return merged

@@ -2,7 +2,7 @@
 
 Turns a :class:`~repro.data.synthetic.TrafficTrace` (or any iterator of
 its event dicts) into per-round batches of interaction sequences.  Two
-payload shapes arrive on the wire (see ``docs/SCALING.md``):
+payload shapes arrive on the wire (see ``docs/SERVING.md``):
 
 * ``{"sequence": [...]}`` — a cold visitor's raw session; the item ids
   are the interactions themselves, so the session *is* the training

@@ -51,13 +51,6 @@ from repro.serve.resilience import (
     ShedRequest,
 )
 from repro.serve.server import BodyTooLarge, CheckpointWatcher, RecommendationServer
-from repro.serve.shard import (
-    partition_requests,
-    shard_for_request,
-    shard_for_sequence,
-    shard_for_user,
-)
-from repro.serve.workers import ShardedEngine, SharedModelState
 
 __all__ = [
     "AdmissionController",
@@ -83,14 +76,8 @@ __all__ = [
     "ServeConfig",
     "ServingMetrics",
     "ServingUnavailable",
-    "ShardedEngine",
-    "SharedModelState",
     "ShedRequest",
-    "partition_requests",
     "read_requests_file",
     "run_chaos",
     "sequence_key",
-    "shard_for_request",
-    "shard_for_sequence",
-    "shard_for_user",
 ]

@@ -53,10 +53,6 @@ class ServeConfig:
     max_batch_size: int = 256
     cache_size: int = 4096
     split: str = "test"
-    #: Scoring worker processes: 0 (default) serves in-process on the
-    #: historical single-process path, bit-identically; N >= 1 shards
-    #: the cache by user hash over N workers (docs/SCALING.md).
-    workers: int = 0
 
     # --- resilience ----------------------------------------------------
     deadline_ms: float | None = None
@@ -97,10 +93,6 @@ class ServeConfig:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError(
                 f"deadline_ms must be positive, got {self.deadline_ms}"
-            )
-        if self.workers < 0:
-            raise ValueError(
-                f"workers must be non-negative, got {self.workers}"
             )
 
     # ------------------------------------------------------------------
@@ -214,11 +206,6 @@ class ServeConfig:
                 else None
             )
         engine_kwargs.update(overrides)
-        engine = RecommendationEngine.from_checkpoint(
+        return RecommendationEngine.from_checkpoint(
             os.fspath(self.checkpoint), model, dataset, **engine_kwargs
         )
-        if self.workers > 0:
-            from repro.serve.workers import ShardedEngine
-
-            return ShardedEngine(engine, workers=self.workers)
-        return engine

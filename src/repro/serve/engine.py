@@ -182,71 +182,15 @@ class _Slot:
         "row", "cached", "tier", "error", "picked",
     )
 
-    def __init__(self, request: RecRequest | None = None, sequence=None) -> None:
+    def __init__(self, request: RecRequest) -> None:
         self.request = request
-        self.sequence = sequence
-        self.exclusion = self.deadline = self.key = None
+        self.sequence = self.exclusion = self.deadline = self.key = None
         self.row = self.tier = self.error = None
         self.cached = False
         self.picked = _NOTHING
 
 
-class EngineFacade:
-    """The request entry points both engine flavours share.
-
-    A flavour supplies ``policy`` and ``_serve_batch(requests, started)``
-    — which answers *every* request, recording the unservable ones as
-    per-item errors — and inherits the one way in.
-    """
-
-    def recommend(
-        self,
-        user: int | None = None,
-        sequence=None,
-        k: int = 10,
-        exclude_seen: bool = True,
-    ) -> Recommendation:
-        """Serve a single request (convenience over :meth:`recommend_batch`)."""
-        request = RecRequest(
-            user=user, sequence=sequence, k=k, exclude_seen=exclude_seen
-        )
-        return self.recommend_batch([request])[0]
-
-    def recommend_batch(
-        self,
-        requests: list[RecRequest],
-        started: float | None = None,
-        on_error: str = "raise",
-    ) -> list[Recommendation]:
-        """Serve many requests at once: dedupe, encode, score, select.
-
-        ``started`` anchors deadline budgets (monotonic clock) at the
-        moment the request entered the system — pass the HTTP arrival
-        time so queueing counts against the budget; defaults to now.
-
-        A request that cannot be served (malformed, deadline spent)
-        never fails its neighbours: it comes back as a per-item
-        :class:`~repro.serve.requests.Recommendation` carrying the
-        reason code.  ``on_error="report"`` returns those in place;
-        ``"raise"`` (default) serves the batch and then raises the
-        first of them in request order
-        (:class:`~repro.serve.requests.RequestError` /
-        :class:`~repro.serve.resilience.DeadlineExceeded`).
-        """
-        if on_error not in ("raise", "report"):
-            raise ValueError(f"on_error must be 'raise' or 'report', got {on_error!r}")
-        if not requests:
-            return []
-        if started is None:
-            clock = self.policy.clock if self.policy is not None else time.monotonic
-            started = clock()
-        results = self._serve_batch(requests, started)
-        if on_error == "raise":
-            raise_first_error(results)
-        return results
-
-
-class RecommendationEngine(EngineFacade):
+class RecommendationEngine:
     """Serve top-k recommendations from a fitted (or checkpointed) model.
 
     Parameters
@@ -267,8 +211,6 @@ class RecommendationEngine(EngineFacade):
         Which history to serve user-id requests from (mirrors the
         evaluation protocol's ``split`` semantics; default ``"test"``,
         i.e. the full known history).
-    metrics:
-        Optionally share a :class:`ServingMetrics` across engines.
     resilience:
         The resilience layer: a
         :class:`~repro.serve.resilience.ResilienceConfig` (or a
@@ -290,11 +232,6 @@ class RecommendationEngine(EngineFacade):
         bit-identical to the historical dense path.
     """
 
-    #: Single-process engines are not safe for concurrent scoring; the
-    #: HTTP server serializes requests behind one lock unless an engine
-    #: (e.g. :class:`repro.serve.workers.ShardedEngine`) flips this.
-    thread_safe = False
-
     def __init__(
         self,
         model,
@@ -302,7 +239,6 @@ class RecommendationEngine(EngineFacade):
         max_batch_size: int = 256,
         cache_size: int = 4096,
         split: str = "test",
-        metrics: ServingMetrics | None = None,
         resilience=_DEFAULT_RESILIENCE,
         faults: FaultInjector | None = None,
         index: "ItemIndex | str | None" = None,
@@ -314,7 +250,7 @@ class RecommendationEngine(EngineFacade):
         self.dataset = dataset
         self.max_batch_size = max_batch_size
         self.split = split
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = ServingMetrics()
         self.cache = LRUCache(cache_size)
         self.faults = faults
         #: Optional :class:`repro.obs.RunObserver` (set by the caller);
@@ -574,40 +510,59 @@ class RecommendationEngine(EngineFacade):
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
-    def warm(self, users: np.ndarray) -> int:
-        """Pre-populate the representation cache for ``users``.
-
-        Returns the number of sequences actually encoded (cache misses).
-        """
-        slots = [
-            _Slot(sequence=np.asarray(self.dataset.full_sequence(int(u), self.split)))
-            for u in np.asarray(users)
-        ]
-        self._cache_lookup(slots)
-        self._encode_misses(slots)
-        self._cache_store(slots)
-        return sum(slot.row is not None and not slot.cached for slot in slots)
-
     def invalidate_cache(self) -> None:
         """Drop every cached representation (after a weight update)."""
         self.cache.clear()
 
     def close(self) -> None:
-        """Release engine resources (a no-op for the in-process engine).
-
-        Exists so servers and CLIs can shut any engine flavour down
-        uniformly; :class:`repro.serve.workers.ShardedEngine` overrides
-        this to stop its worker pool and retire shared memory.
-        """
+        """Release engine resources: a no-op, kept so every owner of an
+        engine (the CLI, the benchmark harness) shuts it down one way."""
 
     # ------------------------------------------------------------------
-    # Serving (entry points: EngineFacade.recommend / recommend_batch).
+    # Serving: one slot per request, walked through the stages below.
     # No stage touches more than one of cache, model and index.
     # ------------------------------------------------------------------
-    def _serve_batch(
-        self, requests: list[RecRequest], started: float
+    def recommend(
+        self,
+        user: int | None = None,
+        sequence=None,
+        k: int = 10,
+        exclude_seen: bool = True,
+    ) -> Recommendation:
+        """Serve a single request (convenience over :meth:`recommend_batch`)."""
+        request = RecRequest(
+            user=user, sequence=sequence, k=k, exclude_seen=exclude_seen
+        )
+        return self.recommend_batch([request])[0]
+
+    def recommend_batch(
+        self,
+        requests: list[RecRequest],
+        started: float | None = None,
+        on_error: str = "raise",
     ) -> list[Recommendation]:
-        """One slot per request through the stages below, in this order."""
+        """Serve many requests at once: dedupe, encode, score, select.
+
+        ``started`` anchors deadline budgets (monotonic clock) at the
+        moment the request entered the system — pass the HTTP arrival
+        time so queueing counts against the budget; defaults to now.
+
+        A request that cannot be served (malformed, deadline spent)
+        never fails its neighbours: it comes back as a per-item
+        :class:`~repro.serve.requests.Recommendation` carrying the
+        reason code.  ``on_error="report"`` returns those in place;
+        ``"raise"`` (default) serves the batch and then raises the
+        first of them in request order
+        (:class:`~repro.serve.requests.RequestError` /
+        :class:`~repro.serve.resilience.DeadlineExceeded`).
+        """
+        if on_error not in ("raise", "report"):
+            raise ValueError(f"on_error must be 'raise' or 'report', got {on_error!r}")
+        if not requests:
+            return []
+        if started is None:
+            clock = self.policy.clock if self.policy is not None else time.monotonic
+            started = clock()
         with self.metrics.time_stage("total"):
             slots = self._admit(requests, started)
             self._cache_lookup(slots)
@@ -619,6 +574,8 @@ class RecommendationEngine(EngineFacade):
                 results = self._respond(slots)
         self.metrics.increment("requests", len(requests))
         self.metrics.increment("batches")
+        if on_error == "raise":
+            raise_first_error(results)
         return results
 
     def _admit(self, requests: list[RecRequest], started: float) -> list[_Slot]:

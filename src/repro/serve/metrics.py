@@ -32,16 +32,16 @@ class ServingMetrics:
       encoded, items scored, batches flushed.
     * user-representation cache hits/misses with a derived hit rate.
 
-    All state lives in a :class:`repro.obs.registry.MetricsRegistry`.
-    ``seed`` threads into the registry's reservoir RNGs so exported
-    percentiles are deterministic run to run.
+    All state lives in a :class:`repro.obs.registry.MetricsRegistry`,
+    whose seeded reservoirs make exported percentiles deterministic run
+    to run.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self) -> None:
         # Elapsed time is measured on the monotonic clock: a wall-clock
         # step (NTP, a manual date change) must not make uptime negative.
         self._started = time.monotonic()
-        self.registry = MetricsRegistry(seed=seed)
+        self.registry = MetricsRegistry()
 
     # ------------------------------------------------------------------
     # Recording
@@ -109,10 +109,7 @@ class ServingMetrics:
 
     def snapshot(self) -> dict:
         """The full metrics state as a JSON-friendly dict."""
-        return self._snapshot_of(self.registry)
-
-    def _snapshot_of(self, registry: MetricsRegistry) -> dict:
-        """The serving snapshot schema computed over ``registry``."""
+        registry = self.registry
         counters = registry.counter_values()
         hits = counters.get("user_cache_hits", 0)
         misses = counters.get("user_cache_misses", 0)
@@ -139,27 +136,6 @@ class ServingMetrics:
                 for name, hist in registry.histograms.items()
             },
         }
-
-    def state(self, sample_cap: int | None = None) -> dict:
-        """Mergeable raw state (see :meth:`MetricsRegistry.state`)."""
-        return self.registry.state(sample_cap=sample_cap)
-
-    def merged_snapshot(self, states: list[dict]) -> dict:
-        """One snapshot over this facade's registry plus ``states``.
-
-        The sharded serving frontend passes each worker's
-        :meth:`state` payload; counters add, gauges take the max with
-        the frontend's own gauges overlaid (the frontend is
-        authoritative for ``model_version`` and admission gauges), and
-        histograms merge reservoirs into a scratch registry so
-        repeated exports never double count.
-        """
-        merged = MetricsRegistry.from_states(
-            [self.registry.state()] + list(states), seed=self.registry.seed
-        )
-        for name, gauge in self.registry.gauges.items():
-            merged.gauge(name).set(gauge.value)
-        return self._snapshot_of(merged)
 
     def to_json(self) -> str:
         """Serialize :meth:`snapshot` as indented JSON."""

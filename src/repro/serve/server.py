@@ -55,7 +55,6 @@ import functools
 import json
 import threading
 import time
-from contextlib import nullcontext
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.nn.serialization import CheckpointError
@@ -253,14 +252,9 @@ class RecommendationServer:
         retry_after_s: float = 1.0,
     ) -> None:
         self.engine = engine
-        # Single-process engines are not safe for concurrent scoring,
-        # so requests serialize behind one lock; a thread-safe engine
-        # (the sharded worker pool) serves HTTP threads concurrently.
-        self._lock = (
-            nullcontext()
-            if getattr(engine, "thread_safe", False)
-            else threading.Lock()
-        )
+        # The engine is not safe for concurrent scoring: requests and
+        # reloads serialize behind one lock.
+        self._lock = threading.Lock()
         self.admission = AdmissionController(
             max_inflight=max_inflight,
             retry_after_s=retry_after_s,
@@ -355,9 +349,6 @@ class RecommendationServer:
         if self.engine.checkpoint_path:
             payload["checkpoint"] = self.engine.checkpoint_path
         payload["index"] = self.engine.index.stats()
-        worker_info = getattr(self.engine, "worker_info", None)
-        if worker_info is not None:
-            payload["workers"] = worker_info()
         return payload
 
     def watch_checkpoints(self, directory: str, interval_s: float = 2.0) -> None:

@@ -4,9 +4,8 @@
 authoritative model, the optimizer, the lr schedule, the divergence
 guard and the :class:`~repro.runtime.resume.TrainingRuntime`; when
 ``config.workers >= 1`` its gradients come from a
-:class:`ParallelWorkerPool`, which forks N workers (over the same
-:mod:`repro.core.procpool` transport as :mod:`repro.serve.workers`) that
-each run the coordinator's own :class:`~repro.train.stages.Stage` and hold
+:class:`ParallelWorkerPool`, which forks N workers (over the
+:mod:`repro.core.procpool` transport) that each run the coordinator's own :class:`~repro.train.stages.Stage` and hold
 
 * a zero-copy view of the **parameter pages** — one
   :class:`~repro.core.shm.SharedArrays` segment the coordinator
@@ -198,8 +197,7 @@ class _TrainWorker:
 class ParallelWorkerPool(ClosesOnExit):
     """N forked training workers over shared parameter pages.
 
-    Lifecycle mirrors :class:`repro.serve.workers.ShardedEngine`: the
-    coordinator creates every segment and is the only process that
+    The coordinator creates every segment and is the only process that
     unlinks it; workers attach and close.  All control flow is
     synchronous — one command, one reply, in worker order — which is
     exactly what keeps the run deterministic.

@@ -12,7 +12,24 @@ import time
 
 import pytest
 
-from repro.core.procpool import ProcessPool, WorkerFailedError
+from repro.core.procpool import (
+    _BLAS_THREAD_SETTERS,
+    ProcessPool,
+    WorkerFailedError,
+    _loaded_openblas,
+)
+
+
+def blas_pools():
+    """``(set_num_threads, get_num_threads)`` of each OpenBLAS mapped here."""
+    pools = []
+    for library in _loaded_openblas():
+        for symbol in _BLAS_THREAD_SETTERS:
+            if hasattr(library, symbol):
+                getter = getattr(library, symbol.replace("set_", "get_"))
+                pools.append((getattr(library, symbol), getter))
+                break
+    return pools
 
 
 class FakeWorker:
@@ -34,6 +51,8 @@ class FakeWorker:
             raise KeyError(argument)
         if command == "exit":
             os._exit(argument)
+        if command == "blas_threads":
+            return [get() for __, get in blas_pools()]
         raise ValueError(f"unknown command {command!r}")
 
     def close(self) -> None:
@@ -133,3 +152,23 @@ def test_close_is_idempotent_and_bounded_with_a_wedged_child():
     assert time.monotonic() - started < 0.3 + 1.0 + 1.0  # timeout + terminate grace + slack
     assert not any(process.is_alive() for process in pool.processes)
     pool.close()  # idempotent
+
+
+def test_forked_worker_runs_one_blas_thread():
+    """A forked child inherits the parent's BLAS pool; the worker pins it
+    to one thread before building anything, and the parent keeps its own."""
+    pools = blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS with a known set_num_threads symbol is loaded")
+    widths = [get() for __, get in pools]
+    for set_threads, __ in pools:
+        set_threads(2)  # a parent pool wider than one, whatever the box
+    try:
+        wide = [get() for __, get in pools]
+        with make_pool(specs=({},)) as pool:
+            pool.send(0, ("blas_threads", None))
+            assert pool.recv(0) == [1] * len(pools)
+        assert [get() for __, get in pools] == wide
+    finally:
+        for (set_threads, __), width in zip(pools, widths):
+            set_threads(width)

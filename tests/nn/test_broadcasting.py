@@ -6,7 +6,7 @@ logic is the most shape-sensitive part of the engine.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.tensor import Tensor
@@ -36,7 +36,11 @@ def broadcastable_pair(draw):
 def check_binary(op, shape_a, shape_b, seed):
     rng = np.random.default_rng(seed)
     a_arr = rng.normal(size=shape_a)
-    b_arr = rng.normal(size=shape_b) + 2.5  # keep denominators away from 0
+    # Mostly positive denominators, but N(0, 1) + 2.5 still lands near 0
+    # now and then: a / b's central difference is then off by a relative
+    # (eps / b)**2 (1.1e-7 at b = 0.003), which the relative tolerance
+    # below absorbs down to |b| = 1e-4.
+    b_arr = rng.normal(size=shape_b) + 2.5
     a = Tensor(a_arr, requires_grad=True)
     b = Tensor(b_arr, requires_grad=True)
     out = op(a, b)
@@ -48,8 +52,10 @@ def check_binary(op, shape_a, shape_b, seed):
     num_b = numeric_gradient(
         lambda x: op(Tensor(a_arr), Tensor(x)).data, b_arr, seed_grad
     )
-    np.testing.assert_allclose(a.grad, num_a, atol=1e-5)
-    np.testing.assert_allclose(b.grad, num_b, atol=1e-5)
+    # Scaled to the gradient's magnitude: a wrong backward (a lost factor,
+    # a wrong sign, a broadcast summed over the wrong axis) misses by O(1).
+    np.testing.assert_allclose(a.grad, num_a, rtol=1e-4, atol=1e-5)
+    np.testing.assert_allclose(b.grad, num_b, rtol=1e-4, atol=1e-5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,6 +72,7 @@ def test_property_broadcast_mul_gradients(shapes, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(shapes=broadcastable_pair(), seed=st.integers(0, 2**31 - 1))
+@example(shapes=((1, 2), (1, 1)), seed=1166)  # denominator 0.00296
 def test_property_broadcast_div_gradients(shapes, seed):
     check_binary(lambda a, b: a / b, shapes[0], shapes[1], seed)
 

@@ -121,12 +121,6 @@ class TestCaching:
         engine.recommend(user=2)  # evicts user 0
         assert not engine.recommend(user=0).cached
 
-    def test_warm_then_serve(self, engine, tiny_dataset):
-        encoded = engine.warm(np.array([0, 1, 2, 3, 4, 3, 0]))
-        assert encoded == 5  # each distinct history once
-        assert engine.metrics.counters["sequences_encoded"] == 5
-        assert engine.recommend(user=3).cached
-
     def test_invalidate_cache(self, engine):
         engine.recommend(user=0)
         engine.invalidate_cache()
@@ -260,10 +254,11 @@ class TestMetricsIntegration:
         assert snap["counters"]["requests"] == 2
 
     def test_accounting_of_a_mixed_batch(self, sasrec, tiny_dataset):
-        """Every counter and stage-histogram count of two mixed batches,
-        as literals recorded from the engine before its stages were
-        split: a stage that runs twice or counts a request twice moves
-        one of them."""
+        """Every counter and stage-histogram count of a warm-up batch and
+        two mixed ones, as literals recorded from the engine before its
+        stages were split (the warm-up batch's share recorded on the
+        engine before the serving fleet was deleted): a stage that runs
+        twice or counts a request twice moves one of them."""
         policy = ResiliencePolicy(
             ResilienceConfig(breaker=BreakerConfig(window=8, min_calls=2)),
             clock=lambda: 100.0,
@@ -271,7 +266,7 @@ class TestMetricsIntegration:
         engine = RecommendationEngine(
             sasrec, tiny_dataset, max_batch_size=8, cache_size=32, resilience=policy
         )
-        assert engine.warm(np.array([0, 1])) == 2
+        engine.recommend_batch([RecRequest(user=0), RecRequest(user=1)])  # warm
         mixed = [
             RecRequest(user=0),  # cache hit
             RecRequest(user=1),  # cache hit
@@ -304,9 +299,9 @@ class TestMetricsIntegration:
             )
         }
         assert counters == {
-            "requests": 9, "batches": 2, "user_cache_hits": 5,
+            "requests": 11, "batches": 3, "user_cache_hits": 5,
             "user_cache_misses": 4, "coalesced_requests": 1,
-            "sequences_encoded": 3, "items_scored": 476,
+            "sequences_encoded": 3, "items_scored": 612,
             "requests_degraded": 3, "fallback_cache": 2,
             "fallback_popularity": 1, "deadline_exceeded": 1,
             "encode_errors": 0, "breaker_transitions": 1,
@@ -314,7 +309,7 @@ class TestMetricsIntegration:
         assert {
             stage: snap["latency"][stage]["count"]
             for stage in ("resolve", "encode", "score", "topk", "total")
-        } == {"resolve": 2, "encode": 2, "score": 2, "topk": 2, "total": 2}
+        } == {"resolve": 3, "encode": 2, "score": 3, "topk": 3, "total": 3}
 
 
 class TestRetrievalIndex:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
-from repro.serve import RecommendationEngine, RecommendationServer, ShardedEngine
+from repro.serve import RecommendationEngine, RecommendationServer
 from repro.serve.server import MAX_BODY_BYTES
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
@@ -44,14 +44,6 @@ def server(fitted_model, tiny_dataset):
     engine = RecommendationEngine(fitted_model, tiny_dataset, max_batch_size=8)
     with _serving(engine) as srv:
         yield srv
-
-
-@pytest.fixture()
-def sharded_server(fitted_model, tiny_dataset):
-    template = RecommendationEngine(fitted_model, tiny_dataset, max_batch_size=8)
-    with ShardedEngine(template, workers=1) as engine:
-        with _serving(engine) as srv:
-            yield srv
 
 
 def _post(server, path, payload):
@@ -304,9 +296,6 @@ class TestNoDelayedAckStall:
 
     def test_keep_alive_round_trip_is_not_stalled(self, server):
         assert _median_round_trip_ms(server) < 20.0
-
-    def test_keep_alive_round_trip_is_not_stalled_sharded(self, sharded_server):
-        assert _median_round_trip_ms(sharded_server) < 20.0
 
 
 def _head(request_line, *headers, body=b""):

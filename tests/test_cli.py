@@ -180,6 +180,25 @@ class TestMain:
         err = capsys.readouterr().err.strip()
         assert err.startswith("serve: Pop") and "cannot be served" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--checkpoint", "c"],
+            ["recommend", "--checkpoint", "c", "--user", "0"],
+            ["loadtest", "--quick"],
+            ["chaos", "--checkpoint", "c"],
+            ["online", "--checkpoint", "c", "--store-dir", "s"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_serving_has_no_workers_flag(self, argv, capsys):
+        """Serving runs in one process: ``--workers`` is refused by the
+        parser, never accepted and ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     def test_index_kind_is_an_argparse_choice(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["recommend", "--checkpoint", "c", "--user", "0",

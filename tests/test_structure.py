@@ -199,7 +199,7 @@ def test_the_server_reads_request_heads_without_email():
 # ----------------------------------------------------------------------
 # serve/engine.py: which stage touches which shared state
 # ----------------------------------------------------------------------
-ENTRY_POINTS = ("_serve_batch", "warm")
+ENTRY_POINTS = ("recommend_batch",)
 NOT_ON_THE_REQUEST_PATH = {
     "__init__", "from_checkpoint", "swap_model", "_self_check", "invalidate_cache",
 }
@@ -283,7 +283,6 @@ KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
     "FaultInjector.fail_read": "fault-injection hook the tests drive: the checkpoint-read half of fail_write",
-    "ShardedEngine.set_faults": "fault-injection hook the tests drive: ships a FaultInjector into every scoring worker",
 }
 
 
@@ -350,7 +349,6 @@ KEYWORDS_KEPT_ON_PURPOSE = {
     "SASRecBPR.__init__(bpr_config=)": "the warm start's BPR-MF schedule and its dim guard; the registry derives it from SASRecConfig",
     "MoCoCL4SRec.__init__(moco=)": "the key tower's momentum and queue size; the registry builds the default MoCoConfig, as it derives SASRecBPR's bpr_config",
     "ParallelWorkerPool.__init__(worker_timeout_s=)": "only tests pass it, to reach the hung-worker failure path in a second rather than five minutes",
-    "ShardedEngine.__init__(worker_timeout_s=)": "test fake: tests shorten it to reach the silent-worker failure path in a second rather than two minutes",
     "CheckpointManager.__init__(faults=)": "test fake: tests hand in a FaultInjector that fails checkpoint writes and reads",
     "ResiliencePolicy.__init__(clock=)": "test fake: tests substitute a FakeClock for time.monotonic",
     "FaultInjector.__init__(io_failure_rate=)": "fault-injection hook the tests drive: seeded random checkpoint IO failures",

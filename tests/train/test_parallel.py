@@ -16,6 +16,8 @@ The contract under test (docs/SCALING.md "Training at scale"):
 import glob
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -399,6 +401,43 @@ class TestWorkerFailure:
         model = build_cl4srec(tiny_dataset, workers=2, epochs=1)
         train_joint(model, tiny_dataset, model.cl_config.joint, rng=model._rng)
         assert leaked_segments() <= before
+
+    def test_no_resource_tracker_leak_warnings(self):
+        """A whole pool lifecycle in a fresh interpreter must not trip the
+        shared_memory resource tracker (the classic symptom of attach-side
+        unlink bookkeeping), which reports only at interpreter exit."""
+        before = leaked_segments()
+        result = subprocess.run(
+            [sys.executable, "-c", LEAK_CHECK_SCRIPT],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "trained 1 epoch" in result.stdout
+        assert "leaked shared_memory" not in result.stderr
+        assert "resource_tracker" not in result.stderr
+        assert leaked_segments() <= before
+
+
+LEAK_CHECK_SCRIPT = """
+from repro.core.cl4srec import CL4SRec, CL4SRecConfig
+from repro.core.trainer import pretrain_contrastive
+from repro.data.preprocessing import SequenceDataset
+from repro.data.synthetic import SyntheticConfig, generate_log
+from repro.models.sasrec import SASRecConfig
+from repro.models.training import TrainConfig
+
+dataset = SequenceDataset.from_log(
+    generate_log(SyntheticConfig(num_users=60, num_items=40, seed=0)),
+    name="leakcheck",
+)
+train = TrainConfig(epochs=1, batch_size=16, workers=2)
+model = CL4SRec(dataset, CL4SRecConfig(
+    sasrec=SASRecConfig(dim=8, num_layers=1, num_heads=1, train=train),
+    pretrain=train,
+))
+pretrain_contrastive(model, dataset, model.cl_config.pretrain, rng=model._rng)
+print("trained 1 epoch")
+"""
 
 
 class TestObservability:
