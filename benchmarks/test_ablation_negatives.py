@@ -15,9 +15,9 @@ from benchmarks.conftest import save_markdown
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
 from repro.models.pop import Pop
+from repro.models.registry import build_model
 
 SCALE = ExperimentScale(
     dataset_scale=0.04,

@@ -15,11 +15,11 @@ import numpy as np
 from repro import (
     CL4SRec,
     CL4SRecConfig,
+    Evaluator,
     InteractionLog,
     SASRecConfig,
     SequenceDataset,
     TrainConfig,
-    evaluate_model,
 )
 
 
@@ -63,7 +63,7 @@ def main() -> None:
     )
     model = CL4SRec(dataset, config)
     model.fit(dataset)
-    result = evaluate_model(model, dataset, max_users=600)
+    result = Evaluator(dataset).evaluate(model, max_users=600)
     print({k: round(v, 4) for k, v in result.metrics.items()})
 
 

@@ -33,8 +33,9 @@ def main() -> None:
             f"{model}: NDCG@10 degrades {result.degradation(model):+.1f}% "
             "from 100% data down to 20%"
         )
-    winner = "yes" if result.wins_at_every_fraction() else "no"
-    print(f"CL4SRec above SASRec at every fraction: {winner}")
+    cl, sas = result.series["CL4SRec"], result.series["SASRec"]
+    wins = all(cl[f]["NDCG@10"] > sas[f]["NDCG@10"] for f in result.fractions)
+    print(f"CL4SRec above SASRec at every fraction: {'yes' if wins else 'no'}")
 
 
 if __name__ == "__main__":

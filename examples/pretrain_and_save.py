@@ -16,9 +16,9 @@ from pathlib import Path
 from repro import (
     CL4SRec,
     CL4SRecConfig,
+    Evaluator,
     SASRecConfig,
     TrainConfig,
-    evaluate_model,
     load_dataset,
     pretrain_contrastive,
 )
@@ -58,7 +58,7 @@ def main() -> None:
         finetuned.load_state_dict(read_archive(checkpoint))
         finetuned.fit(dataset, skip_pretrain=True)
 
-    result = evaluate_model(finetuned, dataset, max_users=600)
+    result = Evaluator(dataset).evaluate(finetuned, max_users=600)
     print({k: round(v, 4) for k, v in result.metrics.items()})
 
 

@@ -12,11 +12,11 @@ Usage::
 from repro import (
     CL4SRec,
     CL4SRecConfig,
+    Evaluator,
     Pop,
     SASRec,
     SASRecConfig,
     TrainConfig,
-    evaluate_model,
     load_dataset,
 )
 
@@ -29,14 +29,16 @@ def main() -> None:
     train = TrainConfig(epochs=6, batch_size=128, max_length=30, seed=7)
     sasrec_config = SASRecConfig(dim=48, train=train)
 
+    evaluator = Evaluator(dataset)  # full ranking on the test split
+
     # Non-personalized baseline for context.
     pop = Pop().fit(dataset)
-    pop_result = evaluate_model(pop, dataset, max_users=1000)
+    pop_result = evaluator.evaluate(pop, max_users=1000)
 
     # The SASRec baseline: supervised next-item training only.
     sasrec = SASRec(dataset, sasrec_config)
     sasrec.fit(dataset)
-    sasrec_result = evaluate_model(sasrec, dataset, max_users=1000)
+    sasrec_result = evaluator.evaluate(sasrec, max_users=1000)
 
     # CL4SRec: contrastive pre-training over crop/mask/reorder views,
     # then the same supervised fine-tuning.
@@ -48,7 +50,7 @@ def main() -> None:
     )
     cl4srec = CL4SRec(dataset, cl_config)
     cl4srec.fit(dataset)
-    cl_result = evaluate_model(cl4srec, dataset, max_users=1000)
+    cl_result = evaluator.evaluate(cl4srec, max_users=1000)
 
     print(f"\n{'model':10s} {'HR@10':>8s} {'NDCG@10':>8s}")
     for name, result in [

@@ -8,23 +8,20 @@ data pipeline, full-ranking evaluation protocol and experiment harness.
 
 Quickstart
 ----------
->>> from repro import CL4SRec, CL4SRecConfig, evaluate_model, load_dataset
+>>> from repro import CL4SRec, CL4SRecConfig, Evaluator, load_dataset
 >>> dataset = load_dataset("beauty", scale=0.02, seed=0)
 >>> model = CL4SRec(dataset, CL4SRecConfig(augmentations=("mask",), rates=0.5))
 >>> model.fit(dataset, epochs=2)  # doctest: +SKIP
->>> evaluate_model(model, dataset).metrics  # doctest: +SKIP
+>>> Evaluator(dataset).evaluate(model).metrics  # doctest: +SKIP
 """
 
 from repro.augment import (
     Compose,
     Crop,
     Identity,
-    Insert,
-    ItemCorrelation,
     Mask,
     PairSampler,
     Reorder,
-    Substitute,
 )
 from repro.core import (
     CL4SRec,
@@ -49,14 +46,11 @@ from repro.data import (
     load_dataset,
     read_csv_log,
     read_jsonl_log,
-    temporal_split,
 )
 from repro.eval import (
     EvaluationResult,
     Evaluator,
-    evaluate_model,
     ranking_metrics,
-    recommendation_diagnostics,
     top_k_indices,
 )
 from repro.runtime import (
@@ -126,9 +120,7 @@ __all__ = [
     "GRU4Rec",
     "Histogram",
     "Identity",
-    "Insert",
     "InteractionLog",
-    "ItemCorrelation",
     "Mask",
     "MetricsRegistry",
     "MoCoCL4SRec",
@@ -151,7 +143,6 @@ __all__ = [
     "SequenceDataset",
     "ServingMetrics",
     "SimulatedPreemption",
-    "Substitute",
     "SyntheticConfig",
     "TrainConfig",
     "TrainingInterrupted",
@@ -160,7 +151,6 @@ __all__ = [
     "build_model",
     "dataset_names",
     "dataset_report",
-    "evaluate_model",
     "five_core_filter",
     "generate_log",
     "info_nce_loss",
@@ -171,10 +161,8 @@ __all__ = [
     "read_csv_log",
     "read_events",
     "read_jsonl_log",
-    "recommendation_diagnostics",
     "register_model",
     "summarize_run",
-    "temporal_split",
     "top_k_indices",
     "train_joint",
 ]

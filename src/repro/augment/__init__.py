@@ -28,15 +28,12 @@ from repro.augment.batched import (
     BatchMask,
     BatchPairSampler,
     BatchReorder,
-    BatchScalarFallback,
     BatchedAugmentation,
     batched_operator,
     spawn_stream,
 )
 from repro.augment.compose import Compose, PairSampler
-from repro.augment.correlation import ItemCorrelation
 from repro.augment.crop import Crop
-from repro.augment.extended import Insert, Substitute
 from repro.augment.factory import make_operator, make_operator_set
 from repro.augment.mask import Mask
 from repro.augment.reorder import Reorder
@@ -49,17 +46,13 @@ __all__ = [
     "BatchMask",
     "BatchPairSampler",
     "BatchReorder",
-    "BatchScalarFallback",
     "BatchedAugmentation",
     "Compose",
     "Crop",
     "Identity",
-    "Insert",
-    "ItemCorrelation",
     "Mask",
     "PairSampler",
     "Reorder",
-    "Substitute",
     "batched_operator",
     "make_operator",
     "make_operator_set",

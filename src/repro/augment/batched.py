@@ -235,42 +235,13 @@ class BatchCompose(BatchedAugmentation):
         return f"BatchCompose([{inner}])"
 
 
-class BatchScalarFallback(BatchedAugmentation):
-    """Adapter running a scalar operator row by row.
-
-    Lets any custom :class:`~repro.augment.base.Augmentation` (e.g.
-    the correlation-fitted ``Insert``/``Substitute``) participate in
-    the vectorized pipeline: batching and padding reuse still apply
-    even though the transform itself loops.  Views longer
-    than ``T`` are left-truncated, matching ``pad_left``.
-    """
-
-    def __init__(self, operator: Augmentation) -> None:
-        self.operator = operator
-
-    def __call__(self, padded, lengths, rng):
-        padded, n = _validate_batch(padded, lengths)
-        B, T = padded.shape
-        out = np.zeros_like(padded)
-        out_lengths = np.zeros_like(n)
-        for row in range(B):
-            view = self.operator(padded[row, T - n[row] :], rng)
-            kept = min(len(view), T)
-            out_lengths[row] = kept
-            if kept:
-                out[row, T - kept :] = view[-kept:]
-        return out, out_lengths
-
-    def __repr__(self) -> str:
-        return f"BatchScalarFallback({self.operator!r})"
-
-
 def batched_operator(operator: Augmentation) -> BatchedAugmentation:
     """The vectorized counterpart of a scalar operator.
 
     ``Crop`` / ``Mask`` / ``Reorder`` / ``Identity`` / ``Compose`` map
-    to their matrix forms; anything else is wrapped in
-    :class:`BatchScalarFallback` so custom operators keep working.
+    to their matrix forms; any other operator has none and is refused
+    with a ``TypeError`` naming it (docs/EXTENDING.md "Adding an
+    augmentation").
     """
     if isinstance(operator, BatchedAugmentation):
         return operator
@@ -284,7 +255,10 @@ def batched_operator(operator: Augmentation) -> BatchedAugmentation:
         return BatchIdentity()
     if isinstance(operator, Compose):
         return BatchCompose([batched_operator(op) for op in operator.operators])
-    return BatchScalarFallback(operator)
+    raise TypeError(
+        f"{type(operator).__name__} has no matrix form; a batched operator "
+        "is needed for the vectorized pipeline"
+    )
 
 
 class BatchPairSampler:

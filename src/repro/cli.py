@@ -1122,7 +1122,7 @@ def _run_train(args: argparse.Namespace) -> int:
     """The ``train`` subcommand: CL4SRec under the fault-tolerant runtime."""
     from repro.core.trainer import pretrain_contrastive, train_joint
     from repro.data.registry import load_dataset
-    from repro.experiments.factory import build_model
+    from repro.models.registry import build_model
     from repro.models.training import train_next_item_model
     from repro.runtime import (
         CheckpointManager,

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.augment.base import Augmentation
 from repro.augment.compose import PairSampler
 from repro.augment.factory import make_operator_set
 from repro.core.contrastive import info_nce_loss
@@ -88,17 +87,14 @@ class CL4SRec(SASRec):
         self,
         dataset: SequenceDataset,
         config: CL4SRecConfig | None = None,
-        operators: Sequence[Augmentation] | None = None,
     ) -> None:
         self.cl_config = config if config is not None else CL4SRecConfig()
         super().__init__(dataset, self.cl_config.sasrec)
-        if operators is None:
-            operators = make_operator_set(
-                self.cl_config.augmentations,
-                self.cl_config.rates,
-                mask_token=dataset.mask_token,
-            )
-        self.operators = list(operators)
+        self.operators = make_operator_set(
+            self.cl_config.augmentations,
+            self.cl_config.rates,
+            mask_token=dataset.mask_token,
+        )
         self.pair_sampler = PairSampler(
             self.operators, distinct=self.cl_config.distinct_pair
         )

@@ -12,7 +12,7 @@ merged) and moves arrays through :mod:`repro.core.shm`.
   process, so a worker that died (exit code reported), went silent past
   ``timeout_s``, closed its pipe or raised while handling the command
   ends in one named error, :class:`WorkerFailedError` — never a hang.
-* The owner words that error: ``failure(worker, what, raised)`` builds
+* The owner words that error: ``failure(worker, what)`` builds
   the exception to raise, so a message can name a training step without
   this module knowing what the work is.
 * :meth:`ProcessPool.close` escalates — ask, join, terminate, close the
@@ -154,12 +154,11 @@ class ProcessPool(ClosesOnExit):
     """N worker processes behind pipes; every wait bounded and named.
 
     ``specs`` holds one picklable start-up argument per worker;
-    processes are named ``{name}-{worker}``.  ``failure(worker, what,
-    raised=None)`` returns the exception a failed :meth:`send` /
-    :meth:`recv` raises: ``what`` says what happened (``"died (exit
-    code 1)"``, ``"did not reply within 120s"``, …) and ``raised`` is
-    the worker's own exception when the command raised over there — an
-    owner may hand ``raised`` back to re-raise it as it is.
+    processes are named ``{name}-{worker}``.  ``failure(worker, what)``
+    returns the exception a failed :meth:`send` / :meth:`recv` raises:
+    ``what`` says what happened (``"died (exit code 1)"``, ``"did not
+    reply within 120s"``, …).  When the command raised in the worker,
+    that exception is the ``__cause__`` of the one raised here.
     """
 
     def __init__(
@@ -177,7 +176,6 @@ class ProcessPool(ClosesOnExit):
         self._conns = []
         self.processes = []
         context = multiprocessing.get_context("fork")
-        self.start_method = context.get_start_method()
         try:
             for worker, spec in enumerate(specs):
                 parent_conn, child_conn = context.Pipe()
@@ -228,10 +226,7 @@ class ProcessPool(ClosesOnExit):
         except (EOFError, OSError) as error:
             raise self._died(worker) from error
         if status == "error":
-            error = self._failure(worker, f"failed: {payload}", payload)
-            if error is payload:
-                raise payload
-            raise error from payload
+            raise self._failure(worker, f"failed: {payload}") from payload
         return payload
 
     def close(self, timeout: float = 5.0) -> None:

@@ -46,7 +46,6 @@ from repro.data.registry import (
     dataset_names,
     load_dataset,
 )
-from repro.data.splits import TemporalSplit, next_item_events, temporal_split
 from repro.data.stats import dataset_report, markov_predictability, popularity_gini
 from repro.data.synthetic import SyntheticConfig, generate_log
 
@@ -66,7 +65,6 @@ __all__ = [
     "PopularityNegativeSampler",
     "SequenceDataset",
     "SyntheticConfig",
-    "TemporalSplit",
     "build_padded_views",
     "padded_views",
     "validate_pipeline",
@@ -79,10 +77,8 @@ __all__ = [
     "generate_log",
     "leave_one_out_split",
     "load_dataset",
-    "next_item_events",
     "pad_left",
     "read_csv_log",
-    "temporal_split",
     "read_jsonl_log",
     "write_csv_log",
 ]

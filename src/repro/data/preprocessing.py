@@ -20,8 +20,8 @@ from repro.data.log import InteractionLog
 MIN_CORE = 5
 
 
-def five_core_filter(log: InteractionLog, min_count: int = MIN_CORE) -> InteractionLog:
-    """Iteratively drop users and items with < ``min_count`` actions.
+def five_core_filter(log: InteractionLog) -> InteractionLog:
+    """Iteratively drop users and items with < ``MIN_CORE`` actions.
 
     Repeats until a fixed point, exactly as in the paper (following
     Rendle et al. and Zhou et al.).
@@ -30,8 +30,8 @@ def five_core_filter(log: InteractionLog, min_count: int = MIN_CORE) -> Interact
     while True:
         user_counts = np.bincount(current.user_ids, minlength=current.user_ids.max() + 1 if len(current) else 1)
         item_counts = np.bincount(current.item_ids, minlength=current.item_ids.max() + 1 if len(current) else 1)
-        keep = (user_counts[current.user_ids] >= min_count) & (
-            item_counts[current.item_ids] >= min_count
+        keep = (user_counts[current.user_ids] >= MIN_CORE) & (
+            item_counts[current.item_ids] >= MIN_CORE
         )
         if keep.all():
             return current
@@ -113,10 +113,9 @@ class SequenceDataset:
         cls,
         log: InteractionLog,
         name: str = "dataset",
-        min_count: int = MIN_CORE,
     ) -> "SequenceDataset":
         """Apply 5-core filtering, sequence building and splitting."""
-        filtered = five_core_filter(log, min_count=min_count)
+        filtered = five_core_filter(log)
         sequences, num_items = build_sequences(filtered)
         train, valid, test = [], [], []
         for seq in sequences:

@@ -191,10 +191,3 @@ class Evaluator:
             ranks=ranks,
             num_users=len(users),
         )
-
-
-def evaluate_model(
-    model, dataset: SequenceDataset, max_users: int | None = None
-) -> EvaluationResult:
-    """One-shot test-split evaluation: a wrapper around :class:`Evaluator`."""
-    return Evaluator(dataset).evaluate(model, max_users=max_users)

@@ -15,7 +15,6 @@ return result objects with ``to_markdown()`` for human-readable output.
 """
 
 from repro.experiments.config import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
-from repro.experiments.factory import MODEL_NAMES, build_model
 from repro.experiments.reporting import ResultTable, format_float
 from repro.experiments.table1 import Table1Result, run_table1
 from repro.experiments.table2 import Table2Result, run_table2
@@ -30,8 +29,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.convergence import ConvergenceResult, run_convergence
 from repro.experiments.report import Report, build_report
-from repro.experiments.sweep import SweepPoint, SweepResult, grid, run_sweep
-from repro.experiments.tracking import RunRecord, RunRegistry, TrackedRun
+from repro.experiments.tracking import RunRecord, RunRegistry
 
 __all__ = [
     "AblationResult",
@@ -42,28 +40,21 @@ __all__ = [
     "Figure4Result",
     "Figure5Result",
     "Figure6Result",
-    "MODEL_NAMES",
     "Report",
     "ResultTable",
     "RunRecord",
     "RunRegistry",
     "SMOKE_SCALE",
-    "TrackedRun",
-    "SweepPoint",
-    "SweepResult",
     "Table1Result",
     "Table2Result",
-    "build_model",
     "build_report",
     "format_float",
-    "grid",
     "run_figure4",
     "run_figure5",
     "run_convergence",
     "run_figure6",
     "run_joint_vs_pretrain",
     "run_projection_ablation",
-    "run_sweep",
     "run_table1",
     "run_table2",
     "run_temperature_ablation",

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
+from repro.models.registry import build_model
 
 
 @dataclass

@@ -12,14 +12,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.representation import ConvergenceTracker
 from repro.core.cl4srec import CL4SRec
 from repro.core.trainer import pretrain_contrastive
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
+from repro.models.registry import build_model
+
+
+@dataclass
+class ConvergenceTracker:
+    """Record validation curves to compare convergence speed.
+
+    The paper observes that pre-training "can warm-up the following
+    procedure" — a pre-trained model should hit any fixed performance
+    bar in fewer fine-tuning epochs.
+    """
+
+    curves: dict[str, list[float]] = field(default_factory=dict)
+
+    def record(self, label: str, score: float) -> None:
+        self.curves.setdefault(label, []).append(float(score))
+
+    def epochs_to_reach(self, label: str, bar: float) -> int | None:
+        """First (1-based) epoch at which ``label`` reached ``bar``."""
+        for epoch, score in enumerate(self.curves.get(label, []), start=1):
+            if score >= bar:
+                return epoch
+        return None
+
+    def faster(self, candidate: str, baseline: str, bar: float) -> bool:
+        """Did ``candidate`` reach ``bar`` in fewer epochs than ``baseline``?"""
+        a = self.epochs_to_reach(candidate, bar)
+        b = self.epochs_to_reach(baseline, bar)
+        if a is None:
+            return False
+        if b is None:
+            return True
+        return a < b
 
 
 @dataclass

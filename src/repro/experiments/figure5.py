@@ -14,8 +14,8 @@ from itertools import combinations
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
+from repro.models.registry import build_model
 
 OPERATORS = ("crop", "mask", "reorder")
 #: The proportion rate every operator runs at.

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import build_model
 from repro.experiments.reporting import ResultTable
+from repro.models.registry import build_model
 
 PAPER_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -27,12 +27,6 @@ class Figure6Result:
     scale: ExperimentScale
     fractions: tuple[float, ...]
     series: dict[str, dict[float, dict[str, float]]] = field(default_factory=dict)
-
-    def wins_at_every_fraction(self) -> bool:
-        """Does CL4SRec beat SASRec on NDCG@10 at every training fraction?"""
-        cl = self.series["CL4SRec"]
-        sas = self.series["SASRec"]
-        return all(cl[f]["NDCG@10"] > sas[f]["NDCG@10"] for f in self.fractions)
 
     def degradation(self, model: str, metric: str = "NDCG@10") -> float:
         """Relative drop from 100% to the smallest fraction, in percent."""

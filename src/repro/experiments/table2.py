@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from repro.data.registry import load_dataset
 from repro.eval.evaluator import Evaluator
 from repro.experiments.config import ExperimentScale
-from repro.experiments.factory import MODEL_NAMES, build_model
 from repro.experiments.reporting import ResultTable, improvement_pct
+from repro.models.registry import MODEL_NAMES, build_model
 
 METRIC_COLUMNS = ("HR@5", "HR@10", "HR@20", "NDCG@5", "NDCG@10", "NDCG@20")
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
 
@@ -101,42 +100,3 @@ class RunRegistry:
             )
         return max(candidates, key=lambda r: r.metrics[metric])
 
-
-class TrackedRun:
-    """Context manager that times a run and records it on success.
-
-    >>> registry = RunRegistry(tmpdir)                  # doctest: +SKIP
-    >>> with TrackedRun(registry, "table2", {"scale": 0.05}) as run:
-    ...     run.metrics = {"HR@10": 0.41}               # doctest: +SKIP
-    """
-
-    def __init__(
-        self,
-        registry: RunRegistry,
-        experiment: str,
-        params: dict[str, Any],
-    ) -> None:
-        self.registry = registry
-        self.experiment = experiment
-        self.params = params
-        self.metrics: dict[str, float] = {}
-        self.record: RunRecord | None = None
-        self._started = 0.0
-
-    def __enter__(self) -> "TrackedRun":
-        self._started = time.monotonic()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            return  # failed runs are not recorded
-        if not self.metrics:
-            raise ValueError(
-                "TrackedRun exited without metrics; set run.metrics first"
-            )
-        self.record = self.registry.record(
-            self.experiment,
-            self.params,
-            self.metrics,
-            duration_seconds=time.monotonic() - self._started,
-        )

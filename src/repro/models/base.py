@@ -97,11 +97,7 @@ class SequenceRecommender(Recommender):
     def score_sequences(
         self, sequences: list[np.ndarray], num_items: int
     ) -> np.ndarray:
-        """Score the vocabulary given raw histories (no dataset needed).
-
-        This is the entry point protocols other than leave-one-out use
-        (e.g. the global temporal split).
-        """
+        """Score the vocabulary given raw histories (no dataset needed)."""
         return self.encode_sequences(sequences) @ self.item_embedding_matrix(
             num_items
         ).T

@@ -2,18 +2,14 @@
 
 The experiment runners (``repro.experiments``), the CLI and the serving
 loader (``repro.serve``) all need to turn a method name plus a scale
-preset into a ready-to-train model.  Historically that wiring lived in
-``repro.experiments.factory`` as one long if-chain; this module replaces
-it with a declarative registry so new models plug in with a decorator::
+preset into a ready-to-train model.  New models plug in with a
+decorator::
 
     from repro.models.registry import register_model
 
     @register_model("MyModel")
     def _build_my_model(dataset, scale, **kwargs):
         return MyModel(dataset, MyModelConfig(dim=scale.dim))
-
-``repro.experiments.factory`` re-exports :func:`build_model` for
-backwards compatibility.
 """
 
 from __future__ import annotations

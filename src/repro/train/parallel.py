@@ -279,7 +279,7 @@ class ParallelWorkerPool(ClosesOnExit):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _worker_failed(self, worker: int, what: str, raised=None):
+    def _worker_failed(self, worker: int, what: str):
         """What a failed pool call raises (the transport's wording hook)."""
         step = self._global_step
         return WorkerFailedError(

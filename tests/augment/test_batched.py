@@ -22,7 +22,6 @@ from repro.augment.batched import (
     BatchMask,
     BatchPairSampler,
     BatchReorder,
-    BatchScalarFallback,
     batched_operator,
     spawn_stream,
 )
@@ -195,9 +194,8 @@ class TestSharedContracts:
         BatchReorder(0.8),
         BatchIdentity(),
         BatchCompose([BatchCrop(0.7), BatchMask(0.4, MASK_TOKEN)]),
-        BatchScalarFallback(Mask(0.5, mask_token=MASK_TOKEN)),
     ]
-    IDS = ["crop", "mask", "reorder", "identity", "compose", "fallback"]
+    IDS = ["crop", "mask", "reorder", "identity", "compose"]
 
     @pytest.mark.parametrize("op", OPS, ids=IDS)
     def test_deterministic_under_fixed_seed(self, op):
@@ -224,32 +222,6 @@ class TestSharedContracts:
             op(np.zeros((2, 4), dtype=np.int64), np.array([1, 5]), None)
 
 
-class TestScalarFallback:
-    def test_matches_manual_row_loop(self):
-        padded, lengths = make_batch([[1, 2, 3, 4, 5], [6, 7], []])
-        op = Mask(0.5, mask_token=MASK_TOKEN)
-        out, out_lengths = BatchScalarFallback(op)(
-            padded, lengths, np.random.default_rng(3)
-        )
-        rng = np.random.default_rng(3)  # same stream, same row order
-        for b, n in enumerate(lengths):
-            view = op(padded[b, T - n :], rng)
-            np.testing.assert_array_equal(real_part(out, out_lengths, b), view)
-
-    def test_left_truncates_growing_views(self):
-        class Doubling:
-            def __call__(self, seq, rng):
-                return np.concatenate([seq, seq])
-
-        padded, lengths = make_batch([list(range(1, 9))])
-        out, out_lengths = BatchScalarFallback(Doubling())(
-            padded, lengths, np.random.default_rng(0)
-        )
-        assert out_lengths[0] == T  # 16 items truncated to the last T
-        expected = np.concatenate([np.arange(1, 9), np.arange(1, 9)])[-T:]
-        np.testing.assert_array_equal(out[0], expected)
-
-
 class TestBatchedOperatorDispatch:
     def test_known_operators_map_to_matrix_forms(self):
         assert isinstance(batched_operator(Crop(0.5)), BatchCrop)
@@ -268,12 +240,15 @@ class TestBatchedOperatorDispatch:
         assert isinstance(lifted.operators[0], BatchCrop)
         assert isinstance(lifted.operators[1], BatchReorder)
 
-    def test_unknown_operator_falls_back(self):
+    def test_unknown_operator_is_refused_by_name(self):
         class Custom:
             def __call__(self, seq, rng):
                 return seq.copy()
 
-        assert isinstance(batched_operator(Custom()), BatchScalarFallback)
+        with pytest.raises(TypeError, match="Custom has no matrix form"):
+            batched_operator(Custom())
+        with pytest.raises(TypeError, match="Custom"):  # inside a Compose too
+            batched_operator(Compose([Crop(0.5), Custom()]))
 
     def test_batched_operator_passes_through(self):
         op = BatchCrop(0.5)

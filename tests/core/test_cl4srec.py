@@ -52,12 +52,6 @@ class TestConstruction:
         model = CL4SRec(tiny_dataset, small_config(augmentations=("mask",)))
         assert model.operators[0].mask_token == tiny_dataset.mask_token
 
-    def test_custom_operators_accepted(self, tiny_dataset):
-        from repro.augment import Crop
-
-        model = CL4SRec(tiny_dataset, small_config(), operators=[Crop(0.3)])
-        assert len(model.operators) == 1
-
     def test_projection_head_registered(self, tiny_dataset):
         model = CL4SRec(tiny_dataset, small_config())
         names = {name for name, __ in model.named_parameters()}

@@ -59,7 +59,7 @@ class FakeWorker:
         pass
 
 
-def named_failure(worker, what, raised=None):
+def named_failure(worker, what):
     return WorkerFailedError(worker, f"fake worker {worker} {what}", step=7)
 
 
@@ -125,16 +125,6 @@ def test_worker_side_exception_arrives_with_its_cause():
         # The worker answered (with its error) and is still in step.
         pool.send(0, ("echo", "still here"))
         assert pool.recv(0) == "still here"
-
-
-def test_failure_hook_may_reraise_the_workers_own_exception():
-    def own_exception(worker, what, raised=None):
-        return raised if raised is not None else named_failure(worker, what)
-
-    with make_pool(failure=own_exception) as pool:
-        pool.send(1, ("raise", "boom"))
-        with pytest.raises(KeyError, match="boom"):
-            pool.recv(1)
 
 
 def test_startup_failure_surfaces_from_the_constructor_with_no_live_child():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.data.log import InteractionLog
 from repro.data.preprocessing import (
+    MIN_CORE,
     SequenceDataset,
     build_sequences,
     five_core_filter,
@@ -52,27 +53,22 @@ class TestFiveCore:
         log = InteractionLog([0, 1], [5, 6], [1.0, 2.0])
         assert len(five_core_filter(log)) == 0
 
-    def test_custom_min_count(self, micro_log):
-        filtered = five_core_filter(micro_log, min_count=2)
-        # User 9 has 2 actions, but item 99 has only 1 ⇒ user 9 drops to 1.
-        assert 9 not in five_core_filter(micro_log, min_count=2).user_ids or len(filtered) > 0
-
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 500), min_count=st.integers(2, 6))
-    def test_property_postcondition(self, seed, min_count):
-        """After filtering, every user and item has >= min_count actions."""
+    @given(seed=st.integers(0, 500))
+    def test_property_postcondition(self, seed):
+        """After filtering, every user and item has >= MIN_CORE actions."""
         rng = np.random.default_rng(seed)
         n = 300
         log = InteractionLog(
             rng.integers(0, 40, n), rng.integers(0, 30, n), rng.random(n)
         )
-        filtered = five_core_filter(log, min_count=min_count)
+        filtered = five_core_filter(log)
         if len(filtered) == 0:
             return
         user_counts = np.bincount(filtered.user_ids)
         item_counts = np.bincount(filtered.item_ids)
-        assert user_counts[np.unique(filtered.user_ids)].min() >= min_count
-        assert item_counts[np.unique(filtered.item_ids)].min() >= min_count
+        assert user_counts[np.unique(filtered.user_ids)].min() >= MIN_CORE
+        assert item_counts[np.unique(filtered.item_ids)].min() >= MIN_CORE
 
 
 class TestBuildSequences:

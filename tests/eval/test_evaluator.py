@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import Evaluator, evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.base import SequenceRecommender
 
 
@@ -66,28 +66,26 @@ class BadShapeScorer:
 
 class TestEvaluator:
     def test_oracle_gets_perfect_metrics(self, tiny_dataset):
-        result = evaluate_model(OracleScorer(tiny_dataset), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(OracleScorer(tiny_dataset))
         assert result["HR@5"] == 1.0
         assert result["NDCG@5"] == 1.0
 
     def test_constant_scorer_gets_zero(self, tiny_dataset):
-        result = evaluate_model(ConstantScorer(), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(ConstantScorer())
         assert result["HR@20"] == 0.0 or tiny_dataset.num_items <= 20
 
     def test_seen_items_masked(self, tiny_dataset):
         """Even though seen items score 10 > target's 5, masking them
         must put the target at rank 1."""
-        result = evaluate_model(SeenItemScorer(), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(SeenItemScorer())
         assert result["HR@5"] == 1.0
 
     def test_num_users_counted(self, tiny_dataset):
-        result = evaluate_model(OracleScorer(tiny_dataset), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(OracleScorer(tiny_dataset))
         assert result.num_users == len(tiny_dataset.evaluation_users("test"))
 
     def test_max_users_cap(self, tiny_dataset):
-        result = evaluate_model(
-            OracleScorer(tiny_dataset), tiny_dataset, max_users=7
-        )
+        result = Evaluator(tiny_dataset).evaluate(OracleScorer(tiny_dataset), max_users=7)
         assert result.num_users == 7
         assert len(result.ranks) == 7
 
@@ -99,7 +97,7 @@ class TestEvaluator:
     @pytest.mark.parametrize("target_only", [False, True], ids=["all_nan", "nan_target"])
     def test_nan_scores_rank_last(self, tiny_dataset, target_only):
         """NaN never ranks first: a NaN target scores no hit and a finite MRR."""
-        result = evaluate_model(NaNScorer(target_only), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(NaNScorer(target_only))
         for k in (5, 10, 20):
             assert result[f"HR@{k}"] == 0.0
             assert result[f"NDCG@{k}"] == 0.0
@@ -112,10 +110,10 @@ class TestEvaluator:
 
     def test_bad_score_shape_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
-            evaluate_model(BadShapeScorer(), tiny_dataset)
+            Evaluator(tiny_dataset).evaluate(BadShapeScorer())
 
     def test_result_indexing(self, tiny_dataset):
-        result = evaluate_model(OracleScorer(tiny_dataset), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(OracleScorer(tiny_dataset))
         assert result["HR@10"] == result.metrics["HR@10"]
 
     def test_batched_evaluation_consistent(self, tiny_dataset):
@@ -138,7 +136,7 @@ class TestEvaluator:
                     scores[row, dataset.test_targets[user]] = 1.0
                 return scores
 
-        result = evaluate_model(PaddingLover(), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(PaddingLover())
         assert result["HR@5"] == 1.0
 
     def test_ranks_invariant_under_monotone_transform(self, tiny_dataset):
@@ -154,8 +152,8 @@ class TestEvaluator:
             def score_items(self, dataset, users, split="test"):
                 return self.transform(base[np.asarray(users)])
 
-        raw = evaluate_model(Scorer(lambda s: s), tiny_dataset)
-        warped = evaluate_model(Scorer(lambda s: np.exp(s) * 3 + 1), tiny_dataset)
+        raw = Evaluator(tiny_dataset).evaluate(Scorer(lambda s: s))
+        warped = Evaluator(tiny_dataset).evaluate(Scorer(lambda s: np.exp(s) * 3 + 1))
         np.testing.assert_array_equal(raw.ranks, warped.ranks)
 
     def test_repeat_consumption_target_stays_scoreable(self, tiny_dataset):
@@ -167,7 +165,7 @@ class TestEvaluator:
             for u in tiny_dataset.evaluation_users("test")
             if tiny_dataset.test_targets[u] in tiny_dataset.seen_items(int(u))
         ]
-        result = evaluate_model(OracleScorer(tiny_dataset), tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(OracleScorer(tiny_dataset))
         # Oracle still perfect regardless of repeats.
         assert result["HR@5"] == 1.0
         # (Sanity: synthetic data does contain repeat consumption.)

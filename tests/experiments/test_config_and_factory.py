@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.cl4srec import CL4SRec
 from repro.experiments.config import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
-from repro.experiments.factory import EXTENSION_MODEL_NAMES, MODEL_NAMES, build_model
 from repro.models.bert4rec import BERT4Rec
 from repro.models.bprmf import BPRMF
 from repro.models.caser import Caser
 from repro.models.gru4rec import GRU4Rec
 from repro.models.ncf import NCF
 from repro.models.pop import Pop
+from repro.models.registry import EXTENSION_MODEL_NAMES, MODEL_NAMES, build_model
 from repro.models.sasrec import SASRec
 from repro.models.sasrec_bpr import SASRecBPR
 

@@ -1,10 +1,10 @@
-"""Run tracking: manifests, registry, context manager."""
+"""Run tracking: manifests and the registry that loads them."""
 
 import json
 
 import pytest
 
-from repro.experiments.tracking import RunRecord, RunRegistry, TrackedRun
+from repro.experiments.tracking import RunRecord, RunRegistry
 
 
 class TestRunRecord:
@@ -67,25 +67,3 @@ class TestRunRegistry:
         with pytest.raises(LookupError):
             registry.best("ghost", "HR@10")
 
-
-class TestTrackedRun:
-    def test_records_on_success(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        with TrackedRun(registry, "table2", {"scale": 0.05}) as run:
-            run.metrics = {"HR@10": 0.42}
-        assert run.record is not None
-        assert run.record.duration_seconds >= 0
-        assert registry.runs("table2")[0].metrics["HR@10"] == 0.42
-
-    def test_failed_run_not_recorded(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        with pytest.raises(RuntimeError):
-            with TrackedRun(registry, "exp", {}):
-                raise RuntimeError("boom")
-        assert registry.runs() == []
-
-    def test_missing_metrics_raises(self, tmp_path):
-        registry = RunRegistry(tmp_path)
-        with pytest.raises(ValueError):
-            with TrackedRun(registry, "exp", {}):
-                pass

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.cl4srec import CL4SRec, CL4SRecConfig
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.pop import Pop
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
@@ -31,7 +31,7 @@ def train_config():
 def sasrec_result(dataset, train_config):
     model = SASRec(dataset, SASRecConfig(dim=24, train=train_config))
     model.fit(dataset)
-    return evaluate_model(model, dataset)
+    return Evaluator(dataset).evaluate(model)
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +44,12 @@ def cl4srec_result(dataset, train_config):
     )
     model = CL4SRec(dataset, config)
     model.fit(dataset)
-    return evaluate_model(model, dataset)
+    return Evaluator(dataset).evaluate(model)
 
 
 class TestPaperClaims:
     def test_sasrec_beats_pop_on_ndcg(self, dataset, sasrec_result):
-        pop_result = evaluate_model(Pop().fit(dataset), dataset)
+        pop_result = Evaluator(dataset).evaluate(Pop().fit(dataset))
         assert sasrec_result["NDCG@10"] > pop_result["NDCG@10"]
 
     def test_cl4srec_beats_sasrec(self, sasrec_result, cl4srec_result):
@@ -83,7 +83,7 @@ class TestReproducibility:
             )
             model = CL4SRec(dataset, config)
             model.fit(dataset)
-            return evaluate_model(model, dataset, max_users=100).metrics
+            return Evaluator(dataset).evaluate(model, max_users=100).metrics
 
         a, b = run(), run()
         for key in a:
@@ -108,6 +108,6 @@ class TestPretrainingTransfers:
         from repro.core.trainer import pretrain_contrastive
 
         pretrain_contrastive(model, dataset, config.pretrain)
-        result = evaluate_model(model, dataset, max_users=300)
+        result = Evaluator(dataset).evaluate(model, max_users=300)
         chance_hr10 = 10.0 / dataset.num_items
         assert result["HR@10"] > chance_hr10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.loaders import pad_left
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.bert4rec import BERT4Rec, BERT4RecConfig
 from repro.models.encoder import _GROUP_ROWS
 from repro.models.training import TrainConfig
@@ -140,7 +140,7 @@ class TestInference:
     def test_beats_chance(self, tiny_dataset):
         model = BERT4Rec(tiny_dataset, small_config(epochs=5))
         model.fit(tiny_dataset)
-        result = evaluate_model(model, tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(model)
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.bprmf import BPRMF, BPRMFConfig
 from repro.models.losses import bpr_loss
 from repro.models.training import TrainConfig
@@ -67,8 +67,8 @@ class TestBPRMF:
         untrained = BPRMF(tiny_dataset, small_config(epochs=0))
         # epochs=0: fit initializes but never steps.
         untrained.fit(tiny_dataset)
-        a = evaluate_model(trained, tiny_dataset)["NDCG@10"]
-        b = evaluate_model(untrained, tiny_dataset)["NDCG@10"]
+        a = Evaluator(tiny_dataset).evaluate(trained)["NDCG@10"]
+        b = Evaluator(tiny_dataset).evaluate(untrained)["NDCG@10"]
         assert a > b
 
     def test_deterministic(self, tiny_dataset):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.fpmc import FPMC, FPMCConfig
 from repro.models.training import TrainConfig
 
@@ -48,7 +48,7 @@ class TestFPMC:
     def test_beats_chance(self, tiny_dataset):
         model = FPMC(tiny_dataset, small_config(epochs=6))
         model.fit(tiny_dataset)
-        result = evaluate_model(model, tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(model)
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance
 

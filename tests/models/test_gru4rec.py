@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.gru4rec import GRU4Rec, GRU4RecConfig
 from repro.models.training import TrainConfig
 
@@ -29,7 +29,7 @@ class TestGRU4Rec:
     def test_beats_chance(self, tiny_dataset):
         model = GRU4Rec(tiny_dataset, small_config(epochs=5))
         model.fit(tiny_dataset)
-        result = evaluate_model(model, tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(model)
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance
 

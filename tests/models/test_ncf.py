@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.ncf import NCF, NCFConfig
 from repro.models.training import TrainConfig
 
@@ -35,7 +35,7 @@ class TestNCF:
     def test_training_beats_random_ranking(self, tiny_dataset):
         model = NCF(tiny_dataset, small_config(epochs=4))
         model.fit(tiny_dataset)
-        result = evaluate_model(model, tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(model)
         # Random full ranking over ~V items: HR@10 ≈ 10/V.
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.pop import Pop
 
 
@@ -34,12 +34,12 @@ class TestPop:
 
     def test_beats_random_on_skewed_data(self, tiny_dataset):
         """Popularity carries real signal on Zipf-ish data."""
-        pop_result = evaluate_model(Pop().fit(tiny_dataset), tiny_dataset)
+        pop_result = Evaluator(tiny_dataset).evaluate(Pop().fit(tiny_dataset))
 
         class RandomScorer:
             def score_items(self, dataset, users, split="test"):
                 rng = np.random.default_rng(0)
                 return rng.random((len(users), dataset.num_items + 1))
 
-        rand_result = evaluate_model(RandomScorer(), tiny_dataset)
+        rand_result = Evaluator(tiny_dataset).evaluate(RandomScorer())
         assert pop_result["HR@10"] > rand_result["HR@10"]

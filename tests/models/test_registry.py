@@ -76,12 +76,6 @@ class TestOnePrecision:
 
 
 class TestCompatReexports:
-    def test_factory_reexports_registry(self):
-        from repro.experiments import factory
-
-        assert factory.build_model is build_model
-        assert factory.MODEL_NAMES is registry.MODEL_NAMES
-
     def test_top_level_exports(self):
         assert repro.build_model is build_model
         assert repro.available_models is available_models

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.loaders import NextItemBatch, NextItemBatchLoader, pad_left
-from repro.eval.evaluator import evaluate_model
+from repro.eval.evaluator import Evaluator
 from repro.models.encoder import _GROUP_ROWS, SASRecEncoder
 from repro.models.losses import masked_next_item_bce
 from repro.models.sasrec import SASRec, SASRecConfig
@@ -340,7 +340,7 @@ class TestSASRecTraining:
     def test_beats_chance(self, tiny_dataset):
         model = SASRec(tiny_dataset, small_config(epochs=5))
         model.fit(tiny_dataset)
-        result = evaluate_model(model, tiny_dataset)
+        result = Evaluator(tiny_dataset).evaluate(model)
         chance = 10.0 / tiny_dataset.num_items
         assert result["HR@10"] > 2 * chance
 

@@ -7,6 +7,7 @@ import pytest
 
 import repro.obs.registry as registry_module
 from repro.obs.registry import MAX_SAMPLES, Counter, Gauge, Histogram, MetricsRegistry
+from repro.serve.metrics import ServingMetrics
 
 
 class TestCounter:
@@ -147,3 +148,48 @@ class TestMetricsRegistry:
         assert set(snapshot["histograms"]["h"]) == {
             "count", "mean_ms", "max_ms", "p50_ms", "p90_ms", "p99_ms",
         }
+
+
+class TestSeededReservoirs:
+    """Every histogram's reservoir RNG derives from its seed plus the
+    instrument name, so exported percentiles are the same run to run
+    once a histogram overflows its sample cap."""
+
+    def test_overflowing_reservoir_is_deterministic_per_seed(self):
+        summaries = []
+        for __ in range(2):
+            hist = Histogram(seed=7)
+            hist.max_samples = 16  # force reservoir replacement
+            for value in np.random.default_rng(1).normal(1.0, 0.1, size=2000):
+                hist.record(value)
+            summaries.append(hist.summary())
+        assert summaries[0] == summaries[1]
+
+    def test_registry_seed_threads_into_every_histogram(self):
+        snapshots = []
+        for __ in range(2):
+            registry = MetricsRegistry()
+            registry.histograms["latency"] = hist = Histogram(
+                seed=registry._histogram_seed("latency")
+            )
+            hist.max_samples = 16  # force reservoir replacement
+            for value in np.random.default_rng(99).exponential(0.01, size=2000):
+                registry.observe("latency", value)
+            snapshots.append(registry.snapshot())
+        assert snapshots[0] == snapshots[1]
+
+    def test_distinct_names_get_distinct_reservoir_seeds(self):
+        registry = MetricsRegistry()
+        assert registry._histogram_seed("a") != registry._histogram_seed("b")
+
+    def test_serving_metrics_p99_deterministic_run_to_run(self):
+        exports = []
+        for __ in range(2):
+            metrics = ServingMetrics()
+            hist = metrics.stage("total")
+            hist.max_samples = 32  # force reservoir replacement
+            for value in np.random.default_rng(2).exponential(0.02, size=4000):
+                hist.record(value)
+            exports.append(metrics.snapshot()["latency"]["total"])
+        assert exports[0] == exports[1]
+        assert exports[0]["p99_ms"] > 0

@@ -26,7 +26,6 @@ class TestPublicAPI:
             "repro.models",
             "repro.eval",
             "repro.experiments",
-            "repro.analysis",
             "repro.obs",
         ):
             module = importlib.import_module(module_name)

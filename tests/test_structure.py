@@ -12,11 +12,13 @@
   and one writing method (docs/SERVING.md "The request path"): the
   boundary a narrower server lock will be drawn on.
 * Every public module-level function or class, and every public method
-  of a public class, has a user outside the tests, or a line in
-  ``KEPT_ON_PURPOSE`` saying why it stays.
+  of a public class, has a user in ``src/`` or ``benchmarks/`` or is
+  written about in ``docs/``, or has a line in ``KEPT_ON_PURPOSE``
+  saying why it stays.  An example is not a reader: code that only
+  ``examples/`` (or the tests) use goes.
 * In every module, every defaulted parameter of a public function or
-  method is passed by some caller outside the tests (``cls(...)`` in a
-  class's own methods counts as a call of that class, and
+  method is passed by some caller in ``src/`` or ``benchmarks/``
+  (``cls(...)`` in a class's own methods counts as a call of that class, and
   ``super().__init__(...)`` as a call of its base), or has a line in
   ``KEYWORDS_KEPT_ON_PURPOSE`` saying why it stays.
 * Every field of a ``*Config`` dataclass is read as an attribute
@@ -275,10 +277,13 @@ def test_engine_cache_has_one_reader_and_one_writer():
 # ----------------------------------------------------------------------
 # Unused public surface
 # ----------------------------------------------------------------------
-USER_TREES = ("src", "benchmarks", "examples")
+#: The code that counts as a reader.  ``examples/`` does not: an example
+#: shows the library in use, so a name only an example calls has no user.
+USER_TREES = ("src", "benchmarks")
 
-#: Public names (``name`` or ``Class.method``) with no user outside
-#: ``tests/``, each with its reason (this list only ever shrinks).
+#: Public names (``name`` or ``Class.method``) with no user in
+#: ``USER_TREES`` or ``docs/``, each with its reason (this list only
+#: ever shrinks).
 KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
@@ -341,11 +346,10 @@ def test_every_public_name_has_a_user_or_a_reason():
 # ----------------------------------------------------------------------
 # Keyword parameters no caller passes
 # ----------------------------------------------------------------------
-#: Defaulted parameters no call outside ``tests/`` passes, each with its
+#: Defaulted parameters no call in ``USER_TREES`` passes, each with its
 #: reason (this list only ever shrinks).
 KEYWORDS_KEPT_ON_PURPOSE = {
     "Evaluator.__init__(index=)": "index-backed evaluation, the metric cost of a quantized index (docs/RETRIEVAL.md)",
-    "evaluate_temporal(max_events=)": "caps the scored events, as Evaluator.evaluate(max_users=) caps users",
     "SASRecBPR.__init__(bpr_config=)": "the warm start's BPR-MF schedule and its dim guard; the registry derives it from SASRecConfig",
     "MoCoCL4SRec.__init__(moco=)": "the key tower's momentum and queue size; the registry builds the default MoCoConfig, as it derives SASRecBPR's bpr_config",
     "ParallelWorkerPool.__init__(worker_timeout_s=)": "only tests pass it, to reach the hung-worker failure path in a second rather than five minutes",
@@ -368,8 +372,8 @@ KEYWORDS_KEPT_ON_PURPOSE = {
 
 
 def calls_outside_tests() -> dict[str, list[ast.Call]]:
-    """Every call in ``src/``, ``benchmarks/`` and ``examples/``, by the
-    called name (``f(...)`` and ``x.f(...)`` both file under ``f``).
+    """Every call in ``USER_TREES``, by the called name (``f(...)`` and
+    ``x.f(...)`` both file under ``f``).
     Inside ``class C(B)``, ``cls(...)`` also files under ``C`` and
     ``super().__init__(...)`` under ``B``."""
     calls: dict[str, list[ast.Call]] = {}

@@ -10,7 +10,7 @@ from repro.core.trainer import train_joint
 from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
 from repro.data.preprocessing import SequenceDataset
 from repro.experiments.config import SMOKE_SCALE
-from repro.experiments.factory import build_model
+from repro.models.registry import build_model
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
 from repro.train.stages import JointStage, NextItemStage
