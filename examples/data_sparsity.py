@@ -1,8 +1,13 @@
 """Does contrastive learning help when data is scarce? (a mini Figure 6)
 
-Trains SASRec and CL4SRec (item mask, γ=0.5) on shrinking fractions of
-the training users and shows CL4SRec's edge growing as data shrinks —
-the paper's RQ4 headline.
+Trains SASRec and CL4SRec (item mask, γ=0.5) on 20 %, 60 % and 100 % of
+the training users of a 5 % beauty sample, then prints the NDCG@10 table
+per fraction, how much each model's NDCG@10 degrades from 100 % down to
+20 % of the users, and whether CL4SRec is above SASRec at every fraction.
+
+The paper's RQ4 headline is that CL4SRec's edge grows as data shrinks.
+This small run does not show it: at seed 7 CL4SRec degrades more than
+SASRec.  The claim gets its seeded check in ROADMAP item 6.
 
 Usage::
 

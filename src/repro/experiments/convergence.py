@@ -42,16 +42,6 @@ class ConvergenceTracker:
                 return epoch
         return None
 
-    def faster(self, candidate: str, baseline: str, bar: float) -> bool:
-        """Did ``candidate`` reach ``bar`` in fewer epochs than ``baseline``?"""
-        a = self.epochs_to_reach(candidate, bar)
-        b = self.epochs_to_reach(baseline, bar)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
-
 
 @dataclass
 class ConvergenceResult:

@@ -128,15 +128,6 @@ class MaskCache:
             self.hits = 0
             self.misses = 0
 
-    def info(self) -> dict[str, int]:
-        """Cache statistics (for tests and the obs layer)."""
-        return {
-            "entries": len(self._entries),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
 
 #: Process-wide mask cache used by :mod:`repro.nn.attention`.
 MASKS = MaskCache()

@@ -2,26 +2,34 @@
 
 The paper (§4.1.4) initializes all parameters from a truncated normal
 distribution restricted to ``[-0.01, 0.01]``; :func:`truncated_normal`
-implements that via rejection-free inverse-CDF sampling.  Linear layers
-and the packed attention projection start from Xavier-uniform.
+implements that by inverse-CDF sampling in closed form over
+:mod:`scipy.special` (``ndtr``/``ndtri``, which :mod:`repro.nn.functional`
+loads anyway).  So ``import repro`` never loads :mod:`scipy.stats`,
+which was more than half of a fresh process's start-up
+(docs/PERFORMANCE.md, "Start-up").  Linear layers and the packed
+attention projection start from Xavier-uniform.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 
 def truncated_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Sample N(0, 0.02²) truncated to ``[-0.01, 0.01]``.
 
-    Uses the inverse-CDF method via :mod:`scipy.stats.truncnorm`, so no
-    rejection loop is needed and the output is deterministic given the
-    generator state.
+    Inverse CDF: one uniform ``u`` per entry maps to
+    ``std · Φ⁻¹(Φ(a) + u · (Φ(b) − Φ(a)))`` with ``a, b = ∓0.01 / std``,
+    so no rejection loop is needed and the output is deterministic given
+    the generator state.  It equals ``scipy.stats.truncnorm.ppf`` once
+    rounded to float32, the precision every :class:`Parameter` keeps
+    (``tests/nn/test_init.py``).
     """
     std = 0.02
+    low, high = ndtr(-0.01 / std), ndtr(0.01 / std)
     u = rng.random(shape)
-    return stats.truncnorm.ppf(u, -0.01 / std, 0.01 / std, loc=0.0, scale=std)
+    return std * ndtri(low + u * (high - low))
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

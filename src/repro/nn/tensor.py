@@ -122,12 +122,6 @@ def _getitem_grad(key, grad: np.ndarray, shape: tuple[int, ...], dtype) -> np.nd
     return full
 
 
-def _as_array(value: Arrayish, dtype=None) -> np.ndarray:
-    if isinstance(value, Tensor):
-        raise TypeError("expected a raw array-like, got a Tensor")
-    return np.asarray(value, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
-
-
 class Tensor:
     """A numpy array with reverse-mode autodiff support.
 
@@ -191,10 +185,6 @@ class Tensor:
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor({np.array2string(self.data, precision=4, threshold=8)}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a float."""

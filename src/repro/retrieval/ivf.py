@@ -183,8 +183,13 @@ class IVFIndex(ItemIndex):
                 codebooks = None  # pq_m or the dim changed: cold fit
             self._quantizer = ProductQuantizer(
                 m=self.pq_m, iters=self.kmeans_iters, seed=self.seed
-            ).fit(items, init=codebooks)
-            self._codes = self._quantizer.encode(matrix)
+            )
+            # The fit's own assignment codes the item rows; only the
+            # padding row is left to encode.
+            item_codes = self._quantizer.fit_encode(items, init=codebooks)
+            self._codes = np.concatenate(
+                [self._quantizer.encode(matrix[:1]), item_codes]
+            )
             self._measure_pq_error()
         else:
             self._quantizer = None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.retrieval.kmeans import assign_chunked, kmeans
+from repro.retrieval.kmeans import assign_chunked, kmeans_stack
 
 __all__ = ["Int8Quantizer", "ProductQuantizer"]
 
@@ -116,7 +116,20 @@ class ProductQuantizer:
     def fit(
         self, matrix: np.ndarray, init: np.ndarray | None = None
     ) -> "ProductQuantizer":
-        """Train the ``m`` codebooks on ``matrix``.
+        """Train the ``m`` codebooks on ``matrix`` (see :meth:`fit_encode`)."""
+        self.fit_encode(matrix, init=init)
+        return self
+
+    def fit_encode(
+        self, matrix: np.ndarray, init: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Train the ``m`` codebooks on ``matrix`` and return its codes.
+
+        The codes are each sub-space's final k-means assignment, which is
+        :meth:`encode` of ``matrix`` against the fitted codebooks, so no
+        row is assigned twice.  All ``m`` sub-spaces are k-means++-seeded
+        in one pass (:func:`~repro.retrieval.kmeans.kmeans_stack`), each
+        from its own ``seed + sub`` stream.
 
         With ``init`` — ``(m, 256, d // m)`` codebooks of an earlier fit
         — each sub-space takes one Lloyd step from them instead of
@@ -130,26 +143,29 @@ class ProductQuantizer:
             raise ValueError(
                 f"init codebooks must be {shape}, got shape {np.shape(init)}"
             )
+        results = kmeans_stack(
+            subvectors.transpose(1, 0, 2),
+            self.CODEBOOK_SIZE,
+            iters=self.iters if init is None else 1,
+            seed=self.seed,  # sub-space s draws from seed + s
+            sample=self.train_sample,
+            # kmeans clamps k to n; the rows past n are padding.
+            init=None if init is None else init[:, :n],
+        )
         codebooks = np.zeros(shape, dtype=np.float64)
-        for sub in range(self.m):
-            result = kmeans(
-                subvectors[:, sub, :],
-                self.CODEBOOK_SIZE,
-                iters=self.iters if init is None else 1,
-                seed=self.seed + sub,  # decorrelate subspace inits
-                sample=self.train_sample,
-                # kmeans clamps k to n; the rows past n are padding.
-                init=None if init is None else init[sub, :n],
-            )
+        codes = np.empty((n, self.m), dtype=np.uint8)
+        for sub, result in enumerate(results):
             # Fewer distinct points than codewords: kmeans clamps k;
             # pad by repeating the first centroid so codes stay uint8
-            # addressable without a ragged structure.
+            # addressable without a ragged structure.  The padding never
+            # wins an assignment: ties go to the lowest id.
             fitted = result.centroids
             codebooks[sub, : fitted.shape[0]] = fitted
             if fitted.shape[0] < self.CODEBOOK_SIZE:
                 codebooks[sub, fitted.shape[0] :] = fitted[0]
+            codes[:, sub] = result.assignments
         self.codebooks = codebooks
-        return self
+        return codes
 
     def encode(self, matrix: np.ndarray) -> np.ndarray:
         """``(n, d)`` float → ``(n, m)`` uint8 codes (nearest codeword)."""

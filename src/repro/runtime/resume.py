@@ -328,14 +328,6 @@ class TrainingRuntime:
                 signal.signal(signum, previous)
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def global_step(self) -> int:
-        """Updates attempted since this process started the loop."""
-        return self._global_step
-
-    # ------------------------------------------------------------------
     # Packing
     # ------------------------------------------------------------------
     def _require_started(self) -> None:

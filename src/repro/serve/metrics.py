@@ -89,23 +89,10 @@ class ServingMetrics:
         """Plain ``name -> count`` view of every counter."""
         return self.registry.counter_values()
 
-    def _count(self, name: str) -> int:
-        """A counter's value without creating it on read."""
-        counter = self.registry.counters.get(name)
-        return counter.value if counter is not None else 0
-
     @property
     def uptime_seconds(self) -> float:
         """Seconds since construction, on the monotonic clock."""
         return time.monotonic() - self._started
-
-    @property
-    def requests_per_second(self) -> float:
-        """Requests served per second since construction."""
-        elapsed = self.uptime_seconds
-        if elapsed <= 0:
-            return 0.0
-        return self._count("requests") / elapsed
 
     def snapshot(self) -> dict:
         """The full metrics state as a JSON-friendly dict."""

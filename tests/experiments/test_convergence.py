@@ -62,19 +62,3 @@ class TestConvergenceTracker:
         assert tracker.epochs_to_reach("a", 0.2) == 2
         assert tracker.epochs_to_reach("a", 0.5) is None
         assert tracker.epochs_to_reach("missing", 0.1) is None
-
-    def test_faster(self):
-        tracker = ConvergenceTracker()
-        for score in (0.05, 0.3):
-            tracker.record("warm", score)
-        for score in (0.05, 0.1, 0.3):
-            tracker.record("cold", score)
-        assert tracker.faster("warm", "cold", bar=0.3)
-        assert not tracker.faster("cold", "warm", bar=0.3)
-
-    def test_faster_when_baseline_never_reaches(self):
-        tracker = ConvergenceTracker()
-        tracker.record("warm", 0.5)
-        tracker.record("cold", 0.1)
-        assert tracker.faster("warm", "cold", bar=0.4)
-        assert not tracker.faster("cold", "warm", bar=0.4)

@@ -54,8 +54,8 @@ class TestMaskCache:
         first = cache.causal(6)
         second = cache.causal(6)
         assert first is second
-        assert cache.info()["hits"] == 1
-        assert cache.info()["misses"] == 1
+        assert cache.hits == 1
+        assert cache.misses == 1
 
     def test_cached_masks_are_read_only(self):
         cache = compute.MaskCache()
@@ -94,11 +94,11 @@ class TestMaskCache:
         cache.causal(1)  # refresh 1 so 2 is the eviction candidate
         cache.causal(cache.maxsize + 1)  # evicts 2
         assert len(cache) == cache.maxsize
-        before = cache.info()["misses"]
+        before = cache.misses
         cache.causal(1)
-        assert cache.info()["misses"] == before
+        assert cache.misses == before
         cache.causal(2)
-        assert cache.info()["misses"] == before + 1
+        assert cache.misses == before + 1
 
     def test_clear_resets_counters(self):
         cache = compute.MaskCache()
@@ -106,7 +106,7 @@ class TestMaskCache:
         cache.causal(3)
         cache.clear()
         assert len(cache) == 0
-        assert cache.info()["hits"] == 0 and cache.info()["misses"] == 0
+        assert cache.hits == 0 and cache.misses == 0
 
 
 class TestScratchPool:

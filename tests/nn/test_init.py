@@ -1,8 +1,13 @@
 """Weight initializers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.nn import init
 
 
@@ -26,6 +31,32 @@ class TestTruncatedNormal:
     def test_shape(self):
         rng = np.random.default_rng(3)
         assert init.truncated_normal((3, 4), rng).shape == (3, 4)
+
+    def test_equals_scipy_truncnorm_in_float32(self):
+        # The oracle is the distribution object the closed form replaced.
+        from scipy.stats import truncnorm
+
+        u = np.random.default_rng(11).random(1_200_000)
+        ours = init.truncated_normal(u.shape, np.random.default_rng(11))
+        theirs = truncnorm.ppf(u, -0.5, 0.5, loc=0.0, scale=0.02)
+        np.testing.assert_array_equal(
+            ours.astype(np.float32), theirs.astype(np.float32)
+        )
+        assert np.abs(ours - theirs).max() < 1e-15
+
+
+def test_importing_the_package_does_not_load_scipy_stats():
+    code = (
+        "import sys, repro, repro.cli; "
+        "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False", "True"]
 
 
 class TestXavierHe:

@@ -12,11 +12,14 @@ are what makes exact reranking sound:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.retrieval import Int8Quantizer, ProductQuantizer
+from repro.retrieval import Int8Quantizer, ProductQuantizer, make_index
+
+from tests.retrieval.conftest import make_item_matrix
 
 FINITE = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -106,6 +109,26 @@ class TestProductQuantizer:
                 (subvectors[:, sub, :, None] - codebook.T[None]) ** 2
             ).sum(axis=1)
             assert np.all(chosen_dist <= all_dist.min(axis=1) + 1e-9)
+
+    @pytest.mark.parametrize("num_items", [600, 120])
+    def test_fit_codes_are_encode(self, num_items):
+        # The codes come from the fit's last k-means assignment, cold and
+        # continued; they must be what encode computes from scratch.
+        matrix = make_item_matrix(num_items=num_items)
+        items = matrix[1:]
+        quantizer = ProductQuantizer(m=4, iters=3, seed=1)
+        assert np.array_equal(quantizer.fit_encode(items), quantizer.encode(items))
+        moved = items + np.random.default_rng(2).normal(scale=0.2, size=items.shape)
+        codes = quantizer.fit_encode(moved, init=quantizer.codebooks)
+        assert np.array_equal(codes, quantizer.encode(moved))
+        # The index adds the padding row's code in front of the fit's.
+        index = make_index("ivf_pq", pq_m=4, kmeans_iters=3).build(matrix)
+        arrays = index._artifact_arrays()
+        codebooks = ProductQuantizer.from_state(arrays)
+        assert np.array_equal(arrays["codes"], codebooks.encode(matrix))
+        rebuilt = index.rebuild(matrix * 1.1)._artifact_arrays()
+        codebooks = ProductQuantizer.from_state(rebuilt)
+        assert np.array_equal(rebuilt["codes"], codebooks.encode(matrix * 1.1))
 
     def test_rejects_indivisible_dim(self):
         with np.testing.assert_raises(ValueError):

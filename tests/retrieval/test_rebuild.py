@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.retrieval import ExactIndex, ProductQuantizer, kmeans, make_index
+from repro.retrieval.kmeans import kmeans_stack
 
 from tests.retrieval.conftest import make_item_matrix
 from tests.retrieval.test_indexes import K, recall_at_k
@@ -72,19 +73,20 @@ class TestOneMoreStepOracle:
 
     def test_rebuild_seeds_only_the_coarse_quantizer(self, monkeypatch):
         matrix = make_item_matrix(num_items=600)
-        calls = []
+        seeded = []  # one k per point set that k-means++ seeds
         seeding = kmeans_module._kmeanspp_init
 
-        def counting(points, k, rng):
-            calls.append(k)
-            return seeding(points, k, rng)
+        def counting(stack, k, rngs):
+            seeded.extend([k] * len(stack))
+            return seeding(stack, k, rngs)
 
         monkeypatch.setattr(kmeans_module, "_kmeanspp_init", counting)
         live = make_index("ivf_pq", kmeans_iters=2, **PQ).build(matrix)
-        assert len(calls) == 1 + PQ["pq_m"]
-        del calls[:]
+        codebooks = [ProductQuantizer.CODEBOOK_SIZE] * PQ["pq_m"]
+        assert seeded == [live.nlist_built] + codebooks
+        del seeded[:]
         live.rebuild(matrix + 0.01)
-        assert calls == [live.nlist_built]
+        assert seeded == [live.nlist_built]
 
 
 class TestNothingToContinue:
@@ -116,10 +118,11 @@ class TestNothingToContinue:
     def test_wrong_shaped_init_is_an_error_not_a_cold_start(self):
         points = make_item_matrix(num_items=50)[1:]
         good = kmeans(points, 5, iters=1, seed=0).centroids
-        assert kmeans(points, 5, iters=1, seed=0, init=good).centroids.shape == (5, 16)
+        [continued] = kmeans_stack(points[None], 5, iters=1, seed=0, init=[good])
+        assert continued.centroids.shape == (5, 16)
         for bad in (good[:4], good[:, :8], good.ravel()):
             with pytest.raises(ValueError, match="init must be"):
-                kmeans(points, 5, iters=1, seed=0, init=bad)
+                kmeans_stack(points[None], 5, iters=1, seed=0, init=[bad])
         with pytest.raises(ValueError, match="init codebooks must be"):
             ProductQuantizer(m=4).fit(points, init=np.zeros((2, 256, 8)))
 

@@ -101,7 +101,6 @@ class TestServingMetrics:
         snap = metrics.snapshot()
         assert snap["uptime_seconds"] == 2.0
         assert snap["throughput"]["requests_per_second"] == 4.0
-        assert metrics.requests_per_second == 4.0
 
     def test_touch_and_gauges(self):
         metrics = ServingMetrics()

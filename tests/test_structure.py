@@ -13,9 +13,11 @@
   boundary a narrower server lock will be drawn on.
 * Every public module-level function or class, and every public method
   of a public class, has a user in ``src/`` or ``benchmarks/`` or is
-  written about in ``docs/``, or has a line in ``KEPT_ON_PURPOSE``
-  saying why it stays.  An example is not a reader: code that only
-  ``examples/`` (or the tests) use goes.
+  written about in the code of ``docs/`` (backtick spans and fenced
+  blocks, not prose), or has a line in ``KEPT_ON_PURPOSE`` saying why it
+  stays.  A method is used only as an attribute (``x.method`` in code,
+  ``.method`` in docs code).  An example is not a reader: code that
+  only ``examples/`` (or the tests) use goes.
 * In every module, every defaulted parameter of a public function or
   method is passed by some caller in ``src/`` or ``benchmarks/``
   (``cls(...)`` in a class's own methods counts as a call of that class, and
@@ -288,6 +290,9 @@ KEPT_ON_PURPOSE = {
     "write_csv_log": "writer half of the documented CSV log format; round-trip oracle of read_csv_log",
     "clear_caches": "test isolation: resets the process-wide MaskCache / ScratchPool between cases",
     "FaultInjector.fail_read": "fault-injection hook the tests drive: the checkpoint-read half of fail_write",
+    "FaultInjector.fail_encode": "fault-injection hook the tests drive: the encoder raises on its Nth call",
+    "FaultInjector.slow_encode": "fault-injection hook the tests drive: the encoder stalls on its Nth call",
+    "ModelVersionStore.records": "read side of the version manifest: the online tests check every round's decision against it",
 }
 
 
@@ -319,25 +324,46 @@ def public_definitions():
                 )
 
 
-def used_names() -> set[str]:
-    """Identifiers read in code (imports and ``__all__`` re-export, they do
-    not use) or written about in ``docs/``."""
-    names = set()
+def doc_code(text: str) -> str:
+    """The code of a Markdown text: its fenced blocks and backtick spans
+    (prose words are not uses: "faster" in a sentence calls no method
+    named ``faster``)."""
+    fence = re.compile(r"^(```|~~~).*?^\1", flags=re.M | re.S)
+    blocks = [match.group(0) for match in fence.finditer(text)]
+    spans = re.findall(r"(`+)(.+?)\1", fence.sub("", text), flags=re.S)
+    return "\n".join(blocks + [code for __, code in spans])
+
+
+def used_names() -> tuple[set[str], set[str]]:
+    """``(names, attributes)`` read in code (imports and ``__all__``
+    re-export, they do not use) or written in ``docs/`` code.
+
+    ``names`` is every identifier read; ``attributes`` only those read
+    as an attribute (``x.name`` in code, ``.name`` in docs code), the
+    one way a method is used: a local variable or keyword that shares a
+    method's name does not call it."""
+    names, attributes = set(), set()
     for top in USER_TREES:
         for path in (ROOT / top).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    attributes.add(node.attr)
     for path in (ROOT / "docs").rglob("*.md"):
-        names.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
-    return names
+        code = doc_code(path.read_text())
+        names.update(re.findall(r"[A-Za-z_]\w*", code))
+        attributes.update(re.findall(r"\.([A-Za-z_]\w*)", code))
+    return names | attributes, attributes
 
 
 def test_every_public_name_has_a_user_or_a_reason():
-    used = used_names()
-    unused = {label for label, name in public_definitions() if name not in used}
+    names, attributes = used_names()
+    unused = {
+        label
+        for label, name in public_definitions()
+        if name not in (attributes if "." in label else names)
+    }
     assert unused - KEPT_ON_PURPOSE.keys() == set()
     # A name that gained a user, or is gone, leaves the list.
     assert KEPT_ON_PURPOSE.keys() - unused == set()
