@@ -310,29 +310,31 @@ def _run_loadtest(args: argparse.Namespace) -> int:
     import threading
 
     from repro.data.synthetic import synthesize_trace
-    from repro.loadtest import LoadTestConfig, run_loadtest
-    from repro.loadtest.harness import _get_json
+    from repro.loadtest import Client, LoadTestConfig, run_loadtest
+    from repro.loadtest.client import split_url
 
-    server = None
-    engine = None
+    if not (args.url or args.checkpoint):
+        print("loadtest: provide --url (running server) or --checkpoint "
+              "(self-hosted)", file=sys.stderr)
+        return 2
+    with _serving_setup():
+        config = LoadTestConfig(
+            threads=args.threads,
+            timeout_s=args.timeout_s,
+            deadline_ms=args.request_deadline_ms,
+            pace=args.pace,
+            pace_speedup=args.pace_speedup,
+        )
+        host, port = split_url(args.url) if args.url else (None, None)
+    server = engine = None
     if args.url:
-        from urllib.parse import urlparse
-
-        parsed = urlparse(args.url)
-        if parsed.hostname is None or parsed.port is None:
-            print("loadtest: --url must look like http://host:port",
-                  file=sys.stderr)
-            return 2
-        host, port = parsed.hostname, parsed.port
-        try:
-            health = _get_json(host, port, "/health", args.timeout_s)
-        except OSError as error:
-            print(f"loadtest: cannot reach {args.url}: {error}",
-                  file=sys.stderr)
-            return 2
-        user_pool = args.user_pool or health.get("num_users") or 1000
-        num_items = args.num_items or health.get("num_items") or 500
-    elif args.checkpoint:
+        with Client(host, port, args.timeout_s) as client:
+            health = client.get("/health")
+        if health.error is not None:
+            raise _SetupError(f"cannot reach {args.url}: {health.error}")
+        user_pool = args.user_pool or health.body.get("num_users") or 1000
+        num_items = args.num_items or health.body.get("num_items") or 500
+    else:
         from repro.serve import RecommendationServer
 
         engine = _build_engine(args)
@@ -343,10 +345,6 @@ def _run_loadtest(args: argparse.Namespace) -> int:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         user_pool = args.user_pool or engine.dataset.num_users
         num_items = args.num_items or engine.dataset.num_items
-    else:
-        print("loadtest: provide --url (running server) or --checkpoint "
-              "(self-hosted)", file=sys.stderr)
-        return 2
 
     events = args.events if args.events is not None else (
         200 if args.quick else 10_000
@@ -361,19 +359,11 @@ def _run_loadtest(args: argparse.Namespace) -> int:
         k=args.k,
         seed=args.trace_seed,
     )
-    config = LoadTestConfig(
-        threads=args.threads,
-        timeout_s=args.timeout_s,
-        deadline_ms=args.request_deadline_ms,
-        pace=args.pace,
-        pace_speedup=args.pace_speedup,
-    )
     try:
         result = run_loadtest(trace, host, port, config)
     finally:
-        if server is not None:
+        if server is not None:  # self-hosted: the engine is ours too
             server.shutdown()
-        if engine is not None:
             engine.close()
     report = result.report()
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -402,21 +392,16 @@ def _run_chaos(args: argparse.Namespace) -> int:
 
     Builds an engine with a fast-recovery breaker and a shared
     :class:`FaultInjector`, starts a real HTTP server on a background
-    thread, runs :func:`repro.serve.chaos.run_chaos` against it, and
+    thread, runs :func:`repro.loadtest.chaos.run_chaos` against it, and
     exits non-zero if any invariant failed.
     """
     import json
     import tempfile
     import threading
 
+    from repro.loadtest import run_chaos
     from repro.runtime.faults import FaultInjector
-    from repro.serve import (
-        BreakerConfig,
-        ChaosConfig,
-        RecommendationServer,
-        ResilienceConfig,
-        run_chaos,
-    )
+    from repro.serve import BreakerConfig, RecommendationServer, ResilienceConfig
 
     faults = FaultInjector(seed=args.seed or 0)
     resilience = ResilienceConfig(
@@ -441,7 +426,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     thread.start()
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     try:
-        report = run_chaos(server, faults, workdir, ChaosConfig())
+        report = run_chaos(server, faults, workdir)
     finally:
         server.shutdown()
     print(report.to_markdown())
@@ -846,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lt.add_argument(
         "--quick",
         action="store_true",
-        help="small smoke-sized trace (CI's loadtest-smoke job)",
+        help="small smoke-sized trace (CI's live-server-smoke job)",
     )
     p_lt.add_argument(
         "--threads", type=int, default=4,

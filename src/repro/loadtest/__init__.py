@@ -1,4 +1,6 @@
-"""Deterministic replayed-traffic load testing for the serving stack.
+"""Driving the live server: the one HTTP client (:mod:`.client`), the
+one set of serving checks (:mod:`.checks`), the replayed-traffic load
+test (:mod:`.harness`) and the fault scenario (:mod:`.chaos`).
 
 Synthesize a trace with :func:`repro.data.synthetic.synthesize_trace`,
 then replay it against a live server::
@@ -12,21 +14,22 @@ then replay it against a live server::
     print(result.report()["latency"])
 
 ``python -m repro loadtest`` wraps this (self-hosting a server from a
-checkpoint or targeting ``--url``) — see ``docs/SERVING.md``.
+checkpoint or targeting ``--url``) and ``python -m repro chaos`` runs
+the fault scenario — see ``docs/SERVING.md`` and ``docs/ROBUSTNESS.md``.
 """
 
-from repro.loadtest.harness import (
-    METRICS_SCHEMA_KEYS,
-    EventOutcome,
-    LoadTestConfig,
-    LoadTestResult,
-    run_loadtest,
-)
+from repro.loadtest.chaos import ChaosReport, run_chaos
+from repro.loadtest.checks import Outcome
+from repro.loadtest.client import Client, Reply
+from repro.loadtest.harness import LoadTestConfig, LoadTestResult, run_loadtest
 
 __all__ = [
-    "EventOutcome",
+    "ChaosReport",
+    "Client",
     "LoadTestConfig",
     "LoadTestResult",
-    "METRICS_SCHEMA_KEYS",
+    "Outcome",
+    "Reply",
+    "run_chaos",
     "run_loadtest",
 ]

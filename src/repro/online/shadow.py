@@ -10,9 +10,9 @@ split.  Two legs run, both offline and deterministic:
 * **Replay leg** — the held-out sequences are replayed as requests
   through two in-process :class:`~repro.serve.engine.
   RecommendationEngine` instances (old vs new weights, fail-hard
-  resilience off so nothing masks an error), mirroring the
-  ``repro.loadtest`` invariants: every request answered, no error
-  reasons outside the refusal envelope, ``k`` finite-scored items each.
+  resilience off so nothing masks an error), judged by the serving
+  checks of :mod:`repro.loadtest.checks`: every request answered, no
+  item error at all, finite-scored items in every answer.
   Top-k churn between the two engines is reported so operators can see
   how much a promotion would shuffle live lists.
 
@@ -30,6 +30,8 @@ import numpy as np
 
 from repro.data.preprocessing import SequenceDataset
 from repro.eval.evaluator import Evaluator
+from repro.loadtest import checks
+from repro.loadtest.checks import Outcome
 from repro.serve.engine import RecommendationEngine
 from repro.serve.requests import RecRequest
 
@@ -152,14 +154,15 @@ def _replay_leg(
     k: int,
     max_requests: int,
 ) -> tuple[dict, list[str]]:
-    """Replay held-out traffic through both engines; check invariants."""
+    """Replay held-out traffic through both engines; judge each with the
+    serving checks.  In process there is no refusal to allow: every
+    request must be answered with finite-scored items."""
     requests = _replay_requests(shadow_dataset, k, max_requests)
     replay = {"requests": len(requests), "answered": 0, "churn": None}
     violations: list[str] = []
     if not requests:
         return replay, violations
-    overlaps: list[float] = []
-    baseline_items: list[np.ndarray] = []
+    served: dict[str, list[np.ndarray]] = {}
     for tag, model in (("baseline", baseline_model), ("candidate", candidate_model)):
         engine = RecommendationEngine(
             model,
@@ -171,39 +174,24 @@ def _replay_leg(
             results = engine.recommend_batch(list(requests), on_error="report")
         finally:
             engine.close()
-        if len(results) != len(requests):
-            violations.append(
-                f"{tag}: {len(results)} responses for {len(requests)} requests"
-            )
-            continue
-        answered = 0
-        items_by_request: list[np.ndarray] = []
-        for result in results:
-            if result.error is not None:
-                violations.append(
-                    f"{tag}: request errored with reason "
-                    f"{result.error!r} ({result.detail})"
-                )
-                items_by_request.append(np.asarray([], dtype=np.int64))
-                continue
-            if len(result.items) == 0:
-                violations.append(f"{tag}: empty recommendation list")
-                items_by_request.append(np.asarray([], dtype=np.int64))
-                continue
-            if not np.all(np.isfinite(np.asarray(result.scores, dtype=np.float64))):
-                violations.append(f"{tag}: non-finite recommendation scores")
-            answered += 1
-            items_by_request.append(np.asarray(result.items, dtype=np.int64))
-        if tag == "baseline":
-            replay["answered"] = answered
-            baseline_items = items_by_request
-        else:
-            for old, new in zip(baseline_items, items_by_request):
-                if len(old) == 0 or len(new) == 0:
-                    continue
-                width = min(len(old), len(new))
-                shared = len(set(old.tolist()) & set(new.tolist()))
-                overlaps.append(shared / float(width))
+        outcome = Outcome(tag, 0, 200, 0.0, sequences=len(requests))
+        checks.fold(outcome, [result.to_dict() for result in results])
+        violations += [
+            f"{tag}: {violation}"
+            for violation in checks.completeness([outcome])
+            + checks.item_errors([outcome], frozenset())
+            + checks.well_formed([outcome])
+        ]
+        served[tag] = [
+            np.asarray(result.items if result.error is None else [], dtype=np.int64)
+            for result in results
+        ]
+    replay["answered"] = sum(len(items) > 0 for items in served["baseline"])
+    overlaps = [
+        len(set(old.tolist()) & set(new.tolist())) / float(min(len(old), len(new)))
+        for old, new in zip(served["baseline"], served["candidate"])
+        if len(old) and len(new)
+    ]
     if overlaps:
         replay["churn"] = float(1.0 - float(np.mean(overlaps)))
     return replay, violations

@@ -25,7 +25,7 @@ into the engine's encoder micro-batches:
   :attr:`Fault.payload`.
 
 The rate/delay attributes are plain mutable floats so a chaos driver
-(:mod:`repro.serve.chaos`) can open and close fault windows
+(:mod:`repro.loadtest.chaos`) can open and close fault windows
 mid-traffic.  Faults are scheduled deterministically by occurrence
 index, or drawn from a seeded generator (``io_failure_rate``,
 ``encode_failure_rate``), so every test run sees the identical fault

@@ -13,16 +13,15 @@ one into a recommendation service::
 Serving is resilient by default: per-request deadlines, admission
 control with load shedding, a circuit breaker over encoder scoring
 with a cache → popularity fallback chain, and atomic hot model reload
-(:mod:`repro.serve.resilience`); :mod:`repro.serve.chaos` drives a
-live server through deterministic fault scenarios and asserts the
-invariants hold.
+(:mod:`repro.serve.resilience`).  The drivers of a live server — the
+load test and the chaos scenario — live in :mod:`repro.loadtest`, so a
+serving process never imports them.
 
 See ``docs/SERVING.md`` for the architecture, the metrics schema and
 the resilience decision table, and ``python -m repro serve --help``
 for the CLI entry point.
 """
 
-from repro.serve.chaos import ChaosConfig, ChaosReport, run_chaos
 from repro.serve.config import ServeConfig
 from repro.serve.engine import (
     LRUCache,
@@ -56,8 +55,6 @@ __all__ = [
     "AdmissionController",
     "BodyTooLarge",
     "BreakerConfig",
-    "ChaosConfig",
-    "ChaosReport",
     "CheckpointWatcher",
     "CircuitBreaker",
     "Deadline",
@@ -78,6 +75,5 @@ __all__ = [
     "ServingUnavailable",
     "ShedRequest",
     "read_requests_file",
-    "run_chaos",
     "sequence_key",
 ]

@@ -8,13 +8,12 @@ from repro.experiments.config import ExperimentScale
 from repro.models.registry import build_model
 from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector
+from repro.loadtest import run_chaos
 from repro.serve import (
     BreakerConfig,
-    ChaosConfig,
     RecommendationEngine,
     RecommendationServer,
     ResilienceConfig,
-    run_chaos,
 )
 
 pytestmark = pytest.mark.chaos
@@ -61,7 +60,7 @@ def chaos_stack(tiny_dataset, tmp_path_factory):
 class TestChaosScenario:
     def test_all_invariants_hold(self, chaos_stack, tmp_path):
         server, faults = chaos_stack
-        report = run_chaos(server, faults, str(tmp_path / "work"), ChaosConfig())
+        report = run_chaos(server, faults, str(tmp_path / "work"))
         detail = "\n".join(
             f"{name}: {'PASS' if ok else 'FAIL'} ({info})"
             for name, ok, info in report.invariants
@@ -82,6 +81,8 @@ class TestChaosScenario:
             "all_requests_accounted",
             "p99_bounded",
             "success_payloads_well_formed",
+            "versions_monotone_per_client",
+            "metrics_accounted",
         } <= checked
         # The reload phase really moved the generation counter.
         assert report.model_version_end == report.model_version_start + 1

@@ -7,9 +7,9 @@ import pytest
 from repro.data.synthetic import synthesize_trace
 from repro.experiments.config import ExperimentScale
 from repro.loadtest import (
-    EventOutcome,
     LoadTestConfig,
     LoadTestResult,
+    Outcome,
     run_loadtest,
 )
 from repro.models.registry import build_model
@@ -110,13 +110,13 @@ def _metrics(requests: int = 0, degraded: int = 0) -> dict:
     return payload
 
 
-def _outcome(**overrides) -> EventOutcome:
+def _outcome(**overrides) -> Outcome:
     base = dict(
-        index=0, kind="single", thread=0, status=200, latency_s=0.01,
+        label="event 0", client=0, status=200, latency_s=0.01,
         sequences=1, ok_items=1, model_versions=[1],
     )
     base.update(overrides)
-    return EventOutcome(**base)
+    return Outcome(**base)
 
 
 def _result(outcomes, before=None, after=None) -> LoadTestResult:
@@ -130,7 +130,7 @@ def _result(outcomes, before=None, after=None) -> LoadTestResult:
 
 
 def test_clean_outcomes_pass():
-    result = _result([_outcome(index=i) for i in range(5)])
+    result = _result([_outcome(label=f"event {i}") for i in range(5)])
     assert result.ok
     assert result.qps == 5.0
 
@@ -138,16 +138,16 @@ def test_clean_outcomes_pass():
 def test_transport_error_is_a_violation():
     result = _result([
         _outcome(),
-        _outcome(index=1, status=0, transport_error="timeout", ok_items=0,
+        _outcome(label="event 1", status=0, transport_error="timeout", ok_items=0,
                  model_versions=[]),
     ])
     assert any("no HTTP response" in v for v in result.violations)
 
 
 def test_unstructured_refusal_is_a_violation():
-    shed = _outcome(index=1, status=503, refusal_reason="shed", ok_items=0,
+    shed = _outcome(label="event 1", status=503, refusal_reason="shed", ok_items=0,
                     model_versions=[])
-    boom = _outcome(index=2, status=500, refusal_reason=None, ok_items=0,
+    boom = _outcome(label="event 2", status=500, refusal_reason=None, ok_items=0,
                     model_versions=[])
     assert _result([_outcome(), shed]).ok
     result = _result([_outcome(), boom])
@@ -156,26 +156,26 @@ def test_unstructured_refusal_is_a_violation():
 
 def test_non_deadline_item_error_is_a_violation():
     ok = _outcome(
-        index=1, error_reasons=["deadline_exceeded"], ok_items=0,
+        label="event 1", error_reasons=["deadline_exceeded"], ok_items=0,
     )
     assert _result([ok], after=_metrics(requests=1)).ok
-    bad = _outcome(index=2, error_reasons=["bad_request"], ok_items=0)
+    bad = _outcome(label="event 2", error_reasons=["bad_request"], ok_items=0)
     result = _result([_outcome(), bad], after=_metrics(requests=2))
     assert any("item errors" in v for v in result.violations)
 
 
 def test_model_version_regression_is_a_violation():
     regressed = [
-        _outcome(index=0, model_versions=[2]),
-        _outcome(index=1, model_versions=[1]),
+        _outcome(label="event 0", model_versions=[2]),
+        _outcome(label="event 1", model_versions=[1]),
     ]
     result = _result(regressed)
     assert any("regression" in v for v in result.violations)
     # The same versions on *different* threads are fine (a swap lands
     # at different times per connection).
     parallel = [
-        _outcome(index=0, thread=0, model_versions=[2]),
-        _outcome(index=1, thread=1, model_versions=[1]),
+        _outcome(label="event 0", client=0, model_versions=[2]),
+        _outcome(label="event 1", client=1, model_versions=[1]),
     ]
     assert _result(parallel).ok
 
@@ -189,10 +189,10 @@ def test_deadline_refusals_count_as_engine_requests_shed_ones_do_not():
     """One error rule: the engine counts a request it refused on its
     deadline (504) like one it served; a shed 503 never reached it."""
     outcomes = [
-        _outcome(index=0),
-        _outcome(index=1, status=504, ok_items=0, model_versions=[],
+        _outcome(label="event 0"),
+        _outcome(label="event 1", status=504, ok_items=0, model_versions=[],
                  refusal_reason="deadline_exceeded"),
-        _outcome(index=2, status=503, ok_items=0, model_versions=[],
+        _outcome(label="event 2", status=503, ok_items=0, model_versions=[],
                  refusal_reason="shed"),
     ]
     assert _result(outcomes, after=_metrics(requests=2)).ok
@@ -206,7 +206,7 @@ def test_degraded_accounting_mismatch_is_a_violation():
         [degraded], after=_metrics(requests=1, degraded=1)
     ).ok
     result = _result([degraded], after=_metrics(requests=1, degraded=0))
-    assert any("degraded-tier" in v for v in result.violations)
+    assert any("requests_degraded" in v for v in result.violations)
 
 
 def test_missing_metrics_schema_key_is_a_violation():

@@ -141,6 +141,32 @@ def test_different_weights_report_churn(tiny_dataset, tiny_model, tiny_trainer):
     assert report.violations == []
 
 
+def test_a_candidate_that_answers_nothing_is_refused(
+    tiny_dataset, tiny_model, tiny_trainer
+):
+    """A NaN position table leaves every representation NaN: the engine
+    answers each request with no items, which the serving checks call
+    malformed, and the gate refuses."""
+    tiny_trainer.load_state_dict(
+        {
+            name: np.full_like(values, np.nan) if "position" in name else values
+            for name, values in tiny_trainer.state_dict().items()
+        }
+    )
+    holdout = ReplayBuffer(64)
+    holdout.extend(random_sequences(20, tiny_dataset.num_items, min_len=5))
+    shadow_ds = holdout.as_dataset(tiny_dataset, split=True)
+    report = shadow_evaluate(
+        tiny_model, tiny_trainer, shadow_ds, tiny_dataset, max_requests=16
+    )
+    (violation,) = report.violations
+    assert violation.startswith("candidate: 16 malformed answers")
+    assert "no items" in violation
+    assert report.replay["answered"] == 16  # the baseline answered
+    decision = PromotionGate().decide(report)
+    assert (decision.promote, decision.reason) == (False, "shadow_invariant_violation")
+
+
 def test_empty_holdout_reports_zero_users(tiny_dataset, tiny_model):
     shadow_ds = ReplayBuffer(4).as_dataset(tiny_dataset, split=True)
     report = shadow_evaluate(

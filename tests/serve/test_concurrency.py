@@ -1,14 +1,12 @@
 """Multi-threaded serving: no deadlocks, monotone counters, identical top-k."""
 
-import json
 import threading
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.experiments.config import ExperimentScale
+from repro.loadtest import Client
 from repro.models.registry import build_model
 from repro.serve import RecommendationEngine, RecommendationServer
 
@@ -31,20 +29,6 @@ def server(tiny_dataset):
     thread.join(timeout=5)
 
 
-def _post(server, payload):
-    host, port = server.address
-    request = urllib.request.Request(
-        f"http://{host}:{port}/recommend",
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
 class TestConcurrentHammer:
     def test_hammer_no_deadlock_and_deterministic_topk(self, server, tiny_dataset):
         num_users = min(10, tiny_dataset.num_users)
@@ -53,15 +37,17 @@ class TestConcurrentHammer:
         errors: list = []
 
         def worker(worker_id: int) -> None:
-            for i in range(REQUESTS_PER_THREAD):
-                user = (worker_id + i) % num_users
-                status, body = _post(server, {"user": user, "k": 10})
-                if status != 200:
+            with Client(*server.address) as client:
+                for i in range(REQUESTS_PER_THREAD):
+                    user = (worker_id + i) % num_users
+                    reply = client.post("/recommend", {"user": user, "k": 10})
                     with lock:
-                        errors.append((status, body))
-                    continue
-                with lock:
-                    results[user].append((body["items"], body["scores"]))
+                        if reply.status != 200:
+                            errors.append((reply.status, reply.body, reply.error))
+                        else:
+                            results[user].append(
+                                (reply.body["items"], reply.body["scores"])
+                            )
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             futures = [pool.submit(worker, w) for w in range(THREADS)]
@@ -85,8 +71,9 @@ class TestConcurrentHammer:
         before = dict(engine.metrics.counters)
 
         def worker(worker_id: int) -> None:
-            for i in range(6):
-                _post(server, {"user": (worker_id * 3 + i) % 10, "k": 5})
+            with Client(*server.address) as client:
+                for i in range(6):
+                    client.post("/recommend", {"user": (worker_id * 3 + i) % 10, "k": 5})
 
         with ThreadPoolExecutor(max_workers=THREADS) as pool:
             for future in [pool.submit(worker, w) for w in range(THREADS)]:

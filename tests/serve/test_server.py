@@ -2,21 +2,40 @@
 
 import contextlib
 import json
+import os
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
+import repro
 from repro.experiments.config import ExperimentScale
+from repro.loadtest import Client
 from repro.models.registry import build_model
 from repro.serve import RecommendationEngine, RecommendationServer
 from repro.serve.server import MAX_BODY_BYTES
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
+
+
+def test_a_serving_process_does_not_import_its_drivers():
+    """The load test, the chaos scenario and their HTTP client live in
+    ``repro.loadtest``; a fresh server process loads none of them."""
+    code = (
+        "import sys, repro.serve.server; "
+        "print('repro.loadtest' in sys.modules, 'urllib.request' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False", "False"]
 
 
 @pytest.fixture(scope="module")
@@ -46,85 +65,63 @@ def server(fitted_model, tiny_dataset):
         yield srv
 
 
-def _post(server, path, payload):
-    host, port = server.address
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=10) as response:
-        return response.status, json.loads(response.read())
-
-
-def _get(server, path):
-    host, port = server.address
-    url = f"http://{host}:{port}{path}"
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.status, json.loads(response.read())
+@pytest.fixture
+def client(server):
+    with Client(*server.address) as connection:
+        yield connection
 
 
 class TestEndpoints:
-    def test_recommend(self, server):
-        status, body = _post(server, "/recommend", {"user": 0, "k": 5})
-        assert status == 200
-        assert len(body["items"]) == 5
-        assert body["user"] == 0
+    def test_recommend(self, client):
+        reply = client.post("/recommend", {"user": 0, "k": 5})
+        assert reply.status == 200
+        assert len(reply.body["items"]) == 5
+        assert reply.body["user"] == 0
 
-    def test_recommend_is_deterministic(self, server):
-        first = _post(server, "/recommend", {"user": 3, "k": 5})[1]
-        second = _post(server, "/recommend", {"user": 3, "k": 5})[1]
+    def test_recommend_is_deterministic(self, client):
+        first = client.post("/recommend", {"user": 3, "k": 5}).body
+        second = client.post("/recommend", {"user": 3, "k": 5}).body
         assert first == second
 
-    def test_recommend_batch(self, server):
-        status, body = _post(
-            server,
+    def test_recommend_batch(self, client):
+        reply = client.post(
             "/recommend/batch",
             {"requests": [{"user": 1}, {"sequence": [2, 4]}]},
         )
-        assert status == 200
-        assert len(body["results"]) == 2
-        assert body["results"][1]["sequence"] == [2, 4]
+        assert reply.status == 200
+        assert len(reply.body["results"]) == 2
+        assert reply.body["results"][1]["sequence"] == [2, 4]
 
-    def test_metrics(self, server):
-        _post(server, "/recommend", {"user": 2})
-        status, body = _get(server, "/metrics")
-        assert status == 200
-        assert body["counters"]["requests"] >= 1
-        assert "total" in body["latency"]
+    def test_metrics(self, client):
+        client.post("/recommend", {"user": 2})
+        reply = client.get("/metrics")
+        assert reply.status == 200
+        assert reply.body["counters"]["requests"] >= 1
+        assert "total" in reply.body["latency"]
 
-    def test_health(self, server, tiny_dataset):
-        status, body = _get(server, "/health")
-        assert status == 200
-        assert body["status"] == "ok"
-        assert body["num_items"] == tiny_dataset.num_items
+    def test_health(self, client, tiny_dataset):
+        reply = client.get("/health")
+        assert reply.status == 200
+        assert reply.body["status"] == "ok"
+        assert reply.body["num_items"] == tiny_dataset.num_items
 
 
 class TestErrorHandling:
-    def test_malformed_request_is_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, "/recommend", {"user": 1, "sequence": [2]})
-        assert excinfo.value.code == 400
-        assert "error" in json.loads(excinfo.value.read())
+    def test_malformed_request_is_400(self, client):
+        reply = client.post("/recommend", {"user": 1, "sequence": [2]})
+        assert reply.status == 400
+        assert "error" in reply.body
 
-    def test_bad_batch_shape_is_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(server, "/recommend/batch", {"requests": "nope"})
-        assert excinfo.value.code == 400
+    def test_bad_batch_shape_is_400(self, client):
+        assert client.post("/recommend/batch", {"requests": "nope"}).status == 400
 
     def test_invalid_json_is_400(self, server):
-        host, port = server.address
-        request = urllib.request.Request(
-            f"http://{host}:{port}/recommend", data=b"{not json"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        body = b"{not json"
+        head = f"POST /recommend HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}"
+        self._assert_400_then_served(server, head.encode() + b"\r\n\r\n" + body)
 
-    def test_unknown_path_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server, "/nope")
-        assert excinfo.value.code == 404
+    def test_unknown_path_is_404(self, client):
+        assert client.get("/nope").status == 404
 
     def _assert_400_then_served(self, server, bad_request):
         """``bad_request`` is a 400 ``bad_request`` (not a 500), and —

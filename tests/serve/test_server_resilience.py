@@ -1,16 +1,14 @@
 """HTTP-layer resilience: structured errors, shedding, reload, watchers."""
 
-import http.client
 import json
 import socket
 import threading
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.experiments.config import ExperimentScale
+from repro.loadtest import Client
+from repro.loadtest.harness import run_clients
 from repro.models.registry import build_model
 from repro.runtime.checkpointing import CheckpointManager
 from repro.runtime.faults import FaultInjector
@@ -57,29 +55,10 @@ def stack(tiny_dataset, tmp_path_factory):
     thread.join(timeout=5)
 
 
-def _post(server, path, payload):
-    host, port = server.address
-    request = urllib.request.Request(
-        f"http://{host}:{port}{path}",
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read()), response.headers
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), error.headers
-
-
-def _get(server, path):
-    host, port = server.address
-    try:
-        with urllib.request.urlopen(
-            f"http://{host}:{port}{path}", timeout=10
-        ) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+@pytest.fixture
+def client(stack):
+    with Client(*stack[0].address) as connection:
+        yield connection
 
 
 def _replies_until_close(server, raw):
@@ -125,49 +104,39 @@ SMUGGLED = (
 
 
 class TestStructuredErrors:
-    def test_bad_request_carries_reason(self, stack):
-        server = stack[0]
-        status, body, __ = _post(server, "/recommend", {"user": 1, "sequence": [2]})
+    def test_bad_request_carries_reason(self, client):
+        reply = client.post("/recommend", {"user": 1, "sequence": [2]})
+        status, body = reply.status, reply.body
         assert status == 400
         assert body["reason"] == "bad_request"
         assert "error" in body
 
-    def test_404_carries_reason_on_get_and_post(self, stack):
-        server = stack[0]
-        status, body = _get(server, "/nope")
-        assert status == 404 and body["reason"] == "not_found"
-        status, body, __ = _post(server, "/nope", {})
-        assert status == 404 and body["reason"] == "not_found"
+    def test_404_carries_reason_on_get_and_post(self, client):
+        for reply in (client.get("/nope"), client.post("/nope", {})):
+            assert (reply.status, reply.body["reason"]) == (404, "not_found")
 
-    def test_get_failures_use_the_same_envelope(self, stack):
+    def test_get_failures_use_the_same_envelope(self, stack, client):
         server = stack[0]
         original = server.health
         server.health = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
         try:
-            status, body = _get(server, "/health")
+            reply = client.get("/health")
         finally:
             server.health = original
+        status, body = reply.status, reply.body
         assert status == 500
         assert body["reason"] == "internal"
         assert "boom" in body["error"]
 
     def test_oversize_body_is_413(self, stack):
-        server = stack[0]
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            conn.putrequest("POST", "/recommend")
-            conn.putheader("Content-Type", "application/json")
-            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
-            conn.endheaders()
-            # The server must refuse from the header alone, without
-            # waiting for (or reading) the gigantic body.
-            response = conn.getresponse()
-            body = json.loads(response.read())
-        finally:
-            conn.close()
-        assert response.status == 413
-        assert body["reason"] == "body_too_large"
+        # The server must refuse from the header alone, without
+        # waiting for (or reading) the gigantic body.
+        (status, __, body), = _replies_until_close(
+            stack[0],
+            b"POST /recommend HTTP/1.1\r\nHost: test\r\n"
+            + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+        )
+        assert (status, body["reason"]) == (413, "body_too_large")
 
     def test_truncated_body_is_400_not_hang(self, stack):
         server = stack[0]
@@ -285,26 +254,24 @@ class TestStructuredErrors:
             {"sequence": [10**30]},
         ],
     )
-    def test_malformed_ids_are_400_not_500_or_user_1(self, stack, payload):
-        status, body, __ = _post(stack[0], "/recommend", payload)
-        assert status == 400
-        assert body["reason"] == "bad_request"
+    def test_malformed_ids_are_400_not_500_or_user_1(self, client, payload):
+        reply = client.post("/recommend", payload)
+        assert (reply.status, reply.body["reason"]) == (400, "bad_request")
 
-    def test_padding_id_in_a_session_is_400(self, stack):
-        status, body, __ = _post(stack[0], "/recommend", {"sequence": [5, 0, 7]})
+    def test_padding_id_in_a_session_is_400(self, client):
+        reply = client.post("/recommend", {"sequence": [5, 0, 7]})
+        status, body = reply.status, reply.body
         assert (status, body["reason"]) == (400, "bad_request")
         assert "0 is padding" in body["error"]
 
-    def test_batch_reports_malformed_item_and_serves_neighbours(self, stack):
-        server = stack[0]
-        status, body, __ = _post(
-            server,
+    def test_batch_reports_malformed_item_and_serves_neighbours(self, client):
+        reply = client.post(
             "/recommend/batch",
             {"requests": [{"user": 2, "k": 3}, {"user": "abc"}, {"user": 1.7},
                           {"user": 3, "k": 4}]},
         )
-        assert status == 200
-        first, second, third, fourth = body["results"]
+        assert reply.status == 200
+        first, second, third, fourth = reply.body["results"]
         assert (first["user"], len(first["items"])) == (2, 3)
         assert second["reason"] == third["reason"] == "bad_request"
         assert "integer" in second["error"]
@@ -312,18 +279,12 @@ class TestStructuredErrors:
 
 
 class TestDeadlinesOverHTTP:
-    def test_microscopic_deadline_is_504(self, stack):
-        server = stack[0]
-        status, body, __ = _post(
-            server, "/recommend", {"user": 0, "k": 5, "deadline_ms": 0.001}
-        )
-        assert status == 504
-        assert body["reason"] == "deadline_exceeded"
+    def test_microscopic_deadline_is_504(self, client):
+        reply = client.post("/recommend", {"user": 0, "k": 5, "deadline_ms": 0.001})
+        assert (reply.status, reply.body["reason"]) == (504, "deadline_exceeded")
 
-    def test_batch_reports_deadline_per_item(self, stack):
-        server = stack[0]
-        status, body, __ = _post(
-            server,
+    def test_batch_reports_deadline_per_item(self, client):
+        reply = client.post(
             "/recommend/batch",
             {
                 "requests": [
@@ -332,33 +293,30 @@ class TestDeadlinesOverHTTP:
                 ]
             },
         )
-        assert status == 200
-        first, second = body["results"]
+        assert reply.status == 200
+        first, second = reply.body["results"]
         assert first["reason"] == "deadline_exceeded"
         assert len(second["items"]) == 5
 
-    def test_batch_reports_bad_request_per_item(self, stack):
-        server, engine = stack[0], stack[1]
-        bad_user = engine.dataset.num_users + 50
-        status, body, __ = _post(
-            server,
+    def test_batch_reports_bad_request_per_item(self, stack, client):
+        bad_user = stack[1].dataset.num_users + 50
+        reply = client.post(
             "/recommend/batch",
             {"requests": [{"user": bad_user}, {"user": 2, "k": 3}]},
         )
-        assert status == 200
-        first, second = body["results"]
+        assert reply.status == 200
+        first, second = reply.body["results"]
         assert first["reason"] == "bad_request"
         assert "out of range" in first["error"]
         assert len(second["items"]) == 3
 
-    def test_batch_reports_padding_id_per_item(self, stack):
-        status, body, __ = _post(
-            stack[0],
+    def test_batch_reports_padding_id_per_item(self, client):
+        reply = client.post(
             "/recommend/batch",
             {"requests": [{"sequence": [0], "k": 3}, {"sequence": [5, 7], "k": 3}]},
         )
-        assert status == 200
-        first, second = body["results"]
+        assert reply.status == 200
+        first, second = reply.body["results"]
         assert first["reason"] == "bad_request"
         assert "0 is padding" in first["error"]
         assert len(second["items"]) == 3
@@ -369,39 +327,34 @@ class TestLoadShedding:
         server, engine, faults = stack[0], stack[1], stack[2]
         faults.encode_delay_s = 0.25
         engine.invalidate_cache()
+        replies = []
+
+        def one_request(index, client):
+            replies.append(
+                client.post("/recommend", {"sequence": [1 + index, 2 + index], "k": 3})
+            )
+
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [
-                    pool.submit(
-                        _post,
-                        server,
-                        "/recommend",
-                        {"sequence": [1 + i, 2 + i], "k": 3},
-                    )
-                    for i in range(8)
-                ]
-                outcomes = [f.result() for f in futures]
+            run_clients(*server.address, 10.0, [one_request] * 8)
         finally:
             faults.encode_delay_s = 0.0
-        statuses = [status for status, __, __ in outcomes]
+        statuses = [reply.status for reply in replies]
         assert set(statuses) <= {200, 503}
         assert 200 in statuses
-        shed = [
-            (body, headers)
-            for status, body, headers in outcomes
-            if status == 503
-        ]
+        shed = [reply for reply in replies if reply.status == 503]
         assert shed, "expected at least one shed request (max_inflight=2)"
-        for body, headers in shed:
-            assert body["reason"] == "shed"
-            assert headers.get("Retry-After") is not None
+        for reply in shed:
+            assert reply.body["reason"] == "shed"
+            assert reply.headers.get("Retry-After") is not None
         snapshot = engine.metrics.snapshot()
         assert snapshot["counters"]["requests_shed"] >= len(shed)
 
 
 class TestAdminReload:
-    def test_reload_bumps_version_and_health_reports_it(self, stack, tiny_dataset):
-        server, engine, __, ckpt_dir = stack
+    def test_reload_bumps_version_and_health_reports_it(
+        self, stack, client, tiny_dataset
+    ):
+        __, engine, __, ckpt_dir = stack
         version = engine.model_version
         model = build_model(
             "SASRec", tiny_dataset, SCALE.with_overrides(seed=SCALE.seed + 3)
@@ -410,20 +363,20 @@ class TestAdminReload:
         CheckpointManager(ckpt_dir).save(
             5, {f"model/{k}": v for k, v in model.state_dict().items()}
         )
-        status, body, __ = _post(server, "/admin/reload", {})
-        assert status == 200
-        assert body["status"] == "reloaded"
-        assert body["model_version"] == version + 1
-        assert body["step"] == 5
-        health = _get(server, "/health")[1]
+        reply = client.post("/admin/reload", {})
+        assert reply.status == 200
+        assert reply.body["status"] == "reloaded"
+        assert reply.body["model_version"] == version + 1
+        assert reply.body["step"] == 5
+        health = client.get("/health").body
         assert health["model_version"] == version + 1
         assert health["breaker"] in ("closed", "open", "half_open")
         assert "inflight" in health
-        result = _post(server, "/recommend", {"user": 0, "k": 5})[1]
+        result = client.post("/recommend", {"user": 0, "k": 5}).body
         assert result["model_version"] == version + 1
 
-    def test_reload_corrupt_checkpoint_is_500_and_keeps_serving(self, stack):
-        server, engine, __, ckpt_dir = stack
+    def test_reload_corrupt_checkpoint_is_500_and_keeps_serving(self, stack, client):
+        __, engine, __, ckpt_dir = stack
         version = engine.model_version
         manager = CheckpointManager(ckpt_dir)
         latest = manager.latest_step()
@@ -437,17 +390,14 @@ class TestAdminReload:
             str(manager.path_for(latest)) + ".sha256", corrupt + ".sha256"
         )
         FaultInjector.corrupt_file(corrupt, flip_byte_at=24)
-        status, body, __ = _post(
-            server, "/admin/reload", {"checkpoint": corrupt}
-        )
-        assert status == 500
-        assert body["reason"] == "swap_failed"
+        reply = client.post("/admin/reload", {"checkpoint": corrupt})
+        assert (reply.status, reply.body["reason"]) == (500, "swap_failed")
         assert engine.model_version == version
-        assert _post(server, "/recommend", {"user": 1})[0] == 200
+        assert client.post("/recommend", {"user": 1}).status == 200
 
-    def test_metrics_expose_resilience_schema(self, stack):
-        server = stack[0]
-        status, body = _get(server, "/metrics")
+    def test_metrics_expose_resilience_schema(self, client):
+        reply = client.get("/metrics")
+        status, body = reply.status, reply.body
         assert status == 200
         for counter in (
             "requests_shed",

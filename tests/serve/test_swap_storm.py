@@ -1,15 +1,15 @@
 """Hot swaps under traffic: the one engine behind the one server.
 
-Client threads hammer ``/recommend`` and ``/recommend/batch`` while the
-main thread fires ``/admin/reload`` repeatedly.  The server's lock puts
+Client threads hammer ``/recommend`` and ``/recommend/batch`` while one
+more client fires ``/admin/reload`` repeatedly.  The server's lock puts
 every swap between two requests, so each answer is scored against
-exactly one model generation: every reply is a 200 or a ``shed``
-refusal, scores are finite, and ``model_version`` never goes backwards
-from any client's point of view.
+exactly one model generation.  The serving checks judge the traffic:
+every call is answered, a refusal is ``shed`` and nothing else, no
+batch item errors, every answer has items and finite scores,
+``model_version`` never goes backwards from any client's point of view,
+and ``/metrics`` counted exactly the requests answered.
 """
 
-import http.client
-import json
 import threading
 import time
 
@@ -17,9 +17,12 @@ import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentScale
+from repro.loadtest import Client, checks
+from repro.loadtest.harness import metrics_snapshot, run_clients
 from repro.models.registry import build_model
 from repro.runtime.checkpointing import CheckpointManager
 from repro.serve import RecommendationEngine, RecommendationServer
+from repro.serve.resilience import REASON_SHED
 
 SCALE = ExperimentScale(epochs=1, dim=16, batch_size=32, max_length=12)
 
@@ -44,19 +47,6 @@ def _engine(checkpoint_dir, tiny_dataset):
     return RecommendationEngine.from_checkpoint(checkpoint_dir, model, tiny_dataset)
 
 
-def _post(host, port, path, payload, timeout=30):
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request(
-            "POST", path, body=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        conn.close()
-
-
 def test_reload_storm_under_traffic(checkpoint_dir, tiny_dataset):
     engine = _engine(checkpoint_dir, tiny_dataset)
     server = RecommendationServer(
@@ -64,77 +54,73 @@ def test_reload_storm_under_traffic(checkpoint_dir, tiny_dataset):
     )
     serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
     serve_thread.start()
-    host, port = server.address
+    admin = Client(*server.address)
+    metrics_before = metrics_snapshot(admin)
 
     stop = threading.Event()
-    per_thread_versions: list[list[int]] = [[] for _ in range(CLIENT_THREADS)]
-    failures: list = []
+    outcomes: list = []
 
-    def hammer(thread_id: int) -> None:
-        conn = http.client.HTTPConnection(host, port, timeout=30)
+    def hammer(thread_id: int, client: Client) -> None:
         i = 0
-        try:
-            while not stop.is_set():
-                if i % 3 == 0:
-                    path = "/recommend/batch"
-                    payload = {"requests": [
-                        {"user": (thread_id * 31 + i + j) % 50, "k": 5}
-                        for j in range(4)
-                    ]}
-                else:
-                    path = "/recommend"
-                    payload = {"user": (thread_id * 31 + i) % 50, "k": 5}
-                conn.request(
-                    "POST", path, body=json.dumps(payload).encode(),
-                    headers={"Content-Type": "application/json"},
-                )
-                response = conn.getresponse()
-                body = json.loads(response.read())
-                if response.status == 200:
-                    results = body["results"] if path.endswith("batch") else [body]
-                    for result in results:
-                        per_thread_versions[thread_id].append(
-                            int(result["model_version"])
-                        )
-                        if not all(np.isfinite(result["scores"])):
-                            failures.append(("non-finite scores", result))
-                elif body.get("reason") != "shed":
-                    failures.append((response.status, body))
-                i += 1
-        except Exception as error:  # noqa: BLE001 - collected for the report
-            failures.append(repr(error))
-        finally:
-            conn.close()
+        while not stop.is_set():
+            if i % 3 == 0:
+                path = "/recommend/batch"
+                payload = {"requests": [
+                    {"user": (thread_id * 31 + i + j) % 50, "k": 5}
+                    for j in range(4)
+                ]}
+            else:
+                path = "/recommend"
+                payload = {"user": (thread_id * 31 + i) % 50, "k": 5}
+            outcomes.append(checks.outcome_of(
+                client.post(path, payload), f"{path} {i}", thread_id,
+                path, payload,
+            ))
+            i += 1
 
-    threads = [
-        threading.Thread(target=hammer, args=(t,), daemon=True)
-        for t in range(CLIENT_THREADS)
-    ]
+    def reload_storm(__: int, client: Client) -> None:
+        try:
+            deadline = time.monotonic() + DURATION_S
+            for __ in range(RELOADS):
+                time.sleep((DURATION_S / RELOADS) * 0.5)
+                reply = client.post("/admin/reload", {})
+                assert reply.status == 200, reply
+            while time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            stop.set()
+
     try:
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + DURATION_S
-        for __ in range(RELOADS):
-            time.sleep((DURATION_S / RELOADS) * 0.5)
-            status, body = _post(host, port, "/admin/reload", {})
-            assert status == 200, body
-        while time.monotonic() < deadline:
-            time.sleep(0.05)
+        # Re-raises any worker's exception: a hammer that dies on a reply
+        # fails the test instead of quietly thinning the traffic.
+        run_clients(*server.address, 30.0,
+                    [hammer] * CLIENT_THREADS + [reload_storm])
+        metrics_after = metrics_snapshot(admin)
     finally:
         stop.set()
-        for thread in threads:
-            thread.join(timeout=30)
+        admin.close()
         server.shutdown()
         serve_thread.join(timeout=5)
 
-    assert not failures, failures[:5]
-    total = sum(len(v) for v in per_thread_versions)
-    assert total > RELOADS * CLIENT_THREADS  # traffic actually flowed
-    for versions in per_thread_versions:
-        assert versions == sorted(versions)  # monotone per client
+    violations = (
+        checks.completeness(outcomes)
+        + checks.refusal_envelope(outcomes, frozenset({REASON_SHED}))
+        + checks.item_errors(outcomes, frozenset())
+        + checks.well_formed(outcomes)
+        + checks.monotone_versions(outcomes)
+        + checks.metrics_accounting(outcomes, metrics_before, metrics_after)
+        + checks.metrics_schema(metrics_after)
+    )
+    assert violations == []
+    versions = [v for outcome in outcomes for v in outcome.model_versions]
+    # Every answered item carried the generation that scored it.
+    assert len(versions) == sum(
+        o.ok_items + len(o.error_reasons) for o in outcomes
+    )
+    assert len(versions) > RELOADS * CLIENT_THREADS  # traffic actually flowed
     assert engine.model_version == 1 + RELOADS
     # Someone observed a post-swap generation (the swap wasn't a no-op).
-    assert max(v for versions in per_thread_versions for v in versions) > 1
+    assert max(versions) > 1
 
 
 def test_swap_storm_direct_api(checkpoint_dir, tiny_dataset):

@@ -165,6 +165,28 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith(f"{argv[0]}: /nonexistent/ckpt")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--threads", "0"], "threads must be positive, got 0"),
+            (["--pace-speedup", "0"], "pace_speedup must be positive, got 0.0"),
+            (["--timeout-s", "0"], "timeout_s must be positive, got 0.0"),
+            (["--request-deadline-ms", "0"],
+             "deadline_ms must be positive, got 0.0"),
+            (["--url", "localhost:8080"],
+             "'localhost:8080' does not look like http://host:port"),
+        ],
+        ids=["threads", "pace-speedup", "timeout-s", "request-deadline-ms", "url"],
+    )
+    def test_bad_loadtest_flag_is_one_line_exit_2(self, argv, message, capsys):
+        """A bad flag is the caller's error (exit 2), not a violated
+        serving invariant (exit 1), and is refused before any engine
+        is built."""
+        code = main(["loadtest", "--quick", "--checkpoint", "/nonexistent/ckpt",
+                     *self.SERVING_SCALE, *argv])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"loadtest: {message}"
+
     def test_bad_serve_config_is_one_line_exit_2(self, capsys):
         code = main(["recommend", "--checkpoint", "c", "--user", "0",
                      "--cache-size", "0"])

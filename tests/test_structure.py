@@ -7,6 +7,9 @@
   ``repro.train`` imports ``threading`` or ``queue``
   (docs/PERFORMANCE.md "Why there is no prefetch thread").
 * Every other ``Thread`` lives in a module listed here by name.
+* There is one HTTP client: ``HTTPConnection``, ``urlopen`` and
+  ``urllib`` appear only in ``loadtest/client.py`` (docs/SERVING.md
+  "Load testing").
 * In ``serve/engine.py`` no request-path method touches more than one of
   the cache, the encoder and the index, and the cache has one reading
   and one writing method (docs/SERVING.md "The request path"): the
@@ -71,8 +74,7 @@ PROCESS_PRIMITIVES = {"get_context", "Process", "poll"}
 SINGLE_THREADED = ("data/", "train/")
 THREAD_STARTERS = {
     "serve/server.py",  # CheckpointWatcher
-    "serve/chaos.py",  # background traffic during a fault window
-    "loadtest/harness.py",  # the load generator's client threads
+    "loadtest/harness.py",  # run_clients: every driver's client threads
     "cli.py",  # serve_forever next to the command's own loop
 }
 
@@ -126,6 +128,32 @@ def test_threads_start_only_in_the_listed_modules():
         if getattr(node, "attr", None) == "Thread" or getattr(node, "id", None) == "Thread"
     }
     assert starters == THREAD_STARTERS
+
+
+HTTP_CLIENT = "loadtest/client.py"
+HTTP_CLIENT_NAMES = {"HTTPConnection", "urlopen", "urllib"}
+
+
+def names_in(node: ast.AST) -> set:
+    """The module roots and names an import brings in, or the name or
+    attribute an expression reads."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0], *(a.name for a in node.names)}
+    return {getattr(node, "attr", None), getattr(node, "id", None)}
+
+
+def test_one_http_client():
+    """Every driver of the live server talks to it through one client,
+    so what a round trip measures is written once."""
+    users = {
+        name
+        for name, tree in modules()
+        for node in ast.walk(tree)
+        if names_in(node) & HTTP_CLIENT_NAMES
+    }
+    assert users == {HTTP_CLIENT}
 
 
 def test_nothing_selects_a_precision():
