@@ -69,8 +69,7 @@ def _build_model(dataset, workers: int) -> CL4SRec:
         ),
         mode="pretrain_finetune",
         pretrain=TrainConfig(
-            epochs=EPOCHS, batch_size=64, max_length=30,
-            workers=workers, pipeline="vectorized",
+            epochs=EPOCHS, batch_size=64, max_length=30, workers=workers
         ),
         joint=TrainConfig(epochs=EPOCHS, batch_size=64),
     )

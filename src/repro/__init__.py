@@ -16,7 +16,6 @@ Quickstart
 """
 
 from repro.augment import (
-    Compose,
     Crop,
     Identity,
     Mask,
@@ -107,7 +106,6 @@ __all__ = [
     "Caser",
     "CheckpointError",
     "CheckpointManager",
-    "Compose",
     "Crop",
     "DATASETS",
     "DivergenceError",

@@ -12,11 +12,8 @@ class Augmentation(abc.ABC):
 
     Implementations must be pure given the generator: the input array
     is never modified in place, and the same generator state produces
-    the same view.  This scalar protocol — one unpadded 1-D sequence
-    per call — is the *reference* semantics; the matrix-form operators
-    in :mod:`repro.augment.batched` transform whole left-padded
-    ``(B, T)`` batches under the same per-row laws and are
-    property-tested against these implementations.
+    the same view.  An operator transforms one unpadded 1-D sequence
+    per call, as the paper defines it (§3.3).
     """
 
     @abc.abstractmethod

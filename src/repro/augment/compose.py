@@ -1,19 +1,10 @@
-"""Pairing and composition of augmentation operators.
+"""Pairing of augmentation operators.
 
 :class:`PairSampler` implements the paper's §3.2.1 module: for each
 user sequence, two operators ``a_i, a_j`` are sampled from the
 augmentation set (independently, with replacement) and applied to the
 same sequence, producing the two correlated views of a positive pair.
-
-:class:`Compose` chains operators sequentially — used by the RQ3
-composition study (Figure 5), where each *view* is produced by a
-composite of two basic operators.
-
-Both classes operate on one scalar sequence per call; their matrix
-counterparts (:class:`~repro.augment.batched.BatchCompose`,
-:class:`~repro.augment.batched.BatchPairSampler`) carry the same
-semantics across a whole left-padded batch for the vectorized data
-pipeline.
+It works on one sequence per call.
 """
 
 from __future__ import annotations
@@ -23,25 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.augment.base import Augmentation
-
-
-class Compose(Augmentation):
-    """Apply operators left-to-right to form a composite augmentation."""
-
-    def __init__(self, operators: Sequence[Augmentation]) -> None:
-        if not operators:
-            raise ValueError("Compose requires at least one operator")
-        self.operators = list(operators)
-
-    def __call__(self, sequence: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = self._validate(sequence)
-        for operator in self.operators:
-            out = operator(out, rng)
-        return out
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(op) for op in self.operators)
-        return f"Compose([{inner}])"
 
 
 class PairSampler:

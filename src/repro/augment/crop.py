@@ -16,10 +16,7 @@ class Crop(Augmentation):
     of the original view survives).
 
     Scalar contract: ``op(sequence, rng) -> view`` on one 1-D array —
-    the output is *shorter* than the input (length ``L_c``).  The
-    matrix counterpart :class:`~repro.augment.batched.BatchCrop`
-    applies the same law to every row of a left-padded ``(B, T)``
-    batch at once and re-pads the shortened views.
+    the output is *shorter* than the input (length ``L_c``).
 
     Edge cases: an empty sequence returns an empty copy; ``n == 1`` is
     a fixed point (the single item always survives via the ``max(1,

@@ -16,10 +16,7 @@ class Mask(Augmentation):
     augmentation.
 
     Scalar contract: ``op(sequence, rng) -> view`` on one 1-D array,
-    same length out as in.  The matrix counterpart
-    :class:`~repro.augment.batched.BatchMask` masks every row of a
-    left-padded ``(B, T)`` batch in one shot and never touches
-    padding.
+    same length out as in.
 
     Edge cases: an empty sequence returns an empty copy; ``n == 1``
     is masked only when ``gamma == 1`` (``floor`` rounds the count to

@@ -16,9 +16,7 @@ class Reorder(Augmentation):
     augmentation and encodes the paper's *flexible order* assumption.
 
     Scalar contract: ``op(sequence, rng) -> view`` on one 1-D array,
-    same multiset of items out as in.  The matrix counterpart
-    :class:`~repro.augment.batched.BatchReorder` permutes every row's
-    window of a left-padded ``(B, T)`` batch in one shot.
+    same multiset of items out as in.
 
     Edge cases: an empty sequence returns an empty copy; any window
     shorter than 2 — which includes every ``n <= 1`` sequence — makes

@@ -175,18 +175,19 @@ def _add_index_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 class _SetupError(Exception):
-    """A serving command could not be set up from its arguments.
+    """A command could not be set up from its arguments.
 
     :func:`main` prints ``<command>: <message>`` and returns 2.
     """
 
 
 @contextlib.contextmanager
-def _serving_setup():
-    """Turn what building a config, engine or index raises into one line.
+def _setup():
+    """Turn what building a config, runtime, engine or index raises into one line.
 
-    ``ValueError`` covers :class:`ServeConfig` validation and
-    ``CheckpointError``; ``TypeError`` is the engine's "cannot be served".
+    ``ValueError`` covers config validation (:class:`ServeConfig`,
+    ``LoadTestConfig``, the training runtime) and ``CheckpointError``;
+    ``TypeError`` is the engine's "cannot be served".
     """
     try:
         yield
@@ -198,7 +199,7 @@ def _build_engine(args: argparse.Namespace, **overrides):
     """Dataset + model + checkpoint → a ready RecommendationEngine."""
     from repro.serve import ServeConfig
 
-    with _serving_setup():
+    with _setup():
         return ServeConfig.from_args(args).build_engine(**overrides)
 
 
@@ -212,7 +213,7 @@ def _run_index(args: argparse.Namespace) -> int:
         print("index: --index-path is an input of serve, not of index; "
               "use --output for the artifact destination", file=sys.stderr)
         return 2
-    with _serving_setup():
+    with _setup():
         config = ServeConfig.from_args(args)
         # index=None: the engine's default exact index only adopts the
         # matrix, so the configured index is built, and timed, once.
@@ -317,7 +318,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
         print("loadtest: provide --url (running server) or --checkpoint "
               "(self-hosted)", file=sys.stderr)
         return 2
-    with _serving_setup():
+    with _setup():
         config = LoadTestConfig(
             threads=args.threads,
             timeout_s=args.timeout_s,
@@ -468,7 +469,7 @@ def _run_online(args: argparse.Namespace) -> int:
     from repro.online.shadow import REASON_SWAP_FAILED
     from repro.serve import ServeConfig
 
-    with _serving_setup():
+    with _setup():
         config = ServeConfig.from_args(args)
         engine = config.build_engine()
     dataset = engine.dataset
@@ -497,7 +498,7 @@ def _run_online(args: argparse.Namespace) -> int:
         round_checkpoint_dir = args.round_checkpoint_dir or os.path.join(
             args.store_dir, "rounds"
         )
-    with _serving_setup():  # an unknown --gate-metric refuses here
+    with _setup():  # an unknown --gate-metric refuses here
         loop_config = OnlineLoopConfig(
             rounds=rounds,
             events_per_round=args.events_per_round,
@@ -519,7 +520,6 @@ def _run_online(args: argparse.Namespace) -> int:
                 batch_size=args.train_batch_size,
                 learning_rate=args.learning_rate,
                 max_length=config.scale().max_length,
-                pipeline=args.pipeline,
                 workers=args.train_workers,
                 checkpoint_dir=round_checkpoint_dir,
             ),
@@ -734,14 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enable scoped nn profiling timers (matmul/attention/encoder); "
         "off by default — also enabled by REPRO_PROFILE=1",
-    )
-    p_tr.add_argument(
-        "--pipeline",
-        choices=["reference", "vectorized"],
-        default="reference",
-        help="batch-construction path: 'reference' (scalar, bit-compatible "
-        "with the golden fixtures) or 'vectorized' (matrix-form augmentation "
-        "on a private RNG stream; see docs/PERFORMANCE.md)",
     )
     p_tr.add_argument(
         "--workers",
@@ -982,11 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="contrastive-loss weight λ during fine-tuning (default: 0.1)",
     )
     p_on.add_argument(
-        "--pipeline", choices=["reference", "vectorized"],
-        default="reference",
-        help="batch-construction path for fine-tuning (docs/PERFORMANCE.md)",
-    )
-    p_on.add_argument(
         "--train-workers", dest="train_workers", type=int, default=0,
         help="data-parallel workers for each fine-tuning round (0 = "
         "single-process; see docs/SCALING.md)",
@@ -1103,6 +1090,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The checkpoint subdirectories (one runtime each) of a ``train`` mode.
+_TRAIN_STAGES = {"joint": ("joint",), "pretrain_finetune": ("pretrain", "finetune")}
+
+
 def _run_train(args: argparse.Namespace) -> int:
     """The ``train`` subcommand: CL4SRec under the fault-tolerant runtime."""
     from repro.core.trainer import pretrain_contrastive, train_joint
@@ -1116,21 +1107,34 @@ def _run_train(args: argparse.Namespace) -> int:
         TrainingRuntime,
     )
 
-    scale = _scale_from_args(args)
-    dataset = load_dataset(args.dataset, scale=scale.dataset_scale, seed=scale.seed)
-    model = build_model("CL4SRec", dataset, scale, mode=args.mode)
-    # Thread the batch-construction path into every stage config the
-    # selected mode may run (joint, pretrain, supervised fine-tune).
-    model.cl_config.joint.pipeline = args.pipeline
-    model.cl_config.pretrain.pipeline = args.pipeline
-    model.cl_config.sasrec.train.pipeline = args.pipeline
-    # And the data-parallel worker count (0 = single-process loops).
-    model.cl_config.joint.workers = args.workers
-    model.cl_config.pretrain.workers = args.workers
-    model.cl_config.sasrec.train.workers = args.workers
     faults = None
     if args.preempt_at is not None:
         faults = FaultInjector().preempt(at=args.preempt_at)
+    # Every flag is refused here, before the dataset and the model exist.
+    with _setup():
+        if args.workers < 0:
+            raise ValueError(f"workers must be >= 0, got {args.workers}")
+        runtimes = {
+            stage: TrainingRuntime(
+                CheckpointManager(
+                    os.path.join(args.checkpoint_dir, stage), keep=args.keep
+                ),
+                checkpoint_every=args.checkpoint_every,
+                resume=args.resume,
+                guard=args.guard,
+                faults=faults,
+            )
+            for stage in _TRAIN_STAGES[args.mode]
+        }
+
+    scale = _scale_from_args(args)
+    dataset = load_dataset(args.dataset, scale=scale.dataset_scale, seed=scale.seed)
+    model = build_model("CL4SRec", dataset, scale, mode=args.mode)
+    # The data-parallel worker count (0 = single-process loops) reaches
+    # every stage config the selected mode may run.
+    model.cl_config.joint.workers = args.workers
+    model.cl_config.pretrain.workers = args.workers
+    model.cl_config.sasrec.train.workers = args.workers
 
     obs = None
     if args.obs_dir:
@@ -1142,7 +1146,6 @@ def _run_train(args: argparse.Namespace) -> int:
                 "command": "train",
                 "dataset": args.dataset,
                 "mode": args.mode,
-                "pipeline": args.pipeline,
                 "dtype": str(model.param_dtype()),
                 "workers": args.workers,
                 "preset": args.preset,
@@ -1154,56 +1157,40 @@ def _run_train(args: argparse.Namespace) -> int:
         from repro.obs import profiling
 
         profiler = profiling.enable()
-
-    def runtime_for(stage: str) -> TrainingRuntime:
-        manager = CheckpointManager(
-            os.path.join(args.checkpoint_dir, stage), keep=args.keep
-        )
-        return TrainingRuntime(
-            manager,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            guard=args.guard,
-            faults=faults,
-            obs=obs,
-        )
+    for runtime in runtimes.values():
+        runtime.obs = obs
 
     started = time.time()
     try:
         try:
             if args.mode == "joint":
-                runtime = runtime_for("joint")
                 losses = train_joint(
                     model,
                     dataset,
                     model.cl_config.joint,
                     rng=model._rng,
-                    runtime=runtime,
+                    runtime=runtimes["joint"],
                     obs=obs,
                 )
                 final_loss = losses[-1] if losses else float("nan")
-                stages = {"joint": runtime}
             else:
-                pre_runtime = runtime_for("pretrain")
                 model.pretrain_history = pretrain_contrastive(
                     model,
                     dataset,
                     model.cl_config.pretrain,
                     rng=model._rng,
-                    runtime=pre_runtime,
+                    runtime=runtimes["pretrain"],
                     obs=obs,
                 )
-                fine_runtime = runtime_for("finetune")
                 history = train_next_item_model(
                     model,
                     dataset,
                     model.cl_config.sasrec.train,
                     rng=model._rng,
-                    runtime=fine_runtime,
+                    runtime=runtimes["finetune"],
                     obs=obs,
                 )
                 final_loss = history.losses[-1] if history.losses else float("nan")
-                stages = {"pretrain": pre_runtime, "finetune": fine_runtime}
         except TrainingInterrupted as interrupted:
             print(f"interrupted: {interrupted}")
             print(
@@ -1236,7 +1223,7 @@ def _run_train(args: argparse.Namespace) -> int:
             print(f"observability events written to {obs.sink.path}")
 
     duration = time.time() - started
-    for stage, runtime in stages.items():
+    for stage, runtime in runtimes.items():
         resumed = (
             f"resumed from epoch {runtime.resumed_from}"
             if runtime.resumed_from is not None
@@ -1265,7 +1252,7 @@ def _run_train(args: argparse.Namespace) -> int:
                 "preset": args.preset,
                 "dtype": str(model.param_dtype()),
                 "resumed": any(
-                    r.resumed_from is not None for r in stages.values()
+                    r.resumed_from is not None for r in runtimes.values()
                 ),
             },
             metrics={"final_loss": float(final_loss)},
@@ -1282,12 +1269,14 @@ def _run_stats(args: argparse.Namespace) -> int:
     try:
         print(summarize_run(args.run_dir))
     except FileNotFoundError as error:
-        print(f"stats: {error}", file=sys.stderr)
-        return 2
+        raise _SetupError(str(error)) from error
     return 0
 
 
-_SERVING_COMMANDS = {
+#: The subcommands that refuse bad input with one line and exit 2.
+_COMMANDS = {
+    "train": _run_train,
+    "stats": _run_stats,
     "serve": _run_serve,
     "loadtest": _run_loadtest,
     "online": _run_online,
@@ -1301,13 +1290,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
 
-    if args.command == "train":
-        return _run_train(args)
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command in _SERVING_COMMANDS:
+    if args.command in _COMMANDS:
         try:
-            return _SERVING_COMMANDS[args.command](args)
+            return _COMMANDS[args.command](args)
         except _SetupError as error:
             print(f"{args.command}: {error}", file=sys.stderr)
             return 2

@@ -33,12 +33,10 @@ from repro.data.loaders import (
     pad_left,
 )
 from repro.data.pipeline import (
-    PIPELINES,
     CyclingStream,
     PaddedViews,
     build_padded_views,
     padded_views,
-    validate_pipeline,
 )
 from repro.data.registry import (
     DATASETS,
@@ -51,7 +49,6 @@ from repro.data.synthetic import SyntheticConfig, generate_log
 
 __all__ = [
     "DATASETS",
-    "PIPELINES",
     "ContrastiveBatch",
     "ContrastiveBatchLoader",
     "CyclingStream",
@@ -67,7 +64,6 @@ __all__ = [
     "SyntheticConfig",
     "build_padded_views",
     "padded_views",
-    "validate_pipeline",
     "build_sequences",
     "dataset_names",
     "dataset_report",

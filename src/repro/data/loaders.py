@@ -4,22 +4,13 @@ Sequences are **left-padded** to the maximum length ``T`` so that the
 most recent item always sits at the last position — the position whose
 hidden state is the user representation (paper Eq. 13).
 
-Both loaders build their padded matrices by fancy-indexing the
+The next-item loader builds its padded matrices by fancy-indexing the
 dataset's precomputed views (:func:`repro.data.pipeline.padded_views`)
-instead of looping over users per batch.  The ``pipeline`` switch
-selects how the *stochastic* part of a batch is produced:
-
-* ``"reference"`` (default) — augmentation and sampling draw from the
-  caller's generator one sequence at a time, bit-compatible with the
-  original scalar implementation (the golden fixtures pin this path).
-* ``"vectorized"`` — augmentation runs in matrix form
-  (:mod:`repro.augment.batched`) and all loader randomness moves to a
-  dedicated child stream.  Nothing runs concurrently with a loader;
-  the child stream is there because the two
-  ``tests/golden/*_vectorized.json`` fixtures pin its draws, until
-  ROADMAP item 3 re-anchors the goldens.
-
-See ``docs/PERFORMANCE.md``.
+instead of looping over users per batch.  The contrastive loader
+applies the scalar pair sampler (§3.2.1) to each user's sequence in
+turn.  Every draw — shuffling, augmentation, negative sampling — comes
+from the caller's generator, which the golden fixtures pin.  See
+``docs/PERFORMANCE.md``.
 
 The two sequence loaders sample users differently.  A next-item epoch
 is **length-bucketed** (:meth:`NextItemBatchLoader.epoch`): the shuffled
@@ -35,7 +26,7 @@ sample of users, not users of one length.
 
 The models that train on a flat table of rows instead of padded
 histories (BPR-MF, NCF, FPMC, Caser, BERT4Rec's Cloze batches) use
-:class:`RowBatchLoader`, which has one path and no ``pipeline`` switch.
+:class:`RowBatchLoader`.
 """
 
 from __future__ import annotations
@@ -46,9 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.augment.batched import BatchPairSampler, spawn_stream
-from repro.augment.compose import PairSampler
-from repro.data.pipeline import padded_views, validate_pipeline
+from repro.data.pipeline import padded_views
 from repro.data.preprocessing import SequenceDataset
 
 
@@ -60,6 +49,12 @@ class NoTrainableData(ValueError):
     a second user), or a row table is empty.  An online round refuses
     on it (``no_trainable_data``); any other ``ValueError`` is a fault.
     """
+
+
+def _refuse_pipeline(pipeline: str) -> None:
+    """There is one batch path; ``pipeline`` names it and nothing else."""
+    if pipeline != "reference":
+        raise ValueError(f"pipeline must be 'reference', got {pipeline!r}")
 
 
 def _shard_users(
@@ -217,10 +212,7 @@ class NextItemBatchLoader:
 
     Batch matrices are fancy-indexed rows of the dataset's precomputed
     padded views — bit-identical to per-batch ``pad_left`` loops but
-    built in O(batch) numpy work.  With ``pipeline="vectorized"`` the
-    loader additionally moves shuffling and negative sampling onto a
-    private child stream (kept for golden compatibility — see the
-    module docstring).
+    built in O(batch) numpy work.
     """
 
     def __init__(
@@ -231,25 +223,20 @@ class NextItemBatchLoader:
         rng: np.random.Generator,
         min_sequence_length: int = 2,
         negative_sampler: NegativeSampler | None = None,
-        pipeline: str = "reference",
         obs=None,
         worker_shard: tuple[int, int] | None = None,
+        # Read only by benchmarks/perf/train_paper.py; ROADMAP item 21 deletes it.
+        pipeline: str = "reference",
     ) -> None:
+        _refuse_pipeline(pipeline)
         self.dataset = dataset
         self.max_length = max_length
         self.batch_size = batch_size
-        self.pipeline = validate_pipeline(pipeline)
         self._obs = obs
         self._views = padded_views(dataset, max_length)
         # Real inputs per user, indexed by user id: the bucketing key.
         self._history_lengths = np.count_nonzero(self._views.inputs, axis=1)
-        if pipeline == "vectorized":
-            # Private stream: the vectorized goldens pin its draws.
-            self._rng = spawn_stream(rng)
-            if negative_sampler is not None:
-                negative_sampler._rng = self._rng
-        else:
-            self._rng = rng
+        self._rng = rng
         self._sampler = (
             negative_sampler
             if negative_sampler is not None
@@ -274,11 +261,6 @@ class NextItemBatchLoader:
     def users(self) -> np.ndarray:
         """The eligible users this loader draws from (after sharding)."""
         return self._users
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The stream every draw comes from; checkpoint it to resume."""
-        return self._rng
 
     @property
     def num_batches(self) -> int:
@@ -333,18 +315,8 @@ class ContrastiveBatchLoader:
     """Yields :class:`ContrastiveBatch` epochs from augmented sequences.
 
     ``augmenter`` is any callable ``(sequence, rng) -> (view_a, view_b)``
-    — typically :class:`repro.augment.compose.PairSampler`.
-
-    With ``pipeline="vectorized"`` the augmentation stage — the wall-
-    time sink of a contrastive epoch — runs in matrix form: a scalar
-    ``PairSampler`` is lifted to a
-    :class:`~repro.augment.batched.BatchPairSampler` (a prepared
-    ``BatchPairSampler`` is also accepted directly), views are produced
-    for all rows of a batch in a handful of numpy calls over the
-    dataset's precomputed padded matrix, and every random draw comes
-    from a private child stream (kept for golden compatibility — see
-    the module docstring).  Any other augmenter callable falls back to
-    per-row application but still benefits from precomputed padding.
+    — typically :class:`repro.augment.compose.PairSampler` — applied
+    to each user's last ``max_length`` items in turn.
     """
 
     def __init__(
@@ -355,27 +327,18 @@ class ContrastiveBatchLoader:
         batch_size: int,
         rng: np.random.Generator,
         min_sequence_length: int = 3,
-        pipeline: str = "reference",
         obs=None,
         worker_shard: tuple[int, int] | None = None,
+        # Read only by benchmarks/perf/train_paper.py; ROADMAP item 21 deletes it.
+        pipeline: str = "reference",
     ) -> None:
+        _refuse_pipeline(pipeline)
         self.dataset = dataset
         self.augmenter = augmenter
         self.max_length = max_length
         self.batch_size = batch_size
-        self.pipeline = validate_pipeline(pipeline)
         self._obs = obs
-        self._batched: BatchPairSampler | None = None
-        if pipeline == "vectorized":
-            self._rng = spawn_stream(rng)
-            self._views = padded_views(dataset, max_length)
-            if isinstance(augmenter, BatchPairSampler):
-                self._batched = augmenter
-            elif isinstance(augmenter, PairSampler):
-                self._batched = BatchPairSampler.from_scalar(augmenter)
-        else:
-            self._rng = rng
-            self._views = None
+        self._rng = rng
         self._users = np.asarray(
             [
                 u
@@ -395,11 +358,6 @@ class ContrastiveBatchLoader:
     def users(self) -> np.ndarray:
         """The eligible users this loader draws from (after sharding)."""
         return self._users
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The stream every draw comes from; checkpoint it to resume."""
-        return self._rng
 
     @property
     def num_batches(self) -> int:
@@ -427,20 +385,11 @@ class ContrastiveBatchLoader:
             yield batch
 
     def _build(self, users: np.ndarray) -> ContrastiveBatch:
-        if self._batched is not None:
-            padded = self._views.sequences[users]
-            lengths = self._views.lengths[users]
-            (view_a, __), (view_b, __) = self._batched(padded, lengths, self._rng)
-            return ContrastiveBatch(users, view_a, view_b)
         t = self.max_length
         view_a = np.zeros((len(users), t), dtype=np.int64)
         view_b = np.zeros((len(users), t), dtype=np.int64)
-        if self._views is not None:  # vectorized padding, scalar augmenter
-            padded, lengths = self._views.sequences[users], self._views.lengths[users]
-            rows = ((padded[i, t - lengths[i]:]) for i in range(len(users)))
-        else:
-            rows = (self.dataset.train_sequences[user][-t:] for user in users)
-        for row, seq in enumerate(rows):
+        for row, user in enumerate(users):
+            seq = self.dataset.train_sequences[user][-t:]
             a, b = self.augmenter(seq, self._rng)
             view_a[row] = pad_left(a, t)
             view_b[row] = pad_left(b, t)
@@ -529,11 +478,6 @@ class RowBatchLoader:
         self._build = build
         self._obs = obs
         self._rows = _shard_users(np.arange(num_rows, dtype=np.int64), worker_shard)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The stream the permutation comes from; checkpoint it to resume."""
-        return self._rng
 
     @property
     def num_batches(self) -> int:

@@ -1,21 +1,17 @@
-"""High-throughput batch construction (``pipeline="vectorized"``).
+"""Batch construction helpers shared by the training loaders.
 
-What turns the per-sequence Python loops of the reference loaders into
-O(batch) numpy work:
-
-* :func:`padded_views` — each dataset's left-padded input/target/full
-  matrices are computed **once** (vectorized, no per-user loop) and
-  cached on the dataset object, invalidated automatically when the
-  dataset changes.  Batch construction then reduces to fancy indexing.
+* :func:`padded_views` — each dataset's left-padded next-item
+  input/target matrices are computed **once** (one gather, no per-user
+  loop) and cached on the dataset object, invalidated automatically
+  when the dataset changes.  A next-item batch then reduces to fancy
+  indexing.
 * :class:`CyclingStream` — the joint regime's endless contrastive side.
 
-Batches are built on the training thread, one per step, on both
-pipelines: there is no prefetch thread (``docs/PERFORMANCE.md`` "Why
-there is no prefetch thread" has the measurement).  Determinism: the
-vectorized loaders draw from a dedicated child stream
-(:func:`repro.augment.batched.spawn_stream`) — a fixed seed reproduces
-runs bit-for-bit, asserted end-to-end in
-``tests/integration/test_determinism_e2e.py``.
+Batches are built on the training thread, one per step: there is no
+prefetch thread (``docs/PERFORMANCE.md`` "Why there is no prefetch
+thread" has the measurement).  Every loader draws from the generator it
+is given, so a fixed seed reproduces runs bit-for-bit, asserted
+end-to-end in ``tests/integration/test_determinism_e2e.py``.
 """
 
 from __future__ import annotations
@@ -25,20 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-#: Recognized values of the ``pipeline`` config switch.
-PIPELINES = ("reference", "vectorized")
-
 #: Attribute under which a dataset caches its padded views.
 _CACHE_ATTR = "_repro_padded_views"
-
-
-def validate_pipeline(pipeline: str) -> str:
-    """Return ``pipeline`` or raise on an unknown switch value."""
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            f"pipeline must be one of {PIPELINES}, got {pipeline!r}"
-        )
-    return pipeline
 
 
 @dataclass(frozen=True)
@@ -50,11 +34,7 @@ class PaddedViews:
     inputs / targets:
         ``(U, T)`` supervised next-item matrices —
         ``pad_left(seq[:-1], T)`` and ``pad_left(seq[1:], T)`` for
-        every user, exactly what the reference loop produced per batch.
-    sequences / lengths:
-        ``(U, T)`` full training sequences (last ``T`` items) and
-        their clamped lengths ``min(len(seq), T)`` — the substrate the
-        batched augmentations transform.
+        every user, exactly what a per-batch ``pad_left`` loop produces.
     fingerprint:
         Cheap dataset summary used to invalidate the cache when the
         dataset's sequences change.
@@ -62,8 +42,6 @@ class PaddedViews:
 
     inputs: np.ndarray
     targets: np.ndarray
-    sequences: np.ndarray
-    lengths: np.ndarray
     fingerprint: tuple
 
     @property
@@ -113,10 +91,6 @@ def build_padded_views(
     )
     ends = np.cumsum(lengths_full)
 
-    # Full sequences, keeping the most recent max_length items.
-    seq_counts = np.minimum(lengths_full, max_length)
-    sequences = _pad_rows(flat, ends - seq_counts, seq_counts, max_length)
-
     # Supervised views: inputs = pad_left(seq[:-1], T) ends one item
     # early; targets = pad_left(seq[1:], T) ends at the sequence end.
     shifted_counts = np.minimum(np.maximum(lengths_full - 1, 0), max_length)
@@ -126,8 +100,6 @@ def build_padded_views(
     return PaddedViews(
         inputs=inputs,
         targets=targets,
-        sequences=sequences,
-        lengths=seq_counts,
         fingerprint=_fingerprint(train_sequences, num_items),
     )
 

@@ -19,7 +19,7 @@ the structural properties the paper's comparisons rest on:
   to mirror the paper's Figure-4 observation that reorder augmentation
   helps more on Sports/Toys/Yelp than on Beauty.
 
-Generation is vectorized across users (one loop over time steps) so a
+Generation works on all users at once (one loop over time steps) so a
 full-scale dataset (~300k events) builds in a couple of seconds.
 """
 
@@ -325,17 +325,18 @@ class TrafficTrace:
                 rng.integers(1, config.num_items + 1, size=length)]
 
     # -- the event stream (sequential, regenerated per iteration) -------
-    def events(self, limit: int | None = None):
-        """Yield events in arrival order (fresh generator every call)."""
+    def events(self):
+        """Yield events in arrival order (fresh generator every call).
+
+        Event ``i`` does not depend on ``num_events``, so a shorter
+        trace is a prefix of a longer one with the same seed.
+        """
         config = self.config
         rng = np.random.default_rng(config.seed)
-        total = config.num_events if limit is None else min(
-            limit, config.num_events
-        )
         cold_next = config.hot_users  # cold identities appear exactly once
         arrival = 0.0
         burst = False
-        for index in range(total):
+        for index in range(config.num_events):
             burst = (
                 rng.random() >= config.burst_exit_prob if burst
                 else rng.random() < config.burst_enter_prob
@@ -375,7 +376,7 @@ class TrafficTrace:
     def __iter__(self):
         return self.events()
 
-    def summary(self, limit: int | None = None) -> dict:
+    def summary(self) -> dict:
         """One cheap pass counting identities and sequences.
 
         ``distinct_users`` counts *identities*: distinct hot user ids
@@ -384,7 +385,7 @@ class TrafficTrace:
         """
         hot_ids: set[int] = set()
         cold = sequences = events = batches = 0
-        for event in self.events(limit):
+        for event in self.events():
             events += 1
             batches += event["kind"] == "batch"
             for payload in event["requests"]:

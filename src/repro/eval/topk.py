@@ -56,7 +56,7 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     # Boundary-tie repair: when the k-th value also occurs outside the
     # selected set, argpartition's pick among the tied items is
     # unspecified — replace it with the smallest tied indices so the
-    # result matches the stable full sort.  Detection is vectorized
+    # result matches the stable full sort.  Detection is whole-array
     # (two equality reductions); the repair itself only runs on the
     # offending rows, which are rare for real-valued scores.
     scores_2d = scores[np.newaxis] if scores.ndim == 1 else scores

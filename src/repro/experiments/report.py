@@ -30,7 +30,6 @@ SECTION_ORDER = (
     "extension_baselines",
     "serving_throughput",
     "obs_overhead",
-    "pipeline_throughput",
     "compute_core",
     "resilience",
     "retrieval",

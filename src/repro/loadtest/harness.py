@@ -14,6 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.data.synthetic import TrafficTrace
 from repro.loadtest import checks
 from repro.loadtest.checks import Outcome
 from repro.loadtest.client import Client
@@ -36,8 +37,6 @@ class LoadTestConfig:
     #: connection (and its own monotone-version check).
     threads: int = 4
     timeout_s: float = 30.0
-    #: Replay only the first N trace events (``--quick`` runs).
-    max_events: int | None = None
     #: Stamp a deadline budget onto every payload when set.
     deadline_ms: float | None = None
     #: Open-loop pacing: honour the trace's ``arrival_s`` stamps
@@ -141,23 +140,21 @@ def metrics_snapshot(client: Client) -> dict:
 
 
 def run_loadtest(
-    trace,
+    trace: TrafficTrace,
     host: str,
     port: int,
     config: LoadTestConfig | None = None,
 ) -> LoadTestResult:
     """Replay ``trace`` against a live server and judge the invariants.
 
-    ``trace`` is a :class:`~repro.data.synthetic.TrafficTrace` (or any
-    iterable of its event dicts).  The server must already be
+    ``trace`` is a :class:`~repro.data.synthetic.TrafficTrace`; a
+    shorter run replays a shorter trace.  The server must already be
     listening on ``(host, port)``; use
     :func:`repro.serve.config.ServeConfig.build_engine` +
     :class:`~repro.serve.server.RecommendationServer` to self-host.
     """
     config = config or LoadTestConfig()
-    events = iter(
-        trace.events(config.max_events) if hasattr(trace, "events") else trace
-    )
+    events = trace.events()
     events_lock = threading.Lock()
     # A deadline the trace's own payload carries wins over the stamp.
     stamp = {} if config.deadline_ms is None else {"deadline_ms": config.deadline_ms}
@@ -189,9 +186,6 @@ def run_loadtest(
         run_clients(host, port, config.timeout_s, [replay] * config.threads)
         wall_s = time.perf_counter() - started
         metrics_after = metrics_snapshot(probe)
-    summary = (
-        trace.summary(config.max_events) if hasattr(trace, "summary") else None
-    )
     return LoadTestResult(
-        outcomes, wall_s, metrics_before, metrics_after, summary
+        outcomes, wall_s, metrics_before, metrics_after, trace.summary()
     )

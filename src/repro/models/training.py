@@ -18,6 +18,7 @@ and the best-validation parameters), and divergence rollback.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,16 +50,14 @@ class TrainConfig:
     # Negative sampling: 0.0 = uniform (the paper's setting); > 0 draws
     # negatives ∝ popularity^alpha (harder contrasts).
     negative_alpha: float = 0.0
-    # Batch construction: "reference" (scalar, bit-compatible with the
-    # golden fixtures) or "vectorized" (precomputed padded matrices, a
-    # private RNG stream — see docs/PERFORMANCE.md).
-    pipeline: str = "reference"
     # Data-parallel worker processes: 0 computes gradients in-process
     # (bit-compatible with the golden fixtures); N >= 1 takes them from
     # repro.train.parallel — deterministic at fixed N, but a different
     # sample than workers=0 (see docs/SCALING.md "Training at scale").
     workers: int = 0
     seed: int = 0
+    # Not a field: read only by benchmarks/perf/train_paper.py; ROADMAP item 21 deletes it.
+    pipeline: ClassVar[str] = "reference"
 
 
 def train_next_item_model(

@@ -72,8 +72,8 @@ def capture_rng_states(rngs: Sequence[np.random.Generator]) -> np.ndarray:
 
     Each entry is the bit-generator state plus the generator's spawn
     count: ``bit_generator.state`` alone does not say how many child
-    streams were spawned, and the vectorized augmenter spawns one per
-    batch.
+    streams were spawned, and data-parallel training spawns one per
+    worker.
     """
     return np.asarray(
         json.dumps(

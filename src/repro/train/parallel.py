@@ -42,7 +42,7 @@ Determinism contract (tested in ``tests/train/test_parallel.py``):
   one ``aux/worker_rng`` group with each worker's serialized generator
   states (bit state and spawn count), captured at epoch boundaries.
   Worker streams are *spawned* in a fresh process and then *restored*,
-  so a resumed run continues bit-exactly on either data pipeline.
+  so a resumed run continues bit-exactly.
 
 Failure model (docs/SCALING.md "Worker failure model"): processes and
 pipes belong to one :class:`~repro.core.procpool.ProcessPool`, so a
@@ -61,7 +61,6 @@ import time
 
 import numpy as np
 
-from repro.augment.batched import spawn_stream
 from repro.core.procpool import ClosesOnExit, ProcessPool, WorkerFailedError
 from repro.core.shm import SharedArrays, adopt_parameters
 from repro.nn.serialization import CheckpointError
@@ -91,6 +90,21 @@ def pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
             merged.append(items[-1])
         items = merged
     return items[0]
+
+
+def _spawn_stream(rng: np.random.Generator) -> np.random.Generator:
+    """Derive an independent child generator from ``rng``.
+
+    Uses :meth:`numpy.random.Generator.spawn`, so the child's draws
+    never consume from (or race with) the parent's main stream — the
+    parent only advances its spawn counter, deterministically.  Falls
+    back to seeding a fresh generator from one parent draw when the
+    parent was built without a seed sequence.
+    """
+    try:
+        return rng.spawn(1)[0]
+    except (AttributeError, TypeError):  # generator without a SeedSequence
+        return np.random.default_rng(int(rng.integers(0, 2**63)))
 
 
 def _named_trainable(stage) -> list:
@@ -148,7 +162,7 @@ class _TrainWorker:
         # Dropout moves to its own spawned stream — the loop generator
         # keeps feeding the loaders exactly as in single-process mode.
         rng = spec["rng"]
-        _rebind_model_rng(stage.model, spawn_stream(rng))
+        _rebind_model_rng(stage.model, _spawn_stream(rng))
         stage.open(rng, worker_shard=(worker, spec["workers"]))
         self.trainable = _named_trainable(stage)
         stage.model.train()
@@ -232,7 +246,7 @@ class ParallelWorkerPool(ClosesOnExit):
         # Workers' root streams are spawned BEFORE any checkpoint
         # restore: a fresh process always spawns the same children
         # first and restores their states afterwards (see restore_rng).
-        child_rngs = [spawn_stream(rng) for __ in range(self.workers)]
+        child_rngs = [_spawn_stream(rng) for __ in range(self.workers)]
 
         self._pages = SharedArrays.create(
             {name: param.data for name, param in model.named_parameters()},

@@ -140,19 +140,12 @@ class Stage:
 
     # -- batch half -----------------------------------------------------
     def open(self, rng, obs=None, worker_shard=None) -> None:
-        """Build the loaders (which spawns their RNG streams)."""
-        self.loaders = self._loaders(
-            rng,
-            pipeline=self.config.pipeline,
-            obs=obs,
-            worker_shard=worker_shard,
-        )
+        """Build the loaders on this process's generator and user shard."""
+        self.loaders = self._loaders(rng, obs=obs, worker_shard=worker_shard)
         self.steps_per_epoch = self.loaders[0].num_batches
         # The loop generator drives batch order, augmentation and
-        # negative sampling (directly or through the loaders' child
-        # streams); the model's own generator drives dropout.
-        loader_rngs = [loader.rng for loader in self.loaders]
-        self.rngs = dedup_rngs([rng, *loader_rngs, getattr(self.model, "_rng", None)])
+        # negative sampling; the model's own generator drives dropout.
+        self.rngs = dedup_rngs([rng, getattr(self.model, "_rng", None)])
 
     def begin_epoch(self) -> None:
         """Open the epoch's batch stream; batches are built as consumed."""
@@ -379,8 +372,6 @@ class RowTableStage(NextItemStage):
     :class:`~repro.data.loaders.RowBatch` table), ``num_negatives`` and
     ``row_loss(batch)``; negatives follow the next-item rule (uniform,
     or ∝ popularity^alpha).  Early stopping is :class:`NextItemStage`'s.
-    The row loader has one path: ``config.pipeline`` must be
-    ``"reference"``.
     """
 
     def _rows(self, rng):
@@ -398,12 +389,7 @@ class RowTableStage(NextItemStage):
 
         return len(table.users), build
 
-    def _loaders(self, rng, pipeline="reference", obs=None, worker_shard=None):
-        if pipeline != "reference":
-            raise ValueError(
-                f"{self.model.name} has one batch path: pipeline must be "
-                f"'reference', got {pipeline!r}"
-            )
+    def _loaders(self, rng, obs=None, worker_shard=None):
         count, build = self._rows(rng)
         return [
             RowBatchLoader(

@@ -1,37 +1,14 @@
-"""Compose, PairSampler and the operator factory."""
+"""PairSampler and the operator factory."""
 
 import numpy as np
 import pytest
 
-from repro.augment import Compose, Crop, Identity, Mask, PairSampler, Reorder
+from repro.augment import Crop, Identity, Mask, PairSampler, Reorder
 from repro.augment.factory import make_operator, make_operator_set
 
 
 def make_rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestCompose:
-    def test_applies_in_order(self):
-        seq = np.arange(1, 21)
-        composite = Compose([Crop(0.5), Mask(0.5, mask_token=99)])
-        out = composite(seq, make_rng(1))
-        assert len(out) == 10  # crop first
-        assert (out == 99).sum() == 5  # then mask half of the crop
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Compose([])
-
-    def test_repr_lists_operators(self):
-        composite = Compose([Crop(0.5), Reorder(0.3)])
-        assert "Crop" in repr(composite) and "Reorder" in repr(composite)
-
-    def test_single_operator_equivalent(self):
-        seq = np.arange(1, 11)
-        a = Compose([Mask(0.4, mask_token=9)])(seq, make_rng(3))
-        b = Mask(0.4, mask_token=9)(seq, make_rng(3))
-        np.testing.assert_array_equal(a, b)
 
 
 class TestPairSampler:

@@ -131,30 +131,23 @@ class TestLengthBucketedEpochs:
     length, cuts batches and yields them in a random order, each
     weighted by its share of the epoch's real positions."""
 
-    def make_loader(self, dataset, pipeline="reference", seed=0, worker_shard=None):
+    def make_loader(self, dataset, seed=0, worker_shard=None):
         return NextItemBatchLoader(
-            dataset,
-            10,
-            17,
-            np.random.default_rng(seed),
-            pipeline=pipeline,
-            worker_shard=worker_shard,
+            dataset, 10, 17, np.random.default_rng(seed), worker_shard=worker_shard
         )
 
     @staticmethod
     def history_lengths(batch):
         return np.count_nonzero(batch.inputs, axis=1)
 
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_every_eligible_user_once_per_epoch(self, tiny_dataset, pipeline):
-        loader = self.make_loader(tiny_dataset, pipeline)
+    def test_every_eligible_user_once_per_epoch(self, tiny_dataset):
+        loader = self.make_loader(tiny_dataset)
         for __ in range(3):
             seen = np.concatenate([batch.users for batch in loader.epoch()])
             assert sorted(seen) == sorted(loader.users)
 
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_batches_are_length_buckets(self, tiny_dataset, pipeline):
-        batches = list(self.make_loader(tiny_dataset, pipeline).epoch())
+    def test_batches_are_length_buckets(self, tiny_dataset):
+        batches = list(self.make_loader(tiny_dataset).epoch())
         spans = sorted(
             (int(lengths.min()), int(lengths.max()))
             for lengths in map(self.history_lengths, batches)
@@ -166,10 +159,9 @@ class TestLengthBucketedEpochs:
         firsts = [int(self.history_lengths(batch).min()) for batch in batches]
         assert firsts != sorted(firsts)
 
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_seeded_epoch_is_reproducible(self, tiny_dataset, pipeline):
+    def test_seeded_epoch_is_reproducible(self, tiny_dataset):
         runs = [
-            list(self.make_loader(tiny_dataset, pipeline, seed=3).epoch())
+            list(self.make_loader(tiny_dataset, seed=3).epoch())
             for __ in range(2)
         ]
         assert len(runs[0]) == len(runs[1])
@@ -177,11 +169,10 @@ class TestLengthBucketedEpochs:
             np.testing.assert_array_equal(left.users, right.users)
             np.testing.assert_array_equal(left.negatives, right.negatives)
 
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_weights_are_real_positions_over_the_mean(self, tiny_dataset, pipeline):
+    def test_weights_are_real_positions_over_the_mean(self, tiny_dataset):
         """A batch's weight is its real positions over the epoch's mean
         per batch, so every real position of an epoch weighs the same."""
-        batches = list(self.make_loader(tiny_dataset, pipeline).epoch())
+        batches = list(self.make_loader(tiny_dataset).epoch())
         positions = np.array([batch.mask.sum() for batch in batches])
         np.testing.assert_allclose(
             [batch.weight for batch in batches], positions / positions.mean()
@@ -252,16 +243,9 @@ class TestPaddedPositionNegatives:
     slots that represent "nothing".
     """
 
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_negatives_are_pad_id_at_padded_positions(
-        self, tiny_dataset, pipeline
-    ):
+    def test_negatives_are_pad_id_at_padded_positions(self, tiny_dataset):
         loader = NextItemBatchLoader(
-            tiny_dataset,
-            max_length=12,
-            batch_size=32,
-            rng=np.random.default_rng(0),
-            pipeline=pipeline,
+            tiny_dataset, max_length=12, batch_size=32, rng=np.random.default_rng(0)
         )
         for batch in loader.epoch():
             padded = batch.mask == 0.0

@@ -1,5 +1,5 @@
 """Precomputed padded views: equivalence with per-row pad_left; the
-cycling stream; same-seed determinism of the vectorized loaders."""
+cycling stream; same-seed determinism of the contrastive loader."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from repro.augment import Crop, Mask, PairSampler, Reorder
 from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader, pad_left
 from repro.data.pipeline import (
     CyclingStream,
-    PaddedViews,
     build_padded_views,
     padded_views,
-    validate_pipeline,
 )
 from tests.conftest import make_tiny_dataset
 
@@ -27,20 +25,14 @@ ragged = st.lists(
 
 
 def reference_views(train_sequences, max_length):
-    """The scalar construction the loaders used before vectorization."""
+    """The per-row ``pad_left`` construction the views replace."""
     inputs = np.stack(
         [pad_left(s[:-1], max_length) for s in train_sequences]
     ) if train_sequences else np.zeros((0, max_length), dtype=np.int64)
     targets = np.stack(
         [pad_left(s[1:], max_length) for s in train_sequences]
     ) if train_sequences else np.zeros((0, max_length), dtype=np.int64)
-    sequences = np.stack(
-        [pad_left(s, max_length) for s in train_sequences]
-    ) if train_sequences else np.zeros((0, max_length), dtype=np.int64)
-    lengths = np.array(
-        [min(len(s), max_length) for s in train_sequences], dtype=np.int64
-    )
-    return inputs, targets, sequences, lengths
+    return inputs, targets
 
 
 class TestBuildPaddedViews:
@@ -48,13 +40,9 @@ class TestBuildPaddedViews:
     @given(train_sequences=ragged, max_length=st.integers(1, 16))
     def test_matches_per_row_pad_left(self, train_sequences, max_length):
         views = build_padded_views(train_sequences, max_length, num_items=300)
-        inputs, targets, sequences, lengths = reference_views(
-            train_sequences, max_length
-        )
+        inputs, targets = reference_views(train_sequences, max_length)
         np.testing.assert_array_equal(views.inputs, inputs)
         np.testing.assert_array_equal(views.targets, targets)
-        np.testing.assert_array_equal(views.sequences, sequences)
-        np.testing.assert_array_equal(views.lengths, lengths)
 
     def test_tiny_dataset_row_by_row(self):
         dataset = make_tiny_dataset()
@@ -63,8 +51,6 @@ class TestBuildPaddedViews:
         for u, seq in enumerate(dataset.train_sequences):
             np.testing.assert_array_equal(views.inputs[u], pad_left(seq[:-1], T))
             np.testing.assert_array_equal(views.targets[u], pad_left(seq[1:], T))
-            np.testing.assert_array_equal(views.sequences[u], pad_left(seq, T))
-            assert views.lengths[u] == min(len(seq), T)
 
     def test_rejects_nonpositive_max_length(self):
         with pytest.raises(ValueError):
@@ -100,21 +86,11 @@ class TestPaddedViewsCache:
         fresh = padded_views(dataset, 12)
         assert fresh is not stale
         np.testing.assert_array_equal(
-            fresh.sequences[0], pad_left(dataset.train_sequences[0], 12)
+            fresh.targets[0], pad_left(dataset.train_sequences[0][1:], 12)
         )
 
 
-class TestValidatePipeline:
-    def test_accepts_known_switches(self):
-        assert validate_pipeline("reference") == "reference"
-        assert validate_pipeline("vectorized") == "vectorized"
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="pipeline"):
-            validate_pipeline("turbo")
-
-
-def contrastive_loader(pipeline, seed=0, batch_size=64):
+def contrastive_loader(seed=0, batch_size=64):
     dataset = make_tiny_dataset()
     sampler = PairSampler(
         [Crop(0.6), Mask(0.3, mask_token=dataset.num_items + 1), Reorder(0.5)]
@@ -125,14 +101,22 @@ def contrastive_loader(pipeline, seed=0, batch_size=64):
         max_length=12,
         batch_size=batch_size,
         rng=np.random.default_rng(seed),
-        pipeline=pipeline,
     )
 
 
+def test_loaders_refuse_any_other_pipeline():
+    """There is one batch path; the keyword names it and nothing else."""
+    dataset, rng = make_tiny_dataset(), np.random.default_rng(0)
+    sampler = PairSampler([Crop(0.6)])
+    with pytest.raises(ValueError, match="pipeline must be 'reference'"):
+        NextItemBatchLoader(dataset, 12, 32, rng, pipeline="vectorized")
+    with pytest.raises(ValueError, match="pipeline must be 'reference'"):
+        ContrastiveBatchLoader(dataset, sampler, 12, 32, rng, pipeline="vectorized")
+
+
 class TestCyclingStream:
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_cycles_past_epoch_boundaries(self, pipeline):
-        loader = contrastive_loader(pipeline)
+    def test_cycles_past_epoch_boundaries(self):
+        loader = contrastive_loader()
         pulls = 2 * loader.num_batches + 1  # forces at least one restart
         stream = CyclingStream(loader)
         batches = [stream.next() for __ in range(pulls)]
@@ -140,10 +124,10 @@ class TestCyclingStream:
         assert all(b.view_a.shape[1] == 12 for b in batches)
 
 
-class TestVectorizedDeterminism:
+class TestContrastiveDeterminism:
     def test_same_seed_same_batches(self):
         def epoch_views(seed):
-            loader = contrastive_loader("vectorized", seed=seed, batch_size=32)
+            loader = contrastive_loader(seed=seed, batch_size=32)
             return [(b.users, b.view_a, b.view_b) for b in loader.epoch()]
 
         first, second = epoch_views(7), epoch_views(7)
@@ -155,29 +139,3 @@ class TestVectorizedDeterminism:
         assert any(
             not np.array_equal(a[1], b[1]) for a, b in zip(first, shifted)
         )
-
-    def test_next_item_vectorized_matches_reference(self):
-        # Padding carries no randomness, so both pipelines hand every
-        # user bit-identical inputs/targets/mask; only the shuffle
-        # order and negative draws move to the child stream.
-        def per_user(pipeline):
-            loader = NextItemBatchLoader(
-                make_tiny_dataset(),
-                max_length=12,
-                batch_size=32,
-                rng=np.random.default_rng(3),
-                pipeline=pipeline,
-            )
-            rows = {}
-            for batch in loader.epoch():
-                for i, user in enumerate(batch.users):
-                    rows[int(user)] = (
-                        batch.inputs[i], batch.targets[i], batch.mask[i]
-                    )
-            return rows
-
-        ref, vec = per_user("reference"), per_user("vectorized")
-        assert ref.keys() == vec.keys()
-        for user in ref:
-            for left, right in zip(ref[user], vec[user]):
-                np.testing.assert_array_equal(left, right)

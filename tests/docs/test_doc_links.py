@@ -6,7 +6,7 @@ Three kinds of references are verified across ``README.md`` and
 * markdown links ``[text](target)`` whose target is a relative path
   (external URLs and pure ``#anchors`` are skipped);
 * backticked path tokens like ```docs/PERFORMANCE.md``` or
-  ```benchmarks/test_pipeline_throughput.py`` — checked whenever they
+  ```benchmarks/test_train_parallel.py`` — checked whenever they
   name a markdown file, or a python/source path containing a ``/``
   (bare module names and glob patterns are skipped);
 * any ``examples/…``, ``benchmarks/…``, ``tests/…`` or ``src/…`` path

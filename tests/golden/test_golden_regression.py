@@ -140,60 +140,6 @@ class TestGoldenRegression:
             update_golden,
         )
 
-    def test_sasrec_losses_vectorized_pipeline(self, golden_dataset, update_golden):
-        # A separate fixture, *added alongside* the reference one: the
-        # vectorized pipeline draws shuffles/negatives from a child rng
-        # stream, so its numbers differ from the reference path by
-        # design — but must themselves stay pinned across refactors.
-        model = SASRec(
-            golden_dataset,
-            SASRecConfig(
-                dim=16,
-                train=TrainConfig(
-                    epochs=EPOCHS,
-                    batch_size=32,
-                    max_length=12,
-                    seed=0,
-                    pipeline="vectorized",
-                ),
-            ),
-        )
-        history = train_next_item_model(model, golden_dataset, model.config.train)
-        check_against_golden(
-            "sasrec_losses_vectorized",
-            {"losses": [float(x) for x in history.losses[:EPOCHS]]},
-            update_golden,
-        )
-
-    def test_cl4srec_joint_losses_vectorized_pipeline(
-        self, golden_dataset, update_golden
-    ):
-        model = CL4SRec(
-            golden_dataset,
-            CL4SRecConfig(
-                sasrec=SASRecConfig(
-                    dim=16,
-                    train=TrainConfig(epochs=1, batch_size=32, max_length=12, seed=0),
-                ),
-                augmentations=("crop", "mask", "reorder"),
-                rates=0.5,
-                mode="joint",
-                joint=TrainConfig(
-                    epochs=EPOCHS,
-                    batch_size=32,
-                    max_length=12,
-                    seed=0,
-                    pipeline="vectorized",
-                ),
-            ),
-        )
-        losses = train_joint(model, golden_dataset, model.cl_config.joint)
-        check_against_golden(
-            "cl4srec_joint_losses_vectorized",
-            {"losses": [float(x) for x in losses[:EPOCHS]]},
-            update_golden,
-        )
-
     def test_sasrec_eval_metric_row(self, golden_dataset, trained_sasrec, update_golden):
         model, __ = trained_sasrec
         result = Evaluator(golden_dataset, split="test").evaluate(model)

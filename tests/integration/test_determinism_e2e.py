@@ -33,7 +33,7 @@ DETERMINISTIC_FIELDS = {
 }
 
 
-def run_pipeline(tmp_path, label: str, seed: int, pipeline: str = "reference"):
+def run_pipeline(tmp_path, label: str, seed: int):
     """One full train→eval run; returns (metric rows, top-k lists)."""
     dataset = make_tiny_dataset()
     model = CL4SRec(
@@ -46,13 +46,7 @@ def run_pipeline(tmp_path, label: str, seed: int, pipeline: str = "reference"):
             augmentations=("crop", "mask", "reorder"),
             rates=0.5,
             mode="joint",
-            joint=TrainConfig(
-                epochs=2,
-                batch_size=32,
-                max_length=12,
-                seed=seed,
-                pipeline=pipeline,
-            ),
+            joint=TrainConfig(epochs=2, batch_size=32, max_length=12, seed=seed),
         ),
     )
     run_dir = tmp_path / label
@@ -79,15 +73,10 @@ def run_pipeline(tmp_path, label: str, seed: int, pipeline: str = "reference"):
 
 @pytest.mark.slow
 class TestDeterminismEndToEnd:
-    @pytest.mark.parametrize("pipeline", ["reference", "vectorized"])
-    def test_same_seed_bit_identical_different_seed_diverges(
-        self, tmp_path, pipeline
-    ):
-        # The vectorized path draws from private child rng streams;
-        # determinism must hold there as on the reference path.
-        rows_a, topk_a = run_pipeline(tmp_path, "run_a", seed=0, pipeline=pipeline)
-        rows_b, topk_b = run_pipeline(tmp_path, "run_b", seed=0, pipeline=pipeline)
-        rows_c, topk_c = run_pipeline(tmp_path, "run_c", seed=1, pipeline=pipeline)
+    def test_same_seed_bit_identical_different_seed_diverges(self, tmp_path):
+        rows_a, topk_a = run_pipeline(tmp_path, "run_a", seed=0)
+        rows_b, topk_b = run_pipeline(tmp_path, "run_b", seed=0)
+        rows_c, topk_c = run_pipeline(tmp_path, "run_c", seed=1)
 
         # Same seed: every deterministic metric value is bit-identical …
         assert rows_a == rows_b

@@ -61,12 +61,18 @@ def test_replay_against_live_server(server, trace):
     assert report["violations"] == []
 
 
-def test_replay_is_complete_under_tiny_deadlines(server, trace):
+def test_replay_is_complete_under_tiny_deadlines(server, tiny_dataset):
     """An absurd deadline budget produces refusals, never violations."""
     host, port = server.address
+    short = synthesize_trace(
+        num_events=60,
+        user_pool=tiny_dataset.num_users,
+        num_items=tiny_dataset.num_items,
+        hot_users=40,
+        seed=17,
+    )
     result = run_loadtest(
-        trace, host, port,
-        LoadTestConfig(threads=3, max_events=60, deadline_ms=0.01),
+        short, host, port, LoadTestConfig(threads=3, deadline_ms=0.01)
     )
     assert result.ok, result.violations
     assert len(result.outcomes) == 60

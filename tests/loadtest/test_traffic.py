@@ -18,10 +18,9 @@ from repro.data.synthetic import TrafficConfig, TrafficTrace, synthesize_trace
 QUICK = dict(num_events=400, user_pool=120, num_items=60, hot_users=30)
 
 
-def trace_bytes(trace: TrafficTrace, limit=None) -> bytes:
+def trace_bytes(trace: TrafficTrace) -> bytes:
     return b"\n".join(
-        json.dumps(event, sort_keys=True).encode()
-        for event in trace.events(limit)
+        json.dumps(event, sort_keys=True).encode() for event in trace.events()
     )
 
 
@@ -44,9 +43,11 @@ def test_different_seed_differs():
 
 
 def test_limit_is_a_prefix():
-    trace = synthesize_trace(seed=5, **QUICK)
-    full = list(trace.events())
-    assert list(trace.events(limit=50)) == full[:50]
+    """A shorter trace (``repro loadtest --events``) is a prefix of the
+    longer one with the same seed."""
+    full = list(synthesize_trace(seed=5, **QUICK).events())
+    short = synthesize_trace(seed=5, **{**QUICK, "num_events": 50})
+    assert list(short.events()) == full[:50]
 
 
 def test_sessions_are_order_independent():

@@ -33,10 +33,10 @@ def tiny_trace(tiny_dataset):
     )
 
 
-def sequences_of(trace, limit=None):
+def sequences_of(trace):
     """Flatten a trace into raw request payload sequences."""
     out = []
-    for event in trace.events(limit):
+    for event in trace.events():
         for payload in event["requests"]:
             out.append(payload)
     return out

@@ -13,11 +13,9 @@ from repro.models.sasrec import SASRecConfig
 from repro.models.training import TrainConfig
 
 
-def tiny_cl4srec_config(
-    mode: str = "joint", epochs: int = 4, pipeline: str = "reference"
-) -> CL4SRecConfig:
+def tiny_cl4srec_config(mode: str = "joint", epochs: int = 4) -> CL4SRecConfig:
     """A CL4SRec config that trains in seconds on the tiny dataset."""
-    shared = {"epochs": epochs, "batch_size": 64, "pipeline": pipeline}
+    shared = {"epochs": epochs, "batch_size": 64}
     return CL4SRecConfig(
         sasrec=SASRecConfig(
             dim=16,
@@ -35,12 +33,7 @@ def tiny_cl4srec_config(
 def build_model(tiny_dataset):
     """Factory: identically-initialized tiny CL4SRec models on demand."""
 
-    def factory(
-        mode: str = "joint", epochs: int = 4, pipeline: str = "reference"
-    ) -> CL4SRec:
-        return CL4SRec(
-            tiny_dataset,
-            tiny_cl4srec_config(mode=mode, epochs=epochs, pipeline=pipeline),
-        )
+    def factory(mode: str = "joint", epochs: int = 4) -> CL4SRec:
+        return CL4SRec(tiny_dataset, tiny_cl4srec_config(mode=mode, epochs=epochs))
 
     return factory

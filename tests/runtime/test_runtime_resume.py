@@ -62,14 +62,14 @@ def run_regime(regime, model, dataset, runtime=None):
 
 
 def assert_kill_and_resume_is_bit_exact(
-    build_model, dataset, directory, regime, pipeline, preempt_at
+    build_model, dataset, directory, regime, preempt_at
 ):
     """Straight-through training vs. killed + resumed training produce
     identical parameters and identical histories — every live generator
-    (loop rng, the model's dropout rng and, when vectorized, the
-    loaders' child streams) is captured in the checkpoint."""
+    (the loop rng and the model's dropout rng) is captured in the
+    checkpoint."""
     mode = "pretrain_finetune" if regime == "pretrain" else "joint"
-    build = partial(build_model, mode=mode, pipeline=pipeline)
+    build = partial(build_model, mode=mode)
     straight = build()
     series_straight = run_regime(regime, straight, dataset)
 
@@ -89,17 +89,6 @@ def assert_kill_and_resume_is_bit_exact(
     assert runtime.resumed_from is not None
     assert series_resumed == series_straight
     assert_params_equal(straight, resumed)
-
-
-@pytest.mark.parametrize(
-    "regime, preempt_at", [("joint", 8), ("pretrain", 5), ("next_item", 7)]
-)
-def test_kill_and_resume_is_bit_exact_vectorized(
-    tiny_dataset, build_model, tmp_path, regime, preempt_at
-):
-    assert_kill_and_resume_is_bit_exact(
-        build_model, tiny_dataset, tmp_path, regime, "vectorized", preempt_at
-    )
 
 
 #: Small batches, so every model's epoch has several steps to cut.
@@ -143,10 +132,11 @@ def test_every_model_kill_and_resume_is_bit_exact(tiny_dataset, tmp_path, name):
 
 
 def test_checkpoint_with_fewer_rng_streams_raises(tiny_dataset, build_model, tmp_path):
-    """A checkpoint one RNG stream short of the run (what a vectorized
-    checkpoint from before the loaders' child streams were captured
-    looks like) is refused by name, never resumed silently."""
-    killed = build_model(pipeline="reference")
+    """A checkpoint one RNG stream short of the run is refused by name,
+    never resumed silently.  The killed run draws its batches from the
+    model's own generator (one stream); the resumed run brings a loop
+    generator of its own (two)."""
+    killed = build_model()
     with pytest.raises(TrainingInterrupted):
         run_regime(
             "joint",
@@ -154,19 +144,21 @@ def test_checkpoint_with_fewer_rng_streams_raises(tiny_dataset, build_model, tmp
             tiny_dataset,
             make_runtime(tmp_path, faults=FaultInjector().preempt(at=8)),
         )
-    with pytest.raises(CheckpointError, match="RNG states"):
-        run_regime(
-            "joint",
-            build_model(pipeline="vectorized"),
+    resumed = build_model()
+    with pytest.raises(CheckpointError, match="holds 1 RNG states, run has 2"):
+        train_joint(
+            resumed,
             tiny_dataset,
-            make_runtime(tmp_path),
+            resumed.cl_config.joint,
+            rng=np.random.default_rng(0),
+            runtime=make_runtime(tmp_path),
         )
 
 
 class TestJointResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
         assert_kill_and_resume_is_bit_exact(
-            build_model, tiny_dataset, tmp_path, "joint", "reference", preempt_at=8
+            build_model, tiny_dataset, tmp_path, "joint", preempt_at=8
         )
 
     def test_corrupt_newest_checkpoint_falls_back_and_finishes(
@@ -340,14 +332,14 @@ class TestJointResume:
 class TestPretrainResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
         assert_kill_and_resume_is_bit_exact(
-            build_model, tiny_dataset, tmp_path, "pretrain", "reference", preempt_at=5
+            build_model, tiny_dataset, tmp_path, "pretrain", preempt_at=5
         )
 
 
 class TestNextItemResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, build_model, tmp_path):
         assert_kill_and_resume_is_bit_exact(
-            build_model, tiny_dataset, tmp_path, "next_item", "reference", preempt_at=7
+            build_model, tiny_dataset, tmp_path, "next_item", preempt_at=7
         )
 
     def test_early_stopping_state_survives_resume(self, tiny_dataset, build_model, tmp_path):

@@ -187,6 +187,31 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err.strip() == f"loadtest: {message}"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "-1"], "workers must be >= 0, got -1"),
+            (["--keep", "0"], "keep must be >= 1, got 0"),
+            (["--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
+        ],
+        ids=["workers", "keep", "checkpoint-every"],
+    )
+    def test_bad_train_flag_is_one_line_exit_2(
+        self, argv, message, capsys, tmp_path, monkeypatch
+    ):
+        """``train`` follows the serving commands' rule, and refuses a
+        bad flag before the dataset is built."""
+        from repro.data import registry
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before the flags were checked")
+
+        monkeypatch.setattr(registry, "load_dataset", no_dataset)
+        code = main(["train", "--preset", "smoke",
+                     "--checkpoint-dir", str(tmp_path / "ck"), *argv])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"train: {message}"
+
     def test_bad_serve_config_is_one_line_exit_2(self, capsys):
         code = main(["recommend", "--checkpoint", "c", "--user", "0",
                      "--cache-size", "0"])
@@ -356,23 +381,6 @@ class TestObservabilityCli:
             ["train", "--obs-dir", "runs/exp1", "--profile"]
         )
         assert args.obs_dir == "runs/exp1" and args.profile
-
-    def test_train_pipeline_flag_parsed(self):
-        assert build_parser().parse_args(["train"]).pipeline == "reference"
-        args = build_parser().parse_args(["train", "--pipeline", "vectorized"])
-        assert args.pipeline == "vectorized"
-
-    def test_train_pipeline_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--pipeline", "turbo"])
-
-    def test_train_help_documents_pipeline(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--pipeline" in help_text
-        assert "vectorized" in help_text
-        assert "docs/PERFORMANCE.md" in help_text
 
     def test_stats_missing_run_dir_fails(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "nope")]) == 2

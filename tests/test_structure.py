@@ -42,6 +42,10 @@
   holds no ``global`` and no ``set_*`` function, no dataclass declares a
   ``dtype`` field, and no flag is called ``--dtype``
   (docs/PERFORMANCE.md "One precision").
+* There is one data pipeline: no ``*Config`` dataclass declares a
+  ``pipeline`` field, no flag is called ``--pipeline``, and nothing
+  imports ``repro.augment.batched`` (docs/PERFORMANCE.md "The data
+  pipeline").
 * There is one artifact layer: only ``nn/serialization.py`` calls
   ``np.savez``, ``np.save`` or ``np.load`` (docs/ROBUSTNESS.md
   "Artifacts").
@@ -177,6 +181,36 @@ def test_nothing_selects_a_precision():
                 ]
             elif isinstance(node, ast.Constant) and node.value == "--dtype":
                 offenders.append(f"{name}:{node.lineno} --dtype")
+    assert offenders == []
+
+
+def imports_batched_augmentations(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "repro.augment.batched" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "repro.augment.batched" or (
+            node.module == "repro.augment"
+            and any(alias.name == "batched" for alias in node.names)
+        )
+    return False
+
+
+def test_one_data_pipeline():
+    """Batches are built one way: the scalar augmentations (§3.2.1),
+    with no config field or flag to pick a matrix form.  A class
+    constant is not a field: no constructor, ``replace`` or config file
+    sets it."""
+    offenders = [
+        f"{name}: {config}.pipeline"
+        for name, config, __, fields in config_classes()
+        if "pipeline" in fields
+    ]
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value == "--pipeline":
+                offenders.append(f"{name}:{node.lineno} --pipeline")
+            elif imports_batched_augmentations(node):
+                offenders.append(f"{name}:{node.lineno} imports repro.augment.batched")
     assert offenders == []
 
 
@@ -529,6 +563,7 @@ def config_classes():
                 for statement in node.body
                 if isinstance(statement, ast.AnnAssign)
                 and isinstance(statement.target, ast.Name)
+                and not ast.unparse(statement.annotation).startswith("ClassVar")
             ]
             bases = {getattr(base, "id", None) for base in node.bases}
             yield name, node.name, bases, fields

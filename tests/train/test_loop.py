@@ -9,15 +9,13 @@ from repro.core.cl4srec import CL4SRec, CL4SRecConfig
 from repro.core.trainer import train_joint
 from repro.data.loaders import ContrastiveBatchLoader, NextItemBatchLoader
 from repro.data.preprocessing import SequenceDataset
-from repro.experiments.config import SMOKE_SCALE
-from repro.models.registry import build_model
 from repro.models.sasrec import SASRec, SASRecConfig
 from repro.models.training import TrainConfig
 from repro.train.stages import JointStage, NextItemStage
 from tests.conftest import make_tiny_dataset
 
 
-def test_joint_vectorized_is_timing_independent(monkeypatch):
+def test_joint_is_timing_independent(monkeypatch):
     """The contrastive side cycles mid-epoch here (fewer contrastive
     than supervised batches), so a prefetch thread on it would run
     past the epoch's last step by a timing-dependent number of draws.
@@ -46,7 +44,7 @@ def test_joint_vectorized_is_timing_independent(monkeypatch):
                 dim=16, num_layers=1, num_heads=1,
                 train=TrainConfig(batch_size=64, max_length=50),
             ),
-            joint=TrainConfig(epochs=2, batch_size=64, pipeline="vectorized"),
+            joint=TrainConfig(epochs=2, batch_size=64),
         )
         model = CL4SRec(dataset, config)
         losses = train_joint(model, dataset, config.joint, rng=model._rng)
@@ -66,15 +64,6 @@ def test_joint_vectorized_is_timing_independent(monkeypatch):
     assert losses_slow == losses_fast
     for name in state_fast:
         np.testing.assert_array_equal(state_fast[name], state_slow[name], err_msg=name)
-
-
-@pytest.mark.parametrize("name", ["BPR-MF", "NCF", "FPMC", "Caser", "BERT4Rec"])
-def test_one_path_models_refuse_the_vectorized_pipeline(name, tiny_dataset):
-    """Row-table and Cloze stages have one batch path; asking for the
-    other one is an error, not a silent fall-back."""
-    model = build_model(name, tiny_dataset, SMOKE_SCALE)
-    with pytest.raises(ValueError, match=f"{name} has one batch path"):
-        model.fit(tiny_dataset, pipeline="vectorized")
 
 
 @pytest.mark.parametrize("stage", [NextItemStage, JointStage])

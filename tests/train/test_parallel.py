@@ -46,25 +46,19 @@ from repro.train.stages import PretrainStage
 pytestmark = pytest.mark.parallel
 
 
-def build_cl4srec(dataset, mode="joint", workers=0, dtype=None,
-                  pipeline="reference", epochs=2):
+def build_cl4srec(dataset, mode="joint", workers=0, dtype=None, epochs=2):
     config = CL4SRecConfig(
         sasrec=SASRecConfig(
             dim=16,
             num_layers=1,
             num_heads=1,
             train=TrainConfig(
-                epochs=epochs, batch_size=64, max_length=50,
-                workers=workers, pipeline=pipeline,
+                epochs=epochs, batch_size=64, max_length=50, workers=workers
             ),
         ),
         mode=mode,
-        pretrain=TrainConfig(
-            epochs=epochs, batch_size=64, workers=workers, pipeline=pipeline,
-        ),
-        joint=TrainConfig(
-            epochs=epochs, batch_size=64, workers=workers, pipeline=pipeline,
-        ),
+        pretrain=TrainConfig(epochs=epochs, batch_size=64, workers=workers),
+        joint=TrainConfig(epochs=epochs, batch_size=64, workers=workers),
     )
     model = CL4SRec(dataset, config)
     # float64 only through an explicit cast: the loop trains the model
@@ -193,16 +187,6 @@ class TestBitIdentity:
         assert all(np.isfinite(runs[0][1]))
         assert_states_equal(runs[0][0], runs[1][0])
 
-    def test_vectorized_pipeline_workers2(self, tiny_dataset):
-        state_a, losses_a = self._run_pretrain(
-            tiny_dataset, workers=2, pipeline="vectorized"
-        )
-        state_b, losses_b = self._run_pretrain(
-            tiny_dataset, workers=2, pipeline="vectorized"
-        )
-        assert losses_a == losses_b
-        assert_states_equal(state_a, state_b)
-
     def test_worker_counts_diverge_by_design(self, tiny_dataset):
         """workers=N shuffles each shard independently, so the sample
         order — and therefore the trained weights — intentionally
@@ -236,9 +220,9 @@ class TestBitIdentity:
 
 @pytest.mark.fault_injection
 class TestResume:
-    def _assert_bit_exact(self, dataset, directory, regime, pipeline):
+    def _assert_bit_exact(self, dataset, directory, regime):
         def run(runtime=None):
-            model = build_cl4srec(dataset, workers=2, epochs=4, pipeline=pipeline)
+            model = build_cl4srec(dataset, workers=2, epochs=4)
             if regime == "joint":
                 config, train = model.cl_config.joint, train_joint
             elif regime == "pretrain":
@@ -260,22 +244,13 @@ class TestResume:
         assert_states_equal(state_straight, state_resumed)
 
     def test_kill_and_resume_is_bit_exact_workers2(self, tiny_dataset, tmp_path):
-        self._assert_bit_exact(tiny_dataset, tmp_path, "joint", "reference")
+        self._assert_bit_exact(tiny_dataset, tmp_path, "joint")
 
-    @pytest.mark.parametrize(
-        "regime, pipeline",
-        [
-            ("joint", "vectorized"),
-            ("pretrain", "reference"),
-            ("pretrain", "vectorized"),
-            ("next_item", "reference"),
-            ("next_item", "vectorized"),
-        ],
-    )
+    @pytest.mark.parametrize("regime", ["pretrain", "next_item"])
     def test_kill_and_resume_is_bit_exact_workers2_regimes(
-        self, tiny_dataset, tmp_path, regime, pipeline
+        self, tiny_dataset, tmp_path, regime
     ):
-        self._assert_bit_exact(tiny_dataset, tmp_path, regime, pipeline)
+        self._assert_bit_exact(tiny_dataset, tmp_path, regime)
 
     def test_resume_with_wrong_worker_count_raises(self, tiny_dataset, tmp_path):
         killed = build_cl4srec(tiny_dataset, workers=2, epochs=4)
