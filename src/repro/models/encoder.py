@@ -11,15 +11,29 @@ import numpy as np
 
 from repro.data.loaders import pad_left
 from repro.nn import init
+from repro.nn.functional import merge_row_groups
 from repro.nn.layers import Dropout, Embedding
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor, no_grad
-from repro.nn.transformer import TransformerEncoder
+from repro.nn.transformer import TransformerEncoder, cut_mask, cut_masks
 
-#: Rows per length group in :meth:`SASRecEncoder.encode_sequences`:
-#: small groups fit each width tightly, large ones make fewer BLAS calls.
-#: 32 was fastest of 16/32/64/128 (docs/PERFORMANCE.md, compute core §5).
+#: Rows per length group, in :meth:`SASRecEncoder.encode_sequences` and
+#: in a grad-mode batch: small groups fit each width tightly, large ones
+#: make fewer BLAS calls.  32 was fastest of 16/32/64/128
+#: (docs/PERFORMANCE.md, compute core §5).
 _GROUP_ROWS = 32
+
+
+def _length_groups(lengths: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """``(rows, width)`` per length group: the row indices stably sorted
+    by ``lengths`` and cut into groups of ``_GROUP_ROWS``, each with its
+    longest length as its width (at least 1)."""
+    order = np.argsort(lengths, kind="stable")
+    groups = []
+    for start in range(0, len(order), _GROUP_ROWS):
+        rows = order[start : start + _GROUP_ROWS]
+        groups.append((rows, max(1, int(lengths[rows[-1]]))))
+    return groups
 
 
 def trailing_columns(array: np.ndarray, width: int, name: str) -> np.ndarray:
@@ -105,7 +119,10 @@ class SASRecEncoder(Module):
         return item_ids
 
     def _embed(
-        self, item_ids: np.ndarray, first_position: int
+        self,
+        item_ids: np.ndarray,
+        first_position: int,
+        dropout_mask: np.ndarray | None = None,
     ) -> tuple[Tensor, np.ndarray]:
         """The input to the first block for a ``(B, w)`` batch whose
         columns sit at positions ``first_position .. first_position + w -
@@ -115,32 +132,67 @@ class SASRecEncoder(Module):
 
         The ``(w, d)`` block of position rows is sliced from the table
         and added by broadcast (no per-row gather, and its gradient is
-        a batch sum, not a scatter); the embedding dropout mask is drawn
-        at ``(B, w, d)``.
+        a batch sum, not a scatter).  The embedding dropout applies
+        ``dropout_mask``, or draws one at ``(B, w, d)``.
         """
         last_position = first_position + item_ids.shape[1]
         positions = self.position_embedding.weight[first_position:last_position]
         hidden = self.item_embedding(item_ids) + positions
-        return self.embedding_dropout(hidden), item_ids == 0
+        return self.embedding_dropout(hidden, dropout_mask), item_ids == 0
 
-    def _embed_trailing(
-        self, item_ids: np.ndarray
-    ) -> tuple[Tensor, np.ndarray | None]:
-        """The first block's input for the trailing ``w`` columns of a
-        left-padded ``(B, T)`` batch, ``w`` its longest history (≥ 1),
-        and their padding mask (``None`` when nothing is padded).
+    def _encode(self, item_ids: np.ndarray, last_row: bool) -> Tensor:
+        """The body of :meth:`forward` (``(B, w, d)``) and, with
+        ``last_row``, of :meth:`user_representation` (``(B, 1, d)``) for
+        a left-padded ``(B, T)`` batch, ``w`` its longest history (≥ 1).
 
-        The columns cut hold padding in every row, and no real position
-        attends to padding, so every kept position computes what it
-        would in the ``T``-wide batch.  Dropout masks are drawn at the
-        kept shape, so a training step's generator stream depends on
-        ``w``.
+        The columns left of ``w`` hold padding in every row and are cut.
+        Rows are then grouped by length as in :meth:`encode_sequences`:
+        each group runs over its own trailing ``w_g`` columns, embedded
+        at positions ``T - w_g .. T - 1``.  No real position attends to
+        padding, and a padding position attends only to itself, so every
+        kept position computes what it would in the ``T``-wide batch.
+
+        Every dropout site draws once, in a single pass's order, at the
+        batch's kept shape — ``(B, w, d)`` and ``(B, h, w, w)``, or the
+        last row's ``(B, 1, d)`` and ``(B, h, 1, w)`` — and each group
+        uses its slice, so grouping leaves the generator stream as it
+        is.  A batch that fits in one group runs whole, in input order.
         """
         item_ids = self._full_width(item_ids)
         width = max(1, int(np.count_nonzero(item_ids, axis=1).max(initial=0)))
         kept = trailing_columns(item_ids, width, "item_ids")
-        hidden, padding_mask = self._embed(kept, self.max_length - width)
-        return hidden, padding_mask if padding_mask.any() else None
+        batch, dtype = kept.shape[0], self.item_embedding.weight.dtype
+        embedding_mask = self.embedding_dropout.draw((batch, width, self.dim), dtype)
+        block_masks = self.transformer.draw_masks(batch, width, last_row, dtype)
+
+        # Each row's span from its first item: a group cut at its longest
+        # span drops no item.
+        real = kept != 0
+        lengths = np.where(real.any(axis=1), width - real.argmax(axis=1), 0)
+        groups = _length_groups(lengths)
+        if len(groups) == 1:
+            groups = [(slice(None), width)]
+        run = self.transformer.last_row if last_row else self.transformer
+        parts = []
+        for rows, group_width in groups:
+            hidden, padding_mask = self._embed(
+                kept[rows, -group_width:],
+                self.max_length - group_width,
+                cut_mask(embedding_mask, rows, group_width),
+            )
+            parts.append(
+                run(
+                    hidden,
+                    causal=self.causal,
+                    key_padding_mask=padding_mask if padding_mask.any() else None,
+                    masks=cut_masks(block_masks, rows, group_width),
+                )
+            )
+        if len(parts) == 1:
+            return parts[0]
+        return merge_row_groups(
+            parts, groups, (batch, 1 if last_row else width, self.dim)
+        )
 
     def forward(self, item_ids: np.ndarray) -> Tensor:
         """Encode a left-padded batch ``(B, T)`` → hidden states ``(B, w,
@@ -148,12 +200,11 @@ class SASRecEncoder(Module):
         history (at least 1).
 
         Column ``j`` of the result is position ``T - w + j``; callers
-        align per-position targets with :func:`trailing_columns`.
+        align per-position targets with :func:`trailing_columns`.  A
+        column left of a row's length group width (:meth:`_encode`) is
+        padding in that row and holds zeros.
         """
-        hidden, padding_mask = self._embed_trailing(item_ids)
-        return self.transformer(
-            hidden, causal=self.causal, key_padding_mask=padding_mask
-        )
+        return self._encode(item_ids, last_row=False)
 
     def user_representation(self, item_ids: np.ndarray) -> Tensor:
         """The last-position hidden state ``s_u`` (paper Eq. 13).
@@ -162,10 +213,7 @@ class SASRecEncoder(Module):
         tolerance with dropout off, but the final block computes only
         that row and draws only that row's dropout masks.
         """
-        hidden, padding_mask = self._embed_trailing(item_ids)
-        last = self.transformer.last_row(
-            hidden, causal=self.causal, key_padding_mask=padding_mask
-        )
+        last = self._encode(item_ids, last_row=True)
         return last.reshape(last.shape[0], self.dim)
 
     def encode_sequences(self, sequences: list[np.ndarray]) -> np.ndarray:
@@ -185,15 +233,12 @@ class SASRecEncoder(Module):
         """
         t = self.max_length
         lengths = np.array([min(len(s), t) for s in sequences], dtype=np.int64)
-        order = np.argsort(lengths, kind="stable")
         out = np.empty((len(sequences), self.dim), dtype=self.param_dtype())
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                for start in range(0, len(order), _GROUP_ROWS):
-                    rows = order[start : start + _GROUP_ROWS]
-                    width = max(1, int(lengths[rows[-1]]))
+                for rows, width in _length_groups(lengths):
                     batch = np.stack([pad_left(sequences[r], width) for r in rows])
                     hidden, padding_mask = self._embed(batch, t - width)
                     last = self.transformer.last_row(

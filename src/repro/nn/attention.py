@@ -86,6 +86,7 @@ class MultiHeadSelfAttention(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        dropout_mask: np.ndarray | None = None,
     ) -> Tensor:
         """Attend within each sequence of the batch.
 
@@ -100,31 +101,36 @@ class MultiHeadSelfAttention(Module):
             Optional boolean ``(batch, length)`` array where ``True``
             marks padding positions that must never be attended to.
 
-        An active dropout draws its mask at ``(batch, heads, length,
-        length)``, the shape of the probabilities it drops.
+        dropout_mask:
+            A mask for the probabilities that the caller drew (a length
+            group's slice of its batch's mask); with ``None`` an active
+            dropout draws one here, at ``(batch, heads, length,
+            length)``.
         """
-        return self._attend(x, causal, key_padding_mask, last_row=False)
+        return self._attend(x, causal, key_padding_mask, dropout_mask, last_row=False)
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        dropout_mask: np.ndarray | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that query row.
 
         Keys and values span every position of ``x``; the query, the
         attention row and the output projection run on ``(B, 1, d)``.
-        An active dropout draws only that row's mask, ``(B, h, 1,
-        length)``.
+        An active dropout uses only that row's mask, ``(B, h, 1,
+        length)``, drawn here when ``dropout_mask`` is ``None``.
         """
-        return self._attend(x, causal, key_padding_mask, last_row=True)
+        return self._attend(x, causal, key_padding_mask, dropout_mask, last_row=True)
 
     def _attend(
         self,
         x: Tensor,
         causal: bool,
         key_padding_mask: np.ndarray | None,
+        dropout_mask: np.ndarray | None,
         last_row: bool,
     ) -> Tensor:
         with profile_scope("nn.attention"):
@@ -144,13 +150,11 @@ class MultiHeadSelfAttention(Module):
                 return self._attend_inference(x, mask, scale, last_row)
 
             qkv = F.linear(x, self.qkv_proj.weight, self.qkv_proj.bias)
-            drop = None
-            if dropout_active:
-                drop = F.dropout_mask(
+            drop = dropout_mask
+            if drop is None:
+                drop = self.attn_dropout.draw(
                     (batch, self.num_heads, 1 if last_row else width, width),
-                    self.attn_dropout.rate,
-                    self.attn_dropout._rng,
-                    dtype=x.data.dtype,
+                    x.data.dtype,
                 )
             context = F.fused_attention(
                 qkv,

@@ -263,6 +263,31 @@ def fused_attention(
     return Tensor._make(out, (qkv,), backward)
 
 
+def merge_row_groups(
+    parts: list[Tensor],
+    groups: list[tuple[np.ndarray, int]],
+    shape: tuple[int, ...],
+) -> Tensor:
+    """Row groups' outputs as one ``shape`` ``(B, w, d)`` tensor, one
+    graph node.
+
+    Group ``(rows, width)``'s part fills rows ``rows``, trailing
+    ``width`` columns (a last-row axis of 1 whole), so the rows come
+    back in input order.  The columns left of a row's group width hold
+    zeros.  The backward hands each part its slice of the gradient.
+    """
+    out = np.zeros(shape, dtype=parts[0].dtype)
+    for part, (rows, width) in zip(parts, groups):
+        out[rows, -width:] = part.data
+
+    def backward(grad: np.ndarray):
+        return [
+            (part, grad[rows, -width:]) for part, (rows, width) in zip(parts, groups)
+        ]
+
+    return Tensor._make(out, tuple(parts), backward)
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of integer ``targets`` under ``logits``.
 

@@ -108,7 +108,10 @@ class Dropout(Module):
     """Inverted dropout; identity in eval mode.
 
     Randomness comes from the generator handed to the constructor so
-    that training runs are reproducible end-to-end.
+    that training runs are reproducible end-to-end.  :meth:`draw` and
+    the ``mask`` argument of :meth:`forward` split drawing a mask from
+    applying it, so one draw at a batch's shape can serve several
+    slices of that batch.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | None = None) -> None:
@@ -118,8 +121,9 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply a fresh mask drawn at ``x.shape``.
+    def draw(self, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+        """A fresh mask of ``shape``, or ``None`` when inactive (eval
+        mode or rate 0), which draws nothing.
 
         The mask is i.i.d. per element, so only the elements a step
         keeps are drawn: a trimmed batch ``(B, w, d)`` or the final
@@ -127,8 +131,22 @@ class Dropout(Module):
         ``random`` call of that shape, and the stream depends on ``w``.
         """
         if not self.training or self.rate == 0.0:
+            return None
+        return F.dropout_mask(shape, self.rate, self._rng, dtype=dtype)
+
+    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Apply ``mask``, or a fresh one drawn at ``x.shape``.
+
+        A length-grouped encoder draws each site's mask once at the
+        batch's shape and hands every group its slice of it
+        (:func:`repro.nn.transformer.cut_masks`), so grouping leaves
+        the generator stream as it is.
+        """
+        if not self.training or self.rate == 0.0:
             return x
-        return x * Tensor(F.dropout_mask(x.shape, self.rate, self._rng, dtype=x.dtype))
+        if mask is None:
+            mask = self.draw(x.shape, x.dtype)
+        return x * Tensor(mask)
 
     def __repr__(self) -> str:
         return f"Dropout({self.rate})"

@@ -20,6 +20,13 @@ representation, Eq. 13).  Every dropout mask is drawn at the shape it
 drops — ``(B, w, d)`` and ``(B, h, w, w)`` for a ``w``-wide input, ``(B,
 1, d)`` and ``(B, h, 1, w)`` on the final block's last row — so the
 generator stream depends on the width a step keeps.
+
+A caller that runs one batch as several length groups
+(:class:`repro.models.encoder.SASRecEncoder`) draws every mask once at
+the batch's shape (:meth:`TransformerEncoder.draw_masks`) and passes
+each group its slice (:func:`cut_masks`): the stream is the one a
+single ``w``-wide pass draws.  Without ``masks`` a block draws its own
+at its input's shape.
 """
 
 from __future__ import annotations
@@ -32,6 +39,36 @@ from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 from repro.obs.profiling import profile_scope
+
+#: One block's dropout masks in the order a block draws them: attention
+#: probabilities, then the two residual branches.  ``None`` where a
+#: dropout is inactive.
+BlockMasks = tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]
+
+
+def cut_masks(
+    masks: list[BlockMasks], rows: np.ndarray | slice, width: int
+) -> list[BlockMasks]:
+    """The part of batch-shaped block masks that a group of ``rows``,
+    run ``width`` wide over the batch's trailing columns, uses.
+
+    Every position axis keeps its trailing ``width`` entries, and a
+    last-row axis of 1 stays 1: ``(B, h, w, w)`` → ``[rows, :, -width:,
+    -width:]``, ``(B, w, d)`` → ``[rows, -width:]``.
+    """
+    return [tuple(cut_mask(mask, rows, width) for mask in block) for block in masks]
+
+
+def cut_mask(
+    mask: np.ndarray | None, rows: np.ndarray | slice, width: int
+) -> np.ndarray | None:
+    """One mask of :func:`cut_masks`; ``None`` stays ``None``."""
+    if mask is None:
+        return None
+    tail = slice(-width, None)
+    if mask.ndim == 4:
+        return mask[rows, :, tail, tail]
+    return mask[rows, tail]
 
 
 class PositionwiseFeedForward(Module):
@@ -78,36 +115,57 @@ class TransformerEncoderLayer(Module):
         self.dropout1 = Dropout(dropout, rng=rng)
         self.dropout2 = Dropout(dropout, rng=rng)
 
+    def draw_masks(self, batch: int, width: int, rows: int, dtype) -> BlockMasks:
+        """This block's masks for a ``(batch, width)`` input of which
+        ``rows`` trailing query rows are computed (``width``, or 1 for
+        :meth:`last_row`), drawn in the order :meth:`forward` uses them."""
+        dim = self.norm1.dim
+        return (
+            self.attention.attn_dropout.draw(
+                (batch, self.attention.num_heads, rows, width), dtype
+            ),
+            self.dropout1.draw((batch, rows, dim), dtype),
+            self.dropout2.draw((batch, rows, dim), dtype),
+        )
+
     def forward(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        masks: BlockMasks | None = None,
     ) -> Tensor:
-        attended = self.attention(x, causal=causal, key_padding_mask=key_padding_mask)
-        x = self.norm1(x + self.dropout1(attended))
+        """``masks`` from :meth:`draw_masks`; without them each active
+        dropout draws its own, in the same order, at its input's shape."""
+        attn_mask, mask1, mask2 = masks or (None, None, None)
+        attended = self.attention(
+            x, causal=causal, key_padding_mask=key_padding_mask, dropout_mask=attn_mask
+        )
+        x = self.norm1(x + self.dropout1(attended, mask1))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2(transformed))
+        return self.norm2(x + self.dropout2(transformed, mask2))
 
     def last_row(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        masks: BlockMasks | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``, computing only that row.
 
         Attention keys and values see every position of ``x``; the
         query, the residuals, both layer norms and the FFN run on
-        ``(B, 1, d)``, and every dropout mask is drawn for that row only.
+        ``(B, 1, d)``, and every dropout mask covers that row only.
         """
+        attn_mask, mask1, mask2 = masks or (None, None, None)
         attended = self.attention.last_row(
-            x, causal=causal, key_padding_mask=key_padding_mask
+            x, causal=causal, key_padding_mask=key_padding_mask, dropout_mask=attn_mask
         )
         x = x[:, -1:, :]
-        x = self.norm1(x + self.dropout1(attended))
+        x = self.norm1(x + self.dropout1(attended, mask1))
         transformed = self.feed_forward(x)
-        return self.norm2(x + self.dropout2(transformed))
+        return self.norm2(x + self.dropout2(transformed, mask2))
 
 
 class TransformerEncoder(Module):
@@ -133,15 +191,33 @@ class TransformerEncoder(Module):
             self.add_module(f"layer{i}", layer)
             self.layers.append(layer)
 
+    def draw_masks(
+        self, batch: int, width: int, last_row: bool, dtype
+    ) -> list[BlockMasks]:
+        """Every block's masks for a ``(batch, width)`` input, in the
+        order :meth:`forward` (or, with ``last_row``, :meth:`last_row`)
+        draws them.  Cut a group's part with :func:`cut_masks`."""
+        final = len(self.layers) - 1
+        return [
+            layer.draw_masks(batch, width, 1 if last_row and i == final else width, dtype)
+            for i, layer in enumerate(self.layers)
+        ]
+
     def forward(
         self,
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        masks: list[BlockMasks] | None = None,
     ) -> Tensor:
+        """All positions through every block, ``masks`` from
+        :meth:`draw_masks` (drawn block by block when ``None``)."""
+        masks = masks or [None] * len(self.layers)
         with profile_scope("nn.encoder"):
-            for layer in self.layers:
-                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
+            for layer, block_masks in zip(self.layers, masks):
+                x = layer(
+                    x, causal=causal, key_padding_mask=key_padding_mask, masks=block_masks
+                )
             return x
 
     def last_row(
@@ -149,12 +225,18 @@ class TransformerEncoder(Module):
         x: Tensor,
         causal: bool = True,
         key_padding_mask: np.ndarray | None = None,
+        masks: list[BlockMasks] | None = None,
     ) -> Tensor:
         """``forward(x, ...)[:, -1:, :]``: every block but the final one
         runs at all positions, the final one computes only the row that
         is read (:meth:`TransformerEncoderLayer.last_row`)."""
+        *inner_masks, final_masks = masks or [None] * len(self.layers)
         with profile_scope("nn.encoder"):
             *inner, final = self.layers
-            for layer in inner:
-                x = layer(x, causal=causal, key_padding_mask=key_padding_mask)
-            return final.last_row(x, causal=causal, key_padding_mask=key_padding_mask)
+            for layer, block_masks in zip(inner, inner_masks):
+                x = layer(
+                    x, causal=causal, key_padding_mask=key_padding_mask, masks=block_masks
+                )
+            return final.last_row(
+                x, causal=causal, key_padding_mask=key_padding_mask, masks=final_masks
+            )

@@ -42,7 +42,9 @@ class CheckpointManager:
     monotone counter the caller chooses (the runtime uses "epochs
     completed").  ``keep`` bounds how many are retained; rotation
     deletes oldest-first after each successful save, so a failed save
-    never costs an existing checkpoint.
+    never costs an existing checkpoint.  The directory is created by the
+    first save; until then a missing directory holds no checkpoints, so
+    building a manager writes nothing to disk.
     """
 
     def __init__(
@@ -58,7 +60,6 @@ class CheckpointManager:
         self.faults = faults
         #: ``(path, reason)`` for archives skipped by the last recovery walk.
         self.skipped: list[tuple[str, str]] = []
-        os.makedirs(self.directory, exist_ok=True)
 
     # ------------------------------------------------------------------
     # Naming
@@ -68,10 +69,15 @@ class CheckpointManager:
         return os.path.join(self.directory, f"ckpt-{step:08d}.npz")
 
     def steps(self) -> list[int]:
-        """Steps with an archive on disk, ascending (valid or not)."""
+        """Steps with an archive on disk, ascending (valid or not); none
+        while the directory does not exist."""
         pattern = re.compile(r"ckpt-(\d+)\.npz$")
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
         found = []
-        for name in os.listdir(self.directory):
+        for name in names:
             match = pattern.fullmatch(name)
             if match:
                 found.append(int(match.group(1)))
@@ -90,6 +96,7 @@ class CheckpointManager:
         path = self.path_for(step)
         if self.faults is not None:
             self.faults.on_checkpoint_write(path)
+        os.makedirs(self.directory, exist_ok=True)
         write_archive(path, arrays)
         self._rotate()
         return path

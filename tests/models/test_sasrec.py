@@ -221,6 +221,35 @@ class TestKeptShapeDropoutDraws:
             (b, h, 1, w), (b, 1, d), (b, 1, d),
         ]
 
+    def grouped_batch(self):
+        """``2 × _GROUP_ROWS + 1`` shuffled histories of 0 to ``W``
+        items: three length groups of different widths."""
+        rows = 2 * _GROUP_ROWS + 1
+        rng = np.random.default_rng(7)
+        ids = rng.integers(1, 50, size=(rows, 10))
+        for row, length in enumerate(rng.permutation(np.arange(rows) % (self.W + 1))):
+            ids[row, : 10 - length] = 0
+        return ids
+
+    def test_forward_more_rows_than_one_group(self, monkeypatch):
+        """``B > _GROUP_ROWS`` runs as length groups; each site still
+        draws once, at the batch's ``(B, w, …)`` shape."""
+        ids = self.grouped_batch()
+        b, w, h, d = len(ids), self.W, self.H, self.D
+        block = [(b, h, w, w), (b, w, d), (b, w, d)]
+        draws = self.draws(monkeypatch, lambda enc, __: enc(ids))
+        assert draws == [(b, w, d)] + 2 * block
+
+    def test_user_representation_more_rows_than_one_group(self, monkeypatch):
+        ids = self.grouped_batch()
+        b, w, h, d = len(ids), self.W, self.H, self.D
+        draws = self.draws(monkeypatch, lambda enc, __: enc.user_representation(ids))
+        assert draws == [
+            (b, w, d),
+            (b, h, w, w), (b, w, d), (b, w, d),
+            (b, h, 1, w), (b, 1, d), (b, 1, d),
+        ]
+
     def test_eval_mode_draws_nothing(self, monkeypatch):
         def evaluate(enc, ids):
             enc.eval()

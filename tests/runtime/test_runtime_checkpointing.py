@@ -126,6 +126,15 @@ class TestCheckpointManager:
         assert manager.load_latest_valid() is None
         assert manager.latest_step() is None
 
+    def test_directory_is_made_by_the_first_save(self, tmp_path):
+        """Building a manager writes nothing: a run refused after that
+        leaves no empty checkpoint directory behind."""
+        manager = CheckpointManager(tmp_path / "stage" / "fresh")
+        assert manager.steps() == [] and manager.load_latest_valid() is None
+        assert list(tmp_path.iterdir()) == []
+        manager.save(1, payload(1.0))
+        assert manager.steps() == [1]
+
     def test_keep_validates(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, keep=0)

@@ -249,6 +249,24 @@ class TestCheckpointWatcher:
         finally:
             server.shutdown()
 
+    def test_watches_a_directory_before_it_exists(
+        self, engine, tmp_path, other_sasrec
+    ):
+        """A directory no trainer has written yet holds no checkpoints:
+        the watcher neither makes it nor fails, and reloads the first
+        checkpoint saved there."""
+        server = RecommendationServer(engine, port=0)
+        directory = tmp_path / "not-yet"
+        try:
+            watcher = CheckpointWatcher(server, str(directory))
+            assert watcher.poll_once() is False
+            assert not directory.exists()
+            save_checkpoint(CheckpointManager(directory), 2, other_sasrec)
+            assert watcher.poll_once() is True
+            assert engine.model_version == 2
+        finally:
+            server.shutdown()
+
     def test_poll_survives_corrupt_checkpoint(
         self, engine, checkpoint_dir, other_sasrec
     ):

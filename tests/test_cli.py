@@ -200,7 +200,8 @@ class TestMain:
         self, argv, message, capsys, tmp_path, monkeypatch
     ):
         """``train`` follows the serving commands' rule, and refuses a
-        bad flag before the dataset is built."""
+        bad flag before the dataset is built or a checkpoint directory
+        is made."""
         from repro.data import registry
 
         def no_dataset(*args, **kwargs):
@@ -211,6 +212,7 @@ class TestMain:
                      "--checkpoint-dir", str(tmp_path / "ck"), *argv])
         assert code == 2
         assert capsys.readouterr().err.strip() == f"train: {message}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_serve_config_is_one_line_exit_2(self, capsys):
         code = main(["recommend", "--checkpoint", "c", "--user", "0",
